@@ -110,6 +110,38 @@ func escapeGoroutine(n int) {
 	}()
 }
 
+type bitsetHolder struct{ words []uint64 }
+
+func escapeWordsField(h *bitsetHolder, n int) {
+	ws := pool.Get().(*mat.Workspace)
+	defer func() {
+		ws.Reset()
+		pool.Put(ws)
+	}()
+	row := ws.GetWords(n)[:n/2]
+	h.words = row // want "workspace: arena-backed value stored in a field"
+}
+
+func escapeWordsReturn(n int) []uint64 {
+	ws := pool.Get().(*mat.Workspace)
+	defer func() {
+		ws.Reset()
+		pool.Put(ws)
+	}()
+	return ws.GetWords(n) // want "workspace: arena-backed value escapes via return"
+}
+
+// firstWord reads only a scalar out of the word scratch, which is fine.
+func firstWord(n int) uint64 {
+	ws := pool.Get().(*mat.Workspace)
+	defer func() {
+		ws.Reset()
+		pool.Put(ws)
+	}()
+	words := ws.GetWords(n)
+	return words[0]
+}
+
 // copyOut is the sanctioned way to keep results: copy out of the arena
 // before it is recycled.
 func copyOut(n int) []float64 {

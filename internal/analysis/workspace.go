@@ -11,22 +11,22 @@ import (
 // sync.Pool must go back through a defer that Resets before Putting —
 // a plain Put is not panic-safe, a Put without Reset hands the next
 // user a dirty arena, and no defer at all leaks the arena on the first
-// panicking path. And because Reset recycles every Get/GetVec/GetInts
-// allocation at once, arena-backed objects must not outlive the
+// panicking path. And because Reset recycles every
+// Get/GetVec/GetInts/GetWords allocation at once, arena-backed objects must not outlive the
 // function that owns the pooled workspace: returning them, parking
 // them in fields or globals, or shipping them to goroutines/channels
 // republishes memory the pool is about to hand to someone else.
 var WorkspaceAnalyzer = &Analyzer{
 	Name: "workspace",
 	Doc: "pooled mat.Workspace must be returned via defer { Reset; Put } and its " +
-		"Get/GetVec/GetInts/LU allocations must not escape the owning function",
+		"Get/GetVec/GetInts/GetWords/LU allocations must not escape the owning function",
 	Run: runWorkspace,
 }
 
 const workspaceType = "crowdassess/internal/mat.Workspace"
 
 // arenaMethods are the Workspace methods whose results are arena-owned.
-var arenaMethods = map[string]bool{"Get": true, "GetVec": true, "GetInts": true, "LU": true}
+var arenaMethods = map[string]bool{"Get": true, "GetVec": true, "GetInts": true, "GetWords": true, "LU": true}
 
 func runWorkspace(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
@@ -259,7 +259,7 @@ func callMentionsObj(info *types.Info, call *ast.CallExpr, obj types.Object) boo
 }
 
 // exprArenaTainted reports whether e evaluates to arena-owned memory: a
-// direct ws.Get/GetVec/GetInts/LU call on a pooled workspace, a tainted
+// direct ws.Get/GetVec/GetInts/GetWords/LU call on a pooled workspace, a tainted
 // identifier, or a slice/index view of either.
 func exprArenaTainted(info *types.Info, e ast.Expr, acquired map[types.Object]*ast.Ident, tainted map[types.Object]*ast.Ident) bool {
 	switch e := ast.Unparen(e).(type) {

@@ -72,7 +72,7 @@ func TestGradientEntryZeroAllocs(t *testing.T) {
 // Theorem 1's dᵀΣd on the A2 hot path — is allocation-free.
 func TestLemma4QuadZeroAllocs(t *testing.T) {
 	cov := buildLemma4(t, 23, 15, 200, 0)
-	d := uniformWeights(cov.Dim())
+	d := uniformWeights(cov.Dim(), mat.NewWorkspace())
 	var sink float64
 	if allocs := testing.AllocsPerRun(50, func() {
 		sink = cov.Quad(d)

@@ -429,12 +429,12 @@ func TestFormPairsGreedyPrefersOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := formPairs(newFullStatsCache(ds), 5, 0, GreedyPairing, 1)
-	if len(pairs) != 2 {
+	pairs := formPairs(newFullStatsCache(ds), 5, 0, GreedyPairing, 1, mat.NewWorkspace())
+	if len(pairs) != 4 {
 		t.Fatalf("pairs = %v", pairs)
 	}
 	// First pair should be the two high-overlap workers.
-	first := pairs[0]
+	first := pairs[:2]
 	if !((first[0] == 1 && first[1] == 2) || (first[0] == 2 && first[1] == 1)) {
 		t.Errorf("greedy first pair = %v, want {1,2}", first)
 	}
@@ -490,7 +490,7 @@ func TestOptimalWeightsBeatUniformProperty(t *testing.T) {
 			}
 			return s
 		}
-		return quad(w) <= quad(uniformWeights(l))+1e-9
+		return quad(w) <= quad(uniformWeights(l, mat.NewWorkspace()))+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

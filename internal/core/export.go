@@ -247,9 +247,7 @@ func (a *StatsAccumulator) ApplyDelta(d *StatsDelta) error {
 	}
 	for _, w := range d.Words {
 		b := &a.stats.responded[w.Worker]
-		for len(*b) <= w.Index {
-			*b = append(*b, 0)
-		}
+		b.grow(w.Index + 1)
 		old := (*b)[w.Index]
 		(*b)[w.Index] = old | w.Bits
 		change += wordTerm(w.Worker, w.Index, old|w.Bits) - wordTerm(w.Worker, w.Index, old)

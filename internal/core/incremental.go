@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 
@@ -55,11 +56,12 @@ func newStreamStats(workers int) *streamStats {
 // task-response list; record only maintains the derived counters.
 func (s *streamStats) record(w, t int, r crowd.Response, prev []workerResponse) {
 	for _, p := range prev {
-		s.common[w][p.worker]++
-		s.common[p.worker][w]++
-		if p.resp == r {
-			s.agree[w][p.worker]++
-			s.agree[p.worker][w]++
+		pw := int(p.worker)
+		s.common[w][pw]++
+		s.common[pw][w]++
+		if crowd.Response(p.resp) == r {
+			s.agree[w][pw]++
+			s.agree[pw][w]++
 		}
 	}
 	s.responded[w].set(t)
@@ -100,10 +102,8 @@ func (s *streamStats) pair(i, j int) crowd.PairStats {
 	return crowd.PairStats{Common: s.common[i][j], Agree: s.agree[i][j]}
 }
 
-// common3 implements agreementSource over the attendance bitsets.
-func (s *streamStats) common3(i, j, k int) int {
-	return and3Count(s.responded[i], s.responded[j], s.responded[k])
-}
+// attendance implements agreementSource over the attendance bitsets.
+func (s *streamStats) attendance(w int) []uint64 { return s.responded[w] }
 
 // Incremental maintains the sufficient statistics of Algorithm A2 online,
 // realizing the paper's closing remark that the method "can be easily
@@ -139,20 +139,32 @@ type Incremental struct {
 	wsPool sync.Pool
 }
 
+// workerResponse is one entry of a task's response list, packed to 8
+// bytes: the lists hold every response ingested, so their size is the
+// evaluator's memory floor. NewIncremental and NewShardedIncremental
+// reject crowds whose worker indices would not fit.
 type workerResponse struct {
-	worker int
-	resp   crowd.Response
+	worker int32
+	resp   int8 // a crowd.Response
+}
+
+func newWorkerResponse(w int, r crowd.Response) workerResponse {
+	return workerResponse{worker: int32(w), resp: int8(r)}
 }
 
 // dynBitset is a growable bitset over task indices.
 type dynBitset []uint64
 
 func (b *dynBitset) set(i int) {
-	word := i / 64
-	for len(*b) <= word {
-		*b = append(*b, 0)
+	b.grow(i/64 + 1)
+	(*b)[i/64] |= 1 << (uint(i) % 64)
+}
+
+// grow extends b with zero words to at least n words, in one step.
+func (b *dynBitset) grow(n int) {
+	if len(*b) < n {
+		*b = append(*b, make([]uint64, n-len(*b))...)
 	}
-	(*b)[word] |= 1 << (uint(i) % 64)
 }
 
 func (b dynBitset) get(i int) bool {
@@ -162,36 +174,19 @@ func (b dynBitset) get(i int) bool {
 
 // orWith unions o into b, growing b as needed.
 func (b *dynBitset) orWith(o dynBitset) {
-	for len(*b) < len(o) {
-		*b = append(*b, 0)
-	}
+	b.grow(len(o))
+	dst := (*b)[:len(o)]
 	for i, word := range o {
-		(*b)[i] |= word
+		dst[i] |= word
 	}
-}
-
-// and3Count returns |a ∩ b ∩ c|.
-func and3Count(a, b, c dynBitset) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	if len(c) < n {
-		n = len(c)
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		total += bits.OnesCount64(a[i] & b[i] & c[i])
-	}
-	return total
 }
 
 // NewIncremental returns an empty streaming evaluator for the given number
 // of binary workers (arity is fixed at 2: the streaming path wraps
 // Algorithm A2).
 func NewIncremental(workers int) (*Incremental, error) {
-	if workers < 3 {
-		return nil, fmt.Errorf("core: need at least 3 workers, have %d: %w", workers, ErrInsufficientData)
+	if err := checkStreamingWorkers(workers); err != nil {
+		return nil, err
 	}
 	return &Incremental{
 		workers:       workers,
@@ -200,6 +195,19 @@ func NewIncremental(workers int) (*Incremental, error) {
 		streamStats:   newStreamStats(workers),
 		wsPool:        sync.Pool{New: func() any { return mat.NewWorkspace() }},
 	}, nil
+}
+
+// checkStreamingWorkers validates a streaming evaluator's crowd size: A2
+// needs three workers, and the packed response lists index workers with
+// 32 bits.
+func checkStreamingWorkers(workers int) error {
+	if workers < 3 {
+		return fmt.Errorf("core: need at least 3 workers, have %d: %w", workers, ErrInsufficientData)
+	}
+	if workers > math.MaxInt32 {
+		return fmt.Errorf("core: %d workers exceed the streaming limit of %d", workers, math.MaxInt32)
+	}
+	return nil
 }
 
 // Workers returns the number of workers tracked.
@@ -229,7 +237,7 @@ func (inc *Incremental) Add(w, t int, r crowd.Response) error {
 		return fmt.Errorf("core: worker %d already answered task %d", w, t)
 	}
 	inc.streamStats.record(w, t, r, inc.taskResponses[t])
-	inc.taskResponses[t] = append(inc.taskResponses[t], workerResponse{w, r})
+	inc.taskResponses[t] = append(inc.taskResponses[t], newWorkerResponse(w, r))
 	inc.responses++
 	if t+1 > inc.tasks {
 		inc.tasks = t + 1
@@ -316,7 +324,7 @@ func snapshotDataset(workers, tasks, arity int, responseMaps ...map[int][]worker
 	for _, m := range responseMaps {
 		for t, rs := range m {
 			for _, wr := range rs {
-				if err := ds.SetResponse(wr.worker, t, wr.resp); err != nil {
+				if err := ds.SetResponse(int(wr.worker), t, crowd.Response(wr.resp)); err != nil {
 					return nil, err
 				}
 			}
@@ -339,7 +347,7 @@ func tallyDisagreement(attempted, disagree []int, taskResponses map[int][]worker
 	for _, rs := range taskResponses {
 		yes := 0
 		for _, wr := range rs {
-			if wr.resp == crowd.Yes {
+			if crowd.Response(wr.resp) == crowd.Yes {
 				yes++
 			}
 		}
@@ -355,7 +363,7 @@ func tallyDisagreement(attempted, disagree []int, taskResponses map[int][]worker
 		}
 		for _, wr := range rs {
 			attempted[wr.worker]++
-			if wr.resp != maj {
+			if crowd.Response(wr.resp) != maj {
 				disagree[wr.worker]++
 			}
 		}

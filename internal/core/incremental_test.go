@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 
 	"crowdassess/internal/crowd"
@@ -129,7 +130,7 @@ func TestIncrementalCounters(t *testing.T) {
 	if got := inc.pair(0, 2); got.Common != 1 || got.Agree != 1 {
 		t.Errorf("pair(0,2) = %+v", got)
 	}
-	if got := inc.common3(0, 1, 2); got != 1 {
+	if got := and3Count(inc.attendance(0), inc.attendance(1), inc.attendance(2)); got != 1 {
 		t.Errorf("common3 = %d", got)
 	}
 	if inc.Tasks() != 2 || inc.Responses() != 5 {
@@ -219,5 +220,44 @@ func TestIncrementalIntervalsShrinkWithData(t *testing.T) {
 	}
 	if !(sizes[2] < sizes[1] && sizes[1] < sizes[0]) {
 		t.Errorf("interval sizes not shrinking: %v", sizes)
+	}
+}
+
+// TestStreamingRejectsOversizedCrowd: task response lists store worker
+// indices in 32 bits, so both streaming constructors refuse a crowd whose
+// indices would not fit, before allocating anything for it.
+func TestStreamingRejectsOversizedCrowd(t *testing.T) {
+	if strconv.IntSize == 32 {
+		t.Skip("int cannot exceed math.MaxInt32")
+	}
+	huge := math.MaxInt32
+	huge++
+	if _, err := NewIncremental(huge); err == nil {
+		t.Error("NewIncremental accepted more than MaxInt32 workers")
+	}
+	if _, err := NewShardedIncremental(huge, 2); err == nil {
+		t.Error("NewShardedIncremental accepted more than MaxInt32 workers")
+	}
+}
+
+// TestBitsetOrWithRagged unions bitsets of every relative length: the
+// result is the bitwise union, as long as the longer operand.
+func TestBitsetOrWithRagged(t *testing.T) {
+	for _, c := range []struct{ a, b dynBitset }{
+		{nil, nil},
+		{nil, dynBitset{1, 0, 4}},
+		{dynBitset{1, 2}, dynBitset{4}},
+		{dynBitset{1}, dynBitset{2, 8, 16}},
+	} {
+		got := append(dynBitset(nil), c.a...)
+		got.orWith(c.b)
+		if len(got) != max(len(c.a), len(c.b)) {
+			t.Fatalf("%v | %v: length %d", c.a, c.b, len(got))
+		}
+		for k := range got {
+			if want := c.a.word(k) | c.b.word(k); got[k] != want {
+				t.Fatalf("%v | %v: word %d = %x, want %x", c.a, c.b, k, got[k], want)
+			}
+		}
 	}
 }

@@ -21,30 +21,31 @@ import (
 // agree bit-for-bit entry-wise and to summation-order roundoff (≤ 1e-12
 // relative, tested) in the quadratic form.
 type Lemma4Cov struct {
-	src    agreementSource
-	worker int     // the evaluated worker i
-	pPool  float64 // pooled error-rate estimate p̂_i used inside C(i,·,·)
+	counts tripleCounts // the evaluated worker i's statistics
+	pPool  float64      // pooled error-rate estimate p̂_i used inside C(i,·,·)
 
 	diag   []float64 // per-triple delta-method variance (Lemma 4 diagonal)
 	d1, d2 []float64 // ∂p_i/∂q_{i,j1}, ∂p_i/∂q_{i,j2} per triple
 	j1, j2 []int     // the triple's partner workers
 
 	// dense caches the materialized matrix once Materialize has run: each
-	// entry costs four popcount-backed cache lookups, so after the Lemma 5
-	// solve has forced materialization anyway, Quad reads the cache instead
-	// of regenerating entries. Entries are identical either way.
+	// entry costs four C(i,·,·) terms, each a triple count plus three pair
+	// lookups, so after the Lemma 5 solve has forced materialization
+	// anyway, Quad reads the cache instead of regenerating entries. Entries
+	// are identical either way.
 	dense *mat.Matrix
 }
 
-// newLemma4Cov returns an empty covariance for the given worker, its
-// per-triple slices drawn from ws (capacity for up to `capacity` triples);
-// triples are appended with add in the order they were formed.
-func newLemma4Cov(src agreementSource, worker int, pPool float64, capacity int, ws *mat.Workspace) *Lemma4Cov {
+// newLemma4Cov returns an empty covariance for the worker counts
+// evaluates, its per-triple slices drawn from ws (capacity for up to
+// `capacity` triples); triples are appended with add in the order they
+// were formed, and pPool must be set before any entry is read. It returns
+// a value so a solve can keep it on its stack; counts is copied in for the
+// same reason (escape analysis would move a pointed-to one to the heap).
+func newLemma4Cov(counts tripleCounts, capacity int, ws *mat.Workspace) Lemma4Cov {
 	ints := ws.GetInts(2 * capacity)
-	return &Lemma4Cov{
-		src:    src,
-		worker: worker,
-		pPool:  pPool,
+	return Lemma4Cov{
+		counts: counts,
 		diag:   ws.GetVec(capacity)[:0],
 		d1:     ws.GetVec(capacity)[:0],
 		d2:     ws.GetVec(capacity)[:0],
@@ -76,10 +77,10 @@ func (c *Lemma4Cov) entry(k1, k2 int) float64 {
 		k1, k2 = k2, k1
 	}
 	var v float64
-	v += c.d1[k1] * c.d1[k2] * lemma4C(c.src, c.worker, c.j1[k1], c.j1[k2], c.pPool)
-	v += c.d1[k1] * c.d2[k2] * lemma4C(c.src, c.worker, c.j1[k1], c.j2[k2], c.pPool)
-	v += c.d2[k1] * c.d1[k2] * lemma4C(c.src, c.worker, c.j2[k1], c.j1[k2], c.pPool)
-	v += c.d2[k1] * c.d2[k2] * lemma4C(c.src, c.worker, c.j2[k1], c.j2[k2], c.pPool)
+	v += c.d1[k1] * c.d1[k2] * lemma4C(&c.counts, c.j1[k1], c.j1[k2], c.pPool)
+	v += c.d1[k1] * c.d2[k2] * lemma4C(&c.counts, c.j1[k1], c.j2[k2], c.pPool)
+	v += c.d2[k1] * c.d1[k2] * lemma4C(&c.counts, c.j2[k1], c.j1[k2], c.pPool)
+	v += c.d2[k1] * c.d2[k2] * lemma4C(&c.counts, c.j2[k1], c.j2[k2], c.pPool)
 	return v
 }
 
@@ -87,7 +88,7 @@ func (c *Lemma4Cov) entry(k1, k2 int) float64 {
 // are generated on the fly (or read from the Materialize cache when the
 // weight solve already paid for them). The generate path walks only the
 // upper triangle, folding each symmetric pair in as 2·dᵢ·dⱼ·Σᵢⱼ, so every
-// entry — four popcount-backed cache lookups — is computed exactly once,
+// entry — four C(i,·,·) terms — is computed exactly once,
 // matching the cost of the dense build it replaces. O(l²) time, zero
 // allocations; agrees with the dense accumulation order to roundoff
 // (≤ 1e-12 relative, tested).
@@ -120,6 +121,13 @@ func (c *Lemma4Cov) DiagAbsQuad(d []float64) float64 {
 		s += di * di * abs(c.diag[i])
 	}
 	return s
+}
+
+// deltaMethod is Theorem 1 for the combined estimate Σ aₖ pₖ,ᵢ with the
+// Dim() weights a: DeltaMethodCov through the concrete type, so the
+// covariance never escapes to the heap.
+func (c *Lemma4Cov) deltaMethod(mean float64, weights []float64) (DeltaEstimate, error) {
+	return deltaFromVariance(mean, c.Quad(weights), c.DiagAbsQuad(weights))
 }
 
 // Materialize builds the dense matrix into ws scratch once, caches it for

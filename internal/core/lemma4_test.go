@@ -25,18 +25,22 @@ func buildLemma4(t testing.TB, seed int64, workers, tasks, worker int) *Lemma4Co
 		t.Fatal(err)
 	}
 	cache := newFullStatsCache(ds)
-	pairs := formPairs(cache, workers, worker, GreedyPairing, 1)
+	ws := mat.NewWorkspace()
+	pairs := formPairs(cache, workers, worker, GreedyPairing, 1, ws)
 	if len(pairs) == 0 {
 		t.Fatal("no pairs formed")
 	}
+	var counts tripleCounts
+	counts.init(cache, workers, worker, pairs, triplesAuto, ws)
 	type entry struct {
 		variance, d1, d2 float64
 		j1, j2           int
 	}
 	var entries []entry
 	var pPool float64
-	for _, pr := range pairs {
-		st, err := newTripleStats(cache, worker, pr[0], pr[1])
+	for k := 0; k < len(pairs); k += 2 {
+		j1, j2 := pairs[k], pairs[k+1]
+		st, err := newTripleStats(cache, worker, j1, j2, counts.common3(j1, j2), mat.New(3, 3))
 		if err != nil {
 			continue
 		}
@@ -44,18 +48,19 @@ func buildLemma4(t testing.TB, seed int64, workers, tasks, worker int) *Lemma4Co
 		if err != nil {
 			continue
 		}
-		entries = append(entries, entry{de.Dev * de.Dev, st.grad[0][0], st.grad[0][1], pr[0], pr[1]})
+		entries = append(entries, entry{de.Dev * de.Dev, st.grad[0][0], st.grad[0][1], j1, j2})
 		pPool += de.Mean
 	}
 	if len(entries) < 2 {
 		t.Fatalf("only %d usable triples", len(entries))
 	}
 	pPool /= float64(len(entries))
-	cov := newLemma4Cov(cache, worker, pPool, len(entries), mat.NewWorkspace())
+	cov := newLemma4Cov(counts, len(entries), ws)
+	cov.pPool = pPool
 	for _, e := range entries {
 		cov.add(e.variance, e.d1, e.j1, e.d2, e.j2)
 	}
-	return cov
+	return &cov
 }
 
 // TestLemma4QuadMatchesDense is the acceptance check for the structured
@@ -119,6 +124,6 @@ func TestLemma4OptimalWeightsMatchDense(t *testing.T) {
 
 func benchLemma4(b *testing.B, workers int) (*Lemma4Cov, []float64) {
 	cov := buildLemma4(b, 23, workers, 300, 0)
-	w := uniformWeights(cov.Dim())
+	w := uniformWeights(cov.Dim(), mat.NewWorkspace())
 	return cov, w
 }

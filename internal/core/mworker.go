@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"crowdassess/internal/crowd"
@@ -152,36 +153,49 @@ func EvaluateWorkersDelta(ds *crowd.Dataset, opts EvalOptions) ([]WorkerDelta, e
 }
 
 // agreementSource is what Algorithm A2 needs from its statistics provider:
-// pairwise agreement statistics and triple common-task counts. Both the
-// batch cache (fullStatsCache) and the streaming evaluator implement it.
+// pairwise agreement statistics, and each worker's attendance bitset, from
+// which tripleCounts derives the triple common-task counts. Both the batch
+// cache (fullStatsCache) and the streaming statistics implement it.
 type agreementSource interface {
 	pairSource
+	// attendance returns worker w's attempted-task bitset (bit t of word
+	// t/64), read-only. Lengths may differ between workers — a streaming
+	// bitset ends at the last task its worker answered — and missing words
+	// are zero.
+	attendance(w int) []uint64
 }
 
 // evaluateOne runs steps 1–3 of Algorithm A2 for a single worker. ws is
-// the calling goroutine's scratch workspace for the Lemma 5 weight solve;
-// it is rewound here, so nothing handed out by it may outlive the call.
+// the calling goroutine's scratch workspace for the pairing, the triple
+// counts and the Lemma 5 weight solve; it is rewound here, so nothing
+// handed out by it may outlive the call. Once ws has served a worker, a
+// later solve of the same worker allocates nothing.
 func evaluateOne(cache agreementSource, m, i int, opts EvalOptions, minCommon int, ws *mat.Workspace) WorkerDelta {
+	return solveWorker(cache, m, i, opts, minCommon, triplesAuto, ws)
+}
+
+// solveWorker is evaluateOne with the triple-count path chosen by mode.
+func solveWorker(cache agreementSource, m, i int, opts EvalOptions, minCommon int, mode tripleMode, ws *mat.Workspace) WorkerDelta {
 	ws.Reset()
 	est := WorkerDelta{Worker: i}
-	pairs := formPairs(cache, m, i, opts.Pairing, minCommon)
+	pairs := formPairs(cache, m, i, opts.Pairing, minCommon, ws)
 	if len(pairs) == 0 {
 		est.Err = fmt.Errorf("core: worker %d has no usable triple: %w", i, ErrInsufficientData)
 		return est
 	}
+	var counts tripleCounts
+	counts.init(cache, m, i, pairs, mode, ws)
 
-	// Step 2: per-triple statistics and delta estimates for worker i.
-	type tripleResult struct {
-		st    *tripleStats
-		est   DeltaEstimate
-		j1    int // partner workers
-		j2    int
-		dQij1 float64 // ∂p_i/∂q_{i,j1}
-		dQij2 float64 // ∂p_i/∂q_{i,j2}
-	}
-	var triples []tripleResult
-	for _, pr := range pairs {
-		st, err := newTripleStats(cache, i, pr[0], pr[1])
+	// Step 2: per-triple statistics and delta estimates for worker i. Each
+	// usable triple's variance and own-pair gradients go straight into the
+	// Lemma 4 covariance, its mean into means; the 3×3 Lemma 3 scratch is
+	// shared, since only the estimate outlives the triple.
+	cov := newLemma4Cov(counts, len(pairs)/2, ws)
+	means := ws.GetVec(len(pairs) / 2)[:0]
+	tripleCov := ws.Get(3, 3)
+	for k := 0; k < len(pairs); k += 2 {
+		j1, j2 := pairs[k], pairs[k+1]
+		st, err := newTripleStats(cache, i, j1, j2, counts.common3(j1, j2), tripleCov)
 		if err != nil {
 			continue // degenerate triple: skip, as the 500-replicate harness does
 		}
@@ -189,15 +203,12 @@ func evaluateOne(cache agreementSource, m, i int, opts EvalOptions, minCommon in
 		if err != nil {
 			continue
 		}
-		triples = append(triples, tripleResult{
-			st: st, est: de, j1: pr[0], j2: pr[1],
-			// For triple (i, j1, j2): q-vector is (q_{i,j1}, q_{i,j2}, q_{j1,j2}),
-			// so worker i's own-pair derivatives are components 0 and 1.
-			dQij1: st.grad[0][0],
-			dQij2: st.grad[0][1],
-		})
+		// For triple (i, j1, j2): q-vector is (q_{i,j1}, q_{i,j2}, q_{j1,j2}),
+		// so worker i's own-pair derivatives are components 0 and 1.
+		means = append(means, de.Mean)
+		cov.add(de.Dev*de.Dev, st.grad[0][0], j1, st.grad[0][1], j2)
 	}
-	l := len(triples)
+	l := len(means)
 	if l == 0 {
 		est.Err = fmt.Errorf("core: worker %d: all triples degenerate: %w", i, ErrDegenerate)
 		return est
@@ -206,52 +217,41 @@ func evaluateOne(cache agreementSource, m, i int, opts EvalOptions, minCommon in
 
 	// Pooled error-rate estimate for worker i, used inside Lemma 4's C(i,·,·).
 	var pPool float64
-	for _, tr := range triples {
-		pPool += tr.est.Mean
+	for _, mean := range means {
+		pPool += mean
 	}
 	pPool /= float64(l)
-	pPool = stat.Clamp01(pPool)
+	cov.pPool = stat.Clamp01(pPool)
 
 	// Step 3: the l×l covariance of the triple estimates (Lemma 4), in
 	// structured form: entries are generated on demand from the per-triple
-	// gradients and the agreement cache, so nothing l×l is allocated per
-	// worker. Each Lemma-4 entry costs four popcount-backed cache lookups,
-	// so it should be computed at most once: the Lemma 5 solve below has to
-	// materialize the matrix anyway (into reusable workspace scratch), and
-	// when it does, the delta method reads that scratch rather than
-	// regenerating entries; with uniform weights (or a single triple) no
-	// matrix is ever built and the structured quadratic form is used
-	// directly. Both routes produce bit-identical entries.
-	cov := newLemma4Cov(cache, i, pPool, l, ws)
-	for _, tr := range triples {
-		cov.add(tr.est.Dev*tr.est.Dev, tr.dQij1, tr.j1, tr.dQij2, tr.j2)
-	}
+	// gradients, the agreement cache and the triple counts, so nothing l×l
+	// is allocated per worker. Each Lemma-4 entry costs four triple counts
+	// and twelve pair lookups, so it should be computed at most once: the
+	// Lemma 5 solve below has to materialize the matrix anyway (into
+	// reusable workspace scratch), and when it does, the delta method reads
+	// that scratch rather than regenerating entries; with uniform weights
+	// (or a single triple) no matrix is ever built and the structured
+	// quadratic form is used directly. Both routes produce bit-identical
+	// entries.
 
 	// Combination weights (Lemma 5 or uniform). The solve materializes the
 	// covariance into workspace scratch, which cov then serves Quad from.
-	weights := uniformWeights(l)
+	weights := uniformWeights(l, ws)
 	if opts.Weights == OptimalWeights && l > 1 {
-		if w, err := optimalWeightsCov(cov, ws); err == nil {
+		if w, err := optimalWeightsCov(&cov, ws); err == nil {
 			weights = w
 		}
 	}
 
 	// Final estimate: p̂_i = Σ a_k p_{k,i}; Var = aᵀCa (Theorem 1 with the
 	// linear function f = Σ a_k x_k, whose gradient is the weight vector).
-	var mean float64
-	for k, tr := range triples {
-		mean += weights[k] * tr.est.Mean
-	}
-	de, err := DeltaMethodCov(mean, weights, cov)
+	de, err := cov.deltaMethod(weightedMean(weights, means), weights)
 	if err != nil {
 		// Optimal weights can push aᵀCa negative when C is badly estimated;
 		// retry with uniform weights before giving up.
-		weights = uniformWeights(l)
-		mean = 0
-		for k, tr := range triples {
-			mean += weights[k] * tr.est.Mean
-		}
-		de, err = DeltaMethodCov(mean, weights, cov)
+		weights = uniformWeights(l, ws)
+		de, err = cov.deltaMethod(weightedMean(weights, means), weights)
 		if err != nil {
 			est.Err = err
 			return est
@@ -261,33 +261,47 @@ func evaluateOne(cache agreementSource, m, i int, opts EvalOptions, minCommon in
 	return est
 }
 
-// lemma4C computes C(i, j, j′) of Lemma 4: the covariance between worker
-// i's agreement rates with j and with j′,
+// weightedMean returns Σ a_k x_k, summed in index order.
+func weightedMean(a, x []float64) float64 {
+	var mean float64
+	for k, v := range x {
+		mean += a[k] * v
+	}
+	return mean
+}
+
+// lemma4C computes C(i, j, j′) of Lemma 4 for the worker i counts
+// evaluates: the covariance between worker i's agreement rates with j and
+// with j′,
 //
 //	C(i, j, j′) = c_{i,j,j′} · p_i(1−p_i) · (2q_{j,j′}−1) / (c_{i,j}·c_{i,j′})
 //
 // For j = j′ this degenerates to Var(Q_{i,j}) which Lemma 4's diagonal case
 // already covers, but cross-triple sums never hit it since triples are
 // disjoint pairs.
-func lemma4C(cache agreementSource, i, j, jp int, pI float64) float64 {
-	cij := cache.pair(i, j).Common
-	cijp := cache.pair(i, jp).Common
+func lemma4C(counts *tripleCounts, j, jp int, pI float64) float64 {
+	src, i := counts.src, counts.i
+	cij := src.pair(i, j).Common
+	cijp := src.pair(i, jp).Common
 	if cij == 0 || cijp == 0 {
 		return 0
 	}
-	c3 := cache.common3(i, j, jp)
+	c3 := counts.common3(j, jp)
 	if c3 == 0 {
 		return 0
 	}
-	qjjp := cache.pair(j, jp).Rate()
+	qjjp := src.pair(j, jp).Rate()
 	return float64(c3) * pI * (1 - pI) * (2*qjjp - 1) / (float64(cij) * float64(cijp))
 }
 
 // formPairs implements Step 1 of Algorithm A2: split the workers other than
-// i into pairs, each of which will join i to form a triple.
-func formPairs(cache agreementSource, m, i int, strategy PairingStrategy, minCommon int) [][2]int {
+// i into pairs, each of which will join i to form a triple. The pairs come
+// back flattened into ws scratch — pair k is (pairs[2k], pairs[2k+1]) — so
+// every partner appears once.
+func formPairs(cache agreementSource, m, i int, strategy PairingStrategy, minCommon int, ws *mat.Workspace) []int {
+	scratch := ws.GetInts(2 * m)
 	// Candidates must share at least minCommon tasks with worker i.
-	var cands []int
+	cands := scratch[:0:m]
 	for w := 0; w < m; w++ {
 		if w != i && cache.pair(i, w).Common >= minCommon {
 			cands = append(cands, w)
@@ -297,25 +311,24 @@ func formPairs(cache agreementSource, m, i int, strategy PairingStrategy, minCom
 		// Descending by common-task count with worker i: the paper pairs the
 		// best-overlapping workers together so some triples are excellent
 		// (the weight optimization then exploits the quality spread).
-		sort.SliceStable(cands, func(a, b int) bool {
-			return cache.pair(i, cands[a]).Common > cache.pair(i, cands[b]).Common
+		slices.SortStableFunc(cands, func(a, b int) int {
+			return cmp.Compare(cache.pair(i, b).Common, cache.pair(i, a).Common)
 		})
 	}
-	var pairs [][2]int
-	used := make([]bool, len(cands))
+	pairs := scratch[m:m]
 	for a := 0; a < len(cands); a++ {
-		if used[a] {
-			continue
+		if cands[a] < 0 {
+			continue // already paired
 		}
 		for b := a + 1; b < len(cands); b++ {
-			if used[b] {
+			if cands[b] < 0 {
 				continue
 			}
 			// The pair must share tasks with each other too, otherwise the
 			// triple's q_{j1,j2} is undefined.
 			if cache.pair(cands[a], cands[b]).Common >= minCommon {
-				pairs = append(pairs, [2]int{cands[a], cands[b]})
-				used[a], used[b] = true, true
+				pairs = append(pairs, cands[a], cands[b])
+				cands[b] = -1
 				break
 			}
 		}
@@ -323,8 +336,9 @@ func formPairs(cache agreementSource, m, i int, strategy PairingStrategy, minCom
 	return pairs
 }
 
-func uniformWeights(l int) []float64 {
-	w := make([]float64, l)
+// uniformWeights returns the l weights 1/l in ws scratch.
+func uniformWeights(l int, ws *mat.Workspace) []float64 {
+	w := ws.GetVec(l)
 	for i := range w {
 		w[i] = 1 / float64(l)
 	}

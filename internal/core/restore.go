@@ -76,7 +76,7 @@ func responseLog(responses int, maps ...map[int][]workerResponse) []LoggedRespon
 	for _, t := range tasks {
 		for _, m := range maps {
 			for _, wr := range m[t] {
-				log = append(log, LoggedResponse{Worker: wr.worker, Task: t, Answer: wr.resp})
+				log = append(log, LoggedResponse{Worker: int(wr.worker), Task: t, Answer: crowd.Response(wr.resp)})
 			}
 		}
 	}

@@ -114,8 +114,8 @@ type incShard struct {
 // with a lock around Add. Shard counts beyond GOMAXPROCS buy little; see
 // the README's shard-sizing guidance.
 func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
-	if workers < 3 {
-		return nil, fmt.Errorf("core: need at least 3 workers, have %d: %w", workers, ErrInsufficientData)
+	if err := checkStreamingWorkers(workers); err != nil {
+		return nil, err
 	}
 	if shards < 1 {
 		return nil, fmt.Errorf("core: need at least 1 shard, have %d", shards)
@@ -197,7 +197,7 @@ func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 		return fmt.Errorf("core: worker %d already answered task %d", w, t)
 	}
 	sh.stats.record(w, t, r, sh.taskResponses[t])
-	sh.taskResponses[t] = append(sh.taskResponses[t], workerResponse{w, r})
+	sh.taskResponses[t] = append(sh.taskResponses[t], newWorkerResponse(w, r))
 	sh.responses++
 	if t+1 > sh.tasks {
 		sh.tasks = t + 1

@@ -67,13 +67,22 @@ func DeltaMethodCov(fAtMean float64, grad []float64, cov CovQuadForm) (DeltaEsti
 			len(grad), cov.Dim(), mat.ErrShape)
 	}
 	variance := cov.Quad(grad)
+	var scale float64
+	if variance < 0 {
+		scale = cov.DiagAbsQuad(grad)
+	}
+	return deltaFromVariance(fAtMean, variance, scale)
+}
+
+// deltaFromVariance completes Theorem 1 from the quadratic form
+// variance = dᵀΣd, checking it against scale = Σ dᵢ²·|Σᵢᵢ| (read only
+// when variance is negative). Plug-in covariance estimates can dip
+// slightly negative; small violations clamp to zero, gross ones fail.
+func deltaFromVariance(fAtMean, variance, scale float64) (DeltaEstimate, error) {
 	if math.IsNaN(variance) || math.IsInf(variance, 0) {
 		return DeltaEstimate{}, fmt.Errorf("core: non-finite variance: %w", ErrDegenerate)
 	}
 	if variance < 0 {
-		// Plug-in covariance estimates can dip slightly negative; clamp
-		// small violations, reject gross ones.
-		scale := cov.DiagAbsQuad(grad)
 		if variance < -1e-9-1e-6*scale {
 			return DeltaEstimate{}, fmt.Errorf("core: negative variance %g: %w", variance, ErrDegenerate)
 		}

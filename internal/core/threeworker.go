@@ -36,13 +36,12 @@ var pairIndex = [3][3]int{
 	{1, 2, 0}, // worker c: own pairs ac, bc; opposite ab
 }
 
-// pairSource provides pairwise agreement statistics and common-task counts.
-// Algorithm A2 uses a precomputed table (fullStatsCache) because its
-// covariance loops touch every pair repeatedly; the 3-worker entry point
-// reads the dataset directly.
+// pairSource provides pairwise agreement statistics. Algorithm A2 uses a
+// precomputed table (fullStatsCache) because its covariance loops touch
+// every pair repeatedly; the 3-worker entry point reads the dataset
+// directly.
 type pairSource interface {
 	pair(i, j int) crowd.PairStats
-	common3(i, j, k int) int
 }
 
 // fullStatsCache precomputes the pairwise agreement table and the
@@ -58,29 +57,29 @@ func newFullStatsCache(ds *crowd.Dataset) *fullStatsCache {
 }
 
 func (c *fullStatsCache) pair(i, j int) crowd.PairStats { return c.pairs[i][j] }
-func (c *fullStatsCache) common3(i, j, k int) int       { return c.att.Common3(i, j, k) }
+func (c *fullStatsCache) attendance(w int) []uint64     { return c.att.Attempted(w) }
 
 // directSource computes statistics on demand, for one-shot triples.
 type directSource struct{ ds *crowd.Dataset }
 
 func (d directSource) pair(i, j int) crowd.PairStats { return d.ds.Pair(i, j) }
-func (d directSource) common3(i, j, k int) int       { return d.ds.CommonTriple(i, j, k) }
 
-// newTripleStats computes the full statistics for workers (a, b, c).
-// It returns ErrInsufficientData when some pair shares no tasks and
-// ErrDegenerate when an agreement rate is at or below ½.
-func newTripleStats(src pairSource, a, b, c int) (*tripleStats, error) {
-	st := &tripleStats{}
+// newTripleStats computes the full statistics for workers (a, b, c), who
+// attended common3 tasks together, writing the Lemma 3 covariance into cov
+// (3×3, every entry overwritten). It returns ErrInsufficientData when some
+// pair shares no tasks and ErrDegenerate when an agreement rate is at or
+// below ½.
+func newTripleStats(src pairSource, a, b, c, common3 int, cov *mat.Matrix) (tripleStats, error) {
+	st := tripleStats{common3: common3, cov: cov}
 	pairs := [3][2]int{{a, b}, {a, c}, {b, c}}
 	for i, pr := range pairs {
 		ps := src.pair(pr[0], pr[1])
 		if ps.Common == 0 {
-			return nil, fmt.Errorf("core: workers %d and %d share no tasks: %w", pr[0], pr[1], ErrInsufficientData)
+			return st, fmt.Errorf("core: workers %d and %d share no tasks: %w", pr[0], pr[1], ErrInsufficientData)
 		}
 		st.common[i] = ps.Common
 		st.q[i] = ps.Rate()
 	}
-	st.common3 = src.common3(a, b, c)
 
 	// Error rates and gradients for each of the three workers (Equation 1 /
 	// Lemma 2 with arguments permuted per worker).
@@ -88,11 +87,11 @@ func newTripleStats(src pairSource, a, b, c int) (*tripleStats, error) {
 		own1, own2, opp := pairIndex[w][0], pairIndex[w][1], pairIndex[w][2]
 		p, err := fBinary(st.q[own1], st.q[own2], st.q[opp])
 		if err != nil {
-			return nil, err
+			return st, err
 		}
 		d1, d2, dOpp, err := fBinaryGrad(st.q[own1], st.q[own2], st.q[opp])
 		if err != nil {
-			return nil, err
+			return st, err
 		}
 		st.p[w] = p
 		st.grad[w][own1] = d1
@@ -103,9 +102,8 @@ func newTripleStats(src pairSource, a, b, c int) (*tripleStats, error) {
 	// Covariance matrix of (Q_ab, Q_ac, Q_bc) per Lemma 3. The shared worker
 	// of pairs (ab, ac) is a; of (ab, bc) is b; of (ac, bc) is c. The
 	// "other" agreement rate is the one not involving the shared worker.
-	st.cov = mat.New(3, 3)
 	for i := 0; i < 3; i++ {
-		st.cov.Set(i, i, pairVariance(st.q[i], st.common[i]))
+		cov.Set(i, i, pairVariance(st.q[i], st.common[i]))
 	}
 	type cross struct{ i, j, sharedWorker, otherQ int }
 	for _, x := range []cross{
@@ -115,15 +113,19 @@ func newTripleStats(src pairSource, a, b, c int) (*tripleStats, error) {
 	} {
 		cv := pairCovariance(st.p[x.sharedWorker], st.q[x.otherQ],
 			st.common3, st.common[x.i], st.common[x.j])
-		st.cov.Set(x.i, x.j, cv)
-		st.cov.Set(x.j, x.i, cv)
+		cov.Set(x.i, x.j, cv)
+		cov.Set(x.j, x.i, cv)
 	}
 	return st, nil
 }
 
 // estimate runs the delta method for worker w ∈ {0,1,2} of the triple.
+// It calls DenseCov's methods directly rather than through DeltaMethod's
+// interface, so the gradient never escapes and A2's per-triple loop stays
+// allocation-free.
 func (st *tripleStats) estimate(w int) (DeltaEstimate, error) {
-	return DeltaMethod(st.p[w], st.grad[w][:], st.cov)
+	cov, grad := DenseCov{st.cov}, st.grad[w][:]
+	return deltaFromVariance(st.p[w], cov.Quad(grad), cov.DiagAbsQuad(grad))
 }
 
 // ThreeWorkerBinary computes c-confidence intervals for the error rates of
@@ -139,7 +141,8 @@ func ThreeWorkerBinary(ds *crowd.Dataset, workers [3]int, c float64) ([3]stat.In
 	if err := checkConfidence(c); err != nil {
 		return out, err
 	}
-	st, err := newTripleStats(directSource{ds}, workers[0], workers[1], workers[2])
+	common3 := ds.CommonTriple(workers[0], workers[1], workers[2])
+	st, err := newTripleStats(directSource{ds}, workers[0], workers[1], workers[2], common3, mat.New(3, 3))
 	if err != nil {
 		return out, err
 	}

@@ -60,6 +60,11 @@ func (a *Attendance) Count(w int) int {
 	return n
 }
 
+// Attempted returns worker w's attempted-task bitset: bit t of word t/64 is
+// set when w answered task t. The slice is the index's own storage, shared
+// with every caller; it must not be modified.
+func (a *Attendance) Attempted(w int) []uint64 { return a.sets[w] }
+
 // Common2 returns c_{i,j}: tasks attempted by both workers.
 func (a *Attendance) Common2(i, j int) int {
 	bi, bj := a.sets[i], a.sets[j]

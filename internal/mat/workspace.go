@@ -7,7 +7,8 @@ package mat
 //
 // The protocol is bump-allocation with bulk release: Get/GetVec/GetInts
 // return the next free object of the requested shape, growing the pool only
-// on first use; Reset parks every object again without freeing it. There is
+// on first use, and GetWords carves bitset words from one growing buffer;
+// Reset parks every object again without freeing it. There is
 // no per-object Put — callers reset once per outer iteration (e.g. once per
 // probEstimate pair in the gradient loop) and everything handed out since
 // the previous Reset is recycled at once.
@@ -19,6 +20,13 @@ type Workspace struct {
 	vecs map[int]*vecPool
 	ints map[int]*intPool
 	lus  map[int]*LU
+
+	// words is GetWords' bump buffer and next its first free word. Bitset
+	// requests vary in length from call to call, so one buffer sized to
+	// the largest epoch serves them all, where per-length pools would keep
+	// one slice of every length ever asked for.
+	words []uint64
+	next  int
 }
 
 type wsShape struct{ r, c int }
@@ -110,6 +118,22 @@ func (w *Workspace) GetInts(n int) []int {
 	return v
 }
 
+// GetWords returns a zeroed word slice of length n (bitset scratch), valid
+// until the next Reset. When the buffer is exhausted a larger one replaces
+// it — slices already handed out keep the old one alive until they are
+// dropped — so once an epoch's total demand fits, GetWords stops
+// allocating.
+func (w *Workspace) GetWords(n int) []uint64 {
+	if w.next+n > len(w.words) {
+		w.words = make([]uint64, max(n, 2*len(w.words)))
+		w.next = 0
+	}
+	v := w.words[w.next : w.next+n : w.next+n]
+	w.next += n
+	clear(v)
+	return v
+}
+
 // LU returns the workspace's reusable n×n LU factorization scratch. Unlike
 // Get, the same object is returned for every call with the same n (it is
 // not consumed): callers refactor it from their own matrix before solving,
@@ -123,8 +147,8 @@ func (w *Workspace) LU(n int) *LU {
 	return f
 }
 
-// Reset parks every matrix, vector and index slice handed out since the
-// last Reset, making them available for reuse. Nothing is freed.
+// Reset parks every matrix, vector, index slice and word slice handed out
+// since the last Reset, making them available for reuse. Nothing is freed.
 func (w *Workspace) Reset() {
 	for _, p := range w.mats {
 		p.next = 0
@@ -135,4 +159,5 @@ func (w *Workspace) Reset() {
 	for _, p := range w.ints {
 		p.next = 0
 	}
+	w.next = 0
 }

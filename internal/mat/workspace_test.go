@@ -56,6 +56,54 @@ func TestWorkspaceReuse(t *testing.T) {
 	}
 }
 
+// TestWorkspaceGetWords pins GetWords' bump-buffer contract: slices of one
+// epoch never overlap and come back zeroed, a buffer outgrown mid-epoch
+// leaves earlier slices intact, and once an epoch's demand fits the
+// buffer, requests of any mix of lengths stop allocating.
+func TestWorkspaceGetWords(t *testing.T) {
+	ws := NewWorkspace()
+	a := ws.GetWords(3)
+	for i := range a {
+		a[i] = ^uint64(0)
+	}
+	b := ws.GetWords(5) // outgrows the 3-word buffer
+	for i := range b {
+		b[i] = 1
+	}
+	for i, w := range a {
+		if w != ^uint64(0) {
+			t.Fatalf("word %d of an earlier slice changed to %x when the buffer grew", i, w)
+		}
+	}
+	if len(a) != 3 || cap(a) != 3 || len(b) != 5 || cap(b) != 5 {
+		t.Fatalf("GetWords returned len/cap %d/%d and %d/%d, want 3/3 and 5/5", len(a), cap(a), len(b), cap(b))
+	}
+	ws.Reset()
+	c := ws.GetWords(4)
+	d := ws.GetWords(2)
+	for i, w := range append(append([]uint64(nil), c...), d...) {
+		if w != 0 {
+			t.Fatalf("word %d not zeroed after Reset: %x", i, w)
+		}
+	}
+	c[3] = 7
+	if d[0] != 0 {
+		t.Fatal("slices of one epoch overlap")
+	}
+	ws.Reset()
+	if e := ws.GetWords(4); &e[0] != &c[0] {
+		t.Error("GetWords after Reset did not reuse the buffer")
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		ws.Reset()
+		ws.GetWords(1)
+		ws.GetWords(6)
+		ws.GetWords(0)
+	}); allocs != 0 {
+		t.Errorf("warmed GetWords allocates %.1f times, want 0", allocs)
+	}
+}
+
 // TestWorkspaceEigenSteadyState asserts the WS eigendecompositions reach
 // zero steady-state allocations — the property the A3 spectral step's inner
 // loop depends on.
