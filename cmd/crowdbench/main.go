@@ -423,17 +423,19 @@ func runDist(nodeList string, shardsPerNode, workers, tasks, goroutines int, see
 	const batchSize = 256
 	var records []benchRecord
 	for _, nodes := range nodeCounts {
-		conns := make([]*dist.Conn, nodes)
+		groups := make([][]dist.ReplicaSpec, nodes)
 		workerNodes := make([]*dist.Worker, nodes)
-		for i := range conns {
+		for i := range groups {
 			if workerNodes[i], err = dist.NewWorker(dist.WorkerOptions{Workers: workers, Shards: shardsPerNode}); err != nil {
 				return nil, err
 			}
-			if conns[i], err = workerNodes[i].SelfConn(); err != nil {
+			conn, err := workerNodes[i].SelfConn()
+			if err != nil {
 				return nil, err
 			}
+			groups[i] = []dist.ReplicaSpec{{Conn: conn}}
 		}
-		coord, err := dist.NewCoordinator(workers, conns)
+		coord, err := dist.NewCluster(workers, groups, dist.DefaultPolicy())
 		if err != nil {
 			return nil, err
 		}
@@ -549,7 +551,7 @@ func runLatency(shardsPerNode, workers, tasks, goroutines int, seed int64, quiet
 	if err != nil {
 		return nil, err
 	}
-	coord, err := dist.NewCoordinator(workers, []*dist.Conn{conn})
+	coord, err := dist.NewCluster(workers, [][]dist.ReplicaSpec{{{Conn: conn}}}, dist.DefaultPolicy())
 	if err != nil {
 		return nil, err
 	}

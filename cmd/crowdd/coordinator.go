@@ -239,8 +239,8 @@ func newCoordinatorMux(coord *dist.Coordinator, mgr *pool.Manager, ce *dist.Clus
 }
 
 // runCoordinator is coordinator-mode main: dial the cluster, start the
-// self-healing monitor, serve the HTTP head, checkpoint periodically, and
-// drain on signal.
+// self-healing monitor, serve the HTTP head, cut slice snapshots
+// periodically when journaling, and drain on signal.
 func runCoordinator(spec string, workers int, health string, policy dist.Policy, mon dist.MonitorOptions, cfg storageConfig, pprofOn bool, done <-chan struct{}) error {
 	if workers == 0 {
 		return fmt.Errorf("-workers is required")
@@ -271,7 +271,7 @@ func runCoordinator(spec string, workers int, health string, policy dist.Policy,
 	// WAL mode: one store per task slice. Every acked fan-out is journaled,
 	// the periodic checkpoint is an O(delta) compact snapshot plus journal
 	// truncate, and the monitor's reseed rebuilds a fully-dead slice from
-	// its store (zero acked loss) instead of a stale CCKP file.
+	// its store (zero acked loss).
 	var sliceStores []*store.Store
 	if cfg.wal != "" {
 		sliceStores, err = openSliceStores(cfg.wal, coord.Slices(), cfg.fsync, reg)
@@ -284,7 +284,6 @@ func runCoordinator(spec string, workers int, health string, policy dist.Policy,
 		}
 		fmt.Fprintf(os.Stderr, "crowdd: journaling %d slices under %s\n", coord.Slices(), cfg.wal)
 	}
-	mon.CheckpointDir = cfg.ckpt
 	mon.OnEvent = dist.ChainEvents(dist.EventMetrics(reg), func(e dist.Event) {
 		fmt.Fprintf(os.Stderr, "crowdd: cluster: %s\n", e)
 	})
@@ -292,38 +291,7 @@ func runCoordinator(spec string, workers int, health string, policy dist.Policy,
 	fmt.Fprintf(os.Stderr, "crowdd: coordinating %d slices × %d nodes for a %d-worker crowd\n",
 		coord.Slices(), coord.Nodes(), workers)
 
-	persist, persistEvery := func() error { return nil }, time.Duration(0)
-	switch {
-	case cfg.wal != "":
-		persist, persistEvery = coord.CheckpointCompactAll, cfg.snapEvery
-	case cfg.ckpt != "":
-		persist = func() error {
-			_, err := coord.CheckpointAll(cfg.ckpt)
-			return err
-		}
-		persistEvery = cfg.ckptEvery // 0 keeps the documented "final write only"
-	}
-	stopTicker := make(chan struct{})
-	tickerDone := make(chan struct{})
-	if persistEvery > 0 {
-		go func() {
-			defer close(tickerDone)
-			tick := time.NewTicker(persistEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if err := persist(); err != nil {
-						fmt.Fprintf(os.Stderr, "crowdd: cluster checkpoint: %v\n", err)
-					}
-				case <-stopTicker:
-					return
-				}
-			}
-		}()
-	} else {
-		close(tickerDone)
-	}
+	stopSnapshots := cfg.snapshotEvery(coord.CheckpointCompactAll)
 
 	srv := &http.Server{Addr: health, Handler: obs.HTTPMiddleware(newCoordinatorMux(coord, mgr, ce, reg, pprofOn), headLogger(), reg, "coord")}
 	serveErr := make(chan error, 1)
@@ -337,11 +305,10 @@ func runCoordinator(spec string, workers int, health string, policy dist.Policy,
 	fmt.Fprintf(os.Stderr, "crowdd: coordinator API on %s\n", health)
 
 	shutdown := func() error {
-		close(stopTicker)
-		<-tickerDone
+		stopSnapshots()
 		var err error
-		if cfg.wal != "" || cfg.ckpt != "" {
-			if err = persist(); err != nil {
+		if cfg.wal != "" {
+			if err = coord.CheckpointCompactAll(); err != nil {
 				err = fmt.Errorf("final cluster checkpoint: %w", err)
 			}
 		}

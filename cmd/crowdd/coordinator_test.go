@@ -15,6 +15,7 @@ import (
 
 	"crowdassess/internal/dist"
 	"crowdassess/internal/pool"
+	"crowdassess/internal/store"
 )
 
 func TestParseGroups(t *testing.T) {
@@ -229,7 +230,7 @@ func TestCoordinatorMux(t *testing.T) {
 
 // TestRunCoordinatorLifecycle runs coordinator-mode main end to end: serve
 // the HTTP head, answer health checks, then drain on the done signal and
-// leave a final per-slice checkpoint behind.
+// leave a final compact snapshot in each slice's store.
 func TestRunCoordinatorLifecycle(t *testing.T) {
 	const crowdSize = 5
 	addr := serveClusterWorker(t, crowdSize, "solo")
@@ -242,12 +243,13 @@ func TestRunCoordinatorLifecycle(t *testing.T) {
 	healthAddr := l.Addr().String()
 	l.Close()
 
-	ckptDir := t.TempDir()
+	walDir := t.TempDir()
 	done := make(chan struct{})
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- runCoordinator(addr, crowdSize, healthAddr, dist.DefaultPolicy(),
-			dist.MonitorOptions{Interval: 50 * time.Millisecond}, storageConfig{ckpt: ckptDir}, false, done)
+			dist.MonitorOptions{Interval: 50 * time.Millisecond},
+			storageConfig{wal: walDir, fsync: store.FsyncNever, snapEvery: time.Hour}, false, done)
 	}()
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -269,8 +271,17 @@ func TestRunCoordinatorLifecycle(t *testing.T) {
 	if err := <-runErr; err != nil {
 		t.Fatalf("runCoordinator: %v", err)
 	}
-	if _, err := dist.ReadSnapshot(filepath.Join(ckptDir, "slice-000.ckpt")); err != nil {
-		t.Fatalf("final cluster checkpoint missing or invalid: %v", err)
+	st, err := store.Open(store.OSFS{}, filepath.Join(walDir, "slice-000"), store.Options{Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	snap, ok, err := st.Snapshots.Latest()
+	if err != nil || !ok {
+		t.Fatalf("final slice snapshot missing (ok %v, err %v)", ok, err)
+	}
+	if _, err := dist.DecodeCompact(snap.Payload); err != nil {
+		t.Fatalf("final slice snapshot invalid: %v", err)
 	}
 }
 

@@ -6,45 +6,34 @@
 // Usage:
 //
 //	crowdd -listen :7333 -workers 64 [-shards 8] [-health :8333]
-//	       [-checkpoint /var/lib/crowdd/node.ckpt] [-checkpoint-interval 1m]
+//	       [-wal /var/lib/crowdd/wal] [-fsync always] [-snapshot-interval 1m]
 //	       [-rpc-timeout 30s]
 //
 // With -coordinate, crowdd runs as the cluster head instead of a worker
 // (see coordinator.go): it dials the listed replica groups, runs the
 // heartbeat monitor with -heartbeat-interval, bounds every cluster RPC by
 // -rpc-timeout, and serves an HTTP ingestion/evaluation/membership API on
-// -health. In that mode -checkpoint names a directory of per-slice
-// snapshots (slice-NNN.ckpt), the same files the monitor's auto-reseed
-// falls back to.
+// -health.
 //
 // -workers is the crowd size (the worker-index space of the responses this
 // node ingests); every node of a cluster and its coordinator must agree on
 // it, and the protocol handshake enforces that. -shards sets the node's
 // local task-stripe count for concurrent ingestion (default GOMAXPROCS).
 //
-// Two persistence modes exist, mutually exclusive:
-//
-// With -checkpoint (legacy), the daemon is restartable without losing its
-// task slice: the snapshot file is reloaded on start (a missing file is a
-// fresh start; a corrupt one refuses to start rather than serve skewed
-// statistics), rewritten atomically every -checkpoint-interval, and
-// written one final time during graceful shutdown — after the listener has
-// drained, so the snapshot captures every acknowledged response. Writes go
-// through a temp file and rename; a crash mid-write never truncates the
-// previous checkpoint.
-//
-// With -wal DIR, the daemon runs the storage engine: every acknowledged
-// ingest batch is journaled to a CRC-framed write-ahead log before the ack
-// goes out (durability per -fsync: always, interval, or never), and every
-// -snapshot-interval a compact O(delta) snapshot is cut and the journal
-// truncated behind it. On startup the engine recovers from the newest
-// valid snapshot plus the WAL tail, truncating at the first torn record —
-// a crash (even a power cut, under -fsync always) loses no acked batch.
-// A one-shot -migrate-checkpoint FILE loads a legacy CCKP snapshot into an
-// empty WAL store and pins it with a compact snapshot. In -coordinate
-// mode, -wal journals per task slice (DIR/slice-NNN) on the coordinator
-// side, and the monitor's auto-reseed rebuilds a fully-dead slice from its
-// slice store instead of a legacy checkpoint.
+// With -wal DIR, the daemon runs the storage engine and is restartable
+// without losing its task slice: every acknowledged ingest batch is
+// journaled to a CRC-framed write-ahead log before the ack goes out
+// (durability per -fsync: always, interval, or never), and every
+// -snapshot-interval — and once more during graceful shutdown — a compact
+// O(delta) snapshot is cut and the journal truncated behind it. On startup
+// the engine recovers from the newest valid snapshot plus the WAL tail,
+// truncating at the first torn record — a crash (even a power cut, under
+// -fsync always) loses no acked batch, and a store that cannot account for
+// its state refuses to start rather than serve skewed statistics. In
+// -coordinate mode, -wal journals per task slice (DIR/slice-NNN) on the
+// coordinator side, and the monitor's auto-reseed rebuilds a fully-dead
+// slice from its slice store. The snapshots hold compact state (CCMP);
+// the response-log checkpoint files of protocol-5 daemons are not read.
 //
 // With -health, the daemon serves (both modes):
 //
@@ -59,18 +48,16 @@
 // /debug/pprof/ on the same address.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, closes coordinator
-// connections after their in-flight request finishes, writes the final
-// checkpoint, shuts the health endpoint down, and exits 0 — a graceful
+// connections after their in-flight request finishes, cuts the final
+// snapshot, shuts the health endpoint down, and exits 0 — a graceful
 // drain, so a coordinator never observes a half-written frame.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -88,12 +75,9 @@ func main() {
 		nwork      = flag.Int("workers", 0, "crowd size (required; must match the coordinator)")
 		shards     = flag.Int("shards", 0, "local task-stripe shards for concurrent ingestion (0 = GOMAXPROCS)")
 		health     = flag.String("health", "", "optional HTTP address for /healthz and /statsz (required in -coordinate mode)")
-		ckpt       = flag.String("checkpoint", "", "legacy snapshot file (worker) or per-slice snapshot directory (-coordinate): reloaded on start, rewritten atomically on shutdown and every -checkpoint-interval; mutually exclusive with -wal")
-		ckptEvery  = flag.Duration("checkpoint-interval", time.Minute, "how often to rewrite the -checkpoint snapshot (0 disables periodic writes)")
-		wal        = flag.String("wal", "", "WAL storage-engine directory: acked ingest batches are journaled before the ack and compacted into O(delta) snapshots every -snapshot-interval; mutually exclusive with -checkpoint")
+		wal        = flag.String("wal", "", "WAL storage-engine directory: acked ingest batches are journaled before the ack and compacted into O(delta) snapshots every -snapshot-interval")
 		fsyncSpec  = flag.String("fsync", "always", "WAL append durability: always (fsync per record), interval (group commit), never")
 		snapEvery  = flag.Duration("snapshot-interval", time.Minute, "how often to cut a compact WAL snapshot and truncate the journal behind it (-wal mode; must be positive)")
-		migrate    = flag.String("migrate-checkpoint", "", "one-shot migration: load this legacy -checkpoint file into an empty -wal store on startup (worker mode)")
 		coordinate = flag.String("coordinate", "", `run as cluster head over these replica groups ("a,b;c,d": ';' separates task slices, ',' a slice's replicas)`)
 		rpcTimeout = flag.Duration("rpc-timeout", 0, "per-RPC stall budget: mid-frame deadline as a worker, cluster RPC timeout as a coordinator (0 = defaults)")
 		hbInterval = flag.Duration("heartbeat-interval", dist.DefaultHeartbeatInterval, "coordinator heartbeat probe interval (-coordinate mode)")
@@ -103,7 +87,7 @@ func main() {
 	err := validateTimeouts(*rpcTimeout, *hbInterval)
 	var cfg storageConfig
 	if err == nil {
-		cfg, err = validateStorage(*ckpt, *ckptEvery, *wal, *fsyncSpec, *snapEvery, *migrate)
+		cfg, err = validateStorage(*wal, *fsyncSpec, *snapEvery)
 	}
 	if err == nil {
 		if *coordinate != "" {
@@ -145,29 +129,6 @@ func coordinatorMain(spec string, workers int, health string, rpcTimeout, hbInte
 	return runCoordinator(spec, workers, health, policy, dist.MonitorOptions{Interval: hbInterval}, cfg, pprofOn, ctx.Done())
 }
 
-// loadCheckpoint restores the worker from a snapshot file. A missing file
-// is a fresh start (-1); a corrupt or inconsistent one is a hard error —
-// serving with silently lost statistics would poison every merge.
-func loadCheckpoint(worker *dist.Worker, path string) (int, error) {
-	snap, err := dist.ReadSnapshot(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return -1, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	if err := worker.Restore(snap); err != nil {
-		return 0, fmt.Errorf("restoring checkpoint %s: %w", path, err)
-	}
-	return snap.Stats.Responses, nil
-}
-
-// saveCheckpoint snapshots the worker (a consistent cut, safe under live
-// ingestion) and writes it atomically.
-func saveCheckpoint(worker *dist.Worker, path string) error {
-	return dist.WriteSnapshot(path, worker.Snapshot())
-}
-
 func run(listen string, workers, shards int, health string, cfg storageConfig, rpcTimeout time.Duration, pprofOn bool) error {
 	if workers == 0 {
 		return fmt.Errorf("-workers is required")
@@ -186,22 +147,12 @@ func run(listen string, workers, shards int, health string, cfg storageConfig, r
 	}
 	worker.Instrument(reg)
 	if st != nil {
-		recovered, err := recoverWorker(worker, st, cfg)
+		recovered, err := worker.RecoverFromStore()
 		if err != nil {
 			return err
 		}
-		if cfg.migrate != "" {
-			fmt.Fprintf(os.Stderr, "crowdd: migrated %d responses from %s into WAL store %s\n", recovered, cfg.migrate, cfg.wal)
-		} else if recovered > 0 {
+		if recovered > 0 {
 			fmt.Fprintf(os.Stderr, "crowdd: recovered %d responses from WAL store %s\n", recovered, cfg.wal)
-		}
-	} else if cfg.ckpt != "" {
-		restored, err := loadCheckpoint(worker, cfg.ckpt)
-		if err != nil {
-			return err
-		}
-		if restored >= 0 {
-			fmt.Fprintf(os.Stderr, "crowdd: restored %d responses from %s\n", restored, cfg.ckpt)
 		}
 	}
 	l, err := net.Listen("tcp", listen)
@@ -238,38 +189,10 @@ func run(listen string, workers, shards int, health string, cfg storageConfig, r
 		fmt.Fprintf(os.Stderr, "crowdd: health endpoint on %s\n", health)
 	}
 
-	// Periodic persistence while serving; the final authoritative write
-	// happens after the drain below. WAL mode cuts compact snapshots
-	// (O(delta): the journal is already durable, the snapshot just lets it
-	// be truncated); legacy mode rewrites the full CCKP file.
-	persist, persistEvery := func() error { return nil }, time.Duration(0)
-	switch {
-	case st != nil:
-		persist, persistEvery = worker.CheckpointCompact, cfg.snapEvery
-	case cfg.ckpt != "" && cfg.ckptEvery > 0:
-		persist, persistEvery = func() error { return saveCheckpoint(worker, cfg.ckpt) }, cfg.ckptEvery
-	}
-	stopTicker := make(chan struct{})
-	tickerDone := make(chan struct{})
-	if persistEvery > 0 {
-		go func() {
-			defer close(tickerDone)
-			tick := time.NewTicker(persistEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					if err := persist(); err != nil {
-						fmt.Fprintf(os.Stderr, "crowdd: checkpoint: %v\n", err)
-					}
-				case <-stopTicker:
-					return
-				}
-			}
-		}()
-	} else {
-		close(tickerDone)
-	}
+	// Periodic compact snapshots while serving (O(delta): the journal is
+	// already durable, the snapshot just lets it be truncated); the final
+	// one is cut after the drain below.
+	stopSnapshots := cfg.snapshotEvery(worker.CheckpointCompact)
 
 	// Serve until a shutdown signal, then drain gracefully.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -277,23 +200,17 @@ func run(listen string, workers, shards int, health string, cfg storageConfig, r
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- worker.Serve(l) }()
 
-	// shutdown drains connections, writes the final checkpoint from the
+	// shutdown drains connections, cuts the final snapshot from the
 	// quiescent state, and tears the health endpoint down.
 	shutdown := func() error {
-		close(stopTicker)
-		<-tickerDone
+		stopSnapshots()
 		worker.Close() // stops the listener; Serve returns nil on graceful close
 		var err error
-		switch {
-		case st != nil:
+		if st != nil {
 			// Every acked batch is already in the WAL; the final compact
 			// snapshot just makes the next startup's replay trivial.
 			if err = worker.CheckpointCompact(); err != nil {
 				err = fmt.Errorf("final compact snapshot: %w", err)
-			}
-		case cfg.ckpt != "":
-			if err = saveCheckpoint(worker, cfg.ckpt); err != nil {
-				err = fmt.Errorf("final checkpoint: %w", err)
 			}
 		}
 		shutdownHealth(healthSrv)

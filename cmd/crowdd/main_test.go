@@ -13,71 +13,92 @@ import (
 	"crowdassess/internal/store"
 )
 
-func newTestWorker(t *testing.T) *dist.Worker {
-	t.Helper()
-	w, err := dist.NewWorker(dist.WorkerOptions{Workers: 5, Shards: 2, Name: ":7333"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	return w
-}
-
-// TestCheckpointLifecycle drives the daemon's restart story at the helper
-// level: ingest, save, restart into a fresh worker, and the restored
-// node's snapshot is byte-identical to the one on disk.
-func TestCheckpointLifecycle(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.ckpt")
-
-	w := newTestWorker(t)
-	// Missing file: fresh start, not an error.
-	if n, err := loadCheckpoint(w, path); err != nil || n != -1 {
-		t.Fatalf("load of missing checkpoint: n=%d err=%v, want -1, nil", n, err)
-	}
-	for task := 0; task < 40; task++ {
-		for crowdWorker := 0; crowdWorker < 5; crowdWorker++ {
-			if (task+crowdWorker)%3 == 0 {
-				continue
-			}
-			if err := w.Evaluator().Add(crowdWorker, task, crowd.Response(1+crowdassessResponse(crowdWorker, task))); err != nil {
-				t.Fatal(err)
+// ingestFixture deterministically fills a 5-worker crowd over the given
+// tasks, skipping cells where skip reports true.
+func ingestFixture(tasks int, skip func(w, t int) bool) []dist.Response {
+	var batch []dist.Response
+	for task := 0; task < tasks; task++ {
+		for cw := 0; cw < 5; cw++ {
+			if !skip(cw, task) {
+				batch = append(batch, dist.Response{Worker: cw, Task: task, Answer: crowd.Response(1 + crowdassessResponse(cw, task))})
 			}
 		}
 	}
-	if err := saveCheckpoint(w, path); err != nil {
+	return batch
+}
+
+// storeWorker opens a WAL store in dir and a 5-worker node journaling into
+// it; segments are small so compaction visibly truncates the journal.
+func storeWorker(t *testing.T, dir string) (*dist.Worker, *store.Store) {
+	t.Helper()
+	st, err := store.Open(store.OSFS{}, dir, store.Options{SegmentSize: 512, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := dist.NewWorker(dist.WorkerOptions{Workers: 5, Shards: 2, Name: ":7333", Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w, st
+}
+
+// ingestVia pushes a batch through a coordinator over the worker, so it is
+// journaled the way a live daemon journals it.
+func ingestVia(t *testing.T, w *dist.Worker, batch []dist.Response) {
+	t.Helper()
+	conn, err := w.SelfConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := dist.NewCluster(5, [][]dist.ReplicaSpec{{{Conn: conn}}}, dist.DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	for lo := 0; lo < len(batch); lo += 16 {
+		if err := coord.Ingest(batch[lo:min(lo+16, len(batch))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointLifecycle drives the daemon's snapshot restart story at the
+// helper level: a compact snapshot is cut into the store, a restart
+// recovers a fresh worker from it, and the recovered node's state is
+// byte-identical to the snapshot on disk.
+func TestCheckpointLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	w, st := storeWorker(t, dir)
+	ingestVia(t, w, ingestFixture(40, func(cw, task int) bool { return (task+cw)%3 == 0 }))
+	want := w.Evaluator().Responses()
+	if err := w.CheckpointCompact(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	restarted := newTestWorker(t)
-	n, err := loadCheckpoint(restarted, path)
+	restarted, st2 := storeWorker(t, dir)
+	defer st2.Close()
+	t.Cleanup(func() { restarted.Close() })
+	n, err := restarted.RecoverFromStore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := w.Evaluator().Responses(); n != want {
-		t.Fatalf("restored %d responses, want %d", n, want)
+	if n != want {
+		t.Fatalf("recovered %d responses, want %d", n, want)
 	}
-	want, err := dist.EncodeSnapshot(w.Snapshot())
+	onDisk, ok, err := st2.Snapshots.Latest()
+	if err != nil || !ok {
+		t.Fatalf("no snapshot on disk (ok %v, err %v)", ok, err)
+	}
+	got, err := dist.EncodeCompact(restarted.Evaluator().CompactCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dist.EncodeSnapshot(restarted.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("restarted worker's snapshot differs from the original")
-	}
-
-	// Saving over an existing checkpoint is atomic and idempotent.
-	if err := saveCheckpoint(restarted, path); err != nil {
-		t.Fatal(err)
-	}
-	onDisk, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(onDisk, want) {
-		t.Fatal("re-saved checkpoint differs from the original")
+	if !bytes.Equal(got, onDisk.Payload) {
+		t.Fatal("restarted worker's state differs from the snapshot on disk")
 	}
 }
 
@@ -85,69 +106,73 @@ func TestCheckpointLifecycle(t *testing.T) {
 // offset to Yes/No by the caller).
 func crowdassessResponse(w, t int) int { return (w*31 + t*17) % 2 }
 
-// TestCheckpointCorruptionRefusesStart: a daemon pointed at a damaged
-// checkpoint must refuse to start, not serve skewed statistics.
+// TestCheckpointCorruptionRefusesStart: a daemon whose store cannot account
+// for its state — the only snapshot damaged on disk after the journal
+// behind it was compacted away — must refuse to start, not serve skewed
+// statistics.
 func TestCheckpointCorruptionRefusesStart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "node.ckpt")
-	w := newTestWorker(t)
-	if err := w.Evaluator().Add(0, 1, 1); err != nil {
+	dir := t.TempDir()
+	w, st := storeWorker(t, dir)
+	ingestVia(t, w, ingestFixture(60, func(cw, task int) bool { return (task+cw)%4 == 0 }))
+	if err := w.CheckpointCompact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Evaluator().Add(1, 1, 2); err != nil {
-		t.Fatal(err)
+	if first := st.Log.FirstSeq(); first <= 1 {
+		t.Fatalf("journal still starts at seq %d after the snapshot; nothing was compacted", first)
 	}
-	if err := saveCheckpoint(w, path); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path)
+	w.Close()
+	st.Close()
+	names, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)/2] ^= 0x20
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
+	for _, e := range names {
+		if strings.HasPrefix(e.Name(), "snap-") {
+			path := filepath.Join(dir, e.Name())
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)/2] ^= 0x20
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	fresh := newTestWorker(t)
-	if _, err := loadCheckpoint(fresh, path); err == nil || !strings.Contains(err.Error(), "ckpt") {
-		t.Fatalf("corrupt checkpoint load: %v", err)
+	fresh, st2 := storeWorker(t, dir)
+	defer st2.Close()
+	t.Cleanup(func() { fresh.Close() })
+	if _, err := fresh.RecoverFromStore(); err == nil {
+		t.Fatal("recovery served state from a store whose only snapshot is corrupt")
 	}
 }
 
-// TestValidateStorageFlags pins the persistence flag matrix: the two modes
-// are mutually exclusive, intervals must be sane, -fsync must parse, and
-// migration needs a WAL target.
+// TestValidateStorageFlags pins the persistence flag matrix: with -wal the
+// snapshot interval must be positive and -fsync must parse.
 func TestValidateStorageFlags(t *testing.T) {
 	cases := []struct {
 		name      string
-		ckpt      string
-		ckptEvery time.Duration
 		wal       string
 		fsync     string
 		snapEvery time.Duration
-		migrate   string
 		wantErr   string
 	}{
 		{name: "no persistence", fsync: "always"},
-		{name: "legacy only", ckpt: "node.ckpt", ckptEvery: time.Minute, fsync: "always"},
 		{name: "wal only", wal: "waldir", fsync: "always", snapEvery: time.Minute},
 		{name: "wal interval fsync", wal: "waldir", fsync: "interval", snapEvery: time.Second},
 		{name: "wal never fsync", wal: "waldir", fsync: "never", snapEvery: time.Second},
-		{name: "wal with migration", wal: "waldir", fsync: "always", snapEvery: time.Minute, migrate: "old.ckpt"},
-		{name: "both modes", ckpt: "node.ckpt", wal: "waldir", fsync: "always", snapEvery: time.Minute, wantErr: "mutually exclusive"},
 		{name: "zero snapshot interval", wal: "waldir", fsync: "always", snapEvery: 0, wantErr: "must be positive"},
 		{name: "negative snapshot interval", wal: "waldir", fsync: "always", snapEvery: -time.Second, wantErr: "must be positive"},
-		{name: "negative checkpoint interval", ckpt: "node.ckpt", ckptEvery: -time.Minute, fsync: "always", wantErr: "negative"},
 		{name: "bad fsync", wal: "waldir", fsync: "sometimes", snapEvery: time.Minute, wantErr: "fsync"},
-		{name: "migration without wal", fsync: "always", migrate: "old.ckpt", wantErr: "requires -wal"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg, err := validateStorage(tc.ckpt, tc.ckptEvery, tc.wal, tc.fsync, tc.snapEvery, tc.migrate)
+			cfg, err := validateStorage(tc.wal, tc.fsync, tc.snapEvery)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)
 				}
-				if cfg.wal != tc.wal || cfg.ckpt != tc.ckpt || cfg.migrate != tc.migrate {
+				if cfg.wal != tc.wal {
 					t.Fatalf("config dropped flag values: %+v", cfg)
 				}
 				return
@@ -161,7 +186,7 @@ func TestValidateStorageFlags(t *testing.T) {
 		})
 	}
 	// The parsed fsync policy must map to the engine's, not just not-error.
-	cfg, err := validateStorage("", 0, "waldir", "never", time.Minute, "")
+	cfg, err := validateStorage("waldir", "never", time.Minute)
 	if err != nil || cfg.fsync != store.FsyncNever {
 		t.Fatalf("fsync never parsed to %v (err %v)", cfg.fsync, err)
 	}
@@ -169,10 +194,10 @@ func TestValidateStorageFlags(t *testing.T) {
 
 // TestWALLifecycle drives the daemon's WAL restart story at the helper
 // level: a store-backed worker journals coordinator ingests, and a restart
-// through recoverWorker rebuilds the evaluator exactly.
+// through RecoverFromStore rebuilds the evaluator exactly.
 func TestWALLifecycle(t *testing.T) {
 	dir := t.TempDir()
-	cfg, err := validateStorage("", 0, dir, "never", time.Minute, "")
+	cfg, err := validateStorage(dir, "never", time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,28 +209,8 @@ func TestWALLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := w.SelfConn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := dist.NewCoordinator(5, []*dist.Conn{conn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var batch []dist.Response
-	for task := 0; task < 40; task++ {
-		for cw := 0; cw < 5; cw++ {
-			if (task+cw)%3 == 0 {
-				continue
-			}
-			batch = append(batch, dist.Response{Worker: cw, Task: task, Answer: crowd.Response(1 + crowdassessResponse(cw, task))})
-		}
-	}
-	if err := coord.Ingest(batch); err != nil {
-		t.Fatal(err)
-	}
+	ingestVia(t, w, ingestFixture(40, func(cw, task int) bool { return (task+cw)%3 == 0 }))
 	want := w.Evaluator().Responses()
-	coord.Close()
 	w.Close()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -221,89 +226,12 @@ func TestWALLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w2.Close() })
-	n, err := recoverWorker(w2, st2, cfg)
+	n, err := w2.RecoverFromStore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != want {
 		t.Fatalf("recovered %d responses, want %d", n, want)
-	}
-}
-
-// TestMigrateCheckpointSeedsWAL: -migrate-checkpoint loads a legacy CCKP
-// file into an empty WAL store and pins it with a compact snapshot, so the
-// next (migration-free) startup recovers from the store alone; migrating
-// into a store that already holds state is refused.
-func TestMigrateCheckpointSeedsWAL(t *testing.T) {
-	legacy := filepath.Join(t.TempDir(), "node.ckpt")
-	seed := newTestWorker(t)
-	for task := 0; task < 25; task++ {
-		for cw := 0; cw < 5; cw++ {
-			if (task+cw)%4 == 0 {
-				continue
-			}
-			if err := seed.Evaluator().Add(cw, task, crowd.Response(1+crowdassessResponse(cw, task))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := saveCheckpoint(seed, legacy); err != nil {
-		t.Fatal(err)
-	}
-	want := seed.Evaluator().Responses()
-
-	dir := t.TempDir()
-	cfg, err := validateStorage("", 0, dir, "never", time.Minute, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cfg.openWorkerStore(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := dist.NewWorker(dist.WorkerOptions{Workers: 5, Shards: 2, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	n, err := recoverWorker(w, st, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != want {
-		t.Fatalf("migrated %d responses, want %d", n, want)
-	}
-	w.Close()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The store now carries the state: a migration-free restart recovers it,
-	// and a second migration attempt is refused.
-	st2, err := cfg.openWorkerStore(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	w2, err := dist.NewWorker(dist.WorkerOptions{Workers: 5, Shards: 2, Store: st2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w2.Close() })
-	plain := cfg
-	plain.migrate = ""
-	if n, err := recoverWorker(w2, st2, plain); err != nil || n != want {
-		t.Fatalf("post-migration recovery: n=%d err=%v, want %d, nil", n, err, want)
-	}
-	w3, err := dist.NewWorker(dist.WorkerOptions{Workers: 5, Shards: 2, Store: st2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w3.Close() })
-	if _, err := recoverWorker(w3, st2, cfg); err == nil {
-		t.Fatal("migration into a non-empty WAL store accepted")
-	} else if !strings.Contains(err.Error(), "non-empty") {
-		t.Fatalf("wrong refusal: %v", err)
 	}
 }
 

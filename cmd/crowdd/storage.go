@@ -1,9 +1,7 @@
-// Durable-storage flag surface: the legacy single-file CCKP checkpoint
-// (-checkpoint) and the WAL storage engine (-wal) are alternatives — the
-// former rewrites the full response history every interval, the latter
-// journals every acknowledged batch as it lands and cuts O(delta) compact
-// snapshots. validateStorage is the one place the combination rules live,
-// so both the daemon and its tests agree on what is rejected.
+// Durable-storage flag surface: the WAL storage engine (-wal) journals
+// every acknowledged batch as it lands and cuts O(delta) compact snapshots
+// every -snapshot-interval. validateStorage is the one place the flag rules
+// live, so both the daemon and its tests agree on what is rejected.
 package main
 
 import (
@@ -12,56 +10,62 @@ import (
 	"path/filepath"
 	"time"
 
-	"crowdassess/internal/dist"
 	"crowdassess/internal/obs"
 	"crowdassess/internal/store"
 )
 
-// storageConfig is the validated persistence configuration for one daemon.
+// storageConfig is the validated persistence configuration for one daemon:
+// a directory holding WAL segments and compact snapshots (empty = no
+// persistence), the append durability, and the snapshot period.
 type storageConfig struct {
-	// ckpt / ckptEvery: legacy CCKP mode. A snapshot file (worker) or
-	// per-slice directory (coordinator), rewritten every interval.
-	ckpt      string
-	ckptEvery time.Duration
-	// wal / fsync / snapEvery: storage-engine mode. A directory holding
-	// WAL segments and compact snapshots.
 	wal       string
 	fsync     store.FsyncPolicy
 	snapEvery time.Duration
-	// migrate names a legacy CCKP file to load into an empty WAL store
-	// once, seeding it with a compact snapshot.
-	migrate string
 }
 
-// validateStorage checks the persistence flags as a set. The rules:
-// -checkpoint and -wal are mutually exclusive (two sources of truth on
-// restart would have to be reconciled, and silently preferring one is how
-// acked responses get lost); intervals must be positive (-checkpoint-interval
-// keeps its documented "0 disables" escape hatch, -snapshot-interval does
-// not — a WAL without snapshots grows without bound); -fsync must parse;
-// and -migrate-checkpoint only makes sense when a WAL is configured.
-func validateStorage(ckpt string, ckptEvery time.Duration, wal, fsyncSpec string, snapEvery time.Duration, migrate string) (storageConfig, error) {
-	cfg := storageConfig{ckpt: ckpt, ckptEvery: ckptEvery, wal: wal, snapEvery: snapEvery, migrate: migrate}
-	if ckpt != "" && wal != "" {
-		return cfg, fmt.Errorf("-checkpoint and -wal are mutually exclusive: pick the legacy snapshot file or the WAL engine (migrate with -migrate-checkpoint)")
+// validateStorage checks the persistence flags as a set: with -wal, the
+// snapshot interval must be positive (a WAL without snapshots grows without
+// bound) and -fsync must parse.
+func validateStorage(wal, fsyncSpec string, snapEvery time.Duration) (storageConfig, error) {
+	cfg := storageConfig{wal: wal, snapEvery: snapEvery}
+	if wal == "" {
+		return cfg, nil
 	}
-	if ckptEvery < 0 {
-		return cfg, fmt.Errorf("-checkpoint-interval %v is negative", ckptEvery)
+	if snapEvery <= 0 {
+		return cfg, fmt.Errorf("-snapshot-interval %v must be positive: without periodic snapshots the WAL grows without bound", snapEvery)
 	}
-	if wal != "" {
-		if snapEvery <= 0 {
-			return cfg, fmt.Errorf("-snapshot-interval %v must be positive: without periodic snapshots the WAL grows without bound", snapEvery)
-		}
-		policy, err := store.ParseFsyncPolicy(fsyncSpec)
-		if err != nil {
-			return cfg, fmt.Errorf("-fsync: %w", err)
-		}
-		cfg.fsync = policy
+	policy, err := store.ParseFsyncPolicy(fsyncSpec)
+	if err != nil {
+		return cfg, fmt.Errorf("-fsync: %w", err)
 	}
-	if migrate != "" && wal == "" {
-		return cfg, fmt.Errorf("-migrate-checkpoint requires -wal: the migration target is the WAL store")
-	}
+	cfg.fsync = policy
 	return cfg, nil
+}
+
+// snapshotEvery runs cut every -snapshot-interval until the returned stop
+// is called; stop waits out a cut in progress. Without -wal it does
+// nothing.
+func (cfg storageConfig) snapshotEvery(cut func() error) (stop func()) {
+	if cfg.wal == "" {
+		return func() {}
+	}
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(cfg.snapEvery)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				if err := cut(); err != nil {
+					fmt.Fprintf(os.Stderr, "crowdd: compact snapshot: %v\n", err)
+				}
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return func() { close(quit); <-exited }
 }
 
 // openWorkerStore opens the worker's WAL engine, or returns nil when the
@@ -78,37 +82,6 @@ func (cfg storageConfig) openWorkerStore(reg *obs.Registry) (*store.Store, error
 	return st, nil
 }
 
-// recoverWorker brings a store-backed worker up to date on startup: either
-// the ordinary snapshot-plus-tail recovery, or — with -migrate-checkpoint —
-// a one-shot load of a legacy CCKP file into an empty store, immediately
-// pinned by a compact snapshot so the migrated state is durable before the
-// daemon serves. Returns how many responses the worker now holds.
-func recoverWorker(worker *dist.Worker, st *store.Store, cfg storageConfig) (int, error) {
-	if st == nil {
-		return 0, nil
-	}
-	if cfg.migrate == "" {
-		return worker.RecoverFromStore()
-	}
-	if _, ok, err := st.Snapshots.Latest(); ok || err != nil || st.Log.LastSeq() != 0 {
-		return 0, fmt.Errorf("refusing to migrate %s into non-empty WAL store %s: it already holds state (seq %d); recover from the store instead",
-			cfg.migrate, cfg.wal, st.Log.LastSeq())
-	}
-	restored, err := loadCheckpoint(worker, cfg.migrate)
-	if err != nil {
-		return 0, err
-	}
-	if restored < 0 {
-		return 0, fmt.Errorf("-migrate-checkpoint %s: no such checkpoint", cfg.migrate)
-	}
-	// The compact snapshot is the migration's commit point: after it the
-	// CCKP file is dead weight and the store carries everything.
-	if err := worker.CheckpointCompact(); err != nil {
-		return 0, fmt.Errorf("persisting migrated state: %w", err)
-	}
-	return restored, nil
-}
-
 // openSliceStores opens (or creates) one WAL engine per task slice under
 // wal/slice-NNN for coordinator mode. On any failure the already-open
 // stores are closed.
@@ -116,10 +89,6 @@ func openSliceStores(wal string, slices int, fsync store.FsyncPolicy, reg *obs.R
 	stores := make([]*store.Store, slices)
 	for si := range stores {
 		dir := filepath.Join(wal, fmt.Sprintf("slice-%03d", si))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			closeStores(stores)
-			return nil, err
-		}
 		st, err := store.Open(store.OSFS{}, dir, store.Options{Fsync: fsync, Obs: reg})
 		if err != nil {
 			closeStores(stores)

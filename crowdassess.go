@@ -28,8 +28,6 @@
 package crowdassess
 
 import (
-	"net"
-
 	"crowdassess/internal/aggregate"
 	"crowdassess/internal/baseline"
 	"crowdassess/internal/core"
@@ -252,9 +250,6 @@ type (
 	DistConn = dist.Conn
 	// DistResponse is one crowd submission routed through a coordinator.
 	DistResponse = dist.Response
-	// DistSnapshot is one node's checkpoint: statistics plus the response
-	// log behind them, restorable byte-identically.
-	DistSnapshot = dist.Snapshot
 	// ClusterEvaluator adapts a coordinator to the streaming-evaluator
 	// interface (buffered Add, merged evaluation).
 	ClusterEvaluator = dist.ClusterEvaluator
@@ -273,18 +268,18 @@ var (
 // EvaluateAll pulls, merges and solves — bit-identical to NewIncremental
 // fed the same responses.
 func NewDistributedEvaluator(workers int, addrs []string) (*DistributedEvaluator, error) {
-	conns := make([]*dist.Conn, 0, len(addrs))
-	for _, addr := range addrs {
+	groups := make([][]DistReplicaSpec, len(addrs))
+	for i, addr := range addrs {
 		conn, err := dist.DialTCP(addr)
 		if err != nil {
-			for _, c := range conns {
-				c.Close()
+			for _, g := range groups[:i] {
+				g[0].Conn.Close()
 			}
 			return nil, err
 		}
-		conns = append(conns, conn)
+		groups[i] = []DistReplicaSpec{{Conn: conn}}
 	}
-	return dist.NewCoordinator(workers, conns)
+	return dist.NewCluster(workers, groups, dist.DefaultPolicy())
 }
 
 // NewInProcessCluster spins up the given number of worker nodes inside
@@ -294,17 +289,19 @@ func NewDistributedEvaluator(workers int, addrs []string) (*DistributedEvaluator
 // single-machine deployments use it. Closing the coordinator closes the
 // connections; the workers themselves are garbage once disconnected.
 func NewInProcessCluster(workers, nodes, shardsPerNode int) (*DistributedEvaluator, error) {
-	conns := make([]*dist.Conn, nodes)
-	for i := range conns {
+	groups := make([][]DistReplicaSpec, nodes)
+	for i := range groups {
 		w, err := dist.NewWorker(dist.WorkerOptions{Workers: workers, Shards: shardsPerNode})
 		if err != nil {
 			return nil, err
 		}
-		if conns[i], err = w.SelfConn(); err != nil {
+		conn, err := w.SelfConn()
+		if err != nil {
 			return nil, err
 		}
+		groups[i] = []DistReplicaSpec{{Conn: conn}}
 	}
-	return dist.NewCoordinator(workers, conns)
+	return dist.NewCluster(workers, groups, dist.DefaultPolicy())
 }
 
 // NewDistWorker returns an in-process worker node, for callers that embed
@@ -315,27 +312,9 @@ func NewDistWorker(opts DistWorkerOptions) (*DistWorker, error) {
 }
 
 // DialDistWorker opens a framed connection to a crowdd daemon, for
-// assembling a coordinator from a mix of transports with
-// NewDistributedCluster-style plumbing.
+// assembling a coordinator from a mix of transports with NewCluster.
 func DialDistWorker(addr string) (*DistConn, error) {
 	return dist.DialTCP(addr)
-}
-
-// NewDistributedCluster builds a coordinator over already-open worker
-// connections (TCP, in-process, or mixed). The coordinator takes
-// ownership of the connections.
-func NewDistributedCluster(workers int, conns []*DistConn) (*DistributedEvaluator, error) {
-	return dist.NewCoordinator(workers, conns)
-}
-
-// NewReplicatedCluster builds a fault-tolerant coordinator: groups[i] is
-// the replica set jointly owning task slice i. Every batch fans out to all
-// live replicas of its slice and statistics pulls are validated across
-// them, so a node can die — and be replaced with RestoreNode — without
-// the slice losing a response. The coordinator takes ownership of all
-// connections.
-func NewReplicatedCluster(workers int, groups [][]*DistConn) (*DistributedEvaluator, error) {
-	return dist.NewReplicatedCoordinator(workers, groups)
 }
 
 // NewClusterEvaluator adapts a cluster coordinator to the streaming
@@ -345,23 +324,10 @@ func NewClusterEvaluator(coord *DistributedEvaluator, batch int) *ClusterEvaluat
 	return dist.NewClusterEvaluator(coord, batch)
 }
 
-// WriteDistSnapshot atomically persists a node checkpoint (temp file +
-// rename; a crash never truncates an existing checkpoint).
-func WriteDistSnapshot(path string, s *DistSnapshot) error {
-	return dist.WriteSnapshot(path, s)
-}
-
-// ReadDistSnapshot loads and validates a checkpoint file (magic, version,
-// checksum, statistics/log consistency).
-func ReadDistSnapshot(path string) (*DistSnapshot, error) {
-	return dist.ReadSnapshot(path)
-}
-
 // Self-healing clusters — every RPC deadline-bounded with classified
 // retry/backoff, a heartbeat failure detector publishing a membership
 // view, automatic re-seeding of dead replicas, and degraded (stale-read)
-// service when a slice loses everyone. The fault-injection transport is
-// exported too, so deployments can chaos-test their own topologies.
+// service when a slice loses everyone.
 type (
 	// DistPolicy bounds and classifies cluster RPCs: dial/RPC/state
 	// timeouts, retry count, jittered exponential backoff, strict-read
@@ -381,12 +347,6 @@ type (
 	ClusterEvent = dist.Event
 	// ReplicaHealth is one replica's row of the Membership() view.
 	ReplicaHealth = dist.ReplicaHealth
-	// FaultConn wraps a connection with deterministic write-side fault
-	// injection (delays, mid-frame hangs, resets, partitions).
-	FaultConn = dist.FaultConn
-	// Chaos orchestrates seeded fault strikes across a set of FaultConns
-	// and records a replayable event log.
-	Chaos = dist.Chaos
 )
 
 // DefaultDistPolicy returns the cluster RPC policy deployments start
@@ -394,20 +354,19 @@ type (
 // backoff, degraded reads enabled.
 func DefaultDistPolicy() DistPolicy { return dist.DefaultPolicy() }
 
-// NewSelfHealingCluster builds a replicated coordinator whose slots carry
-// dialers, so retries can reconnect and the heartbeat monitor (start it
-// with StartMonitor) can re-seed replacements at dead replicas'
-// addresses. groups[i] is the replica set owning task slice i.
-func NewSelfHealingCluster(workers int, groups [][]DistReplicaSpec, policy DistPolicy) (*DistributedEvaluator, error) {
+// NewCluster builds a coordinator over already-open worker connections
+// (TCP, in-process, or mixed): groups[i] is the replica set jointly owning
+// task slice i — one spec per slice for an unreplicated cluster. Every
+// batch fans out to all live replicas of its slice and statistics pulls are
+// validated across them, so a node can die — and be replaced with
+// RestoreNode — without the slice losing a response. Slots that carry a
+// dialer let retries reconnect and the heartbeat monitor (start it with
+// StartMonitor) re-seed replacements at dead replicas' addresses. The
+// policy bounds every RPC; DefaultDistPolicy is the usual choice. The
+// coordinator takes ownership of all connections.
+func NewCluster(workers int, groups [][]DistReplicaSpec, policy DistPolicy) (*DistributedEvaluator, error) {
 	return dist.NewCluster(workers, groups, policy)
 }
-
-// NewFaultConn wraps a connection for deterministic fault injection.
-func NewFaultConn(inner net.Conn) *FaultConn { return dist.NewFaultConn(inner) }
-
-// NewChaos returns a seeded chaos orchestrator; the same seed over the
-// same connection set replays the same strike schedule.
-func NewChaos(seed uint64) *Chaos { return dist.NewChaos(seed) }
 
 // Distributed replicate sweeps: experiment replicates partitioned across
 // worker nodes with unchanged per-replicate seeding, so a cluster returns

@@ -118,10 +118,10 @@ func TestDistributedPoolFacade(t *testing.T) {
 
 	// Two slices, two replicas each.
 	grid := make([][]*crowdassess.DistWorker, 2)
-	groups := make([][]*crowdassess.DistConn, 2)
+	groups := make([][]crowdassess.DistReplicaSpec, 2)
 	for si := range groups {
 		grid[si] = make([]*crowdassess.DistWorker, 2)
-		groups[si] = make([]*crowdassess.DistConn, 2)
+		groups[si] = make([]crowdassess.DistReplicaSpec, 2)
 		for ri := range groups[si] {
 			w, err := crowdassess.NewDistWorker(crowdassess.DistWorkerOptions{Workers: workers, Shards: 2})
 			if err != nil {
@@ -129,12 +129,12 @@ func TestDistributedPoolFacade(t *testing.T) {
 			}
 			defer w.Close()
 			grid[si][ri] = w
-			if groups[si][ri], err = w.SelfConn(); err != nil {
+			if groups[si][ri].Conn, err = w.SelfConn(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	coord, err := crowdassess.NewReplicatedCluster(workers, groups)
+	coord, err := crowdassess.NewCluster(workers, groups, crowdassess.DefaultDistPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"crowdassess"
+	"crowdassess/internal/dist"
 )
 
 // TestSelfHealingClusterFacade drives the self-healing surface end to end
@@ -51,7 +52,7 @@ func TestSelfHealingClusterFacade(t *testing.T) {
 
 	policy := crowdassess.DefaultDistPolicy()
 	policy.RPCTimeout = 2 * time.Second
-	coord, err := crowdassess.NewSelfHealingCluster(workers, [][]crowdassess.DistReplicaSpec{specs}, policy)
+	coord, err := crowdassess.NewCluster(workers, [][]crowdassess.DistReplicaSpec{specs}, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +164,12 @@ func TestSelfHealingClusterFacade(t *testing.T) {
 	}
 }
 
-// TestChaosFacade smoke-tests the exported fault-injection surface: a
-// seeded Chaos over pipe-backed FaultConns produces a deterministic,
-// replayable strike log.
+// TestChaosFacade smoke-tests the fault-injection driver the facade's
+// chaos tests build on: a seeded Chaos over pipe-backed FaultConns produces
+// a deterministic, replayable strike log.
 func TestChaosFacade(t *testing.T) {
 	strikes := func(seed uint64) []string {
-		ch := crowdassess.NewChaos(seed)
+		ch := dist.NewChaos(seed)
 		a1, a2 := net.Pipe()
 		defer a1.Close()
 		defer a2.Close()

@@ -12,10 +12,12 @@
 // byte.
 //
 // The second half is the kill-and-restore walkthrough: a replicated
-// cluster ingests half the stream, one replica is killed mid-ingest and a
-// replacement is seeded from its survivor, a checkpoint file is written
-// and reloaded, and the final estimates are verified bit-identical to an
-// uninterrupted run — the fault-tolerance contract.
+// cluster journals every batch into per-slice write-ahead logs and ingests
+// half the stream, one replica is killed mid-ingest, compact snapshots are
+// cut, a replacement is seeded from its survivor, and once the whole slice
+// dies it is rebuilt from its snapshot plus journal tail. The final
+// estimates are verified bit-identical to an uninterrupted run — the
+// fault-tolerance contract.
 //
 // Run with: go run ./examples/distributed
 package main
@@ -30,6 +32,7 @@ import (
 	"time"
 
 	"crowdassess"
+	"crowdassess/internal/store"
 )
 
 func main() {
@@ -145,39 +148,63 @@ func main() {
 	selfHealing(ds, localEsts)
 }
 
-// killAndRestore is the fault-tolerance walkthrough: a replicated cluster
-// loses a node mid-ingest, a replacement is seeded from the survivor, a
-// checkpoint round-trips through disk, and the estimates still match the
+// killAndRestore walks the fault-tolerance story by hand: a replica dies
+// mid-ingest, compact snapshots are cut into the slice stores, a
+// replacement is seeded from the survivor, then the whole slice dies and is
+// rebuilt from its store alone — and the estimates still match the
 // uninterrupted local evaluator bit for bit.
 func killAndRestore(ds *crowdassess.Dataset, want []crowdassess.WorkerEstimate) {
 	const slices, replicas = 2, 2
 	workers, tasks := ds.Workers(), ds.Tasks()
 
+	newNode := func(name string) (*crowdassess.DistWorker, *crowdassess.DistConn) {
+		w, err := crowdassess.NewDistWorker(crowdassess.DistWorkerOptions{Workers: workers, Shards: 2, Name: name})
+		if err != nil {
+			log.Fatal(err)
+		}
+		conn, err := w.SelfConn()
+		if err != nil {
+			log.Fatal(err)
+		}
+		return w, conn
+	}
+
 	// Build the replica grid: groups[si] jointly own task slice si.
 	grid := make([][]*crowdassess.DistWorker, slices)
-	groups := make([][]*crowdassess.DistConn, slices)
+	groups := make([][]crowdassess.DistReplicaSpec, slices)
 	for si := 0; si < slices; si++ {
 		grid[si] = make([]*crowdassess.DistWorker, replicas)
-		groups[si] = make([]*crowdassess.DistConn, replicas)
+		groups[si] = make([]crowdassess.DistReplicaSpec, replicas)
 		for ri := 0; ri < replicas; ri++ {
-			w, err := crowdassess.NewDistWorker(crowdassess.DistWorkerOptions{
-				Workers: workers, Shards: 2, Name: fmt.Sprintf("slice%d-replica%d", si, ri),
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
+			w, conn := newNode(fmt.Sprintf("slice%d-replica%d", si, ri))
 			defer w.Close()
-			grid[si][ri] = w
-			if groups[si][ri], err = w.SelfConn(); err != nil {
-				log.Fatal(err)
-			}
+			grid[si][ri], groups[si][ri].Conn = w, conn
 		}
 	}
-	coord, err := crowdassess.NewReplicatedCluster(workers, groups)
+	coord, err := crowdassess.NewCluster(workers, groups, crowdassess.DefaultDistPolicy())
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer coord.Close()
+
+	// One durable store per slice: every acknowledged batch is journaled
+	// before Ingest returns.
+	dir, err := os.MkdirTemp("", "crowd-wal-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	stores := make([]*store.Store, slices)
+	for si := range stores {
+		sliceDir := filepath.Join(dir, fmt.Sprintf("slice-%03d", si))
+		if stores[si], err = store.Open(store.OSFS{}, sliceDir, store.Options{Fsync: store.FsyncNever}); err != nil {
+			log.Fatal(err)
+		}
+		defer stores[si].Close()
+	}
+	if err := coord.AttachSliceStores(stores); err != nil {
+		log.Fatal(err)
+	}
 
 	var stream []crowdassess.DistResponse
 	for w := 0; w < workers; w++ {
@@ -198,53 +225,42 @@ func killAndRestore(ds *crowdassess.Dataset, want []crowdassess.WorkerEstimate) 
 	}
 	fmt.Println("\nkilled one replica of slice 0 mid-ingest")
 
-	// Checkpoint the whole cluster while degraded (each slice still has a
-	// live source), and show a checkpoint surviving a disk round-trip. The
-	// coordinator discovers the death here — the first operation that
-	// touches the dead connection marks it down and proceeds on the
-	// survivor.
-	dir, err := os.MkdirTemp("", "crowd-ckpt-*")
-	if err != nil {
+	// Cut compact snapshots while degraded (each slice still has a live
+	// source) and truncate the journals behind them. The coordinator
+	// discovers the death here — the first operation that touches the dead
+	// connection marks it down and proceeds on the survivor.
+	if err := coord.CheckpointCompactAll(); err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(dir)
-	paths, err := coord.CheckpointAll(dir)
-	if err != nil {
-		log.Fatal(err)
-	}
-	snap, err := crowdassess.ReadDistSnapshot(paths[0])
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("checkpointed %d slices (%s holds %d responses for slice 0); slice 0 has %d live replica(s)\n",
-		len(paths), filepath.Base(paths[0]), snap.Stats.Responses, coord.LiveReplicas(0))
+	fmt.Printf("cut compact snapshots; slice 0 has %d live replica(s)\n", coord.LiveReplicas(0))
 
 	// Replacement: a fresh node is attached and seeded from the survivor
 	// under the slice lock, so it joins the fan-out in lockstep.
-	replacement, err := crowdassess.NewDistWorker(crowdassess.DistWorkerOptions{
-		Workers: workers, Shards: 2, Name: "slice0-replacement",
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	replacement, conn := newNode("slice0-replacement")
 	defer replacement.Close()
-	conn, err := replacement.SelfConn()
-	if err != nil {
-		log.Fatal(err)
-	}
 	if err := coord.RestoreNode(0, conn, nil); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("attached a replacement: slice 0 back to %d live replicas\n", coord.LiveReplicas(0))
 
-	// The rest of the stream flows; then the original survivor dies too,
-	// leaving slice 0 entirely on the restored replacement.
+	// The rest of the stream flows; then every replica of slice 0 dies.
 	if err := coord.Ingest(stream[half:]); err != nil {
 		log.Fatal(err)
 	}
-	if err := grid[0][1].Close(); err != nil {
+	grid[0][1].Close()
+	replacement.Close()
+	if _, err := coord.Responses(); err == nil {
+		log.Fatal("slice 0 still answered with every replica dead")
+	}
+
+	// Rebuild slice 0 from disk alone: the compact snapshot is pushed as a
+	// restore, then the journal tail past it is re-ingested.
+	rebuilt, conn := newNode("slice0-rebuilt")
+	defer rebuilt.Close()
+	if err := coord.RestoreNodeFromStore(0, conn); err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("rebuilt slice 0 from its store: %d live replica(s)\n", coord.LiveReplicas(0))
 
 	got, err := coord.EvaluateAll(crowdassess.Options{Confidence: 0.9})
 	if err != nil {
@@ -260,7 +276,7 @@ func killAndRestore(ds *crowdassess.Dataset, want []crowdassess.WorkerEstimate) 
 			exact = false
 		}
 	}
-	fmt.Printf("after kill, checkpoint, restore and a second kill — bit-identical to uninterrupted: %v\n", exact)
+	fmt.Printf("after kill, snapshot, reseed, slice loss and rebuild — bit-identical to uninterrupted: %v\n", exact)
 }
 
 // selfHealing is the hands-off version of the same story: the heartbeat
@@ -307,7 +323,7 @@ func selfHealing(ds *crowdassess.Dataset, want []crowdassess.WorkerEstimate) {
 			},
 		}
 	}
-	coord, err := crowdassess.NewSelfHealingCluster(workers, [][]crowdassess.DistReplicaSpec{specs}, crowdassess.DefaultDistPolicy())
+	coord, err := crowdassess.NewCluster(workers, [][]crowdassess.DistReplicaSpec{specs}, crowdassess.DefaultDistPolicy())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func TestDeterminismCoversBitIdentityClosure(t *testing.T) {
 	if !distScoped {
 		t.Error("internal/dist lost its partial determinism scope (codec/merge/sweep paths must stay covered)")
 	}
-	for _, f := range []string{"codec.go", "delta.go", "compact.go", "checkpoint.go"} {
+	for _, f := range []string{"codec.go", "delta.go", "compact.go"} {
 		if !wholeFiles[f] {
 			t.Errorf("internal/dist/%s is a wire codec but not scanned whole by the determinism analyzer", f)
 		}

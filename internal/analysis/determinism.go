@@ -24,7 +24,7 @@ var DeterminismAnalyzer = &Analyzer{
 		// In internal/dist only the codec/merge/sweep paths feed the
 		// compared bytes; the policy/heartbeat machinery is legitimately
 		// time-based.
-		{Packages: []string{"internal/dist"}, Files: []string{"codec.go", "delta.go", "compact.go", "checkpoint.go"}},
+		{Packages: []string{"internal/dist"}, Files: []string{"codec.go", "delta.go", "compact.go"}},
 		{Packages: []string{"internal/dist"}, Files: []string{"coordinator.go"}, Funcs: []string{
 			"Merge", "pull", "pullSliceLocked", "mixedKinds", "foldLocked", "rebuildLocked", "RunSweep",
 		}},

@@ -9,10 +9,10 @@ import (
 
 // CompactState is the O(statistics) checkpoint of a streaming evaluator:
 // the exported sufficient statistics plus the per-worker answer bitsets.
-// Unlike Checkpoint's response log — whose size grows with every response
-// ever ingested — a CompactState's size is bounded by the counter matrix
-// and the task-indexed bitsets, so writing one costs the same whether the
-// evaluator holds a thousand responses or a hundred million.
+// Unlike a response log — whose size grows with every response ever
+// ingested — a CompactState's size is bounded by the counter matrix and the
+// task-indexed bitsets, so writing one costs the same whether the evaluator
+// holds a thousand responses or a hundred million.
 //
 // The two bitset families make the state fully reconstructive for binary
 // crowds: every pairwise counter is derivable from them
@@ -23,8 +23,7 @@ import (
 // responses within a task — the counters, every decision (intervals,
 // spammer screen, duplicate rejection) and all future ingestion are
 // order-independent, so a restored evaluator is decision-identical to the
-// original; only the byte layout of a subsequent full Checkpoint log (which
-// records arrival order) may differ.
+// original.
 type CompactState struct {
 	// Stats is the exported sufficient statistics at the checkpoint cut.
 	Stats *StatsExport
@@ -56,7 +55,7 @@ func (inc *Incremental) CompactCheckpoint() *CompactState {
 
 // CompactCheckpoint snapshots the sharded evaluator in O(statistics). It
 // holds every shard lock for the duration (the same index-order multi-shard
-// locking Checkpoint uses), so the state is one consistent cut even under
+// locking Snapshot uses), so the state is one consistent cut even under
 // concurrent Add traffic.
 func (s *ShardedIncremental) CompactCheckpoint() *CompactState {
 	for _, sh := range s.shards {
@@ -156,9 +155,9 @@ func validateCompact(cs *CompactState) error {
 // the ordinary Add path rebuilds the exact statistics; only the original
 // arrival order within each task — which nothing downstream depends on —
 // is normalized away.
-func compactLog(cs *CompactState) []LoggedResponse {
+func compactLog(cs *CompactState) []loggedResponse {
 	e := cs.Stats
-	log := make([]LoggedResponse, 0, e.Responses)
+	log := make([]loggedResponse, 0, e.Responses)
 	for t := 0; t < e.Tasks; t++ {
 		word, bit := t/64, uint64(1)<<(uint(t)%64)
 		for w := 0; w < e.Workers; w++ {
@@ -170,7 +169,7 @@ func compactLog(cs *CompactState) []LoggedResponse {
 			if yi := cs.Answers[w]; word < len(yi) && yi[word]&bit != 0 {
 				answer = crowd.Yes
 			}
-			log = append(log, LoggedResponse{Worker: w, Task: t, Answer: answer})
+			log = append(log, loggedResponse{Worker: w, Task: t, Answer: answer})
 		}
 	}
 	return log

@@ -219,9 +219,8 @@ func TestRestoreCompactRejectsCorruption(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckpointCost pins the tentpole's O(delta) claim: with the
-// task set fixed, CompactCheckpoint's cost stays flat as total ingested
-// history grows, while the full log checkpoint scales with history.
+// BenchmarkCheckpointCost pins the O(delta) claim: with the task set fixed,
+// CompactCheckpoint's cost stays flat as total ingested history grows.
 func BenchmarkCheckpointCost(b *testing.B) {
 	const workers, tasks = 50, 2000
 	build := func(perTask int) *Incremental {
@@ -251,14 +250,6 @@ func BenchmarkCheckpointCost(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if cs := inc.CompactCheckpoint(); cs.Stats.Responses != history {
-					b.Fatal("bad checkpoint")
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("fulllog/history=%d", history), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, log := inc.Checkpoint(); len(log) != history {
 					b.Fatal("bad checkpoint")
 				}
 			}

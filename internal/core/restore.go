@@ -7,83 +7,16 @@ import (
 	"crowdassess/internal/crowd"
 )
 
-// LoggedResponse is one recorded submission in a checkpoint's response
-// log: worker Worker answered task Task with Answer. The log is what makes
-// a checkpoint fully reconstructive — the sufficient statistics alone
-// cannot pair a task's pre-checkpoint responders with its post-restore
-// ones, but replaying the log rebuilds the per-task response lists
-// exactly, so ingestion may resume mid-task with no loss.
-type LoggedResponse struct {
+// loggedResponse is one submission of a replay log: worker Worker answered
+// task Task with Answer. restoreCompact expands a compact state into such a
+// log and replays it through the ordinary Add path.
+type loggedResponse struct {
 	Worker int
 	Task   int
 	Answer crowd.Response
 }
 
-// Checkpoint snapshots the evaluator for persistence: the exported
-// sufficient statistics plus the full response log behind them, taken from
-// one consistent cut. The log is ordered by task index, then arrival order
-// within each task — a deterministic order that replays to bit-identical
-// state. The statistics are redundant given the log; a restore replays the
-// log and verifies the re-exported statistics against them, so a corrupted
-// or mismatched checkpoint is detected end to end rather than silently
-// skewing estimates.
-func (inc *Incremental) Checkpoint() (*StatsExport, []LoggedResponse) {
-	return inc.ExportStats(), responseLog(inc.responses, inc.taskResponses)
-}
-
-// Checkpoint snapshots the sharded evaluator for persistence. It holds
-// every shard lock for the duration (the same index-order multi-shard
-// locking Snapshot uses), so the statistics and the log describe exactly
-// the same set of responses even under concurrent Add traffic.
-func (s *ShardedIncremental) Checkpoint() (*StatsExport, []LoggedResponse) {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	defer func() {
-		for _, sh := range s.shards {
-			sh.mu.Unlock()
-		}
-	}()
-	m := newStreamStats(s.workers)
-	tasks, responses := 0, 0
-	maps := make([]map[int][]workerResponse, len(s.shards))
-	for i, sh := range s.shards {
-		m.addFrom(sh.stats)
-		if sh.tasks > tasks {
-			tasks = sh.tasks
-		}
-		responses += sh.responses
-		maps[i] = sh.taskResponses
-	}
-	return exportStats(m, s.workers, tasks, responses), responseLog(responses, maps...)
-}
-
-// responseLog flattens task-response maps (task sets disjoint across maps)
-// into the canonical log order: ascending task index, arrival order within
-// a task. Counter updates commute across tasks and pair every responder of
-// a task with all previous ones, so replaying this order — or any order —
-// reproduces the same statistics; the canonical order exists so equal
-// states always serialize to equal bytes.
-func responseLog(responses int, maps ...map[int][]workerResponse) []LoggedResponse {
-	tasks := make([]int, 0, len(maps[0]))
-	for _, m := range maps {
-		for t := range m {
-			tasks = append(tasks, t)
-		}
-	}
-	slices.Sort(tasks)
-	log := make([]LoggedResponse, 0, responses)
-	for _, t := range tasks {
-		for _, m := range maps {
-			for _, wr := range m[t] {
-				log = append(log, LoggedResponse{Worker: int(wr.worker), Task: t, Answer: crowd.Response(wr.resp)})
-			}
-		}
-	}
-	return log
-}
-
-// restorable is the slice of the streaming API RestoreStats needs; both
+// restorable is the slice of the streaming API a restore needs; both
 // evaluators satisfy it with their ordinary public methods, so the replay
 // path is the very same Add every live ingest takes.
 type restorable interface {
@@ -93,9 +26,9 @@ type restorable interface {
 	ExportStats() *StatsExport
 }
 
-// restoreStats replays a checkpoint's response log into an empty evaluator
-// and verifies the rebuilt statistics against the checkpointed export.
-func restoreStats(ev restorable, e *StatsExport, log []LoggedResponse) error {
+// restoreStats replays a response log into an empty evaluator and verifies
+// the rebuilt statistics against the export the log was derived from.
+func restoreStats(ev restorable, e *StatsExport, log []loggedResponse) error {
 	if e == nil {
 		return fmt.Errorf("core: nil statistics export")
 	}
@@ -120,32 +53,6 @@ func restoreStats(ev restorable, e *StatsExport, log []LoggedResponse) error {
 		return fmt.Errorf("core: restored statistics diverge from the checkpoint export (corrupt or inconsistent snapshot)")
 	}
 	return nil
-}
-
-// RestoreStats rebuilds an empty evaluator from a checkpoint: the response
-// log is replayed through the ordinary Add path (rebuilding counters,
-// attendance, per-task response lists and duplicate detection exactly),
-// then the re-exported statistics are verified against the checkpointed
-// export — a checkpoint whose log and statistics disagree is rejected
-// rather than trusted. After a successful restore the evaluator is
-// byte-identical to the one the checkpoint was taken from: EvaluateAll,
-// MajorityDisagreement and duplicate rejection all resume exactly, even
-// for tasks whose responses straddle the checkpoint cut.
-//
-// The evaluator must be freshly constructed (no responses); restoring over
-// live state would double-count. On error the evaluator may hold a partial
-// replay and must be discarded.
-func (inc *Incremental) RestoreStats(e *StatsExport, log []LoggedResponse) error {
-	return restoreStats(inc, e, log)
-}
-
-// RestoreStats rebuilds an empty sharded evaluator from a checkpoint; see
-// Incremental.RestoreStats. The replay runs through the concurrent Add
-// path, so the shard striping — and therefore every per-shard structure —
-// matches a never-restarted evaluator exactly. Not safe to call
-// concurrently with Add: restore first, then serve.
-func (s *ShardedIncremental) RestoreStats(e *StatsExport, log []LoggedResponse) error {
-	return restoreStats(s, e, log)
 }
 
 // Equal reports whether two exports describe the same statistics.

@@ -11,12 +11,12 @@ import (
 	"crowdassess/internal/sim"
 )
 
-// streamingFactory builds an empty evaluator of one of the two streaming
+// checkpointable is an empty evaluator of one of the two streaming
 // implementations, exposing the checkpoint hooks the dist layer uses.
 type checkpointable interface {
 	StreamingEvaluator
-	Checkpoint() (*StatsExport, []LoggedResponse)
-	RestoreStats(e *StatsExport, log []LoggedResponse) error
+	CompactCheckpoint() *CompactState
+	RestoreCompact(cs *CompactState) error
 	DisagreementCounts() (attempted, disagree []int)
 	ExportStats() *StatsExport
 }
@@ -52,8 +52,8 @@ func restoreStream(t *testing.T, seed int64) []submission {
 }
 
 // TestCheckpointRestoreMidStream is the fault-tolerance property: cut the
-// stream at an arbitrary point (never aligned to task boundaries),
-// checkpoint, rebuild a fresh evaluator from the checkpoint, replay the
+// stream at an arbitrary point (never aligned to task boundaries), take a
+// compact checkpoint, rebuild a fresh evaluator from it, replay the
 // remainder, and require bit-identical estimates, disagreement screens and
 // duplicate rejection versus the uninterrupted evaluator.
 func TestCheckpointRestoreMidStream(t *testing.T) {
@@ -77,13 +77,13 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			e, log := first.Checkpoint()
-			if len(log) != cut || e.Responses != cut {
-				t.Fatalf("%s seed %d: checkpoint carries %d/%d responses, want %d", name, seed, len(log), e.Responses, cut)
+			cs := first.CompactCheckpoint()
+			if cs.Stats.Responses != cut {
+				t.Fatalf("%s seed %d: checkpoint carries %d responses, want %d", name, seed, cs.Stats.Responses, cut)
 			}
 
 			restored := mk()
-			if err := restored.RestoreStats(e, log); err != nil {
+			if err := restored.RestoreCompact(cs); err != nil {
 				t.Fatalf("%s seed %d: restore: %v", name, seed, err)
 			}
 			// The restored evaluator rejects duplicates of pre-cut responses.
@@ -132,8 +132,9 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 	}
 }
 
-// TestCheckpointLogCanonicalOrder: equal states produce equal logs, no
-// matter the ingestion order the state was built in.
+// TestCheckpointLogCanonicalOrder: equal states produce equal compact
+// checkpoints — and expand to equal replay logs — no matter the ingestion
+// order the state was built in.
 func TestCheckpointLogCanonicalOrder(t *testing.T) {
 	subs := restoreStream(t, 1)
 	a, err := NewIncremental(7)
@@ -149,28 +150,35 @@ func TestCheckpointLogCanonicalOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Same responses, different global order (per-task order preserved, as
-	// a real replayed slice would be).
+	// Same responses, different global order (per-task order reversed, as a
+	// replica fed by another coordinator might see them).
 	for task := 0; task < 200; task++ {
-		for _, s := range subs {
-			if s.t == task {
+		for i := len(subs) - 1; i >= 0; i-- {
+			if s := subs[i]; s.t == task {
 				if err := b.Add(s.w, s.t, s.r); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 	}
-	_, logA := a.Checkpoint()
-	_, logB := b.Checkpoint()
-	if !slices.Equal(logA, logB) {
-		t.Fatalf("canonical logs differ between evaluators holding the same responses")
+	ca, cb := a.CompactCheckpoint(), b.CompactCheckpoint()
+	if !ca.Stats.Equal(cb.Stats) {
+		t.Fatal("compact statistics differ between evaluators holding the same responses")
+	}
+	for w := range ca.Answers {
+		if !slices.Equal(trimBitset(ca.Answers[w]), trimBitset(cb.Answers[w])) {
+			t.Fatalf("worker %d answer bitsets differ between evaluators holding the same responses", w)
+		}
+	}
+	if !slices.Equal(compactLog(ca), compactLog(cb)) {
+		t.Fatal("canonical replay logs differ between evaluators holding the same responses")
 	}
 }
 
-// TestRestoreStatsRejects covers the failure modes a restore must refuse:
-// non-empty receivers, crowd-size mismatches, log/statistics count
-// mismatches, and logs whose replay does not reproduce the statistics.
-func TestRestoreStatsRejects(t *testing.T) {
+// TestRestoreCompactRejectsReceiver covers the receivers a restore must
+// refuse — non-empty ones and crowd-size mismatches, for both evaluators —
+// and a missing state.
+func TestRestoreCompactRejectsReceiver(t *testing.T) {
 	subs := restoreStream(t, 2)
 	donor, err := NewIncremental(7)
 	if err != nil {
@@ -181,7 +189,7 @@ func TestRestoreStatsRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e, log := donor.Checkpoint()
+	cs := donor.CompactCheckpoint()
 
 	expectErr := func(name, frag string, got error) {
 		t.Helper()
@@ -194,40 +202,20 @@ func TestRestoreStatsRejects(t *testing.T) {
 	if err := busy.Add(0, 0, crowd.Yes); err != nil {
 		t.Fatal(err)
 	}
-	expectErr("non-empty receiver", "already holding", busy.RestoreStats(e, log))
+	expectErr("non-empty receiver", "already holding", busy.RestoreCompact(cs))
 
 	smaller, _ := NewIncremental(5)
-	expectErr("crowd mismatch", "7-worker crowd", smaller.RestoreStats(e, log))
+	expectErr("crowd mismatch", "7-worker crowd", smaller.RestoreCompact(cs))
 
 	fresh, _ := NewIncremental(7)
-	expectErr("short log", "statistics claim", fresh.RestoreStats(e, log[:len(log)-1]))
-
-	fresh2, _ := NewIncremental(7)
-	expectErr("nil export", "nil statistics", fresh2.RestoreStats(nil, nil))
-
-	// Tamper with one response: replay succeeds but the rebuilt statistics
-	// cannot match the export.
-	tampered := append([]LoggedResponse(nil), log...)
-	if tampered[10].Answer == crowd.Yes {
-		tampered[10].Answer = crowd.No
-	} else {
-		tampered[10].Answer = crowd.Yes
-	}
-	fresh3, _ := NewIncremental(7)
-	expectErr("tampered log", "diverge", fresh3.RestoreStats(e, tampered))
-
-	// A duplicate inside the log fails during replay with a clear index.
-	dup := append([]LoggedResponse(nil), log...)
-	dup[len(dup)-1] = dup[0]
-	fresh4, _ := NewIncremental(7)
-	expectErr("duplicate in log", "replaying checkpoint response", fresh4.RestoreStats(e, dup))
+	expectErr("nil state", "no statistics", fresh.RestoreCompact(&CompactState{}))
 
 	// The sharded evaluator enforces the same contract.
 	shardedBusy, _ := NewShardedIncremental(7, 2)
 	if err := shardedBusy.Add(0, 0, crowd.Yes); err != nil {
 		t.Fatal(err)
 	}
-	expectErr("sharded non-empty receiver", "already holding", shardedBusy.RestoreStats(e, log))
+	expectErr("sharded non-empty receiver", "already holding", shardedBusy.RestoreCompact(cs))
 }
 
 // TestStatsExportEqualNormalizesBitsets: trailing zero words in attendance

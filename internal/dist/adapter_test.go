@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -159,24 +160,7 @@ func TestClusterEvaluatorStreamingContract(t *testing.T) {
 		}
 	}
 
-	wantDS, err := local.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotDS, err := ev.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotDS.Workers() != wantDS.Workers() || gotDS.Tasks() != wantDS.Tasks() {
-		t.Fatalf("snapshot shape %dx%d, want %dx%d", gotDS.Workers(), gotDS.Tasks(), wantDS.Workers(), wantDS.Tasks())
-	}
-	for w := 0; w < wantDS.Workers(); w++ {
-		for task := 0; task < wantDS.Tasks(); task++ {
-			if wantDS.Response(w, task) != gotDS.Response(w, task) {
-				t.Fatalf("snapshot (%d,%d): %v != %v", w, task, gotDS.Response(w, task), wantDS.Response(w, task))
-			}
-		}
-	}
+	requireSnapshotEqual(t, "adapter", ev.Snapshot, local)
 
 	// Local rejections are immediate and do not poison the buffer.
 	if err := ev.Add(-1, 0, crowd.Yes); err == nil {
@@ -198,6 +182,59 @@ func TestClusterEvaluatorStreamingContract(t *testing.T) {
 	}
 }
 
+// requireSnapshotEqual materializes a cluster's responses with snapshot and
+// requires the Dataset to equal the local evaluator's, cell by cell.
+func requireSnapshotEqual(t *testing.T, label string, snapshot func() (*crowd.Dataset, error), local *core.Incremental) {
+	t.Helper()
+	wantDS, err := local.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotDS, err := snapshot()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if gotDS.Workers() != wantDS.Workers() || gotDS.Tasks() != wantDS.Tasks() {
+		t.Fatalf("%s: snapshot shape %dx%d, want %dx%d", label, gotDS.Workers(), gotDS.Tasks(), wantDS.Workers(), wantDS.Tasks())
+	}
+	for w := 0; w < wantDS.Workers(); w++ {
+		for task := 0; task < wantDS.Tasks(); task++ {
+			if wantDS.Response(w, task) != gotDS.Response(w, task) {
+				t.Fatalf("%s: snapshot (%d,%d): %v != %v", label, w, task, gotDS.Response(w, task), wantDS.Response(w, task))
+			}
+		}
+	}
+}
+
+// TestClusterSnapshotMatchesLocal: the Dataset a cluster materializes from
+// its slices' compact states equals the local evaluator's on shards
+// {1,2,7}, and still does once a slice is served only by a replica that a
+// survivor reseed (RestoreNode with no seed) brought up.
+func TestClusterSnapshotMatchesLocal(t *testing.T) {
+	const crowdSize = 7
+	subs := testStream(t, crowdSize, 180, 69)
+	half := len(subs) / 2
+	for _, shards := range []int{1, 2, 7} {
+		coord, grid := newReplicatedCluster(t, crowdSize, 2, 2, shards)
+		ingestConcurrently(t, coord, subs[:half], 3, 16)
+		label := fmt.Sprintf("shards=%d", shards)
+		requireSnapshotEqual(t, label, coord.Snapshot, localReference(t, crowdSize, subs[:half]))
+
+		if err := grid[1][0].Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, conn := freshReplica(t, crowdSize, shards)
+		if err := coord.RestoreNode(1, conn, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := grid[1][1].Close(); err != nil { // only the reseeded replica is left
+			t.Fatal(err)
+		}
+		ingestConcurrently(t, coord, subs[half:], 3, 16)
+		requireSnapshotEqual(t, label+" after a survivor reseed", coord.Snapshot, localReference(t, crowdSize, subs))
+	}
+}
+
 // TestClusterEvaluatorUnreachable: with the cluster gone, the
 // infallible-signature methods return zero values and the parked error
 // surfaces on the next fallible call instead of vanishing.
@@ -211,7 +248,7 @@ func TestClusterEvaluatorUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(crowdSize, []*Conn{conn})
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -635,7 +635,7 @@ func TestChaosCrashRestartFromWAL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord, err := NewCoordinator(crowdSize, []*Conn{conn})
+		coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,9 @@ import (
 //	    digest of the slice state the coordinator last merged, and the
 //	    worker replies with only what changed since (a CSDL delta) when
 //	    that cursor matches the state it last sent, or in full otherwise
-const ProtocolVersion = 5
+//	6 — retires pullSnap/snap/restore (0x0f–0x11): compact state is the
+//	    only state transfer, survivor reseeds included
+const ProtocolVersion = 6
 
 // statsCodecVersion versions the statistics payload independently of the
 // protocol, so exports persisted to disk stay readable across protocol
@@ -57,6 +59,8 @@ var statsMagic = [4]byte{'C', 'S', 'T', 'A'}
 // Decode-side sanity caps. They bound what a malformed or hostile frame
 // can make the decoder allocate; well-formed traffic never hits them.
 const (
+	// maxNodeName caps the node-identity string a handshake may carry.
+	maxNodeName = 4096
 	// maxStatsWorkers caps the crowd size a statistics payload may claim.
 	maxStatsWorkers = 1 << 20
 	// maxCounter caps any single decoded counter or total.

@@ -8,17 +8,21 @@ import (
 	"crowdassess/internal/core"
 )
 
-// The compact checkpoint payload carries a core.CompactState — the full
-// pairwise statistics plus each worker's answer bitset — instead of the
-// response log a CCKP snapshot drags along. Its size is
+// The compact checkpoint payload is the one state-transfer format: it
+// carries a core.CompactState — the full pairwise statistics plus each
+// worker's answer bitset, never a response log. Its size is
 // O(workers² + workers·tasks/64), flat in how many responses were ever
 // ingested, which is what makes the WAL engine's periodic snapshots O(delta)
-// rather than O(history).
+// rather than O(history), and a survivor reseed O(statistics) rather than
+// O(responses).
 //
-// Unlike CCKP the payload is canonical and carries no node identity: equal
-// state always encodes to equal bytes, so a broadcast pull can byte-compare
-// replicas' compact checkpoints and extend the divergence check to the
-// answer bitsets for free.
+// The payload is canonical and carries no node identity: equal state always
+// encodes to equal bytes, so a broadcast pull can byte-compare replicas'
+// compact checkpoints and extend the divergence check to the answer bitsets
+// for free.
+
+// snapCRC is the checksum table for compact payloads.
+var snapCRC = crc64.MakeTable(crc64.ECMA)
 
 // compactVersion versions the compact payload independently of the
 // protocol, like statsCodecVersion does for plain exports.

@@ -3,6 +3,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -32,11 +33,11 @@ type Response struct {
 // Algorithm A2 path, the intervals are bit-identical to a single local
 // Incremental fed every response.
 //
-// Each slice is owned by one or more replica nodes
-// (NewReplicatedCoordinator). Ingestion fans every batch out to all live
-// replicas of the slice; statistics pulls read every live replica and
-// byte-compare the canonical replies (delta and state digest together),
-// taking one authoritative copy — replicas that have silently diverged
+// Each slice is owned by one or more replica nodes (NewCluster).
+// Ingestion fans every batch out to all live replicas of the slice;
+// statistics pulls read every live replica and byte-compare the canonical
+// replies (delta and state digest together), taking one authoritative
+// copy — replicas that have silently diverged
 // surface as ErrDivergence rather than skewing estimates. A replica whose
 // connection breaks is marked down and dropped from the fan-out; the slice
 // keeps serving from its survivors, and a replacement node can be attached
@@ -87,37 +88,6 @@ type ReplicaSpec struct {
 	Dial func() (*Conn, error)
 }
 
-// NewCoordinator handshakes the given worker connections into a cluster
-// over a crowd of the given size, one connection per task slice (no
-// replication), under DefaultPolicy. It takes ownership of the
-// connections: they are closed on handshake failure and by Close.
-func NewCoordinator(workers int, conns []*Conn) (*Coordinator, error) {
-	if len(conns) == 0 {
-		return nil, errors.New("dist: coordinator needs at least one worker connection")
-	}
-	groups := make([][]*Conn, len(conns))
-	for i, conn := range conns {
-		groups[i] = []*Conn{conn}
-	}
-	return NewReplicatedCoordinator(workers, groups)
-}
-
-// NewReplicatedCoordinator handshakes worker connections into a replicated
-// cluster under DefaultPolicy: groups[i] is the replica set jointly owning
-// task slice i. See NewCluster for the full form (per-slot dialers, custom
-// policy). It takes ownership of all connections: they are closed on
-// handshake failure and by Close.
-func NewReplicatedCoordinator(workers int, groups [][]*Conn) (*Coordinator, error) {
-	specs := make([][]ReplicaSpec, len(groups))
-	for si, g := range groups {
-		specs[si] = make([]ReplicaSpec, len(g))
-		for ri, conn := range g {
-			specs[si][ri] = ReplicaSpec{Conn: conn}
-		}
-	}
-	return NewCluster(workers, specs, DefaultPolicy())
-}
-
 // NewCluster handshakes worker connections into a replicated cluster:
 // groups[si] is the replica set jointly owning task slice si, each replica
 // a node that will ingest — and must agree on — that slice's every
@@ -125,8 +95,9 @@ func NewReplicatedCoordinator(workers int, groups [][]*Conn) (*Coordinator, erro
 // replica lives, the slice serves; dead slots are refilled by RestoreNode,
 // or automatically by a Monitor when the slot carries a dialer. The policy
 // bounds every RPC (deadlines, retries, backoff) and sets the degraded-
-// read mode. NewCluster takes ownership of all connections: they are
-// closed on handshake failure and by Close.
+// read mode; DefaultPolicy is the usual choice. An unreplicated cluster is
+// one single-replica group per slice. NewCluster takes ownership of all
+// connections: they are closed on handshake failure and by Close.
 func NewCluster(workers int, groups [][]ReplicaSpec, policy Policy) (*Coordinator, error) {
 	if len(groups) == 0 {
 		return nil, errors.New("dist: coordinator needs at least one task slice")
@@ -208,7 +179,7 @@ func handshake(workers int, conn *Conn) (*node, error) {
 // path's sibling retry).
 func idempotent(msgType byte) bool {
 	switch msgType {
-	case msgPullDelta, msgPullCounts, msgPullDis, msgPullTotal, msgPullSnap, msgPullCompact, msgPing, msgSweep:
+	case msgPullDelta, msgPullCounts, msgPullDis, msgPullTotal, msgPullCompact, msgPing, msgSweep:
 		return true
 	}
 	return false
@@ -742,19 +713,27 @@ func (c *Coordinator) EvaluateSubset(workers []int, opts core.EvalOptions) ([]co
 	return acc.EvaluateSubset(workers, opts)
 }
 
-// Snapshot materializes every response the cluster holds as a Dataset, by
-// pulling each slice's checkpoint (statistics plus response log) and
-// replaying the logs — the distributed form of Incremental.Snapshot, for
-// interoperability with the batch algorithms.
+// Snapshot materializes every response the cluster holds as a Dataset —
+// the distributed form of Incremental.Snapshot, for interoperability with
+// the batch algorithms. Each slice's compact state is pulled from every
+// live replica and byte-validated across them; its attendance bitsets say
+// who answered which task and its answer bitsets what they answered. The
+// arrival order the compact state forgets is not part of a Dataset.
 func (c *Coordinator) Snapshot() (*crowd.Dataset, error) {
-	snaps := make([]*Snapshot, len(c.slices))
+	states := make([]*core.CompactState, len(c.slices))
 	errs := make([]error, len(c.slices))
 	var wg sync.WaitGroup
 	for si := range c.slices {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			snaps[si], errs[si] = c.SliceSnapshot(si)
+			payload, err := c.broadcast(si, msgPullCompact, nil, msgCompact, true)
+			if err == nil {
+				states[si], err = DecodeCompact(payload)
+			}
+			if err != nil {
+				errs[si] = fmt.Errorf("dist: slice %d compact state: %w", si, err)
+			}
 		}(si)
 	}
 	wg.Wait()
@@ -762,10 +741,8 @@ func (c *Coordinator) Snapshot() (*crowd.Dataset, error) {
 		return nil, err
 	}
 	tasks := 0
-	for _, snap := range snaps {
-		if snap.Stats.Tasks > tasks {
-			tasks = snap.Stats.Tasks
-		}
+	for _, cs := range states {
+		tasks = max(tasks, cs.Stats.Tasks)
 	}
 	if tasks == 0 {
 		return nil, fmt.Errorf("dist: no responses recorded: %w", core.ErrInsufficientData)
@@ -774,10 +751,21 @@ func (c *Coordinator) Snapshot() (*crowd.Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	for si, snap := range snaps {
-		for _, lr := range snap.Log {
-			if err := ds.SetResponse(lr.Worker, lr.Task, lr.Answer); err != nil {
-				return nil, fmt.Errorf("dist: slice %d log: %w", si, err)
+	for si, cs := range states {
+		for w, attended := range cs.Stats.Responded {
+			answers := cs.Answers[w]
+			for k, word := range attended {
+				for word != 0 {
+					bit := word & -word
+					word ^= bit
+					answer := crowd.No
+					if k < len(answers) && answers[k]&bit != 0 {
+						answer = crowd.Yes
+					}
+					if err := ds.SetResponse(w, 64*k+bits.TrailingZeros64(bit), answer); err != nil {
+						return nil, fmt.Errorf("dist: slice %d compact state: %w", si, err)
+					}
+				}
 			}
 		}
 	}

@@ -105,9 +105,9 @@ func (c *Coordinator) CheckpointCompactSlice(si int) error {
 
 // CheckpointCompactAll checkpoints every slice with an attached store,
 // concurrently. Each slice's snapshot is a consistent cut of that slice;
-// like CheckpointAll, the set is not a cluster-wide barrier — and does not
-// need to be, since slices are disjoint and restores are per slice. Slices
-// without a store are skipped.
+// the set is not a cluster-wide barrier — and does not need to be, since
+// slices are disjoint and restores are per slice. Slices without a store
+// are skipped.
 func (c *Coordinator) CheckpointCompactAll() error {
 	errs := make([]error, len(c.slices))
 	var wg sync.WaitGroup
@@ -128,21 +128,14 @@ func (c *Coordinator) CheckpointCompactAll() error {
 // RestoreNodeFromStore rebuilds task slice si onto a replacement node from
 // the slice's durable store: the newest valid compact snapshot is pushed
 // as a compact restore, then the WAL tail past it is re-ingested batch by
-// batch — O(snapshot + delta), never the full history a CCKP replay drags
-// through. Only legal when every replica of the slice is gone (with a
-// survivor, seed from it via RestoreNode: always fresher than disk). The
-// coordinator takes ownership of conn; it is closed on failure.
+// batch — O(snapshot + delta), never the full history. Only legal when
+// every replica of the slice is gone (with a survivor, seed from it via
+// RestoreNode: always fresher than disk). The coordinator takes ownership
+// of conn; it is closed on failure.
 func (c *Coordinator) RestoreNodeFromStore(si int, conn *Conn) error {
-	if si < 0 || si >= len(c.slices) {
-		conn.Close()
-		return fmt.Errorf("dist: slice %d out of range 0…%d", si, len(c.slices)-1)
-	}
-	conn.SetTimeout(c.policy.RPCTimeout)
-	c.instrumentConn(conn)
-	n, err := handshake(c.workers, conn)
+	n, err := c.replacement(si, conn)
 	if err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: handshake with replacement for slice %d: %w", si, err)
+		return err
 	}
 	s := c.slices[si]
 	s.mu.Lock()

@@ -28,26 +28,20 @@ func localReference(t *testing.T, workers int, subs []submission) *core.Incremen
 	return inc
 }
 
-// newInProcessCluster builds nodes workers served in-process and a
-// coordinator over them, with cleanup registered.
+// slicesOf puts each connection in a task slice of its own, unreplicated.
+func slicesOf(conns ...*Conn) [][]ReplicaSpec {
+	groups := make([][]ReplicaSpec, len(conns))
+	for i, conn := range conns {
+		groups[i] = []ReplicaSpec{{Conn: conn}}
+	}
+	return groups
+}
+
+// newInProcessCluster builds nodes workers served in-process, one per task
+// slice, and a coordinator over them, with cleanup registered.
 func newInProcessCluster(t *testing.T, workers, nodes, shards int) *Coordinator {
 	t.Helper()
-	conns := make([]*Conn, nodes)
-	for i := range conns {
-		w, err := NewWorker(WorkerOptions{Workers: workers, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { w.Close() })
-		if conns[i], err = w.SelfConn(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	coord, err := NewCoordinator(workers, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { coord.Close() })
+	coord, _ := newReplicatedCluster(t, workers, nodes, 1, shards)
 	return coord
 }
 
@@ -154,7 +148,7 @@ func TestTCPLoopbackExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	coord, err := NewCoordinator(workers, conns)
+	coord, err := NewCluster(workers, slicesOf(conns...), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +270,7 @@ func TestHandshakeRejectsMismatchedCrowd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewCoordinator(7, []*Conn{conn}); err == nil {
+	if _, err := NewCluster(7, slicesOf(conn), DefaultPolicy()); err == nil {
 		t.Fatal("coordinator accepted a node with a different crowd size")
 	} else if !strings.Contains(err.Error(), "crowd workers") {
 		t.Fatalf("unhelpful handshake error: %v", err)
@@ -320,7 +314,7 @@ func TestWorkerCloseDrainsCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coord, err := NewCoordinator(4, []*Conn{conn})
+		coord, err := NewCluster(4, slicesOf(conn), DefaultPolicy())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +352,7 @@ func TestWorkerCloseUnblocksCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(4, []*Conn{conn})
+	coord, err := NewCluster(4, slicesOf(conn), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

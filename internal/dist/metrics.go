@@ -13,8 +13,8 @@ import (
 // This file is the dist layer's observability wiring: everything here
 // feeds an obs.Registry and nothing here changes protocol or decision
 // behavior. It lives outside the determinism-scoped files (codec,
-// compact, checkpoint, Merge/RunSweep) on purpose — clocks pace
-// measurement, never decisions.
+// compact, Merge/RunSweep) on purpose — clocks pace measurement, never
+// decisions.
 
 // msgName renders a message type as a stable metric label value.
 func msgName(t byte) string {
@@ -33,10 +33,6 @@ func msgName(t byte) string {
 		return "pull-counts"
 	case msgPullDis:
 		return "pull-dis"
-	case msgPullSnap:
-		return "pull-snap"
-	case msgRestore:
-		return "restore"
 	case msgPing:
 		return "ping"
 	case msgPullCompact:

@@ -101,8 +101,6 @@ func TestMsgNameStable(t *testing.T) {
 		msgPullTotal:      "pull-total",
 		msgPullCounts:     "pull-counts",
 		msgPullDis:        "pull-dis",
-		msgPullSnap:       "pull-snap",
-		msgRestore:        "restore",
 		msgPing:           "ping",
 		msgPullCompact:    "pull-compact",
 		msgRestoreCompact: "restore-compact",

@@ -66,11 +66,6 @@ type MonitorOptions struct {
 	// down for an hour is not redialed and re-replayed thousands of times.
 	// 0 selects 4× Interval.
 	ReseedEvery time.Duration
-	// CheckpointDir, when set, is the fallback seed source: a slice whose
-	// every replica is gone reseeds from dir/slice-NNN.ckpt (the
-	// CheckpointAll layout). Without it, a fully-dead slice waits for a
-	// survivor that will never come — only degraded reads keep serving.
-	CheckpointDir string
 	// OnEvent, when set, observes every detector transition and reseed
 	// attempt. Events are delivered in order from a dedicated dispatcher
 	// goroutine through a bounded queue (EventBuffer), so a slow sink
@@ -123,7 +118,7 @@ func (e Event) String() string {
 // probes every non-down replica with msgPing each interval, walks replicas
 // through Alive → Suspect → Down as beats go missing, and re-seeds Down
 // slots that carry a dialer — from a surviving sibling replica when one
-// lives, else from the latest checkpoint. Start it with
+// lives, else from the slice's store. Start it with
 // Coordinator.StartMonitor.
 type Monitor struct {
 	c    *Coordinator
@@ -358,8 +353,8 @@ func (m *Monitor) report(now time.Time) {
 
 // reseed attempts to refill Down slots that carry a dialer, rate-limited
 // per slot: dial a fresh connection and run it through RestoreNode, seeding
-// from a surviving replica — or, when the whole slice is gone and a
-// checkpoint directory is configured, from the slice's latest checkpoint.
+// from a surviving replica — or, when the whole slice is gone and a store
+// is attached to it, through RestoreNodeFromStore.
 func (m *Monitor) reseed(now time.Time) {
 	type job struct {
 		si, ri int
@@ -397,47 +392,17 @@ func (m *Monitor) reseedSlot(si int, dial func() (*Conn, error)) error {
 		return err
 	}
 	// Seed from a surviving sibling when one lives — always fresher than
-	// any checkpoint.
+	// disk.
 	err = m.c.RestoreNode(si, conn, nil)
-	if err == nil || !errors.Is(err, ErrNoReplica) {
+	if err == nil || !errors.Is(err, ErrNoReplica) || m.c.sliceStore(si) == nil {
 		return err
 	}
-	// Whole slice is gone: fall back to durable state. RestoreNode closed
-	// the first connection on failure, so each path dials again. The
-	// slice's WAL store, when attached, wins over legacy checkpoint files:
-	// snapshot + journal tail replay covers every acknowledged batch,
-	// while a CCKP file only covers up to its last checkpoint tick. The
-	// exception is a store with no journaled state at all (attached after
-	// the data was ingested, or before any fan-out was journaled): it
-	// would rebuild the slice empty, so a configured checkpoint directory
-	// — which may hold a valid legacy snapshot — takes over instead.
-	if st := m.c.sliceStore(si); st != nil {
-		useStore := true
-		if m.opts.CheckpointDir != "" {
-			empty, eerr := st.Empty()
-			// An unlistable snapshot store is not "empty": recovering from
-			// the store surfaces the fault loudly instead of silently
-			// preferring an older legacy checkpoint over unknown state.
-			useStore = eerr != nil || !empty
-		}
-		if useStore {
-			conn, rerr := dial()
-			if rerr != nil {
-				return errors.Join(err, rerr)
-			}
-			return m.c.RestoreNodeFromStore(si, conn)
-		}
-	}
-	if m.opts.CheckpointDir == "" {
-		return err
-	}
-	snap, rerr := readNewestValidSliceCheckpoint(m.opts.CheckpointDir, si)
+	// Whole slice is gone: rebuild it from its store, whose snapshot plus
+	// journal tail covers every acknowledged batch. RestoreNode closed the
+	// first connection on failure, so dial again.
+	conn, rerr := dial()
 	if rerr != nil {
 		return errors.Join(err, rerr)
 	}
-	conn, rerr = dial()
-	if rerr != nil {
-		return errors.Join(err, rerr)
-	}
-	return m.c.RestoreNode(si, conn, snap)
+	return m.c.RestoreNodeFromStore(si, conn)
 }

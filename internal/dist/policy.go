@@ -26,9 +26,9 @@ type Policy struct {
 	// statistics/counts/tally pulls, heartbeats. It is armed per frame
 	// chunk on both the request and the awaited reply. 0 means unbounded.
 	RPCTimeout time.Duration
-	// StateTimeout bounds state-transfer round-trips (snapshot pulls and
-	// restore replays), whose worker-side work — encoding or replaying a
-	// full response log — legitimately dwarfs an ordinary RPC. 0 means
+	// StateTimeout bounds compact state-transfer round-trips (pulls and
+	// restores), whose worker-side work — validating and replaying a
+	// slice's whole state — legitimately dwarfs an ordinary RPC. 0 means
 	// unbounded.
 	StateTimeout time.Duration
 	// SweepTimeout bounds replicate-sweep round-trips, which are
@@ -78,7 +78,7 @@ func DefaultPolicy() Policy {
 // under.
 func (p Policy) timeoutFor(msgType byte) time.Duration {
 	switch msgType {
-	case msgPullSnap, msgRestore, msgPullCompact, msgRestoreCompact:
+	case msgPullCompact, msgRestoreCompact:
 		return p.StateTimeout
 	case msgSweep:
 		return p.SweepTimeout

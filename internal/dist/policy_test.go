@@ -67,8 +67,8 @@ func TestTimeoutClasses(t *testing.T) {
 		{msgPullDelta, p.RPCTimeout},
 		{msgPullCounts, p.RPCTimeout},
 		{msgPing, p.RPCTimeout},
-		{msgPullSnap, p.StateTimeout},
-		{msgRestore, p.StateTimeout},
+		{msgPullCompact, p.StateTimeout},
+		{msgRestoreCompact, p.StateTimeout},
 		{msgSweep, p.SweepTimeout},
 	}
 	for _, c := range cases {
@@ -120,13 +120,13 @@ func TestTransientClassification(t *testing.T) {
 // re-send would trip duplicate rejection on replicas that already applied
 // the timed-out batch.
 func TestIdempotentClassification(t *testing.T) {
-	yes := []byte{msgPullDelta, msgPullCounts, msgPullDis, msgPullTotal, msgPullSnap, msgPullCompact, msgPing, msgSweep}
+	yes := []byte{msgPullDelta, msgPullCounts, msgPullDis, msgPullTotal, msgPullCompact, msgPing, msgSweep}
 	for _, m := range yes {
 		if !idempotent(m) {
 			t.Errorf("idempotent(0x%02x) = false, want true", m)
 		}
 	}
-	no := []byte{msgIngest, msgRestore, msgRestoreCompact, msgHello}
+	no := []byte{msgIngest, msgRestoreCompact, msgHello}
 	for _, m := range no {
 		if idempotent(m) {
 			t.Errorf("idempotent(0x%02x) = true, want false", m)
@@ -144,7 +144,7 @@ func TestDegradableClassification(t *testing.T) {
 			t.Errorf("degradable(0x%02x) = false, want true", m)
 		}
 	}
-	for _, m := range []byte{msgIngest, msgRestore, msgRestoreCompact, msgPullSnap, msgPullCompact, msgPing, msgSweep, msgHello} {
+	for _, m := range []byte{msgIngest, msgRestoreCompact, msgPullCompact, msgPing, msgSweep, msgHello} {
 		if degradable(m) {
 			t.Errorf("degradable(0x%02x) = true, want false", m)
 		}

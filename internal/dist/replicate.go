@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -119,8 +116,8 @@ func beatLocked(n *node, at time.Time) {
 }
 
 // ErrNoReplica reports that every replica of a task slice is gone: the
-// slice cannot serve until a node is attached with RestoreNode (from a
-// checkpoint, since no live source remains).
+// slice cannot serve until a node is attached with RestoreNodeFromStore,
+// or RestoreNode with a compact seed, since no live source remains.
 var ErrNoReplica = errors.New("dist: no live replica for task slice")
 
 // ErrDivergence reports that two live replicas of one slice returned
@@ -277,29 +274,6 @@ func (c *Coordinator) degradedLocked(s *slice, msgType byte) bool {
 	return stored
 }
 
-// firstLocked runs one request on the first live replica of the slice that
-// answers, marking broken replicas down along the way; caller holds s.mu.
-// For pulls whose replies legitimately differ per node (snapshots carry
-// the node's identity), where broadcast's validation cannot apply.
-func (c *Coordinator) firstLocked(si int, s *slice, msgType byte, body []byte, wantReply byte) ([]byte, error) {
-	var lost []error
-	for _, n := range s.liveLocked() {
-		reply, err := c.call(n, msgType, body, wantReply)
-		if err == nil {
-			return reply, nil
-		}
-		if isRemote(err) {
-			return nil, err
-		}
-		markDownLocked(n)
-		lost = append(lost, err)
-	}
-	if len(lost) > 0 {
-		return nil, fmt.Errorf("%w %d: %w", ErrNoReplica, si, errors.Join(lost...))
-	}
-	return nil, fmt.Errorf("%w %d", ErrNoReplica, si)
-}
-
 // sweepSlice runs one sweep request on some live replica of slice si. The
 // slice lock is held only to read the replica set, not across the compute:
 // sweeps carry no slice state, so they must not stall ingestion.
@@ -323,159 +297,77 @@ func (c *Coordinator) sweepSlice(si int, body []byte) ([]byte, error) {
 	}
 }
 
-// SliceSnapshot pulls a checkpoint — statistics plus response log — from a
-// live replica of task slice si, validated against the snapshot codec.
-// Persist it with WriteSnapshot, or hand it to RestoreNode to seed a
-// replacement.
-func (c *Coordinator) SliceSnapshot(si int) (*Snapshot, error) {
-	if si < 0 || si >= len(c.slices) {
-		return nil, fmt.Errorf("dist: slice %d out of range 0…%d", si, len(c.slices)-1)
-	}
-	s := c.slices[si]
-	s.mu.Lock()
-	payload, err := c.firstLocked(si, s, msgPullSnap, nil, msgSnap)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	snap, err := DecodeSnapshot(payload)
-	if err != nil {
-		return nil, fmt.Errorf("dist: slice %d snapshot: %w", si, err)
-	}
-	return snap, nil
-}
-
-// CheckpointAll snapshots every task slice into dir, one file per slice
-// (slice-NNN.ckpt), pulled concurrently and each written atomically. The
-// previous generation survives as slice-NNN.ckpt.1 — rotated before the
-// new write — so a snapshot corrupted at rest never leaves its slice
-// without a fallback (the reseed path walks generations newest-first and
-// skips files that fail validation). Returned paths are indexed by slice.
-// Each file is a consistent cut of its own slice; the set is NOT a
-// cluster-wide barrier — ingestion continuing during the pass may land on
-// some slices' files and not others. That is exactly as strong as
-// recovery needs: slices are disjoint, restores are per slice, and each
-// slice's stream replays from that slice's own cut
-// (Snapshot.Stats.Responses). Any one file restores its slice via
-// RestoreNode (or crowdd -checkpoint) even after every replica of the
-// slice is lost.
-func (c *Coordinator) CheckpointAll(dir string) ([]string, error) {
-	paths := make([]string, len(c.slices))
-	errs := make([]error, len(c.slices))
-	var wg sync.WaitGroup
-	for si := range c.slices {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			snap, err := c.SliceSnapshot(si)
-			if err != nil {
-				errs[si] = err
-				return
-			}
-			path := filepath.Join(dir, fmt.Sprintf("slice-%03d.ckpt", si))
-			if err := os.Rename(path, path+".1"); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				errs[si] = err
-				return
-			}
-			if err := WriteSnapshot(path, snap); err != nil {
-				errs[si] = err
-				return
-			}
-			paths[si] = path
-		}(si)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return paths, nil
-}
-
-// sliceCheckpointCandidates lists slice si's checkpoint files in dir,
-// newest generation first.
-func sliceCheckpointCandidates(dir string, si int) []string {
-	base := filepath.Join(dir, fmt.Sprintf("slice-%03d.ckpt", si))
-	return []string{base, base + ".1"}
-}
-
-// readNewestValidSliceCheckpoint walks slice si's checkpoint generations
-// newest-first and returns the first that loads and validates, skipping —
-// not failing on — files that are missing, truncated or fail their CRC.
-// Only when no generation is usable does it report an error (the failures
-// joined, so a corrupt newest generation is visible even when an older one
-// saved the day is not).
-func readNewestValidSliceCheckpoint(dir string, si int) (*Snapshot, error) {
-	var errs []error
-	for _, path := range sliceCheckpointCandidates(dir, si) {
-		snap, err := ReadSnapshot(path)
-		if err == nil {
-			return snap, nil
-		}
-		errs = append(errs, err)
-	}
-	return nil, fmt.Errorf("dist: no usable checkpoint for slice %d: %w", si, errors.Join(errs...))
-}
-
 // RestoreNode attaches a replacement node to task slice si and brings it
-// up to date before it serves: the newcomer is handshaken, seeded by
-// replaying a snapshot — pulled live from a surviving replica when snap is
-// nil, or the given checkpoint otherwise — and only then joins the
-// replica set. The slice is locked for the duration, so no batch can land
-// between the seed and the attach; the newcomer is in lockstep from its
-// first fan-out.
+// up to date before it serves: the newcomer is handshaken, seeded with a
+// compact restore — the slice's state pulled from every live replica (and
+// byte-validated across them) when seed is nil, or the given compact state
+// otherwise — and only then joins the replica set. The slice is locked for
+// the duration, so no batch can land between the seed and the attach; the
+// newcomer is in lockstep from its first fan-out. The transfer is
+// O(statistics): pairwise counters plus attendance and answer bitsets,
+// never the response history.
 //
-// A checkpoint can only seed a slice whose live replicas hold exactly the
-// checkpointed statistics (verified before anything is sent); restoring a
-// stale checkpoint next to live survivors would hand the validator a
-// guaranteed divergence. When every replica of the slice is gone, the
-// checkpoint is the recovery path — re-ingest whatever the stream carried
-// after the checkpoint cut, and the slice is whole again.
+// A seed can only join a slice whose live replicas hold exactly the seeded
+// state (verified before anything is sent); restoring a stale seed next to
+// live survivors would hand the validator a guaranteed divergence. When
+// every replica of the slice is gone, the seed is the recovery path —
+// re-ingest whatever the stream carried after the seed's cut, and the slice
+// is whole again (RestoreNodeFromStore does exactly that from the slice's
+// store).
 //
 // The coordinator takes ownership of conn; it is closed if the restore
 // fails at any step.
-func (c *Coordinator) RestoreNode(si int, conn *Conn, snap *Snapshot) error {
+func (c *Coordinator) RestoreNode(si int, conn *Conn, seed *core.CompactState) error {
+	n, err := c.replacement(si, conn)
+	if err != nil {
+		return err
+	}
+	s := c.slices[si]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	live, err := c.broadcastLocked(si, s, msgPullCompact, nil, msgCompact, true)
+	switch {
+	case err != nil && seed == nil:
+		conn.Close()
+		return fmt.Errorf("dist: no live source to restore slice %d from (pass a compact seed): %w", si, err)
+	case err != nil && !errors.Is(err, ErrNoReplica):
+		conn.Close()
+		return err
+	}
+	payload := live
+	if seed != nil {
+		if payload, err = EncodeCompact(seed); err != nil {
+			conn.Close()
+			return err
+		}
+		if live != nil && !bytes.Equal(payload, live) {
+			conn.Close()
+			return fmt.Errorf("dist: seed is stale against slice %d's live replicas — restore from a replica (nil seed) instead", si)
+		}
+	}
+	if _, err := n.roundTrip(c.policy, msgRestoreCompact, payload, msgRestoreOK); err != nil {
+		conn.Close()
+		return fmt.Errorf("dist: seeding replacement for slice %d: %w", si, err)
+	}
+	s.attachLocked(si, n, time.Now())
+	return nil
+}
+
+// replacement handshakes conn as a replacement node for task slice si,
+// closing it on failure.
+func (c *Coordinator) replacement(si int, conn *Conn) (*node, error) {
 	if si < 0 || si >= len(c.slices) {
 		conn.Close()
-		return fmt.Errorf("dist: slice %d out of range 0…%d", si, len(c.slices)-1)
+		return nil, fmt.Errorf("dist: slice %d out of range 0…%d", si, len(c.slices)-1)
 	}
 	conn.SetTimeout(c.policy.RPCTimeout)
 	c.instrumentConn(conn)
 	n, err := handshake(c.workers, conn)
 	if err != nil {
 		conn.Close()
-		return fmt.Errorf("dist: handshake with replacement for slice %d: %w", si, err)
+		return nil, fmt.Errorf("dist: handshake with replacement for slice %d: %w", si, err)
 	}
-	s := c.slices[si]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var payload []byte
-	if snap == nil {
-		if payload, err = c.firstLocked(si, s, msgPullSnap, nil, msgSnap); err != nil {
-			conn.Close()
-			return fmt.Errorf("dist: no live source to restore slice %d from (pass a checkpoint): %w", si, err)
-		}
-	} else {
-		if payload, err = EncodeSnapshot(snap); err != nil {
-			conn.Close()
-			return err
-		}
-		if len(s.liveLocked()) > 0 {
-			if err := c.pullSliceLocked(si, s); err != nil {
-				conn.Close()
-				return err
-			}
-			if !s.state.Export().Equal(snap.Stats) {
-				conn.Close()
-				return fmt.Errorf("dist: checkpoint is stale against slice %d's live replicas — restore from a replica (nil snapshot) instead", si)
-			}
-		}
-	}
-	if _, err := n.roundTrip(c.policy, msgRestore, payload, msgRestoreOK); err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: seeding replacement for slice %d: %w", si, err)
-	}
-	s.attachLocked(si, n, time.Now())
-	return nil
+	return n, nil
 }
 
 // attachLocked installs a seeded replacement into the replica set; caller

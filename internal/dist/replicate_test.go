@@ -17,10 +17,10 @@ import (
 func newReplicatedCluster(t *testing.T, crowdSize, slices, replicas, shards int) (*Coordinator, [][]*Worker) {
 	t.Helper()
 	grid := make([][]*Worker, slices)
-	groups := make([][]*Conn, slices)
+	groups := make([][]ReplicaSpec, slices)
 	for si := 0; si < slices; si++ {
 		grid[si] = make([]*Worker, replicas)
-		groups[si] = make([]*Conn, replicas)
+		groups[si] = make([]ReplicaSpec, replicas)
 		for ri := 0; ri < replicas; ri++ {
 			w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: shards})
 			if err != nil {
@@ -28,12 +28,12 @@ func newReplicatedCluster(t *testing.T, crowdSize, slices, replicas, shards int)
 			}
 			t.Cleanup(func() { w.Close() })
 			grid[si][ri] = w
-			if groups[si][ri], err = w.SelfConn(); err != nil {
+			if groups[si][ri].Conn, err = w.SelfConn(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	coord, err := NewReplicatedCoordinator(crowdSize, groups)
+	coord, err := NewCluster(crowdSize, groups, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +159,8 @@ func TestRestoreNodeFromReplica(t *testing.T) {
 }
 
 // TestRestoreNodeFromCheckpoint is the disaster path: a slice with no
-// replication loses its only node. The checkpoint taken before the crash
-// seeds a replacement, the stream since the cut is re-ingested, and
+// replication loses its only node. The compact checkpoint taken before the
+// crash seeds a replacement, the stream since the cut is re-ingested, and
 // EvaluateAll is byte-identical to a run that never crashed — even though
 // the cut falls mid-task.
 func TestRestoreNodeFromCheckpoint(t *testing.T) {
@@ -170,21 +170,14 @@ func TestRestoreNodeFromCheckpoint(t *testing.T) {
 
 	cut := len(subs)*2/5 + 1
 	ingestConcurrently(t, coord, subs[:cut], 4, 13)
-	dir := t.TempDir()
-	paths, err := coord.CheckpointAll(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 2 {
-		t.Fatalf("checkpointed %d slices, want 2", len(paths))
-	}
+	deadSlice := 1
+	seed := grid[deadSlice][0].Evaluator().CompactCheckpoint()
 
 	// Crash slice 1's only node: the slice is gone.
-	if err := grid[1][0].Close(); err != nil {
+	if err := grid[deadSlice][0].Close(); err != nil {
 		t.Fatal(err)
 	}
-	deadSlice := 1
-	err = coord.Ingest([]Response{{Worker: 0, Task: firstTaskOfSlice(coord, deadSlice), Answer: crowd.Yes}})
+	err := coord.Ingest([]Response{{Worker: 0, Task: firstTaskOfSlice(coord, deadSlice), Answer: crowd.Yes}})
 	if !errors.Is(err, ErrNoReplica) {
 		t.Fatalf("ingest into a dead slice: %v, want ErrNoReplica", err)
 	}
@@ -195,12 +188,8 @@ func TestRestoreNodeFromCheckpoint(t *testing.T) {
 		t.Fatalf("restore without source: %v", err)
 	}
 
-	snap, err := ReadSnapshot(paths[deadSlice])
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, conn = freshReplica(t, crowdSize, 2)
-	if err := coord.RestoreNode(deadSlice, conn, snap); err != nil {
+	if err := coord.RestoreNode(deadSlice, conn, seed); err != nil {
 		t.Fatal(err)
 	}
 	// Re-ingest everything after the checkpoint cut; responses for the
@@ -237,24 +226,34 @@ func firstTaskOfSlice(c *Coordinator, si int) int {
 	}
 }
 
-// TestRestoreNodeRejectsStaleCheckpoint: a checkpoint that lags the live
+// TestRestoreNodeRejectsStaleCheckpoint: a compact seed that lags the live
 // replicas is refused before the newcomer joins — attaching it would hand
-// the divergence validator a guaranteed failure.
+// the divergence validator a guaranteed failure. A seed equal to the live
+// state joins like a survivor reseed.
 func TestRestoreNodeRejectsStaleCheckpoint(t *testing.T) {
 	const crowdSize = 6
 	subs := testStream(t, crowdSize, 150, 65)
-	coord, _ := newReplicatedCluster(t, crowdSize, 1, 2, 2)
+	coord, grid := newReplicatedCluster(t, crowdSize, 1, 2, 2)
 	cut := len(subs) / 2
 	ingestConcurrently(t, coord, subs[:cut], 2, 11)
-	snap, err := coord.SliceSnapshot(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ingestConcurrently(t, coord, subs[cut:], 2, 11) // checkpoint is now stale
+	seed := grid[0][0].Evaluator().CompactCheckpoint()
+	ingestConcurrently(t, coord, subs[cut:], 2, 11) // the seed is now stale
 	_, conn := freshReplica(t, crowdSize, 2)
-	if err := coord.RestoreNode(0, conn, snap); err == nil || !strings.Contains(err.Error(), "stale") {
-		t.Fatalf("stale checkpoint restore: %v", err)
+	if err := coord.RestoreNode(0, conn, seed); err == nil || !strings.Contains(err.Error(), "stale") {
+		t.Fatalf("stale seed restore: %v", err)
 	}
+	if live := coord.LiveReplicas(0); live != 2 {
+		t.Fatalf("slice 0 reports %d live replicas after a refused seed, want 2", live)
+	}
+
+	_, conn = freshReplica(t, crowdSize, 2)
+	if err := coord.RestoreNode(0, conn, grid[0][1].Evaluator().CompactCheckpoint()); err != nil {
+		t.Fatalf("current seed refused: %v", err)
+	}
+	if live := coord.LiveReplicas(0); live != 3 {
+		t.Fatalf("slice 0 reports %d live replicas after a current seed, want 3", live)
+	}
+	requireEvaluateAllEqual(t, "slice joined by a seeded replica", coord, localReference(t, crowdSize, subs))
 }
 
 // TestReplicaDivergenceDetected: state written to one replica behind the

@@ -3,8 +3,8 @@ package dist
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc64"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,8 +18,8 @@ import (
 
 // This file exercises the durable storage engine end to end through the
 // distributed layer: the compact checkpoint codec, worker-side WAL
-// journaling and recovery, coordinator-side slice stores, the monitor's
-// reseed-from-store path, and the checkpoint-generation fallback.
+// journaling and recovery, coordinator-side slice stores, and the monitor's
+// reseed-from-store path.
 
 // openTestStore opens a store over the OS filesystem with a small segment
 // size so checkpoint truncation is observable in a short test.
@@ -183,37 +183,20 @@ func TestWorkerStoreLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(crowdSize, []*Conn{conn})
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	half := len(subs) / 2
-	ingestRange := func(c *Coordinator, lo, hi int) {
-		t.Helper()
-		for lo < hi {
-			end := lo + 16
-			if end > hi {
-				end = hi
-			}
-			batch := make([]Response, 0, end-lo)
-			for _, s := range subs[lo:end] {
-				batch = append(batch, Response{Worker: s.w, Task: s.t, Answer: s.r})
-			}
-			if err := c.Ingest(batch); err != nil {
-				t.Fatal(err)
-			}
-			lo = end
-		}
-	}
-	ingestRange(coord, 0, half)
+	ingestBatches(t, coord, subs[:half], 16)
 	if err := w.CheckpointCompact(); err != nil {
 		t.Fatal(err)
 	}
 	if first := st.Log.FirstSeq(); first <= 1 {
 		t.Fatalf("journal still starts at seq %d after checkpoint; truncation never happened", first)
 	}
-	ingestRange(coord, half, len(subs))
+	ingestBatches(t, coord, subs[half:], 16)
 
 	coord.Close()
 	w.Close()
@@ -292,7 +275,7 @@ func TestCoordinatorSliceStoreRebuild(t *testing.T) {
 	w0, c0 := makeWorker(nil)
 	w1, c1 := makeWorker(nil)
 	defer w1.Close()
-	coord, err := NewCoordinator(crowdSize, []*Conn{c0, c1})
+	coord, err := NewCluster(crowdSize, slicesOf(c0, c1), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,31 +293,14 @@ func TestCoordinatorSliceStoreRebuild(t *testing.T) {
 	}
 
 	half := len(subs) / 2
-	ingestRange := func(lo, hi int) {
-		t.Helper()
-		for lo < hi {
-			end := lo + 16
-			if end > hi {
-				end = hi
-			}
-			batch := make([]Response, 0, end-lo)
-			for _, s := range subs[lo:end] {
-				batch = append(batch, Response{Worker: s.w, Task: s.t, Answer: s.r})
-			}
-			if err := coord.Ingest(batch); err != nil {
-				t.Fatal(err)
-			}
-			lo = end
-		}
-	}
-	ingestRange(0, half)
+	ingestBatches(t, coord, subs[:half], 16)
 	if err := coord.CheckpointCompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	if f0, f1 := st0.Log.FirstSeq(), st1.Log.FirstSeq(); f0 <= 1 && f1 <= 1 {
 		t.Fatalf("neither slice journal was truncated (first seqs %d, %d)", f0, f1)
 	}
-	ingestRange(half, len(subs))
+	ingestBatches(t, coord, subs[half:], 16)
 
 	// With a live replica the store restore must refuse and point at
 	// RestoreNode.
@@ -415,30 +381,11 @@ func TestMonitorReseedFromSliceStore(t *testing.T) {
 	}
 
 	half := len(subs) / 2
-	batchAll := func(lo, hi int) {
-		t.Helper()
-		var batch []Response
-		flush := func() {
-			if len(batch) > 0 {
-				if err := coord.Ingest(batch); err != nil {
-					t.Fatal(err)
-				}
-				batch = batch[:0]
-			}
-		}
-		for _, s := range subs[lo:hi] {
-			batch = append(batch, Response{Worker: s.w, Task: s.t, Answer: s.r})
-			if len(batch) == 19 {
-				flush()
-			}
-		}
-		flush()
-	}
-	batchAll(0, half)
+	ingestBatches(t, coord, subs[:half], 19)
 	if err := coord.CheckpointCompactSlice(0); err != nil {
 		t.Fatal(err)
 	}
-	batchAll(half, len(subs))
+	ingestBatches(t, coord, subs[half:], 19)
 
 	var evMu sync.Mutex
 	var events []string
@@ -489,195 +436,173 @@ func TestMonitorReseedFromSliceStore(t *testing.T) {
 	requireEvaluateAllEqual(t, "monitor reseed from store", coord, local)
 }
 
-// TestMonitorReseedEmptyStoreFallsBackToCheckpoint: a slice store attached
-// only after the data had already been ingested holds no journaled state.
-// When the whole slice then dies, the reseed must not "succeed" by
-// rebuilding the slice empty from that store while a legacy checkpoint
-// directory holds a valid snapshot of the data — the empty store yields to
-// the checkpoint.
-func TestMonitorReseedEmptyStoreFallsBackToCheckpoint(t *testing.T) {
-	const crowdSize, tasks = 8, 160
-	subs := testStream(t, crowdSize, tasks, 97)
-
-	victim, victimAddr := serveWorkerOn(t, "", crowdSize, "victim")
-	dial := func() (*Conn, error) { return DialTCPTimeout(victimAddr, 5*time.Second) }
-	cv, err := dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := NewCluster(crowdSize, [][]ReplicaSpec{{{Conn: cv, Dial: dial}}}, chaosPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	var batch []Response
-	for _, s := range subs {
-		batch = append(batch, Response{Worker: s.w, Task: s.t, Answer: s.r})
-	}
-	if err := coord.Ingest(batch); err != nil {
-		t.Fatal(err)
-	}
-	ckptDir := t.TempDir()
-	if _, err := coord.CheckpointAll(ckptDir); err != nil {
-		t.Fatal(err)
-	}
-	// Attach the store only now: nothing above was journaled into it.
+// TestReadSnapshotMissingFile: a store holding no snapshot file and no
+// journal is a first start — recovery yields an empty node, not an error —
+// which is what lets a daemon tell a fresh deployment from a damaged one.
+func TestReadSnapshotMissingFile(t *testing.T) {
 	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	if _, ok, err := st.Snapshots.Latest(); ok || err != nil {
+		t.Fatalf("fresh store reports a snapshot (ok %v, err %v)", ok, err)
+	}
+	w, err := NewWorker(WorkerOptions{Workers: 5, Shards: 1, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if n, err := w.RecoverFromStore(); err != nil || n != 0 {
+		t.Fatalf("first start recovered n=%d err=%v, want 0, nil", n, err)
+	}
+}
+
+// TestCheckpointGenerationFallback: the slice store keeps the previous
+// compact snapshot generation. When the newest one is corrupted on disk and
+// the slice then loses its only replica, the rebuild skips the corrupt file,
+// restores the older generation and re-ingests the journal tail past it —
+// zero acknowledged loss, bit-identical decisions.
+func TestCheckpointGenerationFallback(t *testing.T) {
+	const crowdSize, tasks = 6, 100
+	subs := testStream(t, crowdSize, tasks, 59)
+	coord, grid := newReplicatedCluster(t, crowdSize, 1, 1, 2)
+	dir := t.TempDir()
+	// Default segments: the journal keeps every record the older
+	// generation needs.
+	st, err := store.Open(store.OSFS{}, dir, store.Options{Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer st.Close()
 	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
 		t.Fatal(err)
 	}
 
-	coord.StartMonitor(MonitorOptions{
-		Interval:      20 * time.Millisecond,
-		SuspectAfter:  1,
-		DownAfter:     2,
-		ReseedEvery:   40 * time.Millisecond,
-		CheckpointDir: ckptDir,
-	})
-
-	if err := victim.Close(); err != nil {
-		t.Fatal(err)
-	}
-	serveWorkerOn(t, victimAddr, crowdSize, "victim-reborn")
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		view := coord.Membership()
-		if view[0].State == "alive" && view[0].Reseeds >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("slot never reseeded; membership %+v", view)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	total, err := coord.Responses()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != len(subs) {
-		t.Fatalf("cluster holds %d responses after reseed, want %d (empty store shadowed the checkpoint)", total, len(subs))
-	}
-	requireEvaluateAllEqual(t, "empty-store checkpoint fallback", coord, localReference(t, crowdSize, subs))
-}
-
-// TestCheckpointGenerationFallback: CheckpointAll keeps the previous
-// generation as .ckpt.1; when the newest file is corrupted on disk, the
-// reseed path's reader skips it and loads the older valid generation, and
-// only fails when every generation is unusable.
-func TestCheckpointGenerationFallback(t *testing.T) {
-	const crowdSize, tasks = 6, 100
-	subs := testStream(t, crowdSize, tasks, 59)
-	coord := newInProcessCluster(t, crowdSize, 1, 2)
-	dir := t.TempDir()
-
 	half := len(subs) / 2
-	var batch []Response
-	for _, s := range subs[:half] {
-		batch = append(batch, Response{Worker: s.w, Task: s.t, Answer: s.r})
-	}
-	if err := coord.Ingest(batch); err != nil {
+	ingestBatches(t, coord, subs[:half], 16)
+	if err := coord.CheckpointCompactSlice(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := coord.CheckpointAll(dir); err != nil {
-		t.Fatal(err)
-	}
-	batch = batch[:0]
-	for _, s := range subs[half:] {
-		batch = append(batch, Response{Worker: s.w, Task: s.t, Answer: s.r})
-	}
-	if err := coord.Ingest(batch); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.CheckpointAll(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	base := filepath.Join(dir, "slice-000.ckpt")
-	if _, err := os.Stat(base + ".1"); err != nil {
-		t.Fatalf("previous checkpoint generation was not kept: %v", err)
-	}
-	snap, err := readNewestValidSliceCheckpoint(dir, 0)
+	older, _, err := st.Snapshots.Latest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Stats.Responses != len(subs) {
-		t.Fatalf("newest generation holds %d responses, want %d", snap.Stats.Responses, len(subs))
+	ingestBatches(t, coord, subs[half:], 16)
+	if err := coord.CheckpointCompactSlice(0); err != nil {
+		t.Fatal(err)
+	}
+	newest, _, err := st.Snapshots.Latest()
+	if err != nil || newest.Seq <= older.Seq {
+		t.Fatalf("second generation at seq %d, first at %d (err %v)", newest.Seq, older.Seq, err)
 	}
 
-	// Corrupt the newest generation mid-file: the reader must fall back.
-	corrupt := func(path string) {
-		t.Helper()
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[len(b)/2] ^= 0xFF
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	corrupt(base)
-	snap, err = readNewestValidSliceCheckpoint(dir, 0)
+	names, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatalf("fallback to the previous generation failed: %v", err)
+		t.Fatal(err)
 	}
-	if snap.Stats.Responses != half {
-		t.Fatalf("fallback generation holds %d responses, want %d", snap.Stats.Responses, half)
+	corrupted := 0
+	for _, e := range names {
+		if strings.HasPrefix(e.Name(), "snap-") && strings.Contains(e.Name(), fmt.Sprintf("%016x", newest.Seq)) {
+			path := filepath.Join(dir, e.Name())
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)/2] ^= 0xFF
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			corrupted++
+		}
+	}
+	if corrupted != 1 {
+		t.Fatalf("corrupted %d snapshot files, want the newest one", corrupted)
+	}
+	if snap, ok, err := st.Snapshots.Latest(); err != nil || !ok || snap.Seq != older.Seq {
+		t.Fatalf("newest valid generation is seq %d (ok %v, err %v), want the older %d", snap.Seq, ok, err, older.Seq)
 	}
 
-	corrupt(base + ".1")
-	if _, err := readNewestValidSliceCheckpoint(dir, 0); err == nil {
-		t.Fatal("both generations corrupt, yet a checkpoint loaded")
-	} else if !strings.Contains(err.Error(), "no usable checkpoint") {
-		t.Fatalf("wrong failure: %v", err)
+	if err := grid[0][0].Close(); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := coord.Responses(); err == nil {
+		t.Fatal("counts succeeded with a dead slice")
+	}
+	_, conn := freshReplica(t, crowdSize, 2)
+	if err := coord.RestoreNodeFromStore(0, conn); err != nil {
+		t.Fatal(err)
+	}
+	if total, err := coord.Responses(); err != nil || total != len(subs) {
+		t.Fatalf("cluster holds %d responses after the fallback rebuild (err %v), want %d", total, err, len(subs))
+	}
+	requireEvaluateAllEqual(t, "rebuilt from the older generation", coord, localReference(t, crowdSize, subs))
 }
 
-// TestWriteSnapshotDurabilitySequence: WriteSnapshot goes through the
-// atomic temp+fsync+rename+dir-fsync sequence; a sync failure surfaces as
-// an error and never publishes the file under its final name.
+// TestWriteSnapshotDurabilitySequence: a compact snapshot cut goes through
+// the store's atomic temp+fsync+rename+dir-fsync sequence. A sync failure
+// surfaces as an error, publishes nothing, and — because the journal is
+// only truncated behind a published snapshot — drops no journal record;
+// once the fault clears, the next cut succeeds and a restart recovers
+// every acknowledged response.
 func TestWriteSnapshotDurabilitySequence(t *testing.T) {
-	const crowdSize = 5
-	subs := testStream(t, crowdSize, 60, 23)
-	inc := localReference(t, crowdSize, subs)
-	stats, log := inc.Checkpoint()
-	snap := &Snapshot{Node: "n0", Stats: stats, Log: log}
-
+	const crowdSize = 6
+	subs := testStream(t, crowdSize, 120, 23)
+	dir := t.TempDir()
 	ffs := store.NewFaultFS(store.OSFS{})
-	path := filepath.Join(t.TempDir(), "node.ckpt")
+	st, err := store.Open(ffs, dir, store.Options{SegmentSize: 1024, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := w.SelfConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(subs) / 2
+	ingestBatches(t, coord, subs[:half], 16)
+	if err := w.CheckpointCompact(); err != nil {
+		t.Fatal(err)
+	}
+	published, _, err := st.Snapshots.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingestBatches(t, coord, subs[half:], 16)
+	first, last := st.Log.FirstSeq(), st.Log.LastSeq()
+
 	boom := errors.New("injected sync failure")
 	ffs.SetSyncError(boom)
-	if err := WriteSnapshotFS(ffs, path, snap); err == nil {
-		t.Fatal("checkpoint published without a successful fsync")
-	} else if !errors.Is(err, boom) {
-		t.Fatalf("sync failure not surfaced: %v", err)
+	if err := w.CheckpointCompact(); !errors.Is(err, boom) {
+		t.Fatalf("snapshot cut with a failing fsync: %v, want the injected failure", err)
 	}
-	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("failed write still published %s (stat err %v)", path, err)
-	}
-
 	ffs.SetSyncError(nil)
-	if err := WriteSnapshotFS(ffs, path, snap); err != nil {
+	if snap, _, err := st.Snapshots.Latest(); err != nil || snap.Seq != published.Seq {
+		t.Fatalf("failed cut published a snapshot (seq %d, had %d; err %v)", snap.Seq, published.Seq, err)
+	}
+	if st.Log.FirstSeq() != first || st.Log.LastSeq() != last {
+		t.Fatalf("failed cut moved the journal from [%d, %d] to [%d, %d]", first, last, st.Log.FirstSeq(), st.Log.LastSeq())
+	}
+	if err := w.CheckpointCompact(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(path)
+	coord.Close()
+	w.Close()
+	st.Close()
+
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	w2, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes, err := EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotBytes, err := EncodeSnapshot(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotBytes) != string(wantBytes) {
-		t.Fatal("snapshot did not round-trip byte-identically through disk")
+	defer w2.Close()
+	if n, err := w2.RecoverFromStore(); err != nil || n != len(subs) {
+		t.Fatalf("recovered %d responses (err %v), want %d", n, err, len(subs))
 	}
 }
 

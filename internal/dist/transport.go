@@ -27,12 +27,10 @@ const (
 	msgCounts     byte = 0x0c // worker → coordinator: countsMsg
 	msgPullDis    byte = 0x0d // coordinator → worker: empty
 	msgDis        byte = 0x0e // worker → coordinator: disagreement tallies
-	msgPullSnap   byte = 0x0f // coordinator → worker: empty
-	msgSnap       byte = 0x10 // worker → coordinator: EncodeSnapshot payload
-	msgRestore    byte = 0x11 // coordinator → worker: EncodeSnapshot payload
-	msgRestoreOK  byte = 0x12 // worker → coordinator: countsMsg after restore
-	msgPing       byte = 0x13 // coordinator → worker: empty heartbeat probe
-	msgPong       byte = 0x14 // worker → coordinator: countsMsg liveness reply
+	// 0x0f–0x11 carried the response-log snapshot transfer before protocol 6.
+	msgRestoreOK byte = 0x12 // worker → coordinator: countsMsg after restore
+	msgPing      byte = 0x13 // coordinator → worker: empty heartbeat probe
+	msgPong      byte = 0x14 // worker → coordinator: countsMsg liveness reply
 
 	msgPullCompact    byte = 0x15 // coordinator → worker: empty
 	msgCompact        byte = 0x16 // worker → coordinator: EncodeCompact payload
@@ -50,22 +48,20 @@ const (
 // replies msgError rather than dropping the connection.
 const maxFrame = 1 << 26
 
-// maxSnapFrame bounds checkpoint state-transfer frames (msgSnap,
-// msgRestore), which carry a node's full response log and outgrow
-// maxFrame at a few tens of millions of responses — exactly the
-// long-running nodes whose recovery paths must not fail. Oversized frames
+// maxSnapFrame bounds compact state-transfer frames (msgCompact,
+// msgRestoreCompact). They carry no response log, but their attendance and
+// answer bitsets scale with workers×tasks and outgrow maxFrame on the very
+// long-horizon nodes whose recovery paths must not fail. Oversized frames
 // are only admitted after the type byte proves them a state transfer, and
 // the receiver allocates incrementally as bytes actually arrive, so a
 // lying length prefix costs an attacker the bytes it claims.
 const maxSnapFrame = 1 << 30
 
-// snapshotFrame reports whether a message type carries checkpoint state
-// transfer and may use the larger frame cap. Compact checkpoints carry no
-// response log, but their answer bitsets still scale with workers×tasks —
-// past maxFrame on the very long-horizon nodes recovery cares most about.
+// snapshotFrame reports whether a message type carries compact state
+// transfer and may use the larger frame cap.
 func snapshotFrame(msgType byte) bool {
 	switch msgType {
-	case msgSnap, msgRestore, msgCompact, msgRestoreCompact:
+	case msgCompact, msgRestoreCompact:
 		return true
 	}
 	return false

@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-// TestOversizedSnapshotFrameRoundTrips: state-transfer frames (msgSnap,
-// msgRestore) may exceed the ordinary 64 MiB frame cap — a long-running
-// node's response log must still checkpoint over the wire — and the
+// TestOversizedSnapshotFrameRoundTrips: compact state-transfer frames
+// (msgCompact, msgRestoreCompact) may exceed the ordinary 64 MiB frame cap
+// — a long-horizon node's bitsets must still move over the wire — and the
 // receiver reassembles them chunk by chunk, byte-exact.
 func TestOversizedSnapshotFrameRoundTrips(t *testing.T) {
 	if testing.Short() {
@@ -24,7 +24,7 @@ func TestOversizedSnapshotFrameRoundTrips(t *testing.T) {
 		body[i] = byte(i * 2654435761)
 	}
 	sendErr := make(chan error, 1)
-	go func() { sendErr <- a.send(msgSnap, body) }()
+	go func() { sendErr <- a.send(msgCompact, body) }()
 	msgType, got, err := b.recv()
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +32,8 @@ func TestOversizedSnapshotFrameRoundTrips(t *testing.T) {
 	if err := <-sendErr; err != nil {
 		t.Fatal(err)
 	}
-	if msgType != msgSnap {
-		t.Fatalf("got message 0x%02x, want msgSnap", msgType)
+	if msgType != msgCompact {
+		t.Fatalf("got message 0x%02x, want msgCompact", msgType)
 	}
 	if !bytes.Equal(got, body) {
 		t.Fatal("oversized frame corrupted in transit")

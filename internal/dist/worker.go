@@ -27,10 +27,9 @@ type WorkerOptions struct {
 	// Shards is the node's local task-stripe shard count for concurrent
 	// ingestion (0 selects GOMAXPROCS).
 	Shards int
-	// Name is a free-form node identity stamped into checkpoints this
-	// worker produces and echoed in the handshake (typically its listen
-	// address), so coordinator membership views name real nodes.
-	// Diagnostic only.
+	// Name is a free-form node identity echoed in the handshake (typically
+	// its listen address), so coordinator membership views name real
+	// nodes. Diagnostic only.
 	Name string
 	// FrameTimeout bounds how long a coordinator may stall mid-frame —
 	// request or reply — before the connection is cut: waiting idle for
@@ -163,24 +162,6 @@ func (w *Worker) Stats() WorkerStats {
 // Evaluator exposes the node's local evaluator, for deployments that also
 // want node-local intervals (they cover only this node's task slice).
 func (w *Worker) Evaluator() *core.ShardedIncremental { return w.inc }
-
-// Snapshot checkpoints the node: the exported statistics plus the full
-// response log behind them, from one consistent cut (safe under
-// concurrent ingestion). The crowdd daemon persists this with
-// WriteSnapshot; a coordinator pulls the same payload over the wire for
-// replica replacement.
-func (w *Worker) Snapshot() *Snapshot {
-	stats, log := w.inc.Checkpoint()
-	return &Snapshot{Node: w.opts.Name, Stats: stats, Log: log}
-}
-
-// Restore rebuilds the node's evaluator from a snapshot by replaying its
-// response log and verifying the rebuilt statistics against the
-// checkpointed export (see core.RestoreStats). The node must be empty —
-// restore on startup, before serving traffic.
-func (w *Worker) Restore(s *Snapshot) error {
-	return w.inc.RestoreStats(s.Stats, s.Log)
-}
 
 // Serve accepts and serves connections until the listener fails or Close
 // runs. It returns nil after a graceful Close.
@@ -418,26 +399,6 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 	case msgPullDis:
 		attempted, disagree := w.inc.DisagreementCounts()
 		return msgDis, encodeTallies(attempted, disagree), nil
-
-	case msgPullSnap:
-		payload, err := EncodeSnapshot(w.Snapshot())
-		if err != nil {
-			return 0, nil, err
-		}
-		return msgSnap, payload, nil
-
-	case msgRestore:
-		snap, err := DecodeSnapshot(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		if err := w.Restore(snap); err != nil {
-			return 0, nil, err
-		}
-		if err := w.persistSeed(); err != nil {
-			return 0, nil, err
-		}
-		return msgRestoreOK, encodeCounts(countsMsg{Tasks: w.inc.Tasks(), Responses: w.inc.Responses()}), nil
 
 	case msgPullCompact:
 		payload, err := EncodeCompact(w.inc.CompactCheckpoint())

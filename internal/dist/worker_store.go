@@ -31,8 +31,8 @@ func (w *Worker) journal(batch []responseRec) error {
 	return nil
 }
 
-// persistSeed makes wire-seeded state durable: after a restore (CCKP or
-// compact), the node's evaluator holds responses its empty local WAL never
+// persistSeed makes wire-seeded state durable: after a compact restore,
+// the node's evaluator holds responses its empty local WAL never
 // saw, so a compact snapshot is cut immediately — otherwise a crash after
 // the restore ack would silently lose the seed. Without a store it is a
 // no-op.

@@ -93,24 +93,6 @@ func (s *Store) Recover(restore func(Snapshot) error, apply func(Record) error) 
 	return s.Log.Replay(replayFrom, apply)
 }
 
-// Empty reports whether the store holds no durable state at all: no
-// journal record was ever appended and no usable snapshot exists. An
-// empty store is one that was attached but never saw a fan-out; recovery
-// from it yields empty state, so callers with an older seed source (a
-// legacy checkpoint, say) should prefer that instead. An error means the
-// snapshot store could not be listed — the store's emptiness is unknown,
-// and callers must not treat it as absent state.
-func (s *Store) Empty() (bool, error) {
-	if s.Log.LastSeq() > 0 {
-		return false, nil
-	}
-	_, ok, err := s.Snapshots.Latest()
-	if err != nil {
-		return false, err
-	}
-	return !ok, nil
-}
-
 // Close releases the engine.
 func (s *Store) Close() error {
 	return s.Log.Close()
