@@ -473,7 +473,8 @@ func BenchmarkGoldVsAgreement(b *testing.B) {
 }
 
 // BenchmarkIncrementalAdd measures the streaming evaluator's per-response
-// update cost (the whole point of the incremental form: no rescans).
+// update cost (the whole point of the incremental form: no rescans) from
+// one goroutine into one shard, lock included.
 func BenchmarkIncrementalAdd(b *testing.B) {
 	src := crowdassess.NewSimSource(6)
 	ds, _, err := crowdassess.BinarySim{Tasks: 1000, Workers: 10}.Generate(src)
@@ -481,10 +482,10 @@ func BenchmarkIncrementalAdd(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	var inc *crowdassess.Incremental
+	var inc *crowdassess.ShardedIncremental
 	for i := 0; i < b.N; i++ {
 		if i%(1000*10) == 0 {
-			inc, err = crowdassess.NewIncremental(10)
+			inc, err = crowdassess.NewShardedIncremental(10, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -506,7 +507,7 @@ func BenchmarkIncrementalEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inc, err := crowdassess.NewIncremental(10)
+	inc, err := crowdassess.NewShardedIncremental(10, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

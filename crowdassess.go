@@ -192,43 +192,23 @@ func ExperimentNames() []string { return eval.Experiments() }
 // Streaming evaluation — the incremental form of EvaluateWorkers the
 // paper's conclusion describes: responses are added one at a time and
 // intervals are recomputed on demand without rescanning past responses.
-type Incremental = core.Incremental
-
-// NewIncremental returns an empty streaming evaluator for a fixed pool of
-// binary workers. Add is single-goroutine; for concurrent ingestion use
-// NewShardedIncremental.
-func NewIncremental(workers int) (*Incremental, error) {
-	return core.NewIncremental(workers)
-}
-
-// ShardedIncremental is the concurrent streaming evaluator: ingestion is
-// hash-partitioned into task-stripe shards so Add is safe — and scales —
-// across goroutines, while intervals stay bit-identical to Incremental on
-// the same responses.
+// Ingestion is hash-partitioned into task-stripe shards, so Add is safe —
+// and scales — across goroutines, while intervals stay bit-identical to
+// EvaluateWorkers on the same responses.
 type ShardedIncremental = core.ShardedIncremental
 
-// NewShardedIncremental returns an empty concurrent streaming evaluator
-// with the given number of task-stripe shards (a shard count around
-// GOMAXPROCS is a good default; see the README's Streaming section).
+// NewShardedIncremental returns an empty streaming evaluator for a fixed
+// pool of binary workers, with the given number of task-stripe shards (a
+// shard count around GOMAXPROCS is a good default; see the README's
+// Streaming section). Each shard's workspace runs one solve at a time, so
+// the shard count also bounds how many solves run at once.
 func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	return core.NewShardedIncremental(workers, shards)
 }
 
-// StreamingEvaluator is the interface both streaming evaluators satisfy;
-// code that only ingests and evaluates can hold this and let the
-// constructor choose the sharding.
+// StreamingEvaluator is the interface the local and cluster-backed
+// streaming evaluators satisfy; NewPool runs over either.
 type StreamingEvaluator = core.StreamingEvaluator
-
-// IncrementalOptions configures NewStreamingEvaluator; the zero value
-// selects the single-shard evaluator.
-type IncrementalOptions = core.IncrementalOptions
-
-// NewStreamingEvaluator returns a streaming evaluator sharded per opts:
-// Shards ≤ 1 gives the single-shard Incremental, anything higher the
-// concurrent ShardedIncremental.
-func NewStreamingEvaluator(workers int, opts IncrementalOptions) (StreamingEvaluator, error) {
-	return core.NewStreaming(workers, opts)
-}
 
 // Distributed evaluation — the streaming evaluator spanned across
 // processes and machines. Worker nodes (the crowdd daemon, or in-process
@@ -261,26 +241,6 @@ var (
 	ErrNoReplica  = dist.ErrNoReplica
 	ErrDivergence = dist.ErrDivergence
 )
-
-// NewDistributedEvaluator connects to crowdd worker daemons at the given
-// TCP addresses and handshakes them into a cluster over a crowd of the
-// given size. Ingestion routes every task to exactly one node;
-// EvaluateAll pulls, merges and solves — bit-identical to NewIncremental
-// fed the same responses.
-func NewDistributedEvaluator(workers int, addrs []string) (*DistributedEvaluator, error) {
-	groups := make([][]DistReplicaSpec, len(addrs))
-	for i, addr := range addrs {
-		conn, err := dist.DialTCP(addr)
-		if err != nil {
-			for _, g := range groups[:i] {
-				g[0].Conn.Close()
-			}
-			return nil, err
-		}
-		groups[i] = []DistReplicaSpec{{Conn: conn}}
-	}
-	return dist.NewCluster(workers, groups, dist.DefaultPolicy())
-}
 
 // NewInProcessCluster spins up the given number of worker nodes inside
 // this process — the same protocol over an in-process transport — and
@@ -458,28 +418,16 @@ const (
 	Fire     = pool.Fire
 )
 
-// NewPool creates a worker pool with the given policy; DefaultPoolPolicy
-// mirrors the thresholds used across the paper's scenarios.
-func NewPool(workers int, policy PoolPolicy) (*Pool, error) {
-	return pool.NewManager(workers, policy)
-}
-
-// NewShardedPool creates a worker pool over the sharded streaming
-// evaluator: Record is safe from any number of goroutines and decisions
-// are identical to NewPool's on the same responses.
-func NewShardedPool(workers, shards int, policy PoolPolicy) (*Pool, error) {
-	return pool.NewShardedManager(workers, shards, policy)
-}
-
-// NewDistributedPool creates a worker pool whose statistics live on a
-// cluster: Record buffers responses into batched ingest fan-outs and
-// Review pulls every node's statistics through the exact integer merge, so
-// review and exclusion decisions are bit-identical to NewShardedPool fed
-// the same responses — the pool-management layer runs against a cluster
-// unchanged. batch ≤ 0 selects the default Record buffer size; remote
-// rejections (duplicates) surface at the flush that carries them.
-func NewDistributedPool(coord *DistributedEvaluator, batch int, policy PoolPolicy) (*Pool, error) {
-	return pool.NewManagerWith(dist.NewClusterEvaluator(coord, batch), policy)
+// NewPool creates a worker pool over a streaming evaluator with the given
+// policy; DefaultPoolPolicy mirrors the thresholds used across the paper's
+// scenarios. Over NewShardedIncremental the statistics are local; over
+// NewClusterEvaluator they live on a cluster — Record buffers responses
+// into batched ingest fan-outs, remote rejections (duplicates) surface at
+// the flush that carries them, and Review pulls every node's statistics
+// through the exact integer merge. Decisions are bit-identical either way
+// on the same responses.
+func NewPool(ev StreamingEvaluator, policy PoolPolicy) (*Pool, error) {
+	return pool.NewManagerWith(ev, policy)
 }
 
 // DefaultPoolPolicy returns the default decision bars.

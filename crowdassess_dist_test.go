@@ -11,8 +11,8 @@ import (
 
 // TestDistributedEvaluatorExact drives the distributed path end to end
 // through the public API: an in-process cluster ingests a crowd
-// concurrently and its intervals are bit-identical to the single-process
-// streaming evaluator's.
+// concurrently and its intervals are bit-identical to the batch
+// algorithm's.
 func TestDistributedEvaluatorExact(t *testing.T) {
 	const workers, tasks = 7, 200
 	ds, _ := buildCrowd(t, 31, workers, tasks, 0.8)
@@ -22,10 +22,6 @@ func TestDistributedEvaluatorExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	local, err := crowdassess.NewIncremental(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Each crowd worker submits from its own goroutine, batched.
 	var wg sync.WaitGroup
@@ -49,18 +45,8 @@ func TestDistributedEvaluatorExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for w := 0; w < workers; w++ {
-		for task := 0; task < tasks; task++ {
-			if ds.Attempted(w, task) {
-				if err := local.Add(w, task, ds.Response(w, task)); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-
 	opts := crowdassess.Options{Confidence: 0.9}
-	want, err := local.EvaluateAll(opts)
+	want, err := crowdassess.EvaluateWorkers(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +66,7 @@ func TestDistributedEvaluatorExact(t *testing.T) {
 		}
 		if math.Float64bits(got[i].Interval.Lo) != math.Float64bits(want[i].Interval.Lo) ||
 			math.Float64bits(got[i].Interval.Hi) != math.Float64bits(want[i].Interval.Hi) {
-			t.Fatalf("worker %d: distributed interval [%v, %v] differs from local [%v, %v]",
+			t.Fatalf("worker %d: distributed interval [%v, %v] differs from batch [%v, %v]",
 				i, got[i].Interval.Lo, got[i].Interval.Hi, want[i].Interval.Lo, want[i].Interval.Hi)
 		}
 	}
@@ -139,11 +125,15 @@ func TestDistributedPoolFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	clusterPool, err := crowdassess.NewDistributedPool(coord, 16, policy)
+	clusterPool, err := crowdassess.NewPool(crowdassess.NewClusterEvaluator(coord, 16), policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	localPool, err := crowdassess.NewShardedPool(workers, 3, policy)
+	ev, err := crowdassess.NewShardedIncremental(workers, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localPool, err := crowdassess.NewPool(ev, policy)
 	if err != nil {
 		t.Fatal(err)
 	}

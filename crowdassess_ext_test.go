@@ -28,7 +28,7 @@ func TestPublicReadDatasetCSV(t *testing.T) {
 
 func TestPublicIncremental(t *testing.T) {
 	ds, rates := buildCrowd(t, 30, 5, 200, 1)
-	inc, err := crowdassess.NewIncremental(5)
+	inc, err := crowdassess.NewShardedIncremental(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,21 +55,14 @@ func TestPublicIncremental(t *testing.T) {
 }
 
 // TestPublicShardedIncremental drives the concurrent evaluator through the
-// facade: parallel ingestion, then intervals identical to the single-shard
-// evaluator's on the same responses.
+// facade: parallel ingestion, then intervals identical to the batch
+// algorithm's on the same responses.
 func TestPublicShardedIncremental(t *testing.T) {
 	ds, _ := buildCrowd(t, 30, 5, 200, 1)
-	single, err := crowdassess.NewIncremental(5)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sharded crowdassess.StreamingEvaluator
-	sharded, err = crowdassess.NewStreamingEvaluator(5, crowdassess.IncrementalOptions{Shards: 3})
+	sharded, err := crowdassess.NewShardedIncremental(5, 3)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := sharded.(*crowdassess.ShardedIncremental); !ok {
-		t.Fatalf("NewStreamingEvaluator(Shards: 3) = %T", sharded)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 5; w++ {
@@ -85,15 +78,8 @@ func TestPublicShardedIncremental(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	for task := 0; task < ds.Tasks(); task++ {
-		for w := 0; w < 5; w++ {
-			if err := single.Add(w, task, ds.Response(w, task)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
 	opts := crowdassess.Options{Confidence: 0.9}
-	want, err := single.EvaluateAll(opts)
+	want, err := crowdassess.EvaluateWorkers(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +89,7 @@ func TestPublicShardedIncremental(t *testing.T) {
 	}
 	for w := range want {
 		if (want[w].Err == nil) != (got[w].Err == nil) || got[w].Interval != want[w].Interval {
-			t.Errorf("worker %d: sharded %+v vs single %+v", w, got[w], want[w])
+			t.Errorf("worker %d: sharded %+v vs batch %+v", w, got[w], want[w])
 		}
 	}
 }
@@ -115,7 +101,11 @@ func TestPublicPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := crowdassess.NewPool(4, crowdassess.DefaultPoolPolicy())
+	ev, err := crowdassess.NewShardedIncremental(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := crowdassess.NewPool(ev, crowdassess.DefaultPoolPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}

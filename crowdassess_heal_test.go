@@ -15,7 +15,8 @@ import (
 // through the public API: build a dialer-equipped replicated cluster, kill
 // a replica mid-stream, and watch the heartbeat monitor detect the death
 // and re-seed an empty replacement from the survivor — while ingestion
-// never fails and final intervals stay bit-identical to a local evaluator.
+// never fails and final intervals stay bit-identical to the batch
+// algorithm.
 func TestSelfHealingClusterFacade(t *testing.T) {
 	const workers, tasks = 7, 160
 	ds, _ := buildCrowd(t, 61, workers, tasks, 0.8)
@@ -72,10 +73,6 @@ func TestSelfHealingClusterFacade(t *testing.T) {
 		},
 	})
 
-	local, err := crowdassess.NewIncremental(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ingest := func(from, to int) {
 		t.Helper()
 		var batch []crowdassess.DistResponse
@@ -85,9 +82,6 @@ func TestSelfHealingClusterFacade(t *testing.T) {
 					continue
 				}
 				batch = append(batch, crowdassess.DistResponse{Worker: w, Task: task, Answer: ds.Response(w, task)})
-				if err := local.Add(w, task, ds.Response(w, task)); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		if err := coord.Ingest(batch); err != nil {
@@ -124,7 +118,7 @@ func TestSelfHealingClusterFacade(t *testing.T) {
 	ingest(tasks/2, tasks)
 
 	opts := crowdassess.Options{Confidence: 0.9}
-	want, err := local.EvaluateAll(opts)
+	want, err := crowdassess.EvaluateWorkers(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +135,7 @@ func TestSelfHealingClusterFacade(t *testing.T) {
 		}
 		if math.Float64bits(got[i].Interval.Lo) != math.Float64bits(want[i].Interval.Lo) ||
 			math.Float64bits(got[i].Interval.Hi) != math.Float64bits(want[i].Interval.Hi) {
-			t.Fatalf("worker %d: healed-cluster interval differs from local", i)
+			t.Fatalf("worker %d: healed-cluster interval differs from batch", i)
 		}
 	}
 	if degraded := coord.Degraded(); len(degraded) != 0 {

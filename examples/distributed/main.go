@@ -50,9 +50,8 @@ func main() {
 	}
 
 	// A cluster of 3 worker nodes, 2 ingestion shards each. For real
-	// deployments, start crowdd daemons and use
-	// crowdassess.NewDistributedEvaluator(workers, addrs) instead — the
-	// protocol is identical.
+	// deployments, start crowdd daemons, dial each with DialDistWorker and
+	// assemble them with NewCluster instead — the protocol is identical.
 	coord, err := crowdassess.NewInProcessCluster(workers, 3, 2)
 	if err != nil {
 		log.Fatal(err)
@@ -101,7 +100,7 @@ func main() {
 
 	// The exactness contract: a single-process evaluator fed the same
 	// responses produces bit-identical intervals.
-	local, err := crowdassess.NewIncremental(workers)
+	local, err := crowdassess.NewShardedIncremental(workers, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

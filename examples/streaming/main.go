@@ -5,10 +5,10 @@
 // once — and intervals tighten with every batch; pool decisions fire as
 // soon as the evidence clears a bar, not at the end of the job.
 //
-// Because the sharded evaluator's intervals are bit-identical to the
-// single-shard one's on the same responses, and every batch is fully
-// ingested before its review, this prints the same decisions a serial
-// deployment would.
+// Because the sharded evaluator's intervals are bit-identical to the batch
+// EvaluateWorkers on the same responses, for any shard count, and every
+// batch is fully ingested before its review, this prints the same
+// decisions a serial deployment would.
 //
 // Run with: go run ./examples/streaming
 package main
@@ -38,7 +38,11 @@ func main() {
 	policy := crowdassess.DefaultPoolPolicy()
 	// 4 task-stripe shards: concurrent Record calls only contend when
 	// their tasks hash to the same stripe.
-	p, err := crowdassess.NewShardedPool(5, 4, policy)
+	ev, err := crowdassess.NewShardedIncremental(5, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	p, err := crowdassess.NewPool(ev, policy)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,29 +34,14 @@ type CompactState struct {
 	Answers [][]uint64
 }
 
-// compactFrom deep-copies the answer bitsets out of a streamStats to pair
-// with an already-built export.
-func compactFrom(e *StatsExport, s *streamStats) *CompactState {
-	cs := &CompactState{Stats: e, Answers: make([][]uint64, e.Workers)}
-	for i := 0; i < e.Workers; i++ {
-		cs.Answers[i] = append([]uint64(nil), s.answers[i]...)
-	}
-	return cs
-}
-
 // CompactCheckpoint snapshots the evaluator in O(statistics) — independent
 // of how many responses were ever ingested. Pair it with a write-ahead log
 // of the post-checkpoint responses (internal/store) and the evaluator is
 // fully recoverable: RestoreCompact rebuilds this exact state, and
 // replaying the log tail through the ordinary Add path finishes the job.
-func (inc *Incremental) CompactCheckpoint() *CompactState {
-	return compactFrom(inc.ExportStats(), inc.streamStats)
-}
-
-// CompactCheckpoint snapshots the sharded evaluator in O(statistics). It
-// holds every shard lock for the duration (the same index-order multi-shard
-// locking Snapshot uses), so the state is one consistent cut even under
-// concurrent Add traffic.
+// It holds every shard lock for the duration (the same index-order
+// multi-shard locking Snapshot uses), so the state is one consistent cut
+// even under concurrent Add traffic.
 func (s *ShardedIncremental) CompactCheckpoint() *CompactState {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -75,7 +60,13 @@ func (s *ShardedIncremental) CompactCheckpoint() *CompactState {
 		}
 		responses += sh.responses
 	}
-	return compactFrom(exportStats(m, s.workers, tasks, responses), m)
+	cs := &CompactState{Stats: exportStats(m, s.workers, tasks, responses), Answers: make([][]uint64, s.workers)}
+	// m was merged into fresh bitsets private to this call, so they are
+	// handed over without a copy.
+	for i, answers := range m.answers {
+		cs.Answers[i] = answers
+	}
+	return cs
 }
 
 // validateCompact cross-checks a compact state's internal consistency: the
@@ -149,6 +140,14 @@ func validateCompact(cs *CompactState) error {
 	return nil
 }
 
+// loggedResponse is one submission of a replay log: worker Worker answered
+// task Task with Answer.
+type loggedResponse struct {
+	Worker int
+	Task   int
+	Answer crowd.Response
+}
+
 // compactLog expands a validated compact state into a synthetic response
 // log: ascending task index, ascending worker index within a task. The
 // counters are order-independent, so replaying this canonical order through
@@ -175,33 +174,37 @@ func compactLog(cs *CompactState) []loggedResponse {
 	return log
 }
 
-// restoreCompact rebuilds an empty evaluator from a compact state: validate
-// (including re-deriving every pairwise counter from the bitsets), expand
-// to the canonical synthetic log, replay through the ordinary Add path, and
-// verify the re-exported statistics against the checkpointed ones.
-func restoreCompact(ev restorable, cs *CompactState) error {
+// RestoreCompact rebuilds an empty evaluator from a compact checkpoint:
+// validate (including re-deriving every pairwise counter from the
+// bitsets), expand to the canonical synthetic log, replay through the
+// ordinary Add path — so shard striping matches a never-restarted
+// evaluator exactly — and verify the re-exported statistics against the
+// checkpointed ones. After a successful restore the evaluator is
+// decision-identical to the one the checkpoint was taken from: every future
+// Add pairs correctly against pre-checkpoint responders (the bitsets carry
+// who answered what), duplicate rejection resumes exactly, and EvaluateAll
+// / MajorityDisagreement produce bit-identical results. The evaluator must
+// be freshly constructed; on error it may hold a partial replay and must
+// be discarded. Not safe to call concurrently with Add: restore first,
+// then serve.
+func (s *ShardedIncremental) RestoreCompact(cs *CompactState) error {
 	if err := validateCompact(cs); err != nil {
 		return err
 	}
-	return restoreStats(ev, cs.Stats, compactLog(cs))
-}
-
-// RestoreCompact rebuilds an empty evaluator from a compact checkpoint.
-// After a successful restore the evaluator is decision-identical to the one
-// the checkpoint was taken from: every future Add pairs correctly against
-// pre-checkpoint responders (the bitsets carry who answered what), duplicate
-// rejection resumes exactly, and EvaluateAll / MajorityDisagreement produce
-// bit-identical results. The evaluator must be freshly constructed; on
-// error it may hold a partial replay and must be discarded.
-func (inc *Incremental) RestoreCompact(cs *CompactState) error {
-	return restoreCompact(inc, cs)
-}
-
-// RestoreCompact rebuilds an empty sharded evaluator from a compact
-// checkpoint; see Incremental.RestoreCompact. The replay runs through the
-// concurrent Add path, so shard striping matches a never-restarted
-// evaluator exactly. Not safe to call concurrently with Add: restore first,
-// then serve.
-func (s *ShardedIncremental) RestoreCompact(cs *CompactState) error {
-	return restoreCompact(s, cs)
+	if got, want := s.Workers(), cs.Stats.Workers; got != want {
+		return fmt.Errorf("core: checkpoint covers a %d-worker crowd, evaluator tracks %d", want, got)
+	}
+	if n := s.Responses(); n != 0 {
+		return fmt.Errorf("core: cannot restore into an evaluator already holding %d responses", n)
+	}
+	log := compactLog(cs)
+	for i, lr := range log {
+		if err := s.Add(lr.Worker, lr.Task, lr.Answer); err != nil {
+			return fmt.Errorf("core: replaying checkpoint response %d of %d: %w", i, len(log), err)
+		}
+	}
+	if !s.ExportStats().Equal(cs.Stats) {
+		return fmt.Errorf("core: restored statistics diverge from the checkpoint export (corrupt or inconsistent snapshot)")
+	}
+	return nil
 }

@@ -47,14 +47,14 @@ func requireSameEstimates(t *testing.T, a, b []WorkerEstimate) {
 
 func TestCompactCheckpointRoundTrip(t *testing.T) {
 	const workers, tasks = 12, 300
-	orig, err := NewIncremental(workers)
+	orig, err := NewShardedIncremental(workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillEvaluator(t, orig.Add, workers, tasks, 1)
 
 	cs := orig.CompactCheckpoint()
-	restored, err := NewIncremental(workers)
+	restored, err := NewShardedIncremental(workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +74,11 @@ func TestCompactCheckpointRoundTrip(t *testing.T) {
 	requireSameEstimates(t, want, got)
 
 	// Duplicate rejection resumes exactly across the cut.
+	attended := func(w, task int) bool { return dynBitset(cs.Stats.Responded[w]).get(task) }
 	var dupW, dupT = -1, -1
 	for w := 0; w < workers && dupW < 0; w++ {
 		for task := 0; task < tasks; task++ {
-			if orig.responded[w].get(task) {
+			if attended(w, task) {
 				dupW, dupT = w, task
 				break
 			}
@@ -90,7 +91,7 @@ func TestCompactCheckpointRoundTrip(t *testing.T) {
 	// Post-restore ingestion pairs correctly against pre-checkpoint
 	// responders: keep ingesting into both and compare again.
 	fillEvaluator(t, func(w, task int, r crowd.Response) error {
-		if orig.responded[w].get(task) {
+		if attended(w, task) {
 			return nil
 		}
 		if err := orig.Add(w, task, r); err != nil {
@@ -140,14 +141,14 @@ func TestCompactCheckpointShardedRoundTrip(t *testing.T) {
 	}
 	requireSameEstimates(t, want, got)
 
-	// Cross-flavour: a compact state from a sharded evaluator restores
-	// into a single-goroutine one with identical decisions.
-	single, err := NewIncremental(workers)
+	// Across shard counts: a compact state from a 4-shard evaluator
+	// restores into a one-shard one with identical decisions.
+	single, err := NewShardedIncremental(workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := single.RestoreCompact(cs); err != nil {
-		t.Fatalf("cross-flavour restore: %v", err)
+		t.Fatalf("restore into one shard: %v", err)
 	}
 	sg, err := single.EvaluateAll(opts)
 	if err != nil {
@@ -158,14 +159,14 @@ func TestCompactCheckpointShardedRoundTrip(t *testing.T) {
 
 func TestRestoreCompactRejectsCorruption(t *testing.T) {
 	const workers = 8
-	orig, err := NewIncremental(workers)
+	orig, err := NewShardedIncremental(workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fillEvaluator(t, orig.Add, workers, 100, 4)
 
-	fresh := func() *Incremental {
-		inc, err := NewIncremental(workers)
+	fresh := func() *ShardedIncremental {
+		inc, err := NewShardedIncremental(workers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,8 +224,8 @@ func TestRestoreCompactRejectsCorruption(t *testing.T) {
 // CompactCheckpoint's cost stays flat as total ingested history grows.
 func BenchmarkCheckpointCost(b *testing.B) {
 	const workers, tasks = 50, 2000
-	build := func(perTask int) *Incremental {
-		inc, err := NewIncremental(workers)
+	build := func(perTask int) *ShardedIncremental {
+		inc, err := NewShardedIncremental(workers, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -199,23 +199,22 @@ func TestApplyDeltaAtomic(t *testing.T) {
 // TestAccumulatorParallelSolvesBitIdentical pins the parallel accumulator
 // solves to the serial Algorithm A2 path: at GOMAXPROCS 1, 4 and 8,
 // EvaluateAll and EvaluateSubset return intervals whose every float is
-// bit-identical to Incremental's one-worker-at-a-time solves. CI runs it
-// under the race detector.
+// bit-identical to the batch algorithm's one-worker-at-a-time solves. CI
+// runs it under the race detector.
 func TestAccumulatorParallelSolvesBitIdentical(t *testing.T) {
-	const workers = 24
-	subs := deltaStream(t, workers, 400, 0.4, 8)
-	inc, _ := NewIncremental(workers)
+	const workers, seed = 24, 8
+	ds, _, err := sim.Binary{Tasks: 400, Workers: workers, Density: 0.4}.Generate(randx.NewSource(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sharded, _ := NewShardedIncremental(workers, 3)
-	for _, x := range subs {
-		if err := inc.Add(x.w, x.t, x.r); err != nil {
-			t.Fatal(err)
-		}
+	for _, x := range shuffledStream(t, ds, seed) {
 		if err := sharded.Add(x.w, x.t, x.r); err != nil {
 			t.Fatal(err)
 		}
 	}
 	opts := EvalOptions{Confidence: 0.9}
-	want, err := inc.EvaluateAll(opts)
+	want, err := EvaluateWorkers(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

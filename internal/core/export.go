@@ -56,14 +56,6 @@ func exportStats(s *streamStats, workers, tasks, responses int) *StatsExport {
 	return e
 }
 
-// ExportStats snapshots the accumulated sufficient statistics. The caller
-// owns the copy; Add may continue concurrently with uses of the export (but
-// Add itself is single-goroutine on Incremental, so the snapshot must not
-// race with it).
-func (inc *Incremental) ExportStats() *StatsExport {
-	return exportStats(inc.streamStats, inc.workers, inc.tasks, inc.responses)
-}
-
 // ExportStats snapshots the merged sufficient statistics across every
 // shard. Like Evaluate, it reflects each shard's responses as of the moment
 // the lazy merge visited that shard, totals included; it is safe to call
@@ -130,8 +122,8 @@ func (e *StatsExport) toStreamStats() *streamStats {
 // addFrom reducer the sharded evaluator uses, then evaluates once on the
 // merged counters. It is the coordinator half of a distributed deployment:
 // workers ingest responses for disjoint task sets, export their statistics,
-// and the accumulator's intervals are bit-identical to a single Incremental
-// fed every response — the merge is exact integer addition, and evaluation
+// and the accumulator's intervals are bit-identical to a single
+// ShardedIncremental fed every response — the merge is exact integer addition, and evaluation
 // runs the very same Algorithm A2 code path. Once seeded, it can also be
 // kept current with deltas (ApplyDelta) instead of re-merged from scratch.
 //
@@ -296,8 +288,8 @@ func (a *StatsAccumulator) Export() *StatsExport {
 }
 
 // Evaluate returns the error-rate interval for one worker from the merged
-// statistics. The computation is the exact Algorithm A2 path Incremental
-// runs, so on equal counters the result is bit-identical.
+// statistics. The computation is the exact Algorithm A2 path
+// ShardedIncremental runs, so on equal counters the result is bit-identical.
 func (a *StatsAccumulator) Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error) {
 	ests, err := a.EvaluateSubset([]int{worker}, opts)
 	if err != nil {

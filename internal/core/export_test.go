@@ -10,17 +10,25 @@ import (
 	"crowdassess/internal/sim"
 )
 
-// exportTestStream generates a reproducible response stream.
-func exportTestStream(t *testing.T, workers, tasks int, seed int64) []struct {
-	w, task int
-	r       crowd.Response
-} {
+// exportTestDataset generates the reproducible dataset behind
+// exportTestStream, for tests that need the batch reference.
+func exportTestDataset(t *testing.T, workers, tasks int, seed int64) (*crowd.Dataset, *randx.Source) {
 	t.Helper()
 	src := randx.NewSource(seed)
 	ds, _, err := sim.Binary{Tasks: tasks, Workers: workers, Density: 0.8}.Generate(src)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
+	return ds, src
+}
+
+// exportTestStream generates a reproducible response stream.
+func exportTestStream(t *testing.T, workers, tasks int, seed int64) []struct {
+	w, task int
+	r       crowd.Response
+} {
+	t.Helper()
+	ds, src := exportTestDataset(t, workers, tasks, seed)
 	var subs []struct {
 		w, task int
 		r       crowd.Response
@@ -74,29 +82,27 @@ func sameEstimates(t *testing.T, label string, got, want []WorkerEstimate) {
 // TestStatsAccumulatorExact is the exactness contract behind the
 // distributed layer: partition a stream by task across several evaluators,
 // export each, merge the exports, and the accumulator's intervals are
-// bit-identical to one Incremental fed everything.
+// bit-identical to the batch algorithm on every response, and its
+// statistics equal the ones the dataset defines.
 func TestStatsAccumulatorExact(t *testing.T) {
 	const workers, tasks, nodes = 9, 240, 3
-	subs := exportTestStream(t, workers, tasks, 71)
+	const seed = 71
+	subs := exportTestStream(t, workers, tasks, seed)
+	ds, _ := exportTestDataset(t, workers, tasks, seed)
 
-	full, err := NewIncremental(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := make([]*Incremental, nodes)
+	parts := make([]*ShardedIncremental, nodes)
 	for i := range parts {
-		if parts[i], err = NewIncremental(workers); err != nil {
+		var err error
+		if parts[i], err = NewShardedIncremental(workers, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, s := range subs {
-		if err := full.Add(s.w, s.task, s.r); err != nil {
-			t.Fatal(err)
-		}
 		if err := parts[s.task%nodes].Add(s.w, s.task, s.r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	full := datasetExport(ds)
 
 	acc, err := NewStatsAccumulator(workers)
 	if err != nil {
@@ -107,15 +113,15 @@ func TestStatsAccumulatorExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if acc.Responses() != full.Responses() {
-		t.Fatalf("accumulator has %d responses, want %d", acc.Responses(), full.Responses())
+	if acc.Responses() != full.Responses {
+		t.Fatalf("accumulator has %d responses, want %d", acc.Responses(), full.Responses)
 	}
-	if acc.Tasks() != full.Tasks() {
-		t.Fatalf("accumulator has %d tasks, want %d", acc.Tasks(), full.Tasks())
+	if acc.Tasks() != full.Tasks {
+		t.Fatalf("accumulator has %d tasks, want %d", acc.Tasks(), full.Tasks)
 	}
 
 	opts := EvalOptions{Confidence: 0.9}
-	want, err := full.EvaluateAll(opts)
+	want, err := EvaluateWorkers(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +129,43 @@ func TestStatsAccumulatorExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameEstimates(t, "merged vs single-process", got, want)
+	sameEstimates(t, "merged vs batch", got, want)
 
-	// Re-export of the merged state must equal the full evaluator's export.
-	if !reflect.DeepEqual(trimBitsets(acc.Export()), trimBitsets(full.ExportStats())) {
-		t.Fatal("accumulator re-export differs from single-process export")
+	// Re-export of the merged state must equal the dataset's statistics.
+	if !reflect.DeepEqual(trimBitsets(acc.Export()), trimBitsets(full)) {
+		t.Fatal("accumulator re-export differs from the dataset's statistics")
 	}
+}
+
+// datasetExport computes the streaming sufficient statistics of a binary
+// dataset by brute force over its cells, sharing no code with the
+// streaming path: the independent reference for export equality.
+func datasetExport(ds *crowd.Dataset) *StatsExport {
+	n, tasks := ds.Workers(), ds.Tasks()
+	e := &StatsExport{Workers: n, Agree: make([][]int, n), Common: make([][]int, n), Responded: make([][]uint64, n)}
+	for i := 0; i < n; i++ {
+		e.Agree[i], e.Common[i] = make([]int, n), make([]int, n)
+		e.Responded[i] = make([]uint64, (tasks+63)/64)
+	}
+	for task := 0; task < tasks; task++ {
+		for i := 0; i < n; i++ {
+			if !ds.Attempted(i, task) {
+				continue
+			}
+			e.Responses++
+			e.Tasks = task + 1
+			e.Responded[i][task/64] |= 1 << (task % 64)
+			for j := 0; j < n; j++ {
+				if j != i && ds.Attempted(j, task) {
+					e.Common[i][j]++
+					if ds.Response(i, task) == ds.Response(j, task) {
+						e.Agree[i][j]++
+					}
+				}
+			}
+		}
+	}
+	return e
 }
 
 // trimBitsets drops trailing zero words from attendance bitsets: merge
@@ -145,28 +182,25 @@ func trimBitsets(e *StatsExport) *StatsExport {
 }
 
 // TestShardedExportMatchesIncremental: the sharded evaluator's merged
-// export equals the single-shard evaluator's on the same responses.
+// export equals the statistics the dataset defines, for any shard count.
 func TestShardedExportMatchesIncremental(t *testing.T) {
-	const workers, tasks = 7, 160
-	subs := exportTestStream(t, workers, tasks, 13)
-	inc, err := NewIncremental(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, err := NewShardedIncremental(workers, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range subs {
-		if err := inc.Add(s.w, s.task, s.r); err != nil {
+	const workers, tasks, seed = 7, 160, 13
+	subs := exportTestStream(t, workers, tasks, seed)
+	ds, _ := exportTestDataset(t, workers, tasks, seed)
+	want := trimBitsets(datasetExport(ds))
+	for _, shards := range []int{1, 5} {
+		sh, err := NewShardedIncremental(workers, shards)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sh.Add(s.w, s.task, s.r); err != nil {
-			t.Fatal(err)
+		for _, s := range subs {
+			if err := sh.Add(s.w, s.task, s.r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if !reflect.DeepEqual(trimBitsets(sh.ExportStats()), trimBitsets(inc.ExportStats())) {
-		t.Fatal("sharded export differs from single-shard export")
+		if !reflect.DeepEqual(trimBitsets(sh.ExportStats()), want) {
+			t.Fatalf("%d-shard export differs from the dataset's statistics", shards)
+		}
 	}
 }
 
@@ -174,7 +208,7 @@ func TestShardedExportMatchesIncremental(t *testing.T) {
 func TestExportIsDeepCopy(t *testing.T) {
 	const workers = 5
 	subs := exportTestStream(t, workers, 80, 3)
-	inc, err := NewIncremental(workers)
+	inc, err := NewShardedIncremental(workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +245,7 @@ func TestMergeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := func() *StatsExport {
-		inc, err := NewIncremental(4)
+		inc, err := NewShardedIncremental(4, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
 	"crowdassess/internal/crowd"
-	"crowdassess/internal/mat"
 )
 
 // streamStats holds the sufficient statistics of the streaming form of
@@ -17,7 +15,7 @@ import (
 // exactly — addFrom produces the same counters, bit for bit, as feeding
 // the union of the responses into one instance. That additivity is what
 // lets ShardedIncremental split ingestion across shards and still match
-// the single-shard evaluator's intervals exactly.
+// the batch evaluator's intervals exactly.
 type streamStats struct {
 	// agree/common are symmetric pairwise counters.
 	agree  [][]int
@@ -105,44 +103,10 @@ func (s *streamStats) pair(i, j int) crowd.PairStats {
 // attendance implements agreementSource over the attendance bitsets.
 func (s *streamStats) attendance(w int) []uint64 { return s.responded[w] }
 
-// Incremental maintains the sufficient statistics of Algorithm A2 online,
-// realizing the paper's closing remark that the method "can be easily
-// modified to be incremental, to keep efficiently updating worker error
-// rates as more tasks get done."
-//
-// Each added response updates pairwise agreement counts against the task's
-// previous responders in O(responders); triple common-task counts are
-// answered from per-worker attendance bitsets. Evaluating a worker then
-// costs the same as the batch algorithm on the accumulated statistics —
-// no response is ever rescanned.
-//
-// Incremental is single-goroutine on the ingestion side: Add mutates
-// unguarded counters. Concurrent ingestion belongs to ShardedIncremental.
-//
-// The zero value is not usable; construct with NewIncremental.
-type Incremental struct {
-	workers   int
-	arity     int
-	tasks     int // highest task index seen + 1
-	responses int // running response count, maintained by Add
-
-	// taskResponses[t] lists (worker, response) pairs for task t.
-	taskResponses map[int][]workerResponse
-	// stats holds the pairwise counters and attendance bitsets.
-	*streamStats
-
-	// wsPool recycles covariance-solve scratch across Evaluate calls.
-	// Evaluate only reads the accumulated statistics, so — as before this
-	// pool existed — concurrent Evaluate calls are safe (each checks out
-	// its own workspace); Add remains single-goroutine (it mutates
-	// unguarded counters).
-	wsPool sync.Pool
-}
-
 // workerResponse is one entry of a task's response list, packed to 8
 // bytes: the lists hold every response ingested, so their size is the
-// evaluator's memory floor. NewIncremental and NewShardedIncremental
-// reject crowds whose worker indices would not fit.
+// evaluator's memory floor. NewShardedIncremental rejects crowds whose
+// worker indices would not fit.
 type workerResponse struct {
 	worker int32
 	resp   int8 // a crowd.Response
@@ -181,22 +145,6 @@ func (b *dynBitset) orWith(o dynBitset) {
 	}
 }
 
-// NewIncremental returns an empty streaming evaluator for the given number
-// of binary workers (arity is fixed at 2: the streaming path wraps
-// Algorithm A2).
-func NewIncremental(workers int) (*Incremental, error) {
-	if err := checkStreamingWorkers(workers); err != nil {
-		return nil, err
-	}
-	return &Incremental{
-		workers:       workers,
-		arity:         2,
-		taskResponses: make(map[int][]workerResponse),
-		streamStats:   newStreamStats(workers),
-		wsPool:        sync.Pool{New: func() any { return mat.NewWorkspace() }},
-	}, nil
-}
-
 // checkStreamingWorkers validates a streaming evaluator's crowd size: A2
 // needs three workers, and the packed response lists index workers with
 // 32 bits.
@@ -210,114 +158,13 @@ func checkStreamingWorkers(workers int) error {
 	return nil
 }
 
-// Workers returns the number of workers tracked.
-func (inc *Incremental) Workers() int { return inc.workers }
-
-// Tasks returns the number of distinct task indices seen.
-func (inc *Incremental) Tasks() int { return inc.tasks }
-
-// Responses returns the total number of responses recorded. It reads a
-// counter maintained by Add, so it is O(1) — pool.Review calls it every
-// batch and must not pay an O(tasks) rescan.
-func (inc *Incremental) Responses() int { return inc.responses }
-
-// Add records worker w's response r on task t. A worker may answer a task
-// only once; duplicate or out-of-range submissions are rejected.
-func (inc *Incremental) Add(w, t int, r crowd.Response) error {
-	if w < 0 || w >= inc.workers {
-		return fmt.Errorf("core: worker %d out of range 0…%d", w, inc.workers-1)
-	}
-	if t < 0 {
-		return fmt.Errorf("core: negative task index %d", t)
-	}
-	if r != crowd.Yes && r != crowd.No {
-		return fmt.Errorf("core: streaming evaluator is binary; response %d: %w", r, crowd.ErrArity)
-	}
-	if inc.responded[w].get(t) {
-		return fmt.Errorf("core: worker %d already answered task %d", w, t)
-	}
-	inc.streamStats.record(w, t, r, inc.taskResponses[t])
-	inc.taskResponses[t] = append(inc.taskResponses[t], newWorkerResponse(w, r))
-	inc.responses++
-	if t+1 > inc.tasks {
-		inc.tasks = t + 1
-	}
-	return nil
-}
-
-// Evaluate returns the current error-rate interval for one worker, from the
-// statistics accumulated so far.
-func (inc *Incremental) Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return WorkerEstimate{}, err
-	}
-	if worker < 0 || worker >= inc.workers {
-		return WorkerEstimate{}, fmt.Errorf("core: worker %d out of range", worker)
-	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	ws := inc.wsPool.Get().(*mat.Workspace)
-	// Deferred so a panic in evaluateOne cannot leak the workspace; Reset
-	// first so a recovered caller never receives a half-mutated arena.
-	defer func() {
-		ws.Reset()
-		inc.wsPool.Put(ws)
-	}()
-	return finishEstimate(evaluateOne(inc, inc.workers, worker, opts, minCommon, ws), opts.Confidence), nil
-}
-
-// EvaluateSubset returns current intervals for the given worker indices,
-// aligned with the input slice. It exists so callers that track
-// eligibility themselves (pool.Manager skips fired workers) don't pay for
-// estimates they will discard.
-func (inc *Incremental) EvaluateSubset(workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	out := make([]WorkerEstimate, len(workers))
-	for i, w := range workers {
-		est, err := inc.Evaluate(w, opts)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = est
-	}
-	return out, nil
-}
-
-// EvaluateAll returns current intervals for every worker.
-func (inc *Incremental) EvaluateAll(opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	out := make([]WorkerEstimate, inc.workers)
-	for w := 0; w < inc.workers; w++ {
-		est, err := inc.Evaluate(w, opts)
-		if err != nil {
-			return nil, err
-		}
-		out[w] = est
-	}
-	return out, nil
-}
-
-// Snapshot materializes the accumulated responses as a Dataset, for
-// interoperability with the batch algorithms (pruning, k-ary analysis,
-// serialization).
-func (inc *Incremental) Snapshot() (*crowd.Dataset, error) {
-	return snapshotDataset(inc.workers, inc.tasks, inc.arity, inc.taskResponses)
-}
-
-// snapshotDataset builds a Dataset from one or more task-response maps
-// (one per shard in the sharded evaluator; the maps' task sets must be
-// disjoint).
-func snapshotDataset(workers, tasks, arity int, responseMaps ...map[int][]workerResponse) (*crowd.Dataset, error) {
+// snapshotDataset builds a Dataset from the shards' task-response maps
+// (their task sets must be disjoint).
+func snapshotDataset(workers, tasks int, responseMaps []map[int][]workerResponse) (*crowd.Dataset, error) {
 	if tasks == 0 {
 		return nil, fmt.Errorf("core: no responses recorded: %w", ErrInsufficientData)
 	}
-	ds, err := crowd.NewDataset(workers, tasks, arity)
+	ds, err := crowd.NewDataset(workers, tasks, 2)
 	if err != nil {
 		return nil, err
 	}
@@ -331,13 +178,6 @@ func snapshotDataset(workers, tasks, arity int, responseMaps ...map[int][]worker
 		}
 	}
 	return ds, nil
-}
-
-// MajorityDisagreement mirrors Dataset.MajorityDisagreement on the
-// accumulated responses, so streaming deployments can run the paper's
-// spammer screen without materializing a snapshot.
-func (inc *Incremental) MajorityDisagreement() []float64 {
-	return disagreementRates(inc.DisagreementCounts())
 }
 
 // tallyDisagreement accumulates per-worker attempted/disagree counts over

@@ -34,14 +34,7 @@ func feedDataset(t *testing.T, inc interface {
 func TestIncrementalMatchesBatch(t *testing.T) {
 	const workers, tasks = 12, 400
 	opts := EvalOptions{Confidence: 0.9}
-	evaluators := map[string]func() (StreamingEvaluator, error){
-		"incremental": func() (StreamingEvaluator, error) { return NewIncremental(workers) },
-	}
-	for _, shards := range []int{1, 2, 7} {
-		evaluators[fmt.Sprintf("shards=%d", shards)] = func() (StreamingEvaluator, error) {
-			return NewShardedIncremental(workers, shards)
-		}
-	}
+	shardCounts := []int{1, 2, 7}
 	for _, density := range []float64{0.1, 0.2, 0.7} {
 		solved := 0
 		for seed := int64(0); seed < 6; seed++ {
@@ -53,8 +46,8 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, mk := range evaluators {
-				ev, err := mk()
+			for _, shards := range shardCounts {
+				ev, err := NewShardedIncremental(workers, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +58,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				}
 				for w := range batch {
 					b, s := batch[w], stream[w]
-					where := fmt.Sprintf("density %v seed %d %s worker %d", density, seed, name, w)
+					where := fmt.Sprintf("density %v seed %d shards %d worker %d", density, seed, shards, w)
 					if fmt.Sprint(b.Err) != fmt.Sprint(s.Err) {
 						t.Fatalf("%s: error %v, batch %v", where, s.Err, b.Err)
 					}
@@ -82,7 +75,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			}
 		}
 		// Guard against a vacuous pass where every worker errors out.
-		if solved < len(evaluators)*workers {
+		if solved < len(shardCounts)*workers {
 			t.Errorf("density %v: only %d intervals solved", density, solved)
 		}
 	}
@@ -95,6 +88,9 @@ func TestIncrementalValidation(t *testing.T) {
 	inc, err := NewIncremental(3)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if inc.Shards() != 1 {
+		t.Errorf("NewIncremental built %d shards, want 1", inc.Shards())
 	}
 	if err := inc.Add(5, 0, crowd.Yes); err == nil {
 		t.Error("out-of-range worker accepted")
@@ -120,7 +116,7 @@ func TestIncrementalValidation(t *testing.T) {
 }
 
 func TestIncrementalCounters(t *testing.T) {
-	inc, err := NewIncremental(3)
+	inc, err := NewShardedIncremental(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,13 +132,14 @@ func TestIncrementalCounters(t *testing.T) {
 	mustAdd(2, 0, crowd.Yes)
 	mustAdd(0, 1, crowd.Yes)
 	mustAdd(1, 1, crowd.No)
-	if got := inc.pair(0, 1); got.Common != 2 || got.Agree != 1 {
+	st := inc.snapshot().stats
+	if got := st.pair(0, 1); got.Common != 2 || got.Agree != 1 {
 		t.Errorf("pair(0,1) = %+v", got)
 	}
-	if got := inc.pair(0, 2); got.Common != 1 || got.Agree != 1 {
+	if got := st.pair(0, 2); got.Common != 1 || got.Agree != 1 {
 		t.Errorf("pair(0,2) = %+v", got)
 	}
-	if got := and3Count(inc.attendance(0), inc.attendance(1), inc.attendance(2)); got != 1 {
+	if got := and3Count(st.attendance(0), st.attendance(1), st.attendance(2)); got != 1 {
 		t.Errorf("common3 = %d", got)
 	}
 	if inc.Tasks() != 2 || inc.Responses() != 5 {
@@ -156,7 +153,7 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(5)
+	inc, err := NewShardedIncremental(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +169,7 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	empty, err := NewIncremental(3)
+	empty, err := NewShardedIncremental(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +184,7 @@ func TestIncrementalMajorityDisagreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(5)
+	inc, err := NewShardedIncremental(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +205,7 @@ func TestIncrementalIntervalsShrinkWithData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, err := NewIncremental(5)
+	inc, err := NewShardedIncremental(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +233,7 @@ func TestIncrementalIntervalsShrinkWithData(t *testing.T) {
 }
 
 // TestStreamingRejectsOversizedCrowd: task response lists store worker
-// indices in 32 bits, so both streaming constructors refuse a crowd whose
+// indices in 32 bits, so the streaming constructor refuses a crowd whose
 // indices would not fit, before allocating anything for it.
 func TestStreamingRejectsOversizedCrowd(t *testing.T) {
 	if strconv.IntSize == 32 {
@@ -244,9 +241,6 @@ func TestStreamingRejectsOversizedCrowd(t *testing.T) {
 	}
 	huge := math.MaxInt32
 	huge++
-	if _, err := NewIncremental(huge); err == nil {
-		t.Error("NewIncremental accepted more than MaxInt32 workers")
-	}
 	if _, err := NewShardedIncremental(huge, 2); err == nil {
 		t.Error("NewShardedIncremental accepted more than MaxInt32 workers")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -11,55 +12,39 @@ import (
 	"crowdassess/internal/sim"
 )
 
-// checkpointable is an empty evaluator of one of the two streaming
-// implementations, exposing the checkpoint hooks the dist layer uses.
-type checkpointable interface {
-	StreamingEvaluator
-	CompactCheckpoint() *CompactState
-	RestoreCompact(cs *CompactState) error
-	DisagreementCounts() (attempted, disagree []int)
-	ExportStats() *StatsExport
-}
-
-func checkpointFactories(t *testing.T, workers int) map[string]func() checkpointable {
+// restoreDataset is the crowd behind restoreStream.
+func restoreDataset(t *testing.T, seed int64) *crowd.Dataset {
 	t.Helper()
-	return map[string]func() checkpointable{
-		"incremental": func() checkpointable {
-			inc, err := NewIncremental(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return inc
-		},
-		"sharded": func() checkpointable {
-			s, err := NewShardedIncremental(workers, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
+	ds, _, err := sim.Binary{Tasks: 120, Workers: 7, Density: 0.6}.Generate(randx.NewSource(900 + seed))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ds
 }
 
 func restoreStream(t *testing.T, seed int64) []submission {
 	t.Helper()
-	src := randx.NewSource(900 + seed)
-	ds, _, err := sim.Binary{Tasks: 120, Workers: 7, Density: 0.6}.Generate(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return shuffledStream(t, ds, seed)
+	return shuffledStream(t, restoreDataset(t, seed), seed)
 }
 
 // TestCheckpointRestoreMidStream is the fault-tolerance property: cut the
 // stream at an arbitrary point (never aligned to task boundaries), take a
 // compact checkpoint, rebuild a fresh evaluator from it, replay the
-// remainder, and require bit-identical estimates, disagreement screens and
-// duplicate rejection versus the uninterrupted evaluator.
+// remainder, and require estimates bit-identical to the batch algorithm,
+// and disagreement screens and duplicate rejection identical to the
+// uninterrupted evaluator.
 func TestCheckpointRestoreMidStream(t *testing.T) {
 	const workers = 7
 	opts := EvalOptions{Confidence: 0.9}
-	for name, mk := range checkpointFactories(t, workers) {
+	for _, shards := range []int{1, 3} {
+		name := fmt.Sprintf("shards=%d", shards)
+		mk := func() *ShardedIncremental {
+			s, err := NewShardedIncremental(workers, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
 		for seed := int64(0); seed < 3; seed++ {
 			subs := restoreStream(t, seed)
 			cut := len(subs) * (2 + int(seed)) / 7
@@ -100,7 +85,7 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 				t.Fatalf("%s seed %d: tasks/responses %d/%d, want %d/%d", name, seed,
 					restored.Tasks(), restored.Responses(), uninterrupted.Tasks(), uninterrupted.Responses())
 			}
-			want, err := uninterrupted.EvaluateAll(opts)
+			want, err := EvaluateWorkers(restoreDataset(t, seed), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +122,7 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 // order the state was built in.
 func TestCheckpointLogCanonicalOrder(t *testing.T) {
 	subs := restoreStream(t, 1)
-	a, err := NewIncremental(7)
+	a, err := NewShardedIncremental(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +161,11 @@ func TestCheckpointLogCanonicalOrder(t *testing.T) {
 }
 
 // TestRestoreCompactRejectsReceiver covers the receivers a restore must
-// refuse — non-empty ones and crowd-size mismatches, for both evaluators —
-// and a missing state.
+// refuse — non-empty ones, at one shard and at several, and crowd-size
+// mismatches — and a missing state.
 func TestRestoreCompactRejectsReceiver(t *testing.T) {
 	subs := restoreStream(t, 2)
-	donor, err := NewIncremental(7)
+	donor, err := NewShardedIncremental(7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,19 +183,19 @@ func TestRestoreCompactRejectsReceiver(t *testing.T) {
 		}
 	}
 
-	busy, _ := NewIncremental(7)
+	busy, _ := NewShardedIncremental(7, 1)
 	if err := busy.Add(0, 0, crowd.Yes); err != nil {
 		t.Fatal(err)
 	}
 	expectErr("non-empty receiver", "already holding", busy.RestoreCompact(cs))
 
-	smaller, _ := NewIncremental(5)
+	smaller, _ := NewShardedIncremental(5, 1)
 	expectErr("crowd mismatch", "7-worker crowd", smaller.RestoreCompact(cs))
 
-	fresh, _ := NewIncremental(7)
+	fresh, _ := NewShardedIncremental(7, 1)
 	expectErr("nil state", "no statistics", fresh.RestoreCompact(&CompactState{}))
 
-	// The sharded evaluator enforces the same contract.
+	// Several shards enforce the same contract.
 	shardedBusy, _ := NewShardedIncremental(7, 2)
 	if err := shardedBusy.Add(0, 0, crowd.Yes); err != nil {
 		t.Fatal(err)
@@ -221,7 +206,7 @@ func TestRestoreCompactRejectsReceiver(t *testing.T) {
 // TestStatsExportEqualNormalizesBitsets: trailing zero words in attendance
 // bitsets never distinguish equal states.
 func TestStatsExportEqualNormalizesBitsets(t *testing.T) {
-	donor, err := NewIncremental(4)
+	donor, err := NewShardedIncremental(4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,11 +8,12 @@ import (
 	"crowdassess/internal/mat"
 )
 
-// StreamingEvaluator is the contract shared by the single-shard
-// Incremental and the concurrent ShardedIncremental: online ingestion of
-// binary responses plus on-demand Algorithm A2 intervals over everything
-// ingested so far. pool.Manager and the public facade program against this
-// interface so deployments pick their ingestion model by constructor.
+// StreamingEvaluator is the contract of a streaming evaluator: online
+// ingestion of binary responses plus on-demand Algorithm A2 intervals over
+// everything ingested so far. ShardedIncremental implements it locally and
+// dist.ClusterEvaluator over a cluster; pool.Manager and the public facade
+// program against this interface so a deployment picks its topology by
+// constructor.
 type StreamingEvaluator interface {
 	// Add records worker w's response r on task t.
 	Add(w, t int, r crowd.Response) error
@@ -36,37 +37,24 @@ type StreamingEvaluator interface {
 	Snapshot() (*crowd.Dataset, error)
 }
 
-var (
-	_ StreamingEvaluator = (*Incremental)(nil)
-	_ StreamingEvaluator = (*ShardedIncremental)(nil)
-)
+var _ StreamingEvaluator = (*ShardedIncremental)(nil)
 
-// IncrementalOptions configures NewStreaming.
-type IncrementalOptions struct {
-	// Shards is the number of independent task-stripes ingestion is split
-	// across. 0 or 1 selects the single-shard Incremental (single-goroutine
-	// Add); 2+ selects ShardedIncremental (concurrent Add). Intervals are
-	// identical either way.
-	Shards int
-}
-
-// NewStreaming returns a streaming evaluator for the given number of
-// binary workers, sharded per opts.
-func NewStreaming(workers int, opts IncrementalOptions) (StreamingEvaluator, error) {
-	if opts.Shards <= 1 {
-		return NewIncremental(workers)
-	}
-	return NewShardedIncremental(workers, opts.Shards)
-}
-
-// ShardedIncremental is the concurrent form of Incremental: the task space
-// is hash-partitioned into N stripes, each owned by a shard with its own
-// lock, agree/common counters, attendance bitsets and mat.Workspace.
-// Because every response for a task lands in exactly one shard, a shard's
-// counters are the exact single-shard statistics of its stripe, and the
-// integer counters are additive across stripes — so ingestion scales with
-// shards while evaluation, which runs on the merged counters, produces
-// bit-identical intervals to Incremental fed the same responses.
+// ShardedIncremental maintains the sufficient statistics of Algorithm A2
+// online, realizing the paper's closing remark that the method "can be
+// easily modified to be incremental, to keep efficiently updating worker
+// error rates as more tasks get done." Each added response updates
+// pairwise agreement counts against the task's previous responders in
+// O(responders); triple common-task counts are answered from per-worker
+// attendance bitsets, so no response is ever rescanned.
+//
+// The task space is hash-partitioned into N stripes, each owned by a shard
+// with its own lock, agree/common counters, attendance bitsets and
+// mat.Workspace. Because every response for a task lands in exactly one
+// shard, a shard's counters are the exact statistics of its stripe, and
+// the integer counters are additive across stripes — so ingestion scales
+// with shards while evaluation, which runs on the merged counters,
+// produces intervals bit-identical to the batch EvaluateWorkers on the
+// same responses.
 //
 // Concurrency contract: Add is safe from any number of goroutines (two
 // Adds contend only when their tasks hash to the same shard). Evaluate and
@@ -76,9 +64,13 @@ func NewStreaming(workers int, opts IncrementalOptions) (StreamingEvaluator, err
 // shard. Merges are lazy: each shard carries an epoch advanced by Add, and
 // a snapshot is rebuilt only when some shard's epoch moved — repeated
 // evaluations of a quiescent pool reuse the previous merge.
+//
+// Solves run on the shards' workspaces, one solve per workspace at a time,
+// so the shard count also bounds how many solves run at once. At one shard
+// every Add takes the shard's mutex and every solve shares its single
+// workspace.
 type ShardedIncremental struct {
 	workers int
-	arity   int
 	shards  []*incShard
 
 	// mergeMu guards the lazy merge state below. merged is immutable once
@@ -101,18 +93,17 @@ type incShard struct {
 	tasks         int // highest task index seen in this stripe + 1
 	responses     int // running response count for this stripe
 
-	// ws is this shard's evaluation scratch (the PR 2 per-instance
-	// workspace, now per-shard state). Guarded by wsMu, not mu, so a long
-	// covariance solve never blocks ingestion into the shard.
+	// ws is this shard's evaluation scratch. Guarded by wsMu, not mu, so
+	// a long covariance solve never blocks ingestion into the shard.
 	wsMu sync.Mutex
 	ws   *mat.Workspace
 }
 
-// NewShardedIncremental returns an empty concurrent streaming evaluator
-// for the given number of binary workers, with ingestion split across the
-// given number of task-stripe shards. One shard behaves like Incremental
-// with a lock around Add. Shard counts beyond GOMAXPROCS buy little; see
-// the README's shard-sizing guidance.
+// NewShardedIncremental returns an empty streaming evaluator for the given
+// number of binary workers (arity is fixed at 2: the streaming path wraps
+// Algorithm A2), with ingestion split across the given number of
+// task-stripe shards. Shard counts beyond GOMAXPROCS buy little; see the
+// README's shard-sizing guidance.
 func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	if err := checkStreamingWorkers(workers); err != nil {
 		return nil, err
@@ -122,7 +113,6 @@ func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	}
 	s := &ShardedIncremental{
 		workers:      workers,
-		arity:        2,
 		shards:       make([]*incShard, shards),
 		mergedEpochs: make([]uint64, shards),
 	}
@@ -134,6 +124,11 @@ func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 		}
 	}
 	return s, nil
+}
+
+// NewIncremental returns an empty one-shard streaming evaluator.
+func NewIncremental(workers int) (*ShardedIncremental, error) {
+	return NewShardedIncremental(workers, 1)
 }
 
 // shardOf routes task t to its stripe. The multiplicative hash spreads
@@ -355,7 +350,7 @@ func (s *ShardedIncremental) Snapshot() (*crowd.Dataset, error) {
 			tasks = sh.tasks
 		}
 	}
-	ds, err := snapshotDataset(s.workers, tasks, s.arity, maps...)
+	ds, err := snapshotDataset(s.workers, tasks, maps)
 	for _, sh := range s.shards {
 		sh.mu.Unlock()
 	}

@@ -35,10 +35,10 @@ func shuffledStream(t *testing.T, ds *crowd.Dataset, seed int64) []submission {
 }
 
 // TestShardedMatchesIncremental is the tentpole property: for any shard
-// count, streaming the same responses must reproduce the single-shard
-// evaluator's intervals bit for bit — not approximately. The merge is
-// integer-counter addition, so any divergence at all is a routing or merge
-// bug.
+// count, streaming the same responses must reproduce the batch algorithm's
+// intervals and spammer screen bit for bit — not approximately. The merge
+// is integer-counter addition, so any divergence at all is a routing or
+// merge bug.
 func TestShardedMatchesIncremental(t *testing.T) {
 	opts := EvalOptions{Confidence: 0.9}
 	for seed := int64(0); seed < 4; seed++ {
@@ -48,20 +48,15 @@ func TestShardedMatchesIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		subs := shuffledStream(t, ds, seed)
-
-		single, err := NewIncremental(8)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantTasks := 0
 		for _, s := range subs {
-			if err := single.Add(s.w, s.t, s.r); err != nil {
-				t.Fatal(err)
-			}
+			wantTasks = max(wantTasks, s.t+1)
 		}
-		want, err := single.EvaluateAll(opts)
+		want, err := EvaluateWorkers(ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantDis := ds.MajorityDisagreement()
 
 		for _, shards := range []int{1, 2, 7} {
 			sharded, err := NewShardedIncremental(8, shards)
@@ -73,9 +68,9 @@ func TestShardedMatchesIncremental(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if sharded.Tasks() != single.Tasks() || sharded.Responses() != single.Responses() {
+			if sharded.Tasks() != wantTasks || sharded.Responses() != len(subs) {
 				t.Fatalf("seed %d shards %d: Tasks/Responses %d/%d vs %d/%d",
-					seed, shards, sharded.Tasks(), sharded.Responses(), single.Tasks(), single.Responses())
+					seed, shards, sharded.Tasks(), sharded.Responses(), wantTasks, len(subs))
 			}
 			got, err := sharded.EvaluateAll(opts)
 			if err != nil {
@@ -91,7 +86,7 @@ func TestShardedMatchesIncremental(t *testing.T) {
 				}
 				// Bitwise equality, deliberately not a tolerance.
 				if got[w].Interval != want[w].Interval || got[w].Triples != want[w].Triples {
-					t.Errorf("seed %d shards %d worker %d: %+v (triples %d) vs single-shard %+v (triples %d)",
+					t.Errorf("seed %d shards %d worker %d: %+v (triples %d) vs batch %+v (triples %d)",
 						seed, shards, w, got[w].Interval, got[w].Triples, want[w].Interval, want[w].Triples)
 				}
 				// The one-worker entry point must agree with the fan-out.
@@ -117,7 +112,6 @@ func TestShardedMatchesIncremental(t *testing.T) {
 						seed, shards, i, subEsts[i], w, got[w].Interval)
 				}
 			}
-			wantDis := single.MajorityDisagreement()
 			gotDis := sharded.MajorityDisagreement()
 			for w := range wantDis {
 				if gotDis[w] != wantDis[w] {
@@ -142,8 +136,7 @@ func TestShardedMatchesIncremental(t *testing.T) {
 
 // TestShardedConcurrentAdd ingests from many goroutines while other
 // goroutines evaluate and read counters mid-stream, then checks the final
-// statistics match a single-goroutine, single-shard ingest of the same
-// responses. Run under -race this is the concurrency-safety acceptance
+// intervals match the batch algorithm on the same responses. Run under -race this is the concurrency-safety acceptance
 // test for the sharded evaluator.
 func TestShardedConcurrentAdd(t *testing.T) {
 	const goroutines = 8
@@ -196,17 +189,8 @@ func TestShardedConcurrentAdd(t *testing.T) {
 	stop.Store(true)
 	wg.Wait()
 
-	single, err := NewIncremental(9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range subs {
-		if err := single.Add(s.w, s.t, s.r); err != nil {
-			t.Fatal(err)
-		}
-	}
 	opts := EvalOptions{Confidence: 0.9}
-	want, err := single.EvaluateAll(opts)
+	want, err := EvaluateWorkers(ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +203,7 @@ func TestShardedConcurrentAdd(t *testing.T) {
 			t.Errorf("worker %d after concurrent ingest: %+v vs %+v", w, got[w], want[w])
 		}
 	}
-	if got, want := sharded.Responses(), single.Responses(); got != want {
+	if got, want := sharded.Responses(), len(subs); got != want {
 		t.Errorf("Responses = %d, want %d", got, want)
 	}
 }
@@ -308,28 +292,6 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if _, err := empty.Snapshot(); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("empty snapshot err = %v", err)
-	}
-}
-
-// TestStreamingConstructor pins the options-based constructor's dispatch.
-func TestStreamingConstructor(t *testing.T) {
-	ev, err := NewStreaming(5, IncrementalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ev.(*Incremental); !ok {
-		t.Errorf("Shards 0: got %T, want *Incremental", ev)
-	}
-	ev, err = NewStreaming(5, IncrementalOptions{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh, ok := ev.(*ShardedIncremental)
-	if !ok {
-		t.Fatalf("Shards 4: got %T, want *ShardedIncremental", ev)
-	}
-	if sh.Shards() != 4 {
-		t.Errorf("Shards() = %d", sh.Shards())
 	}
 }
 

@@ -113,10 +113,10 @@ func fullHorizonEstimates(src agreementSource, workers int, opts EvalOptions) []
 }
 
 // TestEvaluateAllMatchesFullHorizon holds every streaming evaluator to the
-// full-horizon reference at Float64bits granularity on a crowd that mixes
-// sparse workers (restricted counts) with dense ones (full-horizon
-// counts): Incremental, ShardedIncremental at 1, 2 and 7 shards, and a
-// StatsAccumulator built from deltas alone.
+// full-horizon reference, solved on the batch dataset's own statistics, at
+// Float64bits granularity on a crowd that mixes sparse workers (restricted
+// counts) with dense ones (full-horizon counts): ShardedIncremental at 1,
+// 2 and 7 shards, and a StatsAccumulator built from deltas alone.
 func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 	const workers = 20
 	densities := make([]float64, workers)
@@ -130,14 +130,10 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 	subs := shuffledStream(t, ds, 21)
 	opts := EvalOptions{Confidence: 0.9}
 
-	inc, _ := NewIncremental(workers)
 	acc, _ := NewStatsAccumulator(workers)
 	feeder, _ := NewShardedIncremental(workers, 3)
 	prev := feeder.State()
 	for n, x := range subs {
-		if err := inc.Add(x.w, x.t, x.r); err != nil {
-			t.Fatal(err)
-		}
 		if err := feeder.Add(x.w, x.t, x.r); err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +149,8 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 			prev = cur
 		}
 	}
-	want := fullHorizonEstimates(inc.streamStats, workers, opts)
+	batch := newFullStatsCache(ds)
+	want := fullHorizonEstimates(batch, workers, opts)
 	solved := 0
 	for _, e := range want {
 		if e.Err == nil {
@@ -167,7 +164,7 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 	ws := mat.NewWorkspace()
 	for w := 0; w < workers; w++ {
 		var c tripleCounts
-		c.init(inc.streamStats, workers, w, nil, triplesAuto, ws)
+		c.init(batch, workers, w, nil, triplesAuto, ws)
 		if c.packed {
 			packed++
 		}
@@ -176,11 +173,6 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 		t.Fatalf("%d of %d workers take the restricted path; the crowd must exercise both", packed, workers)
 	}
 
-	got, err := inc.EvaluateAll(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, "Incremental", got, want)
 	for _, shards := range []int{1, 2, 7} {
 		s, _ := NewShardedIncremental(workers, shards)
 		for _, x := range subs {
@@ -194,7 +186,7 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 		}
 		sameBits(t, fmt.Sprintf("ShardedIncremental(%d)", shards), got, want)
 	}
-	got, err = acc.EvaluateAll(opts)
+	got, err := acc.EvaluateAll(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,27 +203,28 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc, _ := NewIncremental(workers)
+	inc, _ := NewShardedIncremental(workers, 1)
 	for _, x := range shuffledStream(t, ds, 4) {
 		if err := inc.Add(x.w, x.t, x.r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	st := inc.snapshot().stats
 	opts := EvalOptions{Confidence: 0.9}
 	ws := mat.NewWorkspace()
 	const worker = 5
 	var c tripleCounts
-	c.init(inc, workers, worker, nil, triplesAuto, ws)
+	c.init(st, workers, worker, nil, triplesAuto, ws)
 	if !c.packed {
 		t.Fatal("worker is not sparse enough for the restricted path")
 	}
 	var d WorkerDelta
-	d = evaluateOne(inc, workers, worker, opts, 1, ws) // warm-up
+	d = evaluateOne(st, workers, worker, opts, 1, ws) // warm-up
 	if d.Err != nil || d.Triples < 2 {
 		t.Fatalf("warm-up solve: %d triples, err %v", d.Triples, d.Err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		d = evaluateOne(inc, workers, worker, opts, 1, ws)
+		d = evaluateOne(st, workers, worker, opts, 1, ws)
 	}); allocs != 0 {
 		t.Errorf("steady-state sparse evaluateOne allocates %.1f times per call, want 0", allocs)
 	}

@@ -67,7 +67,11 @@ func TestDistributedPoolBitIdenticalToSharded(t *testing.T) {
 	crowdSize, subs := poolStream(t, 1)
 	policy := pool.DefaultPolicy()
 
-	local, err := pool.NewShardedManager(crowdSize, 4, policy)
+	ev, err := core.NewShardedIncremental(crowdSize, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := pool.NewManagerWith(ev, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +187,8 @@ func TestClusterEvaluatorStreamingContract(t *testing.T) {
 }
 
 // requireSnapshotEqual materializes a cluster's responses with snapshot and
-// requires the Dataset to equal the local evaluator's, cell by cell.
-func requireSnapshotEqual(t *testing.T, label string, snapshot func() (*crowd.Dataset, error), local *core.Incremental) {
+// requires the Dataset to equal the reference's, cell by cell.
+func requireSnapshotEqual(t *testing.T, label string, snapshot func() (*crowd.Dataset, error), local *batchReference) {
 	t.Helper()
 	wantDS, err := local.Snapshot()
 	if err != nil {

@@ -39,19 +39,10 @@ func testStream(tb testing.TB, workers, tasks int, seed int64) []submission {
 	return subs
 }
 
-// exportOf ingests a stream into a fresh Incremental and exports it.
+// exportOf ingests a stream into a fresh evaluator and exports it.
 func exportOf(tb testing.TB, workers int, subs []submission) *core.StatsExport {
 	tb.Helper()
-	inc, err := core.NewIncremental(workers)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, s := range subs {
-		if err := inc.Add(s.w, s.t, s.r); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return inc.ExportStats()
+	return streamingOf(tb, workers, subs).ExportStats()
 }
 
 // TestStatsCodecRoundTrip: encode→decode is the identity, and encoding is
@@ -92,19 +83,12 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 
 // TestCodecMergeEquivalence is the satellite property: shipping per-node
 // statistics through encode→decode→Merge yields intervals bit-identical to
-// the in-process merge (and hence to a single evaluator).
+// the batch algorithm over every response.
 func TestCodecMergeEquivalence(t *testing.T) {
 	const workers, tasks, nodes = 8, 200, 3
 	subs := testStream(t, workers, tasks, 29)
-	full, err := core.NewIncremental(workers)
-	if err != nil {
-		t.Fatal(err)
-	}
 	parts := make([][]submission, nodes)
 	for _, s := range subs {
-		if err := full.Add(s.w, s.t, s.r); err != nil {
-			t.Fatal(err)
-		}
 		parts[s.t%nodes] = append(parts[s.t%nodes], s)
 	}
 	acc, err := core.NewStatsAccumulator(workers)
@@ -125,7 +109,7 @@ func TestCodecMergeEquivalence(t *testing.T) {
 		}
 	}
 	opts := core.EvalOptions{Confidence: 0.9}
-	want, err := full.EvaluateAll(opts)
+	want, err := localReference(t, workers, subs).EvaluateAll(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +117,7 @@ func TestCodecMergeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compareEstimates(t, "wire merge vs single-process", got, want)
+	compareEstimates(t, "wire merge vs batch", got, want)
 }
 
 // compareEstimates asserts bit-identical intervals and matching error

@@ -31,7 +31,7 @@ type Response struct {
 // previous one (delta.go) — and solves on the running merge. Because the
 // merge is exact integer addition and the solve is the very same
 // Algorithm A2 path, the intervals are bit-identical to a single local
-// Incremental fed every response.
+// core.ShardedIncremental fed every response.
 //
 // Each slice is owned by one or more replica nodes (NewCluster).
 // Ingestion fans every batch out to all live replicas of the slice;
@@ -693,8 +693,9 @@ func (c *Coordinator) Evaluate(worker int, opts core.EvalOptions) (core.WorkerEs
 }
 
 // EvaluateAll brings every slice's statistics up to date and solves every
-// worker's interval — the distributed form of Incremental.EvaluateAll,
-// bit-identical to it on the same responses.
+// worker's interval — the distributed form of
+// ShardedIncremental.EvaluateAll, bit-identical to it on the same
+// responses.
 func (c *Coordinator) EvaluateAll(opts core.EvalOptions) ([]core.WorkerEstimate, error) {
 	acc, err := c.pull()
 	if err != nil {
@@ -714,11 +715,12 @@ func (c *Coordinator) EvaluateSubset(workers []int, opts core.EvalOptions) ([]co
 }
 
 // Snapshot materializes every response the cluster holds as a Dataset —
-// the distributed form of Incremental.Snapshot, for interoperability with
-// the batch algorithms. Each slice's compact state is pulled from every
-// live replica and byte-validated across them; its attendance bitsets say
-// who answered which task and its answer bitsets what they answered. The
-// arrival order the compact state forgets is not part of a Dataset.
+// the distributed form of ShardedIncremental.Snapshot, for
+// interoperability with the batch algorithms. Each slice's compact state
+// is pulled from every live replica and byte-validated across them; its
+// attendance bitsets say who answered which task and its answer bitsets
+// what they answered. The arrival order the compact state forgets is not
+// part of a Dataset.
 func (c *Coordinator) Snapshot() (*crowd.Dataset, error) {
 	states := make([]*core.CompactState, len(c.slices))
 	errs := make([]error, len(c.slices))

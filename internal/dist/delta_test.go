@@ -86,7 +86,7 @@ func instrumented(coord *Coordinator) *obs.Registry {
 // TestDeltaPullProperty drives random interleavings of ingests and reads
 // through clusters of every shape in shards {1,2,7} × slices {1,3} ×
 // replicas {1,2}: every EvaluateAll and EvaluateSubset is bit-identical to
-// a single core.Incremental fed the same responses, only the first pull of
+// the batch algorithm on the same responses, only the first pull of
 // each slice ships the full state, and the pull after a 32-response ingest
 // moves less than 2% of the first pull's bytes.
 func TestDeltaPullProperty(t *testing.T) {
@@ -322,7 +322,7 @@ func TestDeltaPullAfterStoreRecovery(t *testing.T) {
 // several goroutines run against concurrent EvaluateSubset reads — the
 // reads no longer hold the adapter's lock — and every read sees at least
 // the responses its caller flushed before it. Once ingestion stops,
-// EvaluateAll is bit-identical to a single core.Incremental. Run under the
+// EvaluateAll is bit-identical to the batch algorithm. Run under the
 // race detector in CI.
 func TestClusterEvaluatorConcurrentFlushAndReads(t *testing.T) {
 	const crowdSize, writers, readers = 10, 3, 2

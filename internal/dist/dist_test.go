@@ -13,16 +13,98 @@ import (
 	"crowdassess/internal/eval"
 )
 
-// localReference ingests the stream into a single-process Incremental.
-func localReference(t *testing.T, workers int, subs []submission) *core.Incremental {
-	t.Helper()
-	inc, err := core.NewIncremental(workers)
+// batchReference holds a response stream and evaluates it with the batch
+// algorithm, which shares no code with the streaming path the workers and
+// the coordinator run: the independent reference every cluster path is
+// pinned against.
+type batchReference struct {
+	tb      testing.TB
+	workers int
+	subs    []submission
+}
+
+// localReference returns the batch reference over the stream.
+func localReference(tb testing.TB, workers int, subs []submission) *batchReference {
+	tb.Helper()
+	return &batchReference{tb: tb, workers: workers, subs: append([]submission(nil), subs...)}
+}
+
+// Add appends one more response to the reference stream.
+func (r *batchReference) Add(w, t int, resp crowd.Response) error {
+	r.subs = append(r.subs, submission{w, t, resp})
+	return nil
+}
+
+// Responses returns the number of responses in the stream.
+func (r *batchReference) Responses() int { return len(r.subs) }
+
+// Tasks returns the highest task index in the stream plus one.
+func (r *batchReference) Tasks() int {
+	tasks := 0
+	for _, s := range r.subs {
+		tasks = max(tasks, s.t+1)
+	}
+	return tasks
+}
+
+// Snapshot materializes the stream as a Dataset.
+func (r *batchReference) Snapshot() (*crowd.Dataset, error) {
+	ds, err := crowd.NewDataset(r.workers, r.Tasks(), 2)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
+	}
+	for _, s := range r.subs {
+		if err := ds.SetResponse(s.w, s.t, s.r); err != nil {
+			return nil, err
+		}
+	}
+	return ds, nil
+}
+
+// dataset is Snapshot for callers that cannot proceed without it.
+func (r *batchReference) dataset() *crowd.Dataset {
+	r.tb.Helper()
+	ds, err := r.Snapshot()
+	if err != nil {
+		r.tb.Fatal(err)
+	}
+	return ds
+}
+
+// EvaluateAll runs the batch algorithm over the stream.
+func (r *batchReference) EvaluateAll(opts core.EvalOptions) ([]core.WorkerEstimate, error) {
+	return core.EvaluateWorkers(r.dataset(), opts)
+}
+
+// EvaluateSubset picks the listed workers out of EvaluateAll.
+func (r *batchReference) EvaluateSubset(workers []int, opts core.EvalOptions) ([]core.WorkerEstimate, error) {
+	all, err := r.EvaluateAll(opts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]core.WorkerEstimate, len(workers))
+	for i, w := range workers {
+		out[i] = all[w]
+	}
+	return out, nil
+}
+
+// MajorityDisagreement runs the batch spammer screen over the stream.
+func (r *batchReference) MajorityDisagreement() []float64 {
+	return r.dataset().MajorityDisagreement()
+}
+
+// streamingOf ingests a stream into a fresh one-shard evaluator, for tests
+// of the state it exports and checkpoints.
+func streamingOf(tb testing.TB, workers int, subs []submission) *core.ShardedIncremental {
+	tb.Helper()
+	inc, err := core.NewShardedIncremental(workers, 1)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	for _, s := range subs {
 		if err := inc.Add(s.w, s.t, s.r); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return inc
@@ -82,7 +164,7 @@ func ingestConcurrently(t *testing.T, coord *Coordinator, subs []submission, gor
 
 // TestInProcessClusterExact: the acceptance contract over the in-process
 // transport — concurrent ingest through a 3-node cluster, then EvaluateAll
-// bit-identical to the single-process evaluator.
+// bit-identical to the batch algorithm.
 func TestInProcessClusterExact(t *testing.T) {
 	const workers, tasks = 9, 300
 	subs := testStream(t, workers, tasks, 41)
@@ -119,7 +201,7 @@ func TestInProcessClusterExact(t *testing.T) {
 
 // TestTCPLoopbackExact is the acceptance criterion: a coordinator and
 // several crowdd-style workers on real TCP loopback sockets, concurrent
-// ingest, and estimates ==-equal to the single-process Incremental. It
+// ingest, and estimates ==-equal to the batch algorithm. It
 // runs in short mode so the CI -race job covers it.
 func TestTCPLoopbackExact(t *testing.T) {
 	const workers, tasks, nodes = 8, 260, 3
@@ -169,7 +251,7 @@ func TestTCPLoopbackExact(t *testing.T) {
 	compareEstimates(t, "tcp loopback cluster", got, want)
 
 	// Streamed follow-up: more responses land, estimates still track the
-	// local evaluator exactly.
+	// batch reference exactly.
 	extra := testStream(t, workers, tasks, 54)
 	var fresh []submission
 	for _, s := range extra {

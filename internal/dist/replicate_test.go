@@ -56,7 +56,7 @@ func freshReplica(t *testing.T, crowdSize, shards int) (*Worker, *Conn) {
 	return w, conn
 }
 
-func requireEvaluateAllEqual(t *testing.T, label string, coord *Coordinator, local *core.Incremental) {
+func requireEvaluateAllEqual(t *testing.T, label string, coord *Coordinator, local *batchReference) {
 	t.Helper()
 	opts := core.EvalOptions{Confidence: 0.9}
 	want, err := local.EvaluateAll(opts)
@@ -71,8 +71,8 @@ func requireEvaluateAllEqual(t *testing.T, label string, coord *Coordinator, loc
 }
 
 // TestReplicatedClusterExact: with every slice owned by two replicas, the
-// cluster's estimates, screens and totals still match the single-process
-// evaluator bit for bit.
+// cluster's estimates, screens and totals still match the batch algorithm
+// bit for bit.
 func TestReplicatedClusterExact(t *testing.T) {
 	const crowdSize, tasks = 8, 220
 	subs := testStream(t, crowdSize, tasks, 61)

@@ -32,22 +32,21 @@ func openTestStore(t *testing.T, dir string) *store.Store {
 	return st
 }
 
-// compactOf ingests a stream into a fresh Incremental and cuts a compact
+// compactOf ingests a stream into a fresh evaluator and cuts a compact
 // checkpoint.
 func compactOf(t *testing.T, workers int, subs []submission) *core.CompactState {
 	t.Helper()
-	return localReference(t, workers, subs).CompactCheckpoint()
+	return streamingOf(t, workers, subs).CompactCheckpoint()
 }
 
 // TestCompactRoundTrip: encode∘decode∘restore rebuilds an evaluator whose
 // decisions are bit-identical, and the encoding is canonical — equal state
-// always yields equal bytes, including across the single-lock and sharded
-// evaluators. Canonicality is what lets the coordinator byte-compare
+// always yields equal bytes, including across shard counts. Canonicality is what lets the coordinator byte-compare
 // replicas' compact pulls as a divergence check.
 func TestCompactRoundTrip(t *testing.T) {
 	const workers, tasks = 7, 120
 	subs := testStream(t, workers, tasks, 211)
-	local := localReference(t, workers, subs)
+	local := streamingOf(t, workers, subs)
 
 	payload, err := EncodeCompact(local.CompactCheckpoint())
 	if err != nil {
@@ -61,7 +60,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatal("equal state encoded to different bytes")
 	}
 
-	// The sharded evaluator holding the same stream encodes identically.
+	// A four-shard evaluator holding the same stream encodes identically.
 	sharded, err := core.NewShardedIncremental(workers, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -76,14 +75,14 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(payload) != string(fromSharded) {
-		t.Fatal("sharded evaluator's compact payload differs from the single-lock one")
+		t.Fatal("four-shard evaluator's compact payload differs from the one-shard one")
 	}
 
 	cs, err := DecodeCompact(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := core.NewIncremental(workers)
+	restored, err := core.NewShardedIncremental(workers, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +90,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.EvalOptions{Confidence: 0.9}
-	want, err := local.EvaluateAll(opts)
+	want, err := localReference(t, workers, subs).EvaluateAll(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,7 @@ import (
 
 	"time"
 
+	"crowdassess/internal/core"
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/obs"
 	"crowdassess/internal/pool"
@@ -59,8 +60,9 @@ type TenantConfig struct {
 	Token string
 	// Workers is the tenant's crowd size. Required unless Manager is set.
 	Workers int
-	// Shards is the tenant's local evaluator shard count (0 = single
-	// shard). Ignored when Manager is set.
+	// Shards is the tenant's local evaluator shard count; 0 means one
+	// shard, which like any shard count takes a lock on every Add, so
+	// concurrent ingest requests are safe. Ignored when Manager is set.
 	Shards int
 	// Policy sets the tenant's pool decision bars; nil selects
 	// pool.DefaultPolicy.
@@ -188,8 +190,11 @@ func New(opts Options) (*Gateway, error) {
 			if tc.Policy != nil {
 				policy = *tc.Policy
 			}
-			var err error
-			if mgr, err = pool.NewShardedManager(tc.Workers, tc.Shards, policy); err != nil {
+			ev, err := core.NewShardedIncremental(tc.Workers, max(tc.Shards, 1))
+			if err == nil {
+				mgr, err = pool.NewManagerWith(ev, policy)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("gate: tenant %q: %w", tc.Name, err)
 			}
 		}

@@ -2,6 +2,7 @@ package gate_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,8 @@ import (
 	"crowdassess/internal/gate"
 	"crowdassess/internal/obs"
 	"crowdassess/internal/pool"
+	"crowdassess/internal/randx"
+	"crowdassess/internal/sim"
 )
 
 // fakeClock is a settable clock so rate-limit tests drive refills
@@ -225,9 +228,9 @@ func (w *wedgedEvaluator) Add(wk, t int, r crowd.Response) error {
 }
 
 func TestBackpressureSheddingUnderWedgedBackend(t *testing.T) {
-	inner, err := core.NewStreaming(4, core.IncrementalOptions{})
+	inner, err := core.NewShardedIncremental(4, 1)
 	if err != nil {
-		t.Fatalf("NewStreaming: %v", err)
+		t.Fatalf("NewShardedIncremental: %v", err)
 	}
 	wedged := &wedgedEvaluator{
 		StreamingEvaluator: inner,
@@ -312,5 +315,73 @@ func TestBackpressureSheddingUnderWedgedBackend(t *testing.T) {
 	defer r.resp.Body.Close()
 	if r.resp.StatusCode != http.StatusOK {
 		t.Errorf("wedged request: status %d, want 200", r.resp.StatusCode)
+	}
+}
+
+// TestDefaultShardsTenantConcurrentIngest drives concurrent ingest batches
+// and a review through a tenant left at Shards: 0. That default must still
+// be a locked evaluator: concurrent POST /v1/responses:batch calls are
+// ordinary traffic, so under -race this test catches any unguarded Add.
+// It deliberately runs under -short too. The policy never fires, so every
+// response lands and the final intervals must equal the batch algorithm's.
+func TestDefaultShardsTenantConcurrentIngest(t *testing.T) {
+	const workers, clients, tasksPerClient = 5, 4, 40
+	ds, _, err := sim.Binary{Tasks: clients * tasksPerClient, Workers: workers}.Generate(randx.NewSource(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	policy := pool.Policy{Confidence: 0.9, FireAbove: 0.49, PromoteBelow: 0.2, SpammerDisagreement: 0.99}
+	gw, err := gate.New(gate.Options{Tenants: []gate.TenantConfig{
+		{Name: "t", Token: "tok", Workers: workers, Policy: &policy},
+	}})
+	if err != nil {
+		t.Fatalf("gate.New: %v", err)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for task := c * tasksPerClient; task < (c+1)*tasksPerClient; task++ {
+				var b strings.Builder
+				b.WriteString(`{"responses":[`)
+				for w := 0; w < workers; w++ {
+					if w > 0 {
+						b.WriteByte(',')
+					}
+					fmt.Fprintf(&b, `{"worker":%d,"task":%d,"answer":%d}`, w, task, ds.Response(w, task))
+				}
+				b.WriteString(`]}`)
+				if rec := doReq(t, gw, http.MethodPost, "/v1/responses:batch", "tok", b.String()); rec.Code != http.StatusOK {
+					t.Errorf("ingest task %d: status %d body %s", task, rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if rec := doReq(t, gw, http.MethodPost, "/v1/pool/review", "tok", ""); rec.Code != http.StatusOK {
+			t.Errorf("review: status %d body %s", rec.Code, rec.Body.String())
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	want, err := core.EvaluateWorkers(ds, core.EvalOptions{Confidence: policy.Confidence})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < workers; w++ {
+		var wv gate.WorkerView
+		rec := doReq(t, gw, http.MethodGet, fmt.Sprintf("/v1/workers/%d", w), "tok", "")
+		if err := json.Unmarshal(rec.Body.Bytes(), &wv); err != nil || wv.Responses != ds.Tasks() || wv.Estimate == nil {
+			t.Fatalf("worker %d = %s (err %v), want %d responses and an estimate", w, rec.Body.String(), err, ds.Tasks())
+		}
+		if wv.Estimate.Lo != want[w].Interval.Lo || wv.Estimate.Hi != want[w].Interval.Hi {
+			t.Errorf("worker %d: interval [%v, %v], batch [%v, %v]", w, wv.Estimate.Lo, wv.Estimate.Hi, want[w].Interval.Lo, want[w].Interval.Hi)
+		}
 	}
 }

@@ -12,9 +12,9 @@
 //	anything  → Fired        when the majority screen flags a pure spammer
 //
 // Responses stream in via Record; Review applies the policy to the current
-// statistics. The estimator is the streaming form of the paper's
-// Algorithm A2 — single-shard by default (NewManager), sharded for
-// concurrent ingestion (NewShardedManager).
+// statistics. The estimator is any core.StreamingEvaluator — the local
+// core.ShardedIncremental or a cluster via dist.NewClusterEvaluator —
+// handed to NewManagerWith.
 package pool
 
 import (
@@ -140,11 +140,10 @@ type Decision struct {
 }
 
 // Manager tracks the pool. It is built over core.StreamingEvaluator, so
-// the same lifecycle logic runs on the single-shard Incremental
-// (NewManager) and the concurrent ShardedIncremental (NewShardedManager).
+// the same lifecycle logic runs on a local core.ShardedIncremental and on
+// a cluster.
 //
-// Concurrency: with a sharded evaluator, Record is safe from any number of
-// goroutines. Review and Estimates serialize against each other — and
+// Concurrency: Record is safe from any number of goroutines. Review and Estimates serialize against each other — and
 // against Record, which blocks on the state lock for the duration of the
 // call (merge plus covariance solves), so call Review at batch boundaries,
 // not per response; that stall is the price of decisions computed against
@@ -170,34 +169,12 @@ type Manager struct {
 // ErrFired is returned when a response is recorded for a fired worker.
 var ErrFired = errors.New("pool: worker is fired")
 
-// NewManager creates a pool of the given size, all workers on probation,
-// over the single-shard streaming evaluator (single-goroutine Record).
-func NewManager(workers int, policy Policy) (*Manager, error) {
-	return newManager(workers, policy, core.IncrementalOptions{})
-}
-
-// NewShardedManager creates a pool whose statistics are sharded across the
-// given number of task-stripes, making Record safe — and fast — from many
-// goroutines at once. Decisions are identical to NewManager's on the same
-// responses.
-func NewShardedManager(workers, shards int, policy Policy) (*Manager, error) {
-	return newManager(workers, policy, core.IncrementalOptions{Shards: shards})
-}
-
-func newManager(workers int, policy Policy, opts core.IncrementalOptions) (*Manager, error) {
-	inc, err := core.NewStreaming(workers, opts)
-	if err != nil {
-		return nil, err
-	}
-	return NewManagerWith(inc, policy)
-}
-
-// NewManagerWith creates a pool over a caller-supplied streaming
-// evaluator. This is how a pool spans a cluster: hand it the
-// coordinator-backed adapter (dist.NewClusterEvaluator) and Review pulls
-// merged statistics from every node — the decisions are identical to a
-// local pool fed the same responses, because the merge is exact and the
-// solves run the same code path. The pool starts every worker on
+// NewManagerWith creates a pool over a streaming evaluator: a local
+// core.NewShardedIncremental, or the coordinator-backed adapter
+// dist.NewClusterEvaluator, through which Review pulls merged statistics
+// from every node. The decisions are identical either way on the same
+// responses, because the merge is exact and the solves run the same code
+// path. The pool starts every worker on
 // probation; the evaluator must be empty or hold only responses recorded
 // before any lifecycle decisions are wanted.
 func NewManagerWith(inc core.StreamingEvaluator, policy Policy) (*Manager, error) {
@@ -238,8 +215,7 @@ func (m *Manager) ActiveWorkers() []int {
 }
 
 // Record stores worker w's response on task t. Responses from fired workers
-// are rejected with ErrFired. With a sharded evaluator it is safe to call
-// concurrently.
+// are rejected with ErrFired. It is safe to call concurrently.
 func (m *Manager) Record(w, t int, r crowd.Response) error {
 	if w < 0 || w >= len(m.states) {
 		return fmt.Errorf("pool: worker %d out of range", w)

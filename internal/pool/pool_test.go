@@ -6,10 +6,21 @@ import (
 	"sync"
 	"testing"
 
+	"crowdassess/internal/core"
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/randx"
 	"crowdassess/internal/sim"
 )
+
+// newLocalManager builds a pool over a local evaluator with the given
+// shard count.
+func newLocalManager(workers, shards int, policy Policy) (*Manager, error) {
+	ev, err := core.NewShardedIncremental(workers, shards)
+	if err != nil {
+		return nil, err
+	}
+	return NewManagerWith(ev, policy)
+}
 
 // runCrowd streams a simulated crowd into a manager, reviewing after every
 // reviewEvery tasks. It returns the manager and the simulated true rates.
@@ -20,7 +31,7 @@ func runCrowd(t *testing.T, seed int64, rates []float64, tasks, reviewEvery int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(len(rates), policy)
+	m, err := newLocalManager(len(rates), 1, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +63,14 @@ func TestPolicyValidation(t *testing.T) {
 		{Confidence: 0.9, FireAbove: 0.3, PromoteBelow: 0.2, SpammerDisagreement: 0.4, MinResponses: -1},
 	}
 	for i, p := range cases {
-		if _, err := NewManager(5, p); err == nil {
+		if _, err := newLocalManager(5, 1, p); err == nil {
 			t.Errorf("case %d: invalid policy accepted: %+v", i, p)
 		}
 	}
-	if _, err := NewManager(5, DefaultPolicy()); err != nil {
+	if _, err := newLocalManager(5, 1, DefaultPolicy()); err != nil {
 		t.Errorf("default policy rejected: %v", err)
 	}
-	if _, err := NewManager(2, DefaultPolicy()); err == nil {
+	if _, err := newLocalManager(2, 1, DefaultPolicy()); err == nil {
 		t.Error("2-worker pool accepted")
 	}
 }
@@ -139,7 +150,7 @@ func TestReviewDecisionsCarryEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewManager(5, DefaultPolicy())
+	m, err := newLocalManager(5, 1, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +196,7 @@ func TestEstimates(t *testing.T) {
 }
 
 // TestShardedManagerMatchesSingleShard feeds the same stream through a
-// single-shard and a sharded manager and demands identical decisions at
+// one-shard and a four-shard manager and demands identical decisions at
 // every review point — the pool-level face of the sharded evaluator's
 // bit-identity guarantee.
 func TestShardedManagerMatchesSingleShard(t *testing.T) {
@@ -195,11 +206,11 @@ func TestShardedManagerMatchesSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := NewManager(len(rates), DefaultPolicy())
+	single, err := newLocalManager(len(rates), 1, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedManager(len(rates), 4, DefaultPolicy())
+	sharded, err := newLocalManager(len(rates), 4, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +258,7 @@ func TestShardedManagerConcurrentRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewShardedManager(workers, 4, DefaultPolicy())
+	m, err := newLocalManager(workers, 4, DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
