@@ -61,7 +61,7 @@ func TestSelfHealingClusterFacade(t *testing.T) {
 
 	var events []string
 	var evMu sync.Mutex
-	coord.StartMonitor(crowdassess.ClusterMonitorOptions{
+	mon := coord.StartMonitor(crowdassess.ClusterMonitorOptions{
 		Interval:     20 * time.Millisecond,
 		SuspectAfter: 1,
 		DownAfter:    2,
@@ -141,6 +141,10 @@ func TestSelfHealingClusterFacade(t *testing.T) {
 	if degraded := coord.Degraded(); len(degraded) != 0 {
 		t.Fatalf("healthy cluster reports degraded slices %v", degraded)
 	}
+	// Events reach OnEvent through an asynchronous queue, so the reseed
+	// event can trail the membership view; Stop delivers everything
+	// queued before the events are read.
+	mon.Stop()
 	evMu.Lock()
 	defer evMu.Unlock()
 	var sawDown, sawReseed bool

@@ -123,9 +123,10 @@ func (e *StatsExport) toStreamStats() *streamStats {
 // merged counters. It is the coordinator half of a distributed deployment:
 // workers ingest responses for disjoint task sets, export their statistics,
 // and the accumulator's intervals are bit-identical to a single
-// ShardedIncremental fed every response — the merge is exact integer addition, and evaluation
-// runs the very same Algorithm A2 code path. Once seeded, it can also be
-// kept current with deltas (ApplyDelta) instead of re-merged from scratch.
+// ShardedIncremental fed every response — the merge is exact integer
+// addition, and evaluation runs the very same Algorithm A2 code path. Once
+// seeded, it can also be kept current with deltas (ApplyDelta) instead of
+// re-merged from scratch.
 //
 // All methods are safe for concurrent use. An evaluation holds the
 // accumulator for its whole solve (fanning the workers out across cores

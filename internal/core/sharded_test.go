@@ -136,8 +136,9 @@ func TestShardedMatchesIncremental(t *testing.T) {
 
 // TestShardedConcurrentAdd ingests from many goroutines while other
 // goroutines evaluate and read counters mid-stream, then checks the final
-// intervals match the batch algorithm on the same responses. Run under -race this is the concurrency-safety acceptance
-// test for the sharded evaluator.
+// intervals match the batch algorithm on the same responses. Run under
+// -race this is the concurrency-safety acceptance test for the sharded
+// evaluator.
 func TestShardedConcurrentAdd(t *testing.T) {
 	const goroutines = 8
 	src := randx.NewSource(55)

@@ -41,8 +41,9 @@ func compactOf(t *testing.T, workers int, subs []submission) *core.CompactState 
 
 // TestCompactRoundTrip: encode∘decode∘restore rebuilds an evaluator whose
 // decisions are bit-identical, and the encoding is canonical — equal state
-// always yields equal bytes, including across shard counts. Canonicality is what lets the coordinator byte-compare
-// replicas' compact pulls as a divergence check.
+// always yields equal bytes, including across shard counts. Canonicality
+// is what lets the coordinator byte-compare replicas' compact pulls as a
+// divergence check.
 func TestCompactRoundTrip(t *testing.T) {
 	const workers, tasks = 7, 120
 	subs := testStream(t, workers, tasks, 211)

@@ -143,14 +143,15 @@ type Decision struct {
 // the same lifecycle logic runs on a local core.ShardedIncremental and on
 // a cluster.
 //
-// Concurrency: Record is safe from any number of goroutines. Review and Estimates serialize against each other — and
-// against Record, which blocks on the state lock for the duration of the
-// call (merge plus covariance solves), so call Review at batch boundaries,
-// not per response; that stall is the price of decisions computed against
-// one consistent state. A Record racing a Review that fires the same
-// worker may land one last response for that worker — statistically
-// harmless (the estimator retains fired workers' responses anyway) and
-// inherent to concurrent ingestion.
+// Concurrency: Record is safe from any number of goroutines. Review and
+// Estimates serialize against each other — and against Record, which
+// blocks on the state lock for the duration of the call (merge plus
+// covariance solves), so call Review at batch boundaries, not per
+// response; that stall is the price of decisions computed against one
+// consistent state. A Record racing a Review that fires the same worker
+// may land one last response for that worker — statistically harmless
+// (the estimator retains fired workers' responses anyway) and inherent to
+// concurrent ingestion.
 type Manager struct {
 	policy Policy
 	inc    core.StreamingEvaluator
