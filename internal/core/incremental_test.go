@@ -13,9 +13,7 @@ import (
 )
 
 // feedDataset streams every response of ds into inc in a scrambled order.
-func feedDataset(t *testing.T, inc interface {
-	Add(w, t int, r crowd.Response) error
-}, ds *crowd.Dataset, seed int64) {
+func feedDataset(t *testing.T, inc *ShardedIncremental, ds *crowd.Dataset, seed int64) {
 	t.Helper()
 	for _, s := range shuffledStream(t, ds, seed) {
 		if err := inc.Add(s.w, s.t, s.r); err != nil {
