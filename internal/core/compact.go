@@ -51,7 +51,7 @@ func (s *ShardedIncremental) CompactCheckpoint() *CompactState {
 			sh.mu.Unlock()
 		}
 	}()
-	m := newStreamStats(s.workers)
+	m := newStreamStats(s.workers, true)
 	tasks, responses := 0, 0
 	for _, sh := range s.shards {
 		m.addFrom(sh.stats)

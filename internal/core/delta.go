@@ -2,55 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
-	"sync/atomic"
 )
-
-// StatsState is one immutable, point-in-time cut of a streaming
-// evaluator's sufficient statistics: the merged pairwise counters and
-// attendance bitsets together with the task horizon and response total
-// behind exactly those counters. ShardedIncremental publishes a fresh state
-// whenever a read follows an Add and never mutates a published one, so
-// holding a *StatsState costs no copy. That is what lets a distributed
-// worker remember the state it last shipped and later ship only the
-// difference (DiffStats).
-type StatsState struct {
-	workers   int
-	tasks     int
-	responses int
-	stats     *streamStats
-
-	// digest caches Digest once digestSet is published.
-	digest    atomic.Uint64
-	digestSet atomic.Bool
-}
-
-// Export deep-copies the state into the serialization-neutral form.
-func (st *StatsState) Export() *StatsExport {
-	return exportStats(st.stats, st.workers, st.tasks, st.responses)
-}
-
-// Digest returns the canonical 64-bit digest of the state (see
-// statsDigest). It is computed on first use, or derived in O(change) by the
-// DiffStats that produced the state, and cached.
-func (st *StatsState) Digest() uint64 {
-	if st.digestSet.Load() {
-		return st.digest.Load()
-	}
-	d := statsDigest(st.stats, st.workers, st.tasks, st.responses)
-	st.setDigest(d)
-	return d
-}
-
-func (st *StatsState) setDigest(d uint64) {
-	st.digest.Store(d)
-	st.digestSet.Store(true)
-}
-
-// State returns the evaluator's current statistics as an immutable state:
-// the same lazily merged snapshot evaluations read, so a state taken while
-// no Add ran since the last one is the very same pointer.
-func (s *ShardedIncremental) State() *StatsState { return s.snapshot() }
 
 // Digest terms live in separate domains per kind, so a counter pair can
 // never cancel an attendance word.
@@ -119,7 +73,7 @@ func statsDigest(s *streamStats, workers, tasks, responses int) uint64 {
 }
 
 // StatsDelta is the exact integer difference from an older statistics
-// state of one evaluator to a newer one. Counters only grow and attendance
+// state of one evaluator to a newer one (see CutStats). Counters only grow and attendance
 // bits are only ever set, so the difference is a list of counter
 // increments and newly set bits, and adding it to the older state gives the
 // newer one exactly (StatsAccumulator.ApplyDelta).
@@ -153,7 +107,7 @@ type WordDelta struct {
 	Bits   uint64
 }
 
-// Validate checks the structural invariants every delta DiffStats produces
+// Validate checks the structural invariants every delta CutStats produces
 // satisfies: cells inside the upper triangle, strictly ascending, with a
 // non-zero common increment and an agree increment no larger than it;
 // attendance words of in-range workers, strictly ascending, non-zero and
@@ -210,66 +164,250 @@ func (d *StatsDelta) Validate() error {
 	return nil
 }
 
-// DiffStats returns the exact difference from an older state of an
-// evaluator to a newer one, in O(state) comparisons and O(change) output.
-// It fails when cur does not extend old — a counter shrank, an attendance
-// bit vanished, or the response total disagrees with the newly set bits —
-// which is what a state of another evaluator, or of a restarted one, looks
-// like. As a by-product it records cur's digest, derived from old's in
-// O(change) terms.
-func DiffStats(old, cur *StatsState) (*StatsDelta, error) {
-	if old.workers != cur.workers {
-		return nil, fmt.Errorf("core: cannot diff a %d-worker state against a %d-worker one", cur.workers, old.workers)
-	}
-	d := &StatsDelta{Workers: cur.workers, Tasks: cur.tasks, Responses: cur.responses}
-	if old == cur {
-		return d, nil
-	}
-	if cur.tasks < old.tasks {
-		return nil, fmt.Errorf("core: task horizon shrank from %d to %d", old.tasks, cur.tasks)
-	}
-	change := headerTerm(cur.workers, cur.tasks, cur.responses) - headerTerm(old.workers, old.tasks, old.responses)
-	for i := 0; i < cur.workers; i++ {
-		oa, oc := old.stats.agree[i], old.stats.common[i]
-		na, nc := cur.stats.agree[i], cur.stats.common[i]
-		for j := i + 1; j < cur.workers; j++ {
-			if na[j] == oa[j] && nc[j] == oc[j] {
-				continue
-			}
-			da, dc := na[j]-oa[j], nc[j]-oc[j]
-			if dc < 1 || da < 0 || da > dc {
-				return nil, fmt.Errorf("core: counters (%d,%d) went from (%d agree, %d common) to (%d, %d): not a later state", i, j, oa[j], oc[j], na[j], nc[j])
-			}
-			d.Cells = append(d.Cells, CellDelta{I: i, J: j, Agree: da, Common: dc})
-			change += cellTerm(i, j, na[j], nc[j]) - cellTerm(i, j, oa[j], oc[j])
-		}
-	}
-	set := 0
-	for w := 0; w < cur.workers; w++ {
-		ow, nw := old.stats.responded[w], cur.stats.responded[w]
-		for k := 0; k < max(len(ow), len(nw)); k++ {
-			o, n := ow.word(k), nw.word(k)
-			if o&^n != 0 {
-				return nil, fmt.Errorf("core: worker %d lost attendance bits in word %d: not a later state", w, k)
-			}
-			if gained := n &^ o; gained != 0 {
-				d.Words = append(d.Words, WordDelta{Worker: w, Index: k, Bits: gained})
-				set += bits.OnesCount64(gained)
-				change += wordTerm(w, k, n) - wordTerm(w, k, o)
-			}
-		}
-	}
-	if cur.responses-old.responses != set {
-		return nil, fmt.Errorf("core: %d responses arrived but %d attendance bits were set", cur.responses-old.responses, set)
-	}
-	cur.setDigest(old.Digest() + change)
-	return d, nil
-}
-
 // word returns bitset word k, or 0 past the end.
 func (b dynBitset) word(k int) uint64 {
 	if k < len(b) {
 		return b[k]
 	}
 	return 0
+}
+
+// StatsCut is one cut of an evaluator's statistics (CutStats): exactly one
+// of Delta and Full is set, and Digest is the digest of the statistics at
+// the cut either way.
+type StatsCut struct {
+	// Delta is the exact difference from the previous cut.
+	Delta *StatsDelta
+	// Full is the whole of the statistics at the cut.
+	Full   *StatsExport
+	Digest uint64
+}
+
+// cutBase is what the next delta needs of the last cut: the upper-triangle
+// counters (row i holds pair (i, j) at index j-i-1), the totals and the
+// digest. Attendance words need no base: every response sets exactly one
+// new bit, so a delta's words are its new responses.
+type cutBase struct {
+	agree, common    [][]int
+	tasks, responses int
+	digest           uint64
+}
+
+func newCutBase(workers int) *cutBase {
+	b := &cutBase{agree: make([][]int, workers), common: make([][]int, workers)}
+	cells := make([]int, workers*(workers-1))
+	for i := range b.agree {
+		n := workers - i - 1
+		b.agree[i], cells = cells[:n:n], cells[n:]
+		b.common[i], cells = cells[:n:n], cells[n:]
+	}
+	return b
+}
+
+// CutStats cuts the evaluator's statistics and returns what a puller
+// holding the previous cut needs to reach this one. When resume is set and
+// cursor is the digest of the previous cut, that is the exact delta from the
+// previous cut — counter increments and newly set attendance bits, in
+// canonical order — built in O(change): only the tasks that gained
+// responses since the previous cut are visited, and only the counter pairs
+// of the workers who gave those responses are re-summed. Otherwise (the
+// first cut, a puller holding no state, or a cursor naming any other state)
+// it is the full statistics. Either way the cut becomes the base of the
+// next delta as soon as it is taken: a puller that never receives it sends
+// a cursor that no longer matches and gets the full statistics next time.
+//
+// The base belongs to the evaluator, so an evaluator has exactly one cut
+// consumer: a second one would receive deltas against the first one's
+// cuts. The cut holds every shard lock, in index order, so it is one
+// consistent point in time even under concurrent Add, and two cuts never
+// interleave.
+func (s *ShardedIncremental) CutStats(cursor uint64, resume bool) StatsCut {
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+	}
+	defer func() {
+		for _, sh := range s.shards {
+			sh.mu.Unlock()
+		}
+	}()
+	tasks, responses := 0, 0
+	for _, sh := range s.shards {
+		tasks = max(tasks, sh.tasks)
+		responses += sh.responses
+	}
+	if !resume || s.base == nil || cursor != s.base.digest {
+		return s.fullCutLocked(tasks, responses)
+	}
+	return s.deltaCutLocked(tasks, responses)
+}
+
+// markCut records that the cut being taken covers every response of task t
+// and returns them with the number the previous cut covered; the caller
+// holds sh.mu.
+func (sh *incShard) markCut(t int) (rs []workerResponse, covered int) {
+	e := sh.taskResponses[t]
+	covered = int(e.cut)
+	e.cut = int32(len(e.rs))
+	sh.taskResponses[t] = e
+	return e.rs, covered
+}
+
+// fullCutLocked merges every shard into fresh statistics, makes them the
+// base of the next delta and returns them whole; the caller holds every
+// shard lock.
+func (s *ShardedIncremental) fullCutLocked(tasks, responses int) StatsCut {
+	m := newStreamStats(s.workers, false)
+	for _, sh := range s.shards {
+		m.addFrom(sh.stats)
+		for _, t := range sh.dirty {
+			sh.markCut(t)
+		}
+		sh.dirty = sh.dirty[:0]
+	}
+	if s.base == nil {
+		s.base = newCutBase(s.workers)
+	}
+	b := s.base
+	for i := range b.agree {
+		copy(b.agree[i], m.agree[i][i+1:])
+		copy(b.common[i], m.common[i][i+1:])
+	}
+	b.tasks, b.responses = tasks, responses
+	b.digest = statsDigest(m, s.workers, tasks, responses)
+	// m is private to this cut, so the export takes its slices uncopied.
+	full := &StatsExport{
+		Workers:   s.workers,
+		Tasks:     tasks,
+		Responses: responses,
+		Agree:     m.agree,
+		Common:    m.common,
+		Responded: make([][]uint64, s.workers),
+	}
+	for i, words := range m.responded {
+		full.Responded[i] = words
+	}
+	return StatsCut{Full: full, Digest: b.digest}
+}
+
+// deltaCutLocked returns the exact delta from the base to the current
+// statistics, deriving the new digest from the base's in O(change), and
+// advances the base; the caller holds every shard lock. No step sorts:
+// the dirty tasks are visited in ascending order through a bitset over
+// their span, each word of which is one attendance word of the delta;
+// words are then bucketed per worker, and cells visited in (i, j) order.
+func (s *ShardedIncremental) deltaCutLocked(tasks, responses int) StatsCut {
+	workers, b := s.workers, s.base
+	lo, hi := math.MaxInt, -1
+	for _, sh := range s.shards {
+		for _, t := range sh.dirty {
+			lo, hi = min(lo, t), max(hi, t)
+		}
+	}
+	first := lo / 64 // the attendance word span[0] stands for
+	var span dynBitset
+	if hi >= 0 {
+		span = make(dynBitset, hi/64-first+1)
+	}
+	for _, sh := range s.shards {
+		for _, t := range sh.dirty {
+			span.set(t - first*64)
+		}
+		sh.dirty = sh.dirty[:0]
+	}
+	change := headerTerm(workers, tasks, responses) - headerTerm(workers, b.tasks, b.responses)
+
+	// Attendance words, in (index, worker) order first: gained[w]
+	// collects worker w's new bits within the current word. Every new
+	// response sets one bit, so there are at most as many words as new
+	// responses; pairs bounds the cells by the new co-responder pairs.
+	gained := make([]uint64, workers)
+	var touched []int
+	byIndex := make([]WordDelta, 0, min(responses-b.responses, workers*len(span)))
+	next := make([]int, workers+1) // per-worker word counts, then offsets
+	pairs := 0
+	for x, dirtyWord := range span {
+		k := first + x
+		for ; dirtyWord != 0; dirtyWord &= dirtyWord - 1 {
+			bit := bits.TrailingZeros64(dirtyWord)
+			t := k*64 + bit
+			rs, covered := s.shardOf(t).markCut(t)
+			pairs += (len(rs)*(len(rs)-1) - covered*(covered-1)) / 2
+			for _, wr := range rs[covered:] {
+				w := int(wr.worker)
+				if gained[w] == 0 {
+					touched = append(touched, w)
+				}
+				gained[w] |= 1 << uint(bit)
+			}
+		}
+		for _, w := range touched {
+			byIndex = append(byIndex, WordDelta{Worker: w, Index: k, Bits: gained[w]})
+			next[w+1]++
+			gained[w] = 0
+		}
+		touched = touched[:0]
+	}
+	var responders []int // workers with a new response, ascending
+	for w := 0; w < workers; w++ {
+		if next[w+1] > 0 {
+			responders = append(responders, w)
+		}
+		next[w+1] += next[w]
+	}
+	var words []WordDelta
+	if len(byIndex) > 0 {
+		words = make([]WordDelta, len(byIndex))
+	}
+	for _, wd := range byIndex {
+		words[next[wd.Worker]] = wd
+		next[wd.Worker]++
+	}
+	for _, wd := range words {
+		var now uint64
+		for _, sh := range s.shards {
+			now |= sh.stats.responded[wd.Worker].word(wd.Index)
+		}
+		change += wordTerm(wd.Worker, wd.Index, now) - wordTerm(wd.Worker, wd.Index, now&^wd.Bits)
+	}
+
+	// Counter cells. Only a pair with a responder in it can have grown:
+	// visit row i whole when i responded, else only its responder columns.
+	// Every new co-responder pair grows its cell, so cells stays nil
+	// exactly when pairs is 0.
+	var cells []CellDelta
+	if pairs > 0 {
+		cells = make([]CellDelta, 0, min(pairs, workers*(workers-1)/2))
+	}
+	grow := func(i, j int) {
+		agree, common := 0, 0
+		for _, sh := range s.shards {
+			agree += sh.stats.agree[i][j]
+			common += sh.stats.common[i][j]
+		}
+		ba, bc := &b.agree[i][j-i-1], &b.common[i][j-i-1]
+		if agree == *ba && common == *bc {
+			return
+		}
+		cells = append(cells, CellDelta{I: i, J: j, Agree: agree - *ba, Common: common - *bc})
+		change += cellTerm(i, j, agree, common) - cellTerm(i, j, *ba, *bc)
+		*ba, *bc = agree, common
+	}
+	r := 0 // responders[r:] are ≥ i
+	for i := 0; i < workers; i++ {
+		if r < len(responders) && responders[r] == i {
+			for j := i + 1; j < workers; j++ {
+				grow(i, j)
+			}
+			r++
+			continue
+		}
+		for _, j := range responders[r:] {
+			grow(i, j)
+		}
+	}
+
+	b.tasks, b.responses = tasks, responses
+	b.digest += change
+	d := &StatsDelta{Workers: workers, Tasks: tasks, Responses: responses, Cells: cells, Words: words}
+	return StatsCut{Delta: d, Digest: b.digest}
 }

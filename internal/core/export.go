@@ -155,7 +155,7 @@ func NewStatsAccumulator(workers int) (*StatsAccumulator, error) {
 	}
 	return &StatsAccumulator{
 		workers:     workers,
-		stats:       newStreamStats(workers),
+		stats:       newStreamStats(workers, false),
 		digest:      headerTerm(workers, 0, 0),
 		digestValid: true,
 		wsPool:      sync.Pool{New: func() any { return mat.NewWorkspace() }},
@@ -211,8 +211,8 @@ func (a *StatsAccumulator) Merge(e *StatsExport) error {
 // that re-sets bits the accumulator already holds (it does not extend this
 // state), fails with the accumulator unchanged.
 //
-// Folded into the accumulator holding the older state of a DiffStats pair,
-// the delta yields the newer state exactly. Folded into a merge of
+// Folded into the accumulator holding the statistics of one cut, the delta
+// of the next cut (CutStats) yields that cut's statistics exactly. Folded into a merge of
 // disjoint task sets, it yields the merge of the newer state, since the
 // bits it sets belong to its own tasks.
 func (a *StatsAccumulator) ApplyDelta(d *StatsDelta) error {
@@ -252,7 +252,8 @@ func (a *StatsAccumulator) ApplyDelta(d *StatsDelta) error {
 }
 
 // Digest returns the canonical digest of the accumulated state — equal to
-// StatsState.Digest of an evaluator holding the same statistics.
+// the digest CutStats reports for an evaluator holding the same
+// statistics.
 func (a *StatsAccumulator) Digest() uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -267,7 +268,7 @@ func (a *StatsAccumulator) Digest() uint64 {
 func (a *StatsAccumulator) Clone() *StatsAccumulator {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	stats := newStreamStats(a.workers)
+	stats := newStreamStats(a.workers, false)
 	stats.addFrom(a.stats)
 	return &StatsAccumulator{
 		workers:     a.workers,

@@ -35,12 +35,17 @@ type streamStats struct {
 	answers []dynBitset
 }
 
-func newStreamStats(workers int) *streamStats {
+// newStreamStats returns zeroed statistics for the given crowd size. Only
+// the shards' own statistics and a compact checkpoint's merge carry answer
+// bitsets; merges that are only evaluated or exported leave them out.
+func newStreamStats(workers int, answers bool) *streamStats {
 	s := &streamStats{
 		agree:     make([][]int, workers),
 		common:    make([][]int, workers),
 		responded: make([]dynBitset, workers),
-		answers:   make([]dynBitset, workers),
+	}
+	if answers {
+		s.answers = make([]dynBitset, workers)
 	}
 	for i := range s.agree {
 		s.agree[i] = make([]int, workers)
@@ -68,10 +73,10 @@ func (s *streamStats) record(w, t int, r crowd.Response, prev []workerResponse) 
 	}
 }
 
-// addFrom accumulates o into s: counter sums and attendance unions. The
-// task sets behind s and o must be disjoint (each task's responses live in
-// exactly one of them), which the sharded evaluator's task-striping
-// guarantees.
+// addFrom accumulates o into s: counter sums and attendance unions, plus
+// answer unions when both sides carry answer bitsets. The task sets behind
+// s and o must be disjoint (each task's responses live in exactly one of
+// them), which the sharded evaluator's task-striping guarantees.
 func (s *streamStats) addFrom(o *streamStats) {
 	for i := range s.agree {
 		ai, oa := s.agree[i], o.agree[i]
@@ -81,7 +86,7 @@ func (s *streamStats) addFrom(o *streamStats) {
 			ci[j] += oc[j]
 		}
 		s.responded[i].orWith(o.responded[i])
-		if i < len(o.answers) {
+		if i < len(s.answers) && i < len(o.answers) {
 			s.answers[i].orWith(o.answers[i])
 		}
 	}
@@ -102,6 +107,16 @@ func (s *streamStats) pair(i, j int) crowd.PairStats {
 
 // attendance implements agreementSource over the attendance bitsets.
 func (s *streamStats) attendance(w int) []uint64 { return s.responded[w] }
+
+// taskEntry is one task's response list in a shard. cut counts the leading
+// responses the last statistics cut (CutStats) already covered: a task
+// whose list is longer than cut gained responses since then and is on its
+// shard's dirty list. Keeping the mark in the map value lets Add maintain
+// it without a second map operation.
+type taskEntry struct {
+	rs  []workerResponse
+	cut int32
+}
 
 // workerResponse is one entry of a task's response list, packed to 8
 // bytes: the lists hold every response ingested, so their size is the
@@ -160,7 +175,7 @@ func checkStreamingWorkers(workers int) error {
 
 // snapshotDataset builds a Dataset from the shards' task-response maps
 // (their task sets must be disjoint).
-func snapshotDataset(workers, tasks int, responseMaps []map[int][]workerResponse) (*crowd.Dataset, error) {
+func snapshotDataset(workers, tasks int, responseMaps []map[int]taskEntry) (*crowd.Dataset, error) {
 	if tasks == 0 {
 		return nil, fmt.Errorf("core: no responses recorded: %w", ErrInsufficientData)
 	}
@@ -169,8 +184,8 @@ func snapshotDataset(workers, tasks int, responseMaps []map[int][]workerResponse
 		return nil, err
 	}
 	for _, m := range responseMaps {
-		for t, rs := range m {
-			for _, wr := range rs {
+		for t, e := range m {
+			for _, wr := range e.rs {
 				if err := ds.SetResponse(int(wr.worker), t, crowd.Response(wr.resp)); err != nil {
 					return nil, err
 				}
@@ -183,8 +198,9 @@ func snapshotDataset(workers, tasks int, responseMaps []map[int][]workerResponse
 // tallyDisagreement accumulates per-worker attempted/disagree counts over
 // one task-response map. Majorities are per task, so tallying a shard at a
 // time is exact.
-func tallyDisagreement(attempted, disagree []int, taskResponses map[int][]workerResponse) {
-	for _, rs := range taskResponses {
+func tallyDisagreement(attempted, disagree []int, taskResponses map[int]taskEntry) {
+	for _, e := range taskResponses {
+		rs := e.rs
 		yes := 0
 		for _, wr := range rs {
 			if crowd.Response(wr.resp) == crowd.Yes {

@@ -77,8 +77,12 @@ type ShardedIncremental struct {
 	// published (re-merges build a fresh state), so callers that obtained
 	// it under mergeMu may keep reading it lock-free afterwards.
 	mergeMu      sync.Mutex
-	merged       *StatsState
+	merged       *statsState
 	mergedEpochs []uint64
+
+	// base is the statistics of the last cut (CutStats): nil until the
+	// first one, then guarded by holding every shard lock.
+	base *cutBase
 }
 
 // incShard owns one task-stripe of a ShardedIncremental.
@@ -87,11 +91,14 @@ type incShard struct {
 	mu    sync.Mutex
 	epoch uint64 // advanced by every successful Add; drives lazy re-merges
 	// taskResponses[t] lists (worker, response) pairs for task t of this
-	// stripe.
-	taskResponses map[int][]workerResponse
-	stats         *streamStats
-	tasks         int // highest task index seen in this stripe + 1
-	responses     int // running response count for this stripe
+	// stripe, with the task's cut mark.
+	taskResponses map[int]taskEntry
+	// dirty lists, in arrival order, the tasks of this stripe that gained
+	// responses since the last cut.
+	dirty     []int
+	stats     *streamStats
+	tasks     int // highest task index seen in this stripe + 1
+	responses int // running response count for this stripe
 
 	// ws is this shard's evaluation scratch. Guarded by wsMu, not mu, so
 	// a long covariance solve never blocks ingestion into the shard.
@@ -118,8 +125,8 @@ func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	}
 	for i := range s.shards {
 		s.shards[i] = &incShard{
-			taskResponses: make(map[int][]workerResponse),
-			stats:         newStreamStats(workers),
+			taskResponses: make(map[int]taskEntry),
+			stats:         newStreamStats(workers, true),
 			ws:            mat.NewWorkspace(),
 		}
 	}
@@ -191,8 +198,13 @@ func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	if sh.stats.responded[w].get(t) {
 		return fmt.Errorf("core: worker %d already answered task %d", w, t)
 	}
-	sh.stats.record(w, t, r, sh.taskResponses[t])
-	sh.taskResponses[t] = append(sh.taskResponses[t], newWorkerResponse(w, r))
+	e := sh.taskResponses[t]
+	sh.stats.record(w, t, r, e.rs)
+	if len(e.rs) == int(e.cut) {
+		sh.dirty = append(sh.dirty, t)
+	}
+	e.rs = append(e.rs, newWorkerResponse(w, r))
+	sh.taskResponses[t] = e
 	sh.responses++
 	if t+1 > sh.tasks {
 		sh.tasks = t + 1
@@ -201,12 +213,29 @@ func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	return nil
 }
 
+// statsState is one immutable, point-in-time merge of a streaming
+// evaluator's sufficient statistics: the pairwise counters and attendance
+// bitsets together with the task horizon and response total behind exactly
+// those counters. snapshot publishes a fresh state whenever a read follows
+// an Add and never mutates a published one, so holding one costs no copy.
+type statsState struct {
+	workers   int
+	tasks     int
+	responses int
+	stats     *streamStats
+}
+
+// Export deep-copies the state into the serialization-neutral form.
+func (st *statsState) Export() *StatsExport {
+	return exportStats(st.stats, st.workers, st.tasks, st.responses)
+}
+
 // snapshot returns merged statistics covering every shard, rebuilding them
 // only if some shard ingested since the last merge. The totals are read
 // under the same shard locks as the counters, so they describe exactly the
 // merged responses. The returned state is never mutated afterwards, so the
 // caller may read it without holding any lock.
-func (s *ShardedIncremental) snapshot() *StatsState {
+func (s *ShardedIncremental) snapshot() *statsState {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
 	dirty := s.merged == nil
@@ -221,7 +250,7 @@ func (s *ShardedIncremental) snapshot() *StatsState {
 	if !dirty {
 		return s.merged
 	}
-	m := &StatsState{workers: s.workers, stats: newStreamStats(s.workers)}
+	m := &statsState{workers: s.workers, stats: newStreamStats(s.workers, false)}
 	for i, sh := range s.shards {
 		sh.mu.Lock()
 		m.stats.addFrom(sh.stats)
@@ -342,7 +371,7 @@ func (s *ShardedIncremental) Snapshot() (*crowd.Dataset, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
-	maps := make([]map[int][]workerResponse, len(s.shards))
+	maps := make([]map[int]taskEntry, len(s.shards))
 	tasks := 0
 	for i, sh := range s.shards {
 		maps[i] = sh.taskResponses

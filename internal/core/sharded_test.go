@@ -19,7 +19,7 @@ type submission struct {
 	r    crowd.Response
 }
 
-func shuffledStream(t *testing.T, ds *crowd.Dataset, seed int64) []submission {
+func shuffledStream(t testing.TB, ds *crowd.Dataset, seed int64) []submission {
 	t.Helper()
 	var subs []submission
 	for w := 0; w < ds.Workers(); w++ {

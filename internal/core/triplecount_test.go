@@ -132,21 +132,17 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 
 	acc, _ := NewStatsAccumulator(workers)
 	feeder, _ := NewShardedIncremental(workers, 3)
-	prev := feeder.State()
+	cursor := feeder.CutStats(0, false).Digest
 	for n, x := range subs {
 		if err := feeder.Add(x.w, x.t, x.r); err != nil {
 			t.Fatal(err)
 		}
 		if n%97 == 0 || n == len(subs)-1 {
-			cur := feeder.State()
-			d, err := DiffStats(prev, cur)
-			if err != nil {
+			cut := feeder.CutStats(cursor, true)
+			if err := acc.ApplyDelta(cut.Delta); err != nil {
 				t.Fatal(err)
 			}
-			if err := acc.ApplyDelta(d); err != nil {
-				t.Fatal(err)
-			}
-			prev = cur
+			cursor = cut.Digest
 		}
 	}
 	batch := newFullStatsCache(ds)

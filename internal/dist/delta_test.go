@@ -394,7 +394,8 @@ func TestClusterEvaluatorConcurrentFlushAndReads(t *testing.T) {
 	compareEstimates(t, "cluster evaluator after concurrent flushes and reads", got, want)
 }
 
-// deltaOf diffs two successive states of one evaluator fed a stream.
+// deltaOf cuts the delta between two successive states of one evaluator
+// fed a stream.
 func deltaOf(tb testing.TB, workers int, subs []submission, cut int) *core.StatsDelta {
 	tb.Helper()
 	s, err := core.NewShardedIncremental(workers, 2)
@@ -406,17 +407,13 @@ func deltaOf(tb testing.TB, workers int, subs []submission, cut int) *core.Stats
 			tb.Fatal(err)
 		}
 	}
-	old := s.State()
+	old := s.CutStats(noCursor, false)
 	for _, x := range subs[cut:] {
 		if err := s.Add(x.w, x.t, x.r); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	d, err := core.DiffStats(old, s.State())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return d
+	return s.CutStats(old.Digest, true).Delta
 }
 
 // rawDelta encodes a delta field by field without validating it, to build

@@ -82,12 +82,6 @@ type Worker struct {
 	// atomic pointer so installing on a live worker is race-free.
 	obsReg atomic.Pointer[obs.Registry]
 
-	// pullMu serializes statistics pulls; sent is the state the last one
-	// shipped — the base of the next delta. States are immutable, so
-	// remembering one costs no copy.
-	pullMu sync.Mutex
-	sent   *core.StatsState
-
 	// journalMu orders WAL appends against compact snapshot cuts when a
 	// Store is attached: each ingest applies its batch and journals it
 	// under the read side, CheckpointCompact takes the write side to read
@@ -391,9 +385,11 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 		return msgCounts, encodeCounts(countsMsg{Tasks: w.inc.Tasks(), Responses: w.inc.Responses()}), nil
 
 	case msgPing:
-		// The heartbeat: cheap by construction (two running counters, no
-		// locks beyond their atomics), answered even mid-ingest. The
-		// counts let the failure detector double as lag telemetry.
+		// The heartbeat: cheap by construction (two running counters, read
+		// under each shard's mutex, which an Add holds for one response and
+		// a statistics cut or checkpoint for its length; never behind a
+		// solve or a journal write), answered even mid-ingest. The counts
+		// let the failure detector double as lag telemetry.
 		return msgPong, encodeCounts(countsMsg{Tasks: w.inc.Tasks(), Responses: w.inc.Responses()}), nil
 
 	case msgPullDis:
@@ -442,27 +438,19 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 	return 0, nil, fmt.Errorf("dist: unknown message type 0x%02x", msgType)
 }
 
-// pullReply answers a statistics pull. When the coordinator's cursor is the
-// digest of the state this worker last shipped, the reply is the exact
-// delta from that state to the current one; otherwise — a fresh, restarted
-// or reseeded worker, a lost reply, a coordinator that lost its copy — it
-// is the full state. Either way the current state becomes the base of the
-// next delta as soon as the reply is built: if it never arrives, the
+// pullReply answers a statistics pull from a cut of the evaluator (see
+// core.ShardedIncremental.CutStats). When the coordinator's cursor is the
+// digest of the cut this worker last shipped, the reply is the exact delta
+// from that cut to the current one; otherwise — a fresh, restarted or
+// reseeded worker, a lost reply, a coordinator that lost its copy — it is
+// the full state. Either way the current state becomes the base of the next
+// delta as soon as the reply is built: if it never arrives, the
 // coordinator's next cursor will not match and it gets the full state.
+// The coordinator is the evaluator's one cut consumer.
 func (w *Worker) pullReply(cursor uint64) ([]byte, error) {
-	w.pullMu.Lock()
-	defer w.pullMu.Unlock()
-	cur := w.inc.State()
-	if cursor != noCursor && w.sent != nil && cursor == w.sent.Digest() {
-		if d, err := core.DiffStats(w.sent, cur); err == nil {
-			w.sent = cur
-			return encodeDeltaReply(d, cur.Digest())
-		}
+	cut := w.inc.CutStats(cursor, cursor != noCursor)
+	if cut.Delta != nil {
+		return encodeDeltaReply(cut.Delta, cut.Digest)
 	}
-	payload, err := encodeFullReply(cur.Export(), cur.Digest())
-	if err != nil {
-		return nil, err
-	}
-	w.sent = cur
-	return payload, nil
+	return encodeFullReply(cut.Full, cut.Digest)
 }
