@@ -241,15 +241,17 @@ func (s *ShardedIncremental) CutStats(cursor uint64, resume bool) StatsCut {
 	return s.deltaCutLocked(tasks, responses)
 }
 
-// markCut records that the cut being taken covers every response of task t
-// and returns them with the number the previous cut covered; the caller
-// holds sh.mu.
+// markCut marks task t's responses covered by the cut being taken and
+// returns them with the number the previous cut covered; the caller holds
+// sh.mu.
 func (sh *incShard) markCut(t int) (rs []workerResponse, covered int) {
-	e := sh.taskResponses[t]
-	covered = int(e.cut)
-	e.cut = int32(len(e.rs))
-	sh.taskResponses[t] = e
-	return e.rs, covered
+	rs = sh.taskResponses[t]
+	covered = len(rs) - 1
+	for covered >= 0 && !rs[covered].cut {
+		covered--
+	}
+	rs[len(rs)-1].cut = true
+	return rs, covered + 1
 }
 
 // fullCutLocked merges every shard into fresh statistics, makes them the
@@ -259,6 +261,13 @@ func (s *ShardedIncremental) fullCutLocked(tasks, responses int) StatsCut {
 	m := newStreamStats(s.workers, false)
 	for _, sh := range s.shards {
 		m.addFrom(sh.stats)
+		if !sh.tracking {
+			// The first cut: no dirty list was kept, so mark every task.
+			for _, rs := range sh.taskResponses {
+				rs[len(rs)-1].cut = true
+			}
+			sh.tracking = true
+		}
 		for _, t := range sh.dirty {
 			sh.markCut(t)
 		}

@@ -108,16 +108,6 @@ func (s *streamStats) pair(i, j int) crowd.PairStats {
 // attendance implements agreementSource over the attendance bitsets.
 func (s *streamStats) attendance(w int) []uint64 { return s.responded[w] }
 
-// taskEntry is one task's response list in a shard. cut counts the leading
-// responses the last statistics cut (CutStats) already covered: a task
-// whose list is longer than cut gained responses since then and is on its
-// shard's dirty list. Keeping the mark in the map value lets Add maintain
-// it without a second map operation.
-type taskEntry struct {
-	rs  []workerResponse
-	cut int32
-}
-
 // workerResponse is one entry of a task's response list, packed to 8
 // bytes: the lists hold every response ingested, so their size is the
 // evaluator's memory floor. NewShardedIncremental rejects crowds whose
@@ -125,6 +115,12 @@ type taskEntry struct {
 type workerResponse struct {
 	worker int32
 	resp   int8 // a crowd.Response
+	// cut marks the newest response a statistics cut (CutStats) covered;
+	// it and every response before it in the list are covered. A task
+	// whose last response is unmarked gained responses since the last cut
+	// and, once cuts are tracked, is on its shard's dirty list. The mark
+	// sits in the padding, so it costs Add no map operation and no memory.
+	cut bool
 }
 
 func newWorkerResponse(w int, r crowd.Response) workerResponse {
@@ -175,7 +171,7 @@ func checkStreamingWorkers(workers int) error {
 
 // snapshotDataset builds a Dataset from the shards' task-response maps
 // (their task sets must be disjoint).
-func snapshotDataset(workers, tasks int, responseMaps []map[int]taskEntry) (*crowd.Dataset, error) {
+func snapshotDataset(workers, tasks int, responseMaps []map[int][]workerResponse) (*crowd.Dataset, error) {
 	if tasks == 0 {
 		return nil, fmt.Errorf("core: no responses recorded: %w", ErrInsufficientData)
 	}
@@ -184,8 +180,8 @@ func snapshotDataset(workers, tasks int, responseMaps []map[int]taskEntry) (*cro
 		return nil, err
 	}
 	for _, m := range responseMaps {
-		for t, e := range m {
-			for _, wr := range e.rs {
+		for t, rs := range m {
+			for _, wr := range rs {
 				if err := ds.SetResponse(int(wr.worker), t, crowd.Response(wr.resp)); err != nil {
 					return nil, err
 				}
@@ -198,9 +194,8 @@ func snapshotDataset(workers, tasks int, responseMaps []map[int]taskEntry) (*cro
 // tallyDisagreement accumulates per-worker attempted/disagree counts over
 // one task-response map. Majorities are per task, so tallying a shard at a
 // time is exact.
-func tallyDisagreement(attempted, disagree []int, taskResponses map[int]taskEntry) {
-	for _, e := range taskResponses {
-		rs := e.rs
+func tallyDisagreement(attempted, disagree []int, taskResponses map[int][]workerResponse) {
+	for _, rs := range taskResponses {
 		yes := 0
 		for _, wr := range rs {
 			if crowd.Response(wr.resp) == crowd.Yes {

@@ -91,11 +91,13 @@ type incShard struct {
 	mu    sync.Mutex
 	epoch uint64 // advanced by every successful Add; drives lazy re-merges
 	// taskResponses[t] lists (worker, response) pairs for task t of this
-	// stripe, with the task's cut mark.
-	taskResponses map[int]taskEntry
+	// stripe.
+	taskResponses map[int][]workerResponse
 	// dirty lists, in arrival order, the tasks of this stripe that gained
-	// responses since the last cut.
+	// responses since the last cut. Until the first cut (tracking unset)
+	// nothing consumes it, so Add keeps none.
 	dirty     []int
+	tracking  bool
 	stats     *streamStats
 	tasks     int // highest task index seen in this stripe + 1
 	responses int // running response count for this stripe
@@ -125,7 +127,7 @@ func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	}
 	for i := range s.shards {
 		s.shards[i] = &incShard{
-			taskResponses: make(map[int]taskEntry),
+			taskResponses: make(map[int][]workerResponse),
 			stats:         newStreamStats(workers, true),
 			ws:            mat.NewWorkspace(),
 		}
@@ -198,13 +200,12 @@ func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	if sh.stats.responded[w].get(t) {
 		return fmt.Errorf("core: worker %d already answered task %d", w, t)
 	}
-	e := sh.taskResponses[t]
-	sh.stats.record(w, t, r, e.rs)
-	if len(e.rs) == int(e.cut) {
-		sh.dirty = append(sh.dirty, t)
+	rs := sh.taskResponses[t]
+	sh.stats.record(w, t, r, rs)
+	if sh.tracking && (len(rs) == 0 || rs[len(rs)-1].cut) {
+		sh.dirty = append(sh.dirty, t) // the task's first response since the last cut
 	}
-	e.rs = append(e.rs, newWorkerResponse(w, r))
-	sh.taskResponses[t] = e
+	sh.taskResponses[t] = append(rs, newWorkerResponse(w, r))
 	sh.responses++
 	if t+1 > sh.tasks {
 		sh.tasks = t + 1
@@ -371,7 +372,7 @@ func (s *ShardedIncremental) Snapshot() (*crowd.Dataset, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
-	maps := make([]map[int]taskEntry, len(s.shards))
+	maps := make([]map[int][]workerResponse, len(s.shards))
 	tasks := 0
 	for i, sh := range s.shards {
 		maps[i] = sh.taskResponses
