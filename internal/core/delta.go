@@ -241,19 +241,6 @@ func (s *ShardedIncremental) CutStats(cursor uint64, resume bool) StatsCut {
 	return s.deltaCutLocked(tasks, responses)
 }
 
-// markCut marks task t's responses covered by the cut being taken and
-// returns them with the number the previous cut covered; the caller holds
-// sh.mu.
-func (sh *incShard) markCut(t int) (rs []workerResponse, covered int) {
-	rs = sh.taskResponses[t]
-	covered = len(rs) - 1
-	for covered >= 0 && !rs[covered].cut {
-		covered--
-	}
-	rs[len(rs)-1].cut = true
-	return rs, covered + 1
-}
-
 // fullCutLocked merges every shard into fresh statistics, makes them the
 // base of the next delta and returns them whole; the caller holds every
 // shard lock.
@@ -269,7 +256,8 @@ func (s *ShardedIncremental) fullCutLocked(tasks, responses int) StatsCut {
 			sh.tracking = true
 		}
 		for _, t := range sh.dirty {
-			sh.markCut(t)
+			rs := sh.taskResponses[t]
+			rs[len(rs)-1].cut = true
 		}
 		sh.dirty = sh.dirty[:0]
 	}
@@ -339,15 +327,19 @@ func (s *ShardedIncremental) deltaCutLocked(tasks, responses int) StatsCut {
 		for ; dirtyWord != 0; dirtyWord &= dirtyWord - 1 {
 			bit := bits.TrailingZeros64(dirtyWord)
 			t := k*64 + bit
-			rs, covered := s.shardOf(t).markCut(t)
-			pairs += (len(rs)*(len(rs)-1) - covered*(covered-1)) / 2
-			for _, wr := range rs[covered:] {
-				w := int(wr.worker)
+			// The responses the previous cut did not cover follow the
+			// newest marked one; mark the newest of all for this cut.
+			rs := s.shardOf(t).taskResponses[t]
+			covered := len(rs)
+			for ; covered > 0 && !rs[covered-1].cut; covered-- {
+				w := int(rs[covered-1].worker)
 				if gained[w] == 0 {
 					touched = append(touched, w)
 				}
 				gained[w] |= 1 << uint(bit)
 			}
+			rs[len(rs)-1].cut = true
+			pairs += (len(rs)*(len(rs)-1) - covered*(covered-1)) / 2
 		}
 		for _, w := range touched {
 			byIndex = append(byIndex, WordDelta{Worker: w, Index: k, Bits: gained[w]})
