@@ -73,10 +73,10 @@ func statsDigest(s *streamStats, workers, tasks, responses int) uint64 {
 }
 
 // StatsDelta is the exact integer difference from an older statistics
-// state of one evaluator to a newer one (see CutStats). Counters only grow and attendance
-// bits are only ever set, so the difference is a list of counter
-// increments and newly set bits, and adding it to the older state gives the
-// newer one exactly (StatsAccumulator.ApplyDelta).
+// state of one evaluator to a newer one (see CutStats). Counters only grow
+// and attendance bits are only ever set, so the difference is a list of
+// counter increments and newly set bits, and adding it to the older state
+// gives the newer one exactly (StatsAccumulator.ApplyDelta).
 type StatsDelta struct {
 	// Workers is the crowd size both states are indexed by.
 	Workers int
