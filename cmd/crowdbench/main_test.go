@@ -1,79 +1,36 @@
 package main
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestParseCountList: the -ingest/-dist count lists reject malformed,
-// non-positive and absurd values with errors that name the flag, instead
-// of propagating them into the benchmark.
-func TestParseCountList(t *testing.T) {
-	good := []struct {
-		in   string
-		want []int
-	}{
-		{"1", []int{1}},
-		{"1,2,4,8", []int{1, 2, 4, 8}},
-		{" 2 , 4 ", []int{2, 4}},
-	}
-	for _, tc := range good {
-		got, err := parseCountList("-ingest", tc.in)
-		if err != nil || !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseCountList(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+// TestValidateCounts: a negative -replicates is rejected with an error
+// that names the flag, while zero keeps its documented default-selecting
+// meaning.
+func TestValidateCounts(t *testing.T) {
+	for _, replicates := range []int{0, 500} {
+		if err := validateCounts(replicates); err != nil {
+			t.Errorf("validateCounts(%d) rejected: %v", replicates, err)
 		}
 	}
-	bad := []string{
-		"",                         // empty list
-		"1,,2",                     // empty field
-		"1,2,",                     // trailing comma
-		"0",                        // non-positive
-		"-4",                       // negative
-		"2,-1",                     // negative in the middle
-		"abc",                      // not a number
-		"3.5",                      // not an integer
-		"1e3",                      // scientific notation is not a count
-		"999999999999999999999999", // overflow
-		"99999",                    // beyond the sanity cap
-	}
-	for _, in := range bad {
-		got, err := parseCountList("-dist", in)
-		if err == nil {
-			t.Errorf("parseCountList(%q) accepted: %v", in, got)
-			continue
-		}
-		if !strings.Contains(err.Error(), "-dist") {
-			t.Errorf("parseCountList(%q) error %q does not name the flag", in, err)
-		}
+	if err := validateCounts(-1); err == nil || !strings.Contains(err.Error(), "-replicates") {
+		t.Errorf("negative replicates: err = %v, want an error naming -replicates", err)
 	}
 }
 
-// TestValidateCounts: the count flags reject nonsense with errors that
-// name the flag, while zero keeps its documented default-selecting
-// meaning where one exists.
-func TestValidateCounts(t *testing.T) {
-	if err := validateCounts(0, 64, 4000, 0, 2); err != nil {
-		t.Errorf("defaults rejected: %v", err)
+// TestValidateFormat: every format report.Write knows is accepted, and an
+// unknown one is rejected with an error that names the flag, before any
+// experiment runs or any output file is created.
+func TestValidateFormat(t *testing.T) {
+	for _, format := range []string{"table", "csv", "gnuplot"} {
+		if err := validateFormat(format); err != nil {
+			t.Errorf("validateFormat(%q) rejected: %v", format, err)
+		}
 	}
-	if err := validateCounts(500, 8, 100, 4, 1); err != nil {
-		t.Errorf("valid counts rejected: %v", err)
-	}
-	cases := []struct {
-		name                                           string
-		replicates, workers, tasks, goroutines, shards int
-		flag                                           string
-	}{
-		{"negative replicates", -1, 64, 4000, 0, 2, "-replicates"},
-		{"zero workers", 0, 0, 4000, 0, 2, "-ingest-workers"},
-		{"negative tasks", 0, 64, -5, 0, 2, "-ingest-tasks"},
-		{"negative goroutines", 0, 64, 4000, -1, 2, "-ingest-goroutines"},
-		{"zero shards", 0, 64, 4000, 0, 0, "-dist-shards"},
-	}
-	for _, c := range cases {
-		err := validateCounts(c.replicates, c.workers, c.tasks, c.goroutines, c.shards)
-		if err == nil || !strings.Contains(err.Error(), c.flag) {
-			t.Errorf("%s: err = %v, want an error naming %s", c.name, err, c.flag)
+	for _, format := range []string{"", "bogus", "CSV"} {
+		if err := validateFormat(format); err == nil || !strings.Contains(err.Error(), "-format") {
+			t.Errorf("validateFormat(%q): err = %v, want an error naming -format", format, err)
 		}
 	}
 }

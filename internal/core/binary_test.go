@@ -310,36 +310,54 @@ func TestEvaluateWorkersBasics(t *testing.T) {
 	}
 }
 
+// TestEvaluateWorkersCoverage holds empirical interval coverage near the
+// nominal confidence over fixed-seed sweeps. The sparse row runs the
+// restricted triple counts (every worker attends ≤¼ of the tasks) at the
+// pool's default confidence of 0.90.
 func TestEvaluateWorkersCoverage(t *testing.T) {
-	const reps = 120
-	const c = 0.8
-	hits, total := 0, 0
-	for r := 0; r < reps; r++ {
-		src := randx.NewSource(int64(50000 + r))
-		ds, rates, err := sim.Binary{Tasks: 120, Workers: 7, Density: 0.8}.Generate(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ests, err := EvaluateWorkers(ds, EvalOptions{Confidence: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ests {
-			if e.Err != nil {
-				continue
-			}
-			total++
-			if e.Interval.Contains(rates[e.Worker]) {
-				hits++
-			}
-		}
+	cases := []struct {
+		name           string
+		workers, tasks int
+		density, c     float64
+		reps           int
+		seed           int64
+		minPerRep      int // usable intervals required per replicate, on average
+		lo, hi         float64
+	}{
+		{"dense m=7 c=0.8", 7, 120, 0.8, 0.8, 120, 50000, 5, 0.70, 0.92},
+		{"sparse m=32 c=0.9", 32, 1500, 0.1, 0.9, 60, 90000, 30, 0.85, 0.95},
 	}
-	if total < reps*5 {
-		t.Fatalf("only %d usable intervals", total)
-	}
-	coverage := float64(hits) / float64(total)
-	if coverage < 0.70 || coverage > 0.92 {
-		t.Errorf("m-worker coverage %v at c=%v", coverage, c)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			hits, total := 0, 0
+			for r := 0; r < tc.reps; r++ {
+				src := randx.NewSource(tc.seed + int64(r))
+				ds, rates, err := sim.Binary{Tasks: tc.tasks, Workers: tc.workers, Density: tc.density}.Generate(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ests, err := EvaluateWorkers(ds, EvalOptions{Confidence: tc.c})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, e := range ests {
+					if e.Err != nil {
+						continue
+					}
+					total++
+					if e.Interval.Contains(rates[e.Worker]) {
+						hits++
+					}
+				}
+			}
+			if total < tc.reps*tc.minPerRep {
+				t.Fatalf("only %d usable intervals", total)
+			}
+			coverage := float64(hits) / float64(total)
+			if coverage < tc.lo || coverage > tc.hi {
+				t.Errorf("m-worker coverage %v at c=%v, want [%v, %v]", coverage, tc.c, tc.lo, tc.hi)
+			}
+		})
 	}
 }
 
