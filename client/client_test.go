@@ -1,8 +1,12 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -10,6 +14,7 @@ import (
 	"time"
 
 	"crowdassess/client"
+	"crowdassess/internal/randx"
 )
 
 // flakyServer answers the first n requests with the given status (and
@@ -150,5 +155,52 @@ func TestBatcherFlushesAtSizeAndOnDemand(t *testing.T) {
 	}
 	if tot := b.Totals(); tot.Ingested != 4 {
 		t.Errorf("totals %+v, want 4 ingested", tot)
+	}
+}
+
+// TestIngestBatchBodyMatchesJSON checks the ingest body IngestBatch sends
+// against json.Marshal of the request it encodes, for random batches over
+// negative, zero and extreme integers, and for nil and empty batches.
+func TestIngestBatchBodyMatchesJSON(t *testing.T) {
+	var got []byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got, _ = io.ReadAll(r.Body)
+		w.Write([]byte(`{"ingested":0,"rejected":0}`))
+	}))
+	defer srv.Close()
+	c := client.New(srv.URL, "tok").WithRetry(client.RetryPolicy{})
+	rng := randx.NewSource(7)
+	edge := []int{0, 1, -1, 2, 10, -10, 1 << 31, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	value := func() int {
+		if rng.Bernoulli(0.5) {
+			return edge[rng.Intn(len(edge))]
+		}
+		v := rng.Intn(1 << 62)
+		if rng.Bernoulli(0.5) {
+			v = -v
+		}
+		return v
+	}
+	batches := [][]client.Response{nil, {}}
+	for i := 0; i < 50; i++ {
+		batch := make([]client.Response, rng.Intn(20))
+		for j := range batch {
+			batch[j] = client.Response{Worker: value(), Task: value(), Answer: value()}
+		}
+		batches = append(batches, batch)
+	}
+	for _, batch := range batches {
+		want, err := json.Marshal(struct {
+			Responses []client.Response `json:"responses"`
+		}{batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.IngestBatch(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("body %s, json.Marshal %s", got, want)
+		}
 	}
 }

@@ -61,9 +61,11 @@ func exportStats(s *streamStats, workers, tasks, responses int) *StatsExport {
 // the lazy merge visited that shard, totals included; it is safe to call
 // concurrently with Add and with evaluations.
 func (s *ShardedIncremental) ExportStats() *StatsExport {
-	// The merged snapshot is immutable once published, so copying it out
-	// needs no locks.
-	return s.snapshot().Export()
+	// The pinned snapshot is not written while we hold it, so copying it
+	// out needs no locks.
+	st := s.snapshot()
+	defer st.release()
+	return st.Export()
 }
 
 // validate checks the structural invariants a well-formed export satisfies.

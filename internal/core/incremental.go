@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"crowdassess/internal/crowd"
 )
@@ -52,6 +53,18 @@ func newStreamStats(workers int, answers bool) *streamStats {
 		s.common[i] = make([]int, workers)
 	}
 	return s
+}
+
+// reset zeroes a merge's statistics for the next merge and keeps every
+// buffer: the counters are cleared and the attendance bitsets truncated to
+// length zero, so addFrom's growth reuses their capacity. Merges carry no
+// answer bitsets.
+func (s *streamStats) reset() {
+	for i := range s.agree {
+		clear(s.agree[i])
+		clear(s.common[i])
+		s.responded[i] = s.responded[i][:0]
+	}
 }
 
 // record accounts for worker w answering r on task t, given the responses
@@ -135,10 +148,12 @@ func (b *dynBitset) set(i int) {
 	(*b)[i/64] |= 1 << (uint(i) % 64)
 }
 
-// grow extends b with zero words to at least n words, in one step.
+// grow extends b with zero words to at least n words, in one step and
+// within its capacity when that suffices.
 func (b *dynBitset) grow(n int) {
-	if len(*b) < n {
-		*b = append(*b, make([]uint64, n-len(*b))...)
+	if old := len(*b); old < n {
+		*b = slices.Grow(*b, n-old)[:n]
+		clear((*b)[old:])
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/mat"
@@ -59,11 +60,14 @@ var _ StreamingEvaluator = (*ShardedIncremental)(nil)
 // Concurrency contract: Add is safe from any number of goroutines (two
 // Adds contend only when their tasks hash to the same shard). Evaluate and
 // EvaluateAll are safe concurrently with Add and with each other; each
-// evaluation works from an immutable merged snapshot that reflects, per
-// shard, every response ingested up to the moment the merge visited that
-// shard. Merges are lazy: each shard carries an epoch advanced by Add, and
-// a snapshot is rebuilt only when some shard's epoch moved — repeated
-// evaluations of a quiescent pool reuse the previous merge.
+// evaluation works from a merged snapshot that reflects, per shard, every
+// response ingested up to the moment the merge visited that shard, and
+// that is immutable while any evaluation holds one. Merges are lazy: each
+// shard carries an epoch advanced by Add, and a snapshot is rebuilt only
+// when some shard's epoch moved — repeated evaluations of a quiescent pool
+// reuse the previous merge. A rebuild recycles the published snapshot, or
+// the one before it, when no evaluation holds it, so a steady
+// Add-then-read stream merges into the same two buffers.
 //
 // Solves run on the shards' workspaces, one solve per workspace at a time,
 // so the shard count also bounds how many solves run at once. At one shard
@@ -73,11 +77,13 @@ type ShardedIncremental struct {
 	workers int
 	shards  []*incShard
 
-	// mergeMu guards the lazy merge state below. merged is immutable once
-	// published (re-merges build a fresh state), so callers that obtained
-	// it under mergeMu may keep reading it lock-free afterwards.
+	// mergeMu guards the lazy merge state below. snapshot pins the state
+	// it returns under mergeMu, and a rebuild only writes a state nobody
+	// pins, so the holder of a pin may read it lock-free until release.
+	// spare is the previously published state, kept for reuse.
 	mergeMu      sync.Mutex
 	merged       *statsState
+	spare        *statsState
 	mergedEpochs []uint64
 
 	// base is the statistics of the last cut (CutStats): nil until the
@@ -214,28 +220,34 @@ func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	return nil
 }
 
-// statsState is one immutable, point-in-time merge of a streaming
-// evaluator's sufficient statistics: the pairwise counters and attendance
-// bitsets together with the task horizon and response total behind exactly
-// those counters. snapshot publishes a fresh state whenever a read follows
-// an Add and never mutates a published one, so holding one costs no copy.
+// statsState is one point-in-time merge of a streaming evaluator's
+// sufficient statistics: the pairwise counters and attendance bitsets
+// together with the task horizon and response total behind exactly those
+// counters. readers counts the pins snapshot handed out; a rebuild writes
+// a state only while nobody pins it, so holding one costs no copy.
 type statsState struct {
 	workers   int
 	tasks     int
 	responses int
 	stats     *streamStats
+	readers   atomic.Int32
 }
+
+// release drops one pin taken by snapshot. The caller must not read the
+// state afterwards.
+func (st *statsState) release() { st.readers.Add(-1) }
 
 // Export deep-copies the state into the serialization-neutral form.
 func (st *statsState) Export() *StatsExport {
 	return exportStats(st.stats, st.workers, st.tasks, st.responses)
 }
 
-// snapshot returns merged statistics covering every shard, rebuilding them
-// only if some shard ingested since the last merge. The totals are read
-// under the same shard locks as the counters, so they describe exactly the
-// merged responses. The returned state is never mutated afterwards, so the
-// caller may read it without holding any lock.
+// snapshot returns merged statistics covering every shard, pinned for the
+// caller, who releases them when done reading. It rebuilds them only if
+// some shard ingested since the last merge. The totals are read under the
+// same shard locks as the counters, so they describe exactly the merged
+// responses. A pinned state is never written, so the caller may read it
+// without holding any lock.
 func (s *ShardedIncremental) snapshot() *statsState {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
@@ -248,19 +260,40 @@ func (s *ShardedIncremental) snapshot() *statsState {
 		dirty = sh.epoch != s.mergedEpochs[i]
 		sh.mu.Unlock()
 	}
-	if !dirty {
-		return s.merged
+	if dirty {
+		m := s.recycle()
+		for i, sh := range s.shards {
+			sh.mu.Lock()
+			m.stats.addFrom(sh.stats)
+			m.tasks = max(m.tasks, sh.tasks)
+			m.responses += sh.responses
+			s.mergedEpochs[i] = sh.epoch
+			sh.mu.Unlock()
+		}
+		s.merged = m
 	}
-	m := &statsState{workers: s.workers, stats: newStreamStats(s.workers, false)}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		m.stats.addFrom(sh.stats)
-		m.tasks = max(m.tasks, sh.tasks)
-		m.responses += sh.responses
-		s.mergedEpochs[i] = sh.epoch
-		sh.mu.Unlock()
+	s.merged.readers.Add(1)
+	return s.merged
+}
+
+// recycle returns a zeroed state to merge into: the published state or
+// the spare when nobody pins it, else a fresh one, and keeps the other as
+// the spare. Pins are only taken under mergeMu, which the caller holds,
+// so a state seen unpinned here stays unpinned until it is published.
+func (s *ShardedIncremental) recycle() *statsState {
+	prev := s.merged
+	var m *statsState
+	switch {
+	case prev != nil && prev.readers.Load() == 0:
+		m = prev
+	case s.spare != nil && s.spare.readers.Load() == 0:
+		m, s.spare = s.spare, prev
+	default:
+		s.spare = prev
+		return &statsState{workers: s.workers, stats: newStreamStats(s.workers, false)}
 	}
-	s.merged = m
+	m.tasks, m.responses = 0, 0
+	m.stats.reset()
 	return m
 }
 
@@ -278,14 +311,15 @@ func (s *ShardedIncremental) Evaluate(worker int, opts EvalOptions) (WorkerEstim
 	if minCommon <= 0 {
 		minCommon = 1
 	}
-	m := s.snapshot().stats
+	st := s.snapshot()
+	defer st.release()
 	sh := s.shards[worker%len(s.shards)]
 	sh.wsMu.Lock()
 	defer func() {
 		sh.ws.Reset()
 		sh.wsMu.Unlock()
 	}()
-	return finishEstimate(evaluateOne(m, s.workers, worker, opts, minCommon, sh.ws), opts.Confidence), nil
+	return finishEstimate(evaluateOne(st.stats, s.workers, worker, opts, minCommon, sh.ws), opts.Confidence), nil
 }
 
 // EvaluateAll returns current intervals for every worker, fanning the
@@ -327,7 +361,9 @@ func (s *ShardedIncremental) evaluateMany(workers []int, opts EvalOptions) []Wor
 	if minCommon <= 0 {
 		minCommon = 1
 	}
-	m := s.snapshot().stats
+	st := s.snapshot()
+	defer st.release()
+	m := st.stats
 	out := make([]WorkerEstimate, len(workers))
 	goroutines := len(s.shards)
 	if goroutines > len(workers) {

@@ -3,6 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	mathbits "math/bits"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -240,6 +244,196 @@ func TestShardedLazyMerge(t *testing.T) {
 	}
 	if fourth := s.snapshot(); fourth != third {
 		t.Error("second quiescent snapshot was re-merged")
+	}
+}
+
+// checkExportConsistent verifies that an export is one point-in-time
+// merge: symmetric counters with agree never above common, every pairwise
+// common count equal to the overlap of the two attendance bitsets, and
+// the response total equal to the attendance bits set. A merge rebuilt
+// while it was being read breaks these.
+func checkExportConsistent(e *StatsExport) error {
+	if err := e.validate(); err != nil {
+		return err
+	}
+	bits := 0
+	for i := 0; i < e.Workers; i++ {
+		for _, word := range e.Responded[i] {
+			bits += mathbits.OnesCount64(word)
+		}
+		for j := 0; j < e.Workers; j++ {
+			if e.Common[i][j] != e.Common[j][i] || e.Agree[i][j] != e.Agree[j][i] || e.Agree[i][j] > e.Common[i][j] {
+				return fmt.Errorf("pair (%d,%d): common %d/%d agree %d/%d", i, j, e.Common[i][j], e.Common[j][i], e.Agree[i][j], e.Agree[j][i])
+			}
+			if i == j {
+				continue
+			}
+			overlap := 0
+			ri, rj := e.Responded[i], e.Responded[j]
+			for k := 0; k < min(len(ri), len(rj)); k++ {
+				overlap += mathbits.OnesCount64(ri[k] & rj[k])
+			}
+			if overlap != e.Common[i][j] {
+				return fmt.Errorf("pair (%d,%d): common %d, attendance overlap %d", i, j, e.Common[i][j], overlap)
+			}
+		}
+	}
+	if bits != e.Responses {
+		return fmt.Errorf("%d responses, %d attendance bits", e.Responses, bits)
+	}
+	return nil
+}
+
+// TestShardedRecycledMergeConcurrent runs Add, EvaluateSubset and
+// ExportStats concurrently, so merges are rebuilt into recycled states
+// while other evaluations hold theirs. Every export must be a consistent
+// merge, and the final intervals must equal the batch algorithm's bit for
+// bit. Under -race this is the safety test for merge recycling.
+func TestShardedRecycledMergeConcurrent(t *testing.T) {
+	const workers = 10
+	ds, _, err := sim.Binary{Tasks: 300, Workers: workers, Density: 0.6}.Generate(randx.NewSource(91))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := shuffledStream(t, ds, 5)
+	opts := EvalOptions{Confidence: 0.9}
+	want, err := EvaluateWorkers(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		s, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var readers sync.WaitGroup
+		var stop atomic.Bool
+		readers.Add(2)
+		go func() {
+			defer readers.Done()
+			for !stop.Load() {
+				if _, err := s.EvaluateSubset([]int{0, 3, 7, 9}, opts); err != nil {
+					t.Errorf("shards %d: concurrent EvaluateSubset: %v", shards, err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer readers.Done()
+			for !stop.Load() {
+				if err := checkExportConsistent(s.ExportStats()); err != nil {
+					t.Errorf("shards %d: concurrent ExportStats: %v", shards, err)
+					return
+				}
+			}
+		}()
+		var ingest sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			ingest.Add(1)
+			go func(g int) {
+				defer ingest.Done()
+				for i := g; i < len(subs); i += 2 {
+					if err := s.Add(subs[i].w, subs[i].t, subs[i].r); err != nil {
+						t.Errorf("shards %d: concurrent Add: %v", shards, err)
+						return
+					}
+					if i%16 == g {
+						if _, err := s.Evaluate(subs[i].w, opts); err != nil {
+							t.Errorf("shards %d: concurrent Evaluate: %v", shards, err)
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		ingest.Wait()
+		stop.Store(true)
+		readers.Wait()
+		got, err := s.EvaluateAll(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := range want {
+			g, b := got[w], want[w]
+			if (g.Err == nil) != (b.Err == nil) || g.Triples != b.Triples ||
+				math.Float64bits(g.Interval.Lo) != math.Float64bits(b.Interval.Lo) ||
+				math.Float64bits(g.Interval.Hi) != math.Float64bits(b.Interval.Hi) ||
+				math.Float64bits(g.Interval.Mean) != math.Float64bits(b.Interval.Mean) {
+				t.Errorf("shards %d worker %d: %+v, batch %+v", shards, w, g, b)
+			}
+		}
+	}
+}
+
+// TestShardedMergeRecycles checks that a steady Add-then-read stream
+// rebuilds its merge into the same state instead of allocating a new one,
+// and that a state an evaluation still holds is never written.
+func TestShardedMergeRecycles(t *testing.T) {
+	const workers = 64
+	ds, _, err := sim.Binary{Tasks: 2000, Workers: workers, Density: 0.5}.Generate(randx.NewSource(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewShardedIncremental(workers, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Preload most of the stream; the cycles below add the rest one
+	// response at a time.
+	subs := shuffledStream(t, ds, 4)
+	const cycles = 200
+	rest := subs[len(subs)-cycles-16:]
+	for _, sub := range subs[:len(subs)-len(rest)] {
+		if err := s.Add(sub.w, sub.t, sub.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := EvalOptions{Confidence: 0.9}
+	next := 0
+	cycle := func() {
+		sub := rest[next]
+		next++
+		if err := s.Add(sub.w, sub.t, sub.r); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Evaluate(sub.w, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A held state is not recycled, and none of its contents change.
+	held := s.snapshot()
+	before := held.Export()
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if s.merged == held {
+		t.Fatal("a merge was rebuilt into a state an evaluation holds")
+	}
+	if !reflect.DeepEqual(held.Export(), before) {
+		t.Fatal("a held state changed")
+	}
+	held.release()
+
+	cycle() // settle: the published state is unpinned from here on
+	recycled := s.merged
+	stateBytes := 2 * workers * workers * mathbits.UintSize / 8
+	for w := 0; w < workers; w++ {
+		stateBytes += 8 * len(recycled.stats.responded[w])
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	if s.merged != recycled {
+		t.Error("an unpinned merge was not rebuilt in place")
+	}
+	perCycle := int(m1.TotalAlloc-m0.TotalAlloc) / cycles
+	t.Logf("%d bytes allocated per cycle; a merged state is %d bytes", perCycle, stateBytes)
+	if perCycle > stateBytes/16 {
+		t.Errorf("Add then Evaluate allocates %d bytes per cycle; a merged state is %d bytes", perCycle, stateBytes)
 	}
 }
 

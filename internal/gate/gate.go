@@ -33,7 +33,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-
+	"sync"
 	"time"
 
 	"crowdassess/internal/core"
@@ -376,14 +376,28 @@ type IngestResult struct {
 	Rejected int `json:"rejected"`
 }
 
-// handleIngest is POST /v1/responses:batch: validate the whole batch up
-// front, then record every response through the tenant's pool manager —
-// fired workers count as rejected — and flush the backend so remote
-// rejections surface on this request.
+// bodyBufs and batchKeys recycle handleIngest's body buffers and
+// per-batch (worker, task) sets. Nothing decoded from a body refers into
+// its buffer.
+var (
+	bodyBufs  = sync.Pool{New: func() any { return new([]byte) }}
+	batchKeys = sync.Pool{New: func() any { return make(map[[2]int]int) }}
+)
+
+// handleIngest is POST /v1/responses:batch: read the body whole, validate
+// the whole batch up front, then record every response through the
+// tenant's pool manager — fired workers count as rejected — and flush the
+// backend so remote rejections surface on this request.
 func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	buf := bodyBufs.Get().(*[]byte)
+	body, err := readBody(*buf, http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if err == nil {
+		err = decodeIngest(body, &req)
+		*buf = body
+	}
+	bodyBufs.Put(buf)
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, CodeBadRequest, "decoding body: "+err.Error())
 		return
 	}
@@ -393,6 +407,13 @@ func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request
 		return
 	}
 	workers := t.mgr.Workers()
+	// first maps each (worker, task) to the index that first carries it: a
+	// worker answers a task once, so a repeat would fail mid-batch.
+	first := batchKeys.Get().(map[[2]int]int)
+	defer func() {
+		clear(first)
+		batchKeys.Put(first)
+	}()
 	for i, rec := range req.Responses {
 		if rec.Worker < 0 || rec.Worker >= workers {
 			WriteError(w, http.StatusBadRequest, CodeBadRequest,
@@ -409,6 +430,13 @@ func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request
 				fmt.Sprintf("responses[%d]: answer %d is not 1 (yes) or 2 (no)", i, rec.Answer))
 			return
 		}
+		key := [2]int{rec.Worker, rec.Task}
+		if j, dup := first[key]; dup {
+			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+				fmt.Sprintf("responses[%d]: worker %d already answers task %d in responses[%d]", i, rec.Worker, rec.Task, j))
+			return
+		}
+		first[key] = i
 	}
 	res := IngestResult{}
 	for _, rec := range req.Responses {

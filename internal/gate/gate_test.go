@@ -385,3 +385,50 @@ func TestDefaultShardsTenantConcurrentIngest(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestRejectsRepeatsWithinBatch sends a batch in which worker 0
+// answers task 5 twice. Validation must catch the repeat up front: 400
+// naming both indices, and nothing of the batch recorded.
+func TestIngestRejectsRepeatsWithinBatch(t *testing.T) {
+	gw := newTwoTenantGateway(t)
+	w := doReq(t, gw, http.MethodPost, "/v1/responses:batch", "beta-token",
+		`{"responses":[{"worker":0,"task":5,"answer":1},{"worker":1,"task":5,"answer":1},{"worker":0,"task":5,"answer":2}]}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d body %s, want 400", w.Code, w.Body.String())
+	}
+	if code := envelopeCode(t, w.Body.String()); code != gate.CodeBadRequest {
+		t.Errorf("envelope code %q, want %q", code, gate.CodeBadRequest)
+	}
+	if body := w.Body.String(); !strings.Contains(body, "responses[2]") || !strings.Contains(body, "responses[0]") {
+		t.Errorf("error %s does not name responses[2] and responses[0]", body)
+	}
+	mgr := gw.Tenant("beta")
+	for worker := 0; worker < 2; worker++ {
+		if info, err := mgr.WorkerInfo(worker); err != nil || info.Responses != 0 {
+			t.Errorf("worker %d: %d responses recorded (err %v), want 0", worker, info.Responses, err)
+		}
+	}
+	// The same worker on another task, or another worker on the task, is
+	// no repeat.
+	w = doReq(t, gw, http.MethodPost, "/v1/responses:batch", "beta-token",
+		`{"responses":[{"worker":0,"task":5,"answer":1},{"worker":1,"task":5,"answer":1},{"worker":0,"task":6,"answer":2}]}`)
+	if w.Code != http.StatusOK {
+		t.Errorf("distinct pairs: status %d body %s, want 200", w.Code, w.Body.String())
+	}
+}
+
+// TestIngestBodyLimit checks that the body is read whole against the
+// 8 MiB limit: a body over it is rejected even when its JSON value ends
+// well before the limit.
+func TestIngestBodyLimit(t *testing.T) {
+	gw := newTwoTenantGateway(t)
+	value := `{"responses":[{"worker":0,"task":0,"answer":1}]}`
+	w := doReq(t, gw, http.MethodPost, "/v1/responses:batch", "beta-token", value+strings.Repeat(" ", 8<<20))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "request body too large") {
+		t.Errorf("oversized body: status %d body %s, want 400 request body too large", w.Code, w.Body.String())
+	}
+	w = doReq(t, gw, http.MethodPost, "/v1/responses:batch", "beta-token", value+strings.Repeat(" ", 8<<20-len(value)))
+	if w.Code != http.StatusOK {
+		t.Errorf("body of exactly 8 MiB: status %d body %s, want 200", w.Code, w.Body.String())
+	}
+}
