@@ -277,6 +277,30 @@ func TestThreeWorkerBinaryErrors(t *testing.T) {
 	if _, err := ThreeWorkerBinary(ds2, [3]int{0, 1, 2}, 1); err == nil {
 		t.Error("confidence 1 accepted")
 	}
+	// An agreement rate at or below ½ is named in the error: q_ab = 0.3,
+	// q_ac = 0.9, q_bc = 0.4 over ten shared tasks.
+	dsLow := crowd.MustNewDataset(3, 10, 2)
+	for task := 0; task < 10; task++ {
+		b, c := crowd.Yes, crowd.Yes
+		if task >= 3 {
+			b = crowd.No
+		}
+		if task == 9 {
+			c = crowd.No
+		}
+		for w, r := range []crowd.Response{crowd.Yes, b, c} {
+			if err := dsLow.SetResponse(w, task, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, err := ThreeWorkerBinary(dsLow, [3]int{0, 1, 2}, 0.9)
+	if want := "core: agreement rate ≤ ½ (q=0.3,0.9,0.4): core: degenerate sample"; err == nil || err.Error() != want {
+		t.Errorf("err = %v, want %q", err, want)
+	}
+	if !errors.Is(err, ErrDegenerate) {
+		t.Errorf("err = %v, want ErrDegenerate", err)
+	}
 }
 
 func TestEvaluateWorkersBasics(t *testing.T) {
@@ -475,6 +499,33 @@ func TestOptimalWeightsLemma5(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("weights sum to %v", sum)
+	}
+}
+
+// TestOptimalWeightsMixedSigns pins the normalization by ΣB, not ‖B‖₁: for
+// the positive definite C = [[1, 1.5], [1.5, 4]], B = C⁻¹𝟙 ∝ [2.5, −0.5]
+// has mixed signs, and the constrained optimum is B/ΣB = [1.25, −0.25],
+// which sums to 1 and reaches aᵀCa = 1/ΣB.
+func TestOptimalWeightsMixedSigns(t *testing.T) {
+	cov := mat.FromRows([][]float64{{1, 1.5}, {1.5, 4}})
+	w, err := optimalWeights(cov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(w[0]-1.25) > 1e-12 || math.Abs(w[1]+0.25) > 1e-12 {
+		t.Errorf("weights = %v, want [1.25 -0.25]", w)
+	}
+	if sum := w[0] + w[1]; math.Abs(sum-1) > 1e-12 {
+		t.Errorf("weights sum to %v", sum)
+	}
+	inv, err := cov.Inverse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := inv.MulVec([]float64{1, 1})
+	quad := w[0]*w[0]*cov.At(0, 0) + 2*w[0]*w[1]*cov.At(0, 1) + w[1]*w[1]*cov.At(1, 1)
+	if want := 1 / (b[0] + b[1]); math.Abs(quad-want) > 1e-12 {
+		t.Errorf("aᵀCa = %v, want 1/ΣB = %v", quad, want)
 	}
 }
 

@@ -16,15 +16,22 @@ import (
 // fBinary computes that expression; fBinaryGrad its partial derivatives
 // (Lemma 2); pairCovariance the agreement-rate covariances (Lemmas 1 and 3).
 
+// errLowAgreement is what fBinary and fBinaryGrad return outside their
+// domain. It is preallocated because Algorithm A2 meets degenerate triples
+// by the thousand and discards them; ThreeWorkerBinary, which reports one,
+// names the agreement rates at its boundary.
+var errLowAgreement = fmt.Errorf("core: agreement rate ≤ ½: %w", ErrDegenerate)
+
 // fBinary evaluates f(a, b, c) = ½ − ½·√((2a−1)(2b−1)/(2c−1)), the error
 // rate of the worker common to the pairs with agreement rates a and b, where
-// c is the agreement rate of the remaining pair. It returns ErrDegenerate
-// when any agreement rate is at or below ½ (the non-malicious-worker
-// assumption q > ½ is violated, where f is singular or complex).
+// c is the agreement rate of the remaining pair. It returns errLowAgreement,
+// an ErrDegenerate, when any agreement rate is at or below ½ (the
+// non-malicious-worker assumption q > ½ is violated, where f is singular or
+// complex).
 func fBinary(a, b, c float64) (float64, error) {
 	ta, tb, tc := 2*a-1, 2*b-1, 2*c-1
 	if ta <= 0 || tb <= 0 || tc <= 0 {
-		return 0, fmt.Errorf("core: agreement rate ≤ ½ (q=%v,%v,%v): %w", a, b, c, ErrDegenerate)
+		return 0, errLowAgreement
 	}
 	return 0.5 - 0.5*math.Sqrt(ta*tb/tc), nil
 }
@@ -41,7 +48,7 @@ func fBinary(a, b, c float64) (float64, error) {
 func fBinaryGrad(a, b, c float64) (da, db, dc float64, err error) {
 	ta, tb, tc := 2*a-1, 2*b-1, 2*c-1
 	if ta <= 0 || tb <= 0 || tc <= 0 {
-		return 0, 0, 0, fmt.Errorf("core: agreement rate ≤ ½ (q=%v,%v,%v): %w", a, b, c, ErrDegenerate)
+		return 0, 0, 0, errLowAgreement
 	}
 	da = -math.Sqrt(tb / (4 * ta * tc))
 	db = -math.Sqrt(ta / (4 * tb * tc))

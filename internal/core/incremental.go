@@ -118,6 +118,9 @@ func (s *streamStats) pair(i, j int) crowd.PairStats {
 	return crowd.PairStats{Common: s.common[i][j], Agree: s.agree[i][j]}
 }
 
+// counters implements agreementSource over the streaming counters.
+func (s *streamStats) counters(w int) (agree, common []int) { return s.agree[w], s.common[w] }
+
 // attendance implements agreementSource over the attendance bitsets.
 func (s *streamStats) attendance(w int) []uint64 { return s.responded[w] }
 

@@ -63,6 +63,7 @@ type KAryDelta struct {
 func (d *KAryDelta) Intervals(c float64) *KAryEstimate {
 	k := d.Mean[0].Rows()
 	out := &KAryEstimate{Selectivity: append([]float64(nil), d.Selectivity...)}
+	z := stat.ConfidenceZ(c)
 	for w := 0; w < 3; w++ {
 		probs := mat.New(k, k)
 		ivs := make([][]stat.Interval, k)
@@ -71,7 +72,7 @@ func (d *KAryDelta) Intervals(c float64) *KAryEstimate {
 			for b := 0; b < k; b++ {
 				mean := d.Mean[w].At(a, b)
 				de := DeltaEstimate{Mean: mean, Dev: d.Dev[w].At(a, b)}
-				ivs[a][b] = de.Interval(c).ClampTo(0, 1)
+				ivs[a][b] = de.intervalZ(z, c).ClampTo(0, 1)
 				probs.Set(a, b, stat.Clamp01(mean))
 			}
 		}

@@ -29,8 +29,8 @@ type Lemma4Cov struct {
 	j1, j2 []int     // the triple's partner workers
 
 	// dense caches the materialized matrix once Materialize has run: each
-	// entry costs four C(i,·,·) terms, each a triple count plus three pair
-	// lookups, so after the Lemma 5 solve has forced materialization
+	// entry costs four C(i,·,·) terms, each a triple count and two
+	// divisions, so after the Lemma 5 solve has forced materialization
 	// anyway, Quad reads the cache instead of regenerating entries. Entries
 	// are identical either way.
 	dense *mat.Matrix
@@ -71,7 +71,7 @@ func (c *Lemma4Cov) Dim() int { return len(c.diag) }
 // entry returns Σ[k1][k2] for k1 ≠ k2: the cross-triple covariance of
 // Lemma 4, summed over the four (own-pair of k1) × (own-pair of k2)
 // derivative products. Arguments are normalized to k1 < k2 so both
-// triangle entries are the identical float the dense construction stored.
+// triangle entries are the identical float MaterializeInto stores.
 func (c *Lemma4Cov) entry(k1, k2 int) float64 {
 	if k1 > k2 {
 		k1, k2 = k2, k1
@@ -146,26 +146,47 @@ func (c *Lemma4Cov) Materialize(ws *mat.Workspace) *mat.Matrix {
 // scratch): needed by the Lemma 5 weight solve and by the dense-agreement
 // tests. It does not touch the Materialize cache. It panics unless dst is
 // l×l.
+//
+// Every entry is entry's sum of four lemma4Term values, in entry's order,
+// so the two paths agree bit for bit; only the lookups are shared. Row k1
+// reads its two partners' agreement rows and triple-count rows once, and
+// each entry then counts its four c_{i,j,j′} in one pass over the 2×2
+// block of partner rows.
 func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
 	l := len(c.diag)
 	if dst.Rows() != l || dst.Cols() != l {
 		panic(mat.ErrShape)
 	}
+	src, pI := c.counts.src, c.pPool
+	_, own := src.counters(c.counts.i)
 	for k1 := 0; k1 < l; k1++ {
-		dst.Set(k1, k1, c.diag[k1])
+		row := dst.RowView(k1)
+		row[k1] = c.diag[k1]
+		a, b := c.j1[k1], c.j2[k1]
+		agreeA, commonA := src.counters(a)
+		agreeB, commonB := src.counters(b)
+		rowA, rowB := c.counts.partnerRow(a), c.counts.partnerRow(b)
+		da, db, cia, cib := c.d1[k1], c.d2[k1], own[a], own[b]
 		for k2 := k1 + 1; k2 < l; k2++ {
-			v := c.entry(k1, k2)
-			dst.Set(k1, k2, v)
-			dst.Set(k2, k1, v)
+			x, y := c.j1[k2], c.j2[k2]
+			ax, ay, bx, by := common3Block(rowA, rowB, c.counts.partnerRow(x), c.counts.partnerRow(y))
+			cix, ciy := own[x], own[y]
+			var v float64
+			v += da * c.d1[k2] * lemma4Term(ax, pI, agreeA[x], commonA[x], cia, cix)
+			v += da * c.d2[k2] * lemma4Term(ay, pI, agreeA[y], commonA[y], cia, ciy)
+			v += db * c.d1[k2] * lemma4Term(bx, pI, agreeB[x], commonB[x], cib, cix)
+			v += db * c.d2[k2] * lemma4Term(by, pI, agreeB[y], commonB[y], cib, ciy)
+			row[k2] = v
+			dst.RowView(k2)[k1] = v
 		}
 	}
 }
 
 // optimalWeightsCov implements Lemma 5 against the structured covariance:
 // with B = C⁻¹𝟙, the variance-minimizing weights summing to 1 are
-// A = B/‖B‖₁. The dense matrix is materialized only here — into reusable
-// workspace scratch, not a fresh allocation — because the solve genuinely
-// needs it; the returned slice is workspace-owned.
+// A = B/ΣB (see solveWeights). The dense matrix is materialized only here
+// — into reusable workspace scratch, not a fresh allocation — because the
+// solve genuinely needs it; the returned slice is workspace-owned.
 func optimalWeightsCov(c *Lemma4Cov, ws *mat.Workspace) ([]float64, error) {
 	return solveWeights(c.Materialize(ws), ws)
 }
@@ -181,8 +202,11 @@ func optimalWeights(cov *mat.Matrix) ([]float64, error) {
 }
 
 // solveWeights solves C·b = 𝟙 with workspace scratch and normalizes b by
-// its sum. (The paper normalizes by the L1 norm; for a PSD C the entries
-// of B share a sign, so this equals B/Σ B.) The returned slice is
+// its sum. The paper writes the normalization as B/‖B‖₁, but the entries
+// of B need not share a sign even for positive definite C: C = [[1, 1.5],
+// [1.5, 4]] gives B ∝ [2.5, −0.5], and B/‖B‖₁ would not sum to 1. B/ΣB is
+// the exact minimizer of aᵀCa subject to Σa = 1 (a Lagrange multiplier
+// gives a ∝ C⁻¹𝟙), with minimum 1/ΣB. The returned slice is
 // workspace-owned.
 func solveWeights(cov *mat.Matrix, ws *mat.Workspace) ([]float64, error) {
 	l := cov.Rows()

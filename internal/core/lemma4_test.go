@@ -1,18 +1,50 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"crowdassess/internal/crowd"
 	"crowdassess/internal/mat"
 	"crowdassess/internal/randx"
 	"crowdassess/internal/sim"
+	"crowdassess/internal/stat"
 )
 
+// solveCov assembles worker i's structured Lemma-4 covariance from src
+// exactly as solveWorker does, with the triple counts laid out by mode:
+// form pairs, keep the non-degenerate triples, register each triple's
+// variance and own-pair gradients, and pool the error rate. It rewinds ws.
+func solveCov(src agreementSource, m, i int, mode tripleMode, ws *mat.Workspace) Lemma4Cov {
+	ws.Reset()
+	pairs := formPairs(src, m, i, GreedyPairing, 1, ws)
+	var counts tripleCounts
+	counts.init(src, m, i, pairs, mode, ws)
+	cov := newLemma4Cov(counts, len(pairs)/2, ws)
+	tripleCov := ws.Get(3, 3)
+	var pPool float64
+	for k := 0; k < len(pairs); k += 2 {
+		j1, j2 := pairs[k], pairs[k+1]
+		st, err := newTripleStats(src, i, j1, j2, counts.common3(j1, j2), tripleCov)
+		if err != nil {
+			continue
+		}
+		de, err := st.estimate(0)
+		if err != nil {
+			continue
+		}
+		pPool += de.Mean
+		cov.add(de.Dev*de.Dev, st.grad[0][0], j1, st.grad[0][1], j2)
+	}
+	if l := cov.Dim(); l > 0 {
+		cov.pPool = stat.Clamp01(pPool / float64(l))
+	}
+	return cov
+}
+
 // buildLemma4 assembles the structured Lemma-4 covariance for one worker of
-// a simulated binary crowd, exactly as evaluateOne does: form pairs, keep
-// the non-degenerate triples, pool the error rate, and register each
-// triple's variance and own-pair gradients.
+// a simulated binary crowd, as evaluateOne does.
 func buildLemma4(t testing.TB, seed int64, workers, tasks, worker int) *Lemma4Cov {
 	t.Helper()
 	src := randx.NewSource(seed)
@@ -24,43 +56,149 @@ func buildLemma4(t testing.TB, seed int64, workers, tasks, worker int) *Lemma4Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newFullStatsCache(ds)
-	ws := mat.NewWorkspace()
-	pairs := formPairs(cache, workers, worker, GreedyPairing, 1, ws)
-	if len(pairs) == 0 {
-		t.Fatal("no pairs formed")
-	}
-	var counts tripleCounts
-	counts.init(cache, workers, worker, pairs, triplesAuto, ws)
-	type entry struct {
-		variance, d1, d2 float64
-		j1, j2           int
-	}
-	var entries []entry
-	var pPool float64
-	for k := 0; k < len(pairs); k += 2 {
-		j1, j2 := pairs[k], pairs[k+1]
-		st, err := newTripleStats(cache, worker, j1, j2, counts.common3(j1, j2), mat.New(3, 3))
-		if err != nil {
-			continue
-		}
-		de, err := st.estimate(0)
-		if err != nil {
-			continue
-		}
-		entries = append(entries, entry{de.Dev * de.Dev, st.grad[0][0], st.grad[0][1], j1, j2})
-		pPool += de.Mean
-	}
-	if len(entries) < 2 {
-		t.Fatalf("only %d usable triples", len(entries))
-	}
-	pPool /= float64(len(entries))
-	cov := newLemma4Cov(counts, len(entries), ws)
-	cov.pPool = pPool
-	for _, e := range entries {
-		cov.add(e.variance, e.d1, e.j1, e.d2, e.j2)
+	cov := solveCov(newFullStatsCache(ds), workers, worker, triplesAuto, mat.NewWorkspace())
+	if cov.Dim() < 2 {
+		t.Fatalf("only %d usable triples", cov.Dim())
 	}
 	return &cov
+}
+
+// blockCrowd is a binary crowd whose worker 0 answers all 200 tasks while
+// workers 1 and 2 answer only the first 100 and workers 3 and 4 only the
+// last 100, each wrong on every tenth of its tasks. Worker 0's triples are
+// (0, 1, 2) and (0, 3, 4), so every cross-triple count c_{0,j,j′} is 0
+// although each c_{0,j} is 100.
+func blockCrowd(t *testing.T) *crowd.Dataset {
+	t.Helper()
+	ds := crowd.MustNewDataset(5, 200, 2)
+	for w := 0; w < 5; w++ {
+		for task := 0; task < 200; task++ {
+			if w > 0 && (task < 100) != (w <= 2) {
+				continue
+			}
+			r := crowd.Yes
+			if (task+3*w)%10 == 0 {
+				r = crowd.No
+			}
+			if err := ds.SetResponse(w, task, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return ds
+}
+
+// TestLemma4MaterializeBitIdentical pins the fused MaterializeInto to the
+// per-entry formula: every off-diagonal entry must have the Float64bits of
+// entry (lemma4C per term) and of the reference below, which recomputes
+// each C(i, j, j′) from pair lookups and a three-way count over the raw
+// attendance bitsets, as the formula reads in Lemma 4. Every worker is
+// checked under both triple-count layouts, on the batch statistics and on
+// ShardedIncremental's merged statistics at 1, 2 and 7 shards, over crowds
+// that give one triple, two triples whose cross counts are all zero, and
+// many triples of mixed density.
+func TestLemma4MaterializeBitIdentical(t *testing.T) {
+	mixedDensities := make([]float64, 14)
+	for w := range mixedDensities {
+		mixedDensities[w] = []float64{0.1, 0.2, 0.5, 0.9}[w%4]
+	}
+	mixed, _, err := sim.Binary{Tasks: 1200, Workers: 14, Densities: mixedDensities, ErrorRateChoices: []float64{0.1, 0.2}}.Generate(randx.NewSource(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, _, err := sim.Binary{Tasks: 150, Workers: 3, Density: 0.9, ErrorRateChoices: []float64{0.1}}.Generate(randx.NewSource(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := map[int]bool{}
+	zeroCross := false
+	ws := mat.NewWorkspace()
+	for _, c := range []struct {
+		name string
+		ds   *crowd.Dataset
+	}{{"three", three}, {"block", blockCrowd(t)}, {"mixed", mixed}} {
+		m := c.ds.Workers()
+		sources := []struct {
+			name string
+			src  agreementSource
+		}{{"batch", newFullStatsCache(c.ds)}}
+		for _, shards := range []int{1, 2, 7} {
+			s, _ := NewShardedIncremental(m, shards)
+			for _, x := range shuffledStream(t, c.ds, 33) {
+				if err := s.Add(x.w, x.t, x.r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sources = append(sources, struct {
+				name string
+				src  agreementSource
+			}{fmt.Sprintf("shards=%d", shards), s.snapshot().stats})
+		}
+		for _, sc := range sources {
+			for i := 0; i < m; i++ {
+				for _, mode := range []tripleMode{triplesRestricted, triplesFull} {
+					cov := solveCov(sc.src, m, i, mode, ws)
+					l := cov.Dim()
+					dims[l] = true
+					dense := mat.New(l, l)
+					cov.MaterializeInto(dense)
+					for k1 := 0; k1 < l; k1++ {
+						if got, want := dense.At(k1, k1), cov.diag[k1]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s %s worker %d mode %d: Σ[%d][%d] = %v, want %v", c.name, sc.name, i, mode, k1, k1, got, want)
+						}
+						for k2 := 0; k2 < l; k2++ {
+							if k1 == k2 {
+								continue
+							}
+							got := math.Float64bits(dense.At(k1, k2))
+							if want := math.Float64bits(cov.entry(k1, k2)); got != want {
+								t.Fatalf("%s %s worker %d mode %d: Σ[%d][%d] bits %x, entry %x", c.name, sc.name, i, mode, k1, k2, got, want)
+							}
+							if want := math.Float64bits(referenceEntry(&cov, sc.src, k1, k2, &zeroCross)); got != want {
+								t.Fatalf("%s %s worker %d mode %d: Σ[%d][%d] bits %x, reference %x", c.name, sc.name, i, mode, k1, k2, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !dims[1] || !dims[2] {
+		t.Errorf("covered triple counts %v, want 1 and 2 among them", dims)
+	}
+	if !zeroCross {
+		t.Error("no entry had a partner pair with c3 = 0")
+	}
+}
+
+// referenceEntry recomputes Σ[k1][k2] of cov from src's pair lookups and
+// a three-way count over the raw bitsets, summing the four terms in
+// entry's order. It sets *zeroCross when some term has c_{i,j} and
+// c_{i,j′} nonzero but c_{i,j,j′} = 0.
+func referenceEntry(cov *Lemma4Cov, src agreementSource, k1, k2 int, zeroCross *bool) float64 {
+	if k1 > k2 {
+		k1, k2 = k2, k1
+	}
+	i, pI := cov.counts.i, cov.pPool
+	term := func(j, jp int) float64 {
+		cij, cijp := src.pair(i, j).Common, src.pair(i, jp).Common
+		if cij == 0 || cijp == 0 {
+			return 0
+		}
+		c3 := naiveCommon3(src.attendance(i), src.attendance(j), src.attendance(jp))
+		if c3 == 0 {
+			*zeroCross = true
+			return 0
+		}
+		q := src.pair(j, jp).Rate()
+		return float64(c3) * pI * (1 - pI) * (2*q - 1) / (float64(cij) * float64(cijp))
+	}
+	var v float64
+	v += cov.d1[k1] * cov.d1[k2] * term(cov.j1[k1], cov.j1[k2])
+	v += cov.d1[k1] * cov.d2[k2] * term(cov.j1[k1], cov.j2[k2])
+	v += cov.d2[k1] * cov.d1[k2] * term(cov.j2[k1], cov.j1[k2])
+	v += cov.d2[k1] * cov.d2[k2] * term(cov.j2[k1], cov.j2[k2])
+	return v
 }
 
 // TestLemma4QuadMatchesDense is the acceptance check for the structured

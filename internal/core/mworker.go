@@ -1,8 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -18,7 +18,7 @@ type WeightStrategy int
 
 const (
 	// OptimalWeights minimizes the combined variance via Lemma 5:
-	// a = C⁻¹𝟙 / ‖C⁻¹𝟙‖₁. This is the paper's default and the subject of
+	// a = C⁻¹𝟙 / Σ(C⁻¹𝟙). This is the paper's default and the subject of
 	// the Fig. 2(c) ablation.
 	OptimalWeights WeightStrategy = iota
 	// UniformWeights sets every a_k = 1/l. Valid but looser intervals.
@@ -158,6 +158,10 @@ func EvaluateWorkersDelta(ds *crowd.Dataset, opts EvalOptions) ([]WorkerDelta, e
 // cache (fullStatsCache) and the streaming statistics implement it.
 type agreementSource interface {
 	pairSource
+	// counters returns worker w's rows of the pairwise counters, read-only:
+	// agree[j] and common[j] are pair(w, j)'s Agree and Common for every
+	// j ≠ w. The solve's inner loops index them instead of calling pair.
+	counters(w int) (agree, common []int)
 	// attendance returns worker w's attempted-task bitset (bit t of word
 	// t/64), read-only. Lengths may differ between workers — a streaming
 	// bitset ends at the last task its worker answered — and missing words
@@ -227,7 +231,7 @@ func solveWorker(cache agreementSource, m, i int, opts EvalOptions, minCommon in
 	// structured form: entries are generated on demand from the per-triple
 	// gradients, the agreement cache and the triple counts, so nothing l×l
 	// is allocated per worker. Each Lemma-4 entry costs four triple counts
-	// and twelve pair lookups, so it should be computed at most once: the
+	// and eight divisions, so it should be computed at most once: the
 	// Lemma 5 solve below has to materialize the matrix anyway (into
 	// reusable workspace scratch), and when it does, the delta method reads
 	// that scratch rather than regenerating entries; with uniform weights
@@ -272,25 +276,28 @@ func weightedMean(a, x []float64) float64 {
 
 // lemma4C computes C(i, j, j′) of Lemma 4 for the worker i counts
 // evaluates: the covariance between worker i's agreement rates with j and
-// with j′,
+// with j′. For j = j′ this degenerates to Var(Q_{i,j}) which Lemma 4's
+// diagonal case already covers, but cross-triple sums never hit it since
+// triples are disjoint pairs.
+func lemma4C(counts *tripleCounts, j, jp int, pI float64) float64 {
+	_, own := counts.src.counters(counts.i)
+	agree, common := counts.src.counters(j)
+	return lemma4Term(counts.common3(j, jp), pI, agree[jp], common[jp], own[j], own[jp])
+}
+
+// lemma4Term is Lemma 4's
 //
 //	C(i, j, j′) = c_{i,j,j′} · p_i(1−p_i) · (2q_{j,j′}−1) / (c_{i,j}·c_{i,j′})
 //
-// For j = j′ this degenerates to Var(Q_{i,j}) which Lemma 4's diagonal case
-// already covers, but cross-triple sums never hit it since triples are
-// disjoint pairs.
-func lemma4C(counts *tripleCounts, j, jp int, pI float64) float64 {
-	src, i := counts.src, counts.i
-	cij := src.pair(i, j).Common
-	cijp := src.pair(i, jp).Common
-	if cij == 0 || cijp == 0 {
+// from its counts: c3 = c_{i,j,j′}, the agree and common counts of the
+// pair (j, j′), and cij, cijp = c_{i,j}, c_{i,j′}. lemma4C and
+// Lemma4Cov.MaterializeInto both evaluate it, so every covariance entry is
+// the same float whichever path built it.
+func lemma4Term(c3 int, pI float64, agreeJJ, commonJJ, cij, cijp int) float64 {
+	if cij == 0 || cijp == 0 || c3 == 0 {
 		return 0
 	}
-	c3 := counts.common3(j, jp)
-	if c3 == 0 {
-		return 0
-	}
-	qjjp := src.pair(j, jp).Rate()
+	qjjp := crowd.PairStats{Common: commonJJ, Agree: agreeJJ}.Rate()
 	return float64(c3) * pI * (1 - pI) * (2*qjjp - 1) / (float64(cij) * float64(cijp))
 }
 
@@ -301,32 +308,43 @@ func lemma4C(counts *tripleCounts, j, jp int, pI float64) float64 {
 func formPairs(cache agreementSource, m, i int, strategy PairingStrategy, minCommon int, ws *mat.Workspace) []int {
 	scratch := ws.GetInts(2 * m)
 	// Candidates must share at least minCommon tasks with worker i.
+	_, common := cache.counters(i)
 	cands := scratch[:0:m]
 	for w := 0; w < m; w++ {
-		if w != i && cache.pair(i, w).Common >= minCommon {
+		if w != i && common[w] >= minCommon {
 			cands = append(cands, w)
 		}
 	}
 	if strategy == GreedyPairing {
 		// Descending by common-task count with worker i: the paper pairs the
 		// best-overlapping workers together so some triples are excellent
-		// (the weight optimization then exploits the quality spread).
-		slices.SortStableFunc(cands, func(a, b int) int {
-			return cmp.Compare(cache.pair(i, b).Common, cache.pair(i, a).Common)
-		})
+		// (the weight optimization then exploits the quality spread). The
+		// sort runs on keys (MaxUint32 − c_{i,w})<<32 | w, whose ascending
+		// order is the descending count order with ties in index order, as
+		// a stable sort of cands by count would leave them. Counts and
+		// worker indices both fit in 32 bits.
+		keys := ws.GetWords(len(cands))
+		for k, w := range cands {
+			keys[k] = uint64(math.MaxUint32-uint32(common[w]))<<32 | uint64(w)
+		}
+		slices.Sort(keys)
+		for k, key := range keys {
+			cands[k] = int(key & math.MaxUint32)
+		}
 	}
 	pairs := scratch[m:m]
 	for a := 0; a < len(cands); a++ {
 		if cands[a] < 0 {
 			continue // already paired
 		}
+		_, commonA := cache.counters(cands[a])
 		for b := a + 1; b < len(cands); b++ {
 			if cands[b] < 0 {
 				continue
 			}
 			// The pair must share tasks with each other too, otherwise the
 			// triple's q_{j1,j2} is undefined.
-			if cache.pair(cands[a], cands[b]).Common >= minCommon {
+			if commonA[cands[b]] >= minCommon {
 				pairs = append(pairs, cands[a], cands[b])
 				cands[b] = -1
 				break

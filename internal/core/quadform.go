@@ -48,8 +48,9 @@ func (c DenseCov) Quad(d []float64) float64 {
 		if di == 0 {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			v += di * d[j] * c.M.At(i, j)
+		row := c.M.RowView(i)[:n]
+		for j, dj := range d {
+			v += di * dj * row[j]
 		}
 	}
 	return v

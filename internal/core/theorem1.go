@@ -94,6 +94,11 @@ func deltaFromVariance(fAtMean, variance, scale float64) (DeltaEstimate, error) 
 // Interval converts the estimate into a c-confidence interval
 // mean ± z_{(1+c)/2}·dev (Theorem 1, Equation 2).
 func (d DeltaEstimate) Interval(c float64) stat.Interval {
-	half := stat.ConfidenceZ(c) * d.Dev
-	return stat.NewInterval(d.Mean, half, c)
+	return d.intervalZ(stat.ConfidenceZ(c), c)
+}
+
+// intervalZ is Interval with z = stat.ConfidenceZ(c) already computed, for
+// callers converting many estimates at one level.
+func (d DeltaEstimate) intervalZ(z, c float64) stat.Interval {
+	return stat.NewInterval(d.Mean, z*d.Dev, c)
 }

@@ -44,20 +44,38 @@ type pairSource interface {
 	pair(i, j int) crowd.PairStats
 }
 
-// fullStatsCache precomputes the pairwise agreement table and the
-// attendance bitsets of a dataset.
+// fullStatsCache precomputes the pairwise agree/common counters, one row
+// per worker, and the attendance bitsets of a dataset. Row i's entry i is
+// worker i's self-agreement, as PairMatrix defines it.
 type fullStatsCache struct {
-	pairs [][]crowd.PairStats
-	att   *crowd.Attendance
+	agree, common [][]int
+	att           *crowd.Attendance
 }
 
 func newFullStatsCache(ds *crowd.Dataset) *fullStatsCache {
 	att := ds.Attendance()
-	return &fullStatsCache{pairs: att.PairMatrix(), att: att}
+	m := ds.Workers()
+	c := &fullStatsCache{agree: make([][]int, m), common: make([][]int, m), att: att}
+	agree, common := make([]int, m*m), make([]int, m*m)
+	for i := range c.agree {
+		c.agree[i] = agree[i*m : (i+1)*m : (i+1)*m]
+		c.common[i] = common[i*m : (i+1)*m : (i+1)*m]
+	}
+	for i := 0; i < m; i++ {
+		for j := i; j < m; j++ {
+			st := att.Pair(i, j)
+			c.agree[i][j], c.agree[j][i] = st.Agree, st.Agree
+			c.common[i][j], c.common[j][i] = st.Common, st.Common
+		}
+	}
+	return c
 }
 
-func (c *fullStatsCache) pair(i, j int) crowd.PairStats { return c.pairs[i][j] }
-func (c *fullStatsCache) attendance(w int) []uint64     { return c.att.Attempted(w) }
+func (c *fullStatsCache) pair(i, j int) crowd.PairStats {
+	return crowd.PairStats{Common: c.common[i][j], Agree: c.agree[i][j]}
+}
+func (c *fullStatsCache) counters(w int) (agree, common []int) { return c.agree[w], c.common[w] }
+func (c *fullStatsCache) attendance(w int) []uint64            { return c.att.Attempted(w) }
 
 // directSource computes statistics on demand, for one-shot triples.
 type directSource struct{ ds *crowd.Dataset }
@@ -143,6 +161,11 @@ func ThreeWorkerBinary(ds *crowd.Dataset, workers [3]int, c float64) ([3]stat.In
 	}
 	common3 := ds.CommonTriple(workers[0], workers[1], workers[2])
 	st, err := newTripleStats(directSource{ds}, workers[0], workers[1], workers[2], common3, mat.New(3, 3))
+	if err == errLowAgreement {
+		// Every worker's f reads all three rates, so the first one,
+		// worker a's f(q_ab, q_ac, q_bc), is the one that failed.
+		return out, fmt.Errorf("core: agreement rate ≤ ½ (q=%v,%v,%v): %w", st.q[0], st.q[1], st.q[2], ErrDegenerate)
+	}
 	if err != nil {
 		return out, err
 	}

@@ -12,11 +12,23 @@ import (
 )
 
 // bitsetSource is an agreementSource over hand-built attendance bitsets;
-// only the attendance half is meaningful.
+// only the attendance part is meaningful.
 type bitsetSource [][]uint64
 
-func (b bitsetSource) pair(i, j int) crowd.PairStats { return crowd.PairStats{} }
-func (b bitsetSource) attendance(w int) []uint64     { return b[w] }
+func (b bitsetSource) pair(i, j int) crowd.PairStats        { return crowd.PairStats{} }
+func (b bitsetSource) counters(w int) (agree, common []int) { return nil, nil }
+func (b bitsetSource) attendance(w int) []uint64            { return b[w] }
+
+// naiveCommon3 is the reference for tripleCounts: |a ∩ b ∩ c| over the
+// words all three bitsets have.
+func naiveCommon3(a, b, c []uint64) int {
+	n := min(len(a), len(b), len(c))
+	total := 0
+	for w := 0; w < n; w++ {
+		total += bits.OnesCount64(a[w] & b[w] & c[w])
+	}
+	return total
+}
 
 // randomAttendance draws one bitset per worker over horizon tasks at the
 // given density. Each worker's bitset ends at a random word at or before
@@ -43,12 +55,13 @@ func randomAttendance(src *randx.Source, workers, horizon int, density float64) 
 	return att
 }
 
-// TestRestrictedTripleCountsExact pins the gathered counts to the
-// full-horizon three-way count: for every evaluated worker i and every
-// pair of partners (j, k), the two-way popcount over the packed rows must
-// equal and3Count over the raw bitsets — across densities on both sides of
-// the crossover, ragged bitset lengths, and workers with no tasks. It also
-// pins where triplesAuto switches paths.
+// TestRestrictedTripleCountsExact pins both row layouts to the
+// three-way count over the raw bitsets: for every evaluated worker i and
+// every pair of partners (j, k), the two-way popcount over the rank-packed
+// rows and over the masked full-horizon rows must equal naiveCommon3, and
+// so must common3Block over any two pairs of partners — across densities
+// on both sides of the crossover, ragged bitset lengths, and workers with
+// no tasks. It also pins where triplesAuto switches layouts.
 func TestRestrictedTripleCountsExact(t *testing.T) {
 	const workers, horizon = 14, 64*23 + 17
 	crossover := 1 / float64(sparseAttendance)
@@ -64,8 +77,9 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 					}
 				}
 				ws.Reset()
-				var restricted, auto tripleCounts
+				var restricted, full, auto tripleCounts
 				restricted.init(att, workers, i, partners, triplesRestricted, ws)
+				full.init(att, workers, i, partners, triplesFull, ws)
 				auto.init(att, workers, i, partners, triplesAuto, ws)
 				n := 0
 				for _, word := range att[i] {
@@ -74,14 +88,29 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 				if wantPacked := sparseAttendance*n <= 64*len(att[i]); auto.packed != wantPacked {
 					t.Errorf("worker %d (%d of %d bits): auto packed=%v, want %v", i, n, 64*len(att[i]), auto.packed, wantPacked)
 				}
+				if !restricted.packed || full.packed {
+					t.Fatalf("worker %d: restricted packed=%v, full packed=%v", i, restricted.packed, full.packed)
+				}
 				for _, j := range partners {
 					for _, k := range partners {
-						want := and3Count(att[i], att[j], att[k])
-						if got := restricted.common3(j, k); got != want {
-							t.Fatalf("c(%d,%d,%d): restricted %d, full horizon %d", i, j, k, got, want)
+						want := naiveCommon3(att[i], att[j], att[k])
+						for _, c := range []struct {
+							name string
+							tc   *tripleCounts
+						}{{"restricted", &restricted}, {"full", &full}, {"auto", &auto}} {
+							if got := c.tc.common3(j, k); got != want {
+								t.Fatalf("c(%d,%d,%d): %s %d, three-way %d", i, j, k, c.name, got, want)
+							}
 						}
-						if got := auto.common3(j, k); got != want {
-							t.Fatalf("c(%d,%d,%d): auto %d, full horizon %d", i, j, k, got, want)
+					}
+				}
+				for _, tc := range []*tripleCounts{&restricted, &full} {
+					for q, a := range partners {
+						b := partners[(q+5)%len(partners)]
+						x, y := partners[(3*q+1)%len(partners)], partners[(q+2)%len(partners)]
+						ax, ay, bx, by := common3Block(tc.partnerRow(a), tc.partnerRow(b), tc.partnerRow(x), tc.partnerRow(y))
+						if ax != tc.common3(a, x) || ay != tc.common3(a, y) || bx != tc.common3(b, x) || by != tc.common3(b, y) {
+							t.Fatalf("worker %d block (%d,%d)×(%d,%d) packed=%v: %d %d %d %d", i, a, b, x, y, tc.packed, ax, ay, bx, by)
 						}
 					}
 				}
@@ -245,7 +274,11 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 // O(m²) saving, has the restricted solve slower already at 0.1 (17 µs
 // against 16 µs) and half the speed at 0.4; density at most 1/4 keeps
 // large sparse crowds on the restricted path and every crowd of density
-// 0.4 or more, like the paper's figure 3 and 4 sweeps, on the full one.
+// 0.4 or more on the full one. The switch is per worker, so the paper's
+// figure 3 and 4 sweeps over the emulated real crowds take both paths:
+// with the emulators seeded 1, 79 of RTE's 164 workers and 36 of TEM's 76
+// take the restricted one (68 of 145 and 32 of 69 after figure 4's
+// spammer pruning), and all 19 of IC's take the full one.
 func BenchmarkEvaluateSparse(b *testing.B) {
 	const workers, tasks = 128, 24000
 	for _, density := range []float64{0.05, 0.1, 0.25, 0.4, 0.8} {
@@ -269,6 +302,33 @@ func BenchmarkEvaluateSparse(b *testing.B) {
 						}
 					}
 				})
+			}
+		})
+	}
+}
+
+// BenchmarkEvaluateWorkersEmulated is the per-kernel measure of the A2
+// solve the paper's real-data figures run: one serial
+// EvaluateWorkersDelta per iteration over every worker of the emulated
+// IC, RTE and TEM crowds (seed 1), statistics cache included. Run it with
+// -benchmem: a steady-state solve allocates only the cache and the result
+// slice, so allocations per op track the per-worker overhead.
+func BenchmarkEvaluateWorkersEmulated(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		emulate func(*randx.Source) (*crowd.Dataset, error)
+	}{{"IC", sim.EmulateIC}, {"RTE", sim.EmulateRTE}, {"TEM", sim.EmulateTEM}} {
+		b.Run(c.name, func(b *testing.B) {
+			ds, err := c.emulate(randx.NewSource(1))
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := EvalOptions{Confidence: 0.9}
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, err := EvaluateWorkersDelta(ds, opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -119,12 +119,16 @@ func (f *LU) refactor() error {
 		f.perm[col], f.perm[pivot] = f.perm[pivot], f.perm[col]
 		rowCol := lu.RowView(col)
 		p := rowCol[col]
+		tail := rowCol[col+1:]
 		for r := col + 1; r < n; r++ {
 			rowR := lu.RowView(r)
 			fr := rowR[col] / p
 			rowR[col] = fr
-			for j := col + 1; j < n; j++ {
-				rowR[j] -= fr * rowCol[j]
+			// Resliced to tail's length, so the loop runs without bounds
+			// checks; each element is still one x -= fr·y.
+			dst := rowR[col+1:][:len(tail)]
+			for j, y := range tail {
+				dst[j] -= fr * y
 			}
 		}
 	}

@@ -16,7 +16,11 @@ package mat
 // A Workspace is NOT safe for concurrent use: parallel code threads one
 // workspace per goroutine (see core.KAryOptions.Parallel's fan-out).
 type Workspace struct {
-	mats map[wsShape]*matPool
+	// mats holds one pool per matrix shape. A workspace meets few shapes
+	// (A3 a handful, A2 the 3×3 triple scratch and one l×l per triple
+	// count l it has solved), so Get scans the slice, which costs less
+	// than hashing the shape as a map key.
+	mats []matPool
 	vecs map[int]*vecPool
 	ints map[int]*intPool
 	lus  map[int]*LU
@@ -29,9 +33,8 @@ type Workspace struct {
 	next  int
 }
 
-type wsShape struct{ r, c int }
-
 type matPool struct {
+	r, c  int
 	items []*Matrix
 	next  int
 }
@@ -51,7 +54,6 @@ type intPool struct {
 // serves every subsequent request without allocating.
 func NewWorkspace() *Workspace {
 	return &Workspace{
-		mats: make(map[wsShape]*matPool),
 		vecs: make(map[int]*vecPool),
 		ints: make(map[int]*intPool),
 		lus:  make(map[int]*LU),
@@ -61,10 +63,16 @@ func NewWorkspace() *Workspace {
 // Get returns a zeroed r×c matrix owned by the workspace. The matrix is
 // valid until the next Reset; callers must not retain it past that.
 func (w *Workspace) Get(r, c int) *Matrix {
-	p := w.mats[wsShape{r, c}]
+	var p *matPool
+	for k := range w.mats {
+		if w.mats[k].r == r && w.mats[k].c == c {
+			p = &w.mats[k]
+			break
+		}
+	}
 	if p == nil {
-		p = &matPool{}
-		w.mats[wsShape{r, c}] = p
+		w.mats = append(w.mats, matPool{r: r, c: c})
+		p = &w.mats[len(w.mats)-1]
 	}
 	if p.next < len(p.items) {
 		m := p.items[p.next]
@@ -150,8 +158,8 @@ func (w *Workspace) LU(n int) *LU {
 // Reset parks every matrix, vector, index slice and word slice handed out
 // since the last Reset, making them available for reuse. Nothing is freed.
 func (w *Workspace) Reset() {
-	for _, p := range w.mats {
-		p.next = 0
+	for k := range w.mats {
+		w.mats[k].next = 0
 	}
 	for _, p := range w.vecs {
 		p.next = 0
