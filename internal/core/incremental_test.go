@@ -137,7 +137,7 @@ func TestIncrementalCounters(t *testing.T) {
 	if got := st.pair(0, 2); got.Common != 1 || got.Agree != 1 {
 		t.Errorf("pair(0,2) = %+v", got)
 	}
-	if got := naiveCommon3(st.attendance(0), st.attendance(1), st.attendance(2)); got != 1 {
+	if got := and3Count(st.attendance(0), st.attendance(1), st.attendance(2)); got != 1 {
 		t.Errorf("common3 = %d", got)
 	}
 	if inc.Tasks() != 2 || inc.Responses() != 5 {

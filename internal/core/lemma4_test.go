@@ -93,7 +93,7 @@ func blockCrowd(t *testing.T) *crowd.Dataset {
 // entry (lemma4C per term) and of the reference below, which recomputes
 // each C(i, j, j′) from pair lookups and a three-way count over the raw
 // attendance bitsets, as the formula reads in Lemma 4. Every worker is
-// checked under both triple-count layouts, on the batch statistics and on
+// checked under both triple-count paths, on the batch statistics and on
 // ShardedIncremental's merged statistics at 1, 2 and 7 shards, over crowds
 // that give one triple, two triples whose cross counts are all zero, and
 // many triples of mixed density.
@@ -185,7 +185,7 @@ func referenceEntry(cov *Lemma4Cov, src agreementSource, k1, k2 int, zeroCross *
 		if cij == 0 || cijp == 0 {
 			return 0
 		}
-		c3 := naiveCommon3(src.attendance(i), src.attendance(j), src.attendance(jp))
+		c3 := and3Count(src.attendance(i), src.attendance(j), src.attendance(jp))
 		if c3 == 0 {
 			*zeroCross = true
 			return 0

@@ -7,9 +7,8 @@ import (
 )
 
 // sparseAttendance is the crossover between the two ways tripleCounts
-// builds its partner rows: they are packed by rank within worker i's
-// tasks when i attended at most 1/sparseAttendance of the task bits its
-// attendance bitset spans, and cover the whole horizon otherwise.
+// answers c_{i,j,k}: the restricted count runs when worker i attended at
+// most 1/sparseAttendance of the task bits its attendance bitset spans.
 // Gathering costs a pass over i's words per partner plus one scatter per
 // shared task, so it grows with density while the saving shrinks with it;
 // and the gather is O(m) per solve where the saving is O(m²), so small
@@ -18,65 +17,62 @@ import (
 // a quarter keeps a margin for smaller crowds.
 const sparseAttendance = 4
 
-// tripleMode selects how a solve lays out its partner rows.
+// tripleMode selects how a solve counts c_{i,j,k}.
 type tripleMode int
 
 const (
-	// triplesAuto packs the rows by rank within worker i's tasks when i's
-	// attendance is sparse (see sparseAttendance) and masks the whole
+	// triplesAuto restricts the counts to worker i's tasks when i's
+	// attendance is sparse (see sparseAttendance) and reads the whole
 	// horizon otherwise. Every production solve uses it.
 	triplesAuto tripleMode = iota
-	// triplesRestricted always packs; triplesFull never does. Tests and
-	// benchmarks pin the two layouts with them.
+	// triplesRestricted always gathers; triplesFull never does. Tests and
+	// benchmarks pin the two paths with them.
 	triplesRestricted
 	triplesFull
 )
 
 // tripleCounts answers Lemma 4's triple common-task counts c_{i,j,k} for
 // the one worker i a solve evaluates. Every count it is asked for has i
-// in it, so init first builds, for each partner j in one of i's pairs, a
-// row holding the tasks i and j share; c_{i,j,k} is then a two-way
-// popcount over the rows of j and k. For a sparse worker the row packs
-// those tasks by their rank within R_i, the set i attended, into
-// ⌈|R_i|/64⌉ words; otherwise it is own ∧ attendance(j) over i's whole
-// bitset. The counts are integers either way, so the layout never changes
-// an interval.
+// in it, and c_{i,j,k} only depends on the tasks in R_i, the set i
+// attended. So for a sparse worker it first gathers, for each partner j
+// in one of i's pairs, the tasks i and j share, packed by their rank
+// within R_i into a row of ⌈|R_i|/64⌉ words; c_{i,j,k} is then a two-way
+// popcount over two such rows, where the full-horizon count ANDs three
+// bitsets over every task. The counts are integers either way, so the
+// path never changes an interval.
 type tripleCounts struct {
 	src agreementSource
 	i   int
+	own []uint64 // src.attendance(i)
 
-	// packed records which layout init chose. rows holds one row of words
-	// words per partner, partner j's starting at row[j].
+	// packed selects the restricted count. rows then holds one row of
+	// words words per gathered partner, partner j's starting at row[j].
 	packed bool
 	words  int
 	row    []int
 	rows   []uint64
 }
 
-// init prepares the counts for worker i of an m-worker crowd, building a
-// row for every worker in partners (each listed at most once) in the
-// layout mode selects. Rows and the partner index come from ws scratch.
+// init prepares the counts for worker i of an m-worker crowd, gathering a
+// row for every worker in partners (each listed at most once) when mode
+// restricts. Rows and the partner index come from ws scratch.
 func (tc *tripleCounts) init(src agreementSource, m, i int, partners []int, mode tripleMode, ws *mat.Workspace) {
 	own := src.attendance(i)
+	*tc = tripleCounts{src: src, i: i, own: own}
 	n := 0
 	for _, word := range own {
 		n += bits.OnesCount64(word)
 	}
-	packed := mode == triplesRestricted || (mode == triplesAuto && sparseAttendance*n <= 64*len(own))
-	*tc = tripleCounts{src: src, i: i, packed: packed, words: len(own)}
-	if packed {
-		tc.words = (n + 63) / 64
+	if mode == triplesFull || (mode == triplesAuto && sparseAttendance*n > 64*len(own)) {
+		return
 	}
+	tc.packed = true
+	tc.words = (n + 63) / 64
 	tc.row = ws.GetInts(m)
 	tc.rows = ws.GetWords(len(partners) * tc.words)
 	for k, j := range partners {
 		tc.row[j] = k * tc.words
-		dst := tc.rows[k*tc.words : (k+1)*tc.words]
-		if packed {
-			gatherRow(dst, own, src.attendance(j))
-		} else {
-			maskRow(dst, own, src.attendance(j))
-		}
+		gatherRow(tc.rows[k*tc.words:(k+1)*tc.words], own, src.attendance(j))
 	}
 }
 
@@ -95,26 +91,13 @@ func gatherRow(dst, own, other []uint64) {
 	}
 }
 
-// maskRow writes own ∩ other into dst word by word. The bitsets may differ
-// in length; missing words are zero. dst must be zeroed and hold len(own)
-// words.
-func maskRow(dst, own, other []uint64) {
-	n := min(len(own), len(other))
-	dst, other = dst[:n], other[:n]
-	for w, a := range own[:n] {
-		dst[w] = a & other[w]
-	}
-}
-
-// partnerRow returns partner j's row.
-func (tc *tripleCounts) partnerRow(j int) []uint64 {
-	return tc.rows[tc.row[j]:][:tc.words]
-}
-
 // common3 returns c_{i,j,k}.
 func (tc *tripleCounts) common3(j, k int) int {
-	a := tc.partnerRow(j)
-	b := tc.partnerRow(k)[:len(a)]
+	if !tc.packed {
+		return and3Count(tc.own, tc.src.attendance(j), tc.src.attendance(k))
+	}
+	a := tc.packedRow(j)
+	b := tc.packedRow(k)[:len(a)]
 	n := 0
 	for w, x := range a {
 		n += bits.OnesCount64(x & b[w])
@@ -122,17 +105,43 @@ func (tc *tripleCounts) common3(j, k int) int {
 	return n
 }
 
-// common3Block returns the four counts c_{i,a,x}, c_{i,a,y}, c_{i,b,x} and
-// c_{i,b,y} from the partner rows of a, b, x and y in one pass over them:
-// the Lemma 4 entry of triples (i, a, b) and (i, x, y) needs all four.
-func common3Block(a, b, x, y []uint64) (ax, ay, bx, by int) {
-	b, x, y = b[:len(a)], x[:len(a)], y[:len(a)]
-	for w, wa := range a {
-		wb, wx, wy := b[w], x[w], y[w]
+// block returns the four counts c_{i,a,x}, c_{i,a,y}, c_{i,b,x} and
+// c_{i,b,y} that the Lemma 4 entry of triples (i, a, b) and (i, x, y)
+// needs. Restricted counts take them in one pass over the four packed
+// rows. Full-horizon counts take four three-way passes. Gathering masked
+// rows own ∧ attendance(j) for them instead would cut the words each
+// count reads, but popcounts bound the loop either way, and the rows'
+// scratch, one copy of the partners' bitsets per solve, slowed worker
+// queries on a dense 64-worker crowd of 100 000 tasks served while it
+// ingested (docs/performance.md).
+func (tc *tripleCounts) block(a, b, x, y int) (ax, ay, bx, by int) {
+	if !tc.packed {
+		return tc.common3(a, x), tc.common3(a, y), tc.common3(b, x), tc.common3(b, y)
+	}
+	ra := tc.packedRow(a)
+	rb, rx, ry := tc.packedRow(b)[:len(ra)], tc.packedRow(x)[:len(ra)], tc.packedRow(y)[:len(ra)]
+	for w, wa := range ra {
+		wb, wx, wy := rb[w], rx[w], ry[w]
 		ax += bits.OnesCount64(wa & wx)
 		ay += bits.OnesCount64(wa & wy)
 		bx += bits.OnesCount64(wb & wx)
 		by += bits.OnesCount64(wb & wy)
 	}
 	return ax, ay, bx, by
+}
+
+// packedRow returns partner j's gathered row.
+func (tc *tripleCounts) packedRow(j int) []uint64 {
+	return tc.rows[tc.row[j]:][:tc.words]
+}
+
+// and3Count returns |a ∩ b ∩ c| over the words all three bitsets have.
+func and3Count(a, b, c []uint64) int {
+	n := min(len(a), len(b), len(c))
+	a, b, c = a[:n], b[:n], c[:n]
+	total := 0
+	for i := range a {
+		total += bits.OnesCount64(a[i] & b[i] & c[i])
+	}
+	return total
 }

@@ -19,17 +19,6 @@ func (b bitsetSource) pair(i, j int) crowd.PairStats        { return crowd.PairS
 func (b bitsetSource) counters(w int) (agree, common []int) { return nil, nil }
 func (b bitsetSource) attendance(w int) []uint64            { return b[w] }
 
-// naiveCommon3 is the reference for tripleCounts: |a ∩ b ∩ c| over the
-// words all three bitsets have.
-func naiveCommon3(a, b, c []uint64) int {
-	n := min(len(a), len(b), len(c))
-	total := 0
-	for w := 0; w < n; w++ {
-		total += bits.OnesCount64(a[w] & b[w] & c[w])
-	}
-	return total
-}
-
 // randomAttendance draws one bitset per worker over horizon tasks at the
 // given density. Each worker's bitset ends at a random word at or before
 // the horizon, as streaming bitsets end at their worker's last task;
@@ -55,13 +44,13 @@ func randomAttendance(src *randx.Source, workers, horizon int, density float64) 
 	return att
 }
 
-// TestRestrictedTripleCountsExact pins both row layouts to the
-// three-way count over the raw bitsets: for every evaluated worker i and
-// every pair of partners (j, k), the two-way popcount over the rank-packed
-// rows and over the masked full-horizon rows must equal naiveCommon3, and
-// so must common3Block over any two pairs of partners — across densities
-// on both sides of the crossover, ragged bitset lengths, and workers with
-// no tasks. It also pins where triplesAuto switches layouts.
+// TestRestrictedTripleCountsExact pins the gathered counts to the
+// full-horizon three-way count: for every evaluated worker i and every
+// pair of partners (j, k), the two-way popcount over the packed rows must
+// equal and3Count over the raw bitsets, and block must return common3's
+// four counts on both paths — across densities on both sides of the
+// crossover, ragged bitset lengths, and workers with no tasks. It also
+// pins where triplesAuto switches paths.
 func TestRestrictedTripleCountsExact(t *testing.T) {
 	const workers, horizon = 14, 64*23 + 17
 	crossover := 1 / float64(sparseAttendance)
@@ -88,19 +77,14 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 				if wantPacked := sparseAttendance*n <= 64*len(att[i]); auto.packed != wantPacked {
 					t.Errorf("worker %d (%d of %d bits): auto packed=%v, want %v", i, n, 64*len(att[i]), auto.packed, wantPacked)
 				}
-				if !restricted.packed || full.packed {
-					t.Fatalf("worker %d: restricted packed=%v, full packed=%v", i, restricted.packed, full.packed)
-				}
 				for _, j := range partners {
 					for _, k := range partners {
-						want := naiveCommon3(att[i], att[j], att[k])
-						for _, c := range []struct {
-							name string
-							tc   *tripleCounts
-						}{{"restricted", &restricted}, {"full", &full}, {"auto", &auto}} {
-							if got := c.tc.common3(j, k); got != want {
-								t.Fatalf("c(%d,%d,%d): %s %d, three-way %d", i, j, k, c.name, got, want)
-							}
+						want := and3Count(att[i], att[j], att[k])
+						if got := restricted.common3(j, k); got != want {
+							t.Fatalf("c(%d,%d,%d): restricted %d, full horizon %d", i, j, k, got, want)
+						}
+						if got := auto.common3(j, k); got != want {
+							t.Fatalf("c(%d,%d,%d): auto %d, full horizon %d", i, j, k, got, want)
 						}
 					}
 				}
@@ -108,7 +92,7 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 					for q, a := range partners {
 						b := partners[(q+5)%len(partners)]
 						x, y := partners[(3*q+1)%len(partners)], partners[(q+2)%len(partners)]
-						ax, ay, bx, by := common3Block(tc.partnerRow(a), tc.partnerRow(b), tc.partnerRow(x), tc.partnerRow(y))
+						ax, ay, bx, by := tc.block(a, b, x, y)
 						if ax != tc.common3(a, x) || ay != tc.common3(a, y) || bx != tc.common3(b, x) || by != tc.common3(b, y) {
 							t.Fatalf("worker %d block (%d,%d)×(%d,%d) packed=%v: %d %d %d %d", i, a, b, x, y, tc.packed, ax, ay, bx, by)
 						}
