@@ -149,8 +149,8 @@ func (c *Lemma4Cov) Materialize(ws *mat.Workspace) *mat.Matrix {
 //
 // Every entry is entry's sum of four lemma4Term values, in entry's order,
 // so the two paths agree bit for bit; only the lookups are shared. Row k1
-// reads its two partners' agreement rows once, and each entry takes its
-// four c_{i,j,j′} from one tripleCounts.block call.
+// reads its two partners' agreement and triple-count rows once, and each
+// entry counts its four c_{i,j,j′} in one pass of common3Block.
 func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
 	l := len(c.diag)
 	if dst.Rows() != l || dst.Cols() != l {
@@ -164,10 +164,11 @@ func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
 		a, b := c.j1[k1], c.j2[k1]
 		agreeA, commonA := src.counters(a)
 		agreeB, commonB := src.counters(b)
+		rowA, rowB := c.counts.pairRows(a, b)
 		da, db, cia, cib := c.d1[k1], c.d2[k1], own[a], own[b]
 		for k2 := k1 + 1; k2 < l; k2++ {
 			x, y := c.j1[k2], c.j2[k2]
-			ax, ay, bx, by := c.counts.block(a, b, x, y)
+			ax, ay, bx, by := common3Block(rowA, rowB, c.counts.row(x), c.counts.row(y))
 			cix, ciy := own[x], own[y]
 			var v float64
 			v += da * c.d1[k2] * lemma4Term(ax, pI, agreeA[x], commonA[x], cia, cix)

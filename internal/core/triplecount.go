@@ -46,16 +46,19 @@ type tripleCounts struct {
 	own []uint64 // src.attendance(i)
 
 	// packed selects the restricted count. rows then holds one row of
-	// words words per gathered partner, partner j's starting at row[j].
+	// words words per gathered partner, partner j's starting at rowAt[j].
+	// Otherwise masks holds pairRows' two scratch rows.
 	packed bool
 	words  int
-	row    []int
+	rowAt  []int
 	rows   []uint64
+	masks  []uint64
 }
 
 // init prepares the counts for worker i of an m-worker crowd, gathering a
 // row for every worker in partners (each listed at most once) when mode
-// restricts. Rows and the partner index come from ws scratch.
+// restricts. Rows, the partner index and the mask rows come from ws
+// scratch.
 func (tc *tripleCounts) init(src agreementSource, m, i int, partners []int, mode tripleMode, ws *mat.Workspace) {
 	own := src.attendance(i)
 	*tc = tripleCounts{src: src, i: i, own: own}
@@ -64,14 +67,15 @@ func (tc *tripleCounts) init(src agreementSource, m, i int, partners []int, mode
 		n += bits.OnesCount64(word)
 	}
 	if mode == triplesFull || (mode == triplesAuto && sparseAttendance*n > 64*len(own)) {
+		tc.masks = ws.GetWords(2 * len(own))
 		return
 	}
 	tc.packed = true
 	tc.words = (n + 63) / 64
-	tc.row = ws.GetInts(m)
+	tc.rowAt = ws.GetInts(m)
 	tc.rows = ws.GetWords(len(partners) * tc.words)
 	for k, j := range partners {
-		tc.row[j] = k * tc.words
+		tc.rowAt[j] = k * tc.words
 		gatherRow(tc.rows[k*tc.words:(k+1)*tc.words], own, src.attendance(j))
 	}
 }
@@ -96,43 +100,82 @@ func (tc *tripleCounts) common3(j, k int) int {
 	if !tc.packed {
 		return and3Count(tc.own, tc.src.attendance(j), tc.src.attendance(k))
 	}
-	a := tc.packedRow(j)
-	b := tc.packedRow(k)[:len(a)]
-	n := 0
-	for w, x := range a {
-		n += bits.OnesCount64(x & b[w])
-	}
-	return n
+	a := tc.row(j)
+	return and2Count(a, tc.row(k)[:len(a)])
 }
 
-// block returns the four counts c_{i,a,x}, c_{i,a,y}, c_{i,b,x} and
-// c_{i,b,y} that the Lemma 4 entry of triples (i, a, b) and (i, x, y)
-// needs. Restricted counts take them in one pass over the four packed
-// rows. Full-horizon counts take four three-way passes. Gathering masked
-// rows own ∧ attendance(j) for them instead would cut the words each
-// count reads, but popcounts bound the loop either way, and the rows'
-// scratch, one copy of the partners' bitsets per solve, slowed worker
+// row returns the row common3Block reads for the partner j of a later
+// triple: its gathered row when the counts are restricted, else its
+// attendance bitset.
+func (tc *tripleCounts) row(j int) []uint64 {
+	if tc.packed {
+		return tc.rows[tc.rowAt[j]:][:tc.words]
+	}
+	return tc.src.attendance(j)
+}
+
+// pairRows returns the rows common3Block reads for the partners a and b
+// of an earlier triple: their gathered rows when the counts are
+// restricted, else own ∧ attendance(a) and own ∧ attendance(b), written
+// into two scratch rows that the next call overwrites. With them each
+// count ANDs two words, not three. Masking every partner once per solve
+// instead would copy all their bitsets into scratch, which slowed worker
 // queries on a dense 64-worker crowd of 100 000 tasks served while it
 // ingested (docs/performance.md).
-func (tc *tripleCounts) block(a, b, x, y int) (ax, ay, bx, by int) {
-	if !tc.packed {
-		return tc.common3(a, x), tc.common3(a, y), tc.common3(b, x), tc.common3(b, y)
+func (tc *tripleCounts) pairRows(a, b int) (ra, rb []uint64) {
+	if tc.packed {
+		return tc.row(a), tc.row(b)
 	}
-	ra := tc.packedRow(a)
-	rb, rx, ry := tc.packedRow(b)[:len(ra)], tc.packedRow(x)[:len(ra)], tc.packedRow(y)[:len(ra)]
-	for w, wa := range ra {
-		wb, wx, wy := rb[w], rx[w], ry[w]
+	ra, rb = tc.masks[:len(tc.own)], tc.masks[len(tc.own):]
+	maskRow(ra, tc.own, tc.src.attendance(a))
+	maskRow(rb, tc.own, tc.src.attendance(b))
+	return ra, rb
+}
+
+// maskRow writes own ∩ other into dst, which has len(own) words; words
+// other lacks are zero.
+func maskRow(dst, own, other []uint64) {
+	n := min(len(own), len(other))
+	for w, o := range own[:n] {
+		dst[w] = o & other[w]
+	}
+	clear(dst[n:])
+}
+
+// common3Block returns the four counts c_{i,a,x}, c_{i,a,y}, c_{i,b,x}
+// and c_{i,b,y} that the Lemma 4 entry of triples (i, a, b) and (i, x, y)
+// needs, in one pass over ra and rb (from pairRows, one length) and rx
+// and ry (from row, possibly shorter or longer; missing words are zero).
+func common3Block(ra, rb, rx, ry []uint64) (ax, ay, bx, by int) {
+	n := min(len(ra), len(rx), len(ry))
+	a, b, x, y := ra[:n], rb[:n], rx[:n], ry[:n]
+	for w, wa := range a {
+		wb, wx, wy := b[w], x[w], y[w]
 		ax += bits.OnesCount64(wa & wx)
 		ay += bits.OnesCount64(wa & wy)
 		bx += bits.OnesCount64(wb & wx)
 		by += bits.OnesCount64(wb & wy)
 	}
+	if n < len(ra) {
+		// rx or ry ends first; the other may go on.
+		ra, rb = ra[n:], rb[n:]
+		ax += and2Count(ra, rx[n:])
+		ay += and2Count(ra, ry[n:])
+		bx += and2Count(rb, rx[n:])
+		by += and2Count(rb, ry[n:])
+	}
 	return ax, ay, bx, by
 }
 
-// packedRow returns partner j's gathered row.
-func (tc *tripleCounts) packedRow(j int) []uint64 {
-	return tc.rows[tc.row[j]:][:tc.words]
+// and2Count returns |a ∩ b| over the words both bitsets have.
+func and2Count(a, b []uint64) int {
+	n := min(len(a), len(b))
+	a, b = a[:n], b[:n]
+	total := 0
+	for i := range a {
+		total += bits.OnesCount64(a[i] & b[i])
+	}
+	return total
 }
 
 // and3Count returns |a ∩ b ∩ c| over the words all three bitsets have.
