@@ -150,7 +150,7 @@ func (c *Lemma4Cov) Materialize(ws *mat.Workspace) *mat.Matrix {
 // Every entry is entry's sum of four lemma4Term values, in entry's order,
 // so the two paths agree bit for bit; only the lookups are shared. Row k1
 // reads its two partners' agreement and triple-count rows once, and each
-// entry counts its four c_{i,j,j′} as two-way popcounts against them.
+// entry counts its four c_{i,j,j′} in one pass of common3Block.
 func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
 	l := len(c.diag)
 	if dst.Rows() != l || dst.Cols() != l {
@@ -168,9 +168,7 @@ func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
 		da, db, cia, cib := c.d1[k1], c.d2[k1], own[a], own[b]
 		for k2 := k1 + 1; k2 < l; k2++ {
 			x, y := c.j1[k2], c.j2[k2]
-			rowX, rowY := c.counts.row(x), c.counts.row(y)
-			ax, ay := and2Count(rowA, rowX), and2Count(rowA, rowY)
-			bx, by := and2Count(rowB, rowX), and2Count(rowB, rowY)
+			ax, ay, bx, by := common3Block(rowA, rowB, c.counts.row(x), c.counts.row(y))
 			cix, ciy := own[x], own[y]
 			var v float64
 			v += da * c.d1[k2] * lemma4Term(ax, pI, agreeA[x], commonA[x], cia, cix)

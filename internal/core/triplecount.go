@@ -100,12 +100,13 @@ func (tc *tripleCounts) common3(j, k int) int {
 	if !tc.packed {
 		return and3Count(tc.own, tc.src.attendance(j), tc.src.attendance(k))
 	}
-	return and2Count(tc.row(j), tc.row(k))
+	a := tc.row(j)
+	return and2Count(a, tc.row(k)[:len(a)])
 }
 
-// row returns the row Lemma4Cov.MaterializeInto counts against for the
-// partner j of a later triple: its gathered row when the counts are
-// restricted, else its attendance bitset.
+// row returns the row common3Block reads for the partner j of a later
+// triple: its gathered row when the counts are restricted, else its
+// attendance bitset.
 func (tc *tripleCounts) row(j int) []uint64 {
 	if tc.packed {
 		return tc.rows[tc.rowAt[j]:][:tc.words]
@@ -113,15 +114,14 @@ func (tc *tripleCounts) row(j int) []uint64 {
 	return tc.src.attendance(j)
 }
 
-// pairRows returns the rows Lemma4Cov.MaterializeInto counts from for
-// the partners a and b of an earlier triple: their gathered rows when the
-// counts are restricted, else own ∧ attendance(a) and own ∧
-// attendance(b), written into two scratch rows that the next call
-// overwrites. Either way c_{i,a,x} is and2Count(ra, row(x)), which reads
-// two bitsets where and3Count reads three. Masking every partner once per
-// solve instead would copy all their bitsets into scratch, which slowed
-// worker queries on a dense 64-worker crowd of 100 000 tasks served while
-// it ingested (docs/performance.md).
+// pairRows returns the rows common3Block reads for the partners a and b
+// of an earlier triple: their gathered rows when the counts are
+// restricted, else own ∧ attendance(a) and own ∧ attendance(b), written
+// into two scratch rows that the next call overwrites. With them each
+// count ANDs two words, not three. Masking every partner once per solve
+// instead would copy all their bitsets into scratch, which slowed worker
+// queries on a dense 64-worker crowd of 100 000 tasks served while it
+// ingested (docs/performance.md).
 func (tc *tripleCounts) pairRows(a, b int) (ra, rb []uint64) {
 	if tc.packed {
 		return tc.row(a), tc.row(b)
@@ -140,6 +140,34 @@ func maskRow(dst, own, other []uint64) {
 		dst[w] = o & other[w]
 	}
 	clear(dst[n:])
+}
+
+// common3Block returns the four counts c_{i,a,x}, c_{i,a,y}, c_{i,b,x}
+// and c_{i,b,y} that the Lemma 4 entry of triples (i, a, b) and (i, x, y)
+// needs, in one pass over ra and rb (from pairRows, one length) and rx
+// and ry (from row, possibly shorter or longer; missing words are zero).
+// Four and2Count passes would do the same popcounts, but they read rx
+// and ry twice, and on the dense crowd pairRows describes they slowed
+// the queries (docs/performance.md).
+func common3Block(ra, rb, rx, ry []uint64) (ax, ay, bx, by int) {
+	n := min(len(ra), len(rx), len(ry))
+	a, b, x, y := ra[:n], rb[:n], rx[:n], ry[:n]
+	for w, wa := range a {
+		wb, wx, wy := b[w], x[w], y[w]
+		ax += bits.OnesCount64(wa & wx)
+		ay += bits.OnesCount64(wa & wy)
+		bx += bits.OnesCount64(wb & wx)
+		by += bits.OnesCount64(wb & wy)
+	}
+	if n < len(ra) {
+		// rx or ry ends first; the other may go on.
+		ra, rb = ra[n:], rb[n:]
+		ax += and2Count(ra, rx[n:])
+		ay += and2Count(ra, ry[n:])
+		bx += and2Count(rb, rx[n:])
+		by += and2Count(rb, ry[n:])
+	}
+	return ax, ay, bx, by
 }
 
 // and2Count returns |a ∩ b| over the words both bitsets have.

@@ -47,8 +47,8 @@ func randomAttendance(src *randx.Source, workers, horizon int, density float64) 
 // TestRestrictedTripleCountsExact pins the gathered counts to the
 // full-horizon three-way count: for every evaluated worker i and every
 // pair of partners (j, k), the two-way popcount over the packed rows must
-// equal and3Count over the raw bitsets, and two-way counts of pairRows
-// against row must equal common3 on both paths — across densities on both sides of the
+// equal and3Count over the raw bitsets, and common3Block over pairRows
+// and row must return common3's four counts on both paths — across densities on both sides of the
 // crossover, ragged bitset lengths, and workers with no tasks. It also
 // pins where triplesAuto switches paths.
 func TestRestrictedTripleCountsExact(t *testing.T) {
@@ -93,10 +93,9 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 						b := partners[(q+5)%len(partners)]
 						x, y := partners[(3*q+1)%len(partners)], partners[(q+2)%len(partners)]
 						ra, rb := tc.pairRows(a, b)
-						ax, ay := and2Count(ra, tc.row(x)), and2Count(ra, tc.row(y))
-						bx, by := and2Count(rb, tc.row(x)), and2Count(rb, tc.row(y))
+						ax, ay, bx, by := common3Block(ra, rb, tc.row(x), tc.row(y))
 						if ax != tc.common3(a, x) || ay != tc.common3(a, y) || bx != tc.common3(b, x) || by != tc.common3(b, y) {
-							t.Fatalf("worker %d rows (%d,%d)×(%d,%d) packed=%v: %d %d %d %d", i, a, b, x, y, tc.packed, ax, ay, bx, by)
+							t.Fatalf("worker %d block (%d,%d)×(%d,%d) packed=%v: %d %d %d %d", i, a, b, x, y, tc.packed, ax, ay, bx, by)
 						}
 					}
 				}
