@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"crowdassess/internal/crowd"
 	"crowdassess/internal/mat"
 )
 
@@ -81,4 +82,37 @@ func TestLemma4QuadZeroAllocs(t *testing.T) {
 		t.Errorf("Lemma-4 quad form allocates %.1f times, want 0", allocs)
 	}
 	_ = sink
+}
+
+// TestAddExistingTaskZeroAllocs asserts that a response to a task that
+// already has a column, from a worker whose attendance bitset already
+// reaches it, allocates nothing: it sets two bits of the column and bumps
+// counters. A cut beforehand checks that the dirty marks it clears keep
+// their storage.
+func TestAddExistingTaskZeroAllocs(t *testing.T) {
+	const runs = 50
+	s, err := NewShardedIncremental(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Worker 0 gives tasks 0…runs a column each; worker 1's bitset reaches
+	// past them.
+	for task := 0; task <= runs; task++ {
+		if err := s.Add(0, task, crowd.Yes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Add(1, runs+1, crowd.No); err != nil {
+		t.Fatal(err)
+	}
+	s.CutStats(0, false)
+	task := 0 // AllocsPerRun calls once more than runs, so tasks 0…runs
+	if allocs := testing.AllocsPerRun(runs, func() {
+		if err := s.Add(1, task, crowd.Yes); err != nil {
+			t.Fatal(err)
+		}
+		task++
+	}); allocs != 0 {
+		t.Errorf("Add into an existing task column allocates %.1f times per call, want 0", allocs)
+	}
 }

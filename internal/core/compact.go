@@ -17,13 +17,13 @@ import (
 // The two bitset families make the state fully reconstructive for binary
 // crowds: every pairwise counter is derivable from them
 // (common[i][j] = |responded_i ∩ responded_j|, agree[i][j] additionally
-// masks tasks where the answer bits differ), and RestoreCompact rebuilds
-// the per-task response lists by scanning the bitset columns. What a
-// compact checkpoint deliberately forgets is the arrival ORDER of
-// responses within a task — the counters, every decision (intervals,
-// spammer screen, duplicate rejection) and all future ingestion are
-// order-independent, so a restored evaluator is decision-identical to the
-// original.
+// masks tasks where the answer bits differ), and they are the worker-major
+// transpose of the evaluator's per-task attendance and answer columns,
+// which RestoreCompact rebuilds by replaying them. What a compact
+// checkpoint deliberately forgets is the arrival ORDER of responses within
+// a task — the counters, every decision (intervals, spammer screen,
+// duplicate rejection) and all future ingestion are order-independent, so
+// a restored evaluator is decision-identical to the original.
 type CompactState struct {
 	// Stats is the exported sufficient statistics at the checkpoint cut.
 	Stats *StatsExport
@@ -40,8 +40,9 @@ type CompactState struct {
 // fully recoverable: RestoreCompact rebuilds this exact state, and
 // replaying the log tail through the ordinary Add path finishes the job.
 // It holds every shard lock for the duration (the same index-order
-// multi-shard locking Snapshot uses), so the state is one consistent cut
-// even under concurrent Add traffic.
+// multi-shard locking CutStats uses), so the state is one consistent cut
+// even under concurrent Add traffic. The answer bitsets are the shards'
+// answer columns, transposed.
 func (s *ShardedIncremental) CompactCheckpoint() *CompactState {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -51,20 +52,24 @@ func (s *ShardedIncremental) CompactCheckpoint() *CompactState {
 			sh.mu.Unlock()
 		}
 	}()
-	m := newStreamStats(s.workers, true)
+	m := newStreamStats(s.workers)
+	answers := make([]dynBitset, s.workers)
 	tasks, responses := 0, 0
 	for _, sh := range s.shards {
 		m.addFrom(sh.stats)
-		if sh.tasks > tasks {
-			tasks = sh.tasks
-		}
+		tasks = max(tasks, sh.tasks)
 		responses += sh.responses
+		for t, off := range sh.colOf {
+			for k, word := range sh.cols[off+s.words : off+2*s.words] {
+				for ; word != 0; word &= word - 1 {
+					answers[k*64+bits.TrailingZeros64(word)].set(t)
+				}
+			}
+		}
 	}
 	cs := &CompactState{Stats: exportStats(m, s.workers, tasks, responses), Answers: make([][]uint64, s.workers)}
-	// m was merged into fresh bitsets private to this call, so they are
-	// handed over without a copy.
-	for i, answers := range m.answers {
-		cs.Answers[i] = answers
+	for i, words := range answers {
+		cs.Answers[i] = words
 	}
 	return cs
 }
@@ -177,13 +182,14 @@ func compactLog(cs *CompactState) []loggedResponse {
 // RestoreCompact rebuilds an empty evaluator from a compact checkpoint:
 // validate (including re-deriving every pairwise counter from the
 // bitsets), expand to the canonical synthetic log, replay through the
-// ordinary Add path — so shard striping matches a never-restarted
-// evaluator exactly — and verify the re-exported statistics against the
-// checkpointed ones. After a successful restore the evaluator is
-// decision-identical to the one the checkpoint was taken from: every future
-// Add pairs correctly against pre-checkpoint responders (the bitsets carry
-// who answered what), duplicate rejection resumes exactly, and EvaluateAll
-// / MajorityDisagreement produce bit-identical results. The evaluator must
+// ordinary Add path — so shard striping and the per-task columns match a
+// never-restarted evaluator exactly — and verify the re-exported
+// statistics against the checkpointed ones. After a successful restore the
+// evaluator is decision-identical to the one the checkpoint was taken
+// from: every future Add pairs correctly against pre-checkpoint responders
+// (the bitsets carry who answered what), duplicate rejection resumes
+// exactly, and EvaluateAll / MajorityDisagreement produce bit-identical
+// results. The evaluator must
 // be freshly constructed; on error it may hold a partial replay and must
 // be discarded. Not safe to call concurrently with Add: restore first,
 // then serve.

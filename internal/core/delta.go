@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -184,17 +183,21 @@ type StatsCut struct {
 }
 
 // cutBase is what the next delta needs of the last cut: the upper-triangle
-// counters (row i holds pair (i, j) at index j-i-1), the totals and the
-// digest. Attendance words need no base: every response sets exactly one
-// new bit, so a delta's words are its new responses.
+// counters (row i holds pair (i, j) at index j-i-1), the merged attendance
+// bitsets, the totals and the digest.
 type cutBase struct {
 	agree, common    [][]int
+	responded        []dynBitset
 	tasks, responses int
 	digest           uint64
 }
 
 func newCutBase(workers int) *cutBase {
-	b := &cutBase{agree: make([][]int, workers), common: make([][]int, workers)}
+	b := &cutBase{
+		agree:     make([][]int, workers),
+		common:    make([][]int, workers),
+		responded: make([]dynBitset, workers),
+	}
 	cells := make([]int, workers*(workers-1))
 	for i := range b.agree {
 		n := workers - i - 1
@@ -208,13 +211,14 @@ func newCutBase(workers int) *cutBase {
 // holding the previous cut needs to reach this one. When resume is set and
 // cursor is the digest of the previous cut, that is the exact delta from the
 // previous cut — counter increments and newly set attendance bits, in
-// canonical order — built in O(change): only the tasks that gained
-// responses since the previous cut are visited, and only the counter pairs
-// of the workers who gave those responses are re-summed. Otherwise (the
-// first cut, a puller holding no state, or a cursor naming any other state)
-// it is the full statistics. Either way the cut becomes the base of the
-// next delta as soon as it is taken: a puller that never receives it sends
-// a cursor that no longer matches and gets the full statistics next time.
+// canonical order — built in O(change): only the attendance words of task
+// words that gained responses since the previous cut are visited, and only
+// the counter pairs of the workers who gave those responses are re-summed.
+// Otherwise (the first cut, a puller holding no state, or a cursor naming
+// any other state) it is the full statistics. Either way the cut becomes
+// the base of the next delta as soon as it is taken: a puller that never
+// receives it sends a cursor that no longer matches and gets the full
+// statistics next time.
 //
 // The base belongs to the evaluator, so an evaluator has exactly one cut
 // consumer: a second one would receive deltas against the first one's
@@ -245,21 +249,10 @@ func (s *ShardedIncremental) CutStats(cursor uint64, resume bool) StatsCut {
 // base of the next delta and returns them whole; the caller holds every
 // shard lock.
 func (s *ShardedIncremental) fullCutLocked(tasks, responses int) StatsCut {
-	m := newStreamStats(s.workers, false)
+	m := newStreamStats(s.workers)
 	for _, sh := range s.shards {
 		m.addFrom(sh.stats)
-		if !sh.tracking {
-			// The first cut: no dirty list was kept, so mark every task.
-			for _, rs := range sh.taskResponses {
-				rs[len(rs)-1].cut = true
-			}
-			sh.tracking = true
-		}
-		for _, t := range sh.dirty {
-			rs := sh.taskResponses[t]
-			rs[len(rs)-1].cut = true
-		}
-		sh.dirty = sh.dirty[:0]
+		clear(sh.dirty)
 	}
 	if s.base == nil {
 		s.base = newCutBase(s.workers)
@@ -268,6 +261,7 @@ func (s *ShardedIncremental) fullCutLocked(tasks, responses int) StatsCut {
 	for i := range b.agree {
 		copy(b.agree[i], m.agree[i][i+1:])
 		copy(b.common[i], m.common[i][i+1:])
+		b.responded[i] = append(b.responded[i][:0], m.responded[i]...)
 	}
 	b.tasks, b.responses = tasks, responses
 	b.digest = statsDigest(m, s.workers, tasks, responses)
@@ -288,97 +282,53 @@ func (s *ShardedIncremental) fullCutLocked(tasks, responses int) StatsCut {
 
 // deltaCutLocked returns the exact delta from the base to the current
 // statistics, deriving the new digest from the base's in O(change), and
-// advances the base; the caller holds every shard lock. No step sorts:
-// the dirty tasks are visited in ascending order through a bitset over
-// their span, each word of which is one attendance word of the delta;
-// words are then bucketed per worker, and cells visited in (i, j) order.
+// advances the base; the caller holds every shard lock. A delta's new
+// attendance bits are the merged words minus the base's, and only the
+// task words a shard marked dirty can differ, so only those are visited:
+// worker by worker, each in ascending word order, which is the delta's
+// canonical order. Cells are then visited in (i, j) order.
 func (s *ShardedIncremental) deltaCutLocked(tasks, responses int) StatsCut {
 	workers, b := s.workers, s.base
-	lo, hi := math.MaxInt, -1
+	var dirty dynBitset
 	for _, sh := range s.shards {
-		for _, t := range sh.dirty {
-			lo, hi = min(lo, t), max(hi, t)
-		}
+		dirty.orWith(sh.dirty)
+		clear(sh.dirty)
 	}
-	first := lo / 64 // the attendance word span[0] stands for
-	var span dynBitset
-	if hi >= 0 {
-		span = make(dynBitset, hi/64-first+1)
-	}
-	for _, sh := range s.shards {
-		for _, t := range sh.dirty {
-			span.set(t - first*64)
+	var dirtyWords []int // ascending
+	for x, word := range dirty {
+		for ; word != 0; word &= word - 1 {
+			dirtyWords = append(dirtyWords, x*64+bits.TrailingZeros64(word))
 		}
-		sh.dirty = sh.dirty[:0]
 	}
 	change := headerTerm(workers, tasks, responses) - headerTerm(workers, b.tasks, b.responses)
 
-	// Attendance words, in (index, worker) order first: gained[w]
-	// collects worker w's new bits within the current word. Every new
-	// response sets one bit, so there are at most as many words as new
-	// responses; pairs bounds the cells by the new co-responder pairs.
-	gained := make([]uint64, workers)
-	var touched []int
-	byIndex := make([]WordDelta, 0, min(responses-b.responses, workers*len(span)))
-	next := make([]int, workers+1) // per-worker word counts, then offsets
-	pairs := 0
-	for x, dirtyWord := range span {
-		k := first + x
-		for ; dirtyWord != 0; dirtyWord &= dirtyWord - 1 {
-			bit := bits.TrailingZeros64(dirtyWord)
-			t := k*64 + bit
-			// The responses the previous cut did not cover follow the
-			// newest marked one; mark the newest of all for this cut.
-			rs := s.shardOf(t).taskResponses[t]
-			covered := len(rs)
-			for ; covered > 0 && !rs[covered-1].cut; covered-- {
-				w := int(rs[covered-1].worker)
-				if gained[w] == 0 {
-					touched = append(touched, w)
-				}
-				gained[w] |= 1 << uint(bit)
-			}
-			rs[len(rs)-1].cut = true
-			pairs += (len(rs)*(len(rs)-1) - covered*(covered-1)) / 2
-		}
-		for _, w := range touched {
-			byIndex = append(byIndex, WordDelta{Worker: w, Index: k, Bits: gained[w]})
-			next[w+1]++
-			gained[w] = 0
-		}
-		touched = touched[:0]
-	}
+	var words []WordDelta
 	var responders []int // workers with a new response, ascending
 	for w := 0; w < workers; w++ {
-		if next[w+1] > 0 {
+		base := &b.responded[w]
+		n := len(words)
+		for _, k := range dirtyWords {
+			var now uint64
+			for _, sh := range s.shards {
+				now |= sh.stats.responded[w].word(k)
+			}
+			old := base.word(k)
+			if now == old {
+				continue
+			}
+			words = append(words, WordDelta{Worker: w, Index: k, Bits: now &^ old})
+			change += wordTerm(w, k, now) - wordTerm(w, k, old)
+			base.grow(k + 1)
+			(*base)[k] = now
+		}
+		if len(words) > n {
 			responders = append(responders, w)
 		}
-		next[w+1] += next[w]
-	}
-	var words []WordDelta
-	if len(byIndex) > 0 {
-		words = make([]WordDelta, len(byIndex))
-	}
-	for _, wd := range byIndex {
-		words[next[wd.Worker]] = wd
-		next[wd.Worker]++
-	}
-	for _, wd := range words {
-		var now uint64
-		for _, sh := range s.shards {
-			now |= sh.stats.responded[wd.Worker].word(wd.Index)
-		}
-		change += wordTerm(wd.Worker, wd.Index, now) - wordTerm(wd.Worker, wd.Index, now&^wd.Bits)
 	}
 
 	// Counter cells. Only a pair with a responder in it can have grown:
 	// visit row i whole when i responded, else only its responder columns.
-	// Every new co-responder pair grows its cell, so cells stays nil
-	// exactly when pairs is 0.
 	var cells []CellDelta
-	if pairs > 0 {
-		cells = make([]CellDelta, 0, min(pairs, workers*(workers-1)/2))
-	}
 	grow := func(i, j int) {
 		agree, common := 0, 0
 		for _, sh := range s.shards {

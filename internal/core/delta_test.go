@@ -215,14 +215,29 @@ func checkFullCut(t *testing.T, label string, cut StatsCut, cur *statsState) uin
 // restricted-count switch and random cut points (empty ones included),
 // every resumed cut is DeepEqual to DiffStats on the same two states and
 // carries the from-scratch digest — also right after a full cut forced by
-// a missing or wrong cursor, and across a RestoreCompact.
+// a missing or wrong cursor, and across a RestoreCompact. The last input is
+// a 130-worker crowd, whose attendance spans three words per task.
 func TestCutStatsMatchesDiffStats(t *testing.T) {
 	const workers, tasks = 14, 500
+	type input struct {
+		label   string
+		workers int
+		stream  func(shards int) []submission
+	}
+	var inputs []input
 	for _, density := range []float64{0.1, 0.7} {
+		inputs = append(inputs, input{fmt.Sprintf("density %v", density), workers, func(shards int) []submission {
+			return deltaStream(t, workers, tasks, density, int64(10*shards)+int64(density*10))
+		}})
+	}
+	inputs = append(inputs, input{"130 workers", 130, func(shards int) []submission {
+		return shuffledStream(t, wideCrowd(t, 200, 0.3, 13), int64(shards))
+	}})
+	for _, in := range inputs {
 		for _, shards := range []int{1, 2, 7} {
-			label := fmt.Sprintf("density %v shards %d", density, shards)
-			subs := deltaStream(t, workers, tasks, density, int64(10*shards)+int64(density*10))
-			s, err := NewShardedIncremental(workers, shards)
+			label := fmt.Sprintf("%s shards %d", in.label, shards)
+			subs := in.stream(shards)
+			s, err := NewShardedIncremental(in.workers, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +281,7 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 
 			// A restored evaluator cut before its restore deltas from the
 			// empty state to the restored one, then keeps cutting exactly.
-			r, err := NewShardedIncremental(workers, shards)
+			r, err := NewShardedIncremental(in.workers, shards)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,7 +23,7 @@ import (
 type StatsExport struct {
 	// Workers is the crowd size the counters are indexed by.
 	Workers int
-	// Tasks is the number of distinct task indices seen (max index + 1).
+	// Tasks is the task horizon: the highest task index seen plus one.
 	Tasks int
 	// Responses is the total number of responses behind the counters.
 	Responses int
@@ -105,9 +105,9 @@ func (e *StatsExport) validate() error {
 
 // toStreamStats adapts a validated export for the addFrom reducer. The
 // returned streamStats aliases the export's slices; addFrom only reads its
-// argument, so no copy is needed. Exports carry no answer bitsets, so the
-// adapted stats contribute none — a StatsAccumulator therefore cannot be
-// compact-checkpointed, only evaluated (see compact.go).
+// argument, so no copy is needed. Exports carry no answers, so a
+// StatsAccumulator cannot be compact-checkpointed, only evaluated (see
+// compact.go).
 func (e *StatsExport) toStreamStats() *streamStats {
 	s := &streamStats{
 		agree:     e.Agree,
@@ -157,7 +157,7 @@ func NewStatsAccumulator(workers int) (*StatsAccumulator, error) {
 	}
 	return &StatsAccumulator{
 		workers:     workers,
-		stats:       newStreamStats(workers, false),
+		stats:       newStreamStats(workers),
 		digest:      headerTerm(workers, 0, 0),
 		digestValid: true,
 		wsPool:      sync.Pool{New: func() any { return mat.NewWorkspace() }},
@@ -270,7 +270,7 @@ func (a *StatsAccumulator) Digest() uint64 {
 func (a *StatsAccumulator) Clone() *StatsAccumulator {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	stats := newStreamStats(a.workers, false)
+	stats := newStreamStats(a.workers)
 	stats.addFrom(a.stats)
 	return &StatsAccumulator{
 		workers:     a.workers,

@@ -24,29 +24,14 @@ type streamStats struct {
 	// responded[w] tracks whether worker w answered a given task (bitset
 	// over global task indices).
 	responded []dynBitset
-	// answers[w] records WHICH answer worker w gave on a task it responded
-	// to: bit set means Yes, clear means No (only meaningful where the
-	// responded bit is set). Together with responded it makes the
-	// statistics fully reconstructive for binary crowds: the pairwise
-	// counters are derivable as common[i][j] = |responded_i ∩ responded_j|
-	// and agree[i][j] = |responded_i ∩ responded_j ∩ ¬(answers_i ⊕
-	// answers_j)| — which is what lets a compact checkpoint (see
-	// compact.go) resume ingestion exactly without carrying the response
-	// log.
-	answers []dynBitset
 }
 
-// newStreamStats returns zeroed statistics for the given crowd size. Only
-// the shards' own statistics and a compact checkpoint's merge carry answer
-// bitsets; merges that are only evaluated or exported leave them out.
-func newStreamStats(workers int, answers bool) *streamStats {
+// newStreamStats returns zeroed statistics for the given crowd size.
+func newStreamStats(workers int) *streamStats {
 	s := &streamStats{
 		agree:     make([][]int, workers),
 		common:    make([][]int, workers),
 		responded: make([]dynBitset, workers),
-	}
-	if answers {
-		s.answers = make([]dynBitset, workers)
 	}
 	for i := range s.agree {
 		s.agree[i] = make([]int, workers)
@@ -57,8 +42,7 @@ func newStreamStats(workers int, answers bool) *streamStats {
 
 // reset zeroes a merge's statistics for the next merge and keeps every
 // buffer: the counters are cleared and the attendance bitsets truncated to
-// length zero, so addFrom's growth reuses their capacity. Merges carry no
-// answer bitsets.
+// length zero, so addFrom's growth reuses their capacity.
 func (s *streamStats) reset() {
 	for i := range s.agree {
 		clear(s.agree[i])
@@ -67,29 +51,38 @@ func (s *streamStats) reset() {
 	}
 }
 
-// record accounts for worker w answering r on task t, given the responses
-// previously recorded for that task. The caller appends to its own
-// task-response list; record only maintains the derived counters.
-func (s *streamStats) record(w, t int, r crowd.Response, prev []workerResponse) {
-	for _, p := range prev {
-		pw := int(p.worker)
-		s.common[w][pw]++
-		s.common[pw][w]++
-		if crowd.Response(p.resp) == r {
-			s.agree[w][pw]++
-			s.agree[pw][w]++
+// record accounts for worker w answering r on task t, given the task's
+// column: attended has bit p set when worker p already answered the task,
+// yes when that answer was Yes. It pairs w with every earlier responder,
+// then adds w's own answer to the column.
+func (s *streamStats) record(w, t int, r crowd.Response, attended, yes []uint64) {
+	var mine uint64 // w's answer in every bit position
+	if r == crowd.Yes {
+		mine = ^uint64(0)
+	}
+	cw, aw := s.common[w], s.agree[w]
+	for k, word := range attended {
+		same := ^(yes[k] ^ mine)
+		for ; word != 0; word &= word - 1 {
+			bit := bits.TrailingZeros64(word)
+			p := k*64 + bit
+			cw[p]++
+			s.common[p][w]++
+			if same>>uint(bit)&1 != 0 {
+				aw[p]++
+				s.agree[p][w]++
+			}
 		}
 	}
+	attended[w/64] |= 1 << (uint(w) % 64)
+	yes[w/64] |= mine & (1 << (uint(w) % 64))
 	s.responded[w].set(t)
-	if r == crowd.Yes {
-		s.answers[w].set(t)
-	}
 }
 
-// addFrom accumulates o into s: counter sums and attendance unions, plus
-// answer unions when both sides carry answer bitsets. The task sets behind
-// s and o must be disjoint (each task's responses live in exactly one of
-// them), which the sharded evaluator's task-striping guarantees.
+// addFrom accumulates o into s: counter sums and attendance unions. The
+// task sets behind s and o must be disjoint (each task's responses live in
+// exactly one of them), which the sharded evaluator's task-striping
+// guarantees.
 func (s *streamStats) addFrom(o *streamStats) {
 	for i := range s.agree {
 		ai, oa := s.agree[i], o.agree[i]
@@ -99,9 +92,6 @@ func (s *streamStats) addFrom(o *streamStats) {
 			ci[j] += oc[j]
 		}
 		s.responded[i].orWith(o.responded[i])
-		if i < len(s.answers) && i < len(o.answers) {
-			s.answers[i].orWith(o.answers[i])
-		}
 	}
 }
 
@@ -123,25 +113,6 @@ func (s *streamStats) counters(w int) (agree, common []int) { return s.agree[w],
 
 // attendance implements agreementSource over the attendance bitsets.
 func (s *streamStats) attendance(w int) []uint64 { return s.responded[w] }
-
-// workerResponse is one entry of a task's response list, packed to 8
-// bytes: the lists hold every response ingested, so their size is the
-// evaluator's memory floor. NewShardedIncremental rejects crowds whose
-// worker indices would not fit.
-type workerResponse struct {
-	worker int32
-	resp   int8 // a crowd.Response
-	// cut marks the newest response a statistics cut (CutStats) covered;
-	// it and every response before it in the list are covered. A task
-	// whose last response is unmarked gained responses since the last cut
-	// and, once cuts are tracked, is on its shard's dirty list. The mark
-	// sits in the padding, so it costs Add no map operation and no memory.
-	cut bool
-}
-
-func newWorkerResponse(w int, r crowd.Response) workerResponse {
-	return workerResponse{worker: int32(w), resp: int8(r)}
-}
 
 // dynBitset is a growable bitset over task indices.
 type dynBitset []uint64
@@ -175,8 +146,9 @@ func (b *dynBitset) orWith(o dynBitset) {
 }
 
 // checkStreamingWorkers validates a streaming evaluator's crowd size: A2
-// needs three workers, and the packed response lists index workers with
-// 32 bits.
+// needs three workers, and a crowd past 32-bit worker indices could never
+// hold its workers² counters, so it is refused with an error before the
+// constructor tries to allocate them.
 func checkStreamingWorkers(workers int) error {
 	if workers < 3 {
 		return fmt.Errorf("core: need at least 3 workers, have %d: %w", workers, ErrInsufficientData)
@@ -187,53 +159,30 @@ func checkStreamingWorkers(workers int) error {
 	return nil
 }
 
-// snapshotDataset builds a Dataset from the shards' task-response maps
-// (their task sets must be disjoint).
-func snapshotDataset(workers, tasks int, responseMaps []map[int][]workerResponse) (*crowd.Dataset, error) {
-	if tasks == 0 {
-		return nil, fmt.Errorf("core: no responses recorded: %w", ErrInsufficientData)
-	}
-	ds, err := crowd.NewDataset(workers, tasks, 2)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range responseMaps {
-		for t, rs := range m {
-			for _, wr := range rs {
-				if err := ds.SetResponse(int(wr.worker), t, crowd.Response(wr.resp)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return ds, nil
-}
-
 // tallyDisagreement accumulates per-worker attempted/disagree counts over
-// one task-response map. Majorities are per task, so tallying a shard at a
-// time is exact.
-func tallyDisagreement(attempted, disagree []int, taskResponses map[int][]workerResponse) {
-	for _, rs := range taskResponses {
-		yes := 0
-		for _, wr := range rs {
-			if crowd.Response(wr.resp) == crowd.Yes {
-				yes++
+// one shard's task columns (see incShard), words attendance words then
+// words answer words each. Majorities are per task, so tallying a shard at
+// a time is exact.
+func tallyDisagreement(attempted, disagree []int, cols []uint64, words int) {
+	for off := 0; off < len(cols); off += 2 * words {
+		attended, yes := cols[off:off+words], cols[off+words:off+2*words]
+		n, y := 0, 0
+		for k := range attended {
+			n += bits.OnesCount64(attended[k])
+			y += bits.OnesCount64(yes[k])
+		}
+		// A tie goes to Yes, matching MajorityVote.
+		majorityYes := 2*y >= n
+		for k, word := range attended {
+			wrong := yes[k]
+			if majorityYes {
+				wrong = word &^ yes[k]
 			}
-		}
-		no := len(rs) - yes
-		var maj crowd.Response
-		switch {
-		case yes > no:
-			maj = crowd.Yes
-		case no > yes:
-			maj = crowd.No
-		default:
-			maj = crowd.Yes // deterministic tie-break, matching MajorityVote
-		}
-		for _, wr := range rs {
-			attempted[wr.worker]++
-			if crowd.Response(wr.resp) != maj {
-				disagree[wr.worker]++
+			for ; word != 0; word &= word - 1 {
+				attempted[k*64+bits.TrailingZeros64(word)]++
+			}
+			for ; wrong != 0; wrong &= wrong - 1 {
+				disagree[k*64+bits.TrailingZeros64(wrong)]++
 			}
 		}
 	}

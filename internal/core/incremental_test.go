@@ -143,6 +143,20 @@ func TestIncrementalCounters(t *testing.T) {
 	if inc.Tasks() != 2 || inc.Responses() != 5 {
 		t.Errorf("Tasks=%d Responses=%d", inc.Tasks(), inc.Responses())
 	}
+
+	// Tasks is the task horizon, not a count of the tasks seen.
+	sparse, err := NewShardedIncremental(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, task := range []int{0, 1000} {
+		if err := sparse.Add(0, task, crowd.Yes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sparse.Tasks() != 1001 {
+		t.Errorf("tasks {0, 1000}: Tasks=%d, want 1001", sparse.Tasks())
+	}
 }
 
 func TestIncrementalSnapshotRoundTrip(t *testing.T) {
@@ -156,7 +170,7 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedDataset(t, inc, ds, 1)
-	snap, err := inc.Snapshot()
+	snap, err := compactDataset(inc.CompactCheckpoint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +185,7 @@ func TestIncrementalSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := empty.Snapshot(); !errors.Is(err, ErrInsufficientData) {
+	if _, err := compactDataset(empty.CompactCheckpoint()); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("empty snapshot err = %v", err)
 	}
 }
@@ -230,9 +244,9 @@ func TestIncrementalIntervalsShrinkWithData(t *testing.T) {
 	}
 }
 
-// TestStreamingRejectsOversizedCrowd: task response lists store worker
-// indices in 32 bits, so the streaming constructor refuses a crowd whose
-// indices would not fit, before allocating anything for it.
+// TestStreamingRejectsOversizedCrowd: a crowd past 32-bit worker indices
+// could never hold its workers² counters, so the streaming constructor
+// refuses it before allocating anything for it.
 func TestStreamingRejectsOversizedCrowd(t *testing.T) {
 	if strconv.IntSize == 32 {
 		t.Skip("int cannot exceed math.MaxInt32")

@@ -36,13 +36,13 @@ func trimBitset(words []uint64) []uint64 {
 // rates, the tallies are additive across disjoint task sets — each task's
 // majority is decided where its responses live — which is what lets a
 // coordinator sum per-node tallies and run the paper's spammer screen over
-// a cluster exactly.
+// a cluster exactly. Each task's tally takes two popcounts of its column.
 func (s *ShardedIncremental) DisagreementCounts() (attempted, disagree []int) {
 	attempted = make([]int, s.workers)
 	disagree = make([]int, s.workers)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		tallyDisagreement(attempted, disagree, sh.taskResponses)
+		tallyDisagreement(attempted, disagree, sh.cols, s.words)
 		sh.mu.Unlock()
 	}
 	return attempted, disagree

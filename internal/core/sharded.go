@@ -20,7 +20,7 @@ type StreamingEvaluator interface {
 	Add(w, t int, r crowd.Response) error
 	// Workers returns the number of workers tracked.
 	Workers() int
-	// Tasks returns the number of distinct task indices seen.
+	// Tasks returns the task horizon: the highest task index seen plus one.
 	Tasks() int
 	// Responses returns the total number of responses recorded, in O(1).
 	Responses() int
@@ -34,8 +34,6 @@ type StreamingEvaluator interface {
 	EvaluateSubset(workers []int, opts EvalOptions) ([]WorkerEstimate, error)
 	// MajorityDisagreement runs the paper's spammer screen online.
 	MajorityDisagreement() []float64
-	// Snapshot materializes the accumulated responses as a Dataset.
-	Snapshot() (*crowd.Dataset, error)
 }
 
 var _ StreamingEvaluator = (*ShardedIncremental)(nil)
@@ -44,13 +42,14 @@ var _ StreamingEvaluator = (*ShardedIncremental)(nil)
 // online, realizing the paper's closing remark that the method "can be
 // easily modified to be incremental, to keep efficiently updating worker
 // error rates as more tasks get done." Each added response updates
-// pairwise agreement counts against the task's previous responders in
-// O(responders); triple common-task counts are answered from per-worker
-// attendance bitsets, so no response is ever rescanned.
+// pairwise agreement counts against the task's previous responders, found
+// in the task's attendance column, in O(workers/64 + responders); triple
+// common-task counts are answered from per-worker attendance bitsets, so
+// no response is ever rescanned.
 //
 // The task space is hash-partitioned into N stripes, each owned by a shard
-// with its own lock, agree/common counters, attendance bitsets and
-// mat.Workspace. Because every response for a task lands in exactly one
+// with its own lock, task columns, agree/common counters, attendance
+// bitsets and mat.Workspace. Because every response for a task lands in exactly one
 // shard, a shard's counters are the exact statistics of its stripe, and
 // the integer counters are additive across stripes — so ingestion scales
 // with shards while evaluation, which runs on the merged counters,
@@ -75,6 +74,7 @@ var _ StreamingEvaluator = (*ShardedIncremental)(nil)
 // workspace.
 type ShardedIncremental struct {
 	workers int
+	words   int // ⌈workers/64⌉: the attendance (and answer) words of a task column
 	shards  []*incShard
 
 	// mergeMu guards the lazy merge state below. snapshot pins the state
@@ -96,14 +96,16 @@ type incShard struct {
 	// mu guards every ingestion field below it.
 	mu    sync.Mutex
 	epoch uint64 // advanced by every successful Add; drives lazy re-merges
-	// taskResponses[t] lists (worker, response) pairs for task t of this
-	// stripe.
-	taskResponses map[int][]workerResponse
-	// dirty lists, in arrival order, the tasks of this stripe that gained
-	// responses since the last cut. Until the first cut (tracking unset)
-	// nothing consumes it, so Add keeps none.
-	dirty     []int
-	tracking  bool
+	// cols is a slab of per-task columns and colOf maps each task of this
+	// stripe to the offset of its column. A column is words attendance
+	// words (bit w set when worker w answered the task) followed by words
+	// answer words (bit w set when that answer was Yes): each response is
+	// stored once, as two bits.
+	colOf map[int]int
+	cols  []uint64
+	// dirty marks the task words (t/64) of this stripe that gained
+	// responses since the last cut.
+	dirty     dynBitset
 	stats     *streamStats
 	tasks     int // highest task index seen in this stripe + 1
 	responses int // running response count for this stripe
@@ -128,14 +130,15 @@ func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	}
 	s := &ShardedIncremental{
 		workers:      workers,
+		words:        (workers + 63) / 64,
 		shards:       make([]*incShard, shards),
 		mergedEpochs: make([]uint64, shards),
 	}
 	for i := range s.shards {
 		s.shards[i] = &incShard{
-			taskResponses: make(map[int][]workerResponse),
-			stats:         newStreamStats(workers, true),
-			ws:            mat.NewWorkspace(),
+			colOf: make(map[int]int),
+			stats: newStreamStats(workers),
+			ws:    mat.NewWorkspace(),
 		}
 	}
 	return s, nil
@@ -163,7 +166,7 @@ func (s *ShardedIncremental) Workers() int { return s.workers }
 // Shards returns the number of task-stripe shards.
 func (s *ShardedIncremental) Shards() int { return len(s.shards) }
 
-// Tasks returns the number of distinct task indices seen.
+// Tasks returns the task horizon: the highest task index seen plus one.
 func (s *ShardedIncremental) Tasks() int {
 	tasks := 0
 	for _, sh := range s.shards {
@@ -206,18 +209,27 @@ func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	if sh.stats.responded[w].get(t) {
 		return fmt.Errorf("core: worker %d already answered task %d", w, t)
 	}
-	rs := sh.taskResponses[t]
-	sh.stats.record(w, t, r, rs)
-	if sh.tracking && (len(rs) == 0 || rs[len(rs)-1].cut) {
-		sh.dirty = append(sh.dirty, t) // the task's first response since the last cut
-	}
-	sh.taskResponses[t] = append(rs, newWorkerResponse(w, r))
+	attended, yes := sh.column(t, s.words)
+	sh.stats.record(w, t, r, attended, yes)
+	sh.dirty.set(t / 64)
 	sh.responses++
 	if t+1 > sh.tasks {
 		sh.tasks = t + 1
 	}
 	sh.epoch++
 	return nil
+}
+
+// column returns task t's attendance and answer words, giving the task a
+// zeroed column first if it has none.
+func (sh *incShard) column(t, words int) (attended, yes []uint64) {
+	off, ok := sh.colOf[t]
+	if !ok {
+		off = len(sh.cols)
+		sh.colOf[t] = off
+		sh.cols = append(sh.cols, make([]uint64, 2*words)...)
+	}
+	return sh.cols[off : off+words], sh.cols[off+words : off+2*words]
 }
 
 // statsState is one point-in-time merge of a streaming evaluator's
@@ -290,7 +302,7 @@ func (s *ShardedIncremental) recycle() *statsState {
 		m, s.spare = s.spare, prev
 	default:
 		s.spare = prev
-		return &statsState{workers: s.workers, stats: newStreamStats(s.workers, false)}
+		return &statsState{workers: s.workers, stats: newStreamStats(s.workers)}
 	}
 	m.tasks, m.responses = 0, 0
 	m.stats.reset()
@@ -397,30 +409,6 @@ func finishEstimate(d WorkerDelta, confidence float64) WorkerEstimate {
 		est.Interval = d.Est.Interval(confidence).ClampTo(0, 1)
 	}
 	return est
-}
-
-// Snapshot materializes the accumulated responses as a Dataset. Like
-// Evaluate, it reflects each shard's responses as of the moment the shard
-// was visited.
-func (s *ShardedIncremental) Snapshot() (*crowd.Dataset, error) {
-	// Hold every shard lock (in index order, the only multi-shard locking
-	// in the package) so the materialized dataset is a point-in-time cut.
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	maps := make([]map[int][]workerResponse, len(s.shards))
-	tasks := 0
-	for i, sh := range s.shards {
-		maps[i] = sh.taskResponses
-		if sh.tasks > tasks {
-			tasks = sh.tasks
-		}
-	}
-	ds, err := snapshotDataset(s.workers, tasks, maps)
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
-	return ds, err
 }
 
 // MajorityDisagreement runs the paper's spammer screen on the accumulated

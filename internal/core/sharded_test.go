@@ -38,20 +38,93 @@ func shuffledStream(t testing.TB, ds *crowd.Dataset, seed int64) []submission {
 	return subs
 }
 
+// wideCrowd generates a 130-worker crowd, so each task column has three
+// attendance words, the last one partial. Task 0's vote is balanced into a
+// tie between the low and the high workers, which exercises the majority
+// tie-break beyond worker 64.
+func wideCrowd(t testing.TB, tasks int, density float64, seed int64) *crowd.Dataset {
+	t.Helper()
+	ds, _, err := sim.Binary{Tasks: tasks, Workers: 130, Density: density}.Generate(randx.NewSource(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var responders []int
+	for w := 0; w < ds.Workers(); w++ {
+		if ds.Attempted(w, 0) {
+			responders = append(responders, w)
+		}
+	}
+	if len(responders)%2 == 1 {
+		last := responders[len(responders)-1]
+		responders = responders[:len(responders)-1]
+		if err := ds.SetResponse(last, 0, crowd.None); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(responders) < 2 || responders[len(responders)-1] < 64 {
+		t.Fatalf("seed %d: task 0 has responders %v, too few for a tie beyond worker 64", seed, responders)
+	}
+	for i, w := range responders {
+		r := crowd.Yes
+		if 2*i >= len(responders) {
+			r = crowd.No
+		}
+		if err := ds.SetResponse(w, 0, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ds
+}
+
+// compactDataset materializes the responses behind a compact checkpoint
+// as a Dataset: the attendance bitsets say who answered which task and the
+// answer bitsets what they answered.
+func compactDataset(cs *CompactState) (*crowd.Dataset, error) {
+	if cs.Stats.Tasks == 0 {
+		return nil, fmt.Errorf("core: no responses recorded: %w", ErrInsufficientData)
+	}
+	ds, err := crowd.NewDataset(cs.Stats.Workers, cs.Stats.Tasks, 2)
+	if err != nil {
+		return nil, err
+	}
+	for w, attended := range cs.Stats.Responded {
+		answers := dynBitset(cs.Answers[w])
+		for k, word := range attended {
+			for ; word != 0; word &= word - 1 {
+				task := 64*k + mathbits.TrailingZeros64(word)
+				answer := crowd.No
+				if answers.get(task) {
+					answer = crowd.Yes
+				}
+				if err := ds.SetResponse(w, task, answer); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	return ds, nil
+}
+
 // TestShardedMatchesIncremental is the tentpole property: for any shard
 // count, streaming the same responses must reproduce the batch algorithm's
 // intervals and spammer screen bit for bit — not approximately. The merge
 // is integer-counter addition, so any divergence at all is a routing or
-// merge bug.
+// merge bug. The last crowd has 130 workers, so task columns span three
+// words and one task's vote is tied.
 func TestShardedMatchesIncremental(t *testing.T) {
 	opts := EvalOptions{Confidence: 0.9}
+	var crowds []*crowd.Dataset
 	for seed := int64(0); seed < 4; seed++ {
 		src := randx.NewSource(300 + seed)
 		ds, _, err := sim.Binary{Tasks: 150, Workers: 8, Density: 0.65}.Generate(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		subs := shuffledStream(t, ds, seed)
+		crowds = append(crowds, ds)
+	}
+	crowds = append(crowds, wideCrowd(t, 200, 0.3, 304))
+	for seed, ds := range crowds {
+		subs := shuffledStream(t, ds, int64(seed))
 		wantTasks := 0
 		for _, s := range subs {
 			wantTasks = max(wantTasks, s.t+1)
@@ -63,7 +136,7 @@ func TestShardedMatchesIncremental(t *testing.T) {
 		wantDis := ds.MajorityDisagreement()
 
 		for _, shards := range []int{1, 2, 7} {
-			sharded, err := NewShardedIncremental(8, shards)
+			sharded, err := NewShardedIncremental(ds.Workers(), shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +196,7 @@ func TestShardedMatchesIncremental(t *testing.T) {
 						seed, shards, w, gotDis[w], wantDis[w])
 				}
 			}
-			snap, err := sharded.Snapshot()
+			snap, err := compactDataset(sharded.CompactCheckpoint())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -485,7 +558,7 @@ func TestShardedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := empty.Snapshot(); !errors.Is(err, ErrInsufficientData) {
+	if _, err := compactDataset(empty.CompactCheckpoint()); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("empty snapshot err = %v", err)
 	}
 }

@@ -125,9 +125,9 @@ func (c *ClusterEvaluator) flushLocked() error {
 	return errors.Join(parked, ingestErr)
 }
 
-// Tasks returns the number of distinct task indices seen cluster-wide. If
-// the cluster is unreachable it returns the last known value and parks the
-// error for the next fallible call.
+// Tasks returns the cluster-wide task horizon: the highest task index
+// seen plus one. If the cluster is unreachable it returns the last known
+// value and parks the error for the next fallible call.
 func (c *ClusterEvaluator) Tasks() int {
 	tasks, _ := c.countsFlushed()
 	return tasks
@@ -204,13 +204,4 @@ func (c *ClusterEvaluator) MajorityDisagreement() []float64 {
 		return make([]float64, c.coord.Workers())
 	}
 	return rates
-}
-
-// Snapshot flushes, then materializes every response the cluster holds as
-// a Dataset (each slice ships its response log once).
-func (c *ClusterEvaluator) Snapshot() (*crowd.Dataset, error) {
-	if err := c.Flush(); err != nil {
-		return nil, err
-	}
-	return c.coord.Snapshot()
 }

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"sync"
 	"testing"
@@ -164,7 +165,10 @@ func TestClusterEvaluatorStreamingContract(t *testing.T) {
 		}
 	}
 
-	requireSnapshotEqual(t, "adapter", ev.Snapshot, local)
+	if err := ev.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	requireSnapshotEqual(t, "adapter", ev.coord, local)
 
 	// Local rejections are immediate and do not poison the buffer.
 	if err := ev.Add(-1, 0, crowd.Yes); err == nil {
@@ -186,15 +190,56 @@ func TestClusterEvaluatorStreamingContract(t *testing.T) {
 	}
 }
 
-// requireSnapshotEqual materializes a cluster's responses with snapshot and
-// requires the Dataset to equal the reference's, cell by cell.
-func requireSnapshotEqual(t *testing.T, label string, snapshot func() (*crowd.Dataset, error), local *batchReference) {
+// clusterDataset materializes every response the cluster holds as a
+// Dataset, from each slice's compact state pulled from every live replica
+// and byte-validated across them: its attendance bitsets say who answered
+// which task and its answer bitsets what they answered.
+func clusterDataset(c *Coordinator) (*crowd.Dataset, error) {
+	states := make([]*core.CompactState, len(c.slices))
+	tasks := 0
+	for si := range c.slices {
+		payload, err := c.broadcast(si, msgPullCompact, nil, msgCompact, true)
+		if err == nil {
+			states[si], err = DecodeCompact(payload)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("slice %d compact state: %w", si, err)
+		}
+		tasks = max(tasks, states[si].Stats.Tasks)
+	}
+	ds, err := crowd.NewDataset(c.workers, tasks, 2)
+	if err != nil {
+		return nil, err
+	}
+	for _, cs := range states {
+		for w, attended := range cs.Stats.Responded {
+			for k, word := range attended {
+				for ; word != 0; word &= word - 1 {
+					bit := bits.TrailingZeros64(word)
+					answer := crowd.No
+					if k < len(cs.Answers[w]) && cs.Answers[w][k]>>uint(bit)&1 != 0 {
+						answer = crowd.Yes
+					}
+					if err := ds.SetResponse(w, 64*k+bit, answer); err != nil {
+						return nil, err
+					}
+				}
+			}
+		}
+	}
+	return ds, nil
+}
+
+// requireSnapshotEqual materializes a cluster's responses with
+// clusterDataset and requires the Dataset to equal the reference's, cell by
+// cell.
+func requireSnapshotEqual(t *testing.T, label string, coord *Coordinator, local *batchReference) {
 	t.Helper()
 	wantDS, err := local.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDS, err := snapshot()
+	gotDS, err := clusterDataset(coord)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -222,7 +267,7 @@ func TestClusterSnapshotMatchesLocal(t *testing.T) {
 		coord, grid := newReplicatedCluster(t, crowdSize, 2, 2, shards)
 		ingestConcurrently(t, coord, subs[:half], 3, 16)
 		label := fmt.Sprintf("shards=%d", shards)
-		requireSnapshotEqual(t, label, coord.Snapshot, localReference(t, crowdSize, subs[:half]))
+		requireSnapshotEqual(t, label, coord, localReference(t, crowdSize, subs[:half]))
 
 		if err := grid[1][0].Close(); err != nil {
 			t.Fatal(err)
@@ -235,7 +280,7 @@ func TestClusterSnapshotMatchesLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		ingestConcurrently(t, coord, subs[half:], 3, 16)
-		requireSnapshotEqual(t, label+" after a survivor reseed", coord.Snapshot, localReference(t, crowdSize, subs))
+		requireSnapshotEqual(t, label+" after a survivor reseed", coord, localReference(t, crowdSize, subs))
 	}
 }
 

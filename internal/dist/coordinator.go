@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -465,8 +464,8 @@ func (c *Coordinator) Responses() (int, error) {
 	return responses, err
 }
 
-// Tasks returns the number of distinct task indices seen across the
-// cluster (max index + 1).
+// Tasks returns the task horizon across the cluster: the highest task
+// index seen plus one.
 func (c *Coordinator) Tasks() (int, error) {
 	tasks, _, err := c.counts()
 	return tasks, err
@@ -712,66 +711,6 @@ func (c *Coordinator) EvaluateSubset(workers []int, opts core.EvalOptions) ([]co
 		return nil, err
 	}
 	return acc.EvaluateSubset(workers, opts)
-}
-
-// Snapshot materializes every response the cluster holds as a Dataset —
-// the distributed form of ShardedIncremental.Snapshot, for
-// interoperability with the batch algorithms. Each slice's compact state
-// is pulled from every live replica and byte-validated across them; its
-// attendance bitsets say who answered which task and its answer bitsets
-// what they answered. The arrival order the compact state forgets is not
-// part of a Dataset.
-func (c *Coordinator) Snapshot() (*crowd.Dataset, error) {
-	states := make([]*core.CompactState, len(c.slices))
-	errs := make([]error, len(c.slices))
-	var wg sync.WaitGroup
-	for si := range c.slices {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			payload, err := c.broadcast(si, msgPullCompact, nil, msgCompact, true)
-			if err == nil {
-				states[si], err = DecodeCompact(payload)
-			}
-			if err != nil {
-				errs[si] = fmt.Errorf("dist: slice %d compact state: %w", si, err)
-			}
-		}(si)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	tasks := 0
-	for _, cs := range states {
-		tasks = max(tasks, cs.Stats.Tasks)
-	}
-	if tasks == 0 {
-		return nil, fmt.Errorf("dist: no responses recorded: %w", core.ErrInsufficientData)
-	}
-	ds, err := crowd.NewDataset(c.workers, tasks, 2)
-	if err != nil {
-		return nil, err
-	}
-	for si, cs := range states {
-		for w, attended := range cs.Stats.Responded {
-			answers := cs.Answers[w]
-			for k, word := range attended {
-				for word != 0 {
-					bit := word & -word
-					word ^= bit
-					answer := crowd.No
-					if k < len(answers) && answers[k]&bit != 0 {
-						answer = crowd.Yes
-					}
-					if err := ds.SetResponse(w, 64*k+bits.TrailingZeros64(bit), answer); err != nil {
-						return nil, fmt.Errorf("dist: slice %d compact state: %w", si, err)
-					}
-				}
-			}
-		}
-	}
-	return ds, nil
 }
 
 // RunSweep distributes a replicate sweep: the replicate index range is
