@@ -1,24 +1,22 @@
 // Command crowdd is the distributed crowd-assessment worker daemon. It
-// owns a sharded streaming evaluator over the task slice its coordinator
+// owns a sharded streaming evaluator over the task slice its cluster head
 // routes to it, speaks the internal/dist merge/evaluate protocol on a TCP
-// listener, and reports health and ingestion statistics over HTTP.
+// listener, and reports health and ingestion statistics over HTTP. The
+// cluster head is crowdgate: a tenant with a "cluster" spec dials the
+// workers, runs the failure detector and journals each task slice (see
+// docs/operations.md).
 //
 // Usage:
 //
 //	crowdd -listen :7333 -workers 64 [-shards 8] [-health :8333]
 //	       [-wal /var/lib/crowdd/wal] [-fsync always] [-snapshot-interval 1m]
-//	       [-rpc-timeout 30s]
-//
-// With -coordinate, crowdd runs as the cluster head instead of a worker
-// (see coordinator.go): it dials the listed replica groups, runs the
-// heartbeat monitor with -heartbeat-interval, bounds every cluster RPC by
-// -rpc-timeout, and serves an HTTP ingestion/evaluation/membership API on
-// -health.
+//	       [-rpc-timeout 30s] [-pprof]
 //
 // -workers is the crowd size (the worker-index space of the responses this
-// node ingests); every node of a cluster and its coordinator must agree on
-// it, and the protocol handshake enforces that. -shards sets the node's
-// local task-stripe count for concurrent ingestion (default GOMAXPROCS).
+// node ingests); every node of a cluster and its head must agree on it,
+// and the protocol handshake enforces that. -shards sets the node's local
+// task-stripe count for concurrent ingestion (default GOMAXPROCS).
+// -rpc-timeout bounds how long a request frame may stall mid-read.
 //
 // With -wal DIR, the daemon runs the storage engine and is restartable
 // without losing its task slice: every acknowledged ingest batch is
@@ -29,28 +27,26 @@
 // the engine recovers from the newest valid snapshot plus the WAL tail,
 // truncating at the first torn record — a crash (even a power cut, under
 // -fsync always) loses no acked batch, and a store that cannot account for
-// its state refuses to start rather than serve skewed statistics. In
-// -coordinate mode, -wal journals per task slice (DIR/slice-NNN) on the
-// coordinator side, and the monitor's auto-reseed rebuilds a fully-dead
-// slice from its slice store. The snapshots hold compact state (CCMP);
-// the response-log checkpoint files of protocol-5 daemons are not read.
+// its state refuses to start rather than serve skewed statistics. The
+// snapshots hold compact state (CCMP); the response-log checkpoint files
+// of protocol-5 daemons are not read. Without -wal, a restarted worker
+// comes back empty, and a head journaling its slice rebuilds it.
 //
-// With -health, the daemon serves (both modes):
+// With -health, the daemon serves:
 //
-//	GET /healthz — 200 and {"status":"ok"|"degraded","uptime_s":...}
+//	GET /healthz — 200 and {"status":"ok","uptime_s":...}
 //	GET /statsz  — crowd size, shard count, tasks and responses ingested,
-//	               live coordinator connections, uptime
+//	               live head connections, uptime
 //	GET /metrics — the full metrics registry in Prometheus text format:
-//	               RPC and WAL latency histograms, membership gauges,
-//	               ingest counters
+//	               RPC and WAL latency histograms, ingest counters
 //
 // and, with -pprof, the net/http/pprof profiling handlers under
 // /debug/pprof/ on the same address.
 //
-// On SIGINT/SIGTERM the daemon stops accepting, closes coordinator
-// connections after their in-flight request finishes, cuts the final
-// snapshot, shuts the health endpoint down, and exits 0 — a graceful
-// drain, so a coordinator never observes a half-written frame.
+// On SIGINT/SIGTERM the daemon stops accepting, closes head connections
+// after their in-flight request finishes, cuts the final snapshot, shuts
+// the health endpoint down, and exits 0 — a graceful drain, so the head
+// never observes a half-written frame.
 package main
 
 import (
@@ -58,6 +54,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -72,29 +69,23 @@ import (
 func main() {
 	var (
 		listen     = flag.String("listen", ":7333", "TCP address to serve the dist protocol on")
-		nwork      = flag.Int("workers", 0, "crowd size (required; must match the coordinator)")
+		nwork      = flag.Int("workers", 0, "crowd size (required; must match the cluster head)")
 		shards     = flag.Int("shards", 0, "local task-stripe shards for concurrent ingestion (0 = GOMAXPROCS)")
-		health     = flag.String("health", "", "optional HTTP address for /healthz and /statsz (required in -coordinate mode)")
+		health     = flag.String("health", "", "optional HTTP address for /healthz, /statsz and /metrics")
 		wal        = flag.String("wal", "", "WAL storage-engine directory: acked ingest batches are journaled before the ack and compacted into O(delta) snapshots every -snapshot-interval")
 		fsyncSpec  = flag.String("fsync", "always", "WAL append durability: always (fsync per record), interval (group commit), never")
-		snapEvery  = flag.Duration("snapshot-interval", time.Minute, "how often to cut a compact WAL snapshot and truncate the journal behind it (-wal mode; must be positive)")
-		coordinate = flag.String("coordinate", "", `run as cluster head over these replica groups ("a,b;c,d": ';' separates task slices, ',' a slice's replicas)`)
-		rpcTimeout = flag.Duration("rpc-timeout", 0, "per-RPC stall budget: mid-frame deadline as a worker, cluster RPC timeout as a coordinator (0 = defaults)")
-		hbInterval = flag.Duration("heartbeat-interval", dist.DefaultHeartbeatInterval, "coordinator heartbeat probe interval (-coordinate mode)")
+		snapEvery  = flag.Duration("snapshot-interval", dist.DefaultCheckpointInterval, "how often to cut a compact WAL snapshot and truncate the journal behind it (-wal mode; must be positive)")
+		rpcTimeout = flag.Duration("rpc-timeout", 0, "mid-frame stall budget for a request from the head (0 = default)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the -health address")
 	)
 	flag.Parse()
-	err := validateTimeouts(*rpcTimeout, *hbInterval)
+	err := validateTimeouts(*rpcTimeout)
 	var cfg storageConfig
 	if err == nil {
 		cfg, err = validateStorage(*wal, *fsyncSpec, *snapEvery)
 	}
 	if err == nil {
-		if *coordinate != "" {
-			err = coordinatorMain(*coordinate, *nwork, *health, *rpcTimeout, *hbInterval, cfg, *pprofOn)
-		} else {
-			err = run(*listen, *nwork, *shards, *health, cfg, *rpcTimeout, *pprofOn)
-		}
+		err = run(*listen, *nwork, *shards, *health, cfg, *rpcTimeout, *pprofOn)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crowdd: %v\n", err)
@@ -102,31 +93,13 @@ func main() {
 	}
 }
 
-// validateTimeouts rejects nonsensical duration flags up front, naming
-// the offending flag, instead of letting a negative timeout be silently
-// ignored (the old -rpc-timeout behavior) or a zero interval be silently
-// replaced by a default the operator never asked for.
-func validateTimeouts(rpcTimeout, hbInterval time.Duration) error {
+// validateTimeouts rejects a negative -rpc-timeout up front, naming the
+// flag, instead of letting it be silently ignored.
+func validateTimeouts(rpcTimeout time.Duration) error {
 	if rpcTimeout < 0 {
-		return fmt.Errorf("-rpc-timeout must not be negative (0 means defaults), got %v", rpcTimeout)
-	}
-	if hbInterval <= 0 {
-		return fmt.Errorf("-heartbeat-interval must be positive, got %v", hbInterval)
+		return fmt.Errorf("-rpc-timeout must not be negative (0 means the default), got %v", rpcTimeout)
 	}
 	return nil
-}
-
-// coordinatorMain maps the flag surface onto runCoordinator: -rpc-timeout
-// bounds every cluster RPC, -heartbeat-interval paces the failure
-// detector, and SIGINT/SIGTERM drive the graceful drain.
-func coordinatorMain(spec string, workers int, health string, rpcTimeout, hbInterval time.Duration, cfg storageConfig, pprofOn bool) error {
-	policy := dist.DefaultPolicy()
-	if rpcTimeout > 0 {
-		policy.RPCTimeout = rpcTimeout
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return runCoordinator(spec, workers, health, policy, dist.MonitorOptions{Interval: hbInterval}, cfg, pprofOn, ctx.Done())
 }
 
 func run(listen string, workers, shards int, health string, cfg storageConfig, rpcTimeout time.Duration, pprofOn bool) error {
@@ -164,7 +137,7 @@ func run(listen string, workers, shards int, health string, cfg storageConfig, r
 	var healthSrv *http.Server
 	if health != "" {
 		mux := http.NewServeMux()
-		mux.HandleFunc("/healthz", healthzHandler(reg, nil))
+		mux.HandleFunc("/healthz", healthzHandler(reg))
 		// /statsz reads the same gauges /metrics scrapes — one source of
 		// truth — rather than a hand-rolled stats struct.
 		mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
@@ -180,7 +153,7 @@ func run(listen string, workers, shards int, health string, cfg storageConfig, r
 			})
 		})
 		attachObs(mux, reg, pprofOn)
-		healthSrv = &http.Server{Addr: health, Handler: obs.HTTPMiddleware(mux, headLogger(), reg, listen)}
+		healthSrv = &http.Server{Addr: health, Handler: obs.HTTPMiddleware(mux, obs.NewLogger(os.Stderr, "crowdd", slog.LevelInfo), reg, listen)}
 		go func() {
 			if err := healthSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "crowdd: health endpoint: %v\n", err)
@@ -192,7 +165,11 @@ func run(listen string, workers, shards int, health string, cfg storageConfig, r
 	// Periodic compact snapshots while serving (O(delta): the journal is
 	// already durable, the snapshot just lets it be truncated); the final
 	// one is cut after the drain below.
-	stopSnapshots := cfg.snapshotEvery(worker.CheckpointCompact)
+	stopSnapshots := func() {}
+	if st != nil {
+		stopSnapshots = dist.CheckpointEvery(cfg.snapEvery, worker.CheckpointCompact,
+			func(err error) { fmt.Fprintf(os.Stderr, "crowdd: compact snapshot: %v\n", err) })
+	}
 
 	// Serve until a shutdown signal, then drain gracefully.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -235,25 +235,17 @@ func TestWALLifecycle(t *testing.T) {
 	}
 }
 
-// TestValidateTimeouts: the duration flags reject nonsense with errors
-// that name the flag. A negative -rpc-timeout used to be silently
-// ignored; a zero -heartbeat-interval used to be silently replaced by
-// the monitor's default.
+// TestValidateTimeouts: -rpc-timeout rejects a negative value with an
+// error that names the flag; it used to be silently ignored.
 func TestValidateTimeouts(t *testing.T) {
-	if err := validateTimeouts(0, time.Second); err != nil {
-		t.Errorf("zero rpc-timeout (= defaults) rejected: %v", err)
+	if err := validateTimeouts(0); err != nil {
+		t.Errorf("zero rpc-timeout (= default) rejected: %v", err)
 	}
-	if err := validateTimeouts(30*time.Second, time.Second); err != nil {
-		t.Errorf("valid timeouts rejected: %v", err)
+	if err := validateTimeouts(30 * time.Second); err != nil {
+		t.Errorf("valid timeout rejected: %v", err)
 	}
-	err := validateTimeouts(-time.Second, time.Second)
+	err := validateTimeouts(-time.Second)
 	if err == nil || !strings.Contains(err.Error(), "-rpc-timeout") {
 		t.Errorf("negative -rpc-timeout: err = %v, want an error naming the flag", err)
-	}
-	for _, hb := range []time.Duration{0, -time.Second} {
-		err := validateTimeouts(0, hb)
-		if err == nil || !strings.Contains(err.Error(), "-heartbeat-interval") {
-			t.Errorf("heartbeat-interval %v: err = %v, want an error naming the flag", hb, err)
-		}
 	}
 }

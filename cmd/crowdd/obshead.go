@@ -1,24 +1,22 @@
-// The observability head: the daemon-side half of internal/obs. Both
-// modes share one metrics registry, serve it as GET /metrics on the
-// -health mux in Prometheus text format, answer /healthz with the same
-// unified body, and — with -pprof — expose the net/http/pprof profiling
-// handlers under /debug/pprof/ on that same mux.
+// The observability head: the daemon-side half of internal/obs. The
+// worker serves its metrics registry as GET /metrics on the -health mux in
+// Prometheus text format, answers /healthz, and — with -pprof — exposes
+// the net/http/pprof profiling handlers under /debug/pprof/ on that same
+// mux.
 package main
 
 import (
 	"encoding/json"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
-	"os"
 
 	"crowdassess/internal/obs"
 )
 
 // newRegistry builds the daemon's metrics registry on the system clock
-// and exports process uptime. Every component (worker or coordinator,
-// stores, monitor, HTTP head) instruments itself against this one
-// registry, so /metrics is the whole daemon on one page.
+// and exports process uptime. Every component (worker, store, HTTP head)
+// instruments itself against this one registry, so /metrics is the whole
+// daemon on one page.
 func newRegistry() *obs.Registry {
 	reg := obs.NewRegistry(nil)
 	reg.GaugeFunc("process_uptime_seconds",
@@ -27,35 +25,16 @@ func newRegistry() *obs.Registry {
 	return reg
 }
 
-// headLogger is the structured access/event logger both modes share.
-func headLogger() *slog.Logger {
-	return obs.NewLogger(os.Stderr, "crowdd", slog.LevelInfo)
-}
-
-// healthzHandler serves the health body both modes agree on:
-//
-//	{"status":"ok"|"degraded","uptime_s":...}
-//
-// degraded is nil in worker mode (a worker that answers at all is ok);
-// the coordinator passes Degraded, which also keeps its original
-// degraded_slices field in the body.
-func healthzHandler(reg *obs.Registry, degraded func() []int) http.HandlerFunc {
+// healthzHandler serves {"status":"ok","uptime_s":...}: a worker that
+// answers at all is ok. Cluster health — replica liveness, degraded
+// slices — is the head's to report, on crowdgate's /metrics.
+func healthzHandler(reg *obs.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body := map[string]any{
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(map[string]any{
 			"status":   "ok",
 			"uptime_s": reg.Uptime().Seconds(),
-		}
-		if degraded != nil {
-			d := degraded()
-			if len(d) > 0 {
-				body["status"] = "degraded"
-			} else {
-				d = []int{}
-			}
-			body["degraded_slices"] = d
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(body)
+		})
 	}
 }
 

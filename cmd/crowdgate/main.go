@@ -11,19 +11,23 @@
 //	  {"name": "acme", "token": "s3cret", "workers": 40, "shards": 4,
 //	   "rate_per_sec": 200, "burst": 50},
 //	  {"name": "beta", "token_env": "BETA_TOKEN", "workers": 25,
-//	   "cluster": "a:7333,b:7333;c:7333,d:7333"}
+//	   "cluster": "a:7333,b:7333;c:7333,d:7333", "wal": "/var/lib/crowdgate/beta"}
 //	]}
 //
-// A tenant with a "cluster" spec fronts a distributed deployment: the
-// gateway dials every replica, becomes the cluster's (single) coordinator
-// and runs the self-healing monitor over it. Tenants without one get an
-// in-process sharded evaluator. Either way the tenant's statistics are
-// its own — the isolation the gate package enforces by construction.
+// A tenant with a "cluster" spec fronts a distributed deployment of crowdd
+// workers: the gateway dials every replica, becomes the cluster's one head
+// and runs the self-healing monitor over it. With "wal" it also journals
+// every task slice before acking, checkpoints the slice stores every
+// minute and after the shutdown drain, and on startup rebuilds workers
+// that came back empty from them. Tenants without a cluster get an
+// in-process sharded evaluator. Either way the tenant's statistics are its
+// own — the isolation the gate package enforces by construction.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -61,6 +65,11 @@ type tenantSpec struct {
 	// ';' separates task slices, ',' a slice's replicas). When set, this
 	// tenant fronts that cluster instead of a local evaluator.
 	Cluster string `json:"cluster"`
+	// WAL is a directory where a cluster tenant journals every task slice
+	// (WAL/slice-NNN, fsync per append) and cuts a compact checkpoint every
+	// minute and on shutdown. Workers that restart empty are rebuilt from
+	// it when the gateway starts. Requires Cluster.
+	WAL string `json:"wal"`
 	// MinResponses overrides the pool policy's decision floor when > 0.
 	MinResponses int `json:"min_responses"`
 }
@@ -104,7 +113,8 @@ func resolveToken(ts tenantSpec) (string, error) {
 }
 
 // parseGroups splits a cluster spec into replica address groups:
-// "a,b;c,d" → [[a b] [c d]] — the same grammar crowdd -coordinate uses.
+// "a,b;c,d" → [[a b] [c d]]. Whitespace around addresses is ignored;
+// empty slices or addresses are rejected.
 func parseGroups(spec string) ([][]string, error) {
 	var groups [][]string
 	for _, g := range strings.Split(spec, ";") {
@@ -153,19 +163,19 @@ func buildCluster(workers int, groups [][]string, policy dist.Policy) (*dist.Coo
 	return dist.NewCluster(workers, specs, policy)
 }
 
-// buildTenant turns one config entry into a gate.TenantConfig, returning
-// a cleanup for any cluster resources it opened.
-func buildTenant(ts tenantSpec, reg *obs.Registry) (gate.TenantConfig, func(), error) {
-	none := func() {}
+// buildTenant turns one config entry into a gate.TenantConfig. A cluster
+// tenant also returns its head, which the caller checkpoints while serving
+// and closes after draining; a local tenant returns a nil head.
+func buildTenant(ts tenantSpec, reg *obs.Registry) (gate.TenantConfig, *clusterHead, error) {
 	if ts.Name == "" {
-		return gate.TenantConfig{}, none, fmt.Errorf("tenant with empty name")
+		return gate.TenantConfig{}, nil, fmt.Errorf("tenant with empty name")
 	}
 	token, err := resolveToken(ts)
 	if err != nil {
-		return gate.TenantConfig{}, none, err
+		return gate.TenantConfig{}, nil, err
 	}
 	if ts.Workers <= 0 {
-		return gate.TenantConfig{}, none, fmt.Errorf("tenant %q: positive workers required", ts.Name)
+		return gate.TenantConfig{}, nil, fmt.Errorf("tenant %q: positive workers required", ts.Name)
 	}
 	policy := pool.DefaultPolicy()
 	if ts.MinResponses > 0 {
@@ -177,35 +187,19 @@ func buildTenant(ts tenantSpec, reg *obs.Registry) (gate.TenantConfig, func(), e
 		RatePerSec: ts.RatePerSec, Burst: ts.Burst,
 	}
 	if ts.Cluster == "" {
-		return tc, none, nil
+		if ts.WAL != "" {
+			return gate.TenantConfig{}, nil, fmt.Errorf("tenant %q: wal requires cluster (an in-process tenant has no slices to journal)", ts.Name)
+		}
+		return tc, nil, nil
 	}
-	groups, err := parseGroups(ts.Cluster)
+	head, err := startClusterHead(ts, &tc, reg)
 	if err != nil {
-		return gate.TenantConfig{}, none, fmt.Errorf("tenant %q: %w", ts.Name, err)
+		return gate.TenantConfig{}, nil, fmt.Errorf("tenant %q: %w", ts.Name, err)
 	}
-	coord, err := buildCluster(ts.Workers, groups, dist.DefaultPolicy())
-	if err != nil {
-		return gate.TenantConfig{}, none, fmt.Errorf("tenant %q: dialing cluster: %w", ts.Name, err)
-	}
-	coord.Instrument(reg)
-	coord.StartMonitor(dist.MonitorOptions{
-		OnEvent: dist.ChainEvents(dist.EventMetrics(reg), func(e dist.Event) {
-			fmt.Fprintf(os.Stderr, "crowdgate: tenant %s: cluster: %s\n", ts.Name, e)
-		}),
-	}).Instrument(reg)
-	ce := dist.NewClusterEvaluator(coord, 0)
-	mgr, err := pool.NewManagerWith(ce, policy)
-	if err != nil {
-		coord.Close()
-		return gate.TenantConfig{}, none, fmt.Errorf("tenant %q: %w", ts.Name, err)
-	}
-	mgr.Instrument(reg)
-	tc.Manager = mgr
-	tc.Flush = ce.Flush
-	return tc, func() { coord.Close() }, nil
+	return tc, head, nil
 }
 
-func run() error {
+func run() (err error) {
 	listen := flag.String("listen", "", "address to serve the /v1 API on (required), e.g. :8080")
 	tenantsPath := flag.String("tenants", "", "path to the tenant config JSON file (required)")
 	queue := flag.Int("queue", 0, "admission queue depth; requests beyond it are shed with 429 (0 = default)")
@@ -223,29 +217,30 @@ func run() error {
 		return err
 	}
 
-	reg := obs.NewRegistry(nil)
-	reg.GaugeFunc("process_uptime_seconds",
-		"Seconds since the gateway came up.",
-		func() float64 { return reg.Uptime().Seconds() })
+	reg := newRegistry()
 	logger := obs.NewLogger(os.Stderr, "crowdgate", slog.LevelInfo)
 
 	opts := gate.Options{QueueDepth: *queue, RetryAfter: *retryAfter, Registry: reg, Logger: logger}
-	var cleanups []func()
+	var heads []*clusterHead
+	// Runs last: the final checkpoint comes after the drain below.
 	defer func() {
-		for _, c := range cleanups {
-			c()
+		for _, h := range heads {
+			err = errors.Join(err, h.close())
 		}
 	}()
 	for _, ts := range cfg.Tenants {
-		tc, cleanup, err := buildTenant(ts, reg)
+		tc, head, err := buildTenant(ts, reg)
 		if err != nil {
 			return err
 		}
-		cleanups = append(cleanups, cleanup)
 		opts.Tenants = append(opts.Tenants, tc)
 		backend := "local"
-		if ts.Cluster != "" {
+		if head != nil {
+			heads = append(heads, head)
 			backend = "cluster " + ts.Cluster
+			if ts.WAL != "" {
+				backend += ", journaling under " + ts.WAL
+			}
 		}
 		fmt.Fprintf(os.Stderr, "crowdgate: tenant %s: %d workers, %s\n", ts.Name, ts.Workers, backend)
 	}
@@ -253,14 +248,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	stopCheckpoints := dist.CheckpointEvery(dist.DefaultCheckpointInterval,
+		func() error { return checkpointAll(heads) },
+		func(err error) { fmt.Fprintf(os.Stderr, "crowdgate: checkpoint: %v\n", err) })
+	defer stopCheckpoints()
 
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", gw)
-	mux.Handle("/metrics", reg)
-	if *pprofOn {
-		attachPprof(mux)
-	}
-	srv := &http.Server{Addr: *listen, Handler: obs.HTTPMiddleware(mux, logger, reg, "gate")}
+	srv := &http.Server{Addr: *listen, Handler: newMux(gw, reg, logger, *pprofOn)}
 
 	serveErr := make(chan error, 1)
 	go func() {
@@ -287,6 +280,28 @@ func run() error {
 		return err
 	}
 	return <-serveErr
+}
+
+// newRegistry builds the gateway's metrics registry on the system clock
+// and exports process uptime.
+func newRegistry() *obs.Registry {
+	reg := obs.NewRegistry(nil)
+	reg.GaugeFunc("process_uptime_seconds",
+		"Seconds since the gateway came up.",
+		func() float64 { return reg.Uptime().Seconds() })
+	return reg
+}
+
+// newMux serves the /v1 API, the registry as GET /metrics and, with
+// pprofOn, the profiling handlers, all behind the access-log middleware.
+func newMux(gw *gate.Gateway, reg *obs.Registry, logger *slog.Logger, pprofOn bool) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/v1/", gw)
+	mux.Handle("/metrics", reg)
+	if pprofOn {
+		attachPprof(mux)
+	}
+	return obs.HTTPMiddleware(mux, logger, reg, "gate")
 }
 
 func main() {

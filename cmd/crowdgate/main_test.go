@@ -22,7 +22,7 @@ func TestLoadConfig(t *testing.T) {
 		{"name": "acme", "token": "s3cret", "workers": 16, "shards": 4,
 		 "rate_per_sec": 200, "burst": 50, "min_responses": 10},
 		{"name": "beta", "token_env": "BETA_TOKEN", "workers": 8,
-		 "cluster": "a:7333,b:7333;c:7333"}
+		 "cluster": "a:7333,b:7333;c:7333", "wal": "/var/lib/crowdgate/beta"}
 	]}`)
 	cfg, err := loadConfig(path)
 	if err != nil {
@@ -37,7 +37,7 @@ func TestLoadConfig(t *testing.T) {
 		t.Errorf("tenant 0 = %+v", a)
 	}
 	b := cfg.Tenants[1]
-	if b.TokenEnv != "BETA_TOKEN" || b.Cluster != "a:7333,b:7333;c:7333" {
+	if b.TokenEnv != "BETA_TOKEN" || b.Cluster != "a:7333,b:7333;c:7333" || b.WAL != "/var/lib/crowdgate/beta" {
 		t.Errorf("tenant 1 = %+v", b)
 	}
 }
@@ -81,7 +81,8 @@ func TestResolveToken(t *testing.T) {
 }
 
 func TestParseGroups(t *testing.T) {
-	groups, err := parseGroups("a:1,b:2;c:3")
+	// Whitespace around addresses is ignored.
+	groups, err := parseGroups(" a:1 ,b:2; c:3 ")
 	if err != nil {
 		t.Fatalf("parseGroups: %v", err)
 	}
@@ -90,7 +91,8 @@ func TestParseGroups(t *testing.T) {
 		t.Errorf("groups = %v, want %v", groups, want)
 	}
 
-	for _, bad := range []string{"", "a:1;;b:2", "a:1,,b:2", " ; "} {
+	// The empty spec is the no-groups case.
+	for _, bad := range []string{"", "a:1;;b:2", "a:1,,b:2", "a:1,;b:2", " ; "} {
 		if _, err := parseGroups(bad); err == nil {
 			t.Errorf("parseGroups(%q): want error", bad)
 		}
@@ -107,13 +109,19 @@ func TestBuildTenantValidation(t *testing.T) {
 	if _, _, err := buildTenant(tenantSpec{Name: "a", Token: "t", Workers: 4, Cluster: ";"}, nil); err == nil {
 		t.Error("malformed cluster spec: want error")
 	}
+	if _, _, err := buildTenant(tenantSpec{Name: "a", Token: "t", Workers: 4, WAL: t.TempDir()}, nil); err == nil ||
+		!strings.Contains(err.Error(), "wal requires cluster") {
+		t.Errorf("wal without cluster: err = %v, want a config error", err)
+	}
 
-	// A local tenant builds without touching the network; min_responses
-	// flows into the pool policy.
-	tc, cleanup, err := buildTenant(tenantSpec{Name: "a", Token: "t", Workers: 4, MinResponses: 7}, nil)
-	defer cleanup()
+	// A local tenant builds without touching the network and has no head;
+	// min_responses flows into the pool policy.
+	tc, head, err := buildTenant(tenantSpec{Name: "a", Token: "t", Workers: 4, MinResponses: 7}, nil)
 	if err != nil {
 		t.Fatalf("local tenant: %v", err)
+	}
+	if head != nil {
+		t.Error("local tenant returned a cluster head")
 	}
 	if tc.Policy == nil || tc.Policy.MinResponses != 7 {
 		t.Errorf("policy = %+v, want MinResponses 7", tc.Policy)

@@ -296,7 +296,8 @@ func selfHealing(ds *crowdassess.Dataset, want []crowdassess.WorkerEstimate) {
 	// One slice, two replicas. Each slot's dialer resolves through
 	// `current` — the in-process stand-in for a stable network address
 	// that outlives the process behind it. With crowdd daemons, this is
-	// what `crowdd -coordinate "a,b"` wires up from TCP addresses.
+	// what a crowdgate tenant with `"cluster": "a,b"` wires up from TCP
+	// addresses.
 	var mu sync.Mutex
 	current := []*crowdassess.DistWorker{newNode("heal-0"), newNode("heal-1")}
 	defer func() {

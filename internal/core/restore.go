@@ -47,3 +47,11 @@ func (s *ShardedIncremental) DisagreementCounts() (attempted, disagree []int) {
 	}
 	return attempted, disagree
 }
+
+// WorkerResponses returns how many responses each worker has recorded:
+// the attempted half of DisagreementCounts. It never fails; the error is
+// there so a cluster evaluator can offer the same method.
+func (s *ShardedIncremental) WorkerResponses() ([]int, error) {
+	attempted, _ := s.DisagreementCounts()
+	return attempted, nil
+}

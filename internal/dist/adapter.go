@@ -205,3 +205,13 @@ func (c *ClusterEvaluator) MajorityDisagreement() []float64 {
 	}
 	return rates
 }
+
+// WorkerResponses flushes, then returns how many responses each crowd
+// worker has in the cluster — what a pool manager built over a cluster
+// that already holds responses (a restarted head) seeds its counts from.
+func (c *ClusterEvaluator) WorkerResponses() ([]int, error) {
+	if err := c.Flush(); err != nil {
+		return nil, err
+	}
+	return c.coord.WorkerResponses()
+}

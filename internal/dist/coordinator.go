@@ -311,7 +311,7 @@ type ReplicaHealth struct {
 }
 
 // Membership returns the failure detector's view of every replica slot,
-// in (slice, replica) order — what crowdd's health endpoints report.
+// in (slice, replica) order — what monitor_replica_state exports.
 func (c *Coordinator) Membership() []ReplicaHealth {
 	var view []ReplicaHealth
 	for si, s := range c.slices {
@@ -477,10 +477,32 @@ func (c *Coordinator) Tasks() (int, error) {
 // are additive), the coordinator sums them and divides once — the same
 // rates, bit for bit, as a local evaluator fed every response.
 func (c *Coordinator) MajorityDisagreement() ([]float64, error) {
-	attempted := make([]int, c.workers)
-	disagree := make([]int, c.workers)
-	type tallies struct{ attempted, disagree []int }
-	out := make([]tallies, len(c.slices))
+	attempted, disagree, err := c.tallies()
+	if err != nil {
+		return nil, err
+	}
+	rates := make([]float64, c.workers)
+	for w := range rates {
+		if attempted[w] > 0 {
+			rates[w] = float64(disagree[w]) / float64(attempted[w])
+		}
+	}
+	return rates, nil
+}
+
+// WorkerResponses returns how many responses each crowd worker has in the
+// cluster: the attempted half of the spammer screen's tallies.
+func (c *Coordinator) WorkerResponses() ([]int, error) {
+	attempted, _, err := c.tallies()
+	return attempted, err
+}
+
+// tallies sums every slice's per-worker attempted and disagree counts.
+func (c *Coordinator) tallies() (attempted, disagree []int, err error) {
+	attempted = make([]int, c.workers)
+	disagree = make([]int, c.workers)
+	type tally struct{ attempted, disagree []int }
+	out := make([]tally, len(c.slices))
 	errs := make([]error, len(c.slices))
 	var wg sync.WaitGroup
 	for si := range c.slices {
@@ -497,24 +519,18 @@ func (c *Coordinator) MajorityDisagreement() ([]float64, error) {
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for si, tl := range out {
 		if len(tl.attempted) != c.workers {
-			return nil, fmt.Errorf("dist: slice %d reported tallies for %d workers, want %d", si, len(tl.attempted), c.workers)
+			return nil, nil, fmt.Errorf("dist: slice %d reported tallies for %d workers, want %d", si, len(tl.attempted), c.workers)
 		}
 		for w := range attempted {
 			attempted[w] += tl.attempted[w]
 			disagree[w] += tl.disagree[w]
 		}
 	}
-	rates := make([]float64, c.workers)
-	for w := range rates {
-		if attempted[w] > 0 {
-			rates[w] = float64(disagree[w]) / float64(attempted[w])
-		}
-	}
-	return rates, nil
+	return attempted, disagree, nil
 }
 
 // Merge brings every slice's statistics up to date (concurrently,

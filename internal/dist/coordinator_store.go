@@ -14,24 +14,118 @@ import (
 // store attached per task slice, every acknowledged ingest fan-out is
 // journaled to the slice's WAL, the periodic checkpoint becomes an O(delta)
 // compact snapshot plus segment truncate, and a slice whose every replica
-// died can be rebuilt from its store — newest valid snapshot pushed as a
-// compact restore, WAL tail re-ingested — with zero acknowledged loss.
+// died — or that the head finds empty after a cold restart — can be rebuilt
+// from its store — newest valid snapshot pushed as a compact restore, WAL
+// tail re-ingested — with zero acknowledged loss.
 
 // AttachSliceStores hands the coordinator one durable store per task slice
 // (nil entries leave that slice store-less). Attach before ingesting:
 // journaling begins with the next fan-out, and batches acknowledged before
 // the attach are only as durable as the workers themselves.
+//
+// What the attach does for a slice depends on its store and its live
+// replicas:
+//
+//   - The store is empty: the store is attached as is.
+//   - The store holds responses and every live replica is empty — a cold
+//     restart, the head back over workers that came up empty: every live
+//     replica is rebuilt from the store (newest snapshot pushed, journal
+//     tail re-ingested) before the store is attached.
+//   - Otherwise, when some live replica holds fewer responses than the
+//     store, the attach is refused with an error naming the slice. Without
+//     the refusal the next checkpoint would save that replica's short state
+//     and truncate the journal that still holds the rest.
+//
+// Every slice is checked before any replica is rebuilt or any store
+// attached, so a refusal leaves every store and replica untouched.
 func (c *Coordinator) AttachSliceStores(stores []*store.Store) error {
 	if len(stores) != len(c.slices) {
 		return fmt.Errorf("dist: %d stores for %d task slices", len(stores), len(c.slices))
 	}
+	// Slice locks are taken in index order; nothing else holds two.
+	for _, s := range c.slices {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
+	rebuild := make([]bool, len(stores))
+	for si, st := range stores {
+		if st == nil {
+			continue
+		}
+		held, err := storedResponses(st)
+		if err != nil {
+			return fmt.Errorf("dist: reading slice %d store: %w", si, err)
+		}
+		if held == 0 {
+			continue
+		}
+		counts, err := c.replicaResponsesLocked(si, c.slices[si])
+		if err != nil {
+			return err
+		}
+		least, most := held, 0
+		for _, n := range counts {
+			least, most = min(least, n), max(most, n)
+		}
+		switch {
+		case most == 0:
+			rebuild[si] = len(counts) > 0
+		case least < held:
+			return fmt.Errorf("dist: slice %d: a live replica holds %d of the %d responses in the slice's store; restart the slice's workers empty so the store rebuilds them", si, least, held)
+		}
+	}
 	for si, st := range stores {
 		s := c.slices[si]
-		s.mu.Lock()
+		if rebuild[si] {
+			if err := c.replayStore(st, s.liveLocked()); err != nil {
+				return fmt.Errorf("dist: rebuilding slice %d from its store: %w", si, err)
+			}
+		}
 		s.store = st
-		s.mu.Unlock()
 	}
 	return nil
+}
+
+// storedResponses counts the responses st recovers: the newest valid
+// snapshot's plus the journal tail's.
+func storedResponses(st *store.Store) (int, error) {
+	n := 0
+	err := st.Recover(
+		func(snap store.Snapshot) error {
+			cs, err := DecodeCompact(snap.Payload)
+			if err != nil {
+				return err
+			}
+			n = cs.Stats.Responses
+			return nil
+		},
+		func(rec store.Record) error {
+			n += len(rec.Responses)
+			return nil
+		})
+	return n, err
+}
+
+// replicaResponsesLocked returns the response count of each live replica
+// of slice si that answers; caller holds s.mu. A slice with no live
+// replica yields none.
+func (c *Coordinator) replicaResponsesLocked(si int, s *slice) ([]int, error) {
+	replies, err := c.fanoutLocked(si, s, msgPullCounts, nil, msgCounts)
+	if errors.Is(err, ErrNoReplica) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, len(replies))
+	for i, reply := range replies {
+		m, err := decodeCounts(reply)
+		if err != nil {
+			return nil, fmt.Errorf("dist: slice %d counts: %w", si, err)
+		}
+		counts[i] = m.Responses
+	}
+	return counts, nil
 }
 
 // sliceStore returns slice si's attached store, or nil.
@@ -149,26 +243,70 @@ func (c *Coordinator) RestoreNodeFromStore(si int, conn *Conn) error {
 		conn.Close()
 		return fmt.Errorf("dist: slice %d still has live replicas — seed from a survivor with RestoreNode", si)
 	}
-	err = st.Recover(
+	if err := c.replayStore(st, []*node{n}); err != nil {
+		conn.Close()
+		return fmt.Errorf("dist: restoring slice %d from its store: %w", si, err)
+	}
+	s.attachLocked(si, n, time.Now())
+	return nil
+}
+
+// replayStore rebuilds empty nodes from st: the newest valid compact
+// snapshot is pushed as a compact restore, then every journal record past
+// it is re-ingested in order — O(snapshot + delta), never the full
+// history. A node that fails leaves the rest of the replay undone.
+func (c *Coordinator) replayStore(st *store.Store, nodes []*node) error {
+	return st.Recover(
 		func(snap store.Snapshot) error {
 			if _, err := DecodeCompact(snap.Payload); err != nil {
 				return err
 			}
-			_, err := n.roundTrip(c.policy, msgRestoreCompact, snap.Payload, msgRestoreOK)
-			return err
+			for _, n := range nodes {
+				if _, err := n.roundTrip(c.policy, msgRestoreCompact, snap.Payload, msgRestoreOK); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 		func(rec store.Record) error {
 			batch := make([]responseRec, len(rec.Responses))
 			for i, r := range rec.Responses {
 				batch[i] = responseRec{Worker: r.Worker, Task: r.Task, Answer: int(r.Answer)}
 			}
-			_, err := n.roundTrip(c.policy, msgIngest, encodeIngest(batch), msgIngestOK)
-			return err
+			body := encodeIngest(batch)
+			for _, n := range nodes {
+				if _, err := n.roundTrip(c.policy, msgIngest, body, msgIngestOK); err != nil {
+					return err
+				}
+			}
+			return nil
 		})
-	if err != nil {
-		conn.Close()
-		return fmt.Errorf("dist: restoring slice %d from its store: %w", si, err)
-	}
-	s.attachLocked(si, n, time.Now())
-	return nil
+}
+
+// DefaultCheckpointInterval is how often a daemon cuts compact checkpoints
+// into its stores while serving.
+const DefaultCheckpointInterval = time.Minute
+
+// CheckpointEvery runs cut every interval until the returned stop is
+// called; stop waits out a cut in progress. A failed cut goes to onErr and
+// the next tick tries again: the journal stays durable, it only grows
+// until a cut lands.
+func CheckpointEvery(interval time.Duration, cut func() error, onErr func(error)) (stop func()) {
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				if err := cut(); err != nil {
+					onErr(err)
+				}
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return func() { close(quit); <-exited }
 }

@@ -355,6 +355,121 @@ func TestCoordinatorSliceStoreRebuild(t *testing.T) {
 	}
 }
 
+// ingestIntoSliceStore acks subs through a 1-slice × 1-replica coordinator
+// journaling to a slice store in dir, then shuts the whole head down —
+// coordinator, worker and store — the way a cold stop leaves it.
+func ingestIntoSliceStore(t *testing.T, crowdSize int, subs []submission, dir string) {
+	t.Helper()
+	w, conn := freshReplica(t, crowdSize, 2)
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, dir)
+	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
+		t.Fatal(err)
+	}
+	ingestBatches(t, coord, subs, 16)
+	coord.Close()
+	w.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestColdRestartRebuildsFromSliceStore: the head and its only worker both
+// stop; a new head over a new, empty worker attaches the reopened slice
+// store. The attach rebuilds the worker from the store, so the head serves
+// every acked response with decisions bit-identical to a single-process
+// evaluator, and a checkpoint cut afterwards still recovers all of them.
+func TestColdRestartRebuildsFromSliceStore(t *testing.T) {
+	const crowdSize, tasks = 8, 220
+	subs := testStream(t, crowdSize, tasks, 401)
+	dir := t.TempDir()
+	ingestIntoSliceStore(t, crowdSize, subs, dir)
+
+	_, conn := freshReplica(t, crowdSize, 2)
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	st := openTestStore(t, dir)
+	defer st.Close()
+	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
+		t.Fatal(err)
+	}
+	if total, err := coord.Responses(); err != nil || total != len(subs) {
+		t.Fatalf("restarted head serves %d responses (err %v), want %d", total, err, len(subs))
+	}
+	local := localReference(t, crowdSize, subs)
+	requireEvaluateAllEqual(t, "cold restart", coord, local)
+
+	// The checkpoint saves the rebuilt state, not an empty one: the store
+	// alone still recovers every acked response.
+	if err := coord.CheckpointCompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if n, err := w.RecoverFromStore(); err != nil || n != len(subs) {
+		t.Fatalf("store recovers %d responses after the checkpoint (err %v), want %d", n, err, len(subs))
+	}
+	want, err := local.EvaluateAll(evalOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.Evaluator().EvaluateAll(evalOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareEstimates(t, "recovered from the checkpointed store", got, want)
+}
+
+// TestAttachRefusesReplicaBehindStore: a live replica holding some but not
+// all of the store's responses cannot be rebuilt (restore needs an empty
+// receiver) and must not be journaled on top of — a checkpoint would save
+// its short state and truncate the rest. The attach names the slice and
+// leaves the store untouched.
+func TestAttachRefusesReplicaBehindStore(t *testing.T) {
+	const crowdSize, tasks = 8, 220
+	subs := testStream(t, crowdSize, tasks, 401)
+	dir := t.TempDir()
+	ingestIntoSliceStore(t, crowdSize, subs, dir)
+
+	behind := workerWith(t, crowdSize, subs[:len(subs)/2])
+	t.Cleanup(func() { behind.Close() })
+	conn, err := behind.SelfConn()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	st := openTestStore(t, dir)
+	defer st.Close()
+	first, last := st.Log.FirstSeq(), st.Log.LastSeq()
+	err = coord.AttachSliceStores([]*store.Store{st})
+	if err == nil || !strings.Contains(err.Error(), "slice 0") {
+		t.Fatalf("attach over a replica behind the store: err = %v, want a refusal naming slice 0", err)
+	}
+	if err := coord.CheckpointCompactSlice(0); err == nil {
+		t.Fatal("a refused store was attached anyway")
+	}
+	if _, ok, _ := st.Snapshots.Latest(); ok || st.Log.FirstSeq() != first || st.Log.LastSeq() != last {
+		t.Fatalf("refused attach touched the store: snapshot %v, journal [%d, %d], was [%d, %d]",
+			ok, st.Log.FirstSeq(), st.Log.LastSeq(), first, last)
+	}
+	if n, err := storedResponses(st); err != nil || n != len(subs) {
+		t.Fatalf("store holds %d responses after the refusal (err %v), want %d", n, err, len(subs))
+	}
+}
+
 // TestMonitorReseedFromSliceStore: a slice with a single replica and no
 // sibling dies; the monitor's reseed has no survivor to copy from and must
 // fall back to the slice's WAL store — newest compact snapshot plus journal

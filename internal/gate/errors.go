@@ -42,18 +42,17 @@ type ErrorDetail struct {
 }
 
 // ErrorBody is the single JSON error envelope every non-2xx response
-// from the gateway — and from crowdd's HTTP head — uses:
+// from the gateway uses:
 //
 //	{"error":{"code":"rate_limited","message":"..."}}
 type ErrorBody struct {
 	Error ErrorDetail `json:"error"`
 }
 
-// WriteError writes the unified JSON error envelope with the given HTTP
-// status. Every error path of the serving layer (crowdgate and the
-// crowdd HTTP head) goes through this one function, so clients see
-// exactly one error shape.
-func WriteError(w http.ResponseWriter, status int, code, message string) {
+// writeError writes the unified JSON error envelope with the given HTTP
+// status. Every error path of the gateway goes through this one
+// function, so clients see exactly one error shape.
+func writeError(w http.ResponseWriter, status int, code, message string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	//crowdvet:ignore errclass encoding a flat two-string struct fails only when the client hangs up, which needs no handling

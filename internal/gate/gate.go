@@ -251,14 +251,14 @@ func (s *statusRecorder) WriteHeader(code int) {
 func (g *Gateway) route(pattern, method string, h func(*tenant, http.ResponseWriter, *http.Request)) {
 	g.mux.HandleFunc(pattern, g.observe(pattern, func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != method {
-			WriteError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
+			writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
 				fmt.Sprintf("%s requires %s", pattern, method))
 			return
 		}
 		t := g.authenticate(r)
 		if t == nil {
 			g.reject(r, "auth")
-			WriteError(w, http.StatusUnauthorized, CodeUnauthorized,
+			writeError(w, http.StatusUnauthorized, CodeUnauthorized,
 				"missing or unrecognized bearer token")
 			return
 		}
@@ -269,7 +269,7 @@ func (g *Gateway) route(pattern, method string, h func(*tenant, http.ResponseWri
 			if !ok {
 				g.reject(r, "rate")
 				w.Header().Set("Retry-After", retryAfterSeconds(retryAfter.Seconds()))
-				WriteError(w, http.StatusTooManyRequests, CodeRateLimited,
+				writeError(w, http.StatusTooManyRequests, CodeRateLimited,
 					fmt.Sprintf("tenant %q over %g req/s", t.name, t.limit))
 				return
 			}
@@ -280,7 +280,7 @@ func (g *Gateway) route(pattern, method string, h func(*tenant, http.ResponseWri
 		default:
 			g.reject(r, "shed")
 			w.Header().Set("Retry-After", retryAfterSeconds(g.shedSec))
-			WriteError(w, http.StatusTooManyRequests, CodeOverloaded,
+			writeError(w, http.StatusTooManyRequests, CodeOverloaded,
 				"ingest queue full; retry after backoff")
 			return
 		}
@@ -398,11 +398,11 @@ func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request
 	}
 	bodyBufs.Put(buf)
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "decoding body: "+err.Error())
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "decoding body: "+err.Error())
 		return
 	}
 	if len(req.Responses) > MaxBatch {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest,
+		writeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Responses), MaxBatch))
 		return
 	}
@@ -416,23 +416,23 @@ func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request
 	}()
 	for i, rec := range req.Responses {
 		if rec.Worker < 0 || rec.Worker >= workers {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("responses[%d]: worker %d outside crowd of %d", i, rec.Worker, workers))
 			return
 		}
 		if rec.Task < 0 {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("responses[%d]: negative task %d", i, rec.Task))
 			return
 		}
 		if rec.Answer != int(crowd.Yes) && rec.Answer != int(crowd.No) {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("responses[%d]: answer %d is not 1 (yes) or 2 (no)", i, rec.Answer))
 			return
 		}
 		key := [2]int{rec.Worker, rec.Task}
 		if j, dup := first[key]; dup {
-			WriteError(w, http.StatusBadRequest, CodeBadRequest,
+			writeError(w, http.StatusBadRequest, CodeBadRequest,
 				fmt.Sprintf("responses[%d]: worker %d already answers task %d in responses[%d]", i, rec.Worker, rec.Task, j))
 			return
 		}
@@ -445,7 +445,7 @@ func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request
 		case errors.Is(err, pool.ErrFired):
 			res.Rejected++
 		case err != nil:
-			WriteError(w, http.StatusBadGateway, CodeUpstream, err.Error())
+			writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
 			return
 		default:
 			res.Ingested++
@@ -453,7 +453,7 @@ func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request
 	}
 	if t.flush != nil {
 		if err := t.flush(); err != nil {
-			WriteError(w, http.StatusBadGateway, CodeUpstream, err.Error())
+			writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
 			return
 		}
 	}
@@ -490,17 +490,17 @@ type WorkerView struct {
 func (g *Gateway) handleWorker(t *tenant, w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, CodeBadRequest, "worker id must be an integer")
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "worker id must be an integer")
 		return
 	}
 	if id < 0 || id >= t.mgr.Workers() {
-		WriteError(w, http.StatusNotFound, CodeNotFound,
+		writeError(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("worker %d outside crowd of %d", id, t.mgr.Workers()))
 		return
 	}
 	info, err := t.mgr.WorkerInfo(id)
 	if err != nil {
-		WriteError(w, http.StatusBadGateway, CodeUpstream, err.Error())
+		writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
 		return
 	}
 	writeJSON(w, workerView(info))
@@ -512,7 +512,7 @@ func (g *Gateway) handleWorkers(t *tenant, w http.ResponseWriter, r *http.Reques
 	for id := range views {
 		info, err := t.mgr.WorkerInfo(id)
 		if err != nil {
-			WriteError(w, http.StatusBadGateway, CodeUpstream, err.Error())
+			writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
 			return
 		}
 		views[id] = workerView(info)
@@ -557,7 +557,7 @@ type ReviewResult struct {
 func (g *Gateway) handleReview(t *tenant, w http.ResponseWriter, r *http.Request) {
 	decisions, err := t.mgr.Review()
 	if err != nil {
-		WriteError(w, http.StatusBadGateway, CodeUpstream, err.Error())
+		writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
 		return
 	}
 	res := ReviewResult{Decisions: make([]DecisionView, len(decisions))}
@@ -585,7 +585,7 @@ type HealthView struct {
 // traffic.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		WriteError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "/v1/healthz requires GET")
+		writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "/v1/healthz requires GET")
 		return
 	}
 	writeJSON(w, HealthView{Status: "ok", UptimeSeconds: g.reg.Uptime().Seconds(), Tenants: len(g.tenants)})

@@ -131,7 +131,14 @@ type family struct {
 type Registry struct {
 	clock Clock
 	start time.Time
+	*familySet
+	// labels are added to every series registered or read through this
+	// view (With); nil for the registry NewRegistry returns.
+	labels []Label
+}
 
+// familySet is the metric families a registry and all its views share.
+type familySet struct {
 	mu       sync.RWMutex
 	families map[string]*family
 	names    []string
@@ -144,10 +151,34 @@ func NewRegistry(clock Clock) *Registry {
 		clock = SystemClock{}
 	}
 	return &Registry{
-		clock:    clock,
-		start:    clock.Now(),
-		families: make(map[string]*family),
+		clock:     clock,
+		start:     clock.Now(),
+		familySet: &familySet{families: make(map[string]*family)},
 	}
+}
+
+// With returns a view of the registry that adds labels to every series
+// registered or read through it. The view shares the registry's families,
+// clock and exposition, so one component instrumented per tenant through
+// With(Label{"tenant", name}) shows up once per tenant on the same page
+// instead of the newest tenant's gauges replacing the others'. A nil
+// registry yields nil.
+func (r *Registry) With(labels ...Label) *Registry {
+	if r == nil {
+		return nil
+	}
+	v := *r
+	v.labels = append(append([]Label(nil), r.labels...), labels...)
+	return &v
+}
+
+// seriesLabels sorts the view's constant labels and labels into one
+// series label set.
+func (r *Registry) seriesLabels(labels []Label) []Label {
+	if len(r.labels) > 0 {
+		labels = append(append([]Label(nil), r.labels...), labels...)
+	}
+	return sortLabels(labels)
 }
 
 // Clock returns the registry's clock, for call sites that time their
@@ -215,7 +246,7 @@ func (r *Registry) getFamily(name, help string, typ kind) *family {
 // use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	f := r.getFamily(name, help, kindCounter)
-	labels = sortLabels(labels)
+	labels = r.seriesLabels(labels)
 	key := labelKey(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -231,7 +262,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // Gauge returns the gauge for name+labels, registering it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	f := r.getFamily(name, help, kindGauge)
-	labels = sortLabels(labels)
+	labels = r.seriesLabels(labels)
 	key := labelKey(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -250,7 +281,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // component wants.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	f := r.getFamily(name, help, kindGauge)
-	labels = sortLabels(labels)
+	labels = r.seriesLabels(labels)
 	key := labelKey(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -268,7 +299,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 // bucket is always appended.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	f := r.getFamily(name, help, kindHistogram)
-	labels = sortLabels(labels)
+	labels = r.seriesLabels(labels)
 	key := labelKey(labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -292,7 +323,7 @@ func (r *Registry) GaugeValue(name string, labels ...Label) (float64, bool) {
 	if f == nil || f.typ != kindGauge {
 		return 0, false
 	}
-	key := labelKey(sortLabels(labels))
+	key := labelKey(r.seriesLabels(labels))
 	f.mu.Lock()
 	m := f.series[key]
 	var fn func() float64
@@ -319,7 +350,7 @@ func (r *Registry) CounterValue(name string, labels ...Label) (uint64, bool) {
 	if f == nil || f.typ != kindCounter {
 		return 0, false
 	}
-	key := labelKey(sortLabels(labels))
+	key := labelKey(r.seriesLabels(labels))
 	f.mu.Lock()
 	m := f.series[key]
 	f.mu.Unlock()

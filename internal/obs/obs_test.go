@@ -34,6 +34,45 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// TestWithLabelsViews: two views of one registry register the same
+// GaugeFunc and counter under their own constant labels, so both sources
+// stay on the page instead of the newest replacing the other, and each
+// view reads back its own series.
+func TestWithLabelsViews(t *testing.T) {
+	r := NewRegistry(nil)
+	a, b := r.With(Label{"tenant", "a"}), r.With(Label{"tenant", "b"})
+	a.GaugeFunc("up", "help", func() float64 { return 1 }, Label{"slice", "0"})
+	b.GaugeFunc("up", "help", func() float64 { return 2 }, Label{"slice", "0"})
+	a.Counter("errs_total", "help").Inc()
+	b.Counter("errs_total", "help").Add(3)
+	var out bytes.Buffer
+	if err := r.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`up{slice="0",tenant="a"} 1`,
+		`up{slice="0",tenant="b"} 2`,
+		`errs_total{tenant="a"} 1`,
+		`errs_total{tenant="b"} 3`,
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, out.String())
+		}
+	}
+	if v, ok := b.GaugeValue("up", Label{"slice", "0"}); !ok || v != 2 {
+		t.Errorf("view b reads up = %v (ok %v), want 2", v, ok)
+	}
+	if v, ok := a.CounterValue("errs_total"); !ok || v != 1 {
+		t.Errorf("view a reads errs_total = %v (ok %v), want 1", v, ok)
+	}
+	if _, ok := r.CounterValue("errs_total"); ok {
+		t.Error("the unlabeled registry found a series only the views registered")
+	}
+	if (*Registry)(nil).With(Label{"tenant", "a"}) != nil {
+		t.Error("a view of a nil registry is not nil")
+	}
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry(nil)
 	c := r.Counter("x_total", "help")

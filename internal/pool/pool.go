@@ -175,20 +175,40 @@ var ErrFired = errors.New("pool: worker is fired")
 // dist.NewClusterEvaluator, through which Review pulls merged statistics
 // from every node. The decisions are identical either way on the same
 // responses, because the merge is exact and the solves run the same code
-// path. The pool starts every worker on
-// probation; the evaluator must be empty or hold only responses recorded
-// before any lifecycle decisions are wanted.
+// path. The pool starts every worker on probation. An evaluator that
+// already holds responses — a cluster rebuilt from its slice stores after a
+// restart — counts toward MinResponses when it reports them per worker
+// (both evaluators above do).
 func NewManagerWith(inc core.StreamingEvaluator, policy Policy) (*Manager, error) {
 	if err := policy.validate(); err != nil {
 		return nil, err
 	}
 	workers := inc.Workers()
-	return &Manager{
+	m := &Manager{
 		policy:    policy,
 		inc:       inc,
 		states:    make([]State, workers),
 		responses: make([]atomic.Int64, workers),
-	}, nil
+	}
+	if rc, ok := inc.(workerResponder); ok {
+		counts, err := rc.WorkerResponses()
+		if err == nil && len(counts) != workers {
+			err = fmt.Errorf("pool: evaluator reports %d workers' responses, want %d", len(counts), workers)
+		}
+		if err != nil {
+			return nil, err
+		}
+		for w, n := range counts {
+			m.responses[w].Store(int64(n))
+		}
+	}
+	return m, nil
+}
+
+// workerResponder is an evaluator that reports how many responses each
+// worker has recorded.
+type workerResponder interface {
+	WorkerResponses() ([]int, error)
 }
 
 // Workers returns the pool size (including fired workers).

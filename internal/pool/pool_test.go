@@ -117,6 +117,58 @@ func TestFiredWorkersRejectResponses(t *testing.T) {
 	}
 }
 
+// TestManagerCountsResponsesAlreadyHeld: a manager built over an
+// evaluator that already holds responses — a restarted head's restored
+// cluster, here a local evaluator — starts from the evaluator's
+// per-worker counts, so those responses count toward MinResponses and the
+// worker records match a manager that recorded them itself.
+func TestManagerCountsResponsesAlreadyHeld(t *testing.T) {
+	rates := []float64{0.05, 0.1, 0.2, 0.45}
+	src := randx.NewSource(11)
+	ds, _, err := sim.Binary{Tasks: 60, Workers: len(rates), ErrorRates: rates, Density: 0.7}.Generate(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := newLocalManager(len(rates), 2, DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := core.NewShardedIncremental(len(rates), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for task := 0; task < ds.Tasks(); task++ {
+		for w := range rates {
+			if !ds.Attempted(w, task) {
+				continue
+			}
+			if err := recorded.Record(w, task, ds.Response(w, task)); err != nil {
+				t.Fatal(err)
+			}
+			if err := held.Add(w, task, ds.Response(w, task)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	restored, err := NewManagerWith(held, DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range rates {
+		want, err := recorded.WorkerInfo(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := restored.WorkerInfo(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Responses == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("worker %d: restored manager reports %+v, want %+v", w, got, want)
+		}
+	}
+}
+
 func TestMinResponsesDefersDecisions(t *testing.T) {
 	policy := DefaultPolicy()
 	policy.MinResponses = 1000 // never enough
