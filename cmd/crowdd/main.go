@@ -9,7 +9,6 @@
 // Usage:
 //
 //	crowdd -listen :7333 -workers 64 [-shards 8] [-health :8333]
-//	       [-wal /var/lib/crowdd/wal] [-fsync always] [-snapshot-interval 1m]
 //	       [-rpc-timeout 30s] [-pprof]
 //
 // -workers is the crowd size (the worker-index space of the responses this
@@ -18,19 +17,11 @@
 // task-stripe count for concurrent ingestion (default GOMAXPROCS).
 // -rpc-timeout bounds how long a request frame may stall mid-read.
 //
-// With -wal DIR, the daemon runs the storage engine and is restartable
-// without losing its task slice: every acknowledged ingest batch is
-// journaled to a CRC-framed write-ahead log before the ack goes out
-// (durability per -fsync: always, interval, or never), and every
-// -snapshot-interval — and once more during graceful shutdown — a compact
-// O(delta) snapshot is cut and the journal truncated behind it. On startup
-// the engine recovers from the newest valid snapshot plus the WAL tail,
-// truncating at the first torn record — a crash (even a power cut, under
-// -fsync always) loses no acked batch, and a store that cannot account for
-// its state refuses to start rather than serve skewed statistics. The
-// snapshots hold compact state (CCMP); the response-log checkpoint files
-// of protocol-5 daemons are not read. Without -wal, a restarted worker
-// comes back empty, and a head journaling its slice rebuilds it.
+// The daemon keeps no state on disk: it always starts empty. Durability
+// is the head's — a crowdgate cluster tenant with "wal" journals every
+// acked batch to its slice stores before the ack, and rebuilds a worker
+// that came back empty from them. A cluster tenant without "wal" is not
+// durable.
 //
 // With -health, the daemon serves:
 //
@@ -38,15 +29,15 @@
 //	GET /statsz  — crowd size, shard count, tasks and responses ingested,
 //	               live head connections, uptime
 //	GET /metrics — the full metrics registry in Prometheus text format:
-//	               RPC and WAL latency histograms, ingest counters
+//	               RPC latency histograms, ingest counters
 //
 // and, with -pprof, the net/http/pprof profiling handlers under
 // /debug/pprof/ on the same address.
 //
 // On SIGINT/SIGTERM the daemon stops accepting, closes head connections
-// after their in-flight request finishes, cuts the final snapshot, shuts
-// the health endpoint down, and exits 0 — a graceful drain, so the head
-// never observes a half-written frame.
+// after their in-flight request finishes, shuts the health endpoint down,
+// and exits 0 — a graceful drain, so the head never observes a
+// half-written frame.
 package main
 
 import (
@@ -72,20 +63,13 @@ func main() {
 		nwork      = flag.Int("workers", 0, "crowd size (required; must match the cluster head)")
 		shards     = flag.Int("shards", 0, "local task-stripe shards for concurrent ingestion (0 = GOMAXPROCS)")
 		health     = flag.String("health", "", "optional HTTP address for /healthz, /statsz and /metrics")
-		wal        = flag.String("wal", "", "WAL storage-engine directory: acked ingest batches are journaled before the ack and compacted into O(delta) snapshots every -snapshot-interval")
-		fsyncSpec  = flag.String("fsync", "always", "WAL append durability: always (fsync per record), interval (group commit), never")
-		snapEvery  = flag.Duration("snapshot-interval", dist.DefaultCheckpointInterval, "how often to cut a compact WAL snapshot and truncate the journal behind it (-wal mode; must be positive)")
 		rpcTimeout = flag.Duration("rpc-timeout", 0, "mid-frame stall budget for a request from the head (0 = default)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof profiling handlers under /debug/pprof/ on the -health address")
 	)
 	flag.Parse()
 	err := validateTimeouts(*rpcTimeout)
-	var cfg storageConfig
 	if err == nil {
-		cfg, err = validateStorage(*wal, *fsyncSpec, *snapEvery)
-	}
-	if err == nil {
-		err = run(*listen, *nwork, *shards, *health, cfg, *rpcTimeout, *pprofOn)
+		err = run(*listen, *nwork, *shards, *health, *rpcTimeout, *pprofOn)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "crowdd: %v\n", err)
@@ -102,32 +86,16 @@ func validateTimeouts(rpcTimeout time.Duration) error {
 	return nil
 }
 
-func run(listen string, workers, shards int, health string, cfg storageConfig, rpcTimeout time.Duration, pprofOn bool) error {
+func run(listen string, workers, shards int, health string, rpcTimeout time.Duration, pprofOn bool) error {
 	if workers == 0 {
 		return fmt.Errorf("-workers is required")
 	}
 	reg := newRegistry()
-	st, err := cfg.openWorkerStore(reg)
-	if err != nil {
-		return err
-	}
-	if st != nil {
-		defer st.Close()
-	}
-	worker, err := dist.NewWorker(dist.WorkerOptions{Workers: workers, Shards: shards, Name: listen, FrameTimeout: rpcTimeout, Store: st})
+	worker, err := dist.NewWorker(dist.WorkerOptions{Workers: workers, Shards: shards, Name: listen, FrameTimeout: rpcTimeout})
 	if err != nil {
 		return err
 	}
 	worker.Instrument(reg)
-	if st != nil {
-		recovered, err := worker.RecoverFromStore()
-		if err != nil {
-			return err
-		}
-		if recovered > 0 {
-			fmt.Fprintf(os.Stderr, "crowdd: recovered %d responses from WAL store %s\n", recovered, cfg.wal)
-		}
-	}
 	l, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
@@ -162,54 +130,29 @@ func run(listen string, workers, shards int, health string, cfg storageConfig, r
 		fmt.Fprintf(os.Stderr, "crowdd: health endpoint on %s\n", health)
 	}
 
-	// Periodic compact snapshots while serving (O(delta): the journal is
-	// already durable, the snapshot just lets it be truncated); the final
-	// one is cut after the drain below.
-	stopSnapshots := func() {}
-	if st != nil {
-		stopSnapshots = dist.CheckpointEvery(cfg.snapEvery, worker.CheckpointCompact,
-			func(err error) { fmt.Fprintf(os.Stderr, "crowdd: compact snapshot: %v\n", err) })
-	}
-
 	// Serve until a shutdown signal, then drain gracefully.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- worker.Serve(l) }()
 
-	// shutdown drains connections, cuts the final snapshot from the
-	// quiescent state, and tears the health endpoint down.
-	shutdown := func() error {
-		stopSnapshots()
+	// shutdown drains connections and tears the health endpoint down.
+	shutdown := func() {
 		worker.Close() // stops the listener; Serve returns nil on graceful close
-		var err error
-		if st != nil {
-			// Every acked batch is already in the WAL; the final compact
-			// snapshot just makes the next startup's replay trivial.
-			if err = worker.CheckpointCompact(); err != nil {
-				err = fmt.Errorf("final compact snapshot: %w", err)
-			}
-		}
 		shutdownHealth(healthSrv)
-		return err
 	}
 
 	select {
 	case err := <-serveErr:
-		if ckptErr := shutdown(); err == nil {
-			err = ckptErr
-		}
+		shutdown()
 		return err
 	case <-ctx.Done():
 	}
 	stats := worker.Stats()
 	fmt.Fprintf(os.Stderr, "crowdd: shutting down after %v (%d responses over %d tasks)\n",
 		stats.Uptime.Round(time.Millisecond), stats.Responses, stats.Tasks)
-	err = shutdown()
-	if serveRes := <-serveErr; err == nil {
-		err = serveRes
-	}
-	return err
+	shutdown()
+	return <-serveErr
 }
 
 func shutdownHealth(srv *http.Server) {

@@ -14,7 +14,7 @@ import (
 )
 
 // newRegistry builds the daemon's metrics registry on the system clock
-// and exports process uptime. Every component (worker, store, HTTP head)
+// and exports process uptime. Every component (worker, HTTP head)
 // instruments itself against this one registry, so /metrics is the whole
 // daemon on one page.
 func newRegistry() *obs.Registry {

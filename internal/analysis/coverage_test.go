@@ -20,10 +20,10 @@ var determinismExemptions = map[string]string{
 	// explicit seeding, which is exactly the import the analyzer bans
 	// everywhere else.
 	"internal/randx": "the seeded-randomness facade itself",
-	// The storage engine's clocks pace fsync batching and group commit —
-	// they decide when bytes hit the disk, never which bytes. Record
-	// content is produced by the callers the analyzer does scan.
-	"internal/store": "clocks pace fsync, not stored content",
+	// The storage engine's clocks time its appends, fsyncs and snapshot
+	// saves for the metrics — they never decide which bytes are stored.
+	// Record content is produced by the callers the analyzer does scan.
+	"internal/store": "clocks time metrics, not stored content",
 	// dist is partially scoped (the statistics, delta, compact and
 	// checkpoint codec files, and the coordinator's pull/fold/merge and
 	// sweep paths): the rest is heartbeat/retry machinery that is

@@ -8,15 +8,17 @@ import (
 )
 
 // DurabilityAnalyzer mechanically enforces journal-before-ack on the
-// ingest paths: wherever an ingest success reply (msgIngestOK) is
-// produced, a WAL append (Worker.journal or a store Log.Append) must
-// come first, with its error checked — an ack that outruns the journal
-// is an acked write a crash can lose, which is the one promise the
-// storage engine makes.
+// head's ingest path: wherever the head relays its replicas' ingest
+// success reply to its caller — reply, err := …(msgIngestOK) … return
+// reply, nil — a store Log.Append must come first, with its error
+// checked. An ack that outruns the journal is an acked write a crash can
+// lose, which is the one promise the storage engine makes. A worker's own
+// return msgIngestOK is a reply to the head, not that promise: workers
+// keep no journal, and the head journals before it relays the ack.
 var DurabilityAnalyzer = &Analyzer{
 	Name: "durability",
-	Doc: "in ingest paths, the success ack must be dominated by a journal append whose " +
-		"error is checked (journal-before-ack)",
+	Doc: "in ingest paths, the head's relayed success ack must be dominated by a journal " +
+		"append whose error is checked (journal-before-ack)",
 	Scopes: []Scope{
 		{Packages: []string{"internal/dist"}},
 	},
@@ -47,7 +49,6 @@ func runDurability(pass *Pass) {
 // switch.
 func ingestRegions(body *ast.BlockStmt) [][]ast.Stmt {
 	var regions [][]ast.Stmt
-	inCase := map[ast.Stmt]bool{}
 	ast.Inspect(body, func(n ast.Node) bool {
 		cc, ok := n.(*ast.CaseClause)
 		if !ok {
@@ -56,9 +57,6 @@ func ingestRegions(body *ast.BlockStmt) [][]ast.Stmt {
 		for _, e := range cc.List {
 			if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name == "msgIngest" {
 				regions = append(regions, cc.Body)
-				for _, s := range cc.Body {
-					inCase[s] = true
-				}
 			}
 		}
 		return true
@@ -155,27 +153,19 @@ func checkIngestRegion(pass *Pass, region []ast.Stmt) {
 	}
 }
 
-// isJournalCall recognizes WAL appends: a journal(...) method call, or
-// Append on a store Log.
+// isJournalCall recognizes WAL appends: Append on anything the storage
+// package defines (DiskLog, the Log interface, a future backend).
 func isJournalCall(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || sel.Sel.Name != "Append" {
 		return false
 	}
-	switch sel.Sel.Name {
-	case "journal":
-		return true
-	case "Append":
-		// Append on anything the storage package defines (DiskLog, the
-		// Log interface, a future backend) is a WAL append.
-		fn, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
-			return false
-		}
-		p := fn.Pkg().Path()
-		return p == "store" || strings.HasSuffix(p, "/store")
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return false
 	}
-	return false
+	p := fn.Pkg().Path()
+	return p == "store" || strings.HasSuffix(p, "/store")
 }
 
 // callPassesIdent reports whether the call has the named identifier
@@ -189,15 +179,11 @@ func callPassesIdent(call *ast.CallExpr, name string) bool {
 	return false
 }
 
-// isAckReturn recognizes a success ack: return msgIngestOK, … or
-// return reply, nil where reply carries an msgIngestOK round-trip
-// result.
+// isAckReturn recognizes the head's relayed success ack: return reply,
+// nil where reply carries the result of a call passing msgIngestOK.
 func isAckReturn(info *types.Info, ret *ast.ReturnStmt, ackVars map[types.Object]bool) bool {
 	if len(ret.Results) == 0 {
 		return false
-	}
-	if id, ok := ast.Unparen(ret.Results[0]).(*ast.Ident); ok && id.Name == "msgIngestOK" {
-		return true
 	}
 	last, ok := ast.Unparen(ret.Results[len(ret.Results)-1]).(*ast.Ident)
 	if !ok || last.Name != "nil" {

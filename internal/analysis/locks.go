@@ -11,12 +11,12 @@ import (
 // storage packages: every Lock/RLock needs a same-function defer Unlock
 // or an unlock on every return path below it, and the documented lock
 // order — slice/node locks are never acquired while holding the
-// monitor or journal mutex (the monitor probes outside slice locks;
-// journalMu is a leaf) — is checked mechanically.
+// monitor mutex (the monitor probes outside slice locks) — is checked
+// mechanically.
 var LocksAnalyzer = &Analyzer{
 	Name: "locks",
 	Doc: "Lock/RLock must pair with a same-function defer Unlock or an unlock on " +
-		"every return path; never take a slice or node lock while holding monitorMu/journalMu",
+		"every return path; never take a slice or node lock while holding monitorMu",
 	Scopes: []Scope{
 		{Packages: []string{"internal/dist", "internal/gate", "internal/pool", "internal/store"}},
 	},
@@ -26,7 +26,7 @@ var LocksAnalyzer = &Analyzer{
 // guardMutexFields are the coarse mutexes that must stay leaves: code
 // holding them may not reach for per-slice or per-node locks (the
 // documented order takes fine-grained locks first, or not at all).
-var guardMutexFields = map[string]bool{"monitorMu": true, "journalMu": true}
+var guardMutexFields = map[string]bool{"monitorMu": true}
 
 // nestedLockTypes are the struct types whose mu field must not be
 // acquired under a guard mutex.
@@ -35,7 +35,7 @@ var nestedLockTypes = map[string]bool{"slice": true, "node": true}
 // lockSite is one Lock/RLock call inside a function body.
 type lockSite struct {
 	call   *ast.CallExpr
-	recv   string // rendered receiver expression, e.g. "w.journalMu"
+	recv   string // rendered receiver expression, e.g. "c.monitorMu"
 	unlock string // matching unlock method name
 }
 
@@ -132,7 +132,7 @@ func checkLockFunc(pass *Pass, body *ast.BlockStmt) {
 }
 
 // checkLockOrder flags slice/node mu acquisition inside a region where
-// a guard mutex (monitorMu/journalMu) is held.
+// a guard mutex (monitorMu) is held.
 func checkLockOrder(pass *Pass, body *ast.BlockStmt, locks, unlocks, deferred []lockSite) {
 	info := pass.Pkg.Info
 	for _, g := range locks {
@@ -162,7 +162,7 @@ func checkLockOrder(pass *Pass, body *ast.BlockStmt, locks, unlocks, deferred []
 				continue
 			}
 			if t := info.TypeOf(inner.X); t != nil && nestedLockTypes[namedTypeName(t)] {
-				pass.Reportf(lk.call.Pos(), "%s lock acquired while holding %s: the documented order takes slice/node locks first (the monitor probes outside them; journalMu is a leaf)",
+				pass.Reportf(lk.call.Pos(), "%s lock acquired while holding %s: the documented order takes slice/node locks first (the monitor probes outside them)",
 					namedTypeName(info.TypeOf(inner.X)), g.recv)
 			}
 		}

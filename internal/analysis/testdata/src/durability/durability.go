@@ -1,117 +1,121 @@
 // Package durability is an analyzer fixture for journal-before-ack. It
 // imports the real crowdassess/internal/store so the Append recognizer
-// is exercised against the live storage API, alongside the local
-// journal-method shape the worker uses.
+// is exercised against the live storage API. The ack under the invariant
+// is the head's relayed ingest reply: reply, err := …(msgIngestOK) …
+// return reply, nil.
 package durability
 
 import "crowdassess/internal/store"
-
-type batch struct{ data []byte }
 
 const (
 	msgIngest   = 0x01
 	msgIngestOK = 0x02
 )
 
-type wal struct{}
-
-func (w *wal) append(b batch) error { return nil }
-
-type worker struct{ log *wal }
-
-func (w *worker) journal(b batch) error { return w.log.append(b) }
-
-// handleGood is the canonical shape: journal, check, then ack.
-func (w *worker) handleGood(t byte, b batch) (byte, error) {
-	switch t {
-	case msgIngest:
-		if err := w.journal(b); err != nil {
-			return 0, err
-		}
-		return msgIngestOK, nil
-	}
-	return 0, nil
+// head fans a batch out to its replicas through rt and journals it to
+// its slice store.
+type head struct {
+	st *store.Store
+	rt func(req byte, rs []store.Response, want byte) ([]byte, error)
 }
 
-func (w *worker) handleNoJournal(t byte, b batch) (byte, error) {
-	switch t {
-	case msgIngest:
-		return msgIngestOK, nil // want "durability: ingest ack without a journal append"
-	}
-	return 0, nil
-}
-
-func (w *worker) handleUnchecked(t byte, b batch) (byte, error) {
-	switch t {
-	case msgIngest:
-		w.journal(b) // want "durability: journal append error is not checked"
-		return msgIngestOK, nil
-	}
-	return 0, nil
-}
-
-func (w *worker) handleAckFirst(t byte, b batch) (byte, error) {
-	switch t {
-	case msgIngest:
-		if len(b.data) == 0 {
-			return msgIngestOK, nil // want "durability: ingest ack precedes the journal append"
-		}
-		if err := w.journal(b); err != nil {
-			return 0, err
-		}
-		return msgIngestOK, nil
-	}
-	return 0, nil
-}
-
-// handleLaterCheck binds the error first and consults it afterwards:
-// still checked.
-func (w *worker) handleLaterCheck(t byte, b batch) (byte, error) {
-	switch t {
-	case msgIngest:
-		err := w.journal(b)
-		if err != nil {
-			return 0, err
-		}
-		return msgIngestOK, nil
-	}
-	return 0, nil
-}
-
-type sliceWorker struct{ st *store.Store }
-
-// ingestStore journals through the real storage engine's Append.
-func (w *sliceWorker) ingestStore(t byte, rs []store.Response) (byte, error) {
-	if t != msgIngest {
-		return 0, nil
-	}
-	if _, err := w.st.Log.Append(rs); err != nil {
-		return 0, err
-	}
-	return msgIngestOK, nil
-}
-
-// ingestStoreDropped journals but discards the append error: the ack can
-// outrun a failed append.
-func (w *sliceWorker) ingestStoreDropped(t byte, rs []store.Response) (byte, error) {
-	if t != msgIngest {
-		return 0, nil
-	}
-	seq, _ := w.st.Log.Append(rs) // want "durability: journal append error is not checked"
-	_ = seq
-	return msgIngestOK, nil
-}
-
-// forward is the coordinator shape: the ack is a relayed reply from a
-// round-trip that passed msgIngestOK; relaying it without journaling is
-// an ack for a batch nobody persisted.
-func (w *sliceWorker) forward(t byte, rt func(byte, []store.Response) (byte, error), rs []store.Response) (byte, error) {
-	if t != msgIngest {
-		return 0, nil
-	}
-	reply, err := rt(msgIngestOK, rs)
+// ingestGood is the canonical shape: relay, journal, check, then ack.
+func (h *head) ingestGood(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
 	if err != nil {
-		return 0, err
+		return nil, err
+	}
+	if _, err := h.st.Log.Append(rs); err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// ingestNoJournal relays the replicas' ack without journaling: an ack
+// for a batch nobody persisted.
+func (h *head) ingestNoJournal(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
 	}
 	return reply, nil // want "durability: ingest ack without a journal append"
+}
+
+// ingestUnchecked journals but drops the append error on the floor.
+func (h *head) ingestUnchecked(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	h.st.Log.Append(rs) // want "durability: journal append error is not checked"
+	return reply, nil
+}
+
+// ingestDropped binds the sequence number but discards the append error:
+// the ack can outrun a failed append.
+func (h *head) ingestDropped(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	seq, _ := h.st.Log.Append(rs) // want "durability: journal append error is not checked"
+	_ = seq
+	return reply, nil
+}
+
+// ingestAckFirst relays the ack on one path before the append runs.
+func (h *head) ingestAckFirst(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	if len(rs) == 1 {
+		return reply, nil // want "durability: ingest ack precedes the journal append"
+	}
+	if _, err := h.st.Log.Append(rs); err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// ingestLaterCheck binds the error first and consults it afterwards:
+// still checked.
+func (h *head) ingestLaterCheck(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	_, err = h.st.Log.Append(rs)
+	if err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// relayInCase relays from inside a msgIngest case clause: the same
+// invariant holds there.
+func (h *head) relayInCase(t byte, rs []store.Response) ([]byte, error) {
+	switch t {
+	case msgIngest:
+		reply, err := h.rt(msgIngest, rs, msgIngestOK)
+		if err != nil {
+			return nil, err
+		}
+		return reply, nil // want "durability: ingest ack without a journal append"
+	}
+	return nil, nil
+}
+
+// worker applies a batch and replies to the head. Its msgIngestOK is a
+// reply, not a durability promise — the head journals before it relays
+// the ack — so it reports nothing.
+type worker struct{ applied int }
+
+func (w *worker) handle(t byte, rs []store.Response) (byte, error) {
+	switch t {
+	case msgIngest:
+		w.applied += len(rs)
+		return msgIngestOK, nil
+	}
+	return 0, nil
 }

@@ -77,7 +77,6 @@ type node struct {
 
 type coord struct {
 	monitorMu sync.Mutex
-	journalMu sync.Mutex
 	slices    []*slice
 	peer      *node
 }
@@ -92,12 +91,13 @@ func badOrder(c *coord) {
 	}
 }
 
-// badLeaf acquires a node lock while holding the journal leaf mutex.
+// badLeaf acquires a node lock while holding monitorMu, released
+// without a defer.
 func badLeaf(c *coord) {
-	c.journalMu.Lock()
-	c.peer.mu.Lock() // want "locks: node lock acquired while holding c.journalMu"
+	c.monitorMu.Lock()
+	c.peer.mu.Lock() // want "locks: node lock acquired while holding c.monitorMu"
 	c.peer.mu.Unlock()
-	c.journalMu.Unlock()
+	c.monitorMu.Unlock()
 }
 
 // goodOrder releases the guard before touching fine-grained locks.

@@ -569,12 +569,14 @@ func TestWorkerCloseNotWedgedByStalledPeer(t *testing.T) {
 func evalOpts() core.EvalOptions { return core.EvalOptions{Confidence: 0.9} }
 
 // TestChaosCrashRestartFromWAL is the durability headline under fire: a
-// store-backed worker ingests through a coordinator while a seeded fault
-// filesystem cuts the power mid-append — tearing whatever frame was in
-// flight — and every crash is followed by a full restart from disk. After
-// each restart, every batch that was acknowledged before the crash must
-// still be present (zero acked loss), and once the whole stream has landed
-// the decisions must be bit-identical to a never-crashed local evaluator.
+// head journals its slice to a store while a seeded fault filesystem cuts
+// the power mid-append — tearing whatever frame was in flight — and every
+// crash is followed by a cold restart: a new head over a fresh, empty
+// worker, which the attach rebuilds from the reopened store. After each
+// restart, every batch that was acknowledged before the crash must be on
+// the rebuilt worker (zero acked loss), and once the whole stream has
+// landed the decisions must be bit-identical to a never-crashed local
+// evaluator.
 func TestChaosCrashRestartFromWAL(t *testing.T) {
 	const crowdSize, tasks = 8, 240
 	seed := chaosSeed(t, 0x77A1C4A5)
@@ -584,13 +586,30 @@ func TestChaosCrashRestartFromWAL(t *testing.T) {
 
 	dir := chaosWALDir(t)
 	ffs := store.NewFaultFS(store.OSFS{})
-	openStore := func() *store.Store {
+	// restart reopens the store and brings a new head up over a fresh,
+	// empty worker; the attach rebuilds the worker from the store.
+	restart := func(round int) (*Coordinator, *Worker, *store.Store) {
 		t.Helper()
 		st, err := store.Open(ffs, dir, store.Options{SegmentSize: 1 << 12, Fsync: store.FsyncAlways})
 		if err != nil {
-			t.Fatalf("reopening the store after a crash: %v", err)
+			t.Fatalf("round %d: reopening the store after a crash: %v", round, err)
 		}
-		return st
+		w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn, err := w.SelfConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
+			t.Fatalf("round %d: rebuilding from the torn WAL failed: %v", round, err)
+		}
+		return coord, w, st
 	}
 
 	acked := make([]bool, len(subs))
@@ -612,17 +631,10 @@ func TestChaosCrashRestartFromWAL(t *testing.T) {
 		if round > 24 {
 			t.Fatalf("no forward progress after %d rounds (%d responses still unacked)", round, len(remaining()))
 		}
-		st := openStore()
-		w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recovered, err := w.RecoverFromStore()
-		if err != nil {
-			t.Fatalf("round %d: recovery from the torn WAL failed: %v", round, err)
-		}
+		coord, w, st := restart(round)
+		recovered := w.Evaluator().Responses()
 		// Zero acked loss: every response acknowledged before any crash must
-		// already be in the recovered evaluator, so a duplicate re-add is
+		// already be on the rebuilt worker, so a duplicate re-add is
 		// rejected.
 		for i, s := range subs {
 			if acked[i] {
@@ -631,34 +643,24 @@ func TestChaosCrashRestartFromWAL(t *testing.T) {
 				}
 			}
 		}
-		conn, err := w.SelfConn()
-		if err != nil {
-			t.Fatal(err)
-		}
-		coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		todo := remaining()
 		if len(todo) > 0 && crashes < wantCrashes {
 			budget := int64(600 + rng.Intn(2500))
 			ffs.SetWriteBudget(budget, store.FaultCrash)
-			chaosLog = append(chaosLog, fmt.Sprintf("round %d: recovered %d, %d unacked, crash budget %d bytes",
+			chaosLog = append(chaosLog, fmt.Sprintf("round %d: rebuilt %d, %d unacked, crash budget %d bytes",
 				round, recovered, len(todo), budget))
 		} else {
-			chaosLog = append(chaosLog, fmt.Sprintf("round %d: recovered %d, %d unacked, clean run", round, recovered, len(todo)))
+			chaosLog = append(chaosLog, fmt.Sprintf("round %d: rebuilt %d, %d unacked, clean run", round, recovered, len(todo)))
 		}
 
 		// Re-ingest everything still unacked, in batches. Retrying a whole
 		// failed batch is safe here: an append either returns success (the
 		// frame is synced — acked) or tears its own frame (truncated on
-		// recovery — gone), so an unacked batch never survives partially.
+		// recovery — gone), and the worker that applied it is replaced by
+		// an empty one, so an unacked batch never survives partially.
 		for lo := 0; lo < len(todo); {
-			hi := lo + 16
-			if hi > len(todo) {
-				hi = len(todo)
-			}
+			hi := min(lo+16, len(todo))
 			batch := make([]Response, 0, hi-lo)
 			for _, i := range todo[lo:hi] {
 				s := subs[i]
@@ -691,29 +693,14 @@ func TestChaosCrashRestartFromWAL(t *testing.T) {
 		t.Fatalf("only %d crashes landed; the run proved nothing", crashes)
 	}
 
-	// Final restart: the store alone must rebuild the full stream with
-	// decisions bit-identical to the never-crashed evaluator.
-	st := openStore()
+	// Final cold restart: the store alone must rebuild the full stream
+	// with decisions bit-identical to the never-crashed evaluator.
+	coord, w, st := restart(-1)
 	defer st.Close()
-	w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer w.Close()
-	n, err := w.RecoverFromStore()
-	if err != nil {
-		t.Fatal(err)
+	defer coord.Close()
+	if n, err := coord.Responses(); err != nil || n != len(subs) {
+		t.Fatalf("final rebuild holds %d responses (err %v), want %d", n, err, len(subs))
 	}
-	if n != len(subs) {
-		t.Fatalf("final recovery holds %d responses, want %d", n, len(subs))
-	}
-	want, err := local.EvaluateAll(evalOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.Evaluator().EvaluateAll(evalOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareEstimates(t, "crash-restart decisions", got, want)
+	requireEvaluateAllEqual(t, "crash-restart decisions", coord, local)
 }

@@ -19,9 +19,11 @@ import (
 // tail re-ingested — with zero acknowledged loss.
 
 // AttachSliceStores hands the coordinator one durable store per task slice
-// (nil entries leave that slice store-less). Attach before ingesting:
-// journaling begins with the next fan-out, and batches acknowledged before
-// the attach are only as durable as the workers themselves.
+// (nil entries leave that slice store-less). Journaling begins with the
+// next fan-out. Batches acknowledged before the attach live only in the
+// workers' memory until the slice's next checkpoint saves what its
+// replicas hold — the upgrade path for a cluster whose head journaled
+// nothing.
 //
 // What the attach does for a slice depends on its store and its live
 // replicas:

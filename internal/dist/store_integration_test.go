@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,9 +18,9 @@ import (
 )
 
 // This file exercises the durable storage engine end to end through the
-// distributed layer: the compact checkpoint codec, worker-side WAL
-// journaling and recovery, coordinator-side slice stores, and the monitor's
-// reseed-from-store path.
+// distributed layer: the compact checkpoint codec, the head's slice stores
+// (journaling, checkpoints, cold-restart rebuilds, the upgrade attach), and
+// the monitor's reseed-from-store path.
 
 // openTestStore opens a store over the OS filesystem with a small segment
 // size so checkpoint truncation is observable in a short test.
@@ -30,6 +31,57 @@ func openTestStore(t *testing.T, dir string) *store.Store {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// evaluatorFromStore is the oracle for "what does the store alone hold":
+// it rebuilds a fresh evaluator from st — the newest valid snapshot
+// restored, then the journal tail past it re-added — with no worker or
+// coordinator involved.
+func evaluatorFromStore(t *testing.T, workers int, st *store.Store) *core.ShardedIncremental {
+	t.Helper()
+	inc, err := core.NewShardedIncremental(workers, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.Recover(
+		func(snap store.Snapshot) error {
+			cs, err := DecodeCompact(snap.Payload)
+			if err != nil {
+				return err
+			}
+			return inc.RestoreCompact(cs)
+		},
+		func(rec store.Record) error {
+			for _, r := range rec.Responses {
+				if err := inc.Add(r.Worker, r.Task, r.Answer); err != nil {
+					return fmt.Errorf("journal seq %d: %w", rec.Seq, err)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatalf("recovering from the store: %v", err)
+	}
+	return inc
+}
+
+// requireStoreHolds checks that st alone recovers exactly subs, with
+// decisions bit-identical to a single-process evaluator over them.
+func requireStoreHolds(t *testing.T, label string, workers int, st *store.Store, subs []submission) {
+	t.Helper()
+	inc := evaluatorFromStore(t, workers, st)
+	if n := inc.Responses(); n != len(subs) {
+		t.Fatalf("%s: the store recovers %d responses, want %d", label, n, len(subs))
+	}
+	want, err := localReference(t, workers, subs).EvaluateAll(evalOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := inc.EvaluateAll(evalOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareEstimates(t, label, got, want)
 }
 
 // compactOf ingests a stream into a fresh evaluator and cuts a compact
@@ -164,33 +216,31 @@ func TestCompactMalformed(t *testing.T) {
 	}
 }
 
-// TestWorkerStoreLifecycle: a store-backed worker journals every acked
-// ingest, CheckpointCompact truncates the journal behind an O(delta)
-// snapshot, and a restart — new store handle, new worker, RecoverFromStore
-// — rebuilds the evaluator with every response present and decisions
-// bit-identical to the never-restarted local evaluator.
+// TestWorkerStoreLifecycle: the store behind a worker's task slice lives
+// on the head. It journals every acked ingest, a compact checkpoint
+// truncates the journal behind an O(delta) snapshot, and after a full stop
+// the reopened store alone holds every response with decisions
+// bit-identical to the never-stopped local evaluator. A new head over a
+// fresh, empty worker is rebuilt from it and checkpoints again, so
+// recovery state keeps rolling forward.
 func TestWorkerStoreLifecycle(t *testing.T) {
 	const crowdSize, tasks = 8, 200
 	subs := testStream(t, crowdSize, tasks, 307)
 	dir := t.TempDir()
 
-	st := openTestStore(t, dir)
-	w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := w.SelfConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, conn := freshReplica(t, crowdSize, 2)
 	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
 	if err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t, dir)
+	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
 		t.Fatal(err)
 	}
 
 	half := len(subs) / 2
 	ingestBatches(t, coord, subs[:half], 16)
-	if err := w.CheckpointCompact(); err != nil {
+	if err := coord.CheckpointCompactSlice(0); err != nil {
 		t.Fatal(err)
 	}
 	if first := st.Log.FirstSeq(); first <= 1 {
@@ -202,42 +252,28 @@ func TestWorkerStoreLifecycle(t *testing.T) {
 	w.Close()
 	st.Close()
 
-	// Restart from disk.
+	// The reopened store alone: every acked response is present — a
+	// duplicate re-add is rejected — and the decisions match.
 	st2 := openTestStore(t, dir)
 	defer st2.Close()
-	w2, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w2.Close()
-	n, err := w2.RecoverFromStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(subs) {
-		t.Fatalf("recovered %d responses, want %d", n, len(subs))
-	}
-	// Every acked response must be present: a duplicate re-add is rejected.
+	recovered := evaluatorFromStore(t, crowdSize, st2)
 	for i, s := range subs {
-		if err := w2.Evaluator().Add(s.w, s.t, s.r); err == nil {
+		if err := recovered.Add(s.w, s.t, s.r); err == nil {
 			t.Fatalf("response %d (worker %d task %d) was lost across the restart", i, s.w, s.t)
 		}
 	}
-	local := localReference(t, crowdSize, subs)
-	opts := core.EvalOptions{Confidence: 0.9}
-	want, err := local.EvaluateAll(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w2.Evaluator().EvaluateAll(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareEstimates(t, "worker restart", got, want)
+	requireStoreHolds(t, "store after restart", crowdSize, st2, subs)
 
-	// The recovered worker checkpoints again: the snapshot covers the full
-	// journal, so recovery state keeps rolling forward.
-	if err := w2.CheckpointCompact(); err != nil {
+	_, conn2 := freshReplica(t, crowdSize, 2)
+	coord2, err := NewCluster(crowdSize, slicesOf(conn2), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	if err := coord2.AttachSliceStores([]*store.Store{st2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord2.CheckpointCompactAll(); err != nil {
 		t.Fatal(err)
 	}
 	snap, ok, err := st2.Snapshots.Latest()
@@ -254,27 +290,13 @@ func TestWorkerStoreLifecycle(t *testing.T) {
 // O(delta) snapshots and truncates the journals, and a slice whose only
 // replica died is rebuilt onto a fresh empty worker from disk alone —
 // snapshot push plus WAL tail re-ingest — with zero acked loss and
-// bit-identical decisions. The replacement worker carries its own store,
-// pinning that a wire-seeded node persists the seed before acking.
+// bit-identical decisions.
 func TestCoordinatorSliceStoreRebuild(t *testing.T) {
 	const crowdSize, tasks = 8, 220
 	subs := testStream(t, crowdSize, tasks, 401)
 
-	makeWorker := func(st *store.Store) (*Worker, *Conn) {
-		t.Helper()
-		w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn, err := w.SelfConn()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w, conn
-	}
-	w0, c0 := makeWorker(nil)
-	w1, c1 := makeWorker(nil)
-	defer w1.Close()
+	w0, c0 := freshReplica(t, crowdSize, 2)
+	_, c1 := freshReplica(t, crowdSize, 2)
 	coord, err := NewCluster(crowdSize, slicesOf(c0, c1), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +326,7 @@ func TestCoordinatorSliceStoreRebuild(t *testing.T) {
 
 	// With a live replica the store restore must refuse and point at
 	// RestoreNode.
-	_, probe := makeWorker(nil)
+	_, probe := freshReplica(t, crowdSize, 2)
 	if err := coord.RestoreNodeFromStore(0, probe); err == nil {
 		t.Fatal("RestoreNodeFromStore accepted a slice with live replicas")
 	} else if !strings.Contains(err.Error(), "live replicas") {
@@ -317,10 +339,8 @@ func TestCoordinatorSliceStoreRebuild(t *testing.T) {
 		t.Fatal("counts succeeded with a dead slice")
 	}
 
-	// Rebuild from the slice store onto a fresh, empty, store-backed worker.
-	dirB := t.TempDir()
-	stB := openTestStore(t, dirB)
-	wB, connB := makeWorker(stB)
+	// Rebuild from the slice store onto a fresh, empty worker.
+	_, connB := freshReplica(t, crowdSize, 2)
 	if err := coord.RestoreNodeFromStore(0, connB); err != nil {
 		t.Fatal(err)
 	}
@@ -333,26 +353,6 @@ func TestCoordinatorSliceStoreRebuild(t *testing.T) {
 	}
 	local := localReference(t, crowdSize, subs)
 	requireEvaluateAllEqual(t, "rebuild from slice store", coord, local)
-
-	// The wire-seeded replacement persisted its seed: its own store alone
-	// rebuilds the same slice state after it too dies.
-	sliceCount := wB.Evaluator().Responses()
-	wB.Close()
-	stB.Close()
-	stB2 := openTestStore(t, dirB)
-	defer stB2.Close()
-	wB2, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: stB2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wB2.Close()
-	n, err := wB2.RecoverFromStore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != sliceCount {
-		t.Fatalf("replacement's own store recovered %d responses, want %d", n, sliceCount)
-	}
 }
 
 // ingestIntoSliceStore acks subs through a 1-slice × 1-replica coordinator
@@ -410,23 +410,7 @@ func TestColdRestartRebuildsFromSliceStore(t *testing.T) {
 	if err := coord.CheckpointCompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if n, err := w.RecoverFromStore(); err != nil || n != len(subs) {
-		t.Fatalf("store recovers %d responses after the checkpoint (err %v), want %d", n, err, len(subs))
-	}
-	want, err := local.EvaluateAll(evalOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := w.Evaluator().EvaluateAll(evalOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareEstimates(t, "recovered from the checkpointed store", got, want)
+	requireStoreHolds(t, "recovered from the checkpointed store", crowdSize, st, subs)
 }
 
 // TestAttachRefusesReplicaBehindStore: a live replica holding some but not
@@ -552,21 +536,34 @@ func TestMonitorReseedFromSliceStore(t *testing.T) {
 }
 
 // TestReadSnapshotMissingFile: a store holding no snapshot file and no
-// journal is a first start — recovery yields an empty node, not an error —
-// which is what lets a daemon tell a fresh deployment from a damaged one.
+// journal is a first start — recovery yields an empty slice, not an
+// error — which is what lets a head tell a fresh deployment from a
+// damaged one: it attaches the store over empty workers and rebuilds
+// nothing.
 func TestReadSnapshotMissingFile(t *testing.T) {
+	const crowdSize = 5
 	st := openTestStore(t, t.TempDir())
 	defer st.Close()
 	if _, ok, err := st.Snapshots.Latest(); ok || err != nil {
 		t.Fatalf("fresh store reports a snapshot (ok %v, err %v)", ok, err)
 	}
-	w, err := NewWorker(WorkerOptions{Workers: 5, Shards: 1, Store: st})
+	if n := evaluatorFromStore(t, crowdSize, st).Responses(); n != 0 {
+		t.Fatalf("first start recovered %d responses, want 0", n)
+	}
+	_, conn := freshReplica(t, crowdSize, 1)
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	if n, err := w.RecoverFromStore(); err != nil || n != 0 {
-		t.Fatalf("first start recovered n=%d err=%v, want 0, nil", n, err)
+	defer coord.Close()
+	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
+		t.Fatalf("attaching a fresh store: %v", err)
+	}
+	if total, err := coord.Responses(); err != nil || total != 0 {
+		t.Fatalf("head over a fresh store serves %d responses (err %v), want 0", total, err)
+	}
+	if st.Log.LastSeq() != 0 {
+		t.Fatalf("attaching a fresh store journaled up to seq %d", st.Log.LastSeq())
 	}
 }
 
@@ -651,7 +648,7 @@ func TestCheckpointGenerationFallback(t *testing.T) {
 	requireEvaluateAllEqual(t, "rebuilt from the older generation", coord, localReference(t, crowdSize, subs))
 }
 
-// TestWriteSnapshotDurabilitySequence: a compact snapshot cut goes through
+// TestWriteSnapshotDurabilitySequence: a slice checkpoint goes through
 // the store's atomic temp+fsync+rename+dir-fsync sequence. A sync failure
 // surfaces as an error, publishes nothing, and — because the journal is
 // only truncated behind a published snapshot — drops no journal record;
@@ -666,21 +663,17 @@ func TestWriteSnapshotDurabilitySequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := w.SelfConn()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, conn := freshReplica(t, crowdSize, 2)
 	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
+		t.Fatal(err)
+	}
 	half := len(subs) / 2
 	ingestBatches(t, coord, subs[:half], 16)
-	if err := w.CheckpointCompact(); err != nil {
+	if err := coord.CheckpointCompactSlice(0); err != nil {
 		t.Fatal(err)
 	}
 	published, _, err := st.Snapshots.Latest()
@@ -692,7 +685,7 @@ func TestWriteSnapshotDurabilitySequence(t *testing.T) {
 
 	boom := errors.New("injected sync failure")
 	ffs.SetSyncError(boom)
-	if err := w.CheckpointCompact(); !errors.Is(err, boom) {
+	if err := coord.CheckpointCompactSlice(0); !errors.Is(err, boom) {
 		t.Fatalf("snapshot cut with a failing fsync: %v, want the injected failure", err)
 	}
 	ffs.SetSyncError(nil)
@@ -702,7 +695,7 @@ func TestWriteSnapshotDurabilitySequence(t *testing.T) {
 	if st.Log.FirstSeq() != first || st.Log.LastSeq() != last {
 		t.Fatalf("failed cut moved the journal from [%d, %d] to [%d, %d]", first, last, st.Log.FirstSeq(), st.Log.LastSeq())
 	}
-	if err := w.CheckpointCompact(); err != nil {
+	if err := coord.CheckpointCompactSlice(0); err != nil {
 		t.Fatal(err)
 	}
 	coord.Close()
@@ -711,14 +704,155 @@ func TestWriteSnapshotDurabilitySequence(t *testing.T) {
 
 	st2 := openTestStore(t, dir)
 	defer st2.Close()
-	w2, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 2, Store: st2})
+	requireStoreHolds(t, "restart after the failed cut", crowdSize, st2, subs)
+}
+
+// TestAttachRefusesUnrecoverableStore: a slice store whose every snapshot
+// is damaged on disk after the journal behind it was truncated cannot
+// account for its state. The attach must refuse it, naming the slice, and
+// touch neither the store nor the replicas — a head that served from it
+// would serve skewed statistics.
+func TestAttachRefusesUnrecoverableStore(t *testing.T) {
+	const crowdSize, tasks = 8, 220
+	subs := testStream(t, crowdSize, tasks, 401)
+	dir := t.TempDir()
+
+	w, conn := freshReplica(t, crowdSize, 2)
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w2.Close()
-	if n, err := w2.RecoverFromStore(); err != nil || n != len(subs) {
-		t.Fatalf("recovered %d responses (err %v), want %d", n, err, len(subs))
+	st := openTestStore(t, dir)
+	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
+		t.Fatal(err)
 	}
+	ingestBatches(t, coord, subs, 16)
+	if err := coord.CheckpointCompactSlice(0); err != nil {
+		t.Fatal(err)
+	}
+	if first := st.Log.FirstSeq(); first <= 1 {
+		t.Fatalf("journal still starts at seq %d after the checkpoint; nothing was truncated", first)
+	}
+	coord.Close()
+	w.Close()
+	st.Close()
+
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := map[string][]byte{}
+	for _, e := range names {
+		if !strings.HasPrefix(e.Name(), "snap-") {
+			continue
+		}
+		path := filepath.Join(dir, e.Name())
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[len(b)/2] ^= 0x20
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		damaged[path] = b
+	}
+	if len(damaged) == 0 {
+		t.Fatal("the checkpoint left no snapshot file to damage")
+	}
+
+	st2 := openTestStore(t, dir)
+	defer st2.Close()
+	first, last := st2.Log.FirstSeq(), st2.Log.LastSeq()
+	_, conn2 := freshReplica(t, crowdSize, 2)
+	coord2, err := NewCluster(crowdSize, slicesOf(conn2), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord2.Close()
+	err = coord2.AttachSliceStores([]*store.Store{st2})
+	if err == nil || !strings.Contains(err.Error(), "slice 0") {
+		t.Fatalf("attach over an unrecoverable store: err = %v, want a refusal naming slice 0", err)
+	}
+	if err := coord2.CheckpointCompactSlice(0); err == nil {
+		t.Fatal("a refused store was attached anyway")
+	}
+	if total, err := coord2.Responses(); err != nil || total != 0 {
+		t.Fatalf("refused attach left %d responses on the replica (err %v), want 0", total, err)
+	}
+	if st2.Log.FirstSeq() != first || st2.Log.LastSeq() != last {
+		t.Fatalf("refused attach moved the journal from [%d, %d] to [%d, %d]", first, last, st2.Log.FirstSeq(), st2.Log.LastSeq())
+	}
+	for path, want := range damaged {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("refused attach touched snapshot %s (err %v)", filepath.Base(path), err)
+		}
+	}
+}
+
+// TestAttachEmptyStoreOverLiveReplicas is the upgrade path from clusters
+// whose head journaled nothing: an empty slice store attached over live
+// replicas that already hold the stream is attached as is, and the first
+// checkpoint captures what the replicas hold. From then on the store alone
+// is the slice — a new head over fresh, empty workers on the reopened
+// stores serves decisions bit-identical to a single-process evaluator.
+func TestAttachEmptyStoreOverLiveReplicas(t *testing.T) {
+	const crowdSize, tasks, slices = 8, 220, 2
+	subs := testStream(t, crowdSize, tasks, 401)
+	coord, _ := newReplicatedCluster(t, crowdSize, slices, 2, 2)
+	ingestBatches(t, coord, subs, 16)
+
+	dirs := make([]string, slices)
+	stores := make([]*store.Store, slices)
+	for si := range stores {
+		dirs[si] = t.TempDir()
+		stores[si] = openTestStore(t, dirs[si])
+	}
+	if err := coord.AttachSliceStores(stores); err != nil {
+		t.Fatalf("attaching empty stores over live replicas: %v", err)
+	}
+	held := func() int {
+		n := 0
+		for _, st := range stores {
+			k, err := storedResponses(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += k
+		}
+		return n
+	}
+	if n := held(); n != 0 {
+		t.Fatalf("the stores hold %d responses before the first checkpoint, want 0", n)
+	}
+	if err := coord.CheckpointCompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if n := held(); n != len(subs) {
+		t.Fatalf("the stores hold %d of %d responses after the first checkpoint", n, len(subs))
+	}
+	coord.Close()
+	for _, st := range stores {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	conns := make([]*Conn, slices)
+	for si := range conns {
+		_, conns[si] = freshReplica(t, crowdSize, 2)
+		stores[si] = openTestStore(t, dirs[si])
+		defer stores[si].Close()
+	}
+	restarted, err := NewCluster(crowdSize, slicesOf(conns...), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if err := restarted.AttachSliceStores(stores); err != nil {
+		t.Fatal(err)
+	}
+	requireEvaluateAllEqual(t, "restart after the upgrade checkpoint", restarted, localReference(t, crowdSize, subs))
 }
 
 // checksumCompact mirrors EncodeCompact's CRC trailer for tests that craft

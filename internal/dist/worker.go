@@ -15,7 +15,6 @@ import (
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/eval"
 	"crowdassess/internal/obs"
-	"crowdassess/internal/store"
 )
 
 // WorkerOptions configures a worker node.
@@ -39,14 +38,6 @@ type WorkerOptions struct {
 	// goroutine or the drain in Close. 0 selects DefaultFrameTimeout;
 	// negative disables the bound.
 	FrameTimeout time.Duration
-	// Store, when set, is the node's durable storage engine: every
-	// accepted ingest batch is journaled to its WAL before the ack goes
-	// out (so an acknowledged response survives a crash, up to the
-	// store's fsync policy), CheckpointCompact cuts O(delta) snapshots
-	// into it, and RecoverFromStore rebuilds the evaluator from it on
-	// restart. The worker owns journaling and snapshots; the caller owns
-	// opening, recovery ordering and Close.
-	Store *store.Store
 }
 
 // DefaultFrameTimeout is the worker-side mid-frame stall budget: generous
@@ -81,13 +72,6 @@ type Worker struct {
 	// obsReg, when set by Instrument, receives serve-path metrics. An
 	// atomic pointer so installing on a live worker is race-free.
 	obsReg atomic.Pointer[obs.Registry]
-
-	// journalMu orders WAL appends against compact snapshot cuts when a
-	// Store is attached: each ingest applies its batch and journals it
-	// under the read side, CheckpointCompact takes the write side to read
-	// (state, lastSeq) as one consistent cut — a snapshot can never
-	// observe responses whose journal record it would then truncate away.
-	journalMu sync.RWMutex
 
 	mu        sync.Mutex
 	closed    bool
@@ -308,7 +292,7 @@ func (w *Worker) reply(c *Conn, msgType byte, body []byte) bool {
 				"Worker-side request failures by message type.", msg).Inc()
 		} else if msgType == msgIngest {
 			reg.Counter("worker_ingest_batches_total",
-				"Ingest batches accepted (applied and journaled).").Inc()
+				"Ingest batches accepted (applied to the node's evaluator).").Inc()
 		}
 	}
 	if err != nil {
@@ -347,23 +331,14 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		if w.opts.Store != nil {
-			w.journalMu.RLock()
-			defer w.journalMu.RUnlock()
-		}
 		for _, s := range batch {
 			if err := w.inc.Add(s.Worker, s.Task, crowd.Response(s.Answer)); err != nil {
 				// The batch stops at the first rejected response. Earlier
 				// responses are already ingested; the coordinator reports
 				// the failure to its caller, matching the local evaluator's
-				// per-Add error contract. A rejected batch is never
-				// journaled — its ack never goes out, so losing its prefix
-				// on a crash breaks no durability promise.
+				// per-Add error contract.
 				return 0, nil, err
 			}
-		}
-		if err := w.journal(batch); err != nil {
-			return 0, nil, err
 		}
 		return msgIngestOK, encodeTotal(w.inc.Responses()), nil
 
@@ -388,8 +363,8 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 		// The heartbeat: cheap by construction (two running counters, read
 		// under each shard's mutex, which an Add holds for one response and
 		// a statistics cut or checkpoint for its length; never behind a
-		// solve or a journal write), answered even mid-ingest. The counts
-		// let the failure detector double as lag telemetry.
+		// solve), answered even mid-ingest. The counts let the failure
+		// detector double as lag telemetry.
 		return msgPong, encodeCounts(countsMsg{Tasks: w.inc.Tasks(), Responses: w.inc.Responses()}), nil
 
 	case msgPullDis:
@@ -409,9 +384,6 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 			return 0, nil, err
 		}
 		if err := w.inc.RestoreCompact(cs); err != nil {
-			return 0, nil, err
-		}
-		if err := w.persistSeed(); err != nil {
 			return 0, nil, err
 		}
 		return msgRestoreOK, encodeCounts(countsMsg{Tasks: w.inc.Tasks(), Responses: w.inc.Responses()}), nil

@@ -11,7 +11,7 @@ import (
 // Timing runs on the registry's injected clock: the engine itself makes
 // no scheduling or durability decision from these readings (crowdvet's
 // determinism exemption for this package is scoped to exactly that —
-// clocks pace measurement and group-commit, never replayed state).
+// clocks pace measurement only, never replayed state).
 type storeMetrics struct {
 	clock       obs.Clock
 	appendSec   *obs.Histogram
@@ -35,7 +35,7 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 		appendSec: reg.Histogram("store_append_seconds",
 			"WAL append latency (encode, write, and fsync under FsyncAlways).", nil),
 		fsyncSec: reg.Histogram("store_fsync_seconds",
-			"WAL segment fsync latency (per-append, group-commit and rotation syncs).", nil),
+			"WAL segment fsync latency (per-append, rotation, close and manual syncs).", nil),
 		snapSaveSec: reg.Histogram("store_snapshot_save_seconds",
 			"Snapshot save latency (atomic write, prune, directory sync).", nil),
 		appendBytes: reg.Counter("store_append_bytes_total",

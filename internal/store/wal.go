@@ -21,9 +21,9 @@ import (
 // snapshot is idempotent by construction.
 type Log interface {
 	// Append journals one accepted batch and returns its sequence number.
-	// When it returns nil under the per-record fsync policy, the batch is
-	// on stable storage; under group-commit or no-fsync policies the
-	// durability window is the caller's chosen tradeoff.
+	// When it returns nil under FsyncAlways, the batch is on stable
+	// storage; under FsyncNever it survives a process crash but not a
+	// machine crash.
 	Append(responses []Response) (uint64, error)
 	// LastSeq returns the highest sequence number ever appended (0 if
 	// none).
@@ -48,27 +48,10 @@ const (
 	// FsyncAlways syncs after every append: an acked batch survives
 	// power loss. The safest and slowest policy.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval group-commits: a background flusher syncs dirty
-	// segments every Options.FsyncEvery. Bounded data loss (one interval)
-	// for near-no-fsync throughput.
-	FsyncInterval
 	// FsyncNever performs no fsync at all — process crashes lose nothing
 	// (the OS still has the writes), machine crashes lose the page cache.
 	FsyncNever
 )
-
-// ParseFsyncPolicy maps the flag spellings to a policy.
-func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
-	switch s {
-	case "always":
-		return FsyncAlways, nil
-	case "interval":
-		return FsyncInterval, nil
-	case "never":
-		return FsyncNever, nil
-	}
-	return 0, fmt.Errorf("store: unknown fsync policy %q (want always, interval or never)", s)
-}
 
 // Options configures the disk-backed engine.
 type Options struct {
@@ -77,9 +60,6 @@ type Options struct {
 	SegmentSize int64
 	// Fsync selects the append durability policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncEvery is the group-commit interval under FsyncInterval
-	// (default 50ms).
-	FsyncEvery time.Duration
 	// KeepSnapshots bounds how many snapshot generations Save retains
 	// (default 2: the newest plus one fallback).
 	KeepSnapshots int
@@ -93,9 +73,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 4 << 20
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = 50 * time.Millisecond
 	}
 	if o.KeepSnapshots <= 0 {
 		o.KeepSnapshots = 2
@@ -154,9 +131,6 @@ type DiskLog struct {
 	failed   bool
 	closed   bool
 	recovery RecoveryInfo
-
-	flushStop chan struct{}
-	flushDone chan struct{}
 }
 
 func segName(first uint64) string {
@@ -238,11 +212,6 @@ func OpenLog(fsys FS, dir string, opts Options) (*DiskLog, error) {
 	l := &DiskLog{fsys: fsys, dir: dir, opts: opts, metrics: newStoreMetrics(opts.Obs)}
 	if err := l.recover(segs); err != nil {
 		return nil, err
-	}
-	if opts.Fsync == FsyncInterval {
-		l.flushStop = make(chan struct{})
-		l.flushDone = make(chan struct{})
-		go l.flushLoop()
 	}
 	return l, nil
 }
@@ -659,38 +628,14 @@ func (l *DiskLog) syncLocked() error {
 	return nil
 }
 
-// flushLoop is the group-commit flusher under FsyncInterval.
-func (l *DiskLog) flushLoop() {
-	defer close(l.flushDone)
-	t := time.NewTicker(l.opts.FsyncEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.flushStop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed {
-				l.syncLocked() // a failed sync marks the log failed; Append surfaces it
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
 // Close syncs under durable policies and releases the log.
 func (l *DiskLog) Close() error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed {
-		l.mu.Unlock()
 		return nil
 	}
 	err := l.closeSegmentLocked()
 	l.closed = true
-	l.mu.Unlock()
-	if l.flushStop != nil {
-		close(l.flushStop)
-		<-l.flushDone
-	}
 	return err
 }

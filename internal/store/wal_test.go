@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"crowdassess/internal/crowd"
 )
@@ -240,14 +239,27 @@ func TestLogTruncateBeforeKeepsNewestSegment(t *testing.T) {
 	}
 }
 
-func TestLogGroupCommitAndManualSync(t *testing.T) {
-	dir := t.TempDir()
-	l := openTestLog(t, OSFS{}, dir, Options{Fsync: FsyncInterval, FsyncEvery: time.Hour})
+// TestLogManualSync: under FsyncNever an append never fsyncs — it lands
+// even while every sync would fail — and leaves the segment dirty; Sync
+// then forces it to stable storage, and reports a sync failure.
+func TestLogManualSync(t *testing.T) {
+	ffs := NewFaultFS(OSFS{})
+	l := openTestLog(t, ffs, t.TempDir(), Options{Fsync: FsyncNever})
+	boom := errors.New("injected sync failure")
+	ffs.SetSyncError(boom)
 	if _, err := l.Append(testBatch(0)); err != nil {
-		t.Fatal(err)
+		t.Fatalf("append under FsyncNever reached a sync: %v", err)
 	}
 	if !l.dirty {
-		t.Fatal("append under FsyncInterval should leave the segment dirty")
+		t.Fatal("append under FsyncNever should leave the segment dirty")
+	}
+	if err := l.Sync(); !errors.Is(err, boom) {
+		t.Fatalf("manual Sync with a failing fsync: %v, want the injected failure", err)
+	}
+
+	l = openTestLog(t, OSFS{}, t.TempDir(), Options{Fsync: FsyncNever})
+	if _, err := l.Append(testBatch(1)); err != nil {
+		t.Fatal(err)
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
