@@ -328,9 +328,8 @@ func NewCluster(workers int, groups [][]DistReplicaSpec, policy DistPolicy) (*Di
 	return dist.NewCluster(workers, groups, policy)
 }
 
-// Distributed replicate sweeps: experiment replicates partitioned across
-// worker nodes with unchanged per-replicate seeding, so a cluster returns
-// byte-identical results to a local run.
+// Replicate sweeps: one kernel over many seeded replicates of a synthetic
+// workload, run in the calling process.
 type (
 	// SweepSpec describes a replicate sweep over a synthetic workload.
 	SweepSpec = eval.SweepSpec
@@ -342,9 +341,9 @@ const (
 	SweepCoverage = eval.SweepCoverage
 )
 
-// RunSweep runs a replicate sweep locally. DistributedEvaluator.RunSweep
-// partitions the same sweep across a cluster and returns a byte-identical
-// Result.
+// RunSweep runs a replicate sweep in this process, optionally fanned out
+// over GOMAXPROCS goroutines; a parallel run returns a Result
+// bit-identical to a serial one.
 func RunSweep(spec SweepSpec, parallel bool) (*ExperimentResult, error) {
 	return eval.RunSweep(spec, parallel)
 }

@@ -72,28 +72,6 @@ func TestDistributedEvaluatorExact(t *testing.T) {
 	}
 }
 
-// TestDistributedSweepFacade: the public sweep entry points agree between
-// local and distributed runs.
-func TestDistributedSweepFacade(t *testing.T) {
-	spec := crowdassess.SweepSpec{Kernel: crowdassess.SweepWidth, Workers: 5, Tasks: 50, Replicates: 6, Seed: 3}
-	want, err := crowdassess.RunSweep(spec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := crowdassess.NewInProcessCluster(5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	got, err := coord.RunSweep(spec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("distributed sweep differs from local:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestDistributedPoolFacade runs the pool lifecycle end to end through the
 // public API against a replicated in-process cluster, with a mid-stream
 // node replacement: decisions must match the local sharded pool exactly.

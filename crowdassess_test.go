@@ -2,6 +2,7 @@ package crowdassess_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"crowdassess"
@@ -146,6 +147,23 @@ func TestPublicExperiments(t *testing.T) {
 	}
 	if res.Name != "fig2c" || len(res.Series) != 2 {
 		t.Errorf("unexpected result %q with %d series", res.Name, len(res.Series))
+	}
+}
+
+// TestPublicSweepParallelIdentical: the public sweep entry point returns
+// the same Result serial and fanned out over CPUs.
+func TestPublicSweepParallelIdentical(t *testing.T) {
+	spec := crowdassess.SweepSpec{Kernel: crowdassess.SweepWidth, Workers: 5, Tasks: 50, Replicates: 6, Seed: 3}
+	want, err := crowdassess.RunSweep(spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := crowdassess.RunSweep(spec, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parallel sweep differs from serial:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -6,11 +6,6 @@
 // are bit-identical to a single-process evaluator fed the same responses,
 // which this example verifies.
 //
-// A distributed replicate sweep runs next: the coordinator partitions the
-// replicate indices across the nodes with unchanged per-replicate
-// seeding, so the cluster's figure data matches a local run byte for
-// byte.
-//
 // The second half is the kill-and-restore walkthrough: a replicated
 // cluster journals every batch into per-slice write-ahead logs and ingests
 // half the stream, one replica is killed mid-ingest, compact snapshots are
@@ -128,20 +123,6 @@ func main() {
 		}
 	}
 	fmt.Printf("\nbit-identical to single-process evaluation: %v\n", exact)
-
-	// Distributed replicate sweep: the paper's interval-width protocol,
-	// replicates partitioned across the cluster.
-	spec := crowdassess.SweepSpec{Kernel: crowdassess.SweepWidth, Workers: 7, Tasks: 100, Replicates: 30, Seed: 1}
-	res, err := coord.RunSweep(spec, false)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\ndistributed sweep %q over %d nodes (%d replicates):\n", res.Name, coord.Nodes(), spec.Replicates)
-	for _, p := range res.Series[0].Points {
-		if p.X == 0.5 || p.X == 0.9 {
-			fmt.Printf("  mean interval size at confidence %.2f: %.3f\n", p.X, p.Y)
-		}
-	}
 
 	killAndRestore(ds, localEsts)
 	selfHealing(ds, localEsts)

@@ -25,10 +25,10 @@ var determinismExemptions = map[string]string{
 	// Record content is produced by the callers the analyzer does scan.
 	"internal/store": "clocks time metrics, not stored content",
 	// dist is partially scoped (the statistics, delta, compact and
-	// checkpoint codec files, and the coordinator's pull/fold/merge and
-	// sweep paths): the rest is heartbeat/retry machinery that is
-	// legitimately time-based. Asserted as partial coverage below.
-	"internal/dist": "partially scoped: codec/merge/sweep paths only",
+	// checkpoint codec files, and the coordinator's pull/fold/merge
+	// paths): the rest is heartbeat/retry machinery that is legitimately
+	// time-based. Asserted as partial coverage below.
+	"internal/dist": "partially scoped: codec/merge paths only",
 	// gate is the serving layer: its clock paces token-bucket refills and
 	// Retry-After hints — when a request is admitted, never what the
 	// estimator computes. Statistics flow through pool/core, which the
@@ -187,7 +187,7 @@ func TestDeterminismCoversBitIdentityClosure(t *testing.T) {
 		}
 	}
 	if !distScoped {
-		t.Error("internal/dist lost its partial determinism scope (codec/merge/sweep paths must stay covered)")
+		t.Error("internal/dist lost its partial determinism scope (codec/merge paths must stay covered)")
 	}
 	for _, f := range []string{"codec.go", "delta.go", "compact.go"} {
 		if !wholeFiles[f] {

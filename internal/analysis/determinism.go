@@ -21,12 +21,12 @@ var DeterminismAnalyzer = &Analyzer{
 		"iterate maps via sorted keys)",
 	Scopes: []Scope{
 		{Packages: DeterminismPackages()},
-		// In internal/dist only the codec/merge/sweep paths feed the
+		// In internal/dist only the codec/merge paths feed the
 		// compared bytes; the policy/heartbeat machinery is legitimately
 		// time-based.
 		{Packages: []string{"internal/dist"}, Files: []string{"codec.go", "delta.go", "compact.go"}},
 		{Packages: []string{"internal/dist"}, Files: []string{"coordinator.go"}, Funcs: []string{
-			"Merge", "pull", "pullSliceLocked", "mixedKinds", "foldLocked", "rebuildLocked", "RunSweep",
+			"Merge", "pull", "pullSliceLocked", "mixedKinds", "foldLocked", "rebuildLocked",
 		}},
 	},
 	Run: runDeterminism,

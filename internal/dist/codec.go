@@ -5,10 +5,9 @@
 // them through the same addFrom reducer the sharded evaluator uses in
 // process, and evaluates once — bit-identical to a single local evaluator
 // fed every response. After the first pull of a slice, a pull ships only
-// what changed since the previous one (delta.go). The replicate-sweep protocol rides the same
-// connections: the coordinator partitions replicate indices across workers
-// deterministically and reassembles their per-replicate vectors in global
-// order, so distributed sweeps are byte-identical to local ones too.
+// what changed since the previous one (delta.go). The protocol carries
+// crowd statistics only; replicate sweeps run in the caller's process
+// (eval.RunSweep).
 //
 // The wire format is a versioned, deterministic binary codec: the same
 // statistics always encode to the same bytes, decoding never panics on
@@ -20,7 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
 	"crowdassess/internal/core"
 )
@@ -46,7 +44,9 @@ import (
 //	    that cursor matches the state it last sent, or in full otherwise
 //	6 — retires pullSnap/snap/restore (0x0f–0x11): compact state is the
 //	    only state transfer, survivor reseeds included
-const ProtocolVersion = 6
+//	7 — retires sweep/sweepOK (0x07, 0x08) and pullTotal (0x0a): the
+//	    protocol carries crowd statistics only, and sweeps run locally
+const ProtocolVersion = 7
 
 // statsCodecVersion versions the statistics payload independently of the
 // protocol, so exports persisted to disk stay readable across protocol
@@ -488,123 +488,4 @@ func decodeTotal(b []byte) (int, error) {
 		return 0, err
 	}
 	return total, r.done()
-}
-
-// sweepMsg asks a worker to compute the global replicate indices [Lo, Hi)
-// of a sweep.
-type sweepMsg struct {
-	Kernel     string
-	Workers    int
-	Tasks      int
-	Density    float64
-	Replicates int
-	Seed       int64
-	Lo, Hi     int
-	Parallel   bool
-}
-
-const maxKernelName = 256
-
-func encodeSweep(m sweepMsg) []byte {
-	buf := make([]byte, 0, 64)
-	buf = appendUvarint(buf, uint64(len(m.Kernel)))
-	buf = append(buf, m.Kernel...)
-	buf = appendUvarint(buf, uint64(m.Workers))
-	buf = appendUvarint(buf, uint64(m.Tasks))
-	buf = appendU64le(buf, math.Float64bits(m.Density))
-	buf = appendUvarint(buf, uint64(m.Replicates))
-	buf = appendU64le(buf, uint64(m.Seed))
-	buf = appendUvarint(buf, uint64(m.Lo))
-	buf = appendUvarint(buf, uint64(m.Hi))
-	if m.Parallel {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	return buf
-}
-
-func decodeSweep(b []byte) (sweepMsg, error) {
-	r := &wireReader{buf: b}
-	var m sweepMsg
-	n, err := r.count("kernel name length", maxKernelName)
-	if err != nil {
-		return m, err
-	}
-	name, err := r.bytes(n, "kernel name")
-	if err != nil {
-		return m, err
-	}
-	m.Kernel = string(name)
-	if m.Workers, err = r.count("sweep workers", maxStatsWorkers); err != nil {
-		return m, err
-	}
-	if m.Tasks, err = r.count("sweep tasks", maxCounter); err != nil {
-		return m, err
-	}
-	bits, err := r.u64le("sweep density")
-	if err != nil {
-		return m, err
-	}
-	m.Density = math.Float64frombits(bits)
-	if m.Replicates, err = r.count("sweep replicates", maxCounter); err != nil {
-		return m, err
-	}
-	seedBits, err := r.u64le("sweep seed")
-	if err != nil {
-		return m, err
-	}
-	m.Seed = int64(seedBits)
-	if m.Lo, err = r.count("sweep lo", maxCounter); err != nil {
-		return m, err
-	}
-	if m.Hi, err = r.count("sweep hi", maxCounter); err != nil {
-		return m, err
-	}
-	p, err := r.byte("sweep parallel flag")
-	if err != nil {
-		return m, err
-	}
-	m.Parallel = p != 0
-	return m, r.done()
-}
-
-func encodeVectors(vectors [][]float64) []byte {
-	size := 4
-	for _, v := range vectors {
-		size += 4 + 8*len(v)
-	}
-	buf := make([]byte, 0, size)
-	buf = appendUvarint(buf, uint64(len(vectors)))
-	for _, v := range vectors {
-		buf = appendUvarint(buf, uint64(len(v)))
-		for _, x := range v {
-			buf = appendU64le(buf, math.Float64bits(x))
-		}
-	}
-	return buf
-}
-
-func decodeVectors(b []byte) ([][]float64, error) {
-	r := &wireReader{buf: b}
-	count, err := r.count("vector count", uint64(r.rest()))
-	if err != nil {
-		return nil, err
-	}
-	vectors := make([][]float64, count)
-	for i := range vectors {
-		n, err := r.count("vector length", uint64(r.rest()/8))
-		if err != nil {
-			return nil, err
-		}
-		vectors[i] = make([]float64, n)
-		for k := 0; k < n; k++ {
-			bits, err := r.u64le("vector element")
-			if err != nil {
-				return nil, err
-			}
-			vectors[i][k] = math.Float64frombits(bits)
-		}
-	}
-	return vectors, r.done()
 }

@@ -212,26 +212,14 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty ingest round trip: %+v, %v", empty, err)
 	}
-	s := sweepMsg{Kernel: "width", Workers: 7, Tasks: 100, Density: 0.8, Replicates: 500, Seed: -12345, Lo: 100, Hi: 250, Parallel: true}
-	gotS, err := decodeSweep(encodeSweep(s))
-	if err != nil || gotS != s {
-		t.Fatalf("sweep round trip: %+v, %v", gotS, err)
-	}
-	vecs := [][]float64{{1.5, -2.25, math.Inf(1)}, {}, {0.125}}
-	gotV, err := decodeVectors(encodeVectors(vecs))
-	if err != nil || !reflect.DeepEqual(gotV, vecs) {
-		t.Fatalf("vectors round trip: %+v, %v", gotV, err)
-	}
 	total, err := decodeTotal(encodeTotal(987654))
 	if err != nil || total != 987654 {
 		t.Fatalf("total round trip: %d, %v", total, err)
 	}
 	// Truncations of each must error.
 	for name, payload := range map[string][]byte{
-		"hello":   encodeHello(h),
-		"ingest":  encodeIngest(batch),
-		"sweep":   encodeSweep(s),
-		"vectors": encodeVectors(vecs),
+		"hello":  encodeHello(h),
+		"ingest": encodeIngest(batch),
 	} {
 		for i := 0; i < len(payload); i++ {
 			var err error
@@ -240,10 +228,6 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 				_, err = decodeHello(payload[:i])
 			case "ingest":
 				_, err = decodeIngest(payload[:i])
-			case "sweep":
-				_, err = decodeSweep(payload[:i])
-			case "vectors":
-				_, err = decodeVectors(payload[:i])
 			}
 			if err == nil {
 				t.Fatalf("%s truncated to %d bytes decoded successfully", name, i)
@@ -292,15 +276,14 @@ func FuzzDecodeStats(f *testing.F) {
 func FuzzDecodeFrameBodies(f *testing.F) {
 	f.Add([]byte{1, 64, 8})
 	f.Add(encodeIngest([]responseRec{{1, 2, 1}}))
-	f.Add(encodeSweep(sweepMsg{Kernel: "width", Lo: 1, Hi: 2}))
-	f.Add(encodeVectors([][]float64{{1}}))
+	f.Add(encodeTotal(987654))
+	f.Add(encodeCounts(countsMsg{Tasks: 9, Responses: 7}))
 	f.Add(encodeCursor(0x1234))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeHello(data)
 		decodeIngest(data)
-		decodeSweep(data)
-		decodeVectors(data)
 		decodeTotal(data)
+		decodeCounts(data)
 		decodeCursor(data)
 		decodePullReply(data)
 	})

@@ -8,7 +8,6 @@ import (
 
 	"crowdassess/internal/core"
 	"crowdassess/internal/crowd"
-	"crowdassess/internal/eval"
 	"crowdassess/internal/obs"
 )
 
@@ -171,14 +170,14 @@ func handshake(workers int, conn *Conn) (*node, error) {
 }
 
 // idempotent reports whether a request may be safely re-sent after a
-// transient failure: the read-only pulls, heartbeats and sweeps. Ingest is
+// transient failure: the read-only pulls and heartbeats. Ingest is
 // not — a timed-out batch may already be applied, and re-sending it would
 // trip duplicate detection mid-frame — so a failing ingest marks the
 // replica down instead (its siblings carry the slice; that IS the write
 // path's sibling retry).
 func idempotent(msgType byte) bool {
 	switch msgType {
-	case msgPullDelta, msgPullCounts, msgPullDis, msgPullTotal, msgPullCompact, msgPing, msgSweep:
+	case msgPullDelta, msgPullCounts, msgPullDis, msgPullCompact, msgPing:
 		return true
 	}
 	return false
@@ -727,64 +726,4 @@ func (c *Coordinator) EvaluateSubset(workers []int, opts core.EvalOptions) ([]co
 		return nil, err
 	}
 	return acc.EvaluateSubset(workers, opts)
-}
-
-// RunSweep distributes a replicate sweep: the replicate index range is
-// partitioned into contiguous per-slice ranges (slice i of N computes
-// [i·R/N, (i+1)·R/N) — deterministic in the slice count), each range runs
-// on one live replica of its slice with unchanged per-replicate seeding,
-// and the reassembled vectors reduce exactly as a local eval.RunSweep
-// would. The Result is byte-identical to the local run.
-func (c *Coordinator) RunSweep(spec eval.SweepSpec, parallel bool) (*eval.Result, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	spec = spec.WithDefaults()
-	reps := spec.Replicates
-	n := len(c.slices)
-	vectors := make([][][]float64, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for si := 0; si < n; si++ {
-		lo, hi := si*reps/n, (si+1)*reps/n
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(si, lo, hi int) {
-			defer wg.Done()
-			body := encodeSweep(sweepMsg{
-				Kernel:     spec.Kernel,
-				Workers:    spec.Workers,
-				Tasks:      spec.Tasks,
-				Density:    spec.Density,
-				Replicates: reps,
-				Seed:       spec.Seed,
-				Lo:         lo,
-				Hi:         hi,
-				Parallel:   parallel,
-			})
-			reply, err := c.sweepSlice(si, body)
-			if err != nil {
-				errs[si] = err
-				return
-			}
-			vecs, err := decodeVectors(reply)
-			if err == nil && len(vecs) != hi-lo {
-				err = fmt.Errorf("dist: slice %d returned %d replicate vectors, want %d", si, len(vecs), hi-lo)
-			}
-			vectors[si], errs[si] = vecs, err
-		}(si, lo, hi)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	// Contiguous per-slice ranges concatenate back into global replicate
-	// order.
-	all := make([][]float64, 0, reps)
-	for _, vecs := range vectors {
-		all = append(all, vecs...)
-	}
-	return eval.ReduceSweep(spec, all)
 }

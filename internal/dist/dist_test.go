@@ -2,15 +2,14 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"net"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"crowdassess/internal/core"
 	"crowdassess/internal/crowd"
-	"crowdassess/internal/eval"
 )
 
 // batchReference holds a response stream and evaluates it with the batch
@@ -277,37 +276,6 @@ func TestTCPLoopbackExact(t *testing.T) {
 	compareEstimates(t, "tcp loopback after second wave", got, want)
 }
 
-// TestDistributedSweepExact: a sweep partitioned over a cluster returns a
-// Result byte-identical to the local run.
-func TestDistributedSweepExact(t *testing.T) {
-	spec := eval.SweepSpec{Kernel: eval.SweepCoverage, Workers: 5, Tasks: 60, Replicates: 10, Seed: 77}
-	coord := newInProcessCluster(t, 5, 3, 1)
-	want, err := eval.RunSweep(spec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := coord.RunSweep(spec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("distributed sweep differs from local run:\n got %+v\nwant %+v", got, want)
-	}
-	// More nodes than replicates: empty slices are skipped, result unchanged.
-	spec.Replicates = 2
-	want, err = eval.RunSweep(spec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = coord.RunSweep(spec, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("sweep with more nodes than replicates differs from local run")
-	}
-}
-
 // TestNodeRoutingIndependentOfShardStriping: the coordinator's node hash
 // must not be the sharded evaluator's stripe hash, or every task a node
 // receives would collapse onto gcd(nodes, shards) of its local stripes
@@ -379,6 +347,81 @@ func TestRemoteAddErrors(t *testing.T) {
 	// The cluster still works after rejected requests.
 	if err := coord.Add(1, 4, crowd.No); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWorkerRejectsRetiredMessages: the message types protocol 7 retired
+// (0x07/0x08, the replicate sweep, and 0x0a, the response-total pull) are
+// unknown to a worker. Each gets a msgError naming its type, and the
+// connection keeps serving. The 0x07 body is the sweep request that used
+// to crash a worker: kernel "width", 3 workers, 2^52 tasks, one replicate.
+func TestWorkerRejectsRetiredMessages(t *testing.T) {
+	w, err := NewWorker(WorkerOptions{Workers: 3, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- w.Serve(l) }()
+	t.Cleanup(func() {
+		w.Close()
+		if err := <-serveErr; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	conn, err := DialTCP(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, _, err := conn.roundTrip(msgHello, encodeHello(helloMsg{Version: ProtocolVersion, Workers: 3})); err != nil {
+		t.Fatal(err)
+	}
+
+	poison := appendUvarint(nil, uint64(len("width")))
+	poison = append(poison, "width"...)
+	poison = appendUvarint(poison, 3)     // workers
+	poison = appendUvarint(poison, 1<<52) // tasks
+	poison = appendU64le(poison, 0)       // density
+	poison = appendUvarint(poison, 1)     // replicates
+	poison = appendU64le(poison, 0)       // seed
+	poison = appendUvarint(poison, 0)     // lo
+	poison = appendUvarint(poison, 1)     // hi
+	poison = append(poison, 0)            // serial
+	if len(poison) != 35 {
+		t.Fatalf("poison body is %d bytes, want 35", len(poison))
+	}
+	for _, req := range []struct {
+		msgType byte
+		body    []byte
+	}{{0x07, poison}, {0x08, nil}, {0x0a, nil}} {
+		_, _, err := conn.roundTrip(req.msgType, req.body)
+		var remote *RemoteError
+		if !errors.As(err, &remote) {
+			t.Fatalf("retired message 0x%02x: got %v, want a worker error", req.msgType, err)
+		}
+		if want := fmt.Sprintf("unknown message type 0x%02x", req.msgType); !strings.Contains(remote.Msg, want) {
+			t.Fatalf("retired message 0x%02x: error %q does not say %q", req.msgType, remote.Msg, want)
+		}
+	}
+
+	replyType, reply, err := conn.roundTrip(msgIngest, encodeIngest([]responseRec{{Worker: 0, Task: 1, Answer: int(crowd.Yes)}}))
+	if err != nil || replyType != msgIngestOK {
+		t.Fatalf("ingest after retired messages: type 0x%02x, %v", replyType, err)
+	}
+	if total, err := decodeTotal(reply); err != nil || total != 1 {
+		t.Fatalf("ingest total = %d, %v; want 1", total, err)
+	}
+	replyType, reply, err = conn.roundTrip(msgPullCounts, nil)
+	if err != nil || replyType != msgCounts {
+		t.Fatalf("counts pull after retired messages: type 0x%02x, %v", replyType, err)
+	}
+	// Tasks is the horizon: task index 1 plus one.
+	if counts, err := decodeCounts(reply); err != nil || counts != (countsMsg{Tasks: 2, Responses: 1}) {
+		t.Fatalf("counts = %+v, %v; want a 2-task horizon and 1 response", counts, err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // This file is the dist layer's observability wiring: everything here
 // feeds an obs.Registry and nothing here changes protocol or decision
 // behavior. It lives outside the determinism-scoped files (codec,
-// compact, Merge/RunSweep) on purpose — clocks pace measurement, never
+// compact, Merge) on purpose — clocks pace measurement, never
 // decisions.
 
 // msgName renders a message type as a stable metric label value.
@@ -25,10 +25,6 @@ func msgName(t byte) string {
 		return "ingest"
 	case msgPullDelta:
 		return "pull-delta"
-	case msgSweep:
-		return "sweep"
-	case msgPullTotal:
-		return "pull-total"
 	case msgPullCounts:
 		return "pull-counts"
 	case msgPullDis:

@@ -97,8 +97,6 @@ func TestMsgNameStable(t *testing.T) {
 		msgHello:          "hello",
 		msgIngest:         "ingest",
 		msgPullDelta:      "pull-delta",
-		msgSweep:          "sweep",
-		msgPullTotal:      "pull-total",
 		msgPullCounts:     "pull-counts",
 		msgPullDis:        "pull-dis",
 		msgPing:           "ping",

@@ -31,10 +31,6 @@ type Policy struct {
 	// slice's whole state — legitimately dwarfs an ordinary RPC. 0 means
 	// unbounded.
 	StateTimeout time.Duration
-	// SweepTimeout bounds replicate-sweep round-trips, which are
-	// compute-bound on the worker and take as long as the experiment
-	// takes. 0 (the default, even in DefaultPolicy) means unbounded.
-	SweepTimeout time.Duration
 	// Retries is how many times an idempotent request (statistics pulls,
 	// heartbeats — never ingest, which is not idempotent) is re-attempted
 	// after a transient failure, reconnecting first when the node carries
@@ -67,7 +63,6 @@ func DefaultPolicy() Policy {
 		DialTimeout:  5 * time.Second,
 		RPCTimeout:   30 * time.Second,
 		StateTimeout: 10 * time.Minute,
-		SweepTimeout: 0, // compute-bound; bound it per deployment
 		Retries:      2,
 		Backoff:      50 * time.Millisecond,
 		MaxBackoff:   2 * time.Second,
@@ -80,8 +75,6 @@ func (p Policy) timeoutFor(msgType byte) time.Duration {
 	switch msgType {
 	case msgPullCompact, msgRestoreCompact:
 		return p.StateTimeout
-	case msgSweep:
-		return p.SweepTimeout
 	default:
 		return p.RPCTimeout
 	}

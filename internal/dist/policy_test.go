@@ -58,7 +58,7 @@ func TestBackoffSchedulePinned(t *testing.T) {
 
 // TestTimeoutClasses pins which budget each message class runs under.
 func TestTimeoutClasses(t *testing.T) {
-	p := Policy{RPCTimeout: 1 * time.Second, StateTimeout: 2 * time.Second, SweepTimeout: 3 * time.Second}
+	p := Policy{RPCTimeout: 1 * time.Second, StateTimeout: 2 * time.Second}
 	cases := []struct {
 		msgType byte
 		want    time.Duration
@@ -69,7 +69,6 @@ func TestTimeoutClasses(t *testing.T) {
 		{msgPing, p.RPCTimeout},
 		{msgPullCompact, p.StateTimeout},
 		{msgRestoreCompact, p.StateTimeout},
-		{msgSweep, p.SweepTimeout},
 	}
 	for _, c := range cases {
 		if got := p.timeoutFor(c.msgType); got != c.want {
@@ -116,11 +115,11 @@ func TestTransientClassification(t *testing.T) {
 }
 
 // TestIdempotentClassification pins which requests the retry layer may
-// re-send: every read-only pull, ping and sweep — and never ingest, whose
+// re-send: every read-only pull and ping — and never ingest, whose
 // re-send would trip duplicate rejection on replicas that already applied
 // the timed-out batch.
 func TestIdempotentClassification(t *testing.T) {
-	yes := []byte{msgPullDelta, msgPullCounts, msgPullDis, msgPullTotal, msgPullCompact, msgPing, msgSweep}
+	yes := []byte{msgPullDelta, msgPullCounts, msgPullDis, msgPullCompact, msgPing}
 	for _, m := range yes {
 		if !idempotent(m) {
 			t.Errorf("idempotent(0x%02x) = false, want true", m)
@@ -139,12 +138,12 @@ func TestIdempotentClassification(t *testing.T) {
 // pull from the coordinator's stored slice state, the others from their
 // last validated reply — and never a write or a state transfer.
 func TestDegradableClassification(t *testing.T) {
-	for _, m := range []byte{msgPullDelta, msgPullCounts, msgPullDis, msgPullTotal} {
+	for _, m := range []byte{msgPullDelta, msgPullCounts, msgPullDis} {
 		if !degradable(m) {
 			t.Errorf("degradable(0x%02x) = false, want true", m)
 		}
 	}
-	for _, m := range []byte{msgIngest, msgRestoreCompact, msgPullCompact, msgPing, msgSweep, msgHello} {
+	for _, m := range []byte{msgIngest, msgRestoreCompact, msgPullCompact, msgPing, msgHello} {
 		if degradable(m) {
 			t.Errorf("degradable(0x%02x) = true, want false", m)
 		}

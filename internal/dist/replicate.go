@@ -147,7 +147,7 @@ func markDownLocked(n *node) {
 // validated reply. Writes (ingest) and state transfers never degrade.
 func degradable(msgType byte) bool {
 	switch msgType {
-	case msgPullDelta, msgPullCounts, msgPullDis, msgPullTotal:
+	case msgPullDelta, msgPullCounts, msgPullDis:
 		return true
 	}
 	return false
@@ -272,29 +272,6 @@ func (c *Coordinator) degradedLocked(s *slice, msgType byte) bool {
 		s.stale = true
 	}
 	return stored
-}
-
-// sweepSlice runs one sweep request on some live replica of slice si. The
-// slice lock is held only to read the replica set, not across the compute:
-// sweeps carry no slice state, so they must not stall ingestion.
-func (c *Coordinator) sweepSlice(si int, body []byte) ([]byte, error) {
-	s := c.slices[si]
-	for {
-		s.mu.Lock()
-		live := s.liveLocked()
-		s.mu.Unlock()
-		if len(live) == 0 {
-			return nil, fmt.Errorf("%w %d", ErrNoReplica, si)
-		}
-		n := live[0]
-		reply, err := c.call(n, msgSweep, body, msgSweepOK)
-		if err == nil || isRemote(err) {
-			return reply, err
-		}
-		s.mu.Lock()
-		markDownLocked(n)
-		s.mu.Unlock()
-	}
 }
 
 // RestoreNode attaches a replacement node to task slice si and brings it

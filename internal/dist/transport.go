@@ -19,10 +19,9 @@ const (
 	msgIngest   byte = 0x03 // coordinator → worker: response batch
 	msgIngestOK byte = 0x04 // worker → coordinator: running response total
 	// 0x05 and 0x06 carried the full-statistics pull before protocol 5.
-	msgSweep      byte = 0x07 // coordinator → worker: sweepMsg
-	msgSweepOK    byte = 0x08 // worker → coordinator: replicate vectors
-	msgError      byte = 0x09 // worker → coordinator: UTF-8 failure text
-	msgPullTotal  byte = 0x0a // coordinator → worker: empty; replied msgIngestOK
+	// 0x07 and 0x08 carried the replicate sweep before protocol 7.
+	msgError byte = 0x09 // worker → coordinator: UTF-8 failure text
+	// 0x0a carried the response-total pull before protocol 7.
 	msgPullCounts byte = 0x0b // coordinator → worker: empty
 	msgCounts     byte = 0x0c // worker → coordinator: countsMsg
 	msgPullDis    byte = 0x0d // coordinator → worker: empty

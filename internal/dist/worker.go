@@ -13,7 +13,6 @@ import (
 
 	"crowdassess/internal/core"
 	"crowdassess/internal/crowd"
-	"crowdassess/internal/eval"
 	"crowdassess/internal/obs"
 )
 
@@ -58,10 +57,10 @@ type WorkerStats struct {
 
 // Worker is one node of a distributed deployment: it owns a
 // core.ShardedIncremental over the task slice the coordinator routes to
-// it, serves statistics pulls from its live counters, and computes
-// replicate ranges of distributed sweeps. Connections are served
-// concurrently; the underlying evaluator's Add is already safe across
-// goroutines, so two coordinaton connections (or one coordinator's
+// it and serves statistics pulls from its live counters. It carries crowd
+// statistics only; replicate sweeps run in the caller's process. Connections
+// are served concurrently; the underlying evaluator's Add is already safe
+// across goroutines, so two coordinaton connections (or one coordinator's
 // concurrent batches) never corrupt state.
 type Worker struct {
 	opts     WorkerOptions
@@ -353,9 +352,6 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 		}
 		return msgDelta, payload, nil
 
-	case msgPullTotal:
-		return msgIngestOK, encodeTotal(w.inc.Responses()), nil
-
 	case msgPullCounts:
 		return msgCounts, encodeCounts(countsMsg{Tasks: w.inc.Tasks(), Responses: w.inc.Responses()}), nil
 
@@ -388,24 +384,6 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 		}
 		return msgRestoreOK, encodeCounts(countsMsg{Tasks: w.inc.Tasks(), Responses: w.inc.Responses()}), nil
 
-	case msgSweep:
-		m, err := decodeSweep(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		spec := eval.SweepSpec{
-			Kernel:     m.Kernel,
-			Workers:    m.Workers,
-			Tasks:      m.Tasks,
-			Density:    m.Density,
-			Replicates: m.Replicates,
-			Seed:       m.Seed,
-		}
-		vectors, err := eval.SweepReplicates(spec, m.Lo, m.Hi, m.Parallel)
-		if err != nil {
-			return 0, nil, err
-		}
-		return msgSweepOK, encodeVectors(vectors), nil
 	}
 	return 0, nil, fmt.Errorf("dist: unknown message type 0x%02x", msgType)
 }

@@ -8,17 +8,13 @@ import (
 	"crowdassess/internal/sim"
 )
 
-// Distributed replicate sweeps.
+// Replicate sweeps.
 //
-// The figure runners accumulate replicate results in Go structs that never
-// leave the process. A sweep is the wire-friendly form of the same
-// protocol: every replicate reduces to a fixed-length float64 vector of
-// sufficient statistics (sums and counts — no means, so partial results
-// merge exactly), replicate r is seeded Seed+r no matter which machine
-// computes it, and the final reduction folds the vectors in replicate
-// order. A coordinator can therefore partition the replicate index range
-// across workers, reassemble the vectors by global index, and run the very
-// same reduction a local sweep runs — the Result is bit-identical.
+// A sweep runs one kernel over many replicates of a synthetic binary
+// workload. Every replicate reduces to a fixed-length float64 vector of
+// sufficient statistics (sums and counts, no means), replicate r is seeded
+// Seed+r, and the final reduction folds the vectors in replicate order, so
+// a serial and a parallel run return the same Result bit for bit.
 
 // Sweep kernels.
 const (
@@ -34,7 +30,7 @@ const (
 // SweepKernels lists the available sweep kernels.
 func SweepKernels() []string { return []string{SweepWidth, SweepCoverage} }
 
-// SweepSpec describes one distributed replicate sweep: a kernel applied to
+// SweepSpec describes one replicate sweep: a kernel applied to
 // a synthetic binary workload. The zero values of Workers/Tasks/Replicates
 // select 7 workers, 100 tasks and the paper's 500 replicates.
 type SweepSpec struct {
@@ -51,13 +47,11 @@ type SweepSpec struct {
 	Density float64
 	// Replicates is the total number of replicates (default 500).
 	Replicates int
-	// Seed anchors replicate r's source at Seed+r, wherever r runs.
+	// Seed anchors replicate r's source at Seed+r, serial or parallel.
 	Seed int64
 }
 
-// WithDefaults resolves the zero values. Coordinators that partition a
-// sweep must resolve through it too, so the replicate count they split is
-// the one ReduceSweep will demand back.
+// WithDefaults resolves the zero values.
 func (s SweepSpec) WithDefaults() SweepSpec {
 	if s.Workers == 0 {
 		s.Workers = 7
@@ -74,7 +68,7 @@ func (s SweepSpec) WithDefaults() SweepSpec {
 	return s
 }
 
-// Validate rejects specs no worker should attempt to run.
+// Validate rejects specs a sweep cannot run.
 func (s SweepSpec) Validate() error {
 	s = s.WithDefaults()
 	switch s.Kernel {
@@ -139,43 +133,24 @@ func sweepReplicate(s SweepSpec, src *randx.Source) ([]float64, error) {
 	return vec, nil
 }
 
-// SweepReplicates computes the statistic vectors of the global replicate
-// indices [lo, hi). Replicate r's source is seeded s.Seed+r regardless of
-// how the index range is split, so ranges computed on different machines
-// reassemble into exactly the vectors one machine would have produced.
-// With parallel=true the range fans out over GOMAXPROCS goroutines through
-// the same deterministic engine the figure runners use.
-func SweepReplicates(s SweepSpec, lo, hi int, parallel bool) ([][]float64, error) {
+// RunSweep runs every replicate of a sweep in this process, then folds the
+// vectors in replicate order into the sweep's Result. With parallel=true the
+// replicates fan out over GOMAXPROCS goroutines through the same
+// deterministic engine the figure runners use; the Result is bit-identical
+// to a serial run.
+func RunSweep(s SweepSpec, parallel bool) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	s = s.WithDefaults()
-	if lo < 0 || hi > s.Replicates || lo > hi {
-		return nil, fmt.Errorf("eval: replicate range [%d, %d) outside [0, %d)", lo, hi, s.Replicates)
-	}
-	return runReplicates(parallel, s.Seed+int64(lo), hi-lo, func(src *randx.Source) ([]float64, error) {
+	vectors, err := runReplicates(parallel, s.Seed, s.Replicates, func(src *randx.Source) ([]float64, error) {
 		return sweepReplicate(s, src)
 	})
-}
-
-// ReduceSweep folds the complete per-replicate vector set (indexed by
-// global replicate, as reassembled by a coordinator or produced locally)
-// into the sweep's Result. The fold visits replicates in index order, so
-// its floating-point accumulation — and hence the Result — is identical no
-// matter where the vectors were computed.
-func ReduceSweep(s SweepSpec, vectors [][]float64) (*Result, error) {
-	if err := s.Validate(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	s = s.WithDefaults()
-	if len(vectors) != s.Replicates {
-		return nil, fmt.Errorf("eval: %d replicate vectors, want %d", len(vectors), s.Replicates)
-	}
 	total := make([]float64, sweepVectorLen())
-	for r, vec := range vectors {
-		if len(vec) != len(total) {
-			return nil, fmt.Errorf("eval: replicate %d vector has length %d, want %d", r, len(vec), len(total))
-		}
+	for _, vec := range vectors {
 		for i, v := range vec {
 			total[i] += v
 		}
@@ -204,20 +179,4 @@ func ReduceSweep(s SweepSpec, vectors [][]float64) (*Result, error) {
 	}
 	res.Series = append(res.Series, series)
 	return res, nil
-}
-
-// RunSweep runs a sweep start to finish in one process: every replicate,
-// then the reduction. A distributed run that partitions the same replicate
-// range across machines and reduces the reassembled vectors returns a
-// bit-identical Result.
-func RunSweep(s SweepSpec, parallel bool) (*Result, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	s = s.WithDefaults()
-	vectors, err := SweepReplicates(s, 0, s.Replicates, parallel)
-	if err != nil {
-		return nil, err
-	}
-	return ReduceSweep(s, vectors)
 }
