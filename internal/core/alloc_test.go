@@ -105,7 +105,9 @@ func TestAddExistingTaskZeroAllocs(t *testing.T) {
 	if err := s.Add(1, runs+1, crowd.No); err != nil {
 		t.Fatal(err)
 	}
-	s.CutStats(0, false)
+	if _, err := s.CutStats(0); err != nil {
+		t.Fatal(err)
+	}
 	task := 0 // AllocsPerRun calls once more than runs, so tasks 0…runs
 	if allocs := testing.AllocsPerRun(runs, func() {
 		if err := s.Add(1, task, crowd.Yes); err != nil {

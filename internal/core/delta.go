@@ -171,61 +171,38 @@ func (b dynBitset) word(k int) uint64 {
 	return 0
 }
 
-// StatsCut is one cut of an evaluator's statistics (CutStats): exactly one
-// of Delta and Full is set, and Digest is the digest of the statistics at
-// the cut either way.
+// StatsCut is one cut of an evaluator's statistics (CutStats): the delta
+// to the statistics at the cut, and their digest.
 type StatsCut struct {
-	// Delta is the exact difference from the previous cut.
+	// Delta is the exact difference from the previous cut, or from the
+	// empty state when Reset is set.
 	Delta *StatsDelta
-	// Full is the whole of the statistics at the cut.
-	Full   *StatsExport
+	// Reset marks a delta from the empty state: the whole of the
+	// statistics at the cut.
+	Reset  bool
 	Digest uint64
 }
 
-// cutBase is what the next delta needs of the last cut: the upper-triangle
-// counters (row i holds pair (i, j) at index j-i-1), the merged attendance
-// bitsets, the totals and the digest.
-type cutBase struct {
-	agree, common    [][]int
-	responded        []dynBitset
-	tasks, responses int
-	digest           uint64
-}
-
-func newCutBase(workers int) *cutBase {
-	b := &cutBase{
-		agree:     make([][]int, workers),
-		common:    make([][]int, workers),
-		responded: make([]dynBitset, workers),
-	}
-	cells := make([]int, workers*(workers-1))
-	for i := range b.agree {
-		n := workers - i - 1
-		b.agree[i], cells = cells[:n:n], cells[n:]
-		b.common[i], cells = cells[:n:n], cells[n:]
-	}
-	return b
-}
-
 // CutStats cuts the evaluator's statistics and returns what a puller
-// holding the previous cut needs to reach this one. When resume is set and
-// cursor is the digest of the previous cut, that is the exact delta from the
-// previous cut — counter increments and newly set attendance bits, in
-// canonical order — built in O(change): only the attendance words of task
-// words that gained responses since the previous cut are visited, and only
-// the counter pairs of the workers who gave those responses are re-summed.
-// Otherwise (the first cut, a puller holding no state, or a cursor naming
-// any other state) it is the full statistics. Either way the cut becomes
-// the base of the next delta as soon as it is taken: a puller that never
-// receives it sends a cursor that no longer matches and gets the full
-// statistics next time.
+// holding the previous cut needs to reach this one. When cursor is the
+// digest of the previous cut, that is the exact delta from the previous
+// cut — counter increments and newly set attendance bits, in canonical
+// order — built in O(change): only the attendance words of task words that
+// gained responses since the previous cut are visited, and only the counter
+// pairs of the workers who gave those responses are re-summed. Otherwise
+// (the first cut, a puller holding no state with cursor 0, or a cursor
+// naming any other state) it is a reset: the delta from the empty state,
+// built by the same code with every task word below the horizon taken as
+// changed. Either way the cut becomes the base of the next delta as soon as
+// it is taken: a puller that never receives it sends a cursor that no
+// longer matches and gets a reset next time.
 //
 // The base belongs to the evaluator, so an evaluator has exactly one cut
 // consumer: a second one would receive deltas against the first one's
 // cuts. The cut holds every shard lock, in index order, so it is one
 // consistent point in time even under concurrent Add, and two cuts never
 // interleave.
-func (s *ShardedIncremental) CutStats(cursor uint64, resume bool) StatsCut {
+func (s *ShardedIncremental) CutStats(cursor uint64) (StatsCut, error) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
@@ -239,60 +216,40 @@ func (s *ShardedIncremental) CutStats(cursor uint64, resume bool) StatsCut {
 		tasks = max(tasks, sh.tasks)
 		responses += sh.responses
 	}
-	if !resume || s.base == nil || cursor != s.base.digest {
-		return s.fullCutLocked(tasks, responses)
+	reset := cursor == 0 || s.base == nil || cursor != s.base.Digest()
+	if reset {
+		base, err := NewStatsAccumulator(s.workers)
+		if err != nil {
+			return StatsCut{}, err
+		}
+		s.base = base
 	}
-	return s.deltaCutLocked(tasks, responses)
-}
-
-// fullCutLocked merges every shard into fresh statistics, makes them the
-// base of the next delta and returns them whole; the caller holds every
-// shard lock.
-func (s *ShardedIncremental) fullCutLocked(tasks, responses int) StatsCut {
-	m := newStreamStats(s.workers)
-	for _, sh := range s.shards {
-		m.addFrom(sh.stats)
-		clear(sh.dirty)
+	d := s.deltaCutLocked(tasks, responses, reset)
+	if err := s.base.ApplyDelta(d); err != nil {
+		s.base = nil
+		return StatsCut{}, fmt.Errorf("core: statistics cut does not extend its own base: %w", err)
 	}
-	if s.base == nil {
-		s.base = newCutBase(s.workers)
-	}
-	b := s.base
-	for i := range b.agree {
-		copy(b.agree[i], m.agree[i][i+1:])
-		copy(b.common[i], m.common[i][i+1:])
-		b.responded[i] = append(b.responded[i][:0], m.responded[i]...)
-	}
-	b.tasks, b.responses = tasks, responses
-	b.digest = statsDigest(m, s.workers, tasks, responses)
-	// m is private to this cut, so the export takes its slices uncopied.
-	full := &StatsExport{
-		Workers:   s.workers,
-		Tasks:     tasks,
-		Responses: responses,
-		Agree:     m.agree,
-		Common:    m.common,
-		Responded: make([][]uint64, s.workers),
-	}
-	for i, words := range m.responded {
-		full.Responded[i] = words
-	}
-	return StatsCut{Full: full, Digest: b.digest}
+	return StatsCut{Delta: d, Reset: reset, Digest: s.base.Digest()}, nil
 }
 
 // deltaCutLocked returns the exact delta from the base to the current
-// statistics, deriving the new digest from the base's in O(change), and
-// advances the base; the caller holds every shard lock. A delta's new
-// attendance bits are the merged words minus the base's, and only the
-// task words a shard marked dirty can differ, so only those are visited:
-// worker by worker, each in ascending word order, which is the delta's
-// canonical order. Cells are then visited in (i, j) order.
-func (s *ShardedIncremental) deltaCutLocked(tasks, responses int) StatsCut {
-	workers, b := s.workers, s.base
+// statistics, leaving the base for the caller to advance; the caller holds
+// every shard lock. A delta's new attendance bits are the merged words
+// minus the base's, and only the task words a shard marked dirty — every
+// word below the horizon when all is set — can differ, so only those are
+// visited: worker by worker, each in ascending word order, which is the
+// delta's canonical order. Cells are then visited in (i, j) order.
+func (s *ShardedIncremental) deltaCutLocked(tasks, responses int, all bool) *StatsDelta {
+	workers, b := s.workers, s.base.stats
 	var dirty dynBitset
 	for _, sh := range s.shards {
 		dirty.orWith(sh.dirty)
 		clear(sh.dirty)
+	}
+	if all {
+		for k := 0; k < (tasks+63)/64; k++ {
+			dirty.set(k)
+		}
 	}
 	var dirtyWords []int // ascending
 	for x, word := range dirty {
@@ -300,26 +257,23 @@ func (s *ShardedIncremental) deltaCutLocked(tasks, responses int) StatsCut {
 			dirtyWords = append(dirtyWords, x*64+bits.TrailingZeros64(word))
 		}
 	}
-	change := headerTerm(workers, tasks, responses) - headerTerm(workers, b.tasks, b.responses)
 
 	var words []WordDelta
+	if all && len(dirtyWords) > 0 {
+		// A reset carries nearly every worker's every word.
+		words = make([]WordDelta, 0, workers*len(dirtyWords))
+	}
 	var responders []int // workers with a new response, ascending
 	for w := 0; w < workers; w++ {
-		base := &b.responded[w]
 		n := len(words)
 		for _, k := range dirtyWords {
 			var now uint64
 			for _, sh := range s.shards {
 				now |= sh.stats.responded[w].word(k)
 			}
-			old := base.word(k)
-			if now == old {
-				continue
+			if old := b.responded[w].word(k); now != old {
+				words = append(words, WordDelta{Worker: w, Index: k, Bits: now &^ old})
 			}
-			words = append(words, WordDelta{Worker: w, Index: k, Bits: now &^ old})
-			change += wordTerm(w, k, now) - wordTerm(w, k, old)
-			base.grow(k + 1)
-			(*base)[k] = now
 		}
 		if len(words) > n {
 			responders = append(responders, w)
@@ -335,13 +289,9 @@ func (s *ShardedIncremental) deltaCutLocked(tasks, responses int) StatsCut {
 			agree += sh.stats.agree[i][j]
 			common += sh.stats.common[i][j]
 		}
-		ba, bc := &b.agree[i][j-i-1], &b.common[i][j-i-1]
-		if agree == *ba && common == *bc {
-			return
+		if ba, bc := b.agree[i][j], b.common[i][j]; agree != ba || common != bc {
+			cells = append(cells, CellDelta{I: i, J: j, Agree: agree - ba, Common: common - bc})
 		}
-		cells = append(cells, CellDelta{I: i, J: j, Agree: agree - *ba, Common: common - *bc})
-		change += cellTerm(i, j, agree, common) - cellTerm(i, j, *ba, *bc)
-		*ba, *bc = agree, common
 	}
 	r := 0 // responders[r:] are ≥ i
 	for i := 0; i < workers; i++ {
@@ -356,9 +306,5 @@ func (s *ShardedIncremental) deltaCutLocked(tasks, responses int) StatsCut {
 			grow(i, j)
 		}
 	}
-
-	b.tasks, b.responses = tasks, responses
-	b.digest += change
-	d := &StatsDelta{Workers: workers, Tasks: tasks, Responses: responses, Cells: cells, Words: words}
-	return StatsCut{Delta: d, Digest: b.digest}
+	return &StatsDelta{Workers: workers, Tasks: tasks, Responses: responses, Cells: cells, Words: words}
 }

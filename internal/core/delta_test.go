@@ -173,14 +173,45 @@ func TestDiffStatsRejectsNonSuccessor(t *testing.T) {
 	}
 }
 
+// cutStats takes a cut, failing the test on an error.
+func cutStats(tb testing.TB, s *ShardedIncremental, cursor uint64) StatsCut {
+	tb.Helper()
+	cut, err := s.CutStats(cursor)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cut
+}
+
 // checkCut asserts that a cut taken right after snapshot cur is the delta
 // DiffStats finds from prev to cur, DeepEqual, with cur's from-scratch
 // digest, and returns its digest.
 func checkCut(t *testing.T, label string, cut StatsCut, prev, cur *statsState) uint64 {
 	t.Helper()
-	if cut.Full != nil || cut.Delta == nil {
-		t.Fatalf("%s: resumed cut returned the full state", label)
+	if cut.Reset {
+		t.Fatalf("%s: resumed cut is a reset", label)
 	}
+	return checkDelta(t, label, cut, prev, cur)
+}
+
+// checkReset asserts that a cut is a reset to cur: the delta DiffStats
+// finds from the empty state to cur, with cur's from-scratch digest.
+func checkReset(t *testing.T, label string, cut StatsCut, cur *statsState) uint64 {
+	t.Helper()
+	if !cut.Reset {
+		t.Fatalf("%s: cut is a delta from the previous cut, want a reset", label)
+	}
+	empty, err := NewShardedIncremental(cur.workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkDelta(t, label, cut, empty.snapshot(), cur)
+}
+
+// checkDelta asserts that a cut's delta is DiffStats from prev to cur, with
+// cur's from-scratch digest, and returns its digest.
+func checkDelta(t *testing.T, label string, cut StatsCut, prev, cur *statsState) uint64 {
+	t.Helper()
 	want, err := DiffStats(prev, cur)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", label, err)
@@ -195,27 +226,13 @@ func checkCut(t *testing.T, label string, cut StatsCut, prev, cur *statsState) u
 	return cut.Digest
 }
 
-// checkFullCut asserts that a cut is the full state cur, with its digest.
-func checkFullCut(t *testing.T, label string, cut StatsCut, cur *statsState) uint64 {
-	t.Helper()
-	if cut.Delta != nil || cut.Full == nil {
-		t.Fatalf("%s: cut is a delta, want the full state", label)
-	}
-	if !cut.Full.Equal(cur.Export()) {
-		t.Fatalf("%s: full cut differs from the merged state", label)
-	}
-	if fresh := digestOf(cur); cut.Digest != fresh {
-		t.Fatalf("%s: full cut digest %x, computed from scratch %x", label, cut.Digest, fresh)
-	}
-	return cut.Digest
-}
-
 // TestCutStatsMatchesDiffStats pins the O(change) cut to the O(state)
 // oracle: across shard counts, densities on both sides of the ¼
 // restricted-count switch and random cut points (empty ones included),
 // every resumed cut is DeepEqual to DiffStats on the same two states and
-// carries the from-scratch digest — also right after a full cut forced by
-// a missing or wrong cursor, and across a RestoreCompact. The last input is
+// carries the from-scratch digest — also right after a reset forced by a
+// missing or wrong cursor, and across a RestoreCompact. Every reset is
+// DeepEqual to DiffStats from the empty state. The last input is
 // a 130-worker crowd, whose attendance spans three words per task.
 func TestCutStatsMatchesDiffStats(t *testing.T) {
 	const workers, tasks = 14, 500
@@ -250,7 +267,7 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 				}
 			}
 			prev := s.snapshot()
-			cursor := checkFullCut(t, label+" first cut", s.CutStats(0, true), prev)
+			cursor := checkReset(t, label+" first cut", cutStats(t, s, 0), prev)
 			half := len(subs) / 2
 			for lo := first; lo < half; {
 				hi := min(half, lo+src.Intn(60))
@@ -263,11 +280,11 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 				cur := s.snapshot()
 				switch src.Intn(8) {
 				case 0:
-					cursor = checkFullCut(t, label+" cut without cursor", s.CutStats(cursor, false), cur)
+					cursor = checkReset(t, label+" cut without cursor", cutStats(t, s, 0), cur)
 				case 1:
-					cursor = checkFullCut(t, label+" cut with a stale cursor", s.CutStats(cursor+1, true), cur)
+					cursor = checkReset(t, label+" cut with a stale cursor", cutStats(t, s, cursor+1), cur)
 				default:
-					cursor = checkCut(t, fmt.Sprintf("%s cut after %d responses", label, lo), s.CutStats(cursor, true), prev, cur)
+					cursor = checkCut(t, fmt.Sprintf("%s cut after %d responses", label, lo), cutStats(t, s, cursor), prev, cur)
 					if cur != prev {
 						grew++
 					}
@@ -277,7 +294,7 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 			if grew < 5 {
 				t.Fatalf("%s: only %d cuts carried a change", label, grew)
 			}
-			checkCut(t, label+" cut with no new responses", s.CutStats(cursor, true), prev, prev)
+			checkCut(t, label+" cut with no new responses", cutStats(t, s, cursor), prev, prev)
 
 			// A restored evaluator cut before its restore deltas from the
 			// empty state to the restored one, then keeps cutting exactly.
@@ -286,18 +303,18 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 				t.Fatal(err)
 			}
 			empty := r.snapshot()
-			rcursor := checkFullCut(t, label+" restore target", r.CutStats(0, false), empty)
+			rcursor := checkReset(t, label+" restore target", cutStats(t, r, 0), empty)
 			if err := r.RestoreCompact(s.CompactCheckpoint()); err != nil {
 				t.Fatal(err)
 			}
 			restored := r.snapshot()
-			rcursor = checkCut(t, label+" cut after restore", r.CutStats(rcursor, true), empty, restored)
+			rcursor = checkCut(t, label+" cut after restore", cutStats(t, r, rcursor), empty, restored)
 			for _, x := range subs[half:] {
 				if err := r.Add(x.w, x.t, x.r); err != nil {
 					t.Fatal(err)
 				}
 			}
-			checkCut(t, label+" cut after restore and ingest", r.CutStats(rcursor, true), restored, r.snapshot())
+			checkCut(t, label+" cut after restore and ingest", cutStats(t, r, rcursor), restored, r.snapshot())
 		}
 	}
 }
@@ -318,15 +335,12 @@ func TestCutStatsConcurrentAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	fold := func(cut StatsCut) uint64 {
-		if cut.Full != nil {
-			acc, err = NewStatsAccumulator(workers)
-			if err == nil {
-				err = acc.Merge(cut.Full)
+		if cut.Reset {
+			if acc, err = NewStatsAccumulator(workers); err != nil {
+				t.Fatal(err)
 			}
-		} else {
-			err = acc.ApplyDelta(cut.Delta)
 		}
-		if err != nil {
+		if err := acc.ApplyDelta(cut.Delta); err != nil {
 			t.Fatal(err)
 		}
 		if acc.Digest() != cut.Digest {
@@ -334,7 +348,7 @@ func TestCutStatsConcurrentAdd(t *testing.T) {
 		}
 		return cut.Digest
 	}
-	cursor := fold(s.CutStats(0, false))
+	cursor := fold(cutStats(t, s, 0))
 	var wg sync.WaitGroup
 	errs := make(chan error, adders)
 	for g := 0; g < adders; g++ {
@@ -358,14 +372,14 @@ func TestCutStatsConcurrentAdd(t *testing.T) {
 			running = false
 		default:
 		}
-		cursor = fold(s.CutStats(cursor, true))
+		cursor = fold(cutStats(t, s, cursor))
 	}
 	t.Logf("%d cuts while %d goroutines ingested %d responses", cuts, adders, len(subs))
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	fold(s.CutStats(cursor, true))
+	fold(cutStats(t, s, cursor))
 	if !acc.Export().Equal(s.ExportStats()) {
 		t.Fatal("folded cuts do not reproduce the final export")
 	}
@@ -375,7 +389,8 @@ func TestCutStatsConcurrentAdd(t *testing.T) {
 // evaluator in two regimes, against the O(state) path it replaced — merge
 // a full snapshot and diff it against the previous one (snapshot +
 // DiffStats; that path also derived the digest in O(change), which this
-// omits):
+// omits) — and against a reset, the cut a pull without a matching cursor
+// gets (the delta from the empty state):
 //
 //   - sparse: review_sparse's shape — 128 workers at density 0.1 over a
 //     24k-task horizon, 16 new responses (8 on each of two new tasks)
@@ -403,19 +418,23 @@ func BenchmarkStatsPull(b *testing.B) {
 			}
 			return batch
 		}
-		for _, path := range []string{"cut", "diff"} {
+		for _, path := range []string{"cut", "diff", "reset"} {
 			b.Run(path, func(b *testing.B) {
 				s, _ := NewShardedIncremental(workers, 2)
 				add(s, base)
-				cursor, prev := s.CutStats(0, false).Digest, s.snapshot()
+				cursor, prev := cutStats(b, s, 0).Digest, s.snapshot()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
 					b.StopTimer()
 					add(s, next(n))
 					b.StartTimer()
-					if path == "cut" {
-						cursor = s.CutStats(cursor, true).Digest
+					switch path {
+					case "cut":
+						cursor = cutStats(b, s, cursor).Digest
+						continue
+					case "reset":
+						cutStats(b, s, 0)
 						continue
 					}
 					cur := s.snapshot()
@@ -431,20 +450,24 @@ func BenchmarkStatsPull(b *testing.B) {
 		const workers, tasks, fresh = 64, 4800, 41000
 		subs := deltaStream(b, workers, tasks, 0.8, 32)
 		old, change := subs[:len(subs)-fresh], subs[len(subs)-fresh:]
-		for _, path := range []string{"cut", "diff"} {
+		for _, path := range []string{"cut", "diff", "reset"} {
 			b.Run(path, func(b *testing.B) {
 				b.ReportAllocs()
 				for n := 0; n < b.N; n++ {
 					b.StopTimer()
 					s, _ := NewShardedIncremental(workers, 2)
 					add(s, old)
-					cursor, prev := s.CutStats(0, false).Digest, s.snapshot()
+					cursor, prev := cutStats(b, s, 0).Digest, s.snapshot()
 					add(s, change)
 					b.StartTimer()
-					if path == "cut" {
-						if d := s.CutStats(cursor, true).Delta; d == nil {
-							b.Fatal("resumed cut returned the full state")
+					switch path {
+					case "cut":
+						if cutStats(b, s, cursor).Reset {
+							b.Fatal("resumed cut is a reset")
 						}
+						continue
+					case "reset":
+						cutStats(b, s, 0)
 						continue
 					}
 					if _, err := DiffStats(prev, s.snapshot()); err != nil {

@@ -86,9 +86,10 @@ type ShardedIncremental struct {
 	spare        *statsState
 	mergedEpochs []uint64
 
-	// base is the statistics of the last cut (CutStats): nil until the
-	// first one, then guarded by holding every shard lock.
-	base *cutBase
+	// base is the statistics of the last cut (CutStats), advanced only by
+	// each cut's delta: nil until the first one, then guarded by holding
+	// every shard lock.
+	base *StatsAccumulator
 }
 
 // incShard owns one task-stripe of a ShardedIncremental.

@@ -146,13 +146,20 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 
 	acc, _ := NewStatsAccumulator(workers)
 	feeder, _ := NewShardedIncremental(workers, 3)
-	cursor := feeder.CutStats(0, false).Digest
+	cut, err := feeder.CutStats(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cursor := cut.Digest
 	for n, x := range subs {
 		if err := feeder.Add(x.w, x.t, x.r); err != nil {
 			t.Fatal(err)
 		}
 		if n%97 == 0 || n == len(subs)-1 {
-			cut := feeder.CutStats(cursor, true)
+			cut, err := feeder.CutStats(cursor)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if err := acc.ApplyDelta(cut.Delta); err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,11 @@ import (
 //	    only state transfer, survivor reseeds included
 //	7 — retires sweep/sweepOK (0x07, 0x08) and pullTotal (0x0a): the
 //	    protocol carries crowd statistics only, and sweeps run locally
-const ProtocolVersion = 7
+//	8 — every delta reply is a CSDL delta: a reset, the delta from the
+//	    empty state, replaces the full CSTA reply (kind byte 0), so CSTA
+//	    travels only inside CCMP compact state; the coordinator's
+//	    handshake also refuses a node of another protocol version
+const ProtocolVersion = 8
 
 // statsCodecVersion versions the statistics payload independently of the
 // protocol, so exports persisted to disk stay readable across protocol

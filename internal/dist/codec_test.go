@@ -272,19 +272,40 @@ func FuzzDecodeStats(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrameBodies fuzzes the control-plane decoders together.
+// FuzzDecodeFrameBodies fuzzes the control-plane decoders together. A
+// pull reply that decodes must re-encode to the very same bytes, since
+// replicas are byte-compared on every pull.
 func FuzzDecodeFrameBodies(f *testing.F) {
 	f.Add([]byte{1, 64, 8})
 	f.Add(encodeIngest([]responseRec{{1, 2, 1}}))
 	f.Add(encodeTotal(987654))
 	f.Add(encodeCounts(countsMsg{Tasks: 9, Responses: 7}))
 	f.Add(encodeCursor(0x1234))
+	subs := sparseStream(f, 6, 150, 0.5, 28)
+	reset, delta := cutsOf(f, 6, subs, len(subs)/2)
+	for _, cut := range []core.StatsCut{reset, delta} {
+		reply, err := encodePullReply(cut)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(reply)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		decodeHello(data)
 		decodeIngest(data)
 		decodeTotal(data)
 		decodeCounts(data)
 		decodeCursor(data)
-		decodePullReply(data)
+		cut, err := decodePullReply(data)
+		if err != nil {
+			return
+		}
+		b, err := encodePullReply(cut)
+		if err != nil {
+			t.Fatalf("decoded pull reply fails to encode: %v", err)
+		}
+		if !bytes.Equal(b, data) {
+			t.Fatalf("accepted pull reply is not canonical:\n in  %x\n out %x", data, b)
+		}
 	})
 }

@@ -160,6 +160,9 @@ func handshake(workers int, conn *Conn) (*node, error) {
 	if err == nil {
 		hello, err = decodeHello(reply)
 	}
+	if err == nil && hello.Version != ProtocolVersion {
+		err = fmt.Errorf("dist: node speaks protocol version %d, coordinator speaks %d", hello.Version, ProtocolVersion)
+	}
 	if err == nil && hello.Workers != workers {
 		err = fmt.Errorf("dist: node serves %d crowd workers, want %d", hello.Workers, workers)
 	}
@@ -574,19 +577,19 @@ func (c *Coordinator) pull() (*core.StatsAccumulator, error) {
 
 // errResync reports a delta whose result does not match the worker's
 // digest: the slice's stored state no longer describes what the worker
-// holds and the slice must be pulled in full.
+// holds and the slice must be reset.
 var errResync = errors.New("dist: slice state out of step with its replicas")
 
 // pullSliceLocked brings slice si's stored state, and with it the running
 // merge, up to date; caller holds s.mu. The request carries the digest of
 // the stored state as the cursor, so replicas that last shipped exactly
 // that state answer with a delta. When their replies disagree on kind —
-// one full, one delta: a fresh, reseeded or restarted replica, or a reply
+// one reset, one delta: a fresh, reseeded or restarted replica, or a reply
 // that was lost after the worker moved its base — or a delta does not lead
-// to the digest the replicas report, the slice is re-pulled in full from
-// every replica, once. Any other disagreement is divergence. With no live
-// replica the stored state is served, flagged stale, unless the policy is
-// strict.
+// to the digest the replicas report, the slice is re-pulled without cursor
+// from every replica, once, and so reset. Any other disagreement is
+// divergence. With no live replica the stored state is served, flagged
+// stale, unless the policy is strict.
 func (c *Coordinator) pullSliceLocked(si int, s *slice) error {
 	cursor := uint64(noCursor)
 	if s.state != nil {
@@ -611,7 +614,7 @@ func (c *Coordinator) pullSliceLocked(si int, s *slice) error {
 		if err != nil {
 			return fmt.Errorf("dist: slice %d statistics: %w", si, err)
 		}
-		if cursor == noCursor && r.kind != pullFull {
+		if cursor == noCursor && !r.Reset {
 			return fmt.Errorf("%w: slice %d answered a pull without cursor with a delta", ErrCodec, si)
 		}
 		if err := c.foldLocked(si, s, r); err != nil {
@@ -638,39 +641,42 @@ func mixedKinds(replies [][]byte) bool {
 }
 
 // foldLocked applies one validated pull reply to slice si; caller holds
-// s.mu. A full reply replaces the slice's stored state and rebuilds the
-// merge. A delta is applied to the stored state and, once the result
-// matches the worker's digest, folded into the merge in O(change); when it
-// does not match, the stored state is dropped and errResync returned.
-func (c *Coordinator) foldLocked(si int, s *slice, r pullReply) error {
+// s.mu. A reset starts the slice's stored state from the empty state. The
+// delta is applied to the stored state and must lead to the worker's
+// digest: a reset then rebuilds the merge, and a delta is folded into it
+// in O(change). When a delta does not match, the stored state is dropped
+// and errResync returned; when a reset does not, the reply is malformed.
+func (c *Coordinator) foldLocked(si int, s *slice, r core.StatsCut) error {
 	c.mergeMu.Lock()
 	defer c.mergeMu.Unlock()
-	if r.kind == pullFull {
+	if r.Reset {
 		st, err := core.NewStatsAccumulator(c.workers)
 		if err != nil {
 			return err
 		}
-		if err := st.Merge(r.full); err != nil {
-			return fmt.Errorf("dist: slice %d statistics: %w", si, err)
-		}
-		if st.Digest() != r.digest {
-			return fmt.Errorf("%w: slice %d statistics do not match their digest", ErrCodec, si)
-		}
 		s.state = st
-		c.noteFullPull(si)
-		return c.rebuildLocked()
-	}
-	if s.state == nil {
+	} else if s.state == nil {
 		return errResync
 	}
-	if err := s.state.ApplyDelta(r.delta); err != nil || s.state.Digest() != r.digest {
+	err := s.state.ApplyDelta(r.Delta)
+	if err == nil && s.state.Digest() != r.Digest {
+		err = fmt.Errorf("%w: statistics do not match their digest", ErrCodec)
+	}
+	if err != nil {
 		s.state = nil
 		if err := c.rebuildLocked(); err != nil {
 			return err
 		}
+		if r.Reset {
+			return fmt.Errorf("dist: slice %d statistics: %w", si, err)
+		}
 		return errResync
 	}
-	if err := c.merged.ApplyDelta(r.delta); err != nil {
+	if r.Reset {
+		c.noteFullPull(si)
+		return c.rebuildLocked()
+	}
+	if err := c.merged.ApplyDelta(r.Delta); err != nil {
 		// The merge no longer extends into this delta (slices overlapping
 		// in tasks): rebuild it from the stored states, which are current.
 		return errors.Join(fmt.Errorf("dist: folding slice %d: %w", si, err), c.rebuildLocked())

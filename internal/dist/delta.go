@@ -7,11 +7,12 @@ import (
 )
 
 // This file is the wire form of the delta statistics pull (msgPullDelta):
-// the coordinator's cursor, and the worker's reply — either the full CSTA
-// statistics payload or a sparse CSDL delta, each with the digest of the
-// state the worker holds after the reply. Like the rest of the codec it is
-// canonical: a payload that decodes re-encodes to the very same bytes, so
-// replicas can still be byte-compared on every pull.
+// the coordinator's cursor, and the worker's reply — a sparse CSDL delta,
+// either from the state the cursor names or, in a reset, from the empty
+// state, with the digest of the state the worker holds after the reply.
+// Like the rest of the codec it is canonical: a payload that decodes
+// re-encodes to the very same bytes, so replicas can still be
+// byte-compared on every pull.
 
 // deltaCodecVersion versions the sparse delta payload independently of
 // the protocol. Deltas are never persisted, so a layout change bumps both
@@ -21,14 +22,15 @@ const deltaCodecVersion = 1
 // deltaMagic brands a delta payload ("CrowdStats DeLta").
 var deltaMagic = [4]byte{'C', 'S', 'D', 'L'}
 
-// Pull reply kinds: the first byte of a msgDelta body.
+// Pull reply kinds: the first byte of a msgDelta body, followed by the
+// digest and an encodeDelta payload.
 const (
-	pullFull  byte = 0 // digest, then an EncodeStats payload
-	pullDelta byte = 1 // digest, then an encodeDelta payload
+	pullReset byte = 0 // the delta from the empty state
+	pullDelta byte = 1 // the delta from the state the cursor names
 )
 
 // noCursor is the cursor of a coordinator holding no state for the slice;
-// a worker always answers it in full.
+// a worker always answers it with a reset.
 const noCursor = 0
 
 // encodeCursor serializes a pull request: the 64-bit digest of the slice
@@ -44,50 +46,36 @@ func decodeCursor(b []byte) (uint64, error) {
 	return cursor, r.done()
 }
 
-// pullReply is a decoded msgDelta body: exactly one of full and delta is
-// set, by kind.
-type pullReply struct {
-	kind   byte
-	digest uint64 // digest of the worker's state after this reply
-	full   *core.StatsExport
-	delta  *core.StatsDelta
-}
-
-// encodeFullReply answers a pull with the whole state.
-func encodeFullReply(e *core.StatsExport, digest uint64) ([]byte, error) {
-	buf := make([]byte, 0, 32+e.Workers*e.Workers+9*e.Workers)
-	buf = append(buf, pullFull)
-	buf = appendU64le(buf, digest)
-	return appendStats(buf, e)
-}
-
-// encodeDeltaReply answers a pull with the changes since the cursor.
-func encodeDeltaReply(d *core.StatsDelta, digest uint64) ([]byte, error) {
+// encodePullReply answers a pull with one statistics cut: its kind, the
+// digest of the worker's state after the cut, and its delta.
+func encodePullReply(cut core.StatsCut) ([]byte, error) {
+	kind := pullDelta
+	if cut.Reset {
+		kind = pullReset
+	}
+	d := cut.Delta
 	buf := make([]byte, 0, 32+6*len(d.Cells)+12*len(d.Words))
-	buf = append(buf, pullDelta)
-	buf = appendU64le(buf, digest)
+	buf = append(buf, kind)
+	buf = appendU64le(buf, cut.Digest)
 	return appendDelta(buf, d)
 }
 
-func decodePullReply(b []byte) (pullReply, error) {
+func decodePullReply(b []byte) (core.StatsCut, error) {
 	r := &wireReader{buf: b}
-	var p pullReply
-	var err error
-	if p.kind, err = r.byte("pull reply kind"); err != nil {
-		return p, err
+	var cut core.StatsCut
+	kind, err := r.byte("pull reply kind")
+	if err != nil {
+		return cut, err
 	}
-	if p.digest, err = r.u64le("state digest"); err != nil {
-		return p, err
+	if cut.Digest, err = r.u64le("state digest"); err != nil {
+		return cut, err
 	}
-	switch p.kind {
-	case pullFull:
-		p.full, err = DecodeStats(b[r.off:])
-	case pullDelta:
-		p.delta, err = decodeDelta(b[r.off:])
-	default:
-		err = fmt.Errorf("%w: unknown pull reply kind %d", ErrCodec, p.kind)
+	if kind != pullReset && kind != pullDelta {
+		return cut, fmt.Errorf("%w: unknown pull reply kind %d", ErrCodec, kind)
 	}
-	return p, err
+	cut.Reset = kind == pullReset
+	cut.Delta, err = decodeDelta(b[r.off:])
+	return cut, err
 }
 
 // encodeDelta serializes a delta in the versioned canonical form: magic,

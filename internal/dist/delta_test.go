@@ -67,7 +67,7 @@ func pullBytes(reg *obs.Registry) uint64 {
 	return n
 }
 
-// fullPulls is how many times a pull replaced a slice's state in full.
+// fullPulls is how many times a pull reset a slice's state.
 func fullPulls(reg *obs.Registry, slices int) uint64 {
 	var n uint64
 	for si := 0; si < slices; si++ {
@@ -87,7 +87,7 @@ func instrumented(coord *Coordinator) *obs.Registry {
 // through clusters of every shape in shards {1,2,7} × slices {1,3} ×
 // replicas {1,2}: every EvaluateAll and EvaluateSubset is bit-identical to
 // the batch algorithm on the same responses, only the first pull of
-// each slice ships the full state, and the pull after a 32-response ingest
+// each slice is a reset, and the pull after a 32-response ingest
 // moves less than 2% of the first pull's bytes.
 func TestDeltaPullProperty(t *testing.T) {
 	const crowdSize, tasks = 32, 16000
@@ -185,8 +185,8 @@ func (l *faultListener) last() *FaultConn {
 // TestDeltaPullLostReply: a worker builds its delta reply — moving its base
 // to the new state — but the reply is blackholed on the wire. The retry
 // reaches the same worker with the old cursor, which no longer matches, so
-// it answers in full while its sibling answered with a delta; the
-// coordinator settles that with exactly one full re-pull, and results stay
+// it answers with a reset while its sibling answered with a delta; the
+// coordinator settles that with exactly one reset re-pull, and results stay
 // bit-identical.
 func TestDeltaPullLostReply(t *testing.T) {
 	const crowdSize = 10
@@ -243,8 +243,8 @@ func TestDeltaPullLostReply(t *testing.T) {
 }
 
 // TestDeltaPullAfterReseed: a replica replaced mid-stream by RestoreNode has
-// shipped nothing yet, so it answers the next pull in full while its
-// sibling sends a delta — exactly one full pull of that slice, after which
+// shipped nothing yet, so it answers the next pull with a reset while its
+// sibling sends a delta — exactly one reset of that slice, after which
 // deltas resume, and every read stays bit-identical.
 func TestDeltaPullAfterReseed(t *testing.T) {
 	const crowdSize = 10
@@ -276,8 +276,8 @@ func TestDeltaPullAfterReseed(t *testing.T) {
 
 // TestDeltaPullAfterStoreRecovery: a slice whose only worker died is
 // rebuilt from its write-ahead log onto a fresh worker
-// (RestoreNodeFromStore). The rebuilt worker answers its first pull in
-// full — exactly one full pull — and the results are bit-identical.
+// (RestoreNodeFromStore). The rebuilt worker answers its first pull with a
+// reset — exactly one — and the results are bit-identical.
 func TestDeltaPullAfterStoreRecovery(t *testing.T) {
 	const crowdSize = 10
 	subs := sparseStream(t, crowdSize, 800, 0.3, 23)
@@ -394,9 +394,9 @@ func TestClusterEvaluatorConcurrentFlushAndReads(t *testing.T) {
 	compareEstimates(t, "cluster evaluator after concurrent flushes and reads", got, want)
 }
 
-// deltaOf cuts the delta between two successive states of one evaluator
-// fed a stream.
-func deltaOf(tb testing.TB, workers int, subs []submission, cut int) *core.StatsDelta {
+// cutsOf takes two successive cuts of one evaluator fed a stream: a reset
+// after the first cut responses, then the delta to the whole stream.
+func cutsOf(tb testing.TB, workers int, subs []submission, cut int) (reset, delta core.StatsCut) {
 	tb.Helper()
 	s, err := core.NewShardedIncremental(workers, 2)
 	if err != nil {
@@ -407,13 +407,26 @@ func deltaOf(tb testing.TB, workers int, subs []submission, cut int) *core.Stats
 			tb.Fatal(err)
 		}
 	}
-	old := s.CutStats(noCursor, false)
+	if reset, err = s.CutStats(noCursor); err != nil {
+		tb.Fatal(err)
+	}
 	for _, x := range subs[cut:] {
 		if err := s.Add(x.w, x.t, x.r); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return s.CutStats(old.Digest, true).Delta
+	if delta, err = s.CutStats(reset.Digest); err != nil {
+		tb.Fatal(err)
+	}
+	return reset, delta
+}
+
+// deltaOf cuts the delta between two successive states of one evaluator
+// fed a stream.
+func deltaOf(tb testing.TB, workers int, subs []submission, cut int) *core.StatsDelta {
+	tb.Helper()
+	_, delta := cutsOf(tb, workers, subs, cut)
+	return delta.Delta
 }
 
 // rawDelta encodes a delta field by field without validating it, to build
@@ -479,11 +492,12 @@ func malformedDeltas() map[string][]byte {
 }
 
 // TestDeltaCodecRoundTrip: real deltas encode canonically and round-trip
-// exactly, alone and inside full and delta pull replies.
+// exactly, alone and inside reset and delta pull replies.
 func TestDeltaCodecRoundTrip(t *testing.T) {
 	subs := sparseStream(t, 12, 500, 0.3, 26)
 	for _, cut := range []int{0, len(subs) / 2, len(subs) - 7, len(subs)} {
-		d := deltaOf(t, 12, subs, cut)
+		reset, delta := cutsOf(t, 12, subs, cut)
+		d := delta.Delta
 		b, err := encodeDelta(d)
 		if err != nil {
 			t.Fatal(err)
@@ -498,23 +512,19 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 		if again, err := encodeDelta(got); err != nil || !bytes.Equal(again, b) {
 			t.Fatalf("cut %d: re-encoding changed the bytes (err %v)", cut, err)
 		}
-		reply, err := encodeDeltaReply(d, 0xfeedface)
-		if err != nil {
-			t.Fatal(err)
+		for kind, c := range map[byte]core.StatsCut{pullReset: reset, pullDelta: delta} {
+			reply, err := encodePullReply(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reply[0] != kind {
+				t.Fatalf("cut %d: reply kind byte %d, want %d", cut, reply[0], kind)
+			}
+			p, err := decodePullReply(reply)
+			if err != nil || p.Reset != c.Reset || p.Digest != c.Digest || !reflect.DeepEqual(normalized(p.Delta), normalized(c.Delta)) {
+				t.Fatalf("cut %d: reply of kind %d round-trip: %+v, %v", cut, kind, p, err)
+			}
 		}
-		p, err := decodePullReply(reply)
-		if err != nil || p.kind != pullDelta || p.digest != 0xfeedface || !reflect.DeepEqual(normalized(p.delta), normalized(d)) {
-			t.Fatalf("cut %d: delta reply round-trip: %+v, %v", cut, p, err)
-		}
-	}
-	e := exportOf(t, 12, subs)
-	reply, err := encodeFullReply(e, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := decodePullReply(reply)
-	if err != nil || p.kind != pullFull || p.digest != 42 || !reflect.DeepEqual(p.full, e) {
-		t.Fatalf("full reply round-trip: %v", err)
 	}
 	if c, err := decodeCursor(encodeCursor(0xabc)); err != nil || c != 0xabc {
 		t.Fatalf("cursor round-trip: %x, %v", c, err)

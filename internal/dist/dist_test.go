@@ -327,6 +327,46 @@ func TestHandshakeRejectsMismatchedCrowd(t *testing.T) {
 	}
 }
 
+// TestHandshakeRefusesOtherProtocolVersions: both ends of the handshake
+// refuse a peer of another protocol version. A worker answers a hello of
+// the version before or after its own with an error, and a coordinator
+// refuses a node whose hello reply names another version.
+func TestHandshakeRefusesOtherProtocolVersions(t *testing.T) {
+	w, err := NewWorker(WorkerOptions{Workers: 3, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, version := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
+		conn, err := w.SelfConn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = conn.roundTrip(msgHello, encodeHello(helloMsg{Version: version, Workers: 3}))
+		conn.Close()
+		var remote *RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "protocol version") {
+			t.Fatalf("worker answered a version %d hello with %v, want a protocol version error", version, err)
+		}
+	}
+
+	head, peer := Pipe()
+	defer peer.Close()
+	go func() {
+		if msgType, _, err := peer.recv(); err == nil && msgType == msgHello {
+			peer.send(msgHelloOK, encodeHello(helloMsg{Version: ProtocolVersion - 1, Workers: 3}))
+		}
+	}()
+	coord, err := NewCluster(3, slicesOf(head), DefaultPolicy())
+	if err == nil {
+		coord.Close()
+		t.Fatalf("coordinator accepted a node speaking protocol version %d", ProtocolVersion-1)
+	}
+	if want := fmt.Sprintf("version %d, coordinator speaks %d", ProtocolVersion-1, ProtocolVersion); !strings.Contains(err.Error(), want) {
+		t.Fatalf("handshake error %q does not say %q", err, want)
+	}
+}
+
 // TestRemoteAddErrors: per-response rejections surface through the wire
 // with the worker's message, and the connection survives them.
 func TestRemoteAddErrors(t *testing.T) {

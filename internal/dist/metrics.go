@@ -158,8 +158,8 @@ func (c *Coordinator) noteRetry(msgType byte) {
 		obs.Label{Key: "msg", Value: msgName(msgType)}).Inc()
 }
 
-// noteFullPull counts one statistics pull of slice si that shipped the
-// full state instead of a delta.
+// noteFullPull counts one statistics pull of slice si that was a reset,
+// the delta from the empty state, instead of a delta from the cursor.
 func (c *Coordinator) noteFullPull(si int) {
 	c.obsMu.Lock()
 	reg := c.obsReg
@@ -168,7 +168,7 @@ func (c *Coordinator) noteFullPull(si int) {
 		return
 	}
 	reg.Counter("dist_full_pulls_total",
-		"Statistics pulls that replaced a slice's state in full instead of folding a delta, by slice.",
+		"Statistics pulls that reset a slice's state from the empty state instead of folding a delta from the cursor, by slice.",
 		obs.Label{Key: "slice", Value: strconv.Itoa(si)}).Inc()
 }
 

@@ -137,8 +137,8 @@ func Transient(err error) bool {
 	if isRemote(err) || errors.Is(err, ErrDivergence) || errors.Is(err, ErrCodec) || errors.Is(err, errFrameTooBig) {
 		return false
 	}
-	// errResync is settled inside the statistics pull by one full
-	// re-pull; re-sending the same delta request would only repeat it.
+	// errResync is settled inside the statistics pull by one reset;
+	// re-sending the same delta request would only repeat it.
 	if errors.Is(err, errResync) {
 		return false
 	}

@@ -36,15 +36,17 @@ const (
 	msgRestoreCompact byte = 0x17 // coordinator → worker: EncodeCompact payload
 
 	msgPullDelta byte = 0x18 // coordinator → worker: encodeCursor
-	msgDelta     byte = 0x19 // worker → coordinator: full or delta pull reply
+	msgDelta     byte = 0x19 // worker → coordinator: reset or delta pull reply
 )
 
 // maxFrame bounds an ordinary frame payload (type byte included): the
-// pairwise counter triangle grows quadratically, so 64 MiB carries crowds
-// up to roughly eight thousand workers — past every deployment this
-// protocol targets — while keeping a corrupt length prefix from making a
-// peer allocate unbounded memory. A worker whose statistics outgrow it
-// replies msgError rather than dropping the connection.
+// pairwise counter triangle grows quadratically, and a statistics reset
+// spends six or more bytes on each non-zero pair of a large crowd (two
+// two-byte indices and two counts), so 64 MiB carries crowds up to about
+// 4 700 workers — past every deployment this protocol targets — while
+// keeping a corrupt length prefix from making a peer allocate unbounded
+// memory. A worker whose statistics outgrow it replies msgError rather
+// than dropping the connection.
 const maxFrame = 1 << 26
 
 // maxSnapFrame bounds compact state-transfer frames (msgCompact,

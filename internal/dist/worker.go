@@ -393,14 +393,14 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 // digest of the cut this worker last shipped, the reply is the exact delta
 // from that cut to the current one; otherwise — a fresh, restarted or
 // reseeded worker, a lost reply, a coordinator that lost its copy — it is
-// the full state. Either way the current state becomes the base of the next
-// delta as soon as the reply is built: if it never arrives, the
-// coordinator's next cursor will not match and it gets the full state.
-// The coordinator is the evaluator's one cut consumer.
+// a reset, the delta from the empty state. Either way the current state
+// becomes the base of the next delta as soon as the reply is built: if it
+// never arrives, the coordinator's next cursor will not match and it gets
+// a reset. The coordinator is the evaluator's one cut consumer.
 func (w *Worker) pullReply(cursor uint64) ([]byte, error) {
-	cut := w.inc.CutStats(cursor, cursor != noCursor)
-	if cut.Delta != nil {
-		return encodeDeltaReply(cut.Delta, cut.Digest)
+	cut, err := w.inc.CutStats(cursor)
+	if err != nil {
+		return nil, err
 	}
-	return encodeFullReply(cut.Full, cut.Digest)
+	return encodePullReply(cut)
 }
