@@ -200,8 +200,9 @@ type ShardedIncremental = core.ShardedIncremental
 // NewShardedIncremental returns an empty streaming evaluator for a fixed
 // pool of binary workers, with the given number of task-stripe shards (a
 // shard count around GOMAXPROCS is a good default; see the README's
-// Streaming section). Each shard's workspace runs one solve at a time, so
-// the shard count also bounds how many solves run at once.
+// Streaming section). Reads solve one at a time, each fanned out over
+// GOMAXPROCS, on a merge of the shards — the same solve path a cluster
+// read takes.
 func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 	return core.NewShardedIncremental(workers, shards)
 }

@@ -7,18 +7,19 @@ import (
 	"strings"
 )
 
-// LocksAnalyzer enforces the concurrency hygiene of the cluster and
-// storage packages: every Lock/RLock needs a same-function defer Unlock
-// or an unlock on every return path below it, and the documented lock
-// order — slice/node locks are never acquired while holding the
-// monitor mutex (the monitor probes outside slice locks) — is checked
-// mechanically.
+// LocksAnalyzer enforces the concurrency hygiene of the streaming core
+// and the cluster, pool, storage and gateway packages: every Lock/RLock
+// needs a same-function defer Unlock or an unlock on every return path
+// below it, and the documented lock order — slice/node locks are never
+// acquired while holding the monitor mutex (the monitor probes outside
+// slice locks) — is checked mechanically.
 var LocksAnalyzer = &Analyzer{
 	Name: "locks",
-	Doc: "Lock/RLock must pair with a same-function defer Unlock or an unlock on " +
-		"every return path; never take a slice or node lock while holding monitorMu",
+	Doc: "Lock/RLock in internal/core, dist, gate, pool and store must pair with a " +
+		"same-function defer Unlock or an unlock on every return path; never take a " +
+		"slice or node lock while holding monitorMu",
 	Scopes: []Scope{
-		{Packages: []string{"internal/dist", "internal/gate", "internal/pool", "internal/store"}},
+		{Packages: []string{"internal/core", "internal/dist", "internal/gate", "internal/pool", "internal/store"}},
 	},
 	Run: runLocks,
 }

@@ -218,11 +218,7 @@ func (s *ShardedIncremental) CutStats(cursor uint64) (StatsCut, error) {
 	}
 	reset := cursor == 0 || s.base == nil || cursor != s.base.Digest()
 	if reset {
-		base, err := NewStatsAccumulator(s.workers)
-		if err != nil {
-			return StatsCut{}, err
-		}
-		s.base = base
+		s.base = newStatsAccumulator(s.workers)
 	}
 	d := s.deltaCutLocked(tasks, responses, reset)
 	if err := s.base.ApplyDelta(d); err != nil {

@@ -25,8 +25,13 @@ func deltaStream(t testing.TB, workers, tasks int, density float64, seed int64) 
 	return shuffledStream(t, ds, seed)
 }
 
+// stateOf returns a private copy of an evaluator's merged statistics. The
+// next read after an Add may rebuild the published merge in place, so a
+// test that keeps a state across Adds keeps a copy.
+func stateOf(s *ShardedIncremental) *StatsAccumulator { return s.snapshot().Clone() }
+
 // accumulatorOf seeds an accumulator with a state's statistics.
-func accumulatorOf(t *testing.T, st *statsState) *StatsAccumulator {
+func accumulatorOf(t *testing.T, st *StatsAccumulator) *StatsAccumulator {
 	t.Helper()
 	acc, err := NewStatsAccumulator(st.workers)
 	if err != nil {
@@ -39,7 +44,7 @@ func accumulatorOf(t *testing.T, st *statsState) *StatsAccumulator {
 }
 
 // digestOf computes a state's digest from scratch.
-func digestOf(st *statsState) uint64 {
+func digestOf(st *StatsAccumulator) uint64 {
 	return statsDigest(st.stats, st.workers, st.tasks, st.responses)
 }
 
@@ -49,7 +54,7 @@ func digestOf(st *statsState) uint64 {
 // does not extend old — a counter shrank, an attendance bit vanished, or
 // the response total disagrees with the newly set bits — which is what a
 // state of another evaluator, or of a restarted one, looks like.
-func DiffStats(old, cur *statsState) (*StatsDelta, error) {
+func DiffStats(old, cur *StatsAccumulator) (*StatsDelta, error) {
 	if old.workers != cur.workers {
 		return nil, fmt.Errorf("core: cannot diff a %d-worker state against a %d-worker one", cur.workers, old.workers)
 	}
@@ -104,7 +109,7 @@ func TestDiffApplyReproducesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := s.snapshot()
+	old := stateOf(s)
 	acc := accumulatorOf(t, old)
 	src := randx.NewSource(9)
 	for lo := 0; lo < len(subs); {
@@ -115,7 +120,7 @@ func TestDiffApplyReproducesState(t *testing.T) {
 			}
 		}
 		lo = hi
-		cur := s.snapshot()
+		cur := stateOf(s)
 		d, err := DiffStats(old, cur)
 		if err != nil {
 			t.Fatal(err)
@@ -135,7 +140,7 @@ func TestDiffApplyReproducesState(t *testing.T) {
 		old = cur
 	}
 	// A quiescent state diffs to an empty delta.
-	d, err := DiffStats(old, s.snapshot())
+	d, err := DiffStats(old, stateOf(s))
 	if err != nil || len(d.Cells)+len(d.Words) != 0 {
 		t.Fatalf("quiescent diff: %d cells, %d words, err %v", len(d.Cells), len(d.Words), err)
 	}
@@ -158,17 +163,17 @@ func TestDiffStatsRejectsNonSuccessor(t *testing.T) {
 			}
 		}
 	}
-	if _, err := DiffStats(a.snapshot(), b.snapshot()); err == nil {
+	if _, err := DiffStats(stateOf(a), stateOf(b)); err == nil {
 		t.Fatal("diff from a fuller state to a sparser one succeeded")
 	}
 	if err := b.Add(0, 100_000, crowd.Yes); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DiffStats(a.snapshot(), b.snapshot()); err == nil {
+	if _, err := DiffStats(stateOf(a), stateOf(b)); err == nil {
 		t.Fatal("diff between two unrelated evaluators succeeded")
 	}
 	other, _ := NewShardedIncremental(workers+1, 2)
-	if _, err := DiffStats(a.snapshot(), other.snapshot()); err == nil {
+	if _, err := DiffStats(stateOf(a), stateOf(other)); err == nil {
 		t.Fatal("diff across crowd sizes succeeded")
 	}
 }
@@ -186,7 +191,7 @@ func cutStats(tb testing.TB, s *ShardedIncremental, cursor uint64) StatsCut {
 // checkCut asserts that a cut taken right after snapshot cur is the delta
 // DiffStats finds from prev to cur, DeepEqual, with cur's from-scratch
 // digest, and returns its digest.
-func checkCut(t *testing.T, label string, cut StatsCut, prev, cur *statsState) uint64 {
+func checkCut(t *testing.T, label string, cut StatsCut, prev, cur *StatsAccumulator) uint64 {
 	t.Helper()
 	if cut.Reset {
 		t.Fatalf("%s: resumed cut is a reset", label)
@@ -196,7 +201,7 @@ func checkCut(t *testing.T, label string, cut StatsCut, prev, cur *statsState) u
 
 // checkReset asserts that a cut is a reset to cur: the delta DiffStats
 // finds from the empty state to cur, with cur's from-scratch digest.
-func checkReset(t *testing.T, label string, cut StatsCut, cur *statsState) uint64 {
+func checkReset(t *testing.T, label string, cut StatsCut, cur *StatsAccumulator) uint64 {
 	t.Helper()
 	if !cut.Reset {
 		t.Fatalf("%s: cut is a delta from the previous cut, want a reset", label)
@@ -205,12 +210,12 @@ func checkReset(t *testing.T, label string, cut StatsCut, cur *statsState) uint6
 	if err != nil {
 		t.Fatal(err)
 	}
-	return checkDelta(t, label, cut, empty.snapshot(), cur)
+	return checkDelta(t, label, cut, stateOf(empty), cur)
 }
 
 // checkDelta asserts that a cut's delta is DiffStats from prev to cur, with
 // cur's from-scratch digest, and returns its digest.
-func checkDelta(t *testing.T, label string, cut StatsCut, prev, cur *statsState) uint64 {
+func checkDelta(t *testing.T, label string, cut StatsCut, prev, cur *StatsAccumulator) uint64 {
 	t.Helper()
 	want, err := DiffStats(prev, cur)
 	if err != nil {
@@ -266,7 +271,7 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			prev := s.snapshot()
+			prev := stateOf(s)
 			cursor := checkReset(t, label+" first cut", cutStats(t, s, 0), prev)
 			half := len(subs) / 2
 			for lo := first; lo < half; {
@@ -277,7 +282,7 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 					}
 				}
 				lo = hi
-				cur := s.snapshot()
+				cur := stateOf(s)
 				switch src.Intn(8) {
 				case 0:
 					cursor = checkReset(t, label+" cut without cursor", cutStats(t, s, 0), cur)
@@ -285,7 +290,7 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 					cursor = checkReset(t, label+" cut with a stale cursor", cutStats(t, s, cursor+1), cur)
 				default:
 					cursor = checkCut(t, fmt.Sprintf("%s cut after %d responses", label, lo), cutStats(t, s, cursor), prev, cur)
-					if cur != prev {
+					if cur.responses != prev.responses {
 						grew++
 					}
 				}
@@ -302,19 +307,19 @@ func TestCutStatsMatchesDiffStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			empty := r.snapshot()
+			empty := stateOf(r)
 			rcursor := checkReset(t, label+" restore target", cutStats(t, r, 0), empty)
 			if err := r.RestoreCompact(s.CompactCheckpoint()); err != nil {
 				t.Fatal(err)
 			}
-			restored := r.snapshot()
+			restored := stateOf(r)
 			rcursor = checkCut(t, label+" cut after restore", cutStats(t, r, rcursor), empty, restored)
 			for _, x := range subs[half:] {
 				if err := r.Add(x.w, x.t, x.r); err != nil {
 					t.Fatal(err)
 				}
 			}
-			checkCut(t, label+" cut after restore and ingest", cutStats(t, r, rcursor), restored, r.snapshot())
+			checkCut(t, label+" cut after restore and ingest", cutStats(t, r, rcursor), restored, stateOf(r))
 		}
 	}
 }
@@ -422,7 +427,7 @@ func BenchmarkStatsPull(b *testing.B) {
 			b.Run(path, func(b *testing.B) {
 				s, _ := NewShardedIncremental(workers, 2)
 				add(s, base)
-				cursor, prev := cutStats(b, s, 0).Digest, s.snapshot()
+				cursor, prev := cutStats(b, s, 0).Digest, stateOf(s)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for n := 0; n < b.N; n++ {
@@ -437,7 +442,7 @@ func BenchmarkStatsPull(b *testing.B) {
 						cutStats(b, s, 0)
 						continue
 					}
-					cur := s.snapshot()
+					cur := stateOf(s)
 					if _, err := DiffStats(prev, cur); err != nil {
 						b.Fatal(err)
 					}
@@ -457,7 +462,7 @@ func BenchmarkStatsPull(b *testing.B) {
 					b.StopTimer()
 					s, _ := NewShardedIncremental(workers, 2)
 					add(s, old)
-					cursor, prev := cutStats(b, s, 0).Digest, s.snapshot()
+					cursor, prev := cutStats(b, s, 0).Digest, stateOf(s)
 					add(s, change)
 					b.StartTimer()
 					switch path {
@@ -470,7 +475,7 @@ func BenchmarkStatsPull(b *testing.B) {
 						cutStats(b, s, 0)
 						continue
 					}
-					if _, err := DiffStats(prev, s.snapshot()); err != nil {
+					if _, err := DiffStats(prev, stateOf(s)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -529,13 +534,13 @@ func TestApplyDeltaAtomic(t *testing.T) {
 	const workers = 5
 	subs := deltaStream(t, workers, 150, 0.6, 7)
 	s, _ := NewShardedIncremental(workers, 2)
-	base := s.snapshot()
+	base := stateOf(s)
 	for _, x := range subs {
 		if err := s.Add(x.w, x.t, x.r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d, err := DiffStats(base, s.snapshot())
+	d, err := DiffStats(base, stateOf(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +585,7 @@ func TestAccumulatorParallelSolvesBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	subset := []int{23, 0, 7, 7, 11, 3}
-	acc := accumulatorOf(t, sharded.snapshot())
+	acc := accumulatorOf(t, stateOf(sharded))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4, 8} {
 		runtime.GOMAXPROCS(procs)

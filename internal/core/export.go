@@ -61,11 +61,7 @@ func exportStats(s *streamStats, workers, tasks, responses int) *StatsExport {
 // the lazy merge visited that shard, totals included; it is safe to call
 // concurrently with Add and with evaluations.
 func (s *ShardedIncremental) ExportStats() *StatsExport {
-	// The pinned snapshot is not written while we hold it, so copying it
-	// out needs no locks.
-	st := s.snapshot()
-	defer st.release()
-	return st.Export()
+	return s.snapshot().Export()
 }
 
 // validate checks the structural invariants a well-formed export satisfies.
@@ -126,13 +122,15 @@ func (e *StatsExport) toStreamStats() *streamStats {
 // workers ingest responses for disjoint task sets, export their statistics,
 // and the accumulator's intervals are bit-identical to a single
 // ShardedIncremental fed every response — the merge is exact integer
-// addition, and evaluation runs the very same Algorithm A2 code path. Once
-// seeded, it can also be kept current with deltas (ApplyDelta) instead of
-// re-merged from scratch.
+// addition, and a ShardedIncremental's own reads solve on an accumulator
+// holding its shards' merge, so both run one code path. Once seeded, it
+// can also be kept current with deltas (ApplyDelta) instead of re-merged
+// from scratch.
 //
 // All methods are safe for concurrent use. An evaluation holds the
 // accumulator for its whole solve (fanning the workers out across cores
-// itself); Merge and ApplyDelta wait for it.
+// itself); Merge and ApplyDelta wait for it, and a ShardedIncremental
+// rebuilding its merge writes its spare accumulator instead.
 type StatsAccumulator struct {
 	workers int
 
@@ -145,8 +143,23 @@ type StatsAccumulator struct {
 	// invalidates it and Digest recomputes it on demand.
 	digest      uint64
 	digestValid bool
+	// ws is the set of solve workspaces. Only solves touch it, and a solve
+	// holds mu throughout; accumulators that share one set, as a
+	// ShardedIncremental's two do, must not solve at the same time.
+	ws *solveWorkspaces
+}
 
-	wsPool sync.Pool
+// solveWorkspaces holds one solve workspace per fan-out goroutine, each
+// created on first use.
+type solveWorkspaces []*mat.Workspace
+
+// first returns the first n workspaces, creating any that do not exist
+// yet.
+func (w *solveWorkspaces) first(n int) []*mat.Workspace {
+	for len(*w) < n {
+		*w = append(*w, mat.NewWorkspace())
+	}
+	return (*w)[:n]
 }
 
 // NewStatsAccumulator returns an empty accumulator for a crowd of the given
@@ -155,13 +168,19 @@ func NewStatsAccumulator(workers int) (*StatsAccumulator, error) {
 	if workers < 3 {
 		return nil, fmt.Errorf("core: need at least 3 workers, have %d: %w", workers, ErrInsufficientData)
 	}
+	return newStatsAccumulator(workers), nil
+}
+
+// newStatsAccumulator returns an empty accumulator for a crowd size the
+// caller has already checked.
+func newStatsAccumulator(workers int) *StatsAccumulator {
 	return &StatsAccumulator{
 		workers:     workers,
 		stats:       newStreamStats(workers),
 		digest:      headerTerm(workers, 0, 0),
 		digestValid: true,
-		wsPool:      sync.Pool{New: func() any { return mat.NewWorkspace() }},
-	}, nil
+		ws:          new(solveWorkspaces),
+	}
 }
 
 // Workers returns the crowd size the accumulator is indexed by.
@@ -279,7 +298,7 @@ func (a *StatsAccumulator) Clone() *StatsAccumulator {
 		responses:   a.responses,
 		digest:      a.digest,
 		digestValid: a.digestValid,
-		wsPool:      sync.Pool{New: func() any { return mat.NewWorkspace() }},
+		ws:          new(solveWorkspaces),
 	}
 }
 
@@ -292,14 +311,17 @@ func (a *StatsAccumulator) Export() *StatsExport {
 }
 
 // Evaluate returns the error-rate interval for one worker from the merged
-// statistics. The computation is the exact Algorithm A2 path
-// ShardedIncremental runs, so on equal counters the result is bit-identical.
+// statistics. Local (ShardedIncremental) and cluster reads both solve
+// here, so on equal counters their results are bit-identical.
 func (a *StatsAccumulator) Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error) {
-	ests, err := a.EvaluateSubset([]int{worker}, opts)
-	if err != nil {
+	if err := a.checkRead([]int{worker}, opts); err != nil {
 		return WorkerEstimate{}, err
 	}
-	return ests[0], nil
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	ws := a.ws.first(1)[0]
+	defer ws.Reset()
+	return a.solveLocked(worker, opts, ws), nil
 }
 
 // EvaluateAll returns intervals for every worker from the merged
@@ -314,37 +336,24 @@ func (a *StatsAccumulator) EvaluateAll(opts EvalOptions) ([]WorkerEstimate, erro
 
 // EvaluateSubset returns intervals for the given worker indices, aligned
 // with the input slice. The solves fan out over min(GOMAXPROCS, len(workers))
-// goroutines, each with its own pooled workspace; a worker's result depends
+// goroutines, each with a workspace of its own; a worker's result depends
 // only on the counters, so the output is bit-identical to solving the
-// workers one at a time.
+// workers one at a time. ApplyDelta, Merge and a rebuild of a
+// ShardedIncremental's merge write the counters in place, so the solves
+// hold mu against them.
 func (a *StatsAccumulator) EvaluateSubset(workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
+	if err := a.checkRead(workers, opts); err != nil {
 		return nil, err
 	}
-	for _, w := range workers {
-		if w < 0 || w >= a.workers {
-			return nil, fmt.Errorf("core: worker %d out of range", w)
-		}
-	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	// ApplyDelta and Merge mutate a.stats in place, so unlike
-	// ShardedIncremental's immutable snapshots the solves hold the lock
-	// against them.
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := make([]WorkerEstimate, len(workers))
 	goroutines := min(runtime.GOMAXPROCS(0), len(workers))
+	ws := a.ws.first(goroutines)
 	solve := func(g int) {
-		ws := a.wsPool.Get().(*mat.Workspace)
-		defer func() {
-			ws.Reset()
-			a.wsPool.Put(ws)
-		}()
+		defer ws[g].Reset()
 		for i := g; i < len(workers); i += goroutines {
-			out[i] = finishEstimate(evaluateOne(a.stats, a.workers, workers[i], opts, minCommon, ws), opts.Confidence)
+			out[i] = a.solveLocked(workers[i], opts, ws[g])
 		}
 	}
 	if goroutines <= 1 {
@@ -363,4 +372,27 @@ func (a *StatsAccumulator) EvaluateSubset(workers []int, opts EvalOptions) ([]Wo
 	}
 	wg.Wait()
 	return out, nil
+}
+
+// checkRead validates an evaluation's confidence level and worker indices.
+func (a *StatsAccumulator) checkRead(workers []int, opts EvalOptions) error {
+	if err := checkConfidence(opts.Confidence); err != nil {
+		return err
+	}
+	for _, w := range workers {
+		if w < 0 || w >= a.workers {
+			return fmt.Errorf("core: worker %d out of range", w)
+		}
+	}
+	return nil
+}
+
+// solveLocked runs Algorithm A2 for one worker on the accumulated counters
+// and returns its interval; the caller holds mu.
+func (a *StatsAccumulator) solveLocked(worker int, opts EvalOptions, ws *mat.Workspace) WorkerEstimate {
+	minCommon := opts.MinCommon
+	if minCommon <= 0 {
+		minCommon = 1
+	}
+	return finishEstimate(evaluateOne(a.stats, a.workers, worker, opts, minCommon, ws), opts.Confidence)
 }

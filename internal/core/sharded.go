@@ -3,10 +3,8 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"crowdassess/internal/crowd"
-	"crowdassess/internal/mat"
 )
 
 // StreamingEvaluator is the contract of a streaming evaluator: online
@@ -20,10 +18,6 @@ type StreamingEvaluator interface {
 	Add(w, t int, r crowd.Response) error
 	// Workers returns the number of workers tracked.
 	Workers() int
-	// Tasks returns the task horizon: the highest task index seen plus one.
-	Tasks() int
-	// Responses returns the total number of responses recorded, in O(1).
-	Responses() int
 	// Evaluate returns the current error-rate interval for one worker.
 	Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error)
 	// EvaluateAll returns current intervals for every worker.
@@ -57,34 +51,39 @@ var _ StreamingEvaluator = (*ShardedIncremental)(nil)
 // same responses.
 //
 // Concurrency contract: Add is safe from any number of goroutines (two
-// Adds contend only when their tasks hash to the same shard). Evaluate and
-// EvaluateAll are safe concurrently with Add and with each other; each
-// evaluation works from a merged snapshot that reflects, per shard, every
-// response ingested up to the moment the merge visited that shard, and
-// that is immutable while any evaluation holds one. Merges are lazy: each
-// shard carries an epoch advanced by Add, and a snapshot is rebuilt only
-// when some shard's epoch moved — repeated evaluations of a quiescent pool
-// reuse the previous merge. A rebuild recycles the published snapshot, or
-// the one before it, when no evaluation holds it, so a steady
-// Add-then-read stream merges into the same two buffers.
-//
-// Solves run on the shards' workspaces, one solve per workspace at a time,
-// so the shard count also bounds how many solves run at once. At one shard
-// every Add takes the shard's mutex and every solve shares its single
-// workspace.
+// Adds contend only when their tasks hash to the same shard). The reads are
+// safe concurrently with Add and with each other, and run on one merge of
+// the shards: a StatsAccumulator, so a local read takes the very solve
+// path of a cluster read. The merge reflects, per shard, every response
+// ingested up to the moment it visited that shard. Merges are lazy: each
+// shard carries an epoch advanced by Add, and the merge is rebuilt only
+// when some shard's epoch moved, so repeated reads of a quiescent pool
+// reuse it. A rebuild does not wait for solves (see snapshot): it
+// rebuilds the published merge in place when no solve holds it, else a
+// spare that it then publishes, so a steady Add-then-read stream merges
+// into the same two accumulators. One solve runs at a time, fanned out
+// over GOMAXPROCS inside the accumulator.
 type ShardedIncremental struct {
 	workers int
 	words   int // ⌈workers/64⌉: the attendance (and answer) words of a task column
 	shards  []*incShard
 
-	// mergeMu guards the lazy merge state below. snapshot pins the state
-	// it returns under mergeMu, and a rebuild only writes a state nobody
-	// pins, so the holder of a pin may read it lock-free until release.
-	// spare is the previously published state, kept for reuse.
+	// mergeMu guards the lazy merge state below; see snapshot. merged is
+	// the published merge, built on the first read, and spare the other
+	// one, built when a rebuild first finds merged under a solve. An
+	// evaluator that is only ever cut holds neither.
 	mergeMu      sync.Mutex
-	merged       *statsState
-	spare        *statsState
+	merged       *StatsAccumulator
+	spare        *StatsAccumulator
 	mergedEpochs []uint64
+
+	// solveMu lets one solve run at a time, which also keeps the two
+	// accumulators' solves off the workspaces they share. It is held
+	// around the accumulator call, which holds that accumulator's mu for
+	// the whole solve. Each solve already fans out over every core; two at
+	// once, one per accumulator, raised a gateway's ingest p99 about
+	// 2.5-fold (docs/performance.md).
+	solveMu sync.Mutex
 
 	// base is the statistics of the last cut (CutStats), advanced only by
 	// each cut's delta: nil until the first one, then guarded by holding
@@ -110,11 +109,6 @@ type incShard struct {
 	stats     *streamStats
 	tasks     int // highest task index seen in this stripe + 1
 	responses int // running response count for this stripe
-
-	// ws is this shard's evaluation scratch. Guarded by wsMu, not mu, so
-	// a long covariance solve never blocks ingestion into the shard.
-	wsMu sync.Mutex
-	ws   *mat.Workspace
 }
 
 // NewShardedIncremental returns an empty streaming evaluator for the given
@@ -139,7 +133,6 @@ func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 		s.shards[i] = &incShard{
 			colOf: make(map[int]int),
 			stats: newStreamStats(workers),
-			ws:    mat.NewWorkspace(),
 		}
 	}
 	return s, nil
@@ -233,35 +226,19 @@ func (sh *incShard) column(t, words int) (attended, yes []uint64) {
 	return sh.cols[off : off+words], sh.cols[off+words : off+2*words]
 }
 
-// statsState is one point-in-time merge of a streaming evaluator's
-// sufficient statistics: the pairwise counters and attendance bitsets
-// together with the task horizon and response total behind exactly those
-// counters. readers counts the pins snapshot handed out; a rebuild writes
-// a state only while nobody pins it, so holding one costs no copy.
-type statsState struct {
-	workers   int
-	tasks     int
-	responses int
-	stats     *streamStats
-	readers   atomic.Int32
-}
-
-// release drops one pin taken by snapshot. The caller must not read the
-// state afterwards.
-func (st *statsState) release() { st.readers.Add(-1) }
-
-// Export deep-copies the state into the serialization-neutral form.
-func (st *statsState) Export() *StatsExport {
-	return exportStats(st.stats, st.workers, st.tasks, st.responses)
-}
-
-// snapshot returns merged statistics covering every shard, pinned for the
-// caller, who releases them when done reading. It rebuilds them only if
-// some shard ingested since the last merge. The totals are read under the
-// same shard locks as the counters, so they describe exactly the merged
-// responses. A pinned state is never written, so the caller may read it
-// without holding any lock.
-func (s *ShardedIncremental) snapshot() *statsState {
+// snapshot returns the published merge of every shard, rebuilding it first
+// if some shard ingested since the last merge. The totals are read under
+// the same shard locks as the counters, so they describe exactly the
+// merged responses.
+//
+// A rebuild does not wait for a solve. A solve holds its accumulator's mu
+// throughout, so a rebuild that cannot TryLock the published merge
+// rebuilds the spare instead and swaps the two. Only one solve runs at a
+// time (solveMu), so when a solve holds the published merge the spare is
+// under no solve. The spare can be under a solve only when an ExportStats
+// copy, the one other holder of an accumulator's mu, holds the published
+// merge at that moment; outside tests only RestoreCompact exports.
+func (s *ShardedIncremental) snapshot() *StatsAccumulator {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()
 	dirty := s.merged == nil
@@ -273,133 +250,66 @@ func (s *ShardedIncremental) snapshot() *statsState {
 		dirty = sh.epoch != s.mergedEpochs[i]
 		sh.mu.Unlock()
 	}
-	if dirty {
-		m := s.recycle()
-		for i, sh := range s.shards {
-			sh.mu.Lock()
-			m.stats.addFrom(sh.stats)
-			m.tasks = max(m.tasks, sh.tasks)
-			m.responses += sh.responses
-			s.mergedEpochs[i] = sh.epoch
-			sh.mu.Unlock()
-		}
-		s.merged = m
+	if !dirty {
+		return s.merged
 	}
-	s.merged.readers.Add(1)
-	return s.merged
-}
-
-// recycle returns a zeroed state to merge into: the published state or
-// the spare when nobody pins it, else a fresh one, and keeps the other as
-// the spare. Pins are only taken under mergeMu, which the caller holds,
-// so a state seen unpinned here stays unpinned until it is published.
-func (s *ShardedIncremental) recycle() *statsState {
-	prev := s.merged
-	var m *statsState
+	m := s.merged
 	switch {
-	case prev != nil && prev.readers.Load() == 0:
-		m = prev
-	case s.spare != nil && s.spare.readers.Load() == 0:
-		m, s.spare = s.spare, prev
+	case m == nil:
+		m = newStatsAccumulator(s.workers)
+		m.mu.Lock()
+	case m.mu.TryLock():
 	default:
-		s.spare = prev
-		return &statsState{workers: s.workers, stats: newStreamStats(s.workers)}
+		if s.spare == nil {
+			// Reads alternate between the two, so one set of workspaces
+			// serves both and stays warm; solveMu keeps their solves
+			// apart. A set each cost ingest_http about 6% of ops_per_s
+			// (docs/performance.md).
+			s.spare = newStatsAccumulator(s.workers)
+			s.spare.ws = m.ws
+		}
+		m, s.spare = s.spare, m
+		m.mu.Lock()
 	}
-	m.tasks, m.responses = 0, 0
 	m.stats.reset()
+	m.tasks, m.responses, m.digestValid = 0, 0, false
+	for i, sh := range s.shards {
+		sh.mu.Lock()
+		m.stats.addFrom(sh.stats)
+		m.tasks = max(m.tasks, sh.tasks)
+		m.responses += sh.responses
+		s.mergedEpochs[i] = sh.epoch
+		sh.mu.Unlock()
+	}
+	m.mu.Unlock()
+	s.merged = m
 	return m
 }
 
-// Evaluate returns the current error-rate interval for one worker. It uses
-// the workspace of the shard the worker index maps to, so evaluations of
-// workers in different residue classes proceed in parallel.
+// Evaluate returns the current error-rate interval for one worker.
 func (s *ShardedIncremental) Evaluate(worker int, opts EvalOptions) (WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return WorkerEstimate{}, err
-	}
-	if worker < 0 || worker >= s.workers {
-		return WorkerEstimate{}, fmt.Errorf("core: worker %d out of range", worker)
-	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	st := s.snapshot()
-	defer st.release()
-	sh := s.shards[worker%len(s.shards)]
-	sh.wsMu.Lock()
-	defer func() {
-		sh.ws.Reset()
-		sh.wsMu.Unlock()
-	}()
-	return finishEstimate(evaluateOne(st.stats, s.workers, worker, opts, minCommon, sh.ws), opts.Confidence), nil
+	m := s.snapshot()
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
+	return m.Evaluate(worker, opts)
 }
 
-// EvaluateAll returns current intervals for every worker, fanning the
-// per-worker evaluations out across the shards' workspaces (one goroutine
-// per shard, capped by the worker count). Per-worker results depend only
-// on the merged snapshot, so the output is identical to evaluating the
-// workers one at a time.
+// EvaluateAll returns current intervals for every worker.
 func (s *ShardedIncremental) EvaluateAll(opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	workers := make([]int, s.workers)
-	for w := range workers {
-		workers[w] = w
-	}
-	return s.evaluateMany(workers, opts), nil
+	m := s.snapshot()
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
+	return m.EvaluateAll(opts)
 }
 
 // EvaluateSubset returns current intervals for the given worker indices,
-// aligned with the input slice. One snapshot merge serves the whole
-// subset, and only the listed workers are solved.
+// aligned with the input slice. One merge serves the whole subset, and
+// only the listed workers are solved.
 func (s *ShardedIncremental) EvaluateSubset(workers []int, opts EvalOptions) ([]WorkerEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
-		return nil, err
-	}
-	for _, w := range workers {
-		if w < 0 || w >= s.workers {
-			return nil, fmt.Errorf("core: worker %d out of range", w)
-		}
-	}
-	return s.evaluateMany(workers, opts), nil
-}
-
-// evaluateMany solves the listed workers against one merged snapshot,
-// striping them across the shards' workspaces. out[i] belongs to
-// workers[i]; every slot is written by exactly one goroutine.
-func (s *ShardedIncremental) evaluateMany(workers []int, opts EvalOptions) []WorkerEstimate {
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	st := s.snapshot()
-	defer st.release()
-	m := st.stats
-	out := make([]WorkerEstimate, len(workers))
-	goroutines := len(s.shards)
-	if goroutines > len(workers) {
-		goroutines = len(workers)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			sh := s.shards[g]
-			sh.wsMu.Lock()
-			defer func() {
-				sh.ws.Reset()
-				sh.wsMu.Unlock()
-			}()
-			for i := g; i < len(workers); i += goroutines {
-				out[i] = finishEstimate(evaluateOne(m, s.workers, workers[i], opts, minCommon, sh.ws), opts.Confidence)
-			}
-		}(g)
-	}
-	wg.Wait()
-	return out
+	m := s.snapshot()
+	s.solveMu.Lock()
+	defer s.solveMu.Unlock()
+	return m.EvaluateSubset(workers, opts)
 }
 
 // finishEstimate converts a WorkerDelta into the interval form at the

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/randx"
@@ -287,8 +288,10 @@ func TestShardedConcurrentAdd(t *testing.T) {
 }
 
 // TestShardedLazyMerge pins the epoch mechanism: evaluating a quiescent
-// pool must reuse the previous merged snapshot, and any Add must
-// invalidate it.
+// pool must reuse the previous merge, and any Add must invalidate it. A
+// rebuild writes the published merge in place, so the test marks the
+// merge's task horizon: a mark that survives a read shows that the read
+// did not re-merge.
 func TestShardedLazyMerge(t *testing.T) {
 	s, err := NewShardedIncremental(3, 2)
 	if err != nil {
@@ -304,19 +307,67 @@ func TestShardedLazyMerge(t *testing.T) {
 	mustAdd(1, 0, crowd.Yes)
 	mustAdd(2, 0, crowd.No)
 	first := s.snapshot()
-	if second := s.snapshot(); second != first {
+	first.tasks = -1
+	if second := s.snapshot(); second != first || second.tasks != -1 {
 		t.Error("quiescent snapshot was re-merged")
 	}
 	mustAdd(0, 1, crowd.Yes)
 	third := s.snapshot()
-	if third == first {
-		t.Error("snapshot not invalidated by Add")
+	if third.tasks != 2 || third.responses != 4 {
+		t.Errorf("snapshot not invalidated by Add: %d tasks, %d responses", third.tasks, third.responses)
 	}
 	if got := third.stats.pair(0, 1); got.Common != 1 || got.Agree != 1 {
 		t.Errorf("merged pair(0,1) = %+v", got)
 	}
-	if fourth := s.snapshot(); fourth != third {
+	third.tasks = -1
+	if fourth := s.snapshot(); fourth != third || fourth.tasks != -1 {
 		t.Error("second quiescent snapshot was re-merged")
+	}
+}
+
+// TestShardedRebuildSkipsHeldMerge: a rebuild never waits for a solve.
+// While the test holds the published merge's lock, as a solve does, an Add
+// and then a read still return, on the other accumulator, and the held
+// merge is left exactly as it was.
+func TestShardedRebuildSkipsHeldMerge(t *testing.T) {
+	s, err := NewShardedIncremental(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 4; w++ {
+		if err := s.Add(w, 0, crowd.Yes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := s.snapshot()
+	before := held.Export()
+	held.mu.Lock()
+	read := make(chan *StatsAccumulator, 1)
+	go func() {
+		if err := s.Add(0, 1, crowd.No); err != nil {
+			t.Error(err)
+		}
+		if _, err := s.EvaluateSubset([]int{0, 3}, EvalOptions{Confidence: 0.9}); err != nil {
+			t.Error(err)
+		}
+		read <- s.snapshot()
+	}()
+	var got *StatsAccumulator
+	select {
+	case got = <-read:
+	case <-time.After(10 * time.Second):
+	}
+	held.mu.Unlock()
+	switch {
+	case got == nil:
+		t.Fatal("the read after an Add waited for the held merge")
+	case got == held:
+		t.Fatal("the read returned the held merge")
+	case got.Responses() != 5:
+		t.Fatalf("the read's merge holds %d responses, want 5", got.Responses())
+	}
+	if !reflect.DeepEqual(held.Export(), before) {
+		t.Fatal("the held merge changed")
 	}
 }
 
@@ -358,8 +409,8 @@ func checkExportConsistent(e *StatsExport) error {
 }
 
 // TestShardedRecycledMergeConcurrent runs Add, EvaluateSubset and
-// ExportStats concurrently, so merges are rebuilt into recycled states
-// while other evaluations hold theirs. Every export must be a consistent
+// ExportStats concurrently, so merges are rebuilt in place or into the
+// spare while other reads hold theirs. Every export must be a consistent
 // merge, and the final intervals must equal the batch algorithm's bit for
 // bit. Under -race this is the safety test for merge recycling.
 func TestShardedRecycledMergeConcurrent(t *testing.T) {
@@ -439,8 +490,8 @@ func TestShardedRecycledMergeConcurrent(t *testing.T) {
 }
 
 // TestShardedMergeRecycles checks that a steady Add-then-read stream
-// rebuilds its merge into the same state instead of allocating a new one,
-// and that a state an evaluation still holds is never written.
+// rebuilds its merge into the same accumulator instead of allocating a new
+// one, and that a merge a solve holds is never written.
 func TestShardedMergeRecycles(t *testing.T) {
 	const workers = 64
 	ds, _, err := sim.Binary{Tasks: 2000, Workers: workers, Density: 0.5}.Generate(randx.NewSource(17))
@@ -474,21 +525,23 @@ func TestShardedMergeRecycles(t *testing.T) {
 		}
 	}
 
-	// A held state is not recycled, and none of its contents change.
+	// A merge whose lock is held, as a solve holds it, is not rebuilt,
+	// and none of its contents change.
 	held := s.snapshot()
 	before := held.Export()
+	held.mu.Lock()
 	for i := 0; i < 8; i++ {
 		cycle()
 	}
 	if s.merged == held {
-		t.Fatal("a merge was rebuilt into a state an evaluation holds")
+		t.Fatal("a merge was rebuilt into an accumulator a solve holds")
 	}
+	held.mu.Unlock()
 	if !reflect.DeepEqual(held.Export(), before) {
-		t.Fatal("a held state changed")
+		t.Fatal("a held merge changed")
 	}
-	held.release()
 
-	cycle() // settle: the published state is unpinned from here on
+	cycle() // settle: nothing holds the published merge from here on
 	recycled := s.merged
 	stateBytes := 2 * workers * workers * mathbits.UintSize / 8
 	for w := 0; w < workers; w++ {
@@ -501,7 +554,7 @@ func TestShardedMergeRecycles(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	if s.merged != recycled {
-		t.Error("an unpinned merge was not rebuilt in place")
+		t.Error("a merge no solve holds was not rebuilt in place")
 	}
 	perCycle := int(m1.TotalAlloc-m0.TotalAlloc) / cycles
 	t.Logf("%d bytes allocated per cycle; a merged state is %d bytes", perCycle, stateBytes)

@@ -36,22 +36,17 @@ const DefaultClusterBatch = 256
 //
 // Error contract: Add reports remote rejections at the flush that carries
 // them, not at the call that buffered the bad response — a duplicate may
-// therefore surface a few Adds late, attributed to the flush. Methods
-// whose interface signature cannot return an error (Tasks, Responses,
-// MajorityDisagreement) return stale or zero values when the cluster is
-// unreachable and park the failure, which the next fallible call
-// (Add, Flush, Evaluate*) returns.
+// therefore surface a few Adds late, attributed to the flush.
+// MajorityDisagreement, whose interface signature cannot return an error,
+// returns zeros when the cluster is unreachable and parks the failure,
+// which the next fallible call (Add, Flush, Evaluate*) returns.
 type ClusterEvaluator struct {
 	coord *Coordinator
 	batch int
 
 	mu  sync.Mutex
 	buf []Response
-	err error // parked failure from an infallible-signature method
-
-	// last-known counts, served when the cluster is unreachable.
-	lastTasks     int
-	lastResponses int
+	err error // parked failure from MajorityDisagreement
 }
 
 var _ core.StreamingEvaluator = (*ClusterEvaluator)(nil)
@@ -98,7 +93,7 @@ func (c *ClusterEvaluator) Add(w, t int, r crowd.Response) error {
 }
 
 // Flush ships any buffered responses to the cluster immediately. It also
-// surfaces a failure parked by an infallible-signature method.
+// surfaces a failure parked by MajorityDisagreement.
 func (c *ClusterEvaluator) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -125,43 +120,12 @@ func (c *ClusterEvaluator) flushLocked() error {
 	return errors.Join(parked, ingestErr)
 }
 
-// Tasks returns the cluster-wide task horizon: the highest task index
-// seen plus one. If the cluster is unreachable it returns the last known
-// value and parks the error for the next fallible call.
-func (c *ClusterEvaluator) Tasks() int {
-	tasks, _ := c.countsFlushed()
-	return tasks
-}
-
-// Responses returns the total responses accepted cluster-wide (buffered,
-// unflushed Adds included once flushed — Responses flushes first). On an
-// unreachable cluster it returns the last known value and parks the error.
-func (c *ClusterEvaluator) Responses() int {
-	_, responses := c.countsFlushed()
-	return responses
-}
-
-func (c *ClusterEvaluator) countsFlushed() (tasks, responses int) {
-	if err := c.Flush(); err != nil {
-		return c.park(err)
-	}
-	tasks, responses, err := c.coord.counts()
-	if err != nil {
-		return c.park(err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lastTasks, c.lastResponses = tasks, responses
-	return tasks, responses
-}
-
-// park records a failure of an infallible-signature method for the next
-// fallible call and returns the last known counts.
-func (c *ClusterEvaluator) park(err error) (tasks, responses int) {
+// park records a failure of MajorityDisagreement for the next fallible
+// call.
+func (c *ClusterEvaluator) park(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.err = errors.Join(c.err, err)
-	return c.lastTasks, c.lastResponses
 }
 
 // Evaluate flushes, then pulls and solves one worker's interval.

@@ -137,7 +137,7 @@ func TestDistributedPoolBitIdenticalToSharded(t *testing.T) {
 
 // TestClusterEvaluatorStreamingContract: the adapter satisfies the
 // streaming interface's observable contract against a local reference —
-// counts, screens and snapshots all flush buffered Adds first.
+// screens and snapshots flush buffered Adds first.
 func TestClusterEvaluatorStreamingContract(t *testing.T) {
 	const crowdSize = 6
 	subs := testStream(t, crowdSize, 140, 68)
@@ -150,19 +150,20 @@ func TestClusterEvaluatorStreamingContract(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Buffered responses are visible to every read.
-	if got := ev.Responses(); got != local.Responses() {
-		t.Fatalf("Responses %d, want %d", got, local.Responses())
-	}
-	if got := ev.Tasks(); got != local.Tasks() {
-		t.Fatalf("Tasks %d, want %d", got, local.Tasks())
-	}
+	// Buffered responses are visible to every read: the screen flushes
+	// them first, so the cluster then holds every one.
 	wantDis := local.MajorityDisagreement()
 	gotDis := ev.MajorityDisagreement()
 	for w := range wantDis {
 		if math.Float64bits(wantDis[w]) != math.Float64bits(gotDis[w]) {
 			t.Fatalf("worker %d disagreement %v != %v", w, gotDis[w], wantDis[w])
 		}
+	}
+	if got, err := ev.Coordinator().Responses(); err != nil || got != local.Responses() {
+		t.Fatalf("Responses %d (err %v), want %d", got, err, local.Responses())
+	}
+	if got, err := ev.Coordinator().Tasks(); err != nil || got != local.Tasks() {
+		t.Fatalf("Tasks %d (err %v), want %d", got, err, local.Tasks())
 	}
 
 	if err := ev.Flush(); err != nil {
@@ -284,9 +285,9 @@ func TestClusterSnapshotMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestClusterEvaluatorUnreachable: with the cluster gone, the
-// infallible-signature methods return zero values and the parked error
-// surfaces on the next fallible call instead of vanishing.
+// TestClusterEvaluatorUnreachable: with the cluster gone,
+// MajorityDisagreement returns zeros and the parked error surfaces on the
+// next fallible call instead of vanishing.
 func TestClusterEvaluatorUnreachable(t *testing.T) {
 	const crowdSize = 5
 	w, err := NewWorker(WorkerOptions{Workers: crowdSize, Shards: 1})

@@ -351,7 +351,12 @@ func TestClusterEvaluatorConcurrentFlushAndReads(t *testing.T) {
 						return
 					}
 					flushed = (i-g)/writers + 1
-					if got := ce.Responses(); got < flushed {
+					got, err := ce.Coordinator().Responses()
+					if err != nil {
+						errs <- err
+						return
+					}
+					if got < flushed {
 						errs <- fmt.Errorf("writer %d flushed %d responses, a later read saw %d in the cluster", g, flushed, got)
 						return
 					}

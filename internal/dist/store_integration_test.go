@@ -355,6 +355,69 @@ func TestCoordinatorSliceStoreRebuild(t *testing.T) {
 	requireEvaluateAllEqual(t, "rebuild from slice store", coord, local)
 }
 
+// TestCheckpointsDuringIngest: the head cuts checkpoints while the gateway
+// ingests. CheckpointCompactSlice saves and truncates outside the slice
+// lock while ingest appends under it, so this runs the two together: four
+// goroutines ingest into a 2-slice cluster while a fifth loops
+// CheckpointCompactAll. Afterwards the cluster is exact and each slice's
+// store alone recovers exactly that slice's responses. CI runs it under
+// the race detector.
+func TestCheckpointsDuringIngest(t *testing.T) {
+	const crowdSize, tasks = 8, 400
+	subs := testStream(t, crowdSize, tasks, 431)
+	_, c0 := freshReplica(t, crowdSize, 2)
+	_, c1 := freshReplica(t, crowdSize, 2)
+	coord, err := NewCluster(crowdSize, slicesOf(c0, c1), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	stores := []*store.Store{openTestStore(t, t.TempDir()), openTestStore(t, t.TempDir())}
+	for _, st := range stores {
+		defer st.Close()
+	}
+	if err := coord.AttachSliceStores(stores); err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(done) })
+	defer stop() // a failed ingest still stops the checkpoint loop
+	checkpoints := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { checkpoints <- n }()
+		for {
+			if err := coord.CheckpointCompactAll(); err != nil {
+				t.Error(err)
+				return
+			}
+			n++
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	ingestConcurrently(t, coord, subs, 4, 16)
+	stop()
+	t.Logf("%d checkpoints ran during ingest", <-checkpoints)
+	if t.Failed() {
+		return
+	}
+
+	requireEvaluateAllEqual(t, "after checkpoints during ingest", coord, localReference(t, crowdSize, subs))
+	perSlice := make([][]submission, len(stores))
+	for _, s := range subs {
+		si := coord.sliceOf(s.t)
+		perSlice[si] = append(perSlice[si], s)
+	}
+	for si, st := range stores {
+		requireStoreHolds(t, fmt.Sprintf("slice %d store", si), crowdSize, st, perSlice[si])
+	}
+}
+
 // ingestIntoSliceStore acks subs through a 1-slice × 1-replica coordinator
 // journaling to a slice store in dir, then shuts the whole head down —
 // coordinator, worker and store — the way a cold stop leaves it.

@@ -323,14 +323,17 @@ func TestBackpressureSheddingUnderWedgedBackend(t *testing.T) {
 // be a locked evaluator: concurrent POST /v1/responses:batch calls are
 // ordinary traffic, so under -race this test catches any unguarded Add.
 // It deliberately runs under -short too. The policy never fires, so every
-// response lands and the final intervals must equal the batch algorithm's.
+// response lands and the final intervals must equal the batch algorithm's:
+// MinResponses holds every decision until a worker has answered every
+// task, since a review that lands after a task or two could otherwise see
+// a worker disagree with every majority so far.
 func TestDefaultShardsTenantConcurrentIngest(t *testing.T) {
 	const workers, clients, tasksPerClient = 5, 4, 40
 	ds, _, err := sim.Binary{Tasks: clients * tasksPerClient, Workers: workers}.Generate(randx.NewSource(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	policy := pool.Policy{Confidence: 0.9, FireAbove: 0.49, PromoteBelow: 0.2, SpammerDisagreement: 0.99}
+	policy := pool.Policy{Confidence: 0.9, FireAbove: 0.49, PromoteBelow: 0.2, SpammerDisagreement: 0.99, MinResponses: clients * tasksPerClient}
 	gw, err := gate.New(gate.Options{Tenants: []gate.TenantConfig{
 		{Name: "t", Token: "tok", Workers: workers, Policy: &policy},
 	}})

@@ -286,10 +286,9 @@ func (m *Manager) Review() ([]Decision, error) {
 			spamFired[w] = true
 		}
 	}
-	// One EvaluateSubset call over the still-eligible workers: the sharded
-	// evaluator merges its shards once and fans the solves out across
-	// shard workspaces, and nobody pays for fired or below-threshold
-	// workers' estimates.
+	// One EvaluateSubset call over the still-eligible workers: the
+	// evaluator merges once and fans the solves out across cores, and
+	// nobody pays for fired or below-threshold workers' estimates.
 	var workers []int
 	for w := range m.states {
 		if eligible(w) && !spamFired[w] {
