@@ -2,11 +2,17 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"crowdassess/internal/crowd"
+	"crowdassess/internal/randx"
+	"crowdassess/internal/sim"
 )
 
 // fillEvaluator ingests a deterministic pseudo-random response stream:
@@ -30,7 +36,7 @@ func fillEvaluator(t *testing.T, add func(w, task int, r crowd.Response) error, 
 	}
 }
 
-func requireSameEstimates(t *testing.T, a, b []WorkerEstimate) {
+func requireSameEstimates(t testing.TB, a, b []WorkerEstimate) {
 	t.Helper()
 	if len(a) != len(b) {
 		t.Fatalf("estimate counts differ: %d vs %d", len(a), len(b))
@@ -219,6 +225,413 @@ func TestRestoreCompactRejectsCorruption(t *testing.T) {
 		t.Fatalf("baseline restore failed: %v", err)
 	}
 }
+
+// loggedResponse is one submission of a replay log: worker Worker answered
+// task Task with Answer.
+type loggedResponse struct {
+	Worker int
+	Task   int
+	Answer crowd.Response
+}
+
+// compactLog expands a validated compact state into a synthetic response
+// log: ascending task index, ascending worker index within a task. The
+// counters are order-independent, so replaying this canonical order through
+// the ordinary Add path rebuilds the exact statistics; only the original
+// arrival order within each task — which nothing downstream depends on —
+// is normalized away.
+func compactLog(cs *CompactState) []loggedResponse {
+	e := cs.Stats
+	log := make([]loggedResponse, 0, e.Responses)
+	for t := 0; t < e.Tasks; t++ {
+		word, bit := t/64, uint64(1)<<(uint(t)%64)
+		for w := 0; w < e.Workers; w++ {
+			ri := e.Responded[w]
+			if word >= len(ri) || ri[word]&bit == 0 {
+				continue
+			}
+			answer := crowd.No
+			if yi := cs.Answers[w]; word < len(yi) && yi[word]&bit != 0 {
+				answer = crowd.Yes
+			}
+			log = append(log, loggedResponse{Worker: w, Task: t, Answer: answer})
+		}
+	}
+	return log
+}
+
+// replayCompact is the oracle RestoreCompact is pinned to: a fresh
+// evaluator fed the checkpoint's canonical log through Add.
+func replayCompact(t testing.TB, cs *CompactState, shards int) *ShardedIncremental {
+	t.Helper()
+	ev, err := NewShardedIncremental(cs.Stats.Workers, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, lr := range compactLog(cs) {
+		if err := ev.Add(lr.Worker, lr.Task, lr.Answer); err != nil {
+			t.Fatalf("replaying response %d: %v", i, err)
+		}
+	}
+	return ev
+}
+
+// requireSameShards requires two evaluators' shards to hold the same
+// state, field by field: counters, attendance bitsets, task columns and
+// their offsets, dirty task words, totals and epochs.
+func requireSameShards(t testing.TB, got, want *ShardedIncremental) {
+	t.Helper()
+	if len(got.shards) != len(want.shards) {
+		t.Fatalf("%d shards, want %d", len(got.shards), len(want.shards))
+	}
+	for i, g := range got.shards {
+		w := want.shards[i]
+		if g.tasks != w.tasks || g.responses != w.responses || g.epoch != w.epoch {
+			t.Fatalf("shard %d: tasks/responses/epoch %d/%d/%d, want %d/%d/%d", i, g.tasks, g.responses, g.epoch, w.tasks, w.responses, w.epoch)
+		}
+		for p := range g.stats.agree {
+			if !slices.Equal(g.stats.agree[p], w.stats.agree[p]) || !slices.Equal(g.stats.common[p], w.stats.common[p]) {
+				t.Fatalf("shard %d: counter row %d differs", i, p)
+			}
+			if !slices.Equal(g.stats.responded[p], w.stats.responded[p]) {
+				t.Fatalf("shard %d: attendance of worker %d is %x, want %x", i, p, g.stats.responded[p], w.stats.responded[p])
+			}
+		}
+		if !maps.Equal(g.colOf, w.colOf) || !slices.Equal(g.cols, w.cols) {
+			t.Fatalf("shard %d: task columns differ", i)
+		}
+		if !slices.Equal(g.dirty, w.dirty) {
+			t.Fatalf("shard %d: dirty task words %x, want %x", i, g.dirty, w.dirty)
+		}
+	}
+}
+
+// requireSameReads requires EvaluateAll and MajorityDisagreement to agree
+// bit for bit.
+func requireSameReads(t testing.TB, got, want *ShardedIncremental) {
+	t.Helper()
+	opts := EvalOptions{Confidence: 0.9}
+	g, gerr := got.EvaluateAll(opts)
+	w, werr := want.EvaluateAll(opts)
+	if (gerr == nil) != (werr == nil) {
+		t.Fatalf("EvaluateAll errors differ: %v vs %v", gerr, werr)
+	}
+	requireSameEstimates(t, g, w)
+	gm, wm := got.MajorityDisagreement(), want.MajorityDisagreement()
+	for p := range wm {
+		if math.Float64bits(gm[p]) != math.Float64bits(wm[p]) {
+			t.Fatalf("worker %d majority disagreement %v, want %v", p, gm[p], wm[p])
+		}
+	}
+}
+
+// TestRestoreCompactMatchesReplay pins the direct install to the replay
+// oracle at shards {1,2,7} and at crowds on both sides of the 64-worker
+// word boundary: the same shard state, bit-identical reads, and the same
+// duplicate rejection and pairing on later Adds.
+func TestRestoreCompactMatchesReplay(t *testing.T) {
+	for _, workers := range []int{3, 64, 65, 130} {
+		ds, _, err := sim.Binary{Tasks: 293, Workers: workers, Density: 0.6}.Generate(randx.NewSource(int64(4000 + workers)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs := shuffledStream(t, ds, int64(workers))
+		for _, shards := range []int{1, 2, 7} {
+			t.Run(fmt.Sprintf("workers=%d/shards=%d", workers, shards), func(t *testing.T) {
+				donor, err := NewShardedIncremental(workers, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cut := len(subs) * 3 / 4
+				for _, s := range subs[:cut] {
+					if err := donor.Add(s.w, s.t, s.r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cs := donor.CompactCheckpoint()
+				got, err := NewShardedIncremental(workers, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := got.RestoreCompact(cs); err != nil {
+					t.Fatal(err)
+				}
+				want := replayCompact(t, cs, shards)
+				requireSameShards(t, got, want)
+				requireSameReads(t, got, want)
+
+				for _, s := range subs[:cut] {
+					gerr, werr := got.Add(s.w, s.t, s.r), want.Add(s.w, s.t, s.r)
+					if gerr == nil || werr == nil {
+						t.Fatalf("duplicate (%d,%d) accepted: restored %v, replayed %v", s.w, s.t, gerr, werr)
+					}
+				}
+				for _, s := range subs[cut:] {
+					if err := got.Add(s.w, s.t, s.r); err != nil {
+						t.Fatal(err)
+					}
+					if err := want.Add(s.w, s.t, s.r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				requireSameShards(t, got, want)
+				requireSameReads(t, got, want)
+			})
+		}
+	}
+}
+
+// TestRestoreCompactRacesAdd races Adds on tasks past a checkpoint's
+// horizon against its restore into an empty evaluator. The restore either
+// refuses, leaving exactly the Adds, or lands whole, with every Add on top
+// of it; nothing in between.
+func TestRestoreCompactRacesAdd(t *testing.T) {
+	const workers, shards, adders = 7, 3, 4
+	donor, err := NewShardedIncremental(workers, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range restoreStream(t, 0) {
+		if err := donor.Add(s.w, s.t, s.r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := donor.CompactCheckpoint()
+	addAll := func(ev *ShardedIncremental, a int) error {
+		return ev.Add(a, cs.Stats.Tasks+a, crowd.Response(1+a%2))
+	}
+	landed, refused := 0, 0
+	for round := 0; round < 500; round++ {
+		ev, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		var restoreErr error
+		addErrs := make([]error, adders)
+		wg.Add(1 + adders)
+		go func() {
+			defer wg.Done()
+			<-start
+			restoreErr = ev.RestoreCompact(cs)
+		}()
+		for a := 0; a < adders; a++ {
+			go func() {
+				defer wg.Done()
+				<-start
+				addErrs[a] = addAll(ev, a)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for a, err := range addErrs {
+			if err != nil {
+				t.Fatalf("round %d: Add %d: %v", round, a, err)
+			}
+		}
+
+		want, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restoreErr == nil {
+			landed++
+			if err := want.RestoreCompact(cs); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			if !strings.Contains(restoreErr.Error(), "already holding") {
+				t.Fatalf("round %d: restore failed with %v, want a refusal of a non-empty receiver", round, restoreErr)
+			}
+			refused++
+		}
+		for a := 0; a < adders; a++ {
+			if err := addAll(want, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !ev.ExportStats().Equal(want.ExportStats()) {
+			t.Fatalf("round %d: statistics are neither the refused nor the landed outcome (restore error %v)", round, restoreErr)
+		}
+		ga, gd := ev.DisagreementCounts()
+		wa, wd := want.DisagreementCounts()
+		if !slices.Equal(ga, wa) || !slices.Equal(gd, wd) {
+			t.Fatalf("round %d: task columns are neither outcome", round)
+		}
+	}
+	t.Logf("%d restores landed, %d refused", landed, refused)
+}
+
+// TestTranspose64 checks the bit-transpose kernel against the definition
+// on random blocks and on single bits.
+func TestTranspose64(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for round := 0; round < 100; round++ {
+		var a [64]uint64
+		for i := range a {
+			a[i] = rng.Uint64()
+		}
+		if round < 64 {
+			a = [64]uint64{}
+			a[round] = 1 << uint(63-round/2)
+		}
+		got := a
+		transpose64(&got)
+		for i := range a {
+			for j := range a {
+				if a[i]>>uint(j)&1 != got[j]>>uint(i)&1 {
+					t.Fatalf("round %d: bit (%d,%d) did not move to (%d,%d)", round, i, j, j, i)
+				}
+			}
+		}
+	}
+}
+
+// mutateCompact applies one fuzzer-chosen edit to a compact state: flip an
+// attendance or answer bit, pad or cut a bitset, bump a counter (one side
+// or both) or a total, or drop an answer row. Most edits make the state
+// inconsistent; some, like padding with zero words or flipping a lone
+// attendance bit and the response total together, keep it valid.
+func mutateCompact(cs *CompactState, op, a, b, c byte) {
+	e := cs.Stats
+	w := int(a) % e.Workers
+	flip := func(rows [][]uint64) {
+		if w >= len(rows) {
+			return
+		}
+		task := int(b) + 256*int(c%2)
+		bs := dynBitset(rows[w])
+		bs.grow(task/64 + 1)
+		bs[task/64] ^= 1 << (uint(task) % 64)
+		rows[w] = bs
+	}
+	pad := func(rows [][]uint64) {
+		if w < len(rows) {
+			rows[w] = append(rows[w], make([]uint64, 1+int(b)%3)...)
+		}
+	}
+	cut := func(rows [][]uint64) {
+		if w < len(rows) {
+			rows[w] = rows[w][:min(len(rows[w]), int(b)%5)]
+		}
+	}
+	bump := func(m [][]int) {
+		i, j := w, int(b)%e.Workers
+		m[i][j] += int(int8(c))
+		if c%2 == 0 {
+			m[j][i] += int(int8(c))
+		}
+	}
+	switch op % 11 {
+	case 0:
+		flip(e.Responded)
+	case 1:
+		flip(cs.Answers)
+	case 2:
+		pad(e.Responded)
+	case 3:
+		pad(cs.Answers)
+	case 4:
+		cut(e.Responded)
+	case 5:
+		cut(cs.Answers)
+	case 6:
+		bump(e.Agree)
+	case 7:
+		bump(e.Common)
+	case 8:
+		e.Tasks += int(int8(c))
+	case 9:
+		e.Responses += int(int8(c))
+	case 10:
+		cs.Answers = cs.Answers[:max(0, len(cs.Answers)-1)]
+	}
+}
+
+// FuzzRestoreCompact restores fuzzed compact states. Byte 0 picks 3 to 70
+// workers and byte 1 one to four shards; each following triple is one
+// (worker, task, answer) Add into a donor, until a zero worker byte ends
+// them; the rest, four bytes at a time, are mutateCompact edits to the
+// donor's checkpoint. The restore must either fail and leave the receiver
+// empty, or succeed and hold what replaying the state's canonical log
+// through Add builds. It must never panic.
+func FuzzRestoreCompact(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 1, 2, 0, 0, 3, 1, 1, 0})
+	f.Add([]byte{61, 2, 1, 0, 1, 2, 0, 0, 64, 1, 1, 63, 0, 0, 2, 5, 2, 0})
+	f.Add([]byte{1, 1, 1, 5, 1, 2, 5, 0, 3, 70, 1, 0, 0, 1, 9, 3, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 2+3*400 {
+			return
+		}
+		workers, shards := 3+int(data[0])%68, 1+int(data[1])%4
+		donor, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rest := data[2:]
+		for ; len(rest) >= 3 && rest[0] != 0; rest = rest[3:] {
+			_ = donor.Add(int(rest[0]-1)%workers, int(rest[1]), crowd.Response(1+rest[2]%2))
+		}
+		if len(rest) > 0 {
+			rest = rest[1:]
+		}
+		cs := donor.CompactCheckpoint()
+		for ; len(rest) >= 4; rest = rest[4:] {
+			mutateCompact(cs, rest[0], rest[1], rest[2], rest[3])
+		}
+		got, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.RestoreCompact(cs); err != nil {
+			if n := got.Responses(); n != 0 || got.Tasks() != 0 {
+				t.Fatalf("failed restore (%v) left %d responses", err, n)
+			}
+			return
+		}
+		want := replayCompact(t, cs, shards)
+		requireSameShards(t, got, want)
+	})
+}
+
+// BenchmarkRestoreCompact times one restore of a dense crowd — 64 workers,
+// 52 000 tasks, density 0.8 — into an empty 2-shard evaluator.
+func BenchmarkRestoreCompact(b *testing.B) {
+	cs := denseCheckpoint()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev, err := NewShardedIncremental(64, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ev.RestoreCompact(cs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// denseCheckpoint is BenchmarkRestoreCompact's checkpoint, built once per
+// test binary.
+var denseCheckpoint = sync.OnceValue(func() *CompactState {
+	const workers, tasks = 64, 52000
+	ev, err := NewShardedIncremental(workers, 2)
+	if err != nil {
+		panic(err)
+	}
+	src := randx.NewSource(52)
+	for task := 0; task < tasks; task++ {
+		for w := 0; w < workers; w++ {
+			if src.Float64() < 0.8 {
+				if err := ev.Add(w, task, crowd.Response(1+src.Intn(2))); err != nil {
+					panic(err)
+				}
+			}
+		}
+	}
+	return ev.CompactCheckpoint()
+})
 
 // BenchmarkCheckpointCost pins the O(delta) claim: with the task set fixed,
 // CompactCheckpoint's cost stays flat as total ingested history grows.

@@ -143,15 +143,20 @@ func NewIncremental(workers int) (*ShardedIncremental, error) {
 	return NewShardedIncremental(workers, 1)
 }
 
-// shardOf routes task t to its stripe. The multiplicative hash spreads
-// clustered task ids (batch uploads use contiguous ranges) evenly across
-// shards so contiguous ingestion doesn't serialize on one lock.
+// shardOf routes task t to its stripe.
 func (s *ShardedIncremental) shardOf(t int) *incShard {
+	return s.shards[s.shardIndex(t)]
+}
+
+// shardIndex is the index of task t's stripe. The multiplicative hash
+// spreads clustered task ids (batch uploads use contiguous ranges) evenly
+// across shards so contiguous ingestion doesn't serialize on one lock.
+func (s *ShardedIncremental) shardIndex(t int) int {
 	h := uint64(t)
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
-	return s.shards[h%uint64(len(s.shards))]
+	return int(h % uint64(len(s.shards)))
 }
 
 // Workers returns the number of workers tracked.
@@ -237,7 +242,7 @@ func (sh *incShard) column(t, words int) (attended, yes []uint64) {
 // time (solveMu), so when a solve holds the published merge the spare is
 // under no solve. The spare can be under a solve only when an ExportStats
 // copy, the one other holder of an accumulator's mu, holds the published
-// merge at that moment; outside tests only RestoreCompact exports.
+// merge at that moment, and only tests export.
 func (s *ShardedIncremental) snapshot() *StatsAccumulator {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()

@@ -441,7 +441,7 @@ func TestChaosDetectorLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	// Give the slice some state so the reseed has something to replay.
+	// Give the slice some state so the reseed has something to transfer.
 	subs := testStream(t, crowdSize, 60, 29)
 	var batch []Response
 	for _, s := range subs {
@@ -510,7 +510,7 @@ func TestChaosDetectorLifecycle(t *testing.T) {
 	// the same address: the old one missed every fan-out while it was cut
 	// off, so its state is behind and cannot be adopted in place (restore
 	// refuses non-empty evaluators); a restarted, empty crowdd is what the
-	// reseed's state replay is for.
+	// reseed's state transfer is for.
 	if err := flaky.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // TestSnapshotRejectsInconsistency: a compact payload whose framing and CRC
 // are intact but whose counters contradict its bitsets — or whose answers
 // fall on tasks the worker never attended — is refused by the restore's
-// validation with an error that says why, before anything is replayed.
+// validation with an error that says why, before anything is installed.
 func TestSnapshotRejectsInconsistency(t *testing.T) {
 	donor := workerWith(t, 6, testStream(t, 6, 80, 82))
 	cases := []struct {

@@ -224,8 +224,8 @@ func (c *Coordinator) call(n *node, msgType byte, body []byte, wantReply byte) (
 // different incarnation means the node restarted empty, and retrying a
 // pull against it would return hollow statistics as authoritative. That
 // case fails here (permanently, for this slot's current life): the caller
-// marks the slot down and the monitor reseeds it through the full
-// RestoreNode replay instead.
+// marks the slot down and the monitor reseeds it through a full
+// RestoreNode state transfer instead.
 func (c *Coordinator) redial(n *node) error {
 	conn, err := n.dial()
 	if err != nil {

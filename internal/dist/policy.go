@@ -27,7 +27,7 @@ type Policy struct {
 	// chunk on both the request and the awaited reply. 0 means unbounded.
 	RPCTimeout time.Duration
 	// StateTimeout bounds compact state-transfer round-trips (pulls and
-	// restores), whose worker-side work — validating and replaying a
+	// restores), whose worker-side work — validating and installing a
 	// slice's whole state — legitimately dwarfs an ordinary RPC. 0 means
 	// unbounded.
 	StateTimeout time.Duration
