@@ -1,5 +1,7 @@
-// Benchmark harness: one benchmark per paper figure plus the ablations
-// called out in DESIGN.md. Each figure benchmark runs a scaled-down
+// Benchmark harness: one benchmark per paper figure plus ablations of the
+// choices this reproduction makes where the paper leaves room (#2 pairing
+// strategy, #3 spectral symmetrization, #4 prune threshold, #5
+// derivative step). Each figure benchmark runs a scaled-down
 // replicate count per iteration (the crowdbench CLI runs the full
 // paper-scale sweeps) and reports the figure's headline quantity as a
 // custom metric, so `go test -bench=. -benchmem` doubles as a smoke
@@ -184,7 +186,7 @@ func BenchmarkFigParallel(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations: each runs one design choice against its alternative ---
 
 // BenchmarkAblationPairing compares the paper's greedy common-task pairing
 // against arbitrary index-order pairing (ablation #2).

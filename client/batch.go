@@ -36,41 +36,43 @@ func (c *Client) NewBatcher(size int) *Batcher {
 	return &Batcher{c: c, size: size, buf: make([]Response, 0, size)}
 }
 
-// Add buffers one response, flushing if the buffer reaches the batch
-// size. An error is a flush error: the flushed batch's delivery failed
-// (the buffer is kept so a later Flush retries it), but r itself was
-// buffered either way.
+// Add buffers one response, shipping every full batch the buffer holds.
+// An error is a flush error: a batch's delivery failed (it stays buffered
+// so a later Add or Flush retries it), but r itself was buffered either
+// way.
 func (b *Batcher) Add(ctx context.Context, r Response) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.buf = append(b.buf, r)
-	if len(b.buf) < b.size {
-		return nil
-	}
-	return b.flushLocked(ctx)
+	return b.flushLocked(ctx, false)
 }
 
-// Flush ships whatever is buffered. On error the buffer is retained, so
-// calling Flush again retries the same batch — safe when the failure
-// was a 429 (nothing was admitted), at the caller's discretion after
-// ambiguous network failures.
+// Flush ships whatever is buffered, in batches of at most the batcher's
+// size. On error the unsent responses are retained, so calling Flush again
+// retries the failed batch — safe when the failure was a 429 (nothing was
+// admitted), at the caller's discretion after ambiguous network failures.
 func (b *Batcher) Flush(ctx context.Context) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.flushLocked(ctx)
+	return b.flushLocked(ctx, true)
 }
 
-func (b *Batcher) flushLocked(ctx context.Context) error {
-	if len(b.buf) == 0 {
-		return nil
+// flushLocked ships the buffer front to back, b.size responses per request
+// — a buffer that grew past the size while a flush kept failing is still
+// never sent as one oversized request. It ships the final partial batch
+// only when all is set, and on error keeps the failed batch and everything
+// after it.
+func (b *Batcher) flushLocked(ctx context.Context, all bool) error {
+	for len(b.buf) >= b.size || (all && len(b.buf) > 0) {
+		n := min(b.size, len(b.buf))
+		res, err := b.c.IngestBatch(ctx, b.buf[:n])
+		if err != nil {
+			return err
+		}
+		b.total.Ingested += res.Ingested
+		b.total.Rejected += res.Rejected
+		b.buf = b.buf[:copy(b.buf, b.buf[n:])]
 	}
-	res, err := b.c.IngestBatch(ctx, b.buf)
-	if err != nil {
-		return err
-	}
-	b.total.Ingested += res.Ingested
-	b.total.Rejected += res.Rejected
-	b.buf = b.buf[:0]
 	return nil
 }
 

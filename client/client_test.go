@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,6 +157,58 @@ func TestBatcherFlushesAtSizeAndOnDemand(t *testing.T) {
 	}
 	if tot := b.Totals(); tot.Ingested != 4 {
 		t.Errorf("totals %+v, want 4 ingested", tot)
+	}
+}
+
+// TestBatcherNeverExceedsSizeAfterFailedFlush fails the first request with
+// a 429 and checks that the responses it left buffered go out in batches
+// of at most the batcher's size, each response delivered once and in order.
+func TestBatcherNeverExceedsSizeAfterFailedFlush(t *testing.T) {
+	var requests atomic.Int64
+	var delivered []client.Response
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req struct{ Responses []client.Response }
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			t.Errorf("decode: %v", err)
+		}
+		if n := len(req.Responses); n > 2 {
+			t.Errorf("request carried %d responses, batch size is 2", n)
+		}
+		if requests.Add(1) == 1 {
+			w.WriteHeader(http.StatusTooManyRequests)
+			w.Write([]byte(`{"error":{"code":"rate_limited","message":"slow down"}}`))
+			return
+		}
+		delivered = append(delivered, req.Responses...)
+		fmt.Fprintf(w, `{"ingested":%d,"rejected":0}`, len(req.Responses))
+	}))
+	defer srv.Close()
+
+	b := client.New(srv.URL, "tok").WithRetry(client.RetryPolicy{}).NewBatcher(2)
+	ctx := context.Background()
+	var want []client.Response
+	for task := 0; task < 5; task++ {
+		r := client.Response{Worker: 0, Task: task, Answer: 1}
+		want = append(want, r)
+		err := b.Add(ctx, r)
+		if task == 1 && err == nil {
+			t.Fatal("Add: first flush succeeded, want the 429")
+		}
+		if task != 1 && err != nil {
+			t.Fatalf("Add task %d: %v", task, err)
+		}
+	}
+	if err := b.Flush(ctx); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	if got := requests.Load(); got != 4 {
+		t.Errorf("%d requests, want 4 (the 429, two full batches, the final Flush)", got)
+	}
+	if !reflect.DeepEqual(delivered, want) {
+		t.Errorf("delivered %v, want %v", delivered, want)
+	}
+	if tot := b.Totals(); tot.Ingested != 5 {
+		t.Errorf("totals %+v, want 5 ingested", tot)
 	}
 }
 

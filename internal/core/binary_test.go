@@ -484,7 +484,7 @@ func TestFormPairsGreedyPrefersOverlap(t *testing.T) {
 
 func TestOptimalWeightsLemma5(t *testing.T) {
 	// For a diagonal covariance the optimal weights are ∝ 1/σ²_k.
-	cov := mat.Diagonal([]float64{1, 4})
+	cov := mat.FromRows([][]float64{{1, 0}, {0, 4}})
 	w, err := optimalWeights(cov)
 	if err != nil {
 		t.Fatal(err)
@@ -518,13 +518,13 @@ func TestOptimalWeightsMixedSigns(t *testing.T) {
 	if sum := w[0] + w[1]; math.Abs(sum-1) > 1e-12 {
 		t.Errorf("weights sum to %v", sum)
 	}
-	inv, err := cov.Inverse()
-	if err != nil {
+	inv := mat.New(2, 2)
+	if err := mat.InverseTo(inv, cov, nil); err != nil {
 		t.Fatal(err)
 	}
-	b := inv.MulVec([]float64{1, 1})
+	sumB := inv.At(0, 0) + inv.At(0, 1) + inv.At(1, 0) + inv.At(1, 1) // ΣC⁻¹𝟙
 	quad := w[0]*w[0]*cov.At(0, 0) + 2*w[0]*w[1]*cov.At(0, 1) + w[1]*w[1]*cov.At(1, 1)
-	if want := 1 / (b[0] + b[1]); math.Abs(quad-want) > 1e-12 {
+	if want := 1 / sumB; math.Abs(quad-want) > 1e-12 {
 		t.Errorf("aᵀCa = %v, want 1/ΣB = %v", quad, want)
 	}
 }
@@ -542,9 +542,12 @@ func TestOptimalWeightsBeatUniformProperty(t *testing.T) {
 				g.Set(i, j, src.NormFloat64())
 			}
 		}
-		cov := g.Mul(g.T())
+		gt := mat.New(l, l)
+		mat.TTo(gt, g)
+		cov := mat.New(l, l)
+		mat.MulTo(cov, g, gt)
 		for i := 0; i < l; i++ {
-			cov.Add(i, i, 0.1)
+			cov.Set(i, i, cov.At(i, i)+0.1)
 		}
 		w, err := optimalWeights(cov)
 		if err != nil {

@@ -20,7 +20,8 @@ type KAryOptions struct {
 	Epsilon float64
 	// StrictSpectrum makes the spectral step fail with ErrDegenerate when
 	// the second-moment matrix has non-positive eigenvalues, instead of
-	// clamping them (clamping is the default; see DESIGN.md ablation #3).
+	// clamping them. Clamping is the default because sampling noise pushes
+	// the small eigenvalues of a PSD matrix below zero on finite data.
 	StrictSpectrum bool
 	// RawEigen skips the symmetrization of R₁,₂·R₃,₂⁻¹·R₃,₁ before its
 	// eigendecomposition, using the general QR path on the raw estimate
@@ -544,16 +545,6 @@ func clampSpectrumInPlace(vals []float64, strict bool) error {
 	return nil
 }
 
-// clampSpectrum is the copying form of clampSpectrumInPlace, for callers
-// that do not own the slice.
-func clampSpectrum(vals []float64, strict bool) ([]float64, error) {
-	out := append([]float64(nil), vals...)
-	if err := clampSpectrumInPlace(out, strict); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // normalizeRowsInPlace scales each row of m to unit L2 norm, removing the
 // arbitrary per-eigenvector scaling of the spectral step.
 func normalizeRowsInPlace(m *mat.Matrix) {
@@ -571,13 +562,6 @@ func normalizeRowsInPlace(m *mat.Matrix) {
 			row[j] /= s
 		}
 	}
-}
-
-// normalizeRows is the non-mutating form of normalizeRowsInPlace.
-func normalizeRows(m *mat.Matrix) *mat.Matrix {
-	out := m.Clone()
-	normalizeRowsInPlace(out)
-	return out
 }
 
 // fixSigns flips rows of v1 (and the matching rows of u) whose sum is
@@ -635,10 +619,4 @@ func alignRowsWS(v *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 		copy(out.RowView(c), v.RowView(position[c]))
 	}
 	return out
-}
-
-// alignRows is alignRowsWS with throwaway scratch, kept for one-shot
-// callers and tests.
-func alignRows(v *mat.Matrix) *mat.Matrix {
-	return alignRowsWS(v, mat.NewWorkspace())
 }

@@ -44,7 +44,8 @@ func expectedV(sel []float64, p sim.Confusion) *mat.Matrix {
 
 // TestProbEstimateExact feeds ProbEstimate the exact expected counts and
 // checks that it recovers S^{1/2}·P_i for all three workers. This pins down
-// the OCR-ambiguous step 6.c of Algorithm A3 (see DESIGN.md).
+// the reading of Algorithm A3's step 6.c, which the paper's scanned text
+// leaves ambiguous: a wrong reading fails this exact-arithmetic check.
 func TestProbEstimateExact(t *testing.T) {
 	cases := []struct {
 		name       string
@@ -251,7 +252,7 @@ func TestThreeWorkerKAryErrors(t *testing.T) {
 }
 
 func TestKAryEpsilonStability(t *testing.T) {
-	// DESIGN.md ablation #5: interval sizes should not blow up as the
+	// Ablation #5 (bench_test.go): interval sizes should not blow up as the
 	// numeric-derivative step varies across two orders of magnitude.
 	src := randx.NewSource(45)
 	confs := []sim.Confusion{
@@ -294,14 +295,14 @@ func TestAlignRows(t *testing.T) {
 		{0.7, 0.2, 0.1}, // dominant col 0 → position 0
 		{0.2, 0.1, 0.7}, // dominant col 2 → position 2
 	})
-	got := alignRows(v)
+	got := alignRowsWS(v, mat.NewWorkspace())
 	want := mat.FromRows([][]float64{
 		{0.7, 0.2, 0.1},
 		{0.1, 0.8, 0.1},
 		{0.2, 0.1, 0.7},
 	})
 	if !got.EqualApprox(want, 1e-12) {
-		t.Errorf("alignRows:\n%v\nwant\n%v", got, want)
+		t.Errorf("alignRowsWS:\n%v\nwant\n%v", got, want)
 	}
 }
 
@@ -312,7 +313,7 @@ func TestAlignRowsConflict(t *testing.T) {
 		{0.9, 0.1},
 		{0.8, 0.2},
 	})
-	got := alignRows(v)
+	got := alignRowsWS(v, mat.NewWorkspace())
 	// Strongest entry 0.9 claims position 0; row 1 is forced to position 1.
 	if got.At(0, 0) != 0.9 || got.At(1, 0) != 0.8 {
 		t.Errorf("conflict alignment:\n%v", got)
@@ -320,8 +321,8 @@ func TestAlignRowsConflict(t *testing.T) {
 }
 
 func TestNormalizeRows(t *testing.T) {
-	m := mat.FromRows([][]float64{{3, 4}, {0, 0}})
-	n := normalizeRows(m)
+	n := mat.FromRows([][]float64{{3, 4}, {0, 0}})
+	normalizeRowsInPlace(n)
 	if math.Abs(n.At(0, 0)-0.6) > 1e-12 || math.Abs(n.At(0, 1)-0.8) > 1e-12 {
 		t.Errorf("row 0 = %v %v", n.At(0, 0), n.At(0, 1))
 	}
@@ -332,17 +333,17 @@ func TestNormalizeRows(t *testing.T) {
 }
 
 func TestClampSpectrum(t *testing.T) {
-	vals, err := clampSpectrum([]float64{2, 1e-15}, false)
-	if err != nil {
+	vals := []float64{2, 1e-15}
+	if err := clampSpectrumInPlace(vals, false); err != nil {
 		t.Fatal(err)
 	}
 	if vals[1] < 1e-10 {
 		t.Errorf("tiny eigenvalue not clamped: %v", vals)
 	}
-	if _, err := clampSpectrum([]float64{2, 1e-15}, true); !errors.Is(err, ErrDegenerate) {
+	if err := clampSpectrumInPlace([]float64{2, 1e-15}, true); !errors.Is(err, ErrDegenerate) {
 		t.Errorf("strict mode err = %v", err)
 	}
-	if _, err := clampSpectrum([]float64{-1, -2}, false); !errors.Is(err, ErrDegenerate) {
+	if err := clampSpectrumInPlace([]float64{-1, -2}, false); !errors.Is(err, ErrDegenerate) {
 		t.Errorf("all-negative spectrum err = %v", err)
 	}
 }

@@ -508,14 +508,14 @@ func (g *Gateway) handleWorker(t *tenant, w http.ResponseWriter, r *http.Request
 
 // handleWorkers is GET /v1/workers: the whole crowd's quality records.
 func (g *Gateway) handleWorkers(t *tenant, w http.ResponseWriter, r *http.Request) {
-	views := make([]WorkerView, t.mgr.Workers())
-	for id := range views {
-		info, err := t.mgr.WorkerInfo(id)
-		if err != nil {
-			writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
-			return
-		}
-		views[id] = workerView(info)
+	infos, err := t.mgr.WorkerInfos()
+	if err != nil {
+		writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
+		return
+	}
+	views := make([]WorkerView, len(infos))
+	for i, info := range infos {
+		views[i] = workerView(info)
 	}
 	writeJSON(w, map[string]any{"workers": views})
 }

@@ -1,6 +1,7 @@
 package gate_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -8,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -385,6 +387,69 @@ func TestDefaultShardsTenantConcurrentIngest(t *testing.T) {
 		}
 		if wv.Estimate.Lo != want[w].Interval.Lo || wv.Estimate.Hi != want[w].Interval.Hi {
 			t.Errorf("worker %d: interval [%v, %v], batch [%v, %v]", w, wv.Estimate.Lo, wv.Estimate.Hi, want[w].Interval.Lo, want[w].Interval.Hi)
+		}
+	}
+}
+
+// subsetCounter counts the EvaluateSubset calls reaching the evaluator it
+// wraps.
+type subsetCounter struct {
+	core.StreamingEvaluator
+	calls atomic.Int64
+}
+
+func (c *subsetCounter) EvaluateSubset(workers []int, opts core.EvalOptions) ([]core.WorkerEstimate, error) {
+	c.calls.Add(1)
+	return c.StreamingEvaluator.EvaluateSubset(workers, opts)
+}
+
+// TestWorkersListOneEvaluation checks that GET /v1/workers over 16
+// estimated workers costs one evaluation, not one per worker, and lists
+// exactly the records GET /v1/workers/{id} serves.
+func TestWorkersListOneEvaluation(t *testing.T) {
+	const workers, tasks = 16, 60
+	ds, _, err := sim.Binary{Tasks: tasks, Workers: workers}.Generate(randx.NewSource(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := core.NewShardedIncremental(workers, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &subsetCounter{StreamingEvaluator: inner}
+	mgr, err := pool.NewManagerWith(ev, pool.DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for task := 0; task < tasks; task++ {
+		for w := 0; w < workers; w++ {
+			if err := mgr.Record(w, task, ds.Response(w, task)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	gw, err := gate.New(gate.Options{Tenants: []gate.TenantConfig{{Name: "t", Token: "tok", Manager: mgr}}})
+	if err != nil {
+		t.Fatalf("gate.New: %v", err)
+	}
+	rec := doReq(t, gw, http.MethodGet, "/v1/workers", "tok", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("list: status %d body %s", rec.Code, rec.Body.String())
+	}
+	if got := ev.calls.Load(); got != 1 {
+		t.Errorf("GET /v1/workers made %d EvaluateSubset calls, want 1", got)
+	}
+	var list struct{ Workers []json.RawMessage }
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil || len(list.Workers) != workers {
+		t.Fatalf("list body %s (err %v), want %d workers", rec.Body.String(), err, workers)
+	}
+	for w, got := range list.Workers {
+		one := doReq(t, gw, http.MethodGet, fmt.Sprintf("/v1/workers/%d", w), "tok", "")
+		if want := bytes.TrimSpace(one.Body.Bytes()); !bytes.Equal(got, want) {
+			t.Errorf("worker %d: listed %s, single read %s", w, got, want)
+		}
+		if !bytes.Contains(got, []byte(`"mean"`)) {
+			t.Errorf("worker %d: listed %s without an estimate", w, got)
 		}
 	}
 }

@@ -2,28 +2,6 @@ package mat
 
 import "math"
 
-// Inverse returns m⁻¹. It is the value-returning wrapper over InverseTo:
-// arities 2 and 3 hit the unrolled adjugate kernels, larger matrices go
-// through the reusable LU factorization. It returns ErrSingular when the
-// matrix is singular to working precision.
-// (The paper's complexity remark mentions Williams' algorithm as an
-// asymptotic alternative; at crowd scale direct factorization is the right
-// tool — see DESIGN.md, substitution 3.)
-func (m *Matrix) Inverse() (*Matrix, error) {
-	if m.rows != m.cols {
-		return nil, ErrShape
-	}
-	dst := New(m.rows, m.cols)
-	var f *LU
-	if m.rows > 3 {
-		f = NewLU(m.rows)
-	}
-	if err := InverseTo(dst, m, f); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // InverseTo writes src⁻¹ into dst, which must share src's (square) shape
 // and must not alias it. Arities 2 and 3 — the dominant response arities —
 // dispatch to unrolled adjugate kernels; larger matrices refactor the
@@ -31,6 +9,8 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 // unit systems, so repeated inversions allocate nothing. f may be nil when
 // src is at most 3×3. It returns ErrSingular (without allocating) when src
 // is singular to working precision.
+// (Williams' algorithm, which the paper's complexity remark mentions, pays
+// off only far above the k ≤ 8 response classes seen here.)
 func InverseTo(dst, src *Matrix, f *LU) error {
 	n := src.rows
 	if src.cols != n || dst.rows != n || dst.cols != n {
@@ -56,10 +36,8 @@ func InverseTo(dst, src *Matrix, f *LU) error {
 	return nil
 }
 
-// LU is a reusable LU factorization with partial pivoting: factor once,
-// solve many right-hand sides in O(n²) each. Iterative callers (inverse
-// iteration in the A3 spectral path) previously refactored the same matrix
-// on every solve; LU removes that O(n³) per-solve cost and its clones.
+// LU is a reusable LU factorization with partial pivoting: Refactor once,
+// then SolveInto any number of right-hand sides in O(n²) each.
 type LU struct {
 	lu   *Matrix
 	perm []int
@@ -78,17 +56,6 @@ func NewLU(n int) *LU {
 		e:    make([]float64, n),
 		x:    make([]float64, n),
 	}
-}
-
-// LUFactor returns the LU factorization of m with partial pivoting.
-// It returns ErrSingular when a pivot falls below tolerance.
-func (m *Matrix) LUFactor() (*LU, error) {
-	if m.rows != m.cols {
-		return nil, ErrShape
-	}
-	f := NewLU(m.rows)
-	f.lu.CopyFrom(m)
-	return f, f.refactor()
 }
 
 // Refactor recomputes the factorization from src in place, reusing the
@@ -163,13 +130,6 @@ func (f *LU) SolveInto(b, x []float64) {
 	}
 }
 
-// Solve returns the solution of (LU)·x = b.
-func (f *LU) Solve(b []float64) []float64 {
-	x := make([]float64, len(b))
-	f.SolveInto(b, x)
-	return x
-}
-
 // InverseTo writes the inverse of the factored matrix into dst by solving
 // the n unit systems — O(n³) total, allocation-free (the unit vector and
 // column scratch live in the factorization).
@@ -186,56 +146,4 @@ func (f *LU) InverseTo(dst *Matrix) {
 			dst.data[i*n+j] = f.x[i]
 		}
 	}
-}
-
-// Solve returns x such that m·x = b, using LU factorization with partial
-// pivoting. It returns ErrSingular for rank-deficient m. One-shot callers
-// use this; iterative callers factor once with LUFactor and reuse it.
-func (m *Matrix) Solve(b []float64) ([]float64, error) {
-	if m.rows != m.cols {
-		return nil, ErrShape
-	}
-	if len(b) != m.rows {
-		return nil, ErrShape
-	}
-	f, err := m.LUFactor()
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// Det returns the determinant of m via LU factorization.
-func (m *Matrix) Det() (float64, error) {
-	if m.rows != m.cols {
-		return 0, ErrShape
-	}
-	n := m.rows
-	lu := m.Clone()
-	det := 1.0
-	for col := 0; col < n; col++ {
-		pivot := col
-		best := math.Abs(lu.At(col, col))
-		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu.At(r, col)); v > best {
-				best, pivot = v, r
-			}
-		}
-		if best == 0 {
-			return 0, nil
-		}
-		if pivot != col {
-			lu.SwapRows(col, pivot)
-			det = -det
-		}
-		p := lu.At(col, col)
-		det *= p
-		for r := col + 1; r < n; r++ {
-			f := lu.At(r, col) / p
-			for j := col + 1; j < n; j++ {
-				lu.Add(r, j, -f*lu.At(col, j))
-			}
-		}
-	}
-	return det, nil
 }

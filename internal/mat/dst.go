@@ -1,12 +1,11 @@
 // Destination-passing API: every operation writes its result into a
 // caller-owned dst matrix, so hot loops can run allocation-free against a
-// Workspace. The value-returning methods on Matrix are thin wrappers over
-// these.
+// Workspace.
 //
 // Aliasing rules (violations are undefined behaviour, not checked):
 //
-//   - MulTo, MulAddTo, MulVecTo, TTo: dst must not alias either operand.
-//   - PlusTo, MinusTo, ScaleTo: dst may alias either operand (element-wise).
+//   - MulTo, TTo: dst must not alias either operand.
+//   - PlusTo, ScaleTo: dst may alias either operand (element-wise).
 //   - SymmetrizeTo: dst may alias the operand (pairs are read before write).
 //   - InverseTo: dst must not alias src.
 package mat
@@ -33,19 +32,10 @@ func MulTo(dst, a, b *Matrix) {
 	mulAddGeneric(dst, a, b)
 }
 
-// MulAddTo accumulates the product a·b into dst (dst += a·b) without
-// zeroing it first — the fused form that lets A·B·C chains skip one pass
-// over dst. Shape and aliasing rules are those of MulTo.
-func MulAddTo(dst, a, b *Matrix) {
-	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
-		panic(ErrShape)
-	}
-	mulAddGeneric(dst, a, b)
-}
-
-// mulAddGeneric is the shared i-k-j row-major accumulation loop: the inner
-// loop walks both b's row k and dst's row i sequentially (unit stride), and
-// zero entries of a skip a whole row pass.
+// mulAddGeneric accumulates a·b into dst (dst += a·b) with MulTo's
+// general-shape i-k-j row-major loop: the inner loop walks both b's row k
+// and dst's row i sequentially (unit stride), and zero entries of a skip a
+// whole row pass.
 func mulAddGeneric(dst, a, b *Matrix) {
 	for i := 0; i < a.rows; i++ {
 		ai := a.data[i*a.cols : (i+1)*a.cols]
@@ -59,22 +49,6 @@ func mulAddGeneric(dst, a, b *Matrix) {
 				di[j] += aik * bkj
 			}
 		}
-	}
-}
-
-// MulVecTo writes the matrix-vector product a·v into dst, which must have
-// length a.Rows() and must not alias v.
-func MulVecTo(dst []float64, a *Matrix, v []float64) {
-	if a.cols != len(v) || a.rows != len(dst) {
-		panic(ErrShape)
-	}
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		var s float64
-		for j, r := range row {
-			s += r * v[j]
-		}
-		dst[i] = s
 	}
 }
 
@@ -109,18 +83,11 @@ func TTo(dst, a *Matrix) {
 // PlusTo writes a + b into dst. All three must share a shape; dst may alias
 // a or b.
 func PlusTo(dst, a, b *Matrix) {
-	checkSameShape(dst, a, b)
+	if a.rows != b.rows || a.cols != b.cols || dst.rows != a.rows || dst.cols != a.cols {
+		panic(ErrShape)
+	}
 	for i, av := range a.data {
 		dst.data[i] = av + b.data[i]
-	}
-}
-
-// MinusTo writes a − b into dst. All three must share a shape; dst may
-// alias a or b.
-func MinusTo(dst, a, b *Matrix) {
-	checkSameShape(dst, a, b)
-	for i, av := range a.data {
-		dst.data[i] = av - b.data[i]
 	}
 }
 
@@ -159,11 +126,5 @@ func IdentityTo(dst *Matrix) {
 	clear(dst.data)
 	for i := 0; i < dst.rows; i++ {
 		dst.data[i*dst.cols+i] = 1
-	}
-}
-
-func checkSameShape(dst, a, b *Matrix) {
-	if a.rows != b.rows || a.cols != b.cols || dst.rows != a.rows || dst.cols != a.cols {
-		panic(ErrShape)
 	}
 }

@@ -24,85 +24,9 @@ type Eigen struct {
 	Vectors *Matrix
 }
 
-// QR returns the Householder QR factorization m = Q·R with Q orthogonal and
-// R upper triangular. It panics unless m is square (the only case needed
-// here).
-func (m *Matrix) QR() (q, r *Matrix) {
-	if m.rows != m.cols {
-		panic(ErrShape)
-	}
-	n := m.rows
-	r = m.Clone()
-	q = Identity(n)
-	// One Householder scratch vector for all columns: each iteration writes
-	// every entry of v[col:] before reading it, and never touches v[:col].
-	v := make([]float64, n)
-	for col := 0; col < n-1; col++ {
-		// Householder vector for column col below the diagonal.
-		var norm float64
-		for i := col; i < n; i++ {
-			norm += r.At(i, col) * r.At(i, col)
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		alpha := -norm
-		if r.At(col, col) < 0 {
-			alpha = norm
-		}
-		v[col] = r.At(col, col) - alpha
-		for i := col + 1; i < n; i++ {
-			v[i] = r.At(i, col)
-		}
-		var vv float64
-		for _, x := range v[col:] {
-			vv += x * x
-		}
-		if vv == 0 {
-			continue
-		}
-		// Apply H = I − 2vvᵀ/(vᵀv) on the left of R and the right of Q.
-		for j := 0; j < n; j++ {
-			var dot float64
-			for i := col; i < n; i++ {
-				dot += v[i] * r.At(i, j)
-			}
-			f := 2 * dot / vv
-			for i := col; i < n; i++ {
-				r.Add(i, j, -f*v[i])
-			}
-		}
-		for i := 0; i < n; i++ {
-			qi := q.RowView(i)
-			var dot float64
-			for j := col; j < n; j++ {
-				dot += qi[j] * v[j]
-			}
-			f := 2 * dot / vv
-			for j := col; j < n; j++ {
-				qi[j] -= f * v[j]
-			}
-		}
-	}
-	return q, r
-}
-
-// Hessenberg reduces m to upper Hessenberg form H = Qᵀ·m·Q via Householder
-// similarity transforms, returning H. The orthogonal factor is not needed by
-// callers here so it is not accumulated.
-func (m *Matrix) Hessenberg() *Matrix {
-	if m.rows != m.cols {
-		panic(ErrShape)
-	}
-	h := m.Clone()
-	hessenbergInPlace(h, make([]float64, m.rows))
-	return h
-}
-
-// hessenbergInPlace reduces h to upper Hessenberg form in place. v is
-// caller-owned Householder scratch of length h.Rows(): the window v[col+1:]
-// is fully rewritten each iteration and nothing below it is read.
+// hessenbergInPlace reduces h to upper Hessenberg form Qᵀ·h·Q by Householder
+// similarity transforms, without accumulating Q. v is caller-owned scratch of
+// length h.Rows(); each iteration rewrites the window v[col+1:] it reads.
 func hessenbergInPlace(h *Matrix, v []float64) {
 	n := h.rows
 	for col := 0; col < n-2; col++ {
@@ -154,26 +78,11 @@ func hessenbergInPlace(h *Matrix, v []float64) {
 	}
 }
 
-// Eigenvalues returns the eigenvalues of m, which must all be real, computed
-// by the shifted QR algorithm on the Hessenberg form with deflation.
-// It returns ErrComplexEigen when a 2×2 deflated block has a complex pair
-// and ErrNoConverge when the iteration budget is exhausted.
-func (m *Matrix) Eigenvalues() ([]float64, error) {
-	if m.rows != m.cols {
-		return nil, ErrShape
-	}
-	vals, err := eigenvaluesWS(m, NewWorkspace())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(vals))
-	copy(out, vals)
-	return out, nil
-}
-
-// eigenvaluesWS is the allocation-free core of Eigenvalues: the returned
-// slice (ascending-sorted) is owned by ws and valid until its next Reset.
-// Errors are the bare sentinels, so failure paths do not allocate either.
+// eigenvaluesWS returns the eigenvalues of m, which must all be real, in
+// ascending order: shifted QR on the Hessenberg form with deflation. It
+// returns ErrComplexEigen when a deflated 2×2 block has a complex pair and
+// ErrNoConverge when the iteration budget runs out. The slice is owned by ws
+// until its next Reset; errors are bare sentinels, so no path allocates.
 func eigenvaluesWS(m *Matrix, ws *Workspace) ([]float64, error) {
 	n := m.rows
 	if n == 1 {
@@ -336,23 +245,12 @@ func qrShiftStep(h *Matrix, lo, hi int, sigma float64, blkbuf, rotc, rots []floa
 	}
 }
 
-// EigenDecompose returns the full real eigendecomposition of m. Eigenvalues
-// are computed by the shifted QR algorithm; each eigenvector is recovered by
-// inverse iteration around a slightly perturbed eigenvalue. Eigenvalues are
-// returned in descending order. It fails with ErrComplexEigen /
-// ErrNoConverge / ErrSingular on degenerate inputs.
-func (m *Matrix) EigenDecompose() (*Eigen, error) {
-	e, err := m.EigenDecomposeWS(NewWorkspace())
-	if err != nil {
-		return nil, err
-	}
-	return &Eigen{Values: e.Values, Vectors: e.Vectors}, nil
-}
-
-// EigenDecomposeWS is EigenDecompose with every temporary — including the
-// returned values and vectors — drawn from ws: zero heap allocations in
-// steady state, on success and failure alike (errors are bare sentinels).
-// The result is valid until ws's next Reset.
+// EigenDecomposeWS returns the real eigendecomposition of m, eigenvalues in
+// descending order: shifted QR finds the values, inverse iteration around
+// each slightly perturbed value its unit eigenvector. It fails with
+// ErrComplexEigen, ErrNoConverge or ErrSingular on degenerate inputs. All
+// scratch and the result come from ws (valid until its next Reset), so no
+// call allocates in steady state, failing ones included.
 func (m *Matrix) EigenDecomposeWS(ws *Workspace) (Eigen, error) {
 	if m.rows != m.cols {
 		return Eigen{}, ErrShape
@@ -450,23 +348,12 @@ func normalize(v []float64) {
 	}
 }
 
-// EigenSym returns the eigendecomposition of a symmetric matrix using the
-// cyclic Jacobi rotation method: numerically robust and exactly orthogonal
-// eigenvectors, which the A3 spectral step relies on after symmetrizing its
-// second-moment matrix. Eigenvalues are returned in descending order.
-// m is not checked for symmetry; only its lower triangle is trusted after
-// internal symmetrization.
-func (m *Matrix) EigenSym() (*Eigen, error) {
-	e, err := m.EigenSymWS(NewWorkspace())
-	if err != nil {
-		return nil, err
-	}
-	return &Eigen{Values: e.Values, Vectors: e.Vectors}, nil
-}
-
-// EigenSymWS is EigenSym with all scratch and results drawn from ws: zero
-// heap allocations in steady state. The result is valid until ws's next
-// Reset.
+// EigenSymWS returns the eigendecomposition of a symmetric matrix, values in
+// descending order, by cyclic Jacobi rotations: numerically robust and
+// exactly orthogonal eigenvectors, which the A3 spectral step relies on after
+// symmetrizing its second-moment matrix. m is symmetrized internally, not
+// checked. All scratch and the result come from ws (valid until its next
+// Reset): no heap allocation in steady state.
 func (m *Matrix) EigenSymWS(ws *Workspace) (Eigen, error) {
 	if m.rows != m.cols {
 		return Eigen{}, ErrShape

@@ -1,8 +1,9 @@
 // Package mat implements the dense linear-algebra substrate used by the
-// crowd-assessment algorithms: basic matrix arithmetic, Gauss–Jordan
-// inversion, LU solves, and real eigendecompositions (symmetric Jacobi and
-// shifted-QR for the mildly non-symmetric matrices produced by Algorithm A3's
-// spectral step).
+// crowd-assessment algorithms: destination-passing matrix arithmetic,
+// inversion (adjugate kernels for k ≤ 3, LU above that), reusable LU solves,
+// and real eigendecompositions (symmetric Jacobi and shifted-QR for the
+// mildly non-symmetric matrices produced by Algorithm A3's spectral step).
+// Every kernel has one form, which writes into caller-owned storage.
 //
 // The package is self-contained (stdlib only) because the reproduction runs
 // offline. Matrices are small in this domain (k ≤ 8 response classes, l ≤ a
@@ -54,24 +55,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
-// Diagonal returns a square matrix with d on the diagonal.
-func Diagonal(d []float64) *Matrix {
-	m := New(len(d), len(d))
-	for i, v := range d {
-		m.Set(i, i, v)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -90,28 +73,14 @@ func (m *Matrix) Set(i, j int, v float64) {
 	m.data[i*m.cols+j] = v
 }
 
-// Add increments the element at row i, column j by v.
-func (m *Matrix) Add(i, j int, v float64) {
-	m.check(i, j)
-	m.data[i*m.cols+j] += v
-}
-
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
 		panic(fmt.Sprintf("mat: index (%d,%d) out of range for %d×%d matrix", i, j, m.rows, m.cols))
 	}
 }
 
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.rows, m.cols)
-	copy(c.data, m.data)
-	return c
-}
-
-// CopyFrom overwrites m's elements with o's, reusing m's storage — the
-// allocation-free alternative to Clone for scratch matrices in iterative
-// code. It panics unless the shapes match.
+// CopyFrom overwrites m's elements with o's, reusing m's storage. It panics
+// unless the shapes match.
 func (m *Matrix) CopyFrom(o *Matrix) {
 	if m.rows != o.rows || m.cols != o.cols {
 		panic(ErrShape)
@@ -119,28 +88,11 @@ func (m *Matrix) CopyFrom(o *Matrix) {
 	copy(m.data, o.data)
 }
 
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
 // RowView returns row i as a slice aliasing m's storage: writes through the
 // returned slice mutate the matrix, and the slice is invalidated by nothing
-// (matrix storage never moves). It is the allocation-free alternative to
-// Row for hot paths; callers that need an independent copy use Row.
+// (matrix storage never moves).
 func (m *Matrix) RowView(i int) []float64 {
 	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
 }
 
 // SwapRows exchanges rows i and j in place.
@@ -155,70 +107,6 @@ func (m *Matrix) SwapRows(i, j int) {
 	}
 }
 
-// Scale multiplies every element by s and returns a new matrix.
-func (m *Matrix) Scale(s float64) *Matrix {
-	c := New(m.rows, m.cols)
-	ScaleTo(c, m, s)
-	return c
-}
-
-// Plus returns m + o.
-func (m *Matrix) Plus(o *Matrix) *Matrix {
-	if m.rows != o.rows || m.cols != o.cols {
-		panic(ErrShape)
-	}
-	c := New(m.rows, m.cols)
-	PlusTo(c, m, o)
-	return c
-}
-
-// Minus returns m − o.
-func (m *Matrix) Minus(o *Matrix) *Matrix {
-	if m.rows != o.rows || m.cols != o.cols {
-		panic(ErrShape)
-	}
-	c := New(m.rows, m.cols)
-	MinusTo(c, m, o)
-	return c
-}
-
-// Mul returns the matrix product m·o.
-func (m *Matrix) Mul(o *Matrix) *Matrix {
-	if m.cols != o.rows {
-		panic(ErrShape)
-	}
-	out := New(m.rows, o.cols)
-	MulTo(out, m, o)
-	return out
-}
-
-// MulVec returns the matrix-vector product m·v.
-func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.cols != len(v) {
-		panic(ErrShape)
-	}
-	out := make([]float64, m.rows)
-	MulVecTo(out, m, v)
-	return out
-}
-
-// T returns the transpose of m.
-func (m *Matrix) T() *Matrix {
-	t := New(m.cols, m.rows)
-	TTo(t, m)
-	return t
-}
-
-// Symmetrize returns (m + mᵀ)/2. It panics unless m is square.
-func (m *Matrix) Symmetrize() *Matrix {
-	if m.rows != m.cols {
-		panic(ErrShape)
-	}
-	s := New(m.rows, m.cols)
-	SymmetrizeTo(s, m)
-	return s
-}
-
 // MaxAbs returns the largest absolute element value.
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
@@ -228,15 +116,6 @@ func (m *Matrix) MaxAbs() float64 {
 		}
 	}
 	return mx
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // OffDiagNorm returns the Frobenius norm of the off-diagonal part.
@@ -255,16 +134,6 @@ func (m *Matrix) OffDiagNorm() float64 {
 		}
 	}
 	return math.Sqrt(s)
-}
-
-// IsFinite reports whether every element is finite (no NaN or Inf).
-func (m *Matrix) IsFinite() bool {
-	for _, v := range m.data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
 
 // EqualApprox reports whether m and o agree element-wise within tol.

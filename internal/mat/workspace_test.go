@@ -110,10 +110,8 @@ func TestWorkspaceGetWords(t *testing.T) {
 func TestWorkspaceEigenSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	m := randomMatrix(r, 4)
-	sym := m.Symmetrize()
-	for i := 0; i < 4; i++ {
-		sym.Add(i, i, 5) // well-separated positive spectrum
-	}
+	sym := symmetrize(m)
+	addDiag(sym, 5) // well-separated positive spectrum
 	ws := NewWorkspace()
 	if _, err := sym.EigenSymWS(ws); err != nil {
 		t.Fatal(err)

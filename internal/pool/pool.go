@@ -360,19 +360,55 @@ func (m *Manager) WorkerInfo(w int) (WorkerInfo, error) {
 	}
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	info := WorkerInfo{Worker: w, State: m.states[w], Responses: int(m.responses[w].Load())}
-	if info.State == Fired || info.Responses < m.policy.MinResponses {
-		return info, nil
-	}
-	ests, err := m.inc.EvaluateSubset([]int{w}, core.EvalOptions{Confidence: m.policy.Confidence})
-	if err != nil {
+	var info [1]WorkerInfo
+	if err := m.fillInfosLocked(info[:], w); err != nil {
 		return WorkerInfo{}, err
 	}
-	if len(ests) == 1 && ests[0].Err == nil {
-		est := ests[0]
-		info.Estimate = &est
+	return info[0], nil
+}
+
+// WorkerInfos returns every worker's quality record, indexed by worker:
+// the read behind the gateway's GET /v1/workers. All records come from one
+// state under one lock, with one subset evaluation over the workers that
+// qualify for an estimate, so no Review can land between two of them.
+func (m *Manager) WorkerInfos() ([]WorkerInfo, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	infos := make([]WorkerInfo, len(m.states))
+	if err := m.fillInfosLocked(infos, 0); err != nil {
+		return nil, err
 	}
-	return info, nil
+	return infos, nil
+}
+
+// fillInfosLocked writes the records of workers lo, lo+1, … into infos,
+// estimating the non-fired ones with MinResponses in a single
+// EvaluateSubset call. The caller holds m.mu.
+func (m *Manager) fillInfosLocked(infos []WorkerInfo, lo int) error {
+	var workers []int
+	for i := range infos {
+		w := lo + i
+		infos[i] = WorkerInfo{Worker: w, State: m.states[w], Responses: int(m.responses[w].Load())}
+		if infos[i].State != Fired && infos[i].Responses >= m.policy.MinResponses {
+			workers = append(workers, w)
+		}
+	}
+	if len(workers) == 0 {
+		return nil
+	}
+	ests, err := m.inc.EvaluateSubset(workers, core.EvalOptions{Confidence: m.policy.Confidence})
+	if err != nil {
+		return err
+	}
+	if len(ests) != len(workers) {
+		return fmt.Errorf("pool: evaluator returned %d estimates for %d workers", len(ests), len(workers))
+	}
+	for i, w := range workers {
+		if est := ests[i]; est.Err == nil {
+			infos[w-lo].Estimate = &est
+		}
+	}
+	return nil
 }
 
 // Estimates returns the current interval for every non-fired worker with

@@ -2,8 +2,10 @@ package pool
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crowdassess/internal/core"
@@ -366,5 +368,97 @@ func TestStateAndActionStrings(t *testing.T) {
 	}
 	if State(9).String() == "" || Action(9).String() == "" {
 		t.Error("unknown values render empty")
+	}
+}
+
+// countingEvaluator counts the EvaluateSubset calls reaching the evaluator
+// it wraps.
+type countingEvaluator struct {
+	core.StreamingEvaluator
+	subsets atomic.Int64
+}
+
+func (c *countingEvaluator) EvaluateSubset(workers []int, opts core.EvalOptions) ([]core.WorkerEstimate, error) {
+	c.subsets.Add(1)
+	return c.StreamingEvaluator.EvaluateSubset(workers, opts)
+}
+
+// TestWorkerInfosOneEvaluation reads a 16-worker pool holding fired,
+// below-MinResponses and estimated workers: WorkerInfos must cost exactly
+// one EvaluateSubset call and return, bit for bit, what 16 WorkerInfo
+// reads return.
+func TestWorkerInfosOneEvaluation(t *testing.T) {
+	rates := []float64{0.1, 0.15, 0.2, 0.05, 0.1, 0.25, 0.1, 0.3, 0.12, 0.18, 0.08, 0.2, 0.5, 0.5, 0.1, 0.1}
+	const tasks, short = 150, 10
+	ds, _, err := sim.Binary{Tasks: tasks, Workers: len(rates), ErrorRates: rates}.Generate(randx.NewSource(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := core.NewShardedIncremental(len(rates), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &countingEvaluator{StreamingEvaluator: inner}
+	m, err := NewManagerWith(ev, DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for task := 0; task < tasks; task++ {
+		for w := range rates {
+			if w == len(rates)-1 && task >= short {
+				continue // the last worker stays below MinResponses
+			}
+			if err := m.Record(w, task, ds.Response(w, task)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := m.Review(); err != nil {
+		t.Fatal(err)
+	}
+
+	ev.subsets.Store(0)
+	infos, err := m.WorkerInfos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ev.subsets.Load(); got != 1 {
+		t.Errorf("WorkerInfos made %d EvaluateSubset calls, want 1", got)
+	}
+	if len(infos) != len(rates) {
+		t.Fatalf("%d records, want %d", len(infos), len(rates))
+	}
+	var fired, estimated int
+	for w, got := range infos {
+		want, err := m.WorkerInfo(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Worker != want.Worker || got.State != want.State || got.Responses != want.Responses {
+			t.Errorf("worker %d: record %+v, WorkerInfo %+v", w, got, want)
+		}
+		if (got.Estimate == nil) != (want.Estimate == nil) {
+			t.Fatalf("worker %d: estimate %v, WorkerInfo %v", w, got.Estimate, want.Estimate)
+		}
+		if got.State == Fired {
+			fired++
+		}
+		if got.Estimate == nil {
+			continue
+		}
+		estimated++
+		g, e := got.Estimate.Interval, want.Estimate.Interval
+		for _, p := range [][2]float64{{g.Mean, e.Mean}, {g.Lo, e.Lo}, {g.Hi, e.Hi}, {g.Confidence, e.Confidence}} {
+			if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
+				t.Errorf("worker %d: interval %+v, WorkerInfo %+v", w, g, e)
+				break
+			}
+		}
+		if got.Estimate.Triples != want.Estimate.Triples {
+			t.Errorf("worker %d: %d triples, WorkerInfo %d", w, got.Estimate.Triples, want.Estimate.Triples)
+		}
+	}
+	if fired == 0 || estimated == 0 || infos[len(rates)-1].Responses != short || infos[len(rates)-1].Estimate != nil {
+		t.Errorf("fixture lacks a fired (%d), an estimated (%d) or a short worker (%+v)", fired, estimated, infos[len(rates)-1])
 	}
 }

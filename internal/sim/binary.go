@@ -1,8 +1,8 @@
 // Package sim generates the synthetic crowds used throughout the paper's
 // evaluation: binary workers with fixed error rates (Section III), k-ary
 // workers with confusion matrices (Section IV), and seeded emulators for the
-// six real datasets the paper evaluates on (IC, RTE, TEM, MOOC, WSD, WS) —
-// see DESIGN.md for the substitution rationale.
+// six real datasets the paper evaluates on (IC, RTE, TEM, MOOC, WSD, WS),
+// which stand in for the originals because those are not available offline.
 package sim
 
 import (

@@ -12,7 +12,8 @@ import (
 // are not available offline, so each emulator regenerates a crowd with the
 // same shape, sparsity, arity reduction, worker-quality mix and — crucially —
 // task-difficulty variation, which is the mechanism the paper identifies for
-// real data violating the worker-independence assumption. See DESIGN.md.
+// real data violating the worker-independence assumption. Emulated figures
+// therefore match the paper's trends, not its exact numbers.
 
 // EmulateIC regenerates the Image Comparison dataset of [2]: 48 binary tasks
 // × 19 workers, originally regular, with 20% of responses removed uniformly

@@ -77,3 +77,14 @@ func Wald(k, n int, c float64) Interval {
 	half := ConfidenceZ(c) * math.Sqrt(p*(1-p)/float64(n))
 	return NewInterval(p, half, c).ClampTo(0, 1)
 }
+
+// Clamp01 restricts x to the closed unit interval.
+func Clamp01(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	if x > 1 {
+		return 1
+	}
+	return x
+}

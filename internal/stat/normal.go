@@ -1,7 +1,7 @@
 // Package stat provides the statistical substrate for the crowd-assessment
-// algorithms: the normal distribution (PDF/CDF/quantile), descriptive
-// moments, Bernoulli/binomial helpers, confidence-interval types, and the
-// Wilson score interval used by the conservative baseline.
+// algorithms: the normal distribution (PDF/CDF/quantile), the regularized
+// incomplete beta function, confidence-interval types, and the Wilson,
+// Wald and Clopper–Pearson binomial intervals used by the baselines.
 package stat
 
 import "math"

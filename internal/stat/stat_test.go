@@ -198,73 +198,6 @@ func TestWilsonProperties(t *testing.T) {
 	}
 }
 
-func TestMeanVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := Mean(xs); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Variance(xs); math.Abs(got-1.25) > 1e-12 {
-		t.Errorf("Variance = %v, want 1.25", got)
-	}
-	if got := SampleVariance(xs); math.Abs(got-5.0/3) > 1e-12 {
-		t.Errorf("SampleVariance = %v, want 5/3", got)
-	}
-	if got := StdDev(xs); math.Abs(got-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("StdDev = %v", got)
-	}
-}
-
-func TestMomentsEmpty(t *testing.T) {
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Variance(nil)) {
-		t.Error("empty moments should be NaN")
-	}
-	if !math.IsNaN(SampleVariance([]float64{1})) {
-		t.Error("SampleVariance of singleton should be NaN")
-	}
-}
-
-func TestCovariance(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	ys := []float64{2, 4, 6}
-	// Cov(x, 2x) = 2·Var(x) = 2·(2/3).
-	if got := Covariance(xs, ys); math.Abs(got-4.0/3) > 1e-12 {
-		t.Errorf("Covariance = %v, want 4/3", got)
-	}
-	if !math.IsNaN(Covariance(xs, ys[:2])) {
-		t.Error("length mismatch should be NaN")
-	}
-}
-
-// Property: Var(x) = Cov(x, x) ≥ 0.
-func TestVarianceCovarianceConsistency(t *testing.T) {
-	f := func(raw [8]float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e100 {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		va, cov := Variance(xs), Covariance(xs, xs)
-		return va >= 0 && math.Abs(va-cov) <= 1e-9*(1+va)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBernoulliBinomial(t *testing.T) {
-	if got := BernoulliVar(0.3); math.Abs(got-0.21) > 1e-12 {
-		t.Errorf("BernoulliVar = %v", got)
-	}
-	mean, v := BinomialMeanVar(100, 0.2)
-	if mean != 20 || math.Abs(v-16) > 1e-12 {
-		t.Errorf("BinomialMeanVar = %v, %v", mean, v)
-	}
-}
-
 func TestClamp01(t *testing.T) {
 	if Clamp01(-0.5) != 0 || Clamp01(1.5) != 1 || Clamp01(0.3) != 0.3 {
 		t.Error("Clamp01 misbehaves")
