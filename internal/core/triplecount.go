@@ -6,24 +6,33 @@ import (
 	"crowdassess/internal/mat"
 )
 
-// sparseAttendance is the crossover between the two ways tripleCounts
-// answers c_{i,j,k}: the restricted count runs when worker i attended at
-// most 1/sparseAttendance of the task bits its attendance bitset spans.
-// Gathering costs a pass over i's words per partner plus one scatter per
-// shared task, so it grows with density while the saving shrinks with it;
-// and the gather is O(m) per solve where the saving is O(m²), so small
-// crowds gain less. BenchmarkEvaluateSparse measures the crossover at
-// m = 128, where the restricted solve stays ahead to about density 0.4;
-// a quarter keeps a margin for smaller crowds.
-const sparseAttendance = 4
+// sparsePartners sets the crossover between the two ways tripleCounts
+// answers c_{i,j,k}: with p partners in worker i's pairs, the restricted
+// count runs when i attended at most p/sparsePartners of the task bits its
+// attendance bitset spans (restricts). Gathering costs a pass over i's
+// words per partner plus one scatter per shared task, so it grows with
+// density while the saving shrinks with it; and the gather is O(p) per
+// solve where the saving is O(p²), so the fewer the partners, the sparser
+// i must be for the gather to pay. BenchmarkEvaluateSparse measures the
+// crossover near density 0.30 at 128 workers (126 partners), near 0.15 at
+// 64 (62), near 0.07 at 32 (30) and below 0.03 at 21; p/420 is 0.30,
+// 0.148 and 0.071 at the first three.
+const sparsePartners = 420
+
+// restricts reports whether triplesAuto restricts the counts of a worker
+// who attended n of the 64·words task bits its attendance bitset spans and
+// has the given number of partners.
+func restricts(n, words, partners int) bool {
+	return sparsePartners*n <= partners*64*words
+}
 
 // tripleMode selects how a solve counts c_{i,j,k}.
 type tripleMode int
 
 const (
 	// triplesAuto restricts the counts to worker i's tasks when i's
-	// attendance is sparse (see sparseAttendance) and reads the whole
-	// horizon otherwise. Every production solve uses it.
+	// attendance is sparse for its partner count (see sparsePartners) and
+	// reads the whole horizon otherwise. Every production solve uses it.
 	triplesAuto tripleMode = iota
 	// triplesRestricted always gathers; triplesFull never does. Tests and
 	// benchmarks pin the two paths with them.
@@ -66,7 +75,7 @@ func (tc *tripleCounts) init(src agreementSource, m, i int, partners []int, mode
 	for _, word := range own {
 		n += bits.OnesCount64(word)
 	}
-	if mode == triplesFull || (mode == triplesAuto && sparseAttendance*n > 64*len(own)) {
+	if mode == triplesFull || (mode == triplesAuto && !restricts(n, len(own), len(partners))) {
 		tc.masks = ws.GetWords(2 * len(own))
 		return
 	}
@@ -148,17 +157,11 @@ func maskRow(dst, own, other []uint64) {
 // and ry (from row, possibly shorter or longer; missing words are zero).
 // Four and2Count passes would do the same popcounts, but they read rx
 // and ry twice, and on the dense crowd pairRows describes they slowed
-// the queries (docs/performance.md).
+// the queries (docs/performance.md). The words all four rows have go to
+// common3Words, which is an assembly kernel on amd64 with POPCNT.
 func common3Block(ra, rb, rx, ry []uint64) (ax, ay, bx, by int) {
 	n := min(len(ra), len(rx), len(ry))
-	a, b, x, y := ra[:n], rb[:n], rx[:n], ry[:n]
-	for w, wa := range a {
-		wb, wx, wy := b[w], x[w], y[w]
-		ax += bits.OnesCount64(wa & wx)
-		ay += bits.OnesCount64(wa & wy)
-		bx += bits.OnesCount64(wb & wx)
-		by += bits.OnesCount64(wb & wy)
-	}
+	ax, ay, bx, by = common3Words(ra[:n], rb[:n], rx[:n], ry[:n])
 	if n < len(ra) {
 		// rx or ry ends first; the other may go on.
 		ra, rb = ra[n:], rb[n:]
@@ -166,6 +169,21 @@ func common3Block(ra, rb, rx, ry []uint64) (ax, ay, bx, by int) {
 		ay += and2Count(ra, ry[n:])
 		bx += and2Count(rb, rx[n:])
 		by += and2Count(rb, ry[n:])
+	}
+	return ax, ay, bx, by
+}
+
+// common3WordsGo returns |a∩x|, |a∩y|, |b∩x| and |b∩y| over len(a)
+// words; b, x and y must be at least as long. It is the portable form of
+// common3Words and the reference its assembly kernel is tested against.
+func common3WordsGo(a, b, x, y []uint64) (ax, ay, bx, by int) {
+	b, x, y = b[:len(a)], x[:len(a)], y[:len(a)]
+	for w, wa := range a {
+		wb, wx, wy := b[w], x[w], y[w]
+		ax += bits.OnesCount64(wa & wx)
+		ay += bits.OnesCount64(wa & wy)
+		bx += bits.OnesCount64(wb & wx)
+		by += bits.OnesCount64(wb & wy)
 	}
 	return ax, ay, bx, by
 }

@@ -1,0 +1,8 @@
+//go:build !amd64
+
+package core
+
+// common3Words is the Go loop on every GOARCH without the assembly kernel.
+func common3Words(a, b, x, y []uint64) (ax, ay, bx, by int) {
+	return common3WordsGo(a, b, x, y)
+}

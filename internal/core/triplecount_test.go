@@ -48,13 +48,13 @@ func randomAttendance(src *randx.Source, workers, horizon int, density float64) 
 // full-horizon three-way count: for every evaluated worker i and every
 // pair of partners (j, k), the two-way popcount over the packed rows must
 // equal and3Count over the raw bitsets, and common3Block over pairRows
-// and row must return common3's four counts on both paths — across densities on both sides of the
-// crossover, ragged bitset lengths, and workers with no tasks. It also
+// and row must return common3's four counts on both paths — across
+// densities, ragged bitset lengths, and workers with no tasks. It also
 // pins where triplesAuto switches paths.
 func TestRestrictedTripleCountsExact(t *testing.T) {
 	const workers, horizon = 14, 64*23 + 17
-	crossover := 1 / float64(sparseAttendance)
-	for _, density := range []float64{0.02, 0.1, crossover - 0.03, crossover + 0.03, 0.8} {
+	autoPaths := map[bool]int{}
+	for _, density := range []float64{0.02, 0.1, 0.22, 0.28, 0.8} {
 		t.Run(fmt.Sprintf("density=%.2f", density), func(t *testing.T) {
 			att := randomAttendance(randx.NewSource(int64(1000*density)), workers, horizon, density)
 			ws := mat.NewWorkspace()
@@ -74,8 +74,11 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 				for _, word := range att[i] {
 					n += bits.OnesCount64(word)
 				}
-				if wantPacked := sparseAttendance*n <= 64*len(att[i]); auto.packed != wantPacked {
-					t.Errorf("worker %d (%d of %d bits): auto packed=%v, want %v", i, n, 64*len(att[i]), auto.packed, wantPacked)
+				if wantPacked := restricts(n, len(att[i]), len(partners)); auto.packed != wantPacked {
+					t.Errorf("worker %d (%d of %d bits, %d partners): auto packed=%v, want %v", i, n, 64*len(att[i]), len(partners), auto.packed, wantPacked)
+				}
+				if n > 0 {
+					autoPaths[auto.packed]++
 				}
 				for _, j := range partners {
 					for _, k := range partners {
@@ -102,15 +105,18 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 			}
 		})
 	}
-	// The densities straddling the crossover must land on either side of
-	// it for a full-length bitset, or the cases above test one path twice.
+	if autoPaths[true] == 0 || autoPaths[false] == 0 {
+		t.Errorf("auto took the restricted path for %d workers with tasks and the full one for %d; the cases must cover both", autoPaths[true], autoPaths[false])
+	}
+	// The rule must put BenchmarkEvaluateSparse's measured crossovers on
+	// the side they were measured on.
 	for _, c := range []struct {
-		density float64
-		packed  bool
-	}{{crossover - 0.03, true}, {crossover + 0.03, false}} {
-		n := int(c.density * 64 * 100)
-		if got := sparseAttendance*n <= 64*100; got != c.packed {
-			t.Errorf("density %.2f: packed=%v, want %v", c.density, got, c.packed)
+		partners int
+		density  float64
+		packed   bool
+	}{{126, 0.25, true}, {126, 0.35, false}, {62, 0.10, true}, {62, 0.18, false}, {30, 0.04, true}, {30, 0.10, false}} {
+		if got := restricts(int(c.density*64*100), 100, c.partners); got != c.packed {
+			t.Errorf("%d partners, density %.2f: packed=%v, want %v", c.partners, c.density, got, c.packed)
 		}
 	}
 }
@@ -132,7 +138,7 @@ func fullHorizonEstimates(src agreementSource, workers int, opts EvalOptions) []
 // counts) with dense ones (full-horizon counts): ShardedIncremental at 1,
 // 2 and 7 shards, and a StatsAccumulator built from deltas alone.
 func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
-	const workers = 20
+	const workers = 40
 	densities := make([]float64, workers)
 	for w := range densities {
 		densities[w] = []float64{0.05, 0.1, 0.2, 0.6}[w%4]
@@ -180,8 +186,9 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 	packed := 0
 	ws := mat.NewWorkspace()
 	for w := 0; w < workers; w++ {
+		ws.Reset()
 		var c tripleCounts
-		c.init(batch, workers, w, nil, triplesAuto, ws)
+		c.init(batch, workers, w, formPairs(batch, workers, w, opts.Pairing, 1, ws), triplesAuto, ws)
 		if c.packed {
 			packed++
 		}
@@ -231,7 +238,7 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 	ws := mat.NewWorkspace()
 	const worker = 5
 	var c tripleCounts
-	c.init(st, workers, worker, nil, triplesAuto, ws)
+	c.init(st, workers, worker, formPairs(st, workers, worker, opts.Pairing, 1, ws), triplesAuto, ws)
 	if !c.packed {
 		t.Fatal("worker is not sparse enough for the restricted path")
 	}
@@ -247,55 +254,60 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkEvaluateSparse is the evidence for sparseAttendance: one A2
-// solve per iteration (cycling through the workers) of a 128-worker crowd
-// over 24 000 tasks, the review_sparse shape, with the triple counts
-// restricted to the evaluated worker's tasks or read over the full
-// horizon, across attendance densities. On a 2-vCPU Intel Xeon VM (Go
-// 1.24, -benchtime=384x; runs there vary by up to 30%):
+// BenchmarkEvaluateSparse is the evidence for sparsePartners: one A2
+// solve per iteration (cycling through the workers) with the triple
+// counts restricted to the evaluated worker's tasks or read over the full
+// horizon, across attendance densities, for two shapes: 128 workers over
+// 24 000 tasks (review_sparse) and 64 over 108 000 (ingest_http). On a
+// 2-vCPU Intel Xeon VM (Go 1.24, medians of three -benchtime=128x runs;
+// runs there vary by up to 30%):
 //
-//	density  restricted  full     full/restricted
-//	0.05     0.69 ms     3.35 ms  4.9×
-//	0.10     1.13 ms     4.65 ms  4.1×
-//	0.25     1.90 ms     3.17 ms  1.7×
-//	0.40     2.90 ms     4.18 ms  1.4×
-//	0.80     9.19 ms     4.24 ms  0.46×
+//	         128 × 24 000                  64 × 108 000
+//	density  restricted  full     full/r   restricted  full     full/r
+//	0.05     0.59 ms     1.84 ms  3.1×     0.55 ms     1.91 ms  3.5×
+//	0.10     0.91 ms     1.69 ms  1.9×     1.47 ms     1.70 ms  1.2×
+//	0.15     1.08 ms     1.92 ms  1.8×     1.77 ms     1.80 ms  1.0×
+//	0.20     1.36 ms     1.91 ms  1.4×     2.29 ms     1.92 ms  0.84×
+//	0.25     1.93 ms     2.15 ms  1.1×     2.99 ms     1.92 ms  0.64×
+//	0.30     1.91 ms     1.96 ms  1.0×     3.08 ms     2.01 ms  0.65×
+//	0.40     2.64 ms     1.78 ms  0.68×    4.74 ms     1.77 ms  0.37×
+//	0.80     7.14 ms     2.04 ms  0.29×    14.20 ms    1.98 ms  0.14×
 //
-// The restricted solve falls behind between 0.4 and 0.8. The same sweep at
-// m = 21 over 2 000 tasks, where the O(m) gather weighs more against the
-// O(m²) saving, has the restricted solve slower already at 0.1 (17 µs
-// against 16 µs) and half the speed at 0.4; density at most 1/4 keeps
-// large sparse crowds on the restricted path and every crowd of density
-// 0.4 or more on the full one. The switch is per worker, so the paper's
-// figure 3 and 4 sweeps over the emulated real crowds take both paths:
-// with the emulators seeded 1, 79 of RTE's 164 workers and 36 of TEM's 76
-// take the restricted one (68 of 145 and 32 of 69 after figure 4's
-// spammer pruning), and all 19 of IC's take the full one.
+// The crossover sits near 0.30 at 128 workers and near 0.15 at 64; with
+// the same benchmark, it sits near 0.07 at 32 workers over 24 000 tasks
+// and below 0.03 at 21 over 2 000. So the switch scales with the partner
+// count (restricts). It is per worker, so the paper's figure 3 and 4
+// sweeps over the emulated real crowds take both paths: with the
+// emulators seeded 1, 112 of RTE's 164 workers and 30 of TEM's 76 take
+// the restricted one (88 of 145 and 25 of 69 after figure 4's spammer
+// pruning), and none of IC's 19.
 func BenchmarkEvaluateSparse(b *testing.B) {
-	const workers, tasks = 128, 24000
-	for _, density := range []float64{0.05, 0.1, 0.25, 0.4, 0.8} {
-		b.Run(fmt.Sprintf("density=%.2f", density), func(b *testing.B) {
-			ds, _, err := sim.Binary{Tasks: tasks, Workers: workers, Density: density, ErrorRateChoices: []float64{0.1, 0.2}}.Generate(randx.NewSource(7))
-			if err != nil {
-				b.Fatal(err)
-			}
-			cache := newFullStatsCache(ds)
-			for _, mode := range []struct {
-				name string
-				mode tripleMode
-			}{{"restricted", triplesRestricted}, {"full", triplesFull}} {
-				b.Run(mode.name, func(b *testing.B) {
-					ws := mat.NewWorkspace()
-					opts := EvalOptions{Confidence: 0.9}
-					b.ReportAllocs()
-					for n := 0; n < b.N; n++ {
-						if d := solveWorker(cache, workers, n%workers, opts, 1, mode.mode, ws); d.Err != nil {
-							b.Fatal(d.Err)
+	for _, shape := range []struct{ workers, tasks int }{{128, 24000}, {64, 108000}} {
+		for _, density := range []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.8} {
+			b.Run(fmt.Sprintf("m=%d/tasks=%d/density=%.2f", shape.workers, shape.tasks, density), func(b *testing.B) {
+				workers := shape.workers
+				ds, _, err := sim.Binary{Tasks: shape.tasks, Workers: workers, Density: density, ErrorRateChoices: []float64{0.1, 0.2}}.Generate(randx.NewSource(7))
+				if err != nil {
+					b.Fatal(err)
+				}
+				cache := newFullStatsCache(ds)
+				for _, mode := range []struct {
+					name string
+					mode tripleMode
+				}{{"restricted", triplesRestricted}, {"full", triplesFull}} {
+					b.Run(mode.name, func(b *testing.B) {
+						ws := mat.NewWorkspace()
+						opts := EvalOptions{Confidence: 0.9}
+						b.ReportAllocs()
+						for n := 0; n < b.N; n++ {
+							if d := solveWorker(cache, workers, n%workers, opts, 1, mode.mode, ws); d.Err != nil {
+								b.Fatal(d.Err)
+							}
 						}
-					}
-				})
-			}
-		})
+					})
+				}
+			})
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -287,18 +288,44 @@ func TestInverseProperty(t *testing.T) {
 	}
 }
 
+// propertyCases is how many inputs each testing/quick property draws.
+const propertyCases = 200
+
+// moderateRows is a quick.Config.Values generator for properties over
+// [3]float64 rows: entries are drawn from N(0, 100²). quick's own float64
+// values reach ±MaxFloat64, so products overflow and a property's
+// tolerance or guard would pass every case without comparing anything.
+func moderateRows(args []reflect.Value, r *rand.Rand) {
+	for i := range args {
+		var row [3]float64
+		for j := range row {
+			row[j] = 100 * r.NormFloat64()
+		}
+		args[i] = reflect.ValueOf(row)
+	}
+}
+
 // Property: (AB)ᵀ = BᵀAᵀ, checked with testing/quick over 3×3 inputs.
+// Every case must reach the comparison with a finite tolerance.
 func TestTransposeProductProperty(t *testing.T) {
+	compared := 0
 	f := func(a0, a1, a2, b0, b1, b2 [3]float64) bool {
 		a := FromRows([][]float64{a0[:], a1[:], a2[:]})
 		b := FromRows([][]float64{b0[:], b1[:], b2[:]})
 		left := transpose(mul(a, b))
 		right := mul(transpose(b), transpose(a))
 		tol := 1e-9 * (1 + left.MaxAbs())
+		if math.IsInf(tol, 0) || math.IsNaN(tol) {
+			return true
+		}
+		compared++
 		return left.EqualApprox(right, tol)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: propertyCases, Values: moderateRows}); err != nil {
 		t.Error(err)
+	}
+	if compared != propertyCases {
+		t.Errorf("%d of %d cases reached the comparison", compared, propertyCases)
 	}
 }
 
@@ -539,6 +566,7 @@ func TestEigenSymProperty(t *testing.T) {
 }
 
 func TestEigenSymTraceProperty(t *testing.T) {
+	compared := 0
 	f := func(a0, a1, a2 [3]float64) bool {
 		a := symmetrize(FromRows([][]float64{a0[:], a1[:], a2[:]}))
 		if a.MaxAbs() > 1e100 { // also skips overflow to ±Inf
@@ -553,10 +581,14 @@ func TestEigenSymTraceProperty(t *testing.T) {
 			tr += a.At(i, i)
 			sum += e.Values[i]
 		}
+		compared++
 		return almostEqual(tr, sum, 1e-8*(1+math.Abs(tr)))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: propertyCases, Values: moderateRows}); err != nil {
 		t.Error(err)
+	}
+	if compared != propertyCases {
+		t.Errorf("%d of %d cases reached the comparison", compared, propertyCases)
 	}
 }
 
