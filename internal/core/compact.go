@@ -69,9 +69,10 @@ func (s *ShardedIncremental) checkpointCut() (stats *StatsExport, yes []uint64) 
 	stats = mergedExport(s.workers, s.shards)
 	yes = make([]uint64, stats.Tasks*s.words)
 	for _, sh := range s.shards {
-		for t, off := range sh.colOf {
+		sh.colOf.each(func(t, col int) {
+			off := col * 2 * s.words
 			copy(yes[t*s.words:(t+1)*s.words], sh.cols[off+s.words:off+2*s.words])
-		}
+		})
 	}
 	return stats, yes
 }
@@ -252,6 +253,7 @@ func (s *ShardedIncremental) RestoreCompact(cs *CompactState) error {
 		sh.colOf, sh.cols, sh.dirty, sh.stats = b.colOf, b.cols, b.dirty, b.stats
 		sh.tasks, sh.responses = b.tasks, b.responses
 		sh.epoch += b.epoch
+		sh.unmerged, sh.remerge = b.unmerged, b.remerge
 	}
 	return nil
 }
@@ -303,7 +305,7 @@ func (s *ShardedIncremental) restoredShards(cs *CompactState) ([]*incShard, erro
 		for i, sh := range shards {
 			for m := masks[i][k]; m != 0; m &= m - 1 {
 				j := bits.TrailingZeros64(m)
-				sh.colOf[64*k+j] = len(sh.cols)
+				*sh.colOf.slot(64*k + j) = int32(len(sh.cols)/(2*s.words)) + 1
 				for b := range att {
 					sh.cols = append(sh.cols, att[b][j])
 				}
@@ -332,11 +334,8 @@ func (s *ShardedIncremental) maskedShard(responded [][]uint64, mask []uint64) *i
 	for _, word := range mask {
 		n += bits.OnesCount64(word)
 	}
-	sh := &incShard{
-		colOf: make(map[int]int, n),
-		cols:  make([]uint64, 0, 2*s.words*n),
-		stats: newStreamStats(s.workers),
-	}
+	sh := newIncShard(s.workers)
+	sh.cols = make([]uint64, 0, 2*s.words*n)
 	for w, row := range responded {
 		last := -1
 		for k, word := range row {

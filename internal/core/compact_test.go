@@ -297,13 +297,20 @@ func requireSameShards(t testing.TB, got, want *ShardedIncremental) {
 				t.Fatalf("shard %d: attendance of worker %d is %x, want %x", i, p, g.stats.responded[p], w.stats.responded[p])
 			}
 		}
-		if !maps.Equal(g.colOf, w.colOf) || !slices.Equal(g.cols, w.cols) {
+		if !maps.Equal(columnsOf(g.colOf), columnsOf(w.colOf)) || !slices.Equal(g.cols, w.cols) {
 			t.Fatalf("shard %d: task columns differ", i)
 		}
 		if !slices.Equal(g.dirty, w.dirty) {
 			t.Fatalf("shard %d: dirty task words %x, want %x", i, g.dirty, w.dirty)
 		}
 	}
+}
+
+// columnsOf lists a column index as task → column number.
+func columnsOf(c colIndex) map[int]int {
+	m := map[int]int{}
+	c.each(func(t, col int) { m[t] = col })
+	return m
 }
 
 // requireSameReads requires EvaluateAll and MajorityDisagreement to agree

@@ -40,14 +40,12 @@ func newStreamStats(workers int) *streamStats {
 	return s
 }
 
-// reset zeroes a merge's statistics for the next merge and keeps every
-// buffer: the counters are cleared and the attendance bitsets truncated to
-// length zero, so addFrom's growth reuses their capacity.
-func (s *streamStats) reset() {
+// clearCounters zeroes the pairwise counters and keeps the attendance
+// bitsets.
+func (s *streamStats) clearCounters() {
 	for i := range s.agree {
 		clear(s.agree[i])
 		clear(s.common[i])
-		s.responded[i] = s.responded[i][:0]
 	}
 }
 
@@ -84,6 +82,14 @@ func (s *streamStats) record(w, t int, r crowd.Response, attended, yes []uint64)
 // exactly one of them), which the sharded evaluator's task-striping
 // guarantees.
 func (s *streamStats) addFrom(o *streamStats) {
+	s.addCounters(o)
+	for i := range s.responded {
+		s.responded[i].orWith(o.responded[i])
+	}
+}
+
+// addCounters adds o's pairwise counters into s's.
+func (s *streamStats) addCounters(o *streamStats) {
 	for i := range s.agree {
 		ai, oa := s.agree[i], o.agree[i]
 		ci, oc := s.common[i], o.common[i]
@@ -91,7 +97,6 @@ func (s *streamStats) addFrom(o *streamStats) {
 			ai[j] += oa[j]
 			ci[j] += oc[j]
 		}
-		s.responded[i].orWith(o.responded[i])
 	}
 }
 

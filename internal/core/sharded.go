@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"crowdassess/internal/crowd"
@@ -71,10 +73,13 @@ type ShardedIncremental struct {
 	// mergeMu guards the lazy merge state below; see snapshot. merged is
 	// the published merge, built on the first read, and spare the other
 	// one, built when a rebuild first finds merged under a solve. An
-	// evaluator that is only ever cut holds neither.
+	// evaluator that is only ever cut holds neither. mergedSlot is the
+	// merge slot (the index into each shard's unmerged marks) of merged;
+	// spare's is the other.
 	mergeMu      sync.Mutex
 	merged       *StatsAccumulator
 	spare        *StatsAccumulator
+	mergedSlot   int
 	mergedEpochs []uint64
 
 	// solveMu lets one solve run at a time, which also keeps the two
@@ -96,12 +101,11 @@ type incShard struct {
 	// mu guards every ingestion field below it.
 	mu    sync.Mutex
 	epoch uint64 // advanced by every successful Add; drives lazy re-merges
-	// cols is a slab of per-task columns and colOf maps each task of this
-	// stripe to the offset of its column. A column is words attendance
-	// words (bit w set when worker w answered the task) followed by words
-	// answer words (bit w set when that answer was Yes): each response is
-	// stored once, as two bits.
-	colOf map[int]int
+	// cols is a slab of per-task columns, found through colOf (see
+	// colIndex). A column is words attendance words (bit w set when worker
+	// w answered the task) followed by words answer words (bit w set when
+	// that answer was Yes): each response is stored once, as two bits.
+	colOf colIndex
 	cols  []uint64
 	// dirty marks the task words (t/64) of this stripe that gained
 	// responses since the last cut.
@@ -109,6 +113,22 @@ type incShard struct {
 	stats     *streamStats
 	tasks     int // highest task index seen in this stripe + 1
 	responses int // running response count for this stripe
+
+	// unmerged[j][w] marks the words of stats.responded[w] (bit k for word
+	// k) that gained bits since merge slot j last read this shard, and
+	// remerge[j] asks slot j to read the bitsets whole instead: set for a
+	// new or restored shard. See snapshot.
+	unmerged [2][]dynBitset
+	remerge  [2]bool
+}
+
+// newIncShard returns an empty shard for the given crowd size.
+func newIncShard(workers int) *incShard {
+	sh := &incShard{stats: newStreamStats(workers), remerge: [2]bool{true, true}}
+	for j := range sh.unmerged {
+		sh.unmerged[j] = make([]dynBitset, workers)
+	}
+	return sh
 }
 
 // NewShardedIncremental returns an empty streaming evaluator for the given
@@ -130,10 +150,7 @@ func NewShardedIncremental(workers, shards int) (*ShardedIncremental, error) {
 		mergedEpochs: make([]uint64, shards),
 	}
 	for i := range s.shards {
-		s.shards[i] = &incShard{
-			colOf: make(map[int]int),
-			stats: newStreamStats(workers),
-		}
+		s.shards[i] = newIncShard(workers)
 	}
 	return s, nil
 }
@@ -193,6 +210,81 @@ func (s *ShardedIncremental) Responses() int {
 // number of goroutines; responses to tasks in different stripes never
 // contend.
 func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
+	if err := s.checkResponse(w, t, r); err != nil {
+		return err
+	}
+	sh := s.shardOf(t)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.checkNew(w, t); err != nil {
+		return err
+	}
+	sh.record(w, t, r, s.words)
+	return nil
+}
+
+// Response is one response of a batch: worker Worker answered task Task
+// with Answer.
+type Response struct {
+	Worker int
+	Task   int
+	Answer crowd.Response
+}
+
+// AddBatch records the responses of rs as that many Adds would, but takes
+// each shard's lock twice per batch instead of once per response, so two
+// concurrent batches, or a batch and a read's merge, meet once per shard
+// rather than once per response. Under a contended lock, each meeting can
+// park the goroutine behind whatever holds the CPUs.
+//
+// The batch is checked whole before any of it is recorded: when a response
+// is invalid or repeats one already recorded, AddBatch records nothing and
+// returns that response's error. rs must not itself repeat a worker–task
+// pair; a repeat, or a concurrent Add of one of the batch's pairs, is
+// refused when recording reaches it, and the batch is then recorded only
+// in part.
+func (s *ShardedIncremental) AddBatch(rs []Response) error {
+	for i, x := range rs {
+		if err := s.checkResponse(x.Worker, x.Task, x.Answer); err != nil {
+			return fmt.Errorf("core: batch response %d: %w", i, err)
+		}
+	}
+	// The first pass only checks; the second checks again, since the
+	// locks were released in between, and records.
+	for _, recording := range []bool{false, true} {
+		for i, sh := range s.shards {
+			sh.mu.Lock()
+			err := s.passOver(rs, i, sh, recording)
+			sh.mu.Unlock()
+			if err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// passOver checks, in batch order, the responses of rs whose task shard i
+// owns, and records each when recording is set. It stops at the first one
+// already recorded. The caller holds sh.mu.
+func (s *ShardedIncremental) passOver(rs []Response, i int, sh *incShard, recording bool) error {
+	for j, x := range rs {
+		if len(s.shards) > 1 && s.shardIndex(x.Task) != i {
+			continue
+		}
+		if err := sh.checkNew(x.Worker, x.Task); err != nil {
+			return fmt.Errorf("core: batch response %d: %w", j, err)
+		}
+		if recording {
+			sh.record(x.Worker, x.Task, x.Answer, s.words)
+		}
+	}
+	return nil
+}
+
+// checkResponse validates a response against the crowd: the checks that
+// need no shard lock.
+func (s *ShardedIncremental) checkResponse(w, t int, r crowd.Response) error {
 	if w < 0 || w >= s.workers {
 		return fmt.Errorf("core: worker %d out of range 0…%d", w, s.workers-1)
 	}
@@ -202,33 +294,81 @@ func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	if r != crowd.Yes && r != crowd.No {
 		return fmt.Errorf("core: streaming evaluator is binary; response %d: %w", r, crowd.ErrArity)
 	}
-	sh := s.shardOf(t)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	return nil
+}
+
+// checkNew refuses a response worker w already gave on task t. The caller
+// holds sh.mu.
+func (sh *incShard) checkNew(w, t int) error {
 	if sh.stats.responded[w].get(t) {
 		return fmt.Errorf("core: worker %d already answered task %d", w, t)
 	}
-	attended, yes := sh.column(t, s.words)
+	return nil
+}
+
+// record adds a checked response to the shard. The caller holds sh.mu.
+func (sh *incShard) record(w, t int, r crowd.Response, words int) {
+	attended, yes := sh.column(t, words)
 	sh.stats.record(w, t, r, attended, yes)
 	sh.dirty.set(t / 64)
+	for j := range sh.unmerged {
+		sh.unmerged[j][w].set(t / 64)
+	}
 	sh.responses++
 	if t+1 > sh.tasks {
 		sh.tasks = t + 1
 	}
 	sh.epoch++
-	return nil
 }
 
 // column returns task t's attendance and answer words, giving the task a
 // zeroed column first if it has none.
 func (sh *incShard) column(t, words int) (attended, yes []uint64) {
-	off, ok := sh.colOf[t]
-	if !ok {
-		off = len(sh.cols)
-		sh.colOf[t] = off
+	slot := sh.colOf.slot(t)
+	if *slot == 0 {
 		sh.cols = append(sh.cols, make([]uint64, 2*words)...)
+		*slot = int32(len(sh.cols) / (2 * words))
 	}
+	off := int(*slot-1) * 2 * words
 	return sh.cols[off : off+words], sh.cols[off+words : off+2*words]
+}
+
+// colPage is how many tasks one page of a colIndex covers.
+const colPage = 1024
+
+// colIndex maps a shard's tasks to their columns: entry t%colPage of page
+// t/colPage is 1 + the number of task t's column in the slab, or 0 while
+// t has none (as every task of another stripe). Task ids are dense, so a
+// lookup is two loads where a map took a hashed probe; pages are
+// allocated on first use, so a stray large id costs a directory entry per
+// colPage tasks rather than one per task.
+type colIndex []*[colPage]int32
+
+// slot returns task t's entry, allocating its page if need be.
+func (c *colIndex) slot(t int) *int32 {
+	p := t / colPage
+	if p >= len(*c) {
+		*c = slices.Grow(*c, p+1-len(*c))[:p+1]
+	}
+	if (*c)[p] == nil {
+		(*c)[p] = new([colPage]int32)
+	}
+	return &(*c)[p][t%colPage]
+}
+
+// each calls f on every task with a column and that column's number, in
+// task order.
+func (c colIndex) each(f func(t, col int)) {
+	for p, page := range c {
+		if page == nil {
+			continue
+		}
+		for i, v := range page {
+			if v != 0 {
+				f(p*colPage+i, int(v-1))
+			}
+		}
+	}
 }
 
 // snapshot returns the published merge of every shard, rebuilding it first
@@ -274,13 +414,15 @@ func (s *ShardedIncremental) snapshot() *StatsAccumulator {
 			s.spare.ws = m.ws
 		}
 		m, s.spare = s.spare, m
+		s.mergedSlot = 1 - s.mergedSlot
 		m.mu.Lock()
 	}
-	m.stats.reset()
+	m.stats.clearCounters()
 	m.tasks, m.responses, m.digestValid = 0, 0, false
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		m.stats.addFrom(sh.stats)
+		m.stats.addCounters(sh.stats)
+		sh.mergeInto(m.stats, s.mergedSlot)
 		m.tasks = max(m.tasks, sh.tasks)
 		m.responses += sh.responses
 		s.mergedEpochs[i] = sh.epoch
@@ -289,6 +431,43 @@ func (s *ShardedIncremental) snapshot() *StatsAccumulator {
 	m.mu.Unlock()
 	s.merged = m
 	return m
+}
+
+// mergeInto brings the attendance bitsets of dst, merge slot j's
+// accumulator, up to date with the shard's: it ORs in the words marked
+// since slot j last read the shard, or every word when the slot must read
+// the shard whole. Shards only gain bits — a restore replaces an empty
+// shard — so dst never holds a bit the shard has lost, and the result is
+// the union a rebuild from scratch would make, bitset lengths included.
+// A merge thus costs O(words changed), not O(task horizon): under a steady
+// stream a read pulls a few thousand words per shard instead of every
+// worker's whole bitset. The caller holds sh.mu.
+func (sh *incShard) mergeInto(dst *streamStats, j int) {
+	if sh.remerge[j] {
+		for w, b := range sh.stats.responded {
+			dst.responded[w].orWith(b)
+		}
+		for w := range sh.unmerged[j] {
+			sh.unmerged[j][w] = sh.unmerged[j][w][:0]
+		}
+		sh.remerge[j] = false
+		return
+	}
+	for w, marks := range sh.unmerged[j] {
+		if len(marks) == 0 {
+			continue
+		}
+		src := sh.stats.responded[w]
+		d := &dst.responded[w]
+		d.grow(len(src))
+		for i, m := range marks {
+			for ; m != 0; m &= m - 1 {
+				k := i*64 + bits.TrailingZeros64(m)
+				(*d)[k] |= src[k]
+			}
+		}
+		sh.unmerged[j][w] = marks[:0]
+	}
 }
 
 // Evaluate returns the current error-rate interval for one worker.

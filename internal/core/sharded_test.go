@@ -7,6 +7,8 @@ import (
 	mathbits "math/bits"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -287,6 +289,202 @@ func TestShardedConcurrentAdd(t *testing.T) {
 	}
 }
 
+// batchOf converts submissions to an AddBatch argument.
+func batchOf(subs []submission) []Response {
+	rs := make([]Response, len(subs))
+	for i, s := range subs {
+		rs[i] = Response{Worker: s.w, Task: s.t, Answer: s.r}
+	}
+	return rs
+}
+
+// TestAddBatchMatchesAdd pins AddBatch to one Add per response: fed the
+// same stream in batches of 1, 7 and 256, an evaluator holds the same
+// shard state, field by field, and reads the same intervals bit for bit,
+// at 1, 2 and 7 shards and on both sides of the 64-worker word boundary.
+func TestAddBatchMatchesAdd(t *testing.T) {
+	small, _, err := sim.Binary{Tasks: 300, Workers: 5, Density: 0.7}.Generate(randx.NewSource(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ds := range []*crowd.Dataset{small, wideCrowd(t, 90, 0.6, 9)} {
+		subs := shuffledStream(t, ds, 4)
+		for _, shards := range []int{1, 2, 7} {
+			t.Run(fmt.Sprintf("workers=%d/shards=%d", ds.Workers(), shards), func(t *testing.T) {
+				one, err := NewShardedIncremental(ds.Workers(), shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				batched, err := NewShardedIncremental(ds.Workers(), shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range subs {
+					if err := one.Add(s.w, s.t, s.r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sizes := []int{1, 7, 256}
+				for lo, k := 0, 0; lo < len(subs); k++ {
+					hi := min(lo+sizes[k%len(sizes)], len(subs))
+					if err := batched.AddBatch(batchOf(subs[lo:hi])); err != nil {
+						t.Fatalf("batch [%d, %d): %v", lo, hi, err)
+					}
+					lo = hi
+				}
+				requireSameShards(t, batched, one)
+				requireSameReads(t, batched, one)
+			})
+		}
+	}
+}
+
+// TestAddBatchChecksWholeBatch pins AddBatch's refusals: an invalid
+// response or one already recorded, anywhere in a batch that spans every
+// shard, leaves the evaluator exactly as it was. A batch repeating a pair
+// within itself is refused at the repeat: the shards before the repeat's
+// hold their whole part of the batch, its own shard the part before it,
+// and the shards after nothing.
+func TestAddBatchChecksWholeBatch(t *testing.T) {
+	const workers, shards = 4, 3
+	prior := []submission{{0, 0, crowd.Yes}, {1, 5, crowd.No}}
+	fresh := func(t *testing.T, subs ...submission) *ShardedIncremental {
+		t.Helper()
+		s, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range subs {
+			if err := s.Add(x.w, x.t, x.r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	var spread []submission // worker 2 on tasks 10…39: every shard gets some
+	hit := make([]bool, shards)
+	for task := 10; task < 40; task++ {
+		spread = append(spread, submission{2, task, crowd.Response(1 + task%2)})
+		hit[fresh(t).shardIndex(task)] = true
+	}
+	if slices.Contains(hit, false) {
+		t.Fatalf("tasks 10…39 miss a shard: %v", hit)
+	}
+	with := func(x submission) []Response {
+		return batchOf(append(slices.Clone(spread), x))
+	}
+	for _, c := range []struct {
+		name  string
+		batch []Response
+		is    error
+	}{
+		{"worker out of range", with(submission{workers, 50, crowd.Yes}), nil},
+		{"negative task", with(submission{3, -1, crowd.Yes}), nil},
+		{"non-binary answer", with(submission{3, 50, crowd.Response(3)}), crowd.ErrArity},
+		{"already recorded", with(prior[1]), nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := fresh(t, prior...)
+			err := s.AddBatch(c.batch)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("batch response %d", len(spread))) {
+				t.Fatalf("err = %v, want a refusal of batch response %d", err, len(spread))
+			}
+			if c.is != nil && !errors.Is(err, c.is) {
+				t.Errorf("err = %v, want %v", err, c.is)
+			}
+			requireSameShards(t, s, fresh(t, prior...))
+		})
+	}
+
+	t.Run("repeat within the batch", func(t *testing.T) {
+		s := fresh(t, prior...)
+		batch := append(slices.Clone(spread), spread[3])
+		err := s.AddBatch(batchOf(batch))
+		if err == nil || !strings.Contains(err.Error(), "already answered") {
+			t.Fatalf("err = %v, want the repeat refused", err)
+		}
+		failing := s.shardIndex(spread[3].t)
+		want := fresh(t, prior...)
+		for i := 0; i <= failing; i++ {
+			for _, x := range batch[:len(batch)-1] {
+				if s.shardIndex(x.t) == i {
+					if err := want.Add(x.w, x.t, x.r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		requireSameShards(t, s, want)
+	})
+
+	t.Run("valid batch", func(t *testing.T) {
+		s := fresh(t, prior...)
+		if err := s.AddBatch(batchOf(spread)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddBatch(nil); err != nil {
+			t.Fatalf("empty batch: %v", err)
+		}
+		requireSameShards(t, s, fresh(t, append(slices.Clone(prior), spread...)...))
+	})
+}
+
+// TestShardedConcurrentAddBatch ingests in batches from several goroutines
+// while others read, then checks the final intervals against the batch
+// algorithm. Run under -race it is AddBatch's concurrency-safety test.
+func TestShardedConcurrentAddBatch(t *testing.T) {
+	const goroutines, size = 4, 16
+	ds, _, err := sim.Binary{Tasks: 240, Workers: 9, Density: 0.7}.Generate(randx.NewSource(56))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := shuffledStream(t, ds, 5)
+	sharded, err := NewShardedIncremental(9, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads sync.WaitGroup
+	var stop atomic.Bool
+	reads.Add(1)
+	go func() {
+		defer reads.Done()
+		for !stop.Load() {
+			if _, err := sharded.EvaluateAll(EvalOptions{Confidence: 0.9}); err != nil {
+				t.Errorf("concurrent EvaluateAll: %v", err)
+				return
+			}
+			sharded.MajorityDisagreement()
+		}
+	}()
+	var ingest sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		ingest.Add(1)
+		go func(g int) {
+			defer ingest.Done()
+			for lo := g * size; lo < len(subs); lo += goroutines * size {
+				if err := sharded.AddBatch(batchOf(subs[lo:min(lo+size, len(subs))])); err != nil {
+					t.Errorf("concurrent AddBatch at %d: %v", lo, err)
+					return
+				}
+			}
+		}(g)
+	}
+	ingest.Wait()
+	stop.Store(true)
+	reads.Wait()
+
+	opts := EvalOptions{Confidence: 0.9}
+	want, err := EvaluateWorkers(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sharded.EvaluateAll(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameEstimates(t, got, want)
+}
+
 // TestShardedLazyMerge pins the epoch mechanism: evaluating a quiescent
 // pool must reuse the previous merge, and any Add must invalidate it. A
 // rebuild writes the published merge in place, so the test marks the
@@ -487,6 +685,61 @@ func TestShardedRecycledMergeConcurrent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIncrementalMergeMatchesRebuild pins the incremental merge: a read
+// ORs in only the attendance words marked since its merge slot last read
+// each shard, yet whichever slot it lands in, the merge must equal one
+// rebuilt from the shards from scratch, bitset lengths included. Held
+// merges push reads onto the spare, so both slots fall behind and catch
+// up; a restore into an evaluator read while empty must be read whole.
+func TestIncrementalMergeMatchesRebuild(t *testing.T) {
+	ds := wideCrowd(t, 400, 0.5, 21)
+	subs := shuffledStream(t, ds, 6)
+	s, err := NewShardedIncremental(ds.Workers(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *ShardedIncremental, when string) {
+		t.Helper()
+		// Not Export: the published merge may be the one the test holds.
+		m := s.snapshot()
+		got := exportStats(m.stats, m.workers, m.tasks, m.responses)
+		if want := mergedExport(s.workers, s.shards); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the merge differs from a rebuild", when)
+		}
+	}
+	var held *StatsAccumulator
+	for i, x := range subs {
+		if err := s.Add(x.w, x.t, x.r); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case i%97 == 50:
+			held = s.snapshot()
+			held.mu.Lock()
+		case i%97 == 80:
+			held.mu.Unlock()
+		}
+		if i%29 == 0 {
+			check(s, fmt.Sprintf("after %d responses", i+1))
+		}
+	}
+	check(s, "at the end")
+	if s.spare == nil {
+		t.Fatal("no read landed on the spare")
+	}
+
+	r, err := NewShardedIncremental(ds.Workers(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(r, "empty")
+	if err := r.RestoreCompact(s.CompactCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	check(r, "after the restore")
+	requireSameReads(t, r, s)
 }
 
 // TestShardedMergeRecycles checks that a steady Add-then-read stream

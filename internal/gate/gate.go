@@ -27,7 +27,6 @@ package gate
 import (
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -376,18 +375,19 @@ type IngestResult struct {
 	Rejected int `json:"rejected"`
 }
 
-// bodyBufs and batchKeys recycle handleIngest's body buffers and
-// per-batch (worker, task) sets. Nothing decoded from a body refers into
-// its buffer.
+// bodyBufs, batchKeys and ingestBatches recycle handleIngest's body
+// buffers, per-batch (worker, task) sets and the batches it hands the pool
+// manager. Nothing decoded from a body refers into its buffer.
 var (
-	bodyBufs  = sync.Pool{New: func() any { return new([]byte) }}
-	batchKeys = sync.Pool{New: func() any { return make(map[[2]int]int) }}
+	bodyBufs      = sync.Pool{New: func() any { return new([]byte) }}
+	batchKeys     = sync.Pool{New: func() any { return make(map[[2]int]int) }}
+	ingestBatches = sync.Pool{New: func() any { return new([]core.Response) }}
 )
 
 // handleIngest is POST /v1/responses:batch: read the body whole, validate
-// the whole batch up front, then record every response through the
-// tenant's pool manager — fired workers count as rejected — and flush the
-// backend so remote rejections surface on this request.
+// the whole batch up front, then record it through the tenant's pool
+// manager in one RecordBatch — fired workers count as rejected — and flush
+// the backend so remote rejections surface on this request.
 func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
 	buf := bodyBufs.Get().(*[]byte)
@@ -438,19 +438,19 @@ func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request
 		}
 		first[key] = i
 	}
-	res := IngestResult{}
+	batch := ingestBatches.Get().(*[]core.Response)
+	rs := (*batch)[:0]
 	for _, rec := range req.Responses {
-		err := t.mgr.Record(rec.Worker, rec.Task, crowd.Response(rec.Answer))
-		switch {
-		case errors.Is(err, pool.ErrFired):
-			res.Rejected++
-		case err != nil:
-			writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
-			return
-		default:
-			res.Ingested++
-		}
+		rs = append(rs, core.Response{Worker: rec.Worker, Task: rec.Task, Answer: crowd.Response(rec.Answer)})
 	}
+	ingested, rejected, err := t.mgr.RecordBatch(rs)
+	*batch = rs
+	ingestBatches.Put(batch)
+	if err != nil {
+		writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())
+		return
+	}
+	res := IngestResult{Ingested: ingested, Rejected: rejected}
 	if t.flush != nil {
 		if err := t.flush(); err != nil {
 			writeError(w, http.StatusBadGateway, CodeUpstream, err.Error())

@@ -485,6 +485,45 @@ func TestIngestRejectsRepeatsWithinBatch(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesRecordedResponseWhole re-sends a response an earlier
+// batch recorded, last in a batch of otherwise new ones: the tenant's
+// evaluator refuses the batch whole, so the request fails upstream and
+// none of its new responses is recorded.
+func TestIngestRefusesRecordedResponseWhole(t *testing.T) {
+	ev, err := core.NewShardedIncremental(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := pool.NewManagerWith(ev, pool.DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := gate.New(gate.Options{Tenants: []gate.TenantConfig{{Name: "beta", Token: "beta-token", Manager: mgr}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := doReq(t, gw, http.MethodPost, "/v1/responses:batch", "beta-token",
+		`{"responses":[{"worker":0,"task":5,"answer":1}]}`); w.Code != http.StatusOK {
+		t.Fatalf("first batch: status %d body %s", w.Code, w.Body.String())
+	}
+	w := doReq(t, gw, http.MethodPost, "/v1/responses:batch", "beta-token",
+		`{"responses":[{"worker":1,"task":5,"answer":1},{"worker":1,"task":6,"answer":2},{"worker":2,"task":7,"answer":1},{"worker":0,"task":5,"answer":1}]}`)
+	if w.Code != http.StatusBadGateway {
+		t.Fatalf("status %d body %s, want 502", w.Code, w.Body.String())
+	}
+	if code := envelopeCode(t, w.Body.String()); code != gate.CodeUpstream {
+		t.Errorf("envelope code %q, want %q", code, gate.CodeUpstream)
+	}
+	if got := ev.Responses(); got != 1 {
+		t.Errorf("the evaluator holds %d responses, want 1", got)
+	}
+	for worker, want := range []int{1, 0, 0} {
+		if info, err := mgr.WorkerInfo(worker); err != nil || info.Responses != want {
+			t.Errorf("worker %d: %d responses recorded (err %v), want %d", worker, info.Responses, err, want)
+		}
+	}
+}
+
 // TestIngestBodyLimit checks that the body is read whole against the
 // 8 MiB limit: a body over it is rejected even when its JSON value ends
 // well before the limit.

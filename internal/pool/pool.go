@@ -11,8 +11,8 @@
 //	Probation/Active → Fired when the interval's lower end breaches the bar
 //	anything  → Fired        when the majority screen flags a pure spammer
 //
-// Responses stream in via Record; Review applies the policy to the current
-// statistics. The estimator is any core.StreamingEvaluator — the local
+// Responses stream in via Record or RecordBatch; Review applies the
+// policy to the current statistics. The estimator is any core.StreamingEvaluator — the local
 // core.ShardedIncremental or a cluster via dist.NewClusterEvaluator —
 // handed to NewManagerWith.
 package pool
@@ -20,6 +20,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -252,6 +253,59 @@ func (m *Manager) Record(w, t int, r crowd.Response) error {
 	}
 	m.responses[w].Add(1)
 	return nil
+}
+
+// RecordBatch stores a batch of responses as Record would one at a time,
+// and returns how many it recorded and how many it rejected because their
+// worker is fired; a fired worker's response is skipped, not an error. On
+// an evaluator with a batch path (core.ShardedIncremental.AddBatch) the
+// rest go in as one batch, which the evaluator checks whole and refuses,
+// recording nothing, when a response is one it already holds; on any
+// other evaluator they go in one Add at a time, and a refusal stops the
+// batch with the responses before it recorded. Like Record, it is safe
+// to call concurrently.
+func (m *Manager) RecordBatch(rs []core.Response) (recorded, rejected int, err error) {
+	for _, x := range rs {
+		if x.Worker < 0 || x.Worker >= len(m.states) {
+			return 0, 0, fmt.Errorf("pool: worker %d out of range", x.Worker)
+		}
+	}
+	live := rs
+	m.mu.RLock()
+	for i, x := range rs {
+		switch {
+		case m.states[x.Worker] == Fired:
+			if rejected == 0 {
+				live = slices.Clone(rs[:i])
+			}
+			rejected++
+		case rejected > 0:
+			live = append(live, x)
+		}
+	}
+	m.mu.RUnlock()
+	if b, ok := m.inc.(batchAdder); ok {
+		if err := b.AddBatch(live); err != nil {
+			return 0, rejected, err
+		}
+		recorded = len(live)
+	} else {
+		for _, x := range live {
+			if err = m.inc.Add(x.Worker, x.Task, x.Answer); err != nil {
+				break
+			}
+			recorded++
+		}
+	}
+	for _, x := range live[:recorded] {
+		m.responses[x.Worker].Add(1)
+	}
+	return recorded, rejected, err
+}
+
+// batchAdder is an evaluator that records a batch of responses at once.
+type batchAdder interface {
+	AddBatch(rs []core.Response) error
 }
 
 // Review applies the policy to the current statistics and returns one

@@ -119,6 +119,111 @@ func TestFiredWorkersRejectResponses(t *testing.T) {
 	}
 }
 
+// addOnly hides an evaluator's batch path, so a manager over it records
+// batches one Add at a time.
+type addOnly struct{ core.StreamingEvaluator }
+
+// TestRecordBatch pins RecordBatch to Record: on the evaluator's batch
+// path and on the one-Add-at-a-time fallback, a batch mixing fired and
+// live workers records the live responses and rejects the fired ones,
+// leaving the same counts and estimates as Record one at a time. A batch
+// repeating a recorded response is refused: whole on the batch path, after
+// the responses before the repeat on the fallback.
+func TestRecordBatch(t *testing.T) {
+	rates := []float64{0.05, 0.05, 0.05, 0.49}
+	batch := []core.Response{
+		{Worker: 0, Task: 9000, Answer: crowd.Yes},
+		{Worker: 3, Task: 9000, Answer: crowd.Yes},
+		{Worker: 1, Task: 9000, Answer: crowd.No},
+		{Worker: 3, Task: 9001, Answer: crowd.No},
+		{Worker: 2, Task: 9001, Answer: crowd.Yes},
+	}
+	// pools returns a manager fed a crowd until the spammer, worker 3, is
+	// fired, and a second manager in the same state over the same
+	// evaluator with its batch path hidden.
+	pools := func(t *testing.T) (batched, oneByOne *Manager) {
+		m, _ := runCrowd(t, 2, rates, 300, 50, DefaultPolicy())
+		if m.State(3) != Fired {
+			t.Fatalf("spammer not fired (state %v)", m.State(3))
+		}
+		hidden, err := NewManagerWith(addOnly{m.inc}, DefaultPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(hidden.states, m.states)
+		for w := range rates {
+			hidden.responses[w].Store(m.responses[w].Load())
+		}
+		return m, hidden
+	}
+	counts := func(m *Manager) []int {
+		var out []int
+		for w := range rates {
+			info, err := m.WorkerInfo(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, info.Responses)
+		}
+		return out
+	}
+	for _, path := range []string{"batch", "fallback"} {
+		t.Run(path, func(t *testing.T) {
+			batched, hidden := pools(t)
+			m := batched
+			if path == "fallback" {
+				m = hidden
+			}
+			before := counts(m)
+			recorded, rejected, err := m.RecordBatch(batch)
+			if err != nil || recorded != 3 || rejected != 2 {
+				t.Fatalf("RecordBatch = %d, %d, %v; want 3 recorded, 2 rejected", recorded, rejected, err)
+			}
+			want, _ := pools(t)
+			for _, x := range batch {
+				if err := want.Record(x.Worker, x.Task, x.Answer); err != nil && !errors.Is(err, ErrFired) {
+					t.Fatal(err)
+				}
+			}
+			if got, w := counts(m), counts(want); !reflect.DeepEqual(got, w) || reflect.DeepEqual(got, before) {
+				t.Errorf("responses %v after the batch, want %v (before %v)", got, w, before)
+			}
+			got, err := m.Estimates()
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp, err := want.Estimates()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, exp) {
+				t.Errorf("estimates %+v, want %+v", got, exp)
+			}
+
+			again := []core.Response{{Worker: 0, Task: 9002, Answer: crowd.Yes}, batch[2]}
+			before = counts(m)
+			recorded, _, err = m.RecordBatch(again)
+			if err == nil {
+				t.Fatal("a recorded response was accepted again")
+			}
+			wantRecorded := 0
+			if path == "fallback" {
+				wantRecorded = 1
+			}
+			if recorded != wantRecorded {
+				t.Errorf("refused batch recorded %d, want %d", recorded, wantRecorded)
+			}
+			after := counts(m)
+			if after[0]-before[0] != wantRecorded {
+				t.Errorf("worker 0 responses %d → %d, want %d more", before[0], after[0], wantRecorded)
+			}
+			if _, _, err := m.RecordBatch([]core.Response{{Worker: len(rates), Task: 1, Answer: crowd.Yes}}); err == nil {
+				t.Error("out-of-range worker accepted")
+			}
+		})
+	}
+}
+
 // TestManagerCountsResponsesAlreadyHeld: a manager built over an
 // evaluator that already holds responses — a restarted head's restored
 // cluster, here a local evaluator — starts from the evaluator's
