@@ -157,10 +157,10 @@ func BenchmarkFig5c(b *testing.B) {
 	b.ReportMetric(acc, "MOOC-accuracy@c0.9")
 }
 
-// BenchmarkFigParallel runs two representative figure sweeps with the
-// replicate fan-out on and off; on a multi-core machine the parallel run
-// should approach a GOMAXPROCS-fold speedup while producing byte-identical
-// series (asserted in internal/eval's TestFiguresParallelMatchesSerial).
+// BenchmarkFigParallel runs two representative figures, whose replicates
+// fan out over GOMAXPROCS goroutines. Run it under -cpu 1,2,… to read the
+// scaling: the series are byte-identical at every GOMAXPROCS (asserted in
+// internal/eval's TestFiguresParallelMatchesSerial).
 func BenchmarkFigParallel(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -170,19 +170,13 @@ func BenchmarkFigParallel(b *testing.B) {
 		{"fig2a", eval.Fig2a, 8},
 		{"fig5b", eval.Fig5b, 2},
 	} {
-		for _, parallel := range []bool{false, true} {
-			name := cfg.name + "-serial"
-			if parallel {
-				name = cfg.name + "-parallel"
-			}
-			b.Run(name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := cfg.run(eval.Params{Replicates: cfg.reps, Seed: 1, Parallel: parallel}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(cfg.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := cfg.run(eval.Params{Replicates: cfg.reps, Seed: 1}); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

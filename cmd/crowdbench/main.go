@@ -4,12 +4,11 @@
 // Usage:
 //
 //	crowdbench -experiment fig1 [-replicates 500] [-seed 1] [-format table] [-o out.dat]
-//	crowdbench -experiment all  [-replicates 50] [-parallel]
+//	crowdbench -experiment all  [-replicates 50]
 //	crowdbench -list
 //
-// -parallel fans replicates out over every CPU; the per-replicate seeding
-// and merge order are unchanged, so the output is byte-identical to a
-// serial run.
+// Replicates run on every CPU; each is seeded from -seed and they merge in
+// replicate order, so the output is byte-identical at every GOMAXPROCS.
 //
 // With -experiment all, every figure is regenerated in sequence; output for
 // experiment NAME goes to <out-prefix>NAME.<ext> when -o is given a prefix
@@ -59,7 +58,6 @@ func main() {
 		out        = flag.String("o", "", "output file (or directory prefix with -experiment all); default stdout")
 		list       = flag.Bool("list", false, "list available experiments and exit")
 		quiet      = flag.Bool("quiet", false, "suppress progress messages")
-		parallel   = flag.Bool("parallel", false, "fan replicates out over all CPUs (results are byte-identical to serial)")
 	)
 	flag.Parse()
 
@@ -87,7 +85,7 @@ func main() {
 	if *experiment == "all" {
 		names = eval.Experiments()
 	}
-	params := eval.Params{Replicates: *replicates, Seed: *seed, Parallel: *parallel}
+	params := eval.Params{Replicates: *replicates, Seed: *seed}
 	for _, name := range names {
 		start := time.Now()
 		res, err := eval.Run(name, params)

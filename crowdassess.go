@@ -178,10 +178,9 @@ type (
 	ExperimentResult = eval.Result
 )
 
-// RunExperiment regenerates a paper figure's data series. Set
-// ExperimentParams.Parallel to spread replicates over all CPUs; replicate
-// seeding and merge order are unchanged, so the result is byte-identical
-// to a serial run at the same seed.
+// RunExperiment regenerates a paper figure's data series. Replicates run
+// on every CPU; each is seeded from ExperimentParams.Seed and they merge in
+// replicate order, so the result is byte-identical at every GOMAXPROCS.
 func RunExperiment(name string, p ExperimentParams) (*ExperimentResult, error) {
 	return eval.Run(name, p)
 }
@@ -342,11 +341,10 @@ const (
 	SweepCoverage = eval.SweepCoverage
 )
 
-// RunSweep runs a replicate sweep in this process, optionally fanned out
-// over GOMAXPROCS goroutines; a parallel run returns a Result
-// bit-identical to a serial one.
-func RunSweep(spec SweepSpec, parallel bool) (*ExperimentResult, error) {
-	return eval.RunSweep(spec, parallel)
+// RunSweep runs a replicate sweep in this process, fanned out over
+// GOMAXPROCS goroutines; the Result is bit-identical at every GOMAXPROCS.
+func RunSweep(spec SweepSpec) (*ExperimentResult, error) {
+	return eval.RunSweep(spec)
 }
 
 // Panel evaluation extends the k-ary estimator beyond three workers by

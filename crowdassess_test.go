@@ -3,6 +3,7 @@ package crowdassess_test
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"crowdassess"
@@ -151,19 +152,24 @@ func TestPublicExperiments(t *testing.T) {
 }
 
 // TestPublicSweepParallelIdentical: the public sweep entry point returns
-// the same Result serial and fanned out over CPUs.
+// the same Result at GOMAXPROCS 2 and 8 as at 1.
 func TestPublicSweepParallelIdentical(t *testing.T) {
 	spec := crowdassess.SweepSpec{Kernel: crowdassess.SweepWidth, Workers: 5, Tasks: 50, Replicates: 6, Seed: 3}
-	want, err := crowdassess.RunSweep(spec, false)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	want, err := crowdassess.RunSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := crowdassess.RunSweep(spec, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("parallel sweep differs from serial:\n got %+v\nwant %+v", got, want)
+	for _, procs := range []int{2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got, err := crowdassess.RunSweep(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: sweep differs from GOMAXPROCS=1:\n got %+v\nwant %+v", procs, got, want)
+		}
 	}
 }
 

@@ -150,6 +150,12 @@ func (b *dynBitset) orWith(o dynBitset) {
 	}
 }
 
+// MaxTask is the largest task index a streaming evaluator records, the
+// largest the response journal stores too. Attendance bitsets and the
+// task→column index grow with the largest task id seen, so a larger id
+// would cost memory in proportion to the id instead of to the responses.
+const MaxTask = math.MaxInt32
+
 // checkStreamingWorkers validates a streaming evaluator's crowd size: A2
 // needs three workers, and a crowd past 32-bit worker indices could never
 // hold its workers² counters, so it is refused with an error before the

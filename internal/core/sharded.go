@@ -206,9 +206,9 @@ func (s *ShardedIncremental) Responses() int {
 	return n
 }
 
-// Add records worker w's response r on task t. It is safe to call from any
-// number of goroutines; responses to tasks in different stripes never
-// contend.
+// Add records worker w's response r on task t, which must lie in
+// 0…MaxTask. It is safe to call from any number of goroutines; responses
+// to tasks in different stripes never contend.
 func (s *ShardedIncremental) Add(w, t int, r crowd.Response) error {
 	if err := s.checkResponse(w, t, r); err != nil {
 		return err
@@ -253,10 +253,7 @@ func (s *ShardedIncremental) AddBatch(rs []Response) error {
 	// locks were released in between, and records.
 	for _, recording := range []bool{false, true} {
 		for i, sh := range s.shards {
-			sh.mu.Lock()
-			err := s.passOver(rs, i, sh, recording)
-			sh.mu.Unlock()
-			if err != nil {
+			if err := s.passOver(rs, i, sh, recording); err != nil {
 				return err
 			}
 		}
@@ -265,9 +262,11 @@ func (s *ShardedIncremental) AddBatch(rs []Response) error {
 }
 
 // passOver checks, in batch order, the responses of rs whose task shard i
-// owns, and records each when recording is set. It stops at the first one
-// already recorded. The caller holds sh.mu.
+// owns, and records each when recording is set, holding sh.mu. It stops
+// at the first one already recorded.
 func (s *ShardedIncremental) passOver(rs []Response, i int, sh *incShard, recording bool) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for j, x := range rs {
 		if len(s.shards) > 1 && s.shardIndex(x.Task) != i {
 			continue
@@ -290,6 +289,9 @@ func (s *ShardedIncremental) checkResponse(w, t int, r crowd.Response) error {
 	}
 	if t < 0 {
 		return fmt.Errorf("core: negative task index %d", t)
+	}
+	if t > MaxTask {
+		return fmt.Errorf("core: task index %d past the streaming limit of %d", t, MaxTask)
 	}
 	if r != crowd.Yes && r != crowd.No {
 		return fmt.Errorf("core: streaming evaluator is binary; response %d: %w", r, crowd.ErrArity)

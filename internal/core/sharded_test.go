@@ -380,6 +380,7 @@ func TestAddBatchChecksWholeBatch(t *testing.T) {
 	}{
 		{"worker out of range", with(submission{workers, 50, crowd.Yes}), nil},
 		{"negative task", with(submission{3, -1, crowd.Yes}), nil},
+		{"task past MaxTask", with(submission{3, MaxTask + 1, crowd.Yes}), nil},
 		{"non-binary answer", with(submission{3, 50, crowd.Response(3)}), crowd.ErrArity},
 		{"already recorded", with(prior[1]), nil},
 	} {

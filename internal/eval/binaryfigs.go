@@ -25,7 +25,7 @@ func Fig1(p Params) (*Result, error) {
 			oldSizes [][]float64
 			failures int
 		}
-		results, err := runReplicates(p.Parallel, p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
+		results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
 			out := rep{newSizes: make([][]float64, len(confs)), oldSizes: make([][]float64, len(confs))}
 			ds, _, err := sim.Binary{Tasks: tasks, Workers: m}.Generate(src)
 			if err != nil {
@@ -116,7 +116,7 @@ func Fig2a(p Params) (*Result, error) {
 			hits, totals []int
 			failures     int
 		}
-		results, err := runReplicates(p.Parallel, p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
+		results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
 			out := rep{hits: make([]int, len(confs)), totals: make([]int, len(confs))}
 			ds, rates, err := sim.Binary{Tasks: cfg.n, Workers: cfg.m, Density: 0.8}.Generate(src)
 			if err != nil {
@@ -183,7 +183,7 @@ func Fig2b(p Params) (*Result, error) {
 				sizes    []float64
 				failures int
 			}
-			results, err := runReplicates(p.Parallel, p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
+			results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
 				var out rep
 				ds, _, err := sim.Binary{Tasks: cfg.n, Workers: cfg.m, Density: d}.Generate(src)
 				if err != nil {
@@ -235,7 +235,7 @@ func Fig2c(p Params) (*Result, error) {
 		uniSizes [][]float64
 		failures int
 	}
-	results, err := runReplicates(p.Parallel, p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
+	results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
 		out := rep{optSizes: make([][]float64, len(confs)), uniSizes: make([][]float64, len(confs))}
 		ds, _, err := sim.Binary{Tasks: n, Workers: m, Densities: densities}.Generate(src)
 		if err != nil {

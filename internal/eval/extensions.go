@@ -31,7 +31,7 @@ func XNoGold(p Params) (*Result, error) {
 			agreeSizes, goldSizes []float64
 			failures              int
 		}
-		results, err := runReplicates(p.Parallel, p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
+		results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
 			var out rep
 			ds, _, err := sim.Binary{Tasks: n, Workers: m}.Generate(src)
 			if err != nil {
@@ -105,7 +105,7 @@ func XMinCommon(p Params) (*Result, error) {
 			hits, totals                int
 			evaluable, workers, triples int
 		}
-		results, err := runReplicates(p.Parallel, p.Seed, reps, func(src *randx.Source) (rep, error) {
+		results, err := runReplicates(p.Seed, reps, func(src *randx.Source) (rep, error) {
 			var out rep
 			ds, err := sim.EmulateRTE(src)
 			if err != nil {

@@ -24,7 +24,7 @@ func Fig5a(p Params) (*Result, error) {
 				hits, totals []int
 				failures     int
 			}
-			results, err := runReplicates(p.Parallel, p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
+			results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
 				out := rep{hits: make([]int, len(confs)), totals: make([]int, len(confs))}
 				ds, workerConfs, err := sim.KAry{
 					Tasks:            n,
@@ -34,7 +34,7 @@ func Fig5a(p Params) (*Result, error) {
 				if err != nil {
 					return rep{}, err
 				}
-				delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{Parallel: innerParallel(p.Parallel, p.replicates())})
+				delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{Parallel: innerParallel(p.replicates())})
 				if err != nil {
 					out.failures++
 					return out, nil
@@ -98,7 +98,7 @@ func Fig5b(p Params) (*Result, error) {
 				sizes    []float64
 				failures int
 			}
-			results, err := runReplicates(p.Parallel, p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
+			results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
 				var out rep
 				ds, _, err := sim.KAry{
 					Tasks:            n,
@@ -109,7 +109,7 @@ func Fig5b(p Params) (*Result, error) {
 				if err != nil {
 					return rep{}, err
 				}
-				delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{Parallel: innerParallel(p.Parallel, p.replicates())})
+				delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{Parallel: innerParallel(p.replicates())})
 				if err != nil {
 					out.failures++
 					return out, nil
@@ -171,7 +171,7 @@ func Fig5c(p Params) (*Result, error) {
 			hits, totals []int
 			failures     int
 		}
-		results, err := runReplicates(p.Parallel, p.Seed, reps, func(src *randx.Source) (rep, error) {
+		results, err := runReplicates(p.Seed, reps, func(src *randx.Source) (rep, error) {
 			out := rep{hits: make([]int, len(confs)), totals: make([]int, len(confs))}
 			ds, err := cs.gen(src)
 			if err != nil {
@@ -184,7 +184,7 @@ func Fig5c(p Params) (*Result, error) {
 			}
 			k := ds.Arity()
 			for _, tr := range triples {
-				delta, err := core.ThreeWorkerKAryDelta(ds, tr, core.KAryOptions{Parallel: innerParallel(p.Parallel, reps)})
+				delta, err := core.ThreeWorkerKAryDelta(ds, tr, core.KAryOptions{Parallel: innerParallel(reps)})
 				if err != nil {
 					out.failures++
 					continue

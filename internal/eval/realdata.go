@@ -41,7 +41,7 @@ func realBinaryAccuracy(p Params, name, title string, prune bool) (*Result, erro
 			hits, totals []int
 			failures     int
 		}
-		results, err := runReplicates(p.Parallel, p.Seed, reps, func(src *randx.Source) (rep, error) {
+		results, err := runReplicates(p.Seed, reps, func(src *randx.Source) (rep, error) {
 			out := rep{hits: make([]int, len(confs)), totals: make([]int, len(confs))}
 			ds, err := cs.gen(src)
 			if err != nil {

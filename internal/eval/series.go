@@ -1,7 +1,8 @@
 // Package eval reproduces the paper's evaluation: one runner per figure,
 // each returning the same data series the paper plots. Runners are
 // deterministic given their seed and scale with a configurable replicate
-// count (the paper uses 500).
+// count (the paper uses 500). Replicates run on every CPU (see
+// runReplicates); the result does not depend on GOMAXPROCS.
 package eval
 
 import "fmt"
@@ -33,11 +34,6 @@ type Params struct {
 	Replicates int
 	// Seed anchors the deterministic replicate seeds.
 	Seed int64
-	// Parallel fans replicates out over GOMAXPROCS goroutines. Replicate
-	// seeds and merge order are unchanged, so results are byte-identical
-	// to a serial run at the same seed; the A3 central-difference loops
-	// inside k-ary replicates inherit the flag too.
-	Parallel bool
 }
 
 func (p Params) replicates() int {

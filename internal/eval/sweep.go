@@ -14,7 +14,7 @@ import (
 // workload. Every replicate reduces to a fixed-length float64 vector of
 // sufficient statistics (sums and counts, no means), replicate r is seeded
 // Seed+r, and the final reduction folds the vectors in replicate order, so
-// a serial and a parallel run return the same Result bit for bit.
+// the Result is the same bit for bit at every GOMAXPROCS.
 
 // Sweep kernels.
 const (
@@ -47,7 +47,7 @@ type SweepSpec struct {
 	Density float64
 	// Replicates is the total number of replicates (default 500).
 	Replicates int
-	// Seed anchors replicate r's source at Seed+r, serial or parallel.
+	// Seed anchors replicate r's source at Seed+r.
 	Seed int64
 }
 
@@ -134,16 +134,15 @@ func sweepReplicate(s SweepSpec, src *randx.Source) ([]float64, error) {
 }
 
 // RunSweep runs every replicate of a sweep in this process, then folds the
-// vectors in replicate order into the sweep's Result. With parallel=true the
-// replicates fan out over GOMAXPROCS goroutines through the same
-// deterministic engine the figure runners use; the Result is bit-identical
-// to a serial run.
-func RunSweep(s SweepSpec, parallel bool) (*Result, error) {
+// vectors in replicate order into the sweep's Result. The replicates fan
+// out over GOMAXPROCS goroutines through the same deterministic engine the
+// figure runners use, so the Result does not depend on GOMAXPROCS.
+func RunSweep(s SweepSpec) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	s = s.WithDefaults()
-	vectors, err := runReplicates(parallel, s.Seed, s.Replicates, func(src *randx.Source) ([]float64, error) {
+	vectors, err := runReplicates(s.Seed, s.Replicates, func(src *randx.Source) ([]float64, error) {
 		return sweepReplicate(s, src)
 	})
 	if err != nil {

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -10,7 +9,7 @@ func testSpec(kernel string, reps int) SweepSpec {
 	return SweepSpec{Kernel: kernel, Workers: 5, Tasks: 60, Density: 0.8, Replicates: reps, Seed: 11}
 }
 
-// TestSweepGolden pins every point of both kernels, serial and parallel,
+// TestSweepGolden pins every point of both kernels, at every GOMAXPROCS,
 // to its Float64bits: a change to the replicate seeding, the kernels or
 // the order of the fold shows up here as a changed bit.
 func TestSweepGolden(t *testing.T) {
@@ -37,45 +36,39 @@ func TestSweepGolden(t *testing.T) {
 			t.Fatalf("%s: %d golden points for %d confidence levels", kernel, len(want), len(confs))
 		}
 		spec := SweepSpec{Kernel: kernel, Workers: 7, Tasks: 100, Replicates: 30, Seed: 1}
-		for _, parallel := range []bool{false, true} {
-			res, err := RunSweep(spec, parallel)
+		for _, procs := range testProcs {
+			atProcs(t, procs)
+			res, err := RunSweep(spec)
 			if err != nil {
-				t.Fatalf("%s parallel=%v: %v", kernel, parallel, err)
+				t.Fatalf("%s GOMAXPROCS=%d: %v", kernel, procs, err)
 			}
 			if res.Failures != 0 {
-				t.Fatalf("%s parallel=%v: %d failures, want 0", kernel, parallel, res.Failures)
+				t.Fatalf("%s GOMAXPROCS=%d: %d failures, want 0", kernel, procs, res.Failures)
 			}
 			if len(res.Series) != 1 || len(res.Series[0].Points) != len(want) {
-				t.Fatalf("%s parallel=%v: unexpected result shape %+v", kernel, parallel, res.Series)
+				t.Fatalf("%s GOMAXPROCS=%d: unexpected result shape %+v", kernel, procs, res.Series)
 			}
 			for i, p := range res.Series[0].Points {
 				if p.X != confs[i] {
-					t.Errorf("%s parallel=%v point %d: x = %v, want %v", kernel, parallel, i, p.X, confs[i])
+					t.Errorf("%s GOMAXPROCS=%d point %d: x = %v, want %v", kernel, procs, i, p.X, confs[i])
 				}
 				if got := math.Float64bits(p.Y); got != want[i] {
-					t.Errorf("%s parallel=%v point %d: y bits %#x, want %#x", kernel, parallel, i, got, want[i])
+					t.Errorf("%s GOMAXPROCS=%d point %d: y bits %#x, want %#x", kernel, procs, i, got, want[i])
 				}
 			}
 		}
 	}
 }
 
-// TestSweepParallelIdentical: the in-process parallel fan-out returns the
-// same Result as the serial loop.
+// TestSweepParallelIdentical: the replicate fan-out returns the same
+// Result at GOMAXPROCS 2 and 8 as at 1.
 func TestSweepParallelIdentical(t *testing.T) {
 	for _, kernel := range SweepKernels() {
-		spec := testSpec(kernel, 8)
-		serial, err := RunSweep(spec, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := RunSweep(spec, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Fatalf("%s: parallel sweep differs from serial", kernel)
-		}
+		t.Run(kernel, func(t *testing.T) {
+			requireSameAtProcs(t, func() (*Result, error) {
+				return RunSweep(testSpec(kernel, 8))
+			})
+		})
 	}
 }
 
@@ -95,7 +88,7 @@ func TestSweepValidate(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Errorf("Validate accepted %+v", s)
 		}
-		if _, err := RunSweep(s, false); err == nil {
+		if _, err := RunSweep(s); err == nil {
 			t.Errorf("RunSweep accepted %+v", s)
 		}
 	}

@@ -353,8 +353,8 @@ func retryAfterSeconds(s float64) string {
 type ResponseRec struct {
 	// Worker is the worker index in the tenant's crowd, 0-based.
 	Worker int `json:"worker"`
-	// Task is the task index; any non-negative value, the task space is
-	// open-ended.
+	// Task is the task index, 0…2³¹−1 (core.MaxTask); tasks need not be
+	// numbered densely.
 	Task int `json:"task"`
 	// Answer is the response class: 1 (yes) or 2 (no) for binary crowds.
 	Answer int `json:"answer"`
@@ -375,12 +375,11 @@ type IngestResult struct {
 	Rejected int `json:"rejected"`
 }
 
-// bodyBufs, batchKeys and ingestBatches recycle handleIngest's body
-// buffers, per-batch (worker, task) sets and the batches it hands the pool
-// manager. Nothing decoded from a body refers into its buffer.
+// bodyBufs and ingestBatches recycle handleIngest's body buffers and the
+// batches it hands the pool manager. Nothing decoded from a body refers
+// into its buffer.
 var (
 	bodyBufs      = sync.Pool{New: func() any { return new([]byte) }}
-	batchKeys     = sync.Pool{New: func() any { return make(map[[2]int]int) }}
 	ingestBatches = sync.Pool{New: func() any { return new([]core.Response) }}
 )
 
@@ -406,37 +405,9 @@ func (g *Gateway) handleIngest(t *tenant, w http.ResponseWriter, r *http.Request
 			fmt.Sprintf("batch of %d exceeds limit %d", len(req.Responses), MaxBatch))
 		return
 	}
-	workers := t.mgr.Workers()
-	// first maps each (worker, task) to the index that first carries it: a
-	// worker answers a task once, so a repeat would fail mid-batch.
-	first := batchKeys.Get().(map[[2]int]int)
-	defer func() {
-		clear(first)
-		batchKeys.Put(first)
-	}()
-	for i, rec := range req.Responses {
-		if rec.Worker < 0 || rec.Worker >= workers {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("responses[%d]: worker %d outside crowd of %d", i, rec.Worker, workers))
-			return
-		}
-		if rec.Task < 0 {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("responses[%d]: negative task %d", i, rec.Task))
-			return
-		}
-		if rec.Answer != int(crowd.Yes) && rec.Answer != int(crowd.No) {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("responses[%d]: answer %d is not 1 (yes) or 2 (no)", i, rec.Answer))
-			return
-		}
-		key := [2]int{rec.Worker, rec.Task}
-		if j, dup := first[key]; dup {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("responses[%d]: worker %d already answers task %d in responses[%d]", i, rec.Worker, rec.Task, j))
-			return
-		}
-		first[key] = i
+	if msg := validateBatch(req.Responses, t.mgr.Workers()); msg != "" {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, msg)
+		return
 	}
 	batch := ingestBatches.Get().(*[]core.Response)
 	rs := (*batch)[:0]

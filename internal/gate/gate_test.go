@@ -539,3 +539,75 @@ func TestIngestBodyLimit(t *testing.T) {
 		t.Errorf("body of exactly 8 MiB: status %d body %s, want 200", w.Code, w.Body.String())
 	}
 }
+
+// TestIngestValidationMessages pins the 400 each malformed batch earns:
+// the message names the lowest index at fault, whether that is a range
+// error or a repeated (worker, task) pair, and a repeat names the first
+// index carrying its pair. A task past the largest id a streaming
+// evaluator records is a range error like any other.
+func TestIngestValidationMessages(t *testing.T) {
+	const huge = 1 << 61
+	pastHuge := fmt.Sprintf("task %d past the largest task id %d", huge, core.MaxTask)
+	cases := []struct {
+		name, responses, want string
+	}{
+		{"repeat", `[[0,5,1],[1,5,1],[0,5,2]]`,
+			"responses[2]: worker 0 already answers task 5 in responses[0]"},
+		{"third copy names the first", `[[3,9,1],[3,9,1],[3,9,2]]`,
+			"responses[1]: worker 3 already answers task 9 in responses[0]"},
+		{"lowest repeat wins", `[[0,1,1],[2,2,1],[2,2,1],[0,1,1]]`,
+			"responses[2]: worker 2 already answers task 2 in responses[1]"},
+		{"interleaved repeats", `[[0,1,1],[2,2,1],[0,1,1],[2,2,1]]`,
+			"responses[2]: worker 0 already answers task 1 in responses[0]"},
+		{"range error after a repeat", `[[0,5,1],[0,5,1],[8,1,1]]`,
+			"responses[1]: worker 0 already answers task 5 in responses[0]"},
+		{"range error before a repeat", `[[0,5,1],[-1,1,1],[0,5,1]]`,
+			"responses[1]: worker -1 outside crowd of 8"},
+		{"range error between a pair", `[[0,5,1],[1,-2,1],[0,5,1]]`,
+			"responses[1]: negative task -2"},
+		{"bad answer", `[[0,5,1],[1,5,3]]`,
+			"responses[1]: answer 3 is not 1 (yes) or 2 (no)"},
+		{"worker past the crowd", `[[8,5,1]]`,
+			"responses[0]: worker 8 outside crowd of 8"},
+		{"task 2⁶¹ in an otherwise valid batch", fmt.Sprintf(`[[0,5,1],[1,%d,2],[1,5,1]]`, huge),
+			"responses[1]: " + pastHuge},
+		{"task just past the largest id", fmt.Sprintf(`[[0,5,1],[1,%d,2]]`, core.MaxTask+1),
+			fmt.Sprintf("responses[1]: task %d past the largest task id %d", core.MaxTask+1, core.MaxTask)},
+		{"task 2⁶¹ before a repeat", fmt.Sprintf(`[[0,5,1],[1,%d,1],[0,5,1]]`, huge),
+			"responses[1]: " + pastHuge},
+		{"task 2⁶¹ after a repeat", fmt.Sprintf(`[[0,5,1],[0,5,1],[1,%d,1]]`, huge),
+			"responses[1]: worker 0 already answers task 5 in responses[0]"},
+		{"valid", `[[0,5,1],[1,5,1],[0,6,2],[1,6,2]]`, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var recs []string
+			var triples [][3]int
+			if err := json.Unmarshal([]byte(tc.responses), &triples); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range triples {
+				recs = append(recs, fmt.Sprintf(`{"worker":%d,"task":%d,"answer":%d}`, r[0], r[1], r[2]))
+			}
+			gw := newTwoTenantGateway(t)
+			w := doReq(t, gw, http.MethodPost, "/v1/responses:batch", "beta-token",
+				`{"responses":[`+strings.Join(recs, ",")+`]}`)
+			if tc.want == "" {
+				if w.Code != http.StatusOK {
+					t.Fatalf("status %d body %s, want 200", w.Code, w.Body.String())
+				}
+				return
+			}
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("status %d body %s, want 400", w.Code, w.Body.String())
+			}
+			var eb gate.ErrorBody
+			if err := json.Unmarshal(w.Body.Bytes(), &eb); err != nil {
+				t.Fatal(err)
+			}
+			if eb.Error.Code != gate.CodeBadRequest || eb.Error.Message != tc.want {
+				t.Errorf("error %s %q, want %s %q", eb.Error.Code, eb.Error.Message, gate.CodeBadRequest, tc.want)
+			}
+		})
+	}
+}

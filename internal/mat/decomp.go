@@ -45,9 +45,9 @@ type LU struct {
 	e, x []float64 // unit-vector and solution scratch for InverseTo
 }
 
-// NewLU returns LU scratch for n×n systems, ready for Refactor. Workspaces
-// hand these out per dimension (Workspace.LU) so steady-state callers never
-// allocate one.
+// NewLU returns LU scratch for n×n systems, ready for Refactor. A
+// workspace keeps one, resized to each request (Workspace.LU), so
+// steady-state callers never allocate one.
 func NewLU(n int) *LU {
 	return &LU{
 		lu:   New(n, n),
@@ -56,6 +56,18 @@ func NewLU(n int) *LU {
 		e:    make([]float64, n),
 		x:    make([]float64, n),
 	}
+}
+
+// resize makes f scratch for n×n systems, ready for Refactor. It reslices
+// the existing storage when that holds n×n and allocates only to grow, so
+// f stays sized to the largest n it has served.
+func (f *LU) resize(n int) {
+	if f.lu == nil || cap(f.lu.data) < n*n {
+		*f = *NewLU(n)
+		return
+	}
+	f.lu.rows, f.lu.cols, f.lu.data = n, n, f.lu.data[:n*n]
+	f.perm, f.y, f.e, f.x = f.perm[:n], f.y[:n], f.e[:n], f.x[:n]
 }
 
 // Refactor recomputes the factorization from src in place, reusing the

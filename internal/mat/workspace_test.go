@@ -2,6 +2,7 @@ package mat
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -135,5 +136,71 @@ func TestWorkspaceEigenSteadyState(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("EigenDecomposeWS allocates %.1f times, want 0", allocs)
+	}
+}
+
+// workspaceEpoch makes the requests one Lemma 5 weight solve over l
+// triples makes of its workspace: the l×l covariance, its factorization,
+// a weight vector and the 2l pairing indices.
+func workspaceEpoch(ws *Workspace, l int) {
+	ws.Reset()
+	ws.Get(l, l)
+	ws.LU(l)
+	ws.GetVec(l)
+	ws.GetInts(2 * l)
+}
+
+// TestWorkspaceFootprint pins the workspace's memory bound: after epochs
+// of every size from 1 to 100, the float and int scratch it retains
+// (buffers plus LU storage) is at most twice the largest epoch's demand —
+// not a matrix and an LU per size served — the live heap it holds agrees,
+// and a warmed run of the same epochs allocates nothing.
+func TestWorkspaceFootprint(t *testing.T) {
+	const maxL = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ws := NewWorkspace()
+	epochs := func() {
+		for l := 1; l <= maxL; l++ {
+			workspaceEpoch(ws, l)
+		}
+	}
+	epochs()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	// The largest epoch takes l² + l floats and 2l ints from the buffers,
+	// and its LU holds l² + 3l floats and l ints.
+	wantFloats := 2 * (maxL*maxL + maxL + maxL*maxL + 3*maxL)
+	wantInts := 2 * (2*maxL + maxL)
+	lu := &ws.lu
+	floats := cap(ws.floats.buf) + cap(lu.lu.data) + cap(lu.y) + cap(lu.e) + cap(lu.x)
+	ints := cap(ws.ints.buf) + cap(lu.perm)
+	if floats > wantFloats {
+		t.Errorf("workspace retains %d floats, want at most %d", floats, wantFloats)
+	}
+	if ints > wantInts {
+		t.Errorf("workspace retains %d ints, want at most %d", ints, wantInts)
+	}
+	// Whatever else the workspace keeps (headers) must be small next to
+	// its scratch: the live heap it holds is checked against the same
+	// bound plus 4 KiB.
+	if live, want := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(8*(wantFloats+wantInts)+4096); live > want {
+		t.Errorf("workspace holds %d live heap bytes, want at most %d", live, want)
+	}
+	if allocs := testing.AllocsPerRun(10, epochs); allocs != 0 {
+		t.Errorf("warmed epochs allocate %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkWorkspace runs the epochs of TestWorkspaceFootprint on one warm
+// workspace; it should report 0 allocs/op.
+func BenchmarkWorkspace(b *testing.B) {
+	ws := NewWorkspace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for l := 1; l <= 100; l++ {
+			workspaceEpoch(ws, l)
+		}
 	}
 }
