@@ -157,10 +157,12 @@ func BenchmarkFig5c(b *testing.B) {
 	b.ReportMetric(acc, "MOOC-accuracy@c0.9")
 }
 
-// BenchmarkFigParallel runs two representative figures, whose replicates
-// fan out over GOMAXPROCS goroutines. Run it under -cpu 1,2,… to read the
-// scaling: the series are byte-identical at every GOMAXPROCS (asserted in
-// internal/eval's TestFiguresParallelMatchesSerial).
+// BenchmarkFigParallel runs representative figures, each of whose
+// (point, replicate) cells run from one queue over GOMAXPROCS goroutines.
+// fig3 and fig5c run at 5 replicates, the shape crowdperf's paper_sweep
+// runs them at. Run it under -cpu 1,2,… to read the scaling: the series are
+// byte-identical at every GOMAXPROCS (asserted in internal/eval's
+// TestFiguresParallelMatchesSerial).
 func BenchmarkFigParallel(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -169,6 +171,8 @@ func BenchmarkFigParallel(b *testing.B) {
 	}{
 		{"fig2a", eval.Fig2a, 8},
 		{"fig5b", eval.Fig5b, 2},
+		{"fig3", eval.Fig3, 5},
+		{"fig5c", eval.Fig5c, 5},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -119,8 +119,7 @@ type ResponseMatrixEstimate = core.KAryEstimate
 // (j1, j2) is the probability of answering j2 when the truth is j1 — with a
 // confidence interval per entry, plus the prior over true answers. This is
 // the paper's Algorithm A3; it captures per-answer bias that scalar error
-// rates cannot. Set KAryOptions.Parallel to fan the numeric-differentiation
-// inner loop out over all CPUs (results are identical to the serial run).
+// rates cannot.
 func EstimateResponseMatrices(ds *Dataset, workers [3]int, opts KAryOptions) (*ResponseMatrixEstimate, error) {
 	return core.ThreeWorkerKAry(ds, workers, opts)
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/mat"
@@ -28,11 +26,6 @@ type KAryOptions struct {
 	// (ablation #3). Default false: symmetrize, which is principled because
 	// the matrix is symmetric PSD in exact arithmetic (Lemma 7).
 	RawEigen bool
-	// Parallel fans the 2k³ independent central-difference probEstimate
-	// calls out over GOMAXPROCS goroutines. Each perturbed entry is an
-	// independent computation written to a distinct gradient slot, so the
-	// result is byte-identical to the serial run.
-	Parallel bool
 }
 
 // KAryEstimate is the result of Algorithm A3 for an ordered worker triple.
@@ -62,14 +55,31 @@ type KAryDelta struct {
 
 // Intervals materializes the c-confidence estimate from the deltas.
 func (d *KAryDelta) Intervals(c float64) *KAryEstimate {
+	out := &KAryEstimate{}
+	d.IntervalsInto(c, out)
+	return out
+}
+
+// IntervalsInto is Intervals writing into dst: storage dst already holds
+// in the right k×k shape is refilled in place, so a caller sweeping
+// confidence levels over one delta allocates once. Any dst, including the
+// zero value, is accepted.
+func (d *KAryDelta) IntervalsInto(c float64, dst *KAryEstimate) {
 	k := d.Mean[0].Rows()
-	out := &KAryEstimate{Selectivity: append([]float64(nil), d.Selectivity...)}
+	dst.Selectivity = append(dst.Selectivity[:0], d.Selectivity...)
 	z := stat.ConfidenceZ(c)
 	for w := 0; w < 3; w++ {
-		probs := mat.New(k, k)
-		ivs := make([][]stat.Interval, k)
+		if dst.Prob[w] == nil || dst.Prob[w].Rows() != k || dst.Prob[w].Cols() != k {
+			dst.Prob[w] = mat.New(k, k)
+		}
+		if len(dst.Intervals[w]) != k {
+			dst.Intervals[w] = make([][]stat.Interval, k)
+		}
+		probs, ivs := dst.Prob[w], dst.Intervals[w]
 		for a := 0; a < k; a++ {
-			ivs[a] = make([]stat.Interval, k)
+			if len(ivs[a]) != k {
+				ivs[a] = make([]stat.Interval, k)
+			}
 			for b := 0; b < k; b++ {
 				mean := d.Mean[w].At(a, b)
 				de := DeltaEstimate{Mean: mean, Dev: d.Dev[w].At(a, b)}
@@ -77,10 +87,7 @@ func (d *KAryDelta) Intervals(c float64) *KAryEstimate {
 				probs.Set(a, b, stat.Clamp01(mean))
 			}
 		}
-		out.Prob[w] = probs
-		out.Intervals[w] = ivs
 	}
-	return out
 }
 
 // ThreeWorkerKAry runs Algorithm A3 on the ordered worker triple: it
@@ -112,7 +119,7 @@ func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (
 
 	// Step 3 of Algorithm A3: the point estimate. base's matrices live in
 	// baseWS, which must stay un-reset while base.v is read below; the
-	// gradient loop threads separate per-goroutine workspaces.
+	// gradient loop uses a workspace of its own.
 	baseWS := mat.NewWorkspace()
 	base, err := probEstimate(counts, opts, baseWS)
 	if err != nil {
@@ -193,34 +200,32 @@ func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (
 // karyGradients fills grads with the central-difference derivatives of
 // every V element with respect to every all-attempted count entry: for each
 // of the k³ entries it runs probEstimate on the ±ε perturbed tensor (steps
-// 5–6 of Algorithm A3). The 2k³ estimator calls are independent, so with
-// opts.Parallel they are chunked over GOMAXPROCS goroutines, each owning a
-// private tensor clone and a private mat.Workspace; every entry writes only
-// its own gradient slot, so the parallel result is byte-identical to the
-// serial one. The workspace is reset once per entry and serves both the +ε
-// and −ε estimates, so the whole loop runs allocation-free after the first
-// entry warms the pools.
+// 5–6 of Algorithm A3). Each entry is perturbed in counts itself and
+// restored exactly before the next. The calls run serially on one
+// mat.Workspace; callers that want more CPUs run several triples at once
+// (the figure runners do, one cell per goroutine). The workspace is reset
+// once per entry and serves both the +ε and −ε estimates, so the whole
+// loop runs allocation-free after the first entry warms the pools.
 func karyGradients(counts *crowd.Tensor3, opts KAryOptions, eps float64, k int, grads [3][]*vGrad) error {
-	nEntries := k * k * k
-	entryGrad := func(work *crowd.Tensor3, ws *mat.Workspace, e int) error {
+	ws := mat.NewWorkspace()
+	for e := 0; e < k*k*k; e++ {
 		j1 := e/(k*k) + 1
 		j2 := (e/k)%k + 1
 		j3 := e%k + 1
 		// Save/restore the exact value rather than adding and subtracting ε:
-		// (c+ε)−2ε+ε ≠ c in floating point, and the residue would both
-		// pollute later entries' derivatives and make results depend on how
-		// entries are chunked across goroutines.
+		// (c+ε)−2ε+ε ≠ c in floating point, and the residue would pollute
+		// later entries' derivatives.
 		//
 		// One Reset covers both estimates: plus's matrices must stay valid
 		// while minus is computed, so the workspace is only rewound between
 		// entries, never between the two perturbed calls.
 		ws.Reset()
-		orig := work.At(j1, j2, j3)
-		work.Set(j1, j2, j3, orig+eps)
-		plus, errP := probEstimate(work, opts, ws)
-		work.Set(j1, j2, j3, orig-eps)
-		minus, errM := probEstimate(work, opts, ws)
-		work.Set(j1, j2, j3, orig)
+		orig := counts.At(j1, j2, j3)
+		counts.Set(j1, j2, j3, orig+eps)
+		plus, errP := probEstimate(counts, opts, ws)
+		counts.Set(j1, j2, j3, orig-eps)
+		minus, errM := probEstimate(counts, opts, ws)
+		counts.Set(j1, j2, j3, orig)
 		if errP != nil || errM != nil {
 			return fmt.Errorf("core: perturbed estimate failed: %w", ErrDegenerate)
 		}
@@ -233,57 +238,6 @@ func karyGradients(counts *crowd.Tensor3, opts KAryOptions, eps float64, k int, 
 					grads[w][a*k+b].d[e] = d
 				}
 			}
-		}
-		return nil
-	}
-
-	workers := 1
-	if opts.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > nEntries {
-			workers = nEntries
-		}
-	}
-	if workers <= 1 {
-		work := counts.Clone()
-		ws := mat.NewWorkspace()
-		for e := 0; e < nEntries; e++ {
-			if err := entryGrad(work, ws, e); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	chunk := (nEntries + workers - 1) / workers
-	for g := 0; g < workers; g++ {
-		lo := g * chunk
-		hi := lo + chunk
-		if hi > nEntries {
-			hi = nEntries
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(g, lo, hi int) {
-			defer wg.Done()
-			work := counts.Clone()
-			ws := mat.NewWorkspace()
-			for e := lo; e < hi; e++ {
-				if err := entryGrad(work, ws, e); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"crowdassess/internal/crowd"
@@ -283,6 +284,34 @@ func TestKAryEpsilonStability(t *testing.T) {
 	for i := 1; i < len(sizes); i++ {
 		if ratio := sizes[i] / sizes[0]; ratio > 2 || ratio < 0.5 {
 			t.Errorf("interval size unstable across epsilon: %v", sizes)
+		}
+	}
+}
+
+// TestKAryIntervalsIntoMatchesIntervals checks that refilling one
+// estimate across confidence levels and arities gives exactly what a fresh
+// Intervals call gives, and that a refill in the same shape allocates
+// nothing.
+func TestKAryIntervalsIntoMatchesIntervals(t *testing.T) {
+	var dst KAryEstimate
+	for _, k := range []int{3, 2, 4, 3} {
+		ds, _, err := sim.KAry{Tasks: 500, Workers: 3, ConfusionChoices: sim.PaperMatrices(k)}.Generate(randx.NewSource(int64(60 + k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, KAryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []float64{0.05, 0.5, 0.8, 0.95} {
+			delta.IntervalsInto(c, &dst)
+			want := delta.Intervals(c)
+			if !reflect.DeepEqual(&dst, want) {
+				t.Errorf("k=%d c=%v: IntervalsInto differs from Intervals", k, c)
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { delta.IntervalsInto(0.9, &dst) }); allocs != 0 {
+			t.Errorf("k=%d: refill allocates %.1f times per call, want 0", k, allocs)
 		}
 	}
 }

@@ -19,52 +19,53 @@ func Fig1(p Params) (*Result, error) {
 	}
 	confs := Confidences()
 	const tasks = 100
-	for _, m := range []int{3, 7} {
-		type rep struct {
-			newSizes [][]float64 // per confidence level
-			oldSizes [][]float64
-			failures int
+	crowds := []int{3, 7}
+	type rep struct {
+		newSizes [][]float64 // per confidence level
+		oldSizes [][]float64
+		failures int
+	}
+	results, err := runGrid(p.Seed, len(crowds), p.replicates(), func(pt int, src *randx.Source) (rep, error) {
+		out := rep{newSizes: make([][]float64, len(confs)), oldSizes: make([][]float64, len(confs))}
+		ds, _, err := sim.Binary{Tasks: tasks, Workers: crowds[pt]}.Generate(src)
+		if err != nil {
+			return rep{}, err
 		}
-		results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
-			out := rep{newSizes: make([][]float64, len(confs)), oldSizes: make([][]float64, len(confs))}
-			ds, _, err := sim.Binary{Tasks: tasks, Workers: m}.Generate(src)
-			if err != nil {
-				return rep{}, err
-			}
-			deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
-			if err != nil {
-				return rep{}, err
-			}
-			for ci, c := range confs {
-				for _, d := range deltas {
-					if d.Err != nil {
-						out.failures++
-						continue
-					}
-					out.newSizes[ci] = append(out.newSizes[ci], d.Est.Interval(c).ClampTo(0, 1).Size())
-				}
-			}
-			// Old technique: one full evaluation per confidence level (its
-			// union-bound propagation depends on the level).
-			for ci, c := range confs {
-				ivs, err := baseline.OldTechnique{Confidence: c}.Evaluate(ds)
-				if err != nil {
+		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		if err != nil {
+			return rep{}, err
+		}
+		for ci, c := range confs {
+			for _, d := range deltas {
+				if d.Err != nil {
 					out.failures++
 					continue
 				}
-				for _, iv := range ivs {
-					out.oldSizes[ci] = append(out.oldSizes[ci], iv.Size())
-				}
+				out.newSizes[ci] = append(out.newSizes[ci], d.Est.Interval(c).ClampTo(0, 1).Size())
 			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
 		}
+		// Old technique: one full evaluation per confidence level (its
+		// union-bound propagation depends on the level).
+		for ci, c := range confs {
+			ivs, err := baseline.OldTechnique{Confidence: c}.Evaluate(ds)
+			if err != nil {
+				out.failures++
+				continue
+			}
+			for _, iv := range ivs {
+				out.oldSizes[ci] = append(out.oldSizes[ci], iv.Size())
+			}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pt, m := range crowds {
 		// Merge in replicate order: identical accumulation to the serial run.
 		newSizes := make([][]float64, len(confs))
 		oldSizes := make([][]float64, len(confs))
-		for _, r := range results {
+		for _, r := range results[pt] {
 			res.Failures += r.failures
 			for ci := range confs {
 				newSizes[ci] = append(newSizes[ci], r.newSizes[ci]...)
@@ -111,56 +112,34 @@ func Fig2a(p Params) (*Result, error) {
 		YLabel: "Accuracy",
 	}
 	confs := Confidences()
-	for _, cfg := range []struct{ m, n int }{{3, 100}, {3, 300}, {7, 100}, {7, 300}} {
-		type rep struct {
-			hits, totals []int
-			failures     int
-		}
-		results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
-			out := rep{hits: make([]int, len(confs)), totals: make([]int, len(confs))}
-			ds, rates, err := sim.Binary{Tasks: cfg.n, Workers: cfg.m, Density: 0.8}.Generate(src)
-			if err != nil {
-				return rep{}, err
-			}
-			deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
-			if err != nil {
-				return rep{}, err
-			}
-			for _, d := range deltas {
-				if d.Err != nil {
-					out.failures++
-					continue
-				}
-				for ci, c := range confs {
-					out.totals[ci]++
-					if d.Est.Interval(c).ClampTo(0, 1).Contains(rates[d.Worker]) {
-						out.hits[ci]++
-					}
-				}
-			}
-			return out, nil
-		})
+	configs := []struct{ m, n int }{{3, 100}, {3, 300}, {7, 100}, {7, 300}}
+	results, err := runGrid(p.Seed, len(configs), p.replicates(), func(pt int, src *randx.Source) (tally, error) {
+		out := newTally(len(confs))
+		ds, rates, err := sim.Binary{Tasks: configs[pt].n, Workers: configs[pt].m, Density: 0.8}.Generate(src)
 		if err != nil {
-			return nil, err
+			return tally{}, err
 		}
-		hits := make([]int, len(confs))
-		totals := make([]int, len(confs))
-		for _, r := range results {
-			res.Failures += r.failures
-			for ci := range confs {
-				hits[ci] += r.hits[ci]
-				totals[ci] += r.totals[ci]
+		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		if err != nil {
+			return tally{}, err
+		}
+		for _, d := range deltas {
+			if d.Err != nil {
+				out.failures++
+				continue
+			}
+			for ci, c := range confs {
+				out.record(ci, d.Est.Interval(c).ClampTo(0, 1).Contains(rates[d.Worker]))
 			}
 		}
-		s := Series{Label: itoa(cfg.m) + " workers " + itoa(cfg.n) + " tasks"}
-		for ci, c := range confs {
-			y := 0.0
-			if totals[ci] > 0 {
-				y = float64(hits[ci]) / float64(totals[ci])
-			}
-			s.Points = append(s.Points, Point{X: c, Y: y})
-		}
-		res.Series = append(res.Series, s)
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pt, cfg := range configs {
+		label := itoa(cfg.m) + " workers " + itoa(cfg.n) + " tasks"
+		res.Series = append(res.Series, accuracySeries(res, label, confs, results[pt]))
 	}
 	return res, nil
 }
@@ -176,37 +155,41 @@ func Fig2b(p Params) (*Result, error) {
 	}
 	const c = 0.8
 	densities := Densities()
-	for _, cfg := range []struct{ m, n int }{{3, 300}, {7, 100}, {7, 300}} {
+	configs := []struct{ m, n int }{{3, 300}, {7, 100}, {7, 300}}
+	type rep struct {
+		sizes    []float64
+		failures int
+	}
+	// Point pt is configs[pt/len(densities)] at density
+	// densities[pt%len(densities)].
+	results, err := runGrid(p.Seed, len(configs)*len(densities), p.replicates(), func(pt int, src *randx.Source) (rep, error) {
+		cfg, d := configs[pt/len(densities)], densities[pt%len(densities)]
+		var out rep
+		ds, _, err := sim.Binary{Tasks: cfg.n, Workers: cfg.m, Density: d}.Generate(src)
+		if err != nil {
+			return rep{}, err
+		}
+		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		if err != nil {
+			return rep{}, err
+		}
+		for _, wd := range deltas {
+			if wd.Err != nil {
+				out.failures++
+				continue
+			}
+			out.sizes = append(out.sizes, wd.Est.Interval(c).ClampTo(0, 1).Size())
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ci, cfg := range configs {
 		s := Series{Label: itoa(cfg.m) + " workers, " + itoa(cfg.n) + " tasks"}
-		for _, d := range densities {
-			type rep struct {
-				sizes    []float64
-				failures int
-			}
-			results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
-				var out rep
-				ds, _, err := sim.Binary{Tasks: cfg.n, Workers: cfg.m, Density: d}.Generate(src)
-				if err != nil {
-					return rep{}, err
-				}
-				deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
-				if err != nil {
-					return rep{}, err
-				}
-				for _, wd := range deltas {
-					if wd.Err != nil {
-						out.failures++
-						continue
-					}
-					out.sizes = append(out.sizes, wd.Est.Interval(c).ClampTo(0, 1).Size())
-				}
-				return out, nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		for di, d := range densities {
 			var sizes []float64
-			for _, r := range results {
+			for _, r := range results[ci*len(densities)+di] {
 				res.Failures += r.failures
 				sizes = append(sizes, r.sizes...)
 			}
@@ -235,7 +218,7 @@ func Fig2c(p Params) (*Result, error) {
 		uniSizes [][]float64
 		failures int
 	}
-	results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
+	results, err := runGrid(p.Seed, 1, p.replicates(), func(_ int, src *randx.Source) (rep, error) {
 		out := rep{optSizes: make([][]float64, len(confs)), uniSizes: make([][]float64, len(confs))}
 		ds, _, err := sim.Binary{Tasks: n, Workers: m, Densities: densities}.Generate(src)
 		if err != nil {
@@ -266,7 +249,7 @@ func Fig2c(p Params) (*Result, error) {
 	}
 	optSizes := make([][]float64, len(confs))
 	uniSizes := make([][]float64, len(confs))
-	for _, r := range results {
+	for _, r := range results[0] {
 		res.Failures += r.failures
 		for ci := range confs {
 			optSizes[ci] = append(optSizes[ci], r.optSizes[ci]...)

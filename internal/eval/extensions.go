@@ -26,40 +26,40 @@ func XNoGold(p Params) (*Result, error) {
 	agreeSeries := Series{Label: "agreement-based (no gold)"}
 	goldSeries := Series{Label: "gold-standard (Wilson)"}
 	ratioSeries := Series{Label: "size ratio"}
-	for _, n := range taskGrid {
-		type rep struct {
-			agreeSizes, goldSizes []float64
-			failures              int
-		}
-		results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
-			var out rep
-			ds, _, err := sim.Binary{Tasks: n, Workers: m}.Generate(src)
-			if err != nil {
-				return rep{}, err
-			}
-			agree, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
-			if err != nil {
-				return rep{}, err
-			}
-			gold, err := core.GoldStandardIntervals(ds, c, core.GoldWilson)
-			if err != nil {
-				return rep{}, err
-			}
-			for w := range agree {
-				if agree[w].Err != nil || gold[w].Err != nil {
-					out.failures++
-					continue
-				}
-				out.agreeSizes = append(out.agreeSizes, agree[w].Est.Interval(c).ClampTo(0, 1).Size())
-				out.goldSizes = append(out.goldSizes, gold[w].Interval.Size())
-			}
-			return out, nil
-		})
+	type rep struct {
+		agreeSizes, goldSizes []float64
+		failures              int
+	}
+	results, err := runGrid(p.Seed, len(taskGrid), p.replicates(), func(pt int, src *randx.Source) (rep, error) {
+		var out rep
+		ds, _, err := sim.Binary{Tasks: taskGrid[pt], Workers: m}.Generate(src)
 		if err != nil {
-			return nil, err
+			return rep{}, err
 		}
+		agree, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		if err != nil {
+			return rep{}, err
+		}
+		gold, err := core.GoldStandardIntervals(ds, c, core.GoldWilson)
+		if err != nil {
+			return rep{}, err
+		}
+		for w := range agree {
+			if agree[w].Err != nil || gold[w].Err != nil {
+				out.failures++
+				continue
+			}
+			out.agreeSizes = append(out.agreeSizes, agree[w].Est.Interval(c).ClampTo(0, 1).Size())
+			out.goldSizes = append(out.goldSizes, gold[w].Interval.Size())
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pt, n := range taskGrid {
 		var agreeSizes, goldSizes []float64
-		for _, r := range results {
+		for _, r := range results[pt] {
 			res.Failures += r.failures
 			agreeSizes = append(agreeSizes, r.agreeSizes...)
 			goldSizes = append(goldSizes, r.goldSizes...)
@@ -100,45 +100,45 @@ func XMinCommon(p Params) (*Result, error) {
 	accSeries := Series{Label: "interval accuracy"}
 	evalSeries := Series{Label: "workers evaluable"}
 	tripleSeries := Series{Label: "mean triples per worker (/10)"}
-	for _, mc := range grid {
-		type rep struct {
-			hits, totals                int
-			evaluable, workers, triples int
-		}
-		results, err := runReplicates(p.Seed, reps, func(src *randx.Source) (rep, error) {
-			var out rep
-			ds, err := sim.EmulateRTE(src)
-			if err != nil {
-				return rep{}, err
-			}
-			deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{MinCommon: mc})
-			if err != nil {
-				return rep{}, err
-			}
-			for _, d := range deltas {
-				out.workers++
-				if d.Err != nil {
-					continue
-				}
-				out.evaluable++
-				out.triples += d.Triples
-				rate, err := ds.TrueErrorRate(d.Worker)
-				if err != nil {
-					continue
-				}
-				out.totals++
-				if d.Est.Interval(c).ClampTo(0, 1).Contains(rate) {
-					out.hits++
-				}
-			}
-			return out, nil
-		})
+	type rep struct {
+		hits, totals                int
+		evaluable, workers, triples int
+	}
+	results, err := runGrid(p.Seed, len(grid), reps, func(pt int, src *randx.Source) (rep, error) {
+		var out rep
+		ds, err := sim.EmulateRTE(src)
 		if err != nil {
-			return nil, err
+			return rep{}, err
 		}
+		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{MinCommon: grid[pt]})
+		if err != nil {
+			return rep{}, err
+		}
+		for _, d := range deltas {
+			out.workers++
+			if d.Err != nil {
+				continue
+			}
+			out.evaluable++
+			out.triples += d.Triples
+			rate, err := ds.TrueErrorRate(d.Worker)
+			if err != nil {
+				continue
+			}
+			out.totals++
+			if d.Est.Interval(c).ClampTo(0, 1).Contains(rate) {
+				out.hits++
+			}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pt, mc := range grid {
 		hits, totals := 0, 0
 		evaluable, workers, triples := 0, 0, 0
-		for _, r := range results {
+		for _, r := range results[pt] {
 			hits += r.hits
 			totals += r.totals
 			evaluable += r.evaluable

@@ -18,64 +18,42 @@ func Fig5a(p Params) (*Result, error) {
 		YLabel: "Accuracy",
 	}
 	confs := Confidences()
-	for _, k := range []int{2, 3, 4} {
-		for _, n := range []int{100, 1000} {
-			type rep struct {
-				hits, totals []int
-				failures     int
-			}
-			results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
-				out := rep{hits: make([]int, len(confs)), totals: make([]int, len(confs))}
-				ds, workerConfs, err := sim.KAry{
-					Tasks:            n,
-					Workers:          3,
-					ConfusionChoices: sim.PaperMatrices(k),
-				}.Generate(src)
-				if err != nil {
-					return rep{}, err
-				}
-				delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{Parallel: innerParallel(p.replicates())})
-				if err != nil {
-					out.failures++
-					return out, nil
-				}
-				for ci, c := range confs {
-					est := delta.Intervals(c)
-					for w := 0; w < 3; w++ {
-						for a := 0; a < k; a++ {
-							for b := 0; b < k; b++ {
-								out.totals[ci]++
-								if est.Intervals[w][a][b].Contains(workerConfs[w][a][b]) {
-									out.hits[ci]++
-								}
-							}
-						}
+	configs := []struct{ k, n int }{{2, 100}, {2, 1000}, {3, 100}, {3, 1000}, {4, 100}, {4, 1000}}
+	results, err := runGrid(p.Seed, len(configs), p.replicates(), func(pt int, src *randx.Source) (tally, error) {
+		k, n := configs[pt].k, configs[pt].n
+		out := newTally(len(confs))
+		ds, workerConfs, err := sim.KAry{
+			Tasks:            n,
+			Workers:          3,
+			ConfusionChoices: sim.PaperMatrices(k),
+		}.Generate(src)
+		if err != nil {
+			return tally{}, err
+		}
+		delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{})
+		if err != nil {
+			out.failures++
+			return out, nil
+		}
+		var est core.KAryEstimate
+		for ci, c := range confs {
+			delta.IntervalsInto(c, &est)
+			for w := 0; w < 3; w++ {
+				for a := 0; a < k; a++ {
+					for b := 0; b < k; b++ {
+						out.record(ci, est.Intervals[w][a][b].Contains(workerConfs[w][a][b]))
 					}
 				}
-				return out, nil
-			})
-			if err != nil {
-				return nil, err
 			}
-			hits := make([]int, len(confs))
-			totals := make([]int, len(confs))
-			for _, r := range results {
-				res.Failures += r.failures
-				for ci := range confs {
-					hits[ci] += r.hits[ci]
-					totals[ci] += r.totals[ci]
-				}
-			}
-			s := Series{Label: "arity " + itoa(k) + ", " + itoa(n) + " tasks"}
-			for ci, c := range confs {
-				y := 0.0
-				if totals[ci] > 0 {
-					y = float64(hits[ci]) / float64(totals[ci])
-				}
-				s.Points = append(s.Points, Point{X: c, Y: y})
-			}
-			res.Series = append(res.Series, s)
 		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pt, cfg := range configs {
+		label := "arity " + itoa(cfg.k) + ", " + itoa(cfg.n) + " tasks"
+		res.Series = append(res.Series, accuracySeries(res, label, confs, results[pt]))
 	}
 	return res, nil
 }
@@ -91,44 +69,49 @@ func Fig5b(p Params) (*Result, error) {
 	}
 	const c = 0.8
 	const n = 500
-	for _, k := range []int{2, 3, 4} {
+	arities := []int{2, 3, 4}
+	densities := Densities()
+	type rep struct {
+		sizes    []float64
+		failures int
+	}
+	// Point pt is arity arities[pt/len(densities)] at density
+	// densities[pt%len(densities)].
+	results, err := runGrid(p.Seed, len(arities)*len(densities), p.replicates(), func(pt int, src *randx.Source) (rep, error) {
+		k, d := arities[pt/len(densities)], densities[pt%len(densities)]
+		var out rep
+		ds, _, err := sim.KAry{
+			Tasks:            n,
+			Workers:          3,
+			ConfusionChoices: sim.PaperMatrices(k),
+			Density:          d,
+		}.Generate(src)
+		if err != nil {
+			return rep{}, err
+		}
+		delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{})
+		if err != nil {
+			out.failures++
+			return out, nil
+		}
+		est := delta.Intervals(c)
+		for w := 0; w < 3; w++ {
+			for a := 0; a < k; a++ {
+				for b := 0; b < k; b++ {
+					out.sizes = append(out.sizes, est.Intervals[w][a][b].Size())
+				}
+			}
+		}
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for ki, k := range arities {
 		s := Series{Label: "Arity " + itoa(k)}
-		for _, d := range Densities() {
-			type rep struct {
-				sizes    []float64
-				failures int
-			}
-			results, err := runReplicates(p.Seed, p.replicates(), func(src *randx.Source) (rep, error) {
-				var out rep
-				ds, _, err := sim.KAry{
-					Tasks:            n,
-					Workers:          3,
-					ConfusionChoices: sim.PaperMatrices(k),
-					Density:          d,
-				}.Generate(src)
-				if err != nil {
-					return rep{}, err
-				}
-				delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{Parallel: innerParallel(p.replicates())})
-				if err != nil {
-					out.failures++
-					return out, nil
-				}
-				est := delta.Intervals(c)
-				for w := 0; w < 3; w++ {
-					for a := 0; a < k; a++ {
-						for b := 0; b < k; b++ {
-							out.sizes = append(out.sizes, est.Intervals[w][a][b].Size())
-						}
-					}
-				}
-				return out, nil
-			})
-			if err != nil {
-				return nil, err
-			}
+		for di, d := range densities {
 			var sizes []float64
-			for _, r := range results {
+			for _, r := range results[ki*len(densities)+di] {
 				res.Failures += r.failures
 				sizes = append(sizes, r.sizes...)
 			}
@@ -166,86 +149,64 @@ func Fig5c(p Params) (*Result, error) {
 	if reps <= 0 {
 		reps = 5
 	}
-	for _, cs := range cases {
-		type rep struct {
-			hits, totals []int
-			failures     int
+	results, err := runGrid(p.Seed, len(cases), reps, func(pt int, src *randx.Source) (tally, error) {
+		cs := cases[pt]
+		out := newTally(len(confs))
+		ds, err := cs.gen(src)
+		if err != nil {
+			return tally{}, err
 		}
-		results, err := runReplicates(p.Seed, reps, func(src *randx.Source) (rep, error) {
-			out := rep{hits: make([]int, len(confs)), totals: make([]int, len(confs))}
-			ds, err := cs.gen(src)
+		triples := eligibleTriples(ds, cs.threshold)
+		src.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
+		if len(triples) > 50 {
+			triples = triples[:50]
+		}
+		k := ds.Arity()
+		var est core.KAryEstimate
+		for _, tr := range triples {
+			delta, err := core.ThreeWorkerKAryDelta(ds, tr, core.KAryOptions{})
 			if err != nil {
-				return rep{}, err
+				out.failures++
+				continue
 			}
-			triples := eligibleTriples(ds, cs.threshold)
-			src.Shuffle(len(triples), func(i, j int) { triples[i], triples[j] = triples[j], triples[i] })
-			if len(triples) > 50 {
-				triples = triples[:50]
-			}
-			k := ds.Arity()
-			for _, tr := range triples {
-				delta, err := core.ThreeWorkerKAryDelta(ds, tr, core.KAryOptions{Parallel: innerParallel(reps)})
+			// Gold-derived proxy for each worker's true response matrix.
+			var proxies [3][][]float64
+			var proxyRows [3][]bool
+			usable := true
+			for w := 0; w < 3; w++ {
+				conf, hasRow, err := ds.TrueConfusion(tr[w])
 				if err != nil {
-					out.failures++
-					continue
+					usable = false
+					break
 				}
-				// Gold-derived proxy for each worker's true response matrix.
-				var proxies [3][][]float64
-				var proxyRows [3][]bool
-				usable := true
+				proxies[w] = conf
+				proxyRows[w] = hasRow
+			}
+			if !usable {
+				out.failures++
+				continue
+			}
+			for ci, c := range confs {
+				delta.IntervalsInto(c, &est)
 				for w := 0; w < 3; w++ {
-					conf, hasRow, err := ds.TrueConfusion(tr[w])
-					if err != nil {
-						usable = false
-						break
-					}
-					proxies[w] = conf
-					proxyRows[w] = hasRow
-				}
-				if !usable {
-					out.failures++
-					continue
-				}
-				for ci, c := range confs {
-					est := delta.Intervals(c)
-					for w := 0; w < 3; w++ {
-						for a := 0; a < k; a++ {
-							if !proxyRows[w][a] {
-								continue // no gold observation for this row
-							}
-							for b := 0; b < k; b++ {
-								out.totals[ci]++
-								if est.Intervals[w][a][b].Contains(proxies[w][a][b]) {
-									out.hits[ci]++
-								}
-							}
+					for a := 0; a < k; a++ {
+						if !proxyRows[w][a] {
+							continue // no gold observation for this row
+						}
+						for b := 0; b < k; b++ {
+							out.record(ci, est.Intervals[w][a][b].Contains(proxies[w][a][b]))
 						}
 					}
 				}
 			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		hits := make([]int, len(confs))
-		totals := make([]int, len(confs))
-		for _, r := range results {
-			res.Failures += r.failures
-			for ci := range confs {
-				hits[ci] += r.hits[ci]
-				totals[ci] += r.totals[ci]
-			}
-		}
-		s := Series{Label: cs.label}
-		for ci, c := range confs {
-			y := 0.0
-			if totals[ci] > 0 {
-				y = float64(hits[ci]) / float64(totals[ci])
-			}
-			s.Points = append(s.Points, Point{X: c, Y: y})
-		}
-		res.Series = append(res.Series, s)
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pt, cs := range cases {
+		res.Series = append(res.Series, accuracySeries(res, cs.label, confs, results[pt]))
 	}
 	return res, nil
 }

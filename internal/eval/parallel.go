@@ -8,82 +8,70 @@ import (
 	"crowdassess/internal/randx"
 )
 
-// innerParallel decides whether a run should also fan out the estimator
-// loops inside each replicate. When the replicate count alone saturates
-// every CPU, nested fan-out only adds scheduler contention and
-// per-goroutine scratch clones; the inner level pays off when replicates
-// are too few to fill the machine. Either way results are byte-identical,
-// so this is purely a scheduling decision.
-func innerParallel(reps int) bool {
-	return reps < runtime.GOMAXPROCS(0)
-}
-
-// runReplicates is the deterministic fan-out engine behind every figure
-// runner and sweep. It executes body once per replicate r ∈ [0, reps),
-// each with its own random source seeded seed+r, and returns the
-// per-replicate results indexed by r.
+// runGrid is the deterministic fan-out engine behind every figure runner
+// and sweep. A figure is a grid of cells: each of its points (a series
+// value, a density, a dataset) runs reps replicates. runGrid executes body
+// once per cell (pt, r), with a random source seeded seed+r, and returns
+// the results indexed [pt][r].
 //
-// The replicates are spread across min(GOMAXPROCS, reps) goroutines.
-// Every replicate owns its source and writes only its own result slot, and
-// callers merge the returned slice in replicate order, so the output is
-// byte-identical at every GOMAXPROCS, including 1.
+// One queue of min(GOMAXPROCS, points·reps) goroutines drains every cell
+// in point-major order, with no barrier between points, so the last
+// replicates of one point overlap the first of the next. Every cell owns
+// its source and writes only its own slot, and callers merge the result in
+// point order and then replicate order, so the output is byte-identical at
+// every GOMAXPROCS, including 1.
 //
-// When any replicate fails, the error of the lowest-numbered failing
-// replicate is returned, whatever the schedule.
-func runReplicates[T any](seed int64, reps int, body func(src *randx.Source) (T, error)) ([]T, error) {
-	out := make([]T, reps)
-	errs := make([]error, reps)
-	workers := min(runtime.GOMAXPROCS(0), reps)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	// Once any replicate fails the run's result is discarded, so replicates
-	// above the failure are skipped rather than computed — both by the
-	// executors and by the feed loop, which stops dispatching instead of
-	// churning the channel through the remaining indices. minFail tracks the
-	// lowest failing replicate seen so far; anything at or below it must
-	// still run, because a lower index could fail too and the lowest failing
-	// replicate's error is the one returned. Replicates are deterministic in
-	// their seed, so the lowest failing index f is fixed; every r < f runs
-	// (none can be skipped: skipping requires r > minFail ≥ f > r, a
-	// contradiction), f itself runs for the same reason, and the scan below
-	// therefore returns errs[f] regardless of scheduling.
-	minFail := atomic.Int64{}
-	minFail.Store(int64(reps))
-	recordFailure := func(r int) {
+// When any cell fails, the error of the lowest failing cell in point-major
+// order is returned, whatever the schedule.
+func runGrid[T any](seed int64, points, reps int, body func(pt int, src *randx.Source) (T, error)) ([][]T, error) {
+	cells := points * reps
+	flat := make([]T, cells)
+	errs := make([]error, cells)
+	// Once any cell fails the run's result is discarded, so cells above the
+	// failure are skipped rather than computed. Cells are claimed in index
+	// order and minFail, the lowest failing index seen so far, only falls,
+	// so a goroutine that claims a cell above it can stop: every later
+	// claim is above it too. Cells are deterministic in their seed, so the
+	// lowest failing index f is fixed; every cell i ≤ f runs (skipping it
+	// requires i > minFail ≥ f), and the scan below returns errs[f]
+	// regardless of scheduling.
+	var next, minFail atomic.Int64
+	minFail.Store(int64(cells))
+	recordFailure := func(i int64) {
 		for {
 			cur := minFail.Load()
-			if int64(r) >= cur || minFail.CompareAndSwap(cur, int64(r)) {
+			if i >= cur || minFail.CompareAndSwap(cur, i) {
 				return
 			}
 		}
 	}
-	for g := 0; g < workers; g++ {
+	var wg sync.WaitGroup
+	for g := min(runtime.GOMAXPROCS(0), cells); g > 0; g-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for r := range next {
-				if int64(r) > minFail.Load() {
-					continue
+			for {
+				i := next.Add(1) - 1
+				if i >= int64(cells) || i > minFail.Load() {
+					return
 				}
-				out[r], errs[r] = body(randx.NewSource(seed + int64(r)))
-				if errs[r] != nil {
-					recordFailure(r)
+				pt, r := int(i)/reps, int(i)%reps
+				flat[i], errs[i] = body(pt, randx.NewSource(seed+int64(r)))
+				if errs[i] != nil {
+					recordFailure(i)
 				}
 			}
 		}()
 	}
-	for r := 0; r < reps; r++ {
-		if int64(r) > minFail.Load() {
-			break
-		}
-		next <- r
-	}
-	close(next)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+	}
+	out := make([][]T, points)
+	for pt := range out {
+		out[pt] = flat[pt*reps : (pt+1)*reps : (pt+1)*reps]
 	}
 	return out, nil
 }

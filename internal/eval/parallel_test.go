@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 )
 
 // testProcs are the GOMAXPROCS values the fan-out tests compare: 1 is the
-// reference, where one goroutine runs the replicates in order.
+// reference, where one goroutine runs every cell in order.
 var testProcs = []int{1, 2, 8}
 
 // atProcs sets GOMAXPROCS to procs for the rest of the test; the value the
@@ -43,19 +44,25 @@ func requireSameAtProcs[T any](t *testing.T, run func() (T, error)) {
 	}
 }
 
-// TestRunReplicatesOrderAndSeeds checks the engine's two contracts: result
-// r comes from the source seeded seed+r, and the slice is in replicate
-// order — at every GOMAXPROCS.
-func TestRunReplicatesOrderAndSeeds(t *testing.T) {
-	const seed, reps = 17, 23
-	want := make([]float64, reps)
-	for r := 0; r < reps; r++ {
-		want[r] = randx.NewSource(seed + int64(r)).Float64()
+// TestRunGridOrderAndSeeds checks the engine's two contracts: cell
+// (pt, r) draws from the source seeded seed+r, and lands in slot [pt][r] —
+// at every GOMAXPROCS.
+func TestRunGridOrderAndSeeds(t *testing.T) {
+	const seed, points, reps = 17, 4, 23
+	type cell struct {
+		pt int
+		v  float64
+	}
+	want := make([][]cell, points)
+	for pt := range want {
+		for r := 0; r < reps; r++ {
+			want[pt] = append(want[pt], cell{pt, randx.NewSource(seed + int64(r)).Float64()})
+		}
 	}
 	for _, procs := range testProcs {
 		atProcs(t, procs)
-		got, err := runReplicates(seed, reps, func(src *randx.Source) (float64, error) {
-			return src.Float64(), nil
+		got, err := runGrid(seed, points, reps, func(pt int, src *randx.Source) (cell, error) {
+			return cell{pt, src.Float64()}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -66,66 +73,62 @@ func TestRunReplicatesOrderAndSeeds(t *testing.T) {
 	}
 }
 
-// TestRunReplicatesFirstError checks that the error surfaced is the one of
-// the lowest-numbered failing replicate, regardless of scheduling.
-func TestRunReplicatesFirstError(t *testing.T) {
-	// Replicates 4 and 7 fail; 4 must win at every GOMAXPROCS.
-	failAt := map[int]bool{4: true, 7: true}
+// replicateOf recovers a cell's replicate index from its source by
+// matching the first draw against the sources seeded seed+r.
+func replicateOf(src *randx.Source, seed int64, reps int) int {
+	v := src.Float64()
+	for r := 0; r < reps; r++ {
+		if randx.NewSource(seed+int64(r)).Float64() == v {
+			return r
+		}
+	}
+	return -1
+}
+
+// TestRunGridFirstError checks that the error surfaced is the one of the
+// lowest failing cell in point-major order, regardless of scheduling:
+// (point 0, replicate 4) beats (point 1, replicate 0) and (point 0,
+// replicate 7).
+func TestRunGridFirstError(t *testing.T) {
+	const seed, points, reps = 100, 3, 10
+	failAt := map[[2]int]bool{{0, 4}: true, {0, 7}: true, {1, 0}: true}
 	for _, procs := range testProcs {
 		atProcs(t, procs)
-		_, err := runReplicates(100, 10, func(src *randx.Source) (int, error) {
-			// Identify the replicate by matching its seed draw.
-			v := src.Float64()
-			for r := 0; r < 10; r++ {
-				if randx.NewSource(100+int64(r)).Float64() == v {
-					if failAt[r] {
-						return 0, fmt.Errorf("replicate %d failed", r)
-					}
-					return r, nil
-				}
+		_, err := runGrid(seed, points, reps, func(pt int, src *randx.Source) (int, error) {
+			r := replicateOf(src, seed, reps)
+			if failAt[[2]int{pt, r}] {
+				return 0, fmt.Errorf("cell (%d, %d) failed", pt, r)
 			}
-			return -1, nil
+			return r, nil
 		})
 		if err == nil {
 			t.Fatalf("GOMAXPROCS=%d: expected an error", procs)
 		}
-		if err.Error() != "replicate 4 failed" {
-			t.Errorf("GOMAXPROCS=%d: got %q, want the lowest failing replicate", procs, err)
+		if err.Error() != "cell (0, 4) failed" {
+			t.Errorf("GOMAXPROCS=%d: got %q, want the lowest failing cell", procs, err)
 		}
 	}
 }
 
-// TestRunReplicatesLowFailureAfterHighDispatch pins the dispatcher's
-// determinism guarantee in the adversarial schedule: replicate 7 fails
-// first, and only then does replicate 2 — already dispatched — fail.
-// The engine must still surface replicate 2's error, not 7's: a failure
-// only stops dispatch of replicates above the lowest failure seen so far,
-// never the ones below it.
-func TestRunReplicatesLowFailureAfterHighDispatch(t *testing.T) {
+// TestRunGridLowFailureAfterHighDispatch pins the queue's determinism
+// guarantee in the adversarial schedule: cell 7 fails first, and only then
+// does cell 2 — already claimed — fail. The engine must still surface cell
+// 2's error, not 7's: a failure only stops cells above the lowest failure
+// seen so far, never the ones below it.
+func TestRunGridLowFailureAfterHighDispatch(t *testing.T) {
 	const seed, reps = 200, 10
 	atProcs(t, 8)
-	// The body only receives its seeded source, so recover the replicate
-	// index by matching the first draw.
-	idOf := func(src *randx.Source) int {
-		v := src.Float64()
-		for r := 0; r < reps; r++ {
-			if randx.NewSource(seed+int64(r)).Float64() == v {
-				return r
-			}
-		}
-		return -1
-	}
 	highFailed := make(chan struct{})
 	var once sync.Once
-	_, err := runReplicates(seed, reps, func(src *randx.Source) (int, error) {
-		switch r := idOf(src); r {
+	_, err := runGrid(seed, 1, reps, func(_ int, src *randx.Source) (int, error) {
+		switch r := replicateOf(src, seed, reps); r {
 		case 7:
 			once.Do(func() { close(highFailed) })
 			return 0, fmt.Errorf("replicate %d failed", r)
 		case 2:
-			// Hold replicate 2's failure until 7's has landed. The timeout
+			// Hold cell 2's failure until 7's has landed. The timeout
 			// fallback keeps single-CPU schedulers (where 2 runs before 7 is
-			// ever dispatched) from deadlocking; either way 2 must win.
+			// ever claimed) from deadlocking; either way 2 must win.
 			select {
 			case <-highFailed:
 			case <-time.After(500 * time.Millisecond):
@@ -139,17 +142,41 @@ func TestRunReplicatesLowFailureAfterHighDispatch(t *testing.T) {
 		t.Fatal("expected an error")
 	}
 	if err.Error() != "replicate 2 failed" {
-		t.Errorf("got %q, want the lowest failing replicate's error", err)
+		t.Errorf("got %q, want the lowest failing cell's error", err)
 	}
 }
 
-// TestKAryInnerFanOutMatchesSerial pins the A3 figure runners with one
-// replicate, below GOMAXPROCS 2 and 8, the regime where innerParallel turns
-// on the 2k³-entry gradient fan-out inside each replicate — the path where
-// every goroutine owns a private tensor clone and mat.Workspace. The
-// Result must equal the one at GOMAXPROCS 1, where nothing fans out.
+// TestRunGridOverlapsPoints checks that the queue has no barrier between
+// points: at GOMAXPROCS 2, the single cells of two points must run at the
+// same time. Each body waits until both have started; an engine that
+// finishes one point before starting the next times out.
+func TestRunGridOverlapsPoints(t *testing.T) {
+	atProcs(t, 2)
+	var started atomic.Int32
+	both := make(chan struct{})
+	_, err := runGrid(1, 2, 1, func(pt int, _ *randx.Source) (int, error) {
+		if started.Add(1) == 2 {
+			close(both)
+		}
+		select {
+		case <-both:
+			return pt, nil
+		case <-time.After(5 * time.Second):
+			return 0, fmt.Errorf("point %d ran alone: the other point never started", pt)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestKAryInnerFanOutMatchesSerial pins the A3 figure runners at one
+// replicate, the regime where a point has fewer cells than GOMAXPROCS 2
+// and 8 have CPUs, so the queue runs cells of different points side by
+// side. The Result must equal the one at GOMAXPROCS 1, where one goroutine
+// runs every cell in order.
 func TestKAryInnerFanOutMatchesSerial(t *testing.T) {
-	for _, name := range []string{"fig5a", "fig5b"} {
+	for _, name := range []string{"fig5a", "fig5b", "fig5c"} {
 		t.Run(name, func(t *testing.T) {
 			requireSameAtProcs(t, func() (*Result, error) {
 				return Run(name, Params{Replicates: 1, Seed: 41})

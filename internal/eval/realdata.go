@@ -36,68 +36,44 @@ func realBinaryAccuracy(p Params, name, title string, prune bool) (*Result, erro
 	if reps <= 0 {
 		reps = 20
 	}
-	for _, cs := range cases {
-		type rep struct {
-			hits, totals []int
-			failures     int
-		}
-		results, err := runReplicates(p.Seed, reps, func(src *randx.Source) (rep, error) {
-			out := rep{hits: make([]int, len(confs)), totals: make([]int, len(confs))}
-			ds, err := cs.gen(src)
-			if err != nil {
-				return rep{}, err
-			}
-			if prune {
-				pruned, _, err := core.PruneSpammers(ds, core.DefaultPruneThreshold)
-				if err != nil {
-					out.failures++
-					return out, nil
-				}
-				ds = pruned
-			}
-			deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
-			if err != nil {
-				return rep{}, err
-			}
-			for _, d := range deltas {
-				if d.Err != nil {
-					out.failures++
-					continue
-				}
-				trueRate, err := ds.TrueErrorRate(d.Worker)
-				if err != nil {
-					continue // worker answered no gold-labelled tasks
-				}
-				for ci, c := range confs {
-					out.totals[ci]++
-					if d.Est.Interval(c).ClampTo(0, 1).Contains(trueRate) {
-						out.hits[ci]++
-					}
-				}
-			}
-			return out, nil
-		})
+	results, err := runGrid(p.Seed, len(cases), reps, func(pt int, src *randx.Source) (tally, error) {
+		out := newTally(len(confs))
+		ds, err := cases[pt].gen(src)
 		if err != nil {
-			return nil, err
+			return tally{}, err
 		}
-		hits := make([]int, len(confs))
-		totals := make([]int, len(confs))
-		for _, r := range results {
-			res.Failures += r.failures
-			for ci := range confs {
-				hits[ci] += r.hits[ci]
-				totals[ci] += r.totals[ci]
+		if prune {
+			pruned, _, err := core.PruneSpammers(ds, core.DefaultPruneThreshold)
+			if err != nil {
+				out.failures++
+				return out, nil
+			}
+			ds = pruned
+		}
+		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		if err != nil {
+			return tally{}, err
+		}
+		for _, d := range deltas {
+			if d.Err != nil {
+				out.failures++
+				continue
+			}
+			trueRate, err := ds.TrueErrorRate(d.Worker)
+			if err != nil {
+				continue // worker answered no gold-labelled tasks
+			}
+			for ci, c := range confs {
+				out.record(ci, d.Est.Interval(c).ClampTo(0, 1).Contains(trueRate))
 			}
 		}
-		s := Series{Label: cs.label}
-		for ci, c := range confs {
-			y := 0.0
-			if totals[ci] > 0 {
-				y = float64(hits[ci]) / float64(totals[ci])
-			}
-			s.Points = append(s.Points, Point{X: c, Y: y})
-		}
-		res.Series = append(res.Series, s)
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pt, cs := range cases {
+		res.Series = append(res.Series, accuracySeries(res, cs.label, confs, results[pt]))
 	}
 	return res, nil
 }

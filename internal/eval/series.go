@@ -1,8 +1,9 @@
 // Package eval reproduces the paper's evaluation: one runner per figure,
 // each returning the same data series the paper plots. Runners are
 // deterministic given their seed and scale with a configurable replicate
-// count (the paper uses 500). Replicates run on every CPU (see
-// runReplicates); the result does not depend on GOMAXPROCS.
+// count (the paper uses 500). Every (point, replicate) cell of a figure
+// runs from one queue on every CPU (see runGrid); the result does not
+// depend on GOMAXPROCS.
 package eval
 
 import "fmt"
@@ -30,7 +31,9 @@ type Result struct {
 
 // Params configures an experiment run.
 type Params struct {
-	// Replicates per configuration. Zero selects the paper's 500.
+	// Replicates per configuration. Zero selects each runner's default:
+	// the paper's 500 for fig1, fig2a–c, fig5a, fig5b and xnogold; 20 for
+	// fig3 and fig4; 5 for fig5c; 10 for xmincommon.
 	Replicates int
 	// Seed anchors the deterministic replicate seeds.
 	Seed int64
@@ -94,6 +97,48 @@ func Run(name string, p Params) (*Result, error) {
 		return XMinCommon(p)
 	}
 	return nil, fmt.Errorf("eval: unknown experiment %q (known: %v)", name, Experiments())
+}
+
+// tally counts, per confidence level, the intervals that contain the
+// value they estimate, plus the degenerate cases a cell skipped.
+type tally struct {
+	hits, totals []int
+	failures     int
+}
+
+func newTally(levels int) tally {
+	return tally{hits: make([]int, levels), totals: make([]int, levels)}
+}
+
+// record counts one interval at confidence index ci.
+func (t *tally) record(ci int, hit bool) {
+	t.totals[ci]++
+	if hit {
+		t.hits[ci]++
+	}
+}
+
+// accuracySeries folds tallies, in order, into the series of hit fractions
+// per confidence level, and adds their failures to res.
+func accuracySeries(res *Result, label string, confs []float64, tallies []tally) Series {
+	hits := make([]int, len(confs))
+	totals := make([]int, len(confs))
+	for _, t := range tallies {
+		res.Failures += t.failures
+		for ci := range confs {
+			hits[ci] += t.hits[ci]
+			totals[ci] += t.totals[ci]
+		}
+	}
+	s := Series{Label: label}
+	for ci, c := range confs {
+		y := 0.0
+		if totals[ci] > 0 {
+			y = float64(hits[ci]) / float64(totals[ci])
+		}
+		s.Points = append(s.Points, Point{X: c, Y: y})
+	}
+	return s
 }
 
 // meanOf returns the mean of xs, or 0 for empty input.

@@ -142,14 +142,14 @@ func RunSweep(s SweepSpec) (*Result, error) {
 		return nil, err
 	}
 	s = s.WithDefaults()
-	vectors, err := runReplicates(s.Seed, s.Replicates, func(src *randx.Source) ([]float64, error) {
+	vectors, err := runGrid(s.Seed, 1, s.Replicates, func(_ int, src *randx.Source) ([]float64, error) {
 		return sweepReplicate(s, src)
 	})
 	if err != nil {
 		return nil, err
 	}
 	total := make([]float64, sweepVectorLen())
-	for _, vec := range vectors {
+	for _, vec := range vectors[0] {
 		for i, v := range vec {
 			total[i] += v
 		}

@@ -15,8 +15,9 @@ package mat
 // epoch (the requests between two Resets), not by the number of distinct
 // shapes it has served: see arena.take.
 //
-// A Workspace is NOT safe for concurrent use: parallel code threads one
-// workspace per goroutine (see core.KAryOptions.Parallel's fan-out).
+// A Workspace is NOT safe for concurrent use: parallel code keeps one
+// workspace per goroutine. The figure runners' queue (eval's runGrid) runs
+// one cell per goroutine, and every solve in a cell builds its own.
 type Workspace struct {
 	floats arena[float64] // matrix data and GetVec slices
 	ints   arena[int]
