@@ -87,8 +87,8 @@ func TestLemma4QuadZeroAllocs(t *testing.T) {
 // TestAddExistingTaskZeroAllocs asserts that a response to a task that
 // already has a column, from a worker whose attendance bitset already
 // reaches it, allocates nothing: it sets two bits of the column and bumps
-// counters. A cut beforehand checks that the dirty marks it clears keep
-// their storage.
+// counters. A cut beforehand checks that the marks it clears keep their
+// storage.
 func TestAddExistingTaskZeroAllocs(t *testing.T) {
 	const runs = 50
 	s, err := NewShardedIncremental(5, 1)

@@ -250,10 +250,10 @@ func (s *ShardedIncremental) RestoreCompact(cs *CompactState) error {
 	}
 	for i, sh := range s.shards {
 		b := built[i]
-		sh.colOf, sh.cols, sh.dirty, sh.stats = b.colOf, b.cols, b.dirty, b.stats
+		sh.colOf, sh.cols, sh.stats = b.colOf, b.cols, b.stats
 		sh.tasks, sh.responses = b.tasks, b.responses
 		sh.epoch += b.epoch
-		sh.unmerged, sh.remerge = b.unmerged, b.remerge
+		sh.marks, sh.whole, sh.cutWorkers = b.marks, b.whole, b.cutWorkers
 	}
 	return nil
 }
@@ -326,9 +326,10 @@ func (s *ShardedIncremental) restoredShards(cs *CompactState) ([]*incShard, erro
 
 // maskedShard returns the shard holding the tasks in mask, with its
 // counters and columns still to fill: the attendance bitsets masked, and
-// trimmed to the length Add's growth leaves, and the totals, dirty task
-// words and epoch a replay through Add leaves. Every row of responded is
-// one word per mask word.
+// trimmed to the length Add's growth leaves, and the totals and epoch a
+// replay through Add leaves. Like a new shard, it is read whole by the
+// next merge into either slot and by the next cut. Every row of responded
+// is one word per mask word.
 func (s *ShardedIncremental) maskedShard(responded [][]uint64, mask []uint64) *incShard {
 	n := 0
 	for _, word := range mask {
@@ -355,7 +356,6 @@ func (s *ShardedIncremental) maskedShard(responded [][]uint64, mask []uint64) *i
 	}
 	for k, word := range mask {
 		if word != 0 {
-			sh.dirty.set(k)
 			sh.tasks = 64*k + 64 - bits.LeadingZeros64(word)
 		}
 	}

@@ -278,7 +278,7 @@ func replayCompact(t testing.TB, cs *CompactState, shards int) *ShardedIncrement
 
 // requireSameShards requires two evaluators' shards to hold the same
 // state, field by field: counters, attendance bitsets, task columns and
-// their offsets, dirty task words, totals and epochs.
+// their offsets, the words the next cut reads, totals and epochs.
 func requireSameShards(t testing.TB, got, want *ShardedIncremental) {
 	t.Helper()
 	if len(got.shards) != len(want.shards) {
@@ -300,10 +300,28 @@ func requireSameShards(t testing.TB, got, want *ShardedIncremental) {
 		if !maps.Equal(columnsOf(g.colOf), columnsOf(w.colOf)) || !slices.Equal(g.cols, w.cols) {
 			t.Fatalf("shard %d: task columns differ", i)
 		}
-		if !slices.Equal(g.dirty, w.dirty) {
-			t.Fatalf("shard %d: dirty task words %x, want %x", i, g.dirty, w.dirty)
+		if gc, wc := cutPending(g), cutPending(w); !slices.EqualFunc(gc, wc, slices.Equal) {
+			t.Fatalf("shard %d: the next cut reads words %x, want %x", i, gc, wc)
 		}
 	}
+}
+
+// cutPending is what the next statistics cut reads of a shard: nil when
+// it reads the shard whole, else each worker's marked words, trimmed of
+// trailing zero mark words.
+func cutPending(sh *incShard) [][]uint64 {
+	if sh.whole[cutReader] {
+		return nil
+	}
+	out := make([][]uint64, len(sh.marks[cutReader]))
+	for w, m := range sh.marks[cutReader] {
+		n := len(m)
+		for n > 0 && m[n-1] == 0 {
+			n--
+		}
+		out[w] = m[:n]
+	}
+	return out
 }
 
 // columnsOf lists a column index as task → column number.

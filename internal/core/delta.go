@@ -187,15 +187,17 @@ type StatsCut struct {
 // holding the previous cut needs to reach this one. When cursor is the
 // digest of the previous cut, that is the exact delta from the previous
 // cut — counter increments and newly set attendance bits, in canonical
-// order — built in O(change): only the attendance words of task words that
-// gained responses since the previous cut are visited, and only the counter
-// pairs of the workers who gave those responses are re-summed. Otherwise
-// (the first cut, a puller holding no state with cursor 0, or a cursor
-// naming any other state) it is a reset: the delta from the empty state,
-// built by the same code with every task word below the horizon taken as
-// changed. Either way the cut becomes the base of the next delta as soon as
-// it is taken: a puller that never receives it sends a cursor that no
-// longer matches and gets a reset next time.
+// order. Its attendance words are built in O(change): each response
+// since the previous cut marked its worker's word in its shard, and only
+// the marked words of the marked workers are visited; its counter pairs
+// are those with a worker who responded, re-summed across the shards.
+// Otherwise (the first cut, a puller holding no state with cursor 0, or a
+// cursor naming any other state) it is a reset: the delta from the empty
+// state, built by the same code with every word below the horizon of
+// every worker visited, as is the whole of a shard restored since the
+// previous cut. Either way the cut becomes the base of the next delta as
+// soon as it is taken: a puller that never receives it sends a cursor
+// that no longer matches and gets a reset next time.
 //
 // The base belongs to the evaluator, so an evaluator has exactly one cut
 // consumer: a second one would receive deltas against the first one's
@@ -231,49 +233,70 @@ func (s *ShardedIncremental) CutStats(cursor uint64) (StatsCut, error) {
 // deltaCutLocked returns the exact delta from the base to the current
 // statistics, leaving the base for the caller to advance; the caller holds
 // every shard lock. A delta's new attendance bits are the merged words
-// minus the base's, and only the task words a shard marked dirty — every
-// word below the horizon when all is set — can differ, so only those are
-// visited: worker by worker, each in ascending word order, which is the
-// delta's canonical order. Cells are then visited in (i, j) order.
-func (s *ShardedIncremental) deltaCutLocked(tasks, responses int, all bool) *StatsDelta {
+// minus the base's, and a word can differ only where some shard marked it
+// for the cut (see incShard), so only the workers some shard marked are
+// visited, and of each only the marked words: worker by worker, in
+// ascending word order, which is the delta's canonical order. A reset, or
+// a shard to be read whole, instead has every word below the horizon of
+// every worker visited. The cut's marks are then cleared, keeping their
+// storage. Cells are visited last, in (i, j) order.
+func (s *ShardedIncremental) deltaCutLocked(tasks, responses int, reset bool) *StatsDelta {
 	workers, b := s.workers, s.base.stats
-	var dirty dynBitset
+	whole := reset
+	var marked dynBitset // the workers some shard marked
 	for _, sh := range s.shards {
-		dirty.orWith(sh.dirty)
-		clear(sh.dirty)
-	}
-	if all {
-		for k := 0; k < (tasks+63)/64; k++ {
-			dirty.set(k)
-		}
-	}
-	var dirtyWords []int // ascending
-	for x, word := range dirty {
-		for ; word != 0; word &= word - 1 {
-			dirtyWords = append(dirtyWords, x*64+bits.TrailingZeros64(word))
-		}
+		whole = whole || sh.whole[cutReader]
+		marked.orWith(sh.cutWorkers)
 	}
 
 	var words []WordDelta
-	if all && len(dirtyWords) > 0 {
+	horizon := (tasks + 63) / 64
+	if whole && horizon > 0 {
 		// A reset carries nearly every worker's every word.
-		words = make([]WordDelta, 0, workers*len(dirtyWords))
+		words = make([]WordDelta, 0, workers*horizon)
+	}
+	visit := func(w, k int) {
+		var now uint64
+		for _, sh := range s.shards {
+			now |= sh.stats.responded[w].word(k)
+		}
+		if old := b.responded[w].word(k); now != old {
+			words = append(words, WordDelta{Worker: w, Index: k, Bits: now &^ old})
+		}
 	}
 	var responders []int // workers with a new response, ascending
+	var union dynBitset  // the words of one worker some shard marked
 	for w := 0; w < workers; w++ {
 		n := len(words)
-		for _, k := range dirtyWords {
-			var now uint64
-			for _, sh := range s.shards {
-				now |= sh.stats.responded[w].word(k)
+		switch {
+		case whole:
+			for k := range horizon {
+				visit(w, k)
 			}
-			if old := b.responded[w].word(k); now != old {
-				words = append(words, WordDelta{Worker: w, Index: k, Bits: now &^ old})
+		case marked.get(w):
+			union = union[:0]
+			for _, sh := range s.shards {
+				union.orWith(sh.marks[cutReader][w])
+			}
+			for x, m := range union {
+				for ; m != 0; m &= m - 1 {
+					visit(w, x*64+bits.TrailingZeros64(m))
+				}
 			}
 		}
 		if len(words) > n {
 			responders = append(responders, w)
 		}
+	}
+	for _, sh := range s.shards {
+		for x, m := range sh.cutWorkers {
+			for ; m != 0; m &= m - 1 {
+				w := x*64 + bits.TrailingZeros64(m)
+				sh.marks[cutReader][w] = sh.marks[cutReader][w][:0]
+			}
+		}
+		clear(sh.cutWorkers)
+		sh.whole[cutReader] = false
 	}
 
 	// Counter cells. Only a pair with a responder in it can have grown:

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -390,9 +392,169 @@ func TestCutStatsConcurrentAdd(t *testing.T) {
 	}
 }
 
+// fullScanCut is the reference for the marked-word cut: the delta from
+// base to the statistics of s by a full scan, which visits every word
+// below the horizon of every worker and every counter pair, summed over
+// the shards. The caller holds no shard lock and runs no Add meanwhile.
+func fullScanCut(s *ShardedIncremental, base *StatsAccumulator) *StatsDelta {
+	d := &StatsDelta{Workers: s.workers}
+	for _, sh := range s.shards {
+		d.Tasks = max(d.Tasks, sh.tasks)
+		d.Responses += sh.responses
+	}
+	for w := range s.workers {
+		for k := range (d.Tasks + 63) / 64 {
+			var now uint64
+			for _, sh := range s.shards {
+				now |= sh.stats.responded[w].word(k)
+			}
+			if old := base.stats.responded[w].word(k); now != old {
+				d.Words = append(d.Words, WordDelta{Worker: w, Index: k, Bits: now &^ old})
+			}
+		}
+	}
+	for i := range s.workers {
+		for j := i + 1; j < s.workers; j++ {
+			agree, common := 0, 0
+			for _, sh := range s.shards {
+				agree += sh.stats.agree[i][j]
+				common += sh.stats.common[i][j]
+			}
+			if ba, bc := base.stats.agree[i][j], base.stats.common[i][j]; agree != ba || common != bc {
+				d.Cells = append(d.Cells, CellDelta{I: i, J: j, Agree: agree - ba, Common: common - bc})
+			}
+		}
+	}
+	return d
+}
+
+// TestCutMatchesFullScan holds every cut to fullScanCut over seeded
+// histories: 20- and 70-worker crowds on 1, 2 and 5 shards, their
+// responses arriving in task order or shuffled, one Add at a time or in
+// AddBatch chunks, with cuts between chunks that resume from the last cut
+// or carry no, a wrong or an older cursor, and RestoreCompact into a
+// fresh evaluator, cut before its restore or not. The test tracks the
+// state of the last cut itself, so it predicts which cuts reset.
+func TestCutMatchesFullScan(t *testing.T) {
+	for _, workers := range []int{20, 70} {
+		for _, shards := range []int{1, 2, 5} {
+			for _, shuffled := range []bool{false, true} {
+				label := fmt.Sprintf("%d workers, %d shards, shuffled %v", workers, shards, shuffled)
+				seed := int64(100*workers + 10*shards)
+				if shuffled {
+					seed++
+				}
+				subs := deltaStream(t, workers, 300, 0.15, seed)
+				if !shuffled {
+					slices.SortFunc(subs, func(a, b submission) int { return cmp.Or(a.t-b.t, a.w-b.w) })
+				}
+				cutHistory(t, label, workers, shards, subs, randx.NewSource(seed))
+			}
+		}
+	}
+}
+
+// cutHistory ingests subs into an evaluator in random chunks, cutting
+// and restoring between them as src draws, and holds every cut to
+// fullScanCut.
+func cutHistory(t *testing.T, label string, workers, shards int, subs []submission, src *randx.Source) {
+	t.Helper()
+	fresh := func() *ShardedIncremental {
+		s, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	empty := func() *StatsAccumulator {
+		acc, err := NewStatsAccumulator(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
+	}
+	s := fresh()
+	// base is the state of s's last cut when hasBase, with digest cursor;
+	// older collects earlier cut digests for stale cursors.
+	base, hasBase, cursor := empty(), false, uint64(0)
+	var older []uint64
+	cut := func(step string, with uint64) {
+		t.Helper()
+		reset := with == 0 || !hasBase || with != cursor
+		from := base
+		if reset {
+			from = empty()
+		}
+		want := fullScanCut(s, from)
+		got := cutStats(t, s, with)
+		if got.Reset != reset {
+			t.Fatalf("%s, %s: cut reset %v, want %v", label, step, got.Reset, reset)
+		}
+		if !slices.Equal(got.Delta.Words, want.Words) || !slices.Equal(got.Delta.Cells, want.Cells) ||
+			got.Delta.Tasks != want.Tasks || got.Delta.Responses != want.Responses || got.Delta.Workers != want.Workers {
+			t.Fatalf("%s, %s: cut (%d cells, %d words) differs from the full scan (%d cells, %d words)",
+				label, step, len(got.Delta.Cells), len(got.Delta.Words), len(want.Cells), len(want.Words))
+		}
+		if err := from.ApplyDelta(want); err != nil {
+			t.Fatalf("%s, %s: %v", label, step, err)
+		}
+		if from.Digest() != got.Digest {
+			t.Fatalf("%s, %s: cut digest %x, full scan reaches %x", label, step, got.Digest, from.Digest())
+		}
+		older = append(older, cursor)
+		base, hasBase, cursor = from, true, got.Digest
+	}
+	for lo := 0; lo < len(subs); {
+		hi := min(len(subs), lo+1+src.Intn(40))
+		if src.Intn(2) == 0 {
+			for _, x := range subs[lo:hi] {
+				if err := s.Add(x.w, x.t, x.r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			batch := make([]Response, 0, hi-lo)
+			for _, x := range subs[lo:hi] {
+				batch = append(batch, Response{Worker: x.w, Task: x.t, Answer: x.r})
+			}
+			if err := s.AddBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lo = hi
+		step := fmt.Sprintf("after %d responses", lo)
+		switch src.Intn(10) {
+		case 0:
+			cut(step+", no cursor", 0)
+		case 1:
+			cut(step+", wrong cursor", cursor+1)
+		case 2:
+			if len(older) > 0 {
+				cut(step+", older cursor", older[src.Intn(len(older))])
+			}
+		case 3:
+			old := s
+			s, base, hasBase, cursor = fresh(), empty(), false, 0
+			if src.Intn(2) == 0 {
+				cut(step+", before a restore", 0)
+			}
+			if err := s.RestoreCompact(old.CompactCheckpoint()); err != nil {
+				t.Fatal(err)
+			}
+			cut(step+", after a restore", cursor)
+		case 4, 5:
+			// No cut: the next one covers two chunks.
+		default:
+			cut(step, cursor)
+		}
+	}
+	cut("at the end", cursor)
+	cut("with nothing new", cursor)
+}
+
 // BenchmarkStatsPull times one statistics pull's cut on a 2-shard
-// evaluator in two regimes, against the O(state) path it replaced — merge
-// a full snapshot and diff it against the previous one (snapshot +
+// evaluator in three regimes, against the O(state) path it replaced —
+// merge a full snapshot and diff it against the previous one (snapshot +
 // DiffStats; that path also derived the digest in O(change), which this
 // omits) — and against a reset, the cut a pull without a matching cursor
 // gets (the delta from the empty state):
@@ -400,6 +562,9 @@ func TestCutStatsConcurrentAdd(t *testing.T) {
 //   - sparse: review_sparse's shape — 128 workers at density 0.1 over a
 //     24k-task horizon, 16 new responses (8 on each of two new tasks)
 //     between pulls;
+//   - sparse/scattered: the same crowd, with 32 responses between pulls
+//     on random tasks that already have responses, the arrival order the
+//     review_sparse workload produces;
 //   - dense: 64 workers at density 0.8 over a 4.8k-task horizon, with the
 //     last 41k of its responses arriving between two pulls. Each op
 //     rebuilds the evaluator with the timer stopped, so run it at a fixed
@@ -415,8 +580,34 @@ func BenchmarkStatsPull(b *testing.B) {
 	b.Run("sparse", func(b *testing.B) {
 		const workers, tasks = 128, 24000
 		base := deltaStream(b, workers, tasks, 0.1, 31)
-		// next returns the n-th batch of 16 responses on fresh tasks.
-		next := func(n int) []submission {
+		// pulls times path over b.N pulls, next(n) arriving before pull n.
+		pulls := func(b *testing.B, path string, next func(n int) []submission) {
+			s, _ := NewShardedIncremental(workers, 2)
+			add(s, base)
+			cursor, prev := cutStats(b, s, 0).Digest, stateOf(s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				b.StopTimer()
+				add(s, next(n))
+				b.StartTimer()
+				switch path {
+				case "cut":
+					cursor = cutStats(b, s, cursor).Digest
+					continue
+				case "reset":
+					cutStats(b, s, 0)
+					continue
+				}
+				cur := stateOf(s)
+				if _, err := DiffStats(prev, cur); err != nil {
+					b.Fatal(err)
+				}
+				prev = cur
+			}
+		}
+		// fresh returns the n-th batch of 16 responses on new tasks.
+		fresh := func(n int) []submission {
 			batch := make([]submission, 16)
 			for k := range batch {
 				batch[k] = submission{w: (17*n + k) % workers, t: tasks + 2*n + k%2, r: []crowd.Response{crowd.Yes, crowd.No}[k%2]}
@@ -424,32 +615,30 @@ func BenchmarkStatsPull(b *testing.B) {
 			return batch
 		}
 		for _, path := range []string{"cut", "diff", "reset"} {
-			b.Run(path, func(b *testing.B) {
-				s, _ := NewShardedIncremental(workers, 2)
-				add(s, base)
-				cursor, prev := cutStats(b, s, 0).Digest, stateOf(s)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for n := 0; n < b.N; n++ {
-					b.StopTimer()
-					add(s, next(n))
-					b.StartTimer()
-					switch path {
-					case "cut":
-						cursor = cutStats(b, s, cursor).Digest
-						continue
-					case "reset":
-						cutStats(b, s, 0)
-						continue
-					}
-					cur := stateOf(s)
-					if _, err := DiffStats(prev, cur); err != nil {
-						b.Fatal(err)
-					}
-					prev = cur
-				}
-			})
+			b.Run(path, func(b *testing.B) { pulls(b, path, fresh) })
 		}
+		b.Run("scattered", func(b *testing.B) {
+			for _, path := range []string{"cut", "diff"} {
+				b.Run(path, func(b *testing.B) {
+					answered := make([]bool, workers*tasks)
+					for _, x := range base {
+						answered[x.w*tasks+x.t] = true
+					}
+					src := randx.NewSource(33)
+					pulls(b, path, func(int) []submission {
+						batch := make([]submission, 0, 32)
+						for len(batch) < cap(batch) {
+							w, t := src.Intn(workers), src.Intn(tasks)
+							if !answered[w*tasks+t] {
+								answered[w*tasks+t] = true
+								batch = append(batch, submission{w: w, t: t, r: []crowd.Response{crowd.Yes, crowd.No}[src.Intn(2)]})
+							}
+						}
+						return batch
+					})
+				})
+			}
+		})
 	})
 	b.Run("dense", func(b *testing.B) {
 		const workers, tasks, fresh = 64, 4800, 41000

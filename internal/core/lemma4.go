@@ -190,16 +190,6 @@ func optimalWeightsCov(c *Lemma4Cov, ws *mat.Workspace) ([]float64, error) {
 	return solveWeights(c.Materialize(ws), ws)
 }
 
-// optimalWeights is the dense-input form of Lemma 5, for callers that
-// already hold an explicit covariance matrix.
-func optimalWeights(cov *mat.Matrix) ([]float64, error) {
-	w, err := solveWeights(cov, mat.NewWorkspace())
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), w...), nil
-}
-
 // solveWeights solves C·b = 𝟙 with workspace scratch and normalizes b by
 // its sum. The paper writes the normalization as B/‖B‖₁, but the entries
 // of B need not share a sign even for positive definite C: C = [[1, 1.5],

@@ -12,6 +12,17 @@ import (
 	"crowdassess/internal/stat"
 )
 
+// optimalWeights is the dense-input form of Lemma 5, for tests that hold
+// an explicit covariance matrix. It solves with a fresh workspace and
+// returns a copy of the weights.
+func optimalWeights(cov *mat.Matrix) ([]float64, error) {
+	w, err := solveWeights(cov, mat.NewWorkspace())
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), w...), nil
+}
+
 // solveCov assembles worker i's structured Lemma-4 covariance from src
 // exactly as solveWorker does, with the triple counts laid out by mode:
 // form pairs, keep the non-degenerate triples, register each triple's

@@ -74,7 +74,7 @@ type ShardedIncremental struct {
 	// the published merge, built on the first read, and spare the other
 	// one, built when a rebuild first finds merged under a solve. An
 	// evaluator that is only ever cut holds neither. mergedSlot is the
-	// merge slot (the index into each shard's unmerged marks) of merged;
+	// merge slot (the index into each shard's marks, 0 or 1) of merged;
 	// spare's is the other.
 	mergeMu      sync.Mutex
 	merged       *StatsAccumulator
@@ -105,28 +105,32 @@ type incShard struct {
 	// colIndex). A column is words attendance words (bit w set when worker
 	// w answered the task) followed by words answer words (bit w set when
 	// that answer was Yes): each response is stored once, as two bits.
-	colOf colIndex
-	cols  []uint64
-	// dirty marks the task words (t/64) of this stripe that gained
-	// responses since the last cut.
-	dirty     dynBitset
+	colOf     colIndex
+	cols      []uint64
 	stats     *streamStats
 	tasks     int // highest task index seen in this stripe + 1
 	responses int // running response count for this stripe
 
-	// unmerged[j][w] marks the words of stats.responded[w] (bit k for word
-	// k) that gained bits since merge slot j last read this shard, and
-	// remerge[j] asks slot j to read the bitsets whole instead: set for a
-	// new or restored shard. See snapshot.
-	unmerged [2][]dynBitset
-	remerge  [2]bool
+	// marks[j][w] marks the words of stats.responded[w] (bit k for word
+	// k) that gained bits since reader j last read this shard, and
+	// whole[j] asks reader j to read the bitsets whole instead: set for a
+	// new or restored shard. Readers 0 and 1 are the merge slots (see
+	// snapshot), reader cutReader the statistics cut (see CutStats), and
+	// cutWorkers marks the workers w whose marks[cutReader][w] are not
+	// empty, so that a cut visits only them.
+	marks      [3][]dynBitset
+	whole      [3]bool
+	cutWorkers dynBitset
 }
+
+// cutReader is the index of the statistics cut's marks in incShard.marks.
+const cutReader = 2
 
 // newIncShard returns an empty shard for the given crowd size.
 func newIncShard(workers int) *incShard {
-	sh := &incShard{stats: newStreamStats(workers), remerge: [2]bool{true, true}}
-	for j := range sh.unmerged {
-		sh.unmerged[j] = make([]dynBitset, workers)
+	sh := &incShard{stats: newStreamStats(workers), whole: [3]bool{true, true, true}}
+	for j := range sh.marks {
+		sh.marks[j] = make([]dynBitset, workers)
 	}
 	return sh
 }
@@ -312,9 +316,11 @@ func (sh *incShard) checkNew(w, t int) error {
 func (sh *incShard) record(w, t int, r crowd.Response, words int) {
 	attended, yes := sh.column(t, words)
 	sh.stats.record(w, t, r, attended, yes)
-	sh.dirty.set(t / 64)
-	for j := range sh.unmerged {
-		sh.unmerged[j][w].set(t / 64)
+	if len(sh.marks[cutReader][w]) == 0 {
+		sh.cutWorkers.set(w)
+	}
+	for j := range sh.marks {
+		sh.marks[j][w].set(t / 64)
 	}
 	sh.responses++
 	if t+1 > sh.tasks {
@@ -445,17 +451,17 @@ func (s *ShardedIncremental) snapshot() *StatsAccumulator {
 // stream a read pulls a few thousand words per shard instead of every
 // worker's whole bitset. The caller holds sh.mu.
 func (sh *incShard) mergeInto(dst *streamStats, j int) {
-	if sh.remerge[j] {
+	if sh.whole[j] {
 		for w, b := range sh.stats.responded {
 			dst.responded[w].orWith(b)
 		}
-		for w := range sh.unmerged[j] {
-			sh.unmerged[j][w] = sh.unmerged[j][w][:0]
+		for w := range sh.marks[j] {
+			sh.marks[j][w] = sh.marks[j][w][:0]
 		}
-		sh.remerge[j] = false
+		sh.whole[j] = false
 		return
 	}
-	for w, marks := range sh.unmerged[j] {
+	for w, marks := range sh.marks[j] {
 		if len(marks) == 0 {
 			continue
 		}
@@ -468,7 +474,7 @@ func (sh *incShard) mergeInto(dst *streamStats, j int) {
 				(*d)[k] |= src[k]
 			}
 		}
-		sh.unmerged[j][w] = marks[:0]
+		sh.marks[j][w] = marks[:0]
 	}
 }
 

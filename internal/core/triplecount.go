@@ -9,14 +9,19 @@ import (
 // sparsePartners sets the crossover between the two ways tripleCounts
 // answers c_{i,j,k}: with p partners in worker i's pairs, the restricted
 // count runs when i attended at most p/sparsePartners of the task bits its
-// attendance bitset spans (restricts). Gathering costs a pass over i's
-// words per partner plus one scatter per shared task, so it grows with
-// density while the saving shrinks with it; and the gather is O(p) per
-// solve where the saving is O(p²), so the fewer the partners, the sparser
-// i must be for the gather to pay. BenchmarkEvaluateSparse measures the
-// crossover near density 0.30 at 128 workers (126 partners), near 0.15 at
-// 64 (62), near 0.07 at 32 (30) and below 0.03 at 21; p/420 is 0.30,
-// 0.148 and 0.071 at the first three.
+// attendance bitset spans (restricts). In the Go loop (gatherRowGo),
+// gathering costs a pass over i's words per partner plus one scatter per
+// shared task, so it grows with density while the saving shrinks with
+// it; and the gather is O(p) per solve where the saving is O(p²), so the
+// fewer the partners, the sparser i must be for the gather to pay.
+// BenchmarkEvaluateSparse measured the Go loop's crossover near density
+// 0.30 at 128 workers (126 partners), near 0.15 at 64 (62), near 0.07 at
+// 32 (30) and below 0.03 at 21; p/420 is 0.30, 0.148 and 0.071 at the
+// first three. The PEXT kernel's gather costs the same at every density,
+// and with it the restricted count ties or beats the full one up to
+// density 0.8 at 128 and 64 workers, so there the switch forgoes some of
+// the saving above the crossover; the constant stays that of the Go loop,
+// which CPUs without the kernel run.
 const sparsePartners = 420
 
 // restricts reports whether triplesAuto restricts the counts of a worker
@@ -89,11 +94,13 @@ func (tc *tripleCounts) init(src agreementSource, m, i int, partners []int, mode
 	}
 }
 
-// gatherRow packs own ∩ other into dst by rank within own: bit r of dst is
-// set when the task behind own's r-th set bit is also set in other. The
+// gatherRowGo packs own ∩ other into dst by rank within own: bit r of dst
+// is set when the task behind own's r-th set bit is also set in other. The
 // bitsets may differ in length; missing words are zero. dst must be zeroed
-// and hold at least ⌈|own|/64⌉ words.
-func gatherRow(dst, own, other []uint64) {
+// and hold at least ⌈|own|/64⌉ words. It is gatherRow's portable form and
+// the reference its PEXT kernel is tested against: one scatter per shared
+// task, behind a branch on each.
+func gatherRowGo(dst, own, other []uint64) {
 	rank := 0 // set bits of own before word w
 	for w, a := range own[:min(len(own), len(other))] {
 		for x := a & other[w]; x != 0; x &= x - 1 {

@@ -1,11 +1,13 @@
 #include "textflag.h"
 
-// func cpuid(leaf uint32) (ecx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-12
+// func cpuid(leaf uint32) (eax, ebx, ecx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-20
 	MOVL leaf+0(FP), AX
 	XORL CX, CX
 	CPUID
-	MOVL CX, ecx+8(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
 	RET
 
 // func common3POPCNT(a, b, x, y []uint64) (ax, ay, bx, by int)
@@ -100,4 +102,69 @@ done:
 	MOVQ BX, ay+104(FP)
 	MOVQ DX, bx+112(FP)
 	MOVQ R10, by+120(FP)
+	RET
+
+// func gatherPEXT(dst, own, other []uint64) (ok bool)
+//
+// For each word, x = PEXT(other, own) holds the shared tasks packed by
+// rank within the word, n = POPCNT(own) of them, and x lands at bit r&63
+// of the current dst word (cur, kept in a register), r being the rank of
+// the word's first task. The bits past that word, (x>>1)>>(63-r&63), are
+// zero unless r+n crosses into the next word; then cur, already stored,
+// is replaced by them (CMOVQ), so the loop has no data-dependent branch.
+// Every iteration stores cur to dst[r>>6], which the caller keeps inside
+// dst by passing an own whose last word is non-zero; the bounds check
+// there only stops a caller that passes too short a dst.
+TEXT ·gatherPEXT(SB), NOSPLIT, $0-73
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R8
+	MOVQ own_base+24(FP), SI
+	MOVQ own_len+32(FP), CX
+	MOVQ other_base+48(FP), DX
+	XORQ R9, R9   // r
+	XORQ R10, R10 // cur
+	XORQ R11, R11 // r>>6
+	TESTQ CX, CX
+	JZ    flush
+	LEAQ  (SI)(CX*8), SI
+	LEAQ  (DX)(CX*8), DX
+	NEGQ  CX
+
+loop:
+	CMPQ  R11, R8
+	JAE   short
+	MOVQ  (SI)(CX*8), AX
+	MOVQ  (DX)(CX*8), BX
+	PEXTQ AX, BX, BX   // x
+	POPCNTQ AX, AX     // n
+	SHLXQ R9, BX, R12
+	ORQ   R12, R10
+	MOVQ  R10, (DI)(R11*8)
+	MOVQ  R9, R13
+	NOTQ  R13
+	SHRQ  $1, BX
+	SHRXQ R13, BX, R13 // the bits past dst[r>>6]
+	ADDQ  AX, R9
+	MOVQ  R9, R12
+	SHRQ  $6, R12
+	CMPQ  R12, R11
+	CMOVQNE R13, R10
+	MOVQ  R12, R11
+	INCQ  CX
+	JNZ   loop
+
+flush:
+	// cur is stored unless the last word crossed into dst[r>>6].
+	TESTQ R10, R10
+	JZ    done
+	CMPQ  R11, R8
+	JAE   short
+	MOVQ  R10, (DI)(R11*8)
+
+done:
+	MOVB $1, ok+72(FP)
+	RET
+
+short:
+	MOVB $0, ok+72(FP)
 	RET

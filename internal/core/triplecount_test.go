@@ -259,28 +259,33 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 // counts restricted to the evaluated worker's tasks or read over the full
 // horizon, across attendance densities, for two shapes: 128 workers over
 // 24 000 tasks (review_sparse) and 64 over 108 000 (ingest_http). On a
-// 2-vCPU Intel Xeon VM (Go 1.24, medians of three -benchtime=128x runs;
-// runs there vary by up to 30%):
+// 2-vCPU Intel Xeon VM with BMI2 (Go 1.24, medians of three
+// -benchtime=128x runs per side; runs there vary by up to 30%), the
+// restricted solve gathering with the PEXT kernel and with the Go loop
+// (gatherRowGo, the build before the kernel), and the full-horizon solve
+// (six runs, both builds):
 //
-//	         128 × 24 000                  64 × 108 000
-//	density  restricted  full     full/r   restricted  full     full/r
-//	0.05     0.59 ms     1.84 ms  3.1×     0.55 ms     1.91 ms  3.5×
-//	0.10     0.91 ms     1.69 ms  1.9×     1.47 ms     1.70 ms  1.2×
-//	0.15     1.08 ms     1.92 ms  1.8×     1.77 ms     1.80 ms  1.0×
-//	0.20     1.36 ms     1.91 ms  1.4×     2.29 ms     1.92 ms  0.84×
-//	0.25     1.93 ms     2.15 ms  1.1×     2.99 ms     1.92 ms  0.64×
-//	0.30     1.91 ms     1.96 ms  1.0×     3.08 ms     2.01 ms  0.65×
-//	0.40     2.64 ms     1.78 ms  0.68×    4.74 ms     1.77 ms  0.37×
-//	0.80     7.14 ms     2.04 ms  0.29×    14.20 ms    1.98 ms  0.14×
+//	         128 × 24 000                         64 × 108 000
+//	density  kernel   Go loop  full     full/k    kernel   Go loop   full     full/k
+//	0.05     0.56 ms  0.62 ms  2.20 ms  3.9×      0.47 ms  0.64 ms   2.17 ms  4.6×
+//	0.10     0.68 ms  0.98 ms  2.16 ms  3.2×      0.61 ms  1.62 ms   2.08 ms  3.4×
+//	0.15     0.74 ms  1.41 ms  2.37 ms  3.2×      0.71 ms  1.85 ms   2.17 ms  3.1×
+//	0.20     0.85 ms  1.26 ms  2.14 ms  2.5×      0.81 ms  2.50 ms   2.19 ms  2.7×
+//	0.25     0.99 ms  1.55 ms  1.96 ms  2.0×      0.98 ms  3.13 ms   2.08 ms  2.1×
+//	0.30     1.06 ms  2.03 ms  2.15 ms  2.0×      1.04 ms  3.76 ms   2.26 ms  2.2×
+//	0.40     1.28 ms  2.65 ms  2.20 ms  1.7×      1.21 ms  4.94 ms   2.26 ms  1.9×
+//	0.80     2.11 ms  7.99 ms  2.14 ms  1.0×      2.17 ms  14.57 ms  2.19 ms  1.0×
 //
-// The crossover sits near 0.30 at 128 workers and near 0.15 at 64; with
-// the same benchmark, it sits near 0.07 at 32 workers over 24 000 tasks
-// and below 0.03 at 21 over 2 000. So the switch scales with the partner
-// count (restricts). It is per worker, so the paper's figure 3 and 4
-// sweeps over the emulated real crowds take both paths: with the
-// emulators seeded 1, 112 of RTE's 164 workers and 30 of TEM's 76 take
-// the restricted one (88 of 145 and 25 of 69 after figure 4's spammer
-// pruning), and none of IC's 19.
+// With the Go loop, the crossover sits near 0.30 at 128 workers and near
+// 0.15 at 64; with the same benchmark, it sits near 0.07 at 32 workers
+// over 24 000 tasks and below 0.03 at 21 over 2 000. So the switch scales
+// with the partner count (restricts). With the kernel, the restricted
+// solve ties or beats the full one up to density 0.8 at both shapes. The
+// switch is per worker, so the paper's figure 3 and 4 sweeps over the
+// emulated real crowds take both paths: with the emulators seeded 1, 112
+// of RTE's 164 workers and 30 of TEM's 76 take the restricted one (88 of
+// 145 and 25 of 69 after figure 4's spammer pruning), and none of IC's
+// 19.
 func BenchmarkEvaluateSparse(b *testing.B) {
 	for _, shape := range []struct{ workers, tasks int }{{128, 24000}, {64, 108000}} {
 		for _, density := range []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.8} {
