@@ -534,6 +534,44 @@ func BenchmarkIncrementalEvaluate(b *testing.B) {
 // prior responders. A global counter makes every (worker, task) pair
 // unique so every Add is accepted.
 func BenchmarkShardedIncrementalAdd(b *testing.B) {
+	// dense64 is the replica's ingest: a dense 64-worker crowd arriving
+	// in shuffled order, recorded in 128-response batches on 2 shards, so
+	// each response pairs with the task's earlier responders. One op is
+	// one batch; ns/response is the cost of one response.
+	b.Run("dense64", func(b *testing.B) {
+		const workers, batch = 64, 128
+		ds, _, err := sim.Binary{Tasks: 2000, Workers: workers, Density: 0.8}.Generate(randx.NewSource(17))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var stream []core.Response
+		for w := 0; w < workers; w++ {
+			for t := 0; t < ds.Tasks(); t++ {
+				if ds.Attempted(w, t) {
+					stream = append(stream, core.Response{Worker: w, Task: t, Answer: ds.Response(w, t)})
+				}
+			}
+		}
+		randx.NewSource(17).Shuffle(len(stream), func(i, j int) { stream[i], stream[j] = stream[j], stream[i] })
+		var inc *core.ShardedIncremental
+		next := len(stream)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if next+batch > len(stream) {
+				b.StopTimer()
+				if inc, err = core.NewShardedIncremental(workers, 2); err != nil {
+					b.Fatal(err)
+				}
+				next = 0
+				b.StartTimer()
+			}
+			if err := inc.AddBatch(stream[next : next+batch]); err != nil {
+				b.Fatal(err)
+			}
+			next += batch
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/response")
+	})
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			inc, err := crowdassess.NewShardedIncremental(10, shards)

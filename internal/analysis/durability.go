@@ -10,15 +10,17 @@ import (
 // DurabilityAnalyzer mechanically enforces journal-before-ack on the
 // head's ingest path: wherever the head relays its replicas' ingest
 // success reply to its caller — reply, err := …(msgIngestOK) … return
-// reply, nil — a store Log.Append must come first, with its error
-// checked. An ack that outruns the journal is an acked write a crash can
+// reply, nil — the batch must be durable first, with every journal
+// error checked. Durable means a store Log.Append, or a Log.Write
+// followed by a Log.SyncTo: a Write alone leaves the batch in the page
+// cache. An ack that outruns the journal is an acked write a crash can
 // lose, which is the one promise the storage engine makes. A worker's own
 // return msgIngestOK is a reply to the head, not that promise: workers
 // keep no journal, and the head journals before it relays the ack.
 var DurabilityAnalyzer = &Analyzer{
 	Name: "durability",
 	Doc: "in ingest paths, the head's relayed success ack must be dominated by a journal " +
-		"append whose error is checked (journal-before-ack)",
+		"append, or a journal write and sync, whose errors are checked (journal-before-ack)",
 	Scopes: []Scope{
 		{Packages: []string{"internal/dist"}},
 	},
@@ -85,6 +87,7 @@ func checkIngestRegion(pass *Pass, region []ast.Stmt) {
 
 	type journalCall struct {
 		call    *ast.CallExpr
+		kind    string // "append", "write" or "sync"
 		errName string // bound error identifier; "" when discarded
 		checked bool
 	}
@@ -119,8 +122,8 @@ func checkIngestRegion(pass *Pass, region []ast.Stmt) {
 					}
 				}
 			case *ast.CallExpr:
-				if isJournalCall(info, n) {
-					jc := journalCall{call: n}
+				if kind := journalKind(info, n); kind != "" {
+					jc := journalCall{call: n, kind: kind}
 					jc.errName, jc.checked = journalErrorChecked(info, region, n)
 					journals = append(journals, jc)
 				}
@@ -136,36 +139,58 @@ func checkIngestRegion(pass *Pass, region []ast.Stmt) {
 	if len(acks) == 0 {
 		return
 	}
-	if len(journals) == 0 {
+	for _, jc := range journals {
+		if !jc.checked {
+			pass.Reportf(jc.call.Pos(), "journal %s error is not checked before the ack: a failed %s must fail the ingest", jc.kind, jc.kind)
+		}
+	}
+	// The batch is durable at the first Append, or at the first SyncTo
+	// after a Write.
+	var durable *journalCall
+	written := false
+	for i, jc := range journals {
+		if jc.kind == "append" || jc.kind == "sync" && written {
+			durable = &journals[i]
+			break
+		}
+		written = written || jc.kind == "write"
+	}
+	switch {
+	case durable != nil:
+	case written:
+		pass.Reportf(acks[0], "ingest ack after a journal write without SyncTo: the batch is written but not durable (journal-before-ack)")
+		return
+	default:
 		pass.Reportf(acks[0], "ingest ack without a journal append in scope: an acked batch must be durable first (journal-before-ack)")
 		return
 	}
-	for _, jc := range journals {
-		if !jc.checked {
-			pass.Reportf(jc.call.Pos(), "journal append error is not checked before the ack: a failed append must fail the ingest")
-		}
-	}
-	journalPos := journals[0].call.Pos()
 	for _, ack := range acks {
-		if ack < journalPos {
-			pass.Reportf(ack, "ingest ack precedes the journal append: a crash between them loses an acked batch (journal-before-ack)")
+		if ack < durable.call.Pos() {
+			pass.Reportf(ack, "ingest ack precedes the journal %s: a crash between them loses an acked batch (journal-before-ack)", durable.kind)
 		}
 	}
 }
 
-// isJournalCall recognizes WAL appends: Append on anything the storage
-// package defines (DiskLog, the Log interface, a future backend).
-func isJournalCall(info *types.Info, call *ast.CallExpr) bool {
+// journalMethods names the journal calls by what they do: Append writes
+// and syncs, Write only writes, SyncTo only syncs.
+var journalMethods = map[string]string{"Append": "append", "Write": "write", "SyncTo": "sync"}
+
+// journalKind recognizes journal calls on anything the storage package
+// defines (DiskLog, the Log interface, a future backend) and returns
+// their kind, or "" for any other call.
+func journalKind(info *types.Info, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Append" {
-		return false
+	if !ok || journalMethods[sel.Sel.Name] == "" {
+		return ""
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil {
-		return false
+		return ""
 	}
-	p := fn.Pkg().Path()
-	return p == "store" || strings.HasSuffix(p, "/store")
+	if p := fn.Pkg().Path(); p != "store" && !strings.HasSuffix(p, "/store") {
+		return ""
+	}
+	return journalMethods[sel.Sel.Name]
 }
 
 // callPassesIdent reports whether the call has the named identifier

@@ -1,6 +1,6 @@
 // Package durability is an analyzer fixture for journal-before-ack. It
-// imports the real crowdassess/internal/store so the Append recognizer
-// is exercised against the live storage API. The ack under the invariant
+// imports the real crowdassess/internal/store so the Append, Write and
+// SyncTo recognizers are exercised against the live storage API. The ack under the invariant
 // is the head's relayed ingest reply: reply, err := …(msgIngestOK) …
 // return reply, nil.
 package durability
@@ -87,6 +87,84 @@ func (h *head) ingestLaterCheck(rs []store.Response) ([]byte, error) {
 	}
 	_, err = h.st.Log.Append(rs)
 	if err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// ingestWriteSync writes the batch under a lock and syncs it after the
+// lock is released: durable at the SyncTo, with both errors checked.
+func (h *head) ingestWriteSync(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	seq, err := h.st.Log.Write(rs)
+	if err != nil {
+		return nil, err
+	}
+	if err := h.st.Log.SyncTo(seq); err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// ingestWriteOnly writes the batch but acks before any fsync: a crash
+// can lose the page cache that holds it.
+func (h *head) ingestWriteOnly(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := h.st.Log.Write(rs); err != nil {
+		return nil, err
+	}
+	return reply, nil // want "durability: ingest ack after a journal write without SyncTo"
+}
+
+// ingestSyncUnchecked syncs but drops the sync error: a failed fsync
+// would still be acked.
+func (h *head) ingestSyncUnchecked(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	seq, err := h.st.Log.Write(rs)
+	if err != nil {
+		return nil, err
+	}
+	h.st.Log.SyncTo(seq) // want "durability: journal sync error is not checked"
+	return reply, nil
+}
+
+// ingestWriteUnchecked drops the write error, then syncs whatever the
+// log holds.
+func (h *head) ingestWriteUnchecked(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	seq, _ := h.st.Log.Write(rs) // want "durability: journal write error is not checked"
+	if err := h.st.Log.SyncTo(seq); err != nil {
+		return nil, err
+	}
+	return reply, nil
+}
+
+// ingestAckBeforeSync acks on one path between the write and the sync.
+func (h *head) ingestAckBeforeSync(rs []store.Response) ([]byte, error) {
+	reply, err := h.rt(msgIngest, rs, msgIngestOK)
+	if err != nil {
+		return nil, err
+	}
+	seq, err := h.st.Log.Write(rs)
+	if err != nil {
+		return nil, err
+	}
+	if len(rs) == 1 {
+		return reply, nil // want "durability: ingest ack precedes the journal sync"
+	}
+	if err := h.st.Log.SyncTo(seq); err != nil {
 		return nil, err
 	}
 	return reply, nil

@@ -87,6 +87,7 @@ func mergedExport(workers int, shards []*incShard) *StatsExport {
 		tasks = max(tasks, sh.tasks)
 		responses += sh.responses
 	}
+	m.mirror()
 	return exportStats(m, workers, tasks, responses)
 }
 
@@ -363,11 +364,11 @@ func (s *ShardedIncremental) maskedShard(responded [][]uint64, mask []uint64) *i
 	return sh
 }
 
-// columnCounters sets a shard's agree/common counters by popcount over
-// its task columns. It transposes the columns back, 64 at a time, into
-// worker-major attendance and answer bitsets over the shard's own tasks,
-// so each pair takes one pass over ⌈tasks/64⌉ words of the shard, not of
-// the whole task horizon.
+// columnCounters sets a shard's upper-triangle agree/common counters by
+// popcount over its task columns. It transposes the columns back, 64 at a
+// time, into worker-major attendance and answer bitsets over the shard's
+// own tasks, so each pair takes one pass over ⌈tasks/64⌉ words of the
+// shard, not of the whole task horizon.
 func (s *ShardedIncremental) columnCounters(sh *incShard) {
 	n := len(sh.cols) / (2 * s.words)
 	att, yes := bitRows(s.workers, (n+63)/64), bitRows(s.workers, (n+63)/64)
@@ -386,8 +387,7 @@ func (s *ShardedIncremental) columnCounters(sh *incShard) {
 				common += bits.OnesCount64(both)
 				agree += bits.OnesCount64(both &^ (yi[k] ^ yj[k]))
 			}
-			st.agree[i][j], st.agree[j][i] = agree, agree
-			st.common[i][j], st.common[j][i] = common, common
+			st.agree[i][j], st.common[i][j] = agree, common
 		}
 	}
 }

@@ -216,6 +216,7 @@ func (a *StatsAccumulator) Merge(e *StatsExport) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.stats.addFrom(e.toStreamStats())
+	a.stats.mirror()
 	if e.Tasks > a.tasks {
 		a.tasks = e.Tasks
 	}
@@ -291,6 +292,7 @@ func (a *StatsAccumulator) Clone() *StatsAccumulator {
 	defer a.mu.Unlock()
 	stats := newStreamStats(a.workers)
 	stats.addFrom(a.stats)
+	stats.mirror()
 	return &StatsAccumulator{
 		workers:     a.workers,
 		stats:       stats,

@@ -10,15 +10,22 @@ import (
 )
 
 // streamStats holds the sufficient statistics of the streaming form of
-// Algorithm A2: symmetric pairwise agree/common counters plus per-worker
-// attendance bitsets over task indices. Everything in it is an integer
-// count, so two streamStats built from disjoint response sets merge
-// exactly — addFrom produces the same counters, bit for bit, as feeding
-// the union of the responses into one instance. That additivity is what
-// lets ShardedIncremental split ingestion across shards and still match
-// the batch evaluator's intervals exactly.
+// Algorithm A2: pairwise agree/common counters plus per-worker attendance
+// bitsets over task indices. Everything in it is an integer count, so two
+// streamStats built from disjoint response sets merge exactly — addFrom
+// produces the same counters, bit for bit, as feeding the union of the
+// responses into one instance. That additivity is what lets
+// ShardedIncremental split ingestion across shards and still match the
+// batch evaluator's intervals exactly.
+//
+// A shard's counters (the ones record writes) are upper-triangle: pair
+// (i, j), i < j, is counted at [i][j] only, and [j][i] stays zero, so an
+// Add writes each pair once. An accumulator's, which the solves read, are
+// symmetric: it adds the upper triangle of every part (addFrom) and then
+// mirrors it once (mirror).
 type streamStats struct {
-	// agree/common are symmetric pairwise counters.
+	// agree/common are the pairwise counters: upper-triangle in a shard,
+	// symmetric in an accumulator.
 	agree  [][]int
 	common [][]int
 	// responded[w] tracks whether worker w answered a given task (bitset
@@ -52,7 +59,9 @@ func (s *streamStats) clearCounters() {
 // record accounts for worker w answering r on task t, given the task's
 // column: attended has bit p set when worker p already answered the task,
 // yes when that answer was Yes. It pairs w with every earlier responder,
-// then adds w's own answer to the column.
+// counting the pair once in the upper triangle — at [p][w] for p < w, in
+// row w for p > w — and adding its agreement bit without a branch, then
+// adds w's own answer to the column.
 func (s *streamStats) record(w, t int, r crowd.Response, attended, yes []uint64) {
 	var mine uint64 // w's answer in every bit position
 	if r == crowd.Yes {
@@ -61,15 +70,24 @@ func (s *streamStats) record(w, t int, r crowd.Response, attended, yes []uint64)
 	cw, aw := s.common[w], s.agree[w]
 	for k, word := range attended {
 		same := ^(yes[k] ^ mine)
-		for ; word != 0; word &= word - 1 {
-			bit := bits.TrailingZeros64(word)
+		below := word // the responders p < w
+		switch {
+		case k == w/64:
+			below &= 1<<(uint(w)%64) - 1
+		case k > w/64:
+			below = 0
+		}
+		for m := below; m != 0; m &= m - 1 {
+			bit := bits.TrailingZeros64(m)
+			p := k*64 + bit
+			s.common[p][w]++
+			s.agree[p][w] += int(same >> uint(bit) & 1)
+		}
+		for m := word &^ below; m != 0; m &= m - 1 {
+			bit := bits.TrailingZeros64(m)
 			p := k*64 + bit
 			cw[p]++
-			s.common[p][w]++
-			if same>>uint(bit)&1 != 0 {
-				aw[p]++
-				s.agree[p][w]++
-			}
+			aw[p] += int(same >> uint(bit) & 1)
 		}
 	}
 	attended[w/64] |= 1 << (uint(w) % 64)
@@ -77,25 +95,37 @@ func (s *streamStats) record(w, t int, r crowd.Response, attended, yes []uint64)
 	s.responded[w].set(t)
 }
 
-// addFrom accumulates o into s: counter sums and attendance unions. The
-// task sets behind s and o must be disjoint (each task's responses live in
-// exactly one of them), which the sharded evaluator's task-striping
-// guarantees.
+// addFrom accumulates o into s: the sums of their upper-triangle counters
+// and the unions of their attendance. The task sets behind s and o must
+// be disjoint (each task's responses live in exactly one of them), which
+// the sharded evaluator's task-striping guarantees. The lower triangle of
+// s is left as it was: mirror it once every part is in.
 func (s *streamStats) addFrom(o *streamStats) {
-	s.addCounters(o)
+	s.addUpper(o)
 	for i := range s.responded {
 		s.responded[i].orWith(o.responded[i])
 	}
 }
 
-// addCounters adds o's pairwise counters into s's.
-func (s *streamStats) addCounters(o *streamStats) {
+// addUpper adds o's upper-triangle counters into s's.
+func (s *streamStats) addUpper(o *streamStats) {
 	for i := range s.agree {
-		ai, oa := s.agree[i], o.agree[i]
-		ci, oc := s.common[i], o.common[i]
-		for j := range ai {
+		ai, oa := s.agree[i], o.agree[i][:len(s.agree[i])]
+		ci, oc := s.common[i], o.common[i][:len(ai)]
+		for j := i + 1; j < len(ai); j++ {
 			ai[j] += oa[j]
 			ci[j] += oc[j]
+		}
+	}
+}
+
+// mirror copies the upper-triangle counters into the lower triangle,
+// making them symmetric.
+func (s *streamStats) mirror() {
+	for i := range s.agree {
+		ai, ci := s.agree[i], s.common[i]
+		for j := i + 1; j < len(ai); j++ {
+			s.agree[j][i], s.common[j][i] = ai[j], ci[j]
 		}
 	}
 }

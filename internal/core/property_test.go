@@ -212,3 +212,78 @@ func TestPerfectAgreementLimit(t *testing.T) {
 		}
 	}
 }
+
+// Property: a shard counts each pair once, in the upper triangle, so for
+// i < j the shards' [i][j] counters summed are the pair's statistics —
+// what Attendance.Pair counts by popcount over the same responses — and
+// every [j][i] stays zero. It holds for shuffled dense and sparse
+// histories, after RestoreCompact rebuilds the shards from a checkpoint,
+// and after more ingest on top of the restore.
+func TestShardCountersMatchAttendanceProperty(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		workers, tasks int
+		density        float64
+	}{
+		{"dense", 64, 240, 0.8},
+		{"sparse", 128, 800, 0.1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds, _, err := sim.Binary{Tasks: tc.tasks, Workers: tc.workers, Density: tc.density}.Generate(randx.NewSource(13))
+			if err != nil {
+				t.Fatal(err)
+			}
+			subs := shuffledStream(t, ds, 13)
+			part := crowd.MustNewDataset(tc.workers, tc.tasks, ds.Arity())
+			ingest := func(s *ShardedIncremental, subs []submission) {
+				for _, x := range subs {
+					if err := s.Add(x.w, x.t, x.r); err != nil {
+						t.Fatal(err)
+					}
+					if err := part.SetResponse(x.w, x.t, x.r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			cut := 2 * len(subs) / 3
+			s, err := NewShardedIncremental(tc.workers, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingest(s, subs[:cut])
+			requireShardCounters(t, "after ingest", s, part)
+			restored, err := NewShardedIncremental(tc.workers, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.RestoreCompact(s.CompactCheckpoint()); err != nil {
+				t.Fatal(err)
+			}
+			requireShardCounters(t, "after restore", restored, part)
+			ingest(restored, subs[cut:])
+			requireShardCounters(t, "after ingest on the restore", restored, part)
+		})
+	}
+}
+
+// requireShardCounters requires s's shard counters to be the upper
+// triangle of ds's pair statistics, summed over the shards.
+func requireShardCounters(t *testing.T, label string, s *ShardedIncremental, ds *crowd.Dataset) {
+	t.Helper()
+	att := ds.Attendance()
+	for i := 0; i < s.workers; i++ {
+		for j := i + 1; j < s.workers; j++ {
+			var got crowd.PairStats
+			for _, sh := range s.shards {
+				got.Agree += sh.stats.agree[i][j]
+				got.Common += sh.stats.common[i][j]
+				if sh.stats.agree[j][i] != 0 || sh.stats.common[j][i] != 0 {
+					t.Fatalf("%s: a shard counts pair (%d,%d) below the diagonal", label, i, j)
+				}
+			}
+			if want := att.Pair(i, j); got != want {
+				t.Fatalf("%s: shard counters for pair (%d,%d) sum to %+v, attendance gives %+v", label, i, j, got, want)
+			}
+		}
+	}
+}

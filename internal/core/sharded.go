@@ -253,11 +253,23 @@ func (s *ShardedIncremental) AddBatch(rs []Response) error {
 			return fmt.Errorf("core: batch response %d: %w", i, err)
 		}
 	}
+	// Each response is routed to its shard once, and each shard's passes
+	// walk only its own responses.
+	var order []int32
+	var end []int
+	if len(s.shards) > 1 {
+		order, end = s.routeBatch(rs)
+	}
 	// The first pass only checks; the second checks again, since the
 	// locks were released in between, and records.
 	for _, recording := range []bool{false, true} {
+		lo := 0
 		for i, sh := range s.shards {
-			if err := s.passOver(rs, i, sh, recording); err != nil {
+			var idx []int32
+			if order != nil {
+				idx, lo = order[lo:end[i]], end[i]
+			}
+			if err := s.passOver(rs, idx, sh, recording); err != nil {
 				return err
 			}
 		}
@@ -265,16 +277,45 @@ func (s *ShardedIncremental) AddBatch(rs []Response) error {
 	return nil
 }
 
-// passOver checks, in batch order, the responses of rs whose task shard i
-// owns, and records each when recording is set, holding sh.mu. It stops
-// at the first one already recorded.
-func (s *ShardedIncremental) passOver(rs []Response, i int, sh *incShard, recording bool) error {
+// routeBatch groups the indices of rs by the shard that owns their task,
+// in batch order within a shard: shard i's are order[end[i-1]:end[i]],
+// with end[-1] taken as 0.
+func (s *ShardedIncremental) routeBatch(rs []Response) (order []int32, end []int) {
+	buf := make([]int32, 2*len(rs))
+	shard, order := buf[:len(rs)], buf[len(rs):]
+	end = make([]int, len(s.shards)+1)
+	for j, x := range rs {
+		shard[j] = int32(s.shardIndex(x.Task))
+		end[shard[j]+1]++
+	}
+	for i := range s.shards {
+		end[i+1] += end[i]
+	}
+	// end[i] is where shard i's run begins; placing each index advances
+	// it to where the run ends.
+	for j, i := range shard {
+		order[end[i]] = int32(j)
+		end[i]++
+	}
+	return order, end[:len(s.shards)]
+}
+
+// passOver checks, in batch order, the responses of rs at the indices idx
+// (every response when idx is nil), and records each when recording is
+// set, holding sh.mu. It stops at the first one already recorded.
+func (s *ShardedIncremental) passOver(rs []Response, idx []int32, sh *incShard, recording bool) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for j, x := range rs {
-		if len(s.shards) > 1 && s.shardIndex(x.Task) != i {
-			continue
+	n := len(rs)
+	if idx != nil {
+		n = len(idx)
+	}
+	for k := range n {
+		j := k
+		if idx != nil {
+			j = int(idx[k])
 		}
+		x := rs[j]
 		if err := sh.checkNew(x.Worker, x.Task); err != nil {
 			return fmt.Errorf("core: batch response %d: %w", j, err)
 		}
@@ -429,13 +470,14 @@ func (s *ShardedIncremental) snapshot() *StatsAccumulator {
 	m.tasks, m.responses, m.digestValid = 0, 0, false
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		m.stats.addCounters(sh.stats)
+		m.stats.addUpper(sh.stats)
 		sh.mergeInto(m.stats, s.mergedSlot)
 		m.tasks = max(m.tasks, sh.tasks)
 		m.responses += sh.responses
 		s.mergedEpochs[i] = sh.epoch
 		sh.mu.Unlock()
 	}
+	m.stats.mirror()
 	m.mu.Unlock()
 	s.merged = m
 	return m

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"crowdassess/internal/core"
+	"crowdassess/internal/crowd"
 )
 
 // ProtocolVersion is negotiated in the handshake; peers with different
@@ -394,14 +395,16 @@ func encodeIngest(batch []responseRec) []byte {
 	return buf
 }
 
-func decodeIngest(b []byte) ([]responseRec, error) {
+// decodeIngest decodes an ingest frame into the batch form a worker
+// records with AddBatch.
+func decodeIngest(b []byte) ([]core.Response, error) {
 	r := &wireReader{buf: b}
 	// Each record takes at least three bytes.
 	count, err := r.count("ingest count", uint64(r.rest())/3)
 	if err != nil {
 		return nil, err
 	}
-	batch := make([]responseRec, count)
+	batch := make([]core.Response, count)
 	for i := range batch {
 		if batch[i].Worker, err = r.count("response worker", maxStatsWorkers); err != nil {
 			return nil, err
@@ -409,9 +412,11 @@ func decodeIngest(b []byte) ([]responseRec, error) {
 		if batch[i].Task, err = r.count("response task", maxCounter); err != nil {
 			return nil, err
 		}
-		if batch[i].Answer, err = r.count("response answer", maxCounter); err != nil {
+		answer, err := r.count("response answer", maxCounter)
+		if err != nil {
 			return nil, err
 		}
+		batch[i].Answer = crowd.Response(answer)
 	}
 	return batch, r.done()
 }

@@ -204,8 +204,9 @@ func TestMessageCodecsRoundTrip(t *testing.T) {
 		t.Fatalf("hello round trip: %+v, %v", gotH, err)
 	}
 	batch := []responseRec{{1, 2, 1}, {3, 70000, 2}, {0, 0, 1}}
+	wantB := []core.Response{{Worker: 1, Task: 2, Answer: 1}, {Worker: 3, Task: 70000, Answer: 2}, {Worker: 0, Task: 0, Answer: 1}}
 	gotB, err := decodeIngest(encodeIngest(batch))
-	if err != nil || !reflect.DeepEqual(gotB, batch) {
+	if err != nil || !reflect.DeepEqual(gotB, wantB) {
 		t.Fatalf("ingest round trip: %+v, %v", gotB, err)
 	}
 	empty, err := decodeIngest(encodeIngest(nil))

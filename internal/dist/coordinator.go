@@ -400,9 +400,10 @@ func (c *Coordinator) Add(w, t int, r crowd.Response) error {
 // out to every live replica of the slice, slices in parallel. Responses
 // for the same task always land on the same slice, in their order within
 // the batch. On failure the errors of every failing slice are joined (in
-// slice order); earlier responses within batches may already be ingested
-// (the same per-response contract local Add has — a rejected response
-// never corrupts state).
+// slice order). A slice refuses its part of the batch whole, so a refused
+// part leaves nothing on its replicas or in its journal, but the parts
+// other slices accepted stay ingested — a rejected response never
+// corrupts state.
 func (c *Coordinator) Ingest(batch []Response) error {
 	perSlice := make([][]responseRec, len(c.slices))
 	for _, s := range batch {

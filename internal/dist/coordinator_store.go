@@ -141,24 +141,38 @@ func (c *Coordinator) sliceStore(si int) *store.Store {
 // ingestSlice fans one batch out to slice si's live replicas and, when the
 // slice carries a store, journals it before reporting success — the
 // caller's ack means "applied on every live replica AND durable in the
-// coordinator's WAL". The journal append happens under the slice lock, so
+// coordinator's WAL". The journal write happens under the slice lock, so
 // a compact checkpoint's (state, seq) cut can never see a batch the
-// journal doesn't.
+// journal doesn't, and the journal holds the slice's batches in the order
+// its replicas applied them. The fsync that makes the batch durable runs
+// after the lock is released, so the slice's next batch reaches the
+// replicas while this one syncs, and an fsync in flight covers every
+// batch written before it started.
 func (c *Coordinator) ingestSlice(si int, recs []responseRec) ([]byte, error) {
 	s := c.slices[si]
+	body := encodeIngest(recs)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	reply, err := c.broadcastLocked(si, s, msgIngest, encodeIngest(recs), msgIngestOK, false)
+	reply, err := c.broadcastLocked(si, s, msgIngest, body, msgIngestOK, false)
 	if err != nil {
+		s.mu.Unlock()
 		return nil, err
 	}
-	if s.store != nil {
+	st := s.store
+	var seq uint64
+	if st != nil {
 		rs := make([]store.Response, len(recs))
 		for i, r := range recs {
 			rs[i] = store.Response{Worker: r.Worker, Task: r.Task, Answer: crowd.Response(r.Answer)}
 		}
-		if _, err := s.store.Log.Append(rs); err != nil {
-			return nil, fmt.Errorf("dist: journaling slice %d batch: %w", si, err)
+		seq, err = st.Log.Write(rs)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("dist: journaling slice %d batch: %w", si, err)
+	}
+	if st != nil {
+		if err := st.Log.SyncTo(seq); err != nil {
+			return nil, fmt.Errorf("dist: syncing slice %d journal to record %d: %w", si, seq, err)
 		}
 	}
 	return reply, nil

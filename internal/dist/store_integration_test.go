@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"crowdassess/internal/core"
+	"crowdassess/internal/crowd"
 	"crowdassess/internal/store"
 )
 
@@ -922,4 +923,37 @@ func TestAttachEmptyStoreOverLiveReplicas(t *testing.T) {
 // payloads by hand.
 func checksumCompact(body []byte) uint64 {
 	return crc64.Checksum(body, snapCRC)
+}
+
+// TestSliceBatchRefusedWhole: a slice batch with one response the replica
+// already holds is refused whole. Before, the replica recorded the
+// batch's prefix while the head, seeing the error, journaled nothing, so
+// the live cluster decided on a response no client was acked for and a
+// rebuild from the store dropped it.
+func TestSliceBatchRefusedWhole(t *testing.T) {
+	const crowdSize = 4
+	st := openTestStore(t, t.TempDir())
+	defer st.Close()
+	w, conn := freshReplica(t, crowdSize, 2)
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Ingest([]Response{{Worker: 0, Task: 1, Answer: crowd.Yes}}); err != nil {
+		t.Fatal(err)
+	}
+	err = coord.Ingest([]Response{{Worker: 1, Task: 1, Answer: crowd.No}, {Worker: 0, Task: 1, Answer: crowd.Yes}})
+	if err == nil || !strings.Contains(err.Error(), "already answered") {
+		t.Fatalf("batch repeating a stored response: %v, want the repeat refused", err)
+	}
+	if n := w.Evaluator().Responses(); n != 1 {
+		t.Fatalf("the replica holds %d responses after the refused batch, want 1", n)
+	}
+	if n := evaluatorFromStore(t, crowdSize, st).Responses(); n != 1 {
+		t.Fatalf("the journal recovers %d responses after the refused batch, want 1", n)
+	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"crowdassess/internal/core"
-	"crowdassess/internal/crowd"
 	"crowdassess/internal/obs"
 )
 
@@ -330,14 +329,10 @@ func (w *Worker) handle(msgType byte, body []byte) (byte, []byte, error) {
 		if err != nil {
 			return 0, nil, err
 		}
-		for _, s := range batch {
-			if err := w.inc.Add(s.Worker, s.Task, crowd.Response(s.Answer)); err != nil {
-				// The batch stops at the first rejected response. Earlier
-				// responses are already ingested; the coordinator reports
-				// the failure to its caller, matching the local evaluator's
-				// per-Add error contract.
-				return 0, nil, err
-			}
+		// A rejected response refuses the slice batch whole, so the
+		// replica holds none of a batch the head does not journal.
+		if err := w.inc.AddBatch(batch); err != nil {
+			return 0, nil, err
 		}
 		return msgIngestOK, encodeTotal(w.inc.Responses()), nil
 

@@ -33,9 +33,9 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	return &storeMetrics{
 		clock: reg.Clock(),
 		appendSec: reg.Histogram("store_append_seconds",
-			"WAL append latency (encode, write, and fsync under FsyncAlways).", nil),
+			"WAL write latency (encode and write; the fsync is store_fsync_seconds).", nil),
 		fsyncSec: reg.Histogram("store_fsync_seconds",
-			"WAL segment fsync latency (per-append, rotation, close and manual syncs).", nil),
+			"WAL segment fsync latency (one per group of acked writes, rotation, close and manual syncs).", nil),
 		snapSaveSec: reg.Histogram("store_snapshot_save_seconds",
 			"Snapshot save latency (atomic write, prune, directory sync).", nil),
 		appendBytes: reg.Counter("store_append_bytes_total",
@@ -55,15 +55,15 @@ func newStoreMetrics(reg *obs.Registry) *storeMetrics {
 	}
 }
 
-// timedSync syncs the active segment, recording the fsync latency when
-// the log is instrumented. Caller holds l.mu.
-func (l *DiskLog) timedSync() error {
+// timedSync syncs segment f, recording the fsync latency when the log is
+// instrumented. The caller holds l.mu or has claimed the fsync.
+func (l *DiskLog) timedSync(f File) error {
 	m := l.metrics
 	if m == nil {
-		return l.seg.Sync()
+		return f.Sync()
 	}
 	start := m.clock.Now()
-	err := l.seg.Sync()
+	err := f.Sync()
 	m.fsyncSec.Observe(m.clock.Since(start).Seconds())
 	return err
 }

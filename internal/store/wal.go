@@ -20,12 +20,23 @@ import (
 // on them, so re-applying a tail that overlaps an already-restored
 // snapshot is idempotent by construction.
 type Log interface {
-	// Append journals one accepted batch and returns its sequence number.
-	// When it returns nil under FsyncAlways, the batch is on stable
-	// storage; under FsyncNever it survives a process crash but not a
-	// machine crash.
+	// Append journals one accepted batch and returns its sequence number:
+	// Write, then SyncTo that number. When it returns nil under
+	// FsyncAlways, the batch is on stable storage; under FsyncNever it
+	// survives a process crash but not a machine crash.
 	Append(responses []Response) (uint64, error)
-	// LastSeq returns the highest sequence number ever appended (0 if
+	// Write journals one accepted batch without waiting for stable
+	// storage and returns its sequence number. Records are written in
+	// sequence order, so a caller that serializes its Writes under its own
+	// lock fixes the journal's order without holding that lock through an
+	// fsync.
+	Write(responses []Response) (uint64, error)
+	// SyncTo returns once every record up to seq is as durable as the
+	// policy makes an Append: on stable storage under FsyncAlways. One
+	// fsync covers every record written before it started, so concurrent
+	// callers share fsyncs. After a failed fsync no call reports success.
+	SyncTo(seq uint64) error
+	// LastSeq returns the highest sequence number ever written (0 if
 	// none).
 	LastSeq() uint64
 	// Replay streams every record with Seq >= from, in sequence order.
@@ -126,11 +137,18 @@ type DiskLog struct {
 	segments []segInfo // on-disk segments, ascending; includes the active one
 	seg      File      // active segment handle, nil until first append
 	segSize  int64
-	lastSeq  uint64
-	dirty    bool
+	lastSeq  uint64 // highest sequence number written
+	synced   uint64 // highest sequence number an fsync covered
 	failed   bool
+	syncErr  error // the fsync failure that failed the log, if one did
 	closed   bool
 	recovery RecoveryInfo
+
+	// syncing is set while an fsync of seg runs outside mu; syncDone,
+	// on mu, is broadcast when it ends. Nothing closes or replaces seg
+	// while syncing is set.
+	syncing  bool
+	syncDone sync.Cond
 }
 
 func segName(first uint64) string {
@@ -210,6 +228,7 @@ func OpenLog(fsys FS, dir string, opts Options) (*DiskLog, error) {
 	}
 
 	l := &DiskLog{fsys: fsys, dir: dir, opts: opts, metrics: newStoreMetrics(opts.Obs)}
+	l.syncDone.L = &l.mu
 	if err := l.recover(segs); err != nil {
 		return nil, err
 	}
@@ -329,7 +348,7 @@ func (l *DiskLog) recover(segs []segInfo) error {
 		}
 	}
 	l.segments = segs
-	l.lastSeq = lastSeq
+	l.lastSeq, l.synced = lastSeq, lastSeq
 	return nil
 }
 
@@ -346,41 +365,65 @@ func (l *DiskLog) LastSeq() uint64 {
 	return l.lastSeq
 }
 
-// Append journals one batch; see Log.Append. A batch whose encoded
-// payload would exceed maxRecordPayload — which DecodeRecord rejects as
-// corrupt, so journaling it as one frame would turn the next recovery
-// into silent truncation of acked data — is split across several
-// records; the returned sequence number is the last one assigned, and
-// durability (per the fsync policy) covers the whole batch.
+// Append journals one batch; see Log.Append. It is Write then SyncTo,
+// for callers that hold no lock of their own across the call.
 func (l *DiskLog) Append(responses []Response) (uint64, error) {
+	seq, err := l.Write(responses)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.SyncTo(seq); err != nil {
+		return 0, err
+	}
+	return seq, nil
+}
+
+// Write journals one batch without an fsync; see Log.Write. A batch
+// whose encoded payload would exceed maxRecordPayload — which
+// DecodeRecord rejects as corrupt, so journaling it as one frame would
+// turn the next recovery into silent truncation of acked data — is split
+// across several records; the returned sequence number is the last one
+// assigned, and SyncTo it covers the whole batch. The payloads are
+// encoded before the log lock is taken; under it, each is framed with
+// its sequence number and written.
+func (l *DiskLog) Write(responses []Response) (uint64, error) {
 	if len(responses) == 0 {
 		return 0, fmt.Errorf("store: refusing to journal an empty batch")
 	}
 	if err := validateResponses(responses); err != nil {
 		return 0, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch {
-	case l.closed:
-		return 0, ErrClosed
-	case l.failed:
-		return 0, ErrLogFailed
-	}
 	var start time.Time
 	if l.metrics != nil {
 		start = l.metrics.clock.Now()
 	}
-	var appendedBytes, appendedRecords uint64
-	seq := l.lastSeq
+	var payloads [][]byte
+	size := int64(0) // the framed size of the whole batch
 	for rest := toResponses(responses); len(rest) > 0; {
-		chunk := rest
-		if len(chunk) > maxBatchResponses {
-			chunk = chunk[:maxBatchResponses]
-		}
+		chunk := rest[:min(len(rest), maxBatchResponses)]
 		rest = rest[len(chunk):]
+		payloads = append(payloads, encodeBatchPayload(nil, chunk))
+		size += recHeaderLen + int64(len(payloads[len(payloads)-1])) + recTrailerLen
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// A rotation closes the active segment, which an fsync in flight
+	// still uses, so a batch that may rotate waits for that fsync first.
+	// Once it has, no fsync can start until the batch is written.
+	for l.syncing && !l.closed && !l.failed && l.segSize+size > l.opts.SegmentSize {
+		l.syncDone.Wait()
+	}
+	switch {
+	case l.closed:
+		return 0, ErrClosed
+	case l.failed:
+		return 0, l.failedErr()
+	}
+	var appendedBytes uint64
+	seq := l.lastSeq
+	for _, payload := range payloads {
 		seq++
-		frame := EncodeRecord(Record{Seq: seq, Responses: chunk})
+		frame := appendRecord(nil, seq, recBatch, payload)
 		if err := l.ensureSegmentLocked(int64(len(frame))); err != nil {
 			return 0, err
 		}
@@ -392,26 +435,99 @@ func (l *DiskLog) Append(responses []Response) (uint64, error) {
 			return 0, fmt.Errorf("store: append record %d: %w", seq, err)
 		}
 		l.segSize += int64(len(frame))
-		l.dirty = true
 		appendedBytes += uint64(len(frame))
-		appendedRecords++
 		// Advance per frame so a mid-batch rotation names the next
 		// segment after the records already written.
 		l.lastSeq = seq
 	}
-	if l.opts.Fsync == FsyncAlways {
-		if err := l.timedSync(); err != nil {
-			l.failed = true
-			return 0, fmt.Errorf("store: sync record %d: %w", seq, err)
-		}
-		l.dirty = false
-	}
 	if m := l.metrics; m != nil {
 		m.appendSec.Observe(m.clock.Since(start).Seconds())
 		m.appendBytes.Add(appendedBytes)
-		m.records.Add(appendedRecords)
+		m.records.Add(uint64(len(payloads)))
 	}
 	return seq, nil
+}
+
+// SyncTo waits until record seq is durable; see Log.SyncTo. Under
+// FsyncNever a written record already is, as far as the policy goes, so
+// only a failed or closed log is reported. Otherwise the first caller to
+// find no fsync in flight runs one, outside the log lock, covering every
+// record written so far; callers whose record it covers return when it
+// ends, and the rest wait their turn to run the next one. A failed fsync
+// fails the log: its waiters, and every later caller, get its error.
+func (l *DiskLog) SyncTo(seq uint64) error {
+	if l.opts.Fsync == FsyncNever {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.failed {
+			return l.failedErr()
+		}
+		return nil
+	}
+	return l.syncTo(seq)
+}
+
+// syncTo runs fsyncs until record seq is covered, whatever the policy.
+func (l *DiskLog) syncTo(seq uint64) error {
+	for {
+		f, target, err := l.claimSync(seq)
+		if f == nil {
+			return err
+		}
+		l.finishSync(target, l.timedSync(f))
+	}
+}
+
+// claimSync waits out any fsync in flight, then reports seq's fate, or
+// claims the next fsync: it returns the segment to sync and the last
+// record that fsync covers. A nil segment means the caller is done, with
+// the returned error.
+func (l *DiskLog) claimSync(seq uint64) (File, uint64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.syncing {
+		l.syncDone.Wait()
+	}
+	switch {
+	case l.failed:
+		return nil, 0, l.failedErr()
+	case seq <= l.synced:
+		return nil, 0, nil
+	case l.closed:
+		return nil, 0, ErrClosed
+	case seq > l.lastSeq:
+		return nil, 0, fmt.Errorf("store: sync to record %d past the last one written, %d", seq, l.lastSeq)
+	case l.seg == nil:
+		// Only a forced Sync under FsyncNever gets here: a segment is
+		// synced when it is closed under the durable policies.
+		return nil, 0, nil
+	}
+	l.syncing = true
+	return l.seg, l.lastSeq, nil
+}
+
+// finishSync records the outcome of the fsync claimSync claimed, which
+// covered every record up to target, and wakes its waiters.
+func (l *DiskLog) finishSync(target uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.syncing = false
+	l.syncDone.Broadcast()
+	if err != nil {
+		l.failed = true
+		l.syncErr = fmt.Errorf("store: sync record %d: %w", target, err)
+		return
+	}
+	l.synced = max(l.synced, target)
+}
+
+// failedErr is what a failed log reports: ErrLogFailed, carrying the
+// fsync failure that failed it when one did. The caller holds l.mu.
+func (l *DiskLog) failedErr() error {
+	if l.syncErr != nil {
+		return fmt.Errorf("%w: %w", ErrLogFailed, l.syncErr)
+	}
+	return ErrLogFailed
 }
 
 // toResponses is the identity — Append takes the exported type directly —
@@ -470,19 +586,24 @@ func (l *DiskLog) ensureSegmentLocked(incoming int64) error {
 	return nil
 }
 
-// closeSegmentLocked syncs (under durable policies) and closes the active
-// segment.
+// closeSegmentLocked waits out an fsync in flight, then syncs (under
+// durable policies) and closes the active segment.
 func (l *DiskLog) closeSegmentLocked() error {
+	for l.syncing {
+		l.syncDone.Wait()
+	}
 	if l.seg == nil {
 		return nil
 	}
-	if l.dirty && l.opts.Fsync != FsyncNever {
-		if err := l.timedSync(); err != nil {
+	if l.synced < l.lastSeq && l.opts.Fsync != FsyncNever {
+		if err := l.timedSync(l.seg); err != nil {
 			l.seg.Close()
 			l.seg = nil
-			return fmt.Errorf("store: sync segment: %w", err)
+			l.failed = true
+			l.syncErr = fmt.Errorf("store: sync segment: %w", err)
+			return l.syncErr
 		}
-		l.dirty = false
+		l.synced = l.lastSeq
 	}
 	err := l.seg.Close()
 	l.seg = nil
@@ -602,30 +723,14 @@ func (l *DiskLog) AlignTo(seq uint64) error {
 		}
 	}
 	l.segments = nil
-	l.lastSeq = seq
+	l.lastSeq, l.synced = seq, seq
 	return nil
 }
 
-// Sync forces buffered appends to stable storage.
+// Sync forces every written record to stable storage, whatever the
+// policy.
 func (l *DiskLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
-func (l *DiskLog) syncLocked() error {
-	if l.closed {
-		return ErrClosed
-	}
-	if l.seg == nil || !l.dirty {
-		return nil
-	}
-	if err := l.timedSync(); err != nil {
-		l.failed = true
-		return fmt.Errorf("store: sync segment: %w", err)
-	}
-	l.dirty = false
-	return nil
+	return l.syncTo(l.LastSeq())
 }
 
 // Close syncs under durable policies and releases the log.

@@ -250,7 +250,7 @@ func TestLogManualSync(t *testing.T) {
 	if _, err := l.Append(testBatch(0)); err != nil {
 		t.Fatalf("append under FsyncNever reached a sync: %v", err)
 	}
-	if !l.dirty {
+	if l.synced == l.lastSeq {
 		t.Fatal("append under FsyncNever should leave the segment dirty")
 	}
 	if err := l.Sync(); !errors.Is(err, boom) {
@@ -264,7 +264,7 @@ func TestLogManualSync(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if l.dirty {
+	if l.synced != l.lastSeq {
 		t.Fatal("manual Sync should clear dirty")
 	}
 }
