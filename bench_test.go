@@ -385,27 +385,24 @@ func BenchmarkEvaluateTriple(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateWorkers times the public batch entry, which fans the
+// workers out over GOMAXPROCS goroutines: run it with -cpu 1,2 to read the
+// fan-out's speedup.
 func BenchmarkEvaluateWorkers(b *testing.B) {
 	for _, m := range []int{7, 21, 51} {
-		for _, parallel := range []bool{false, true} {
-			name := "m" + itoa(m)
-			if parallel {
-				name += "-parallel"
+		b.Run("m"+itoa(m), func(b *testing.B) {
+			src := crowdassess.NewSimSource(2)
+			ds, _, err := crowdassess.BinarySim{Tasks: 300, Workers: m, Density: 0.7}.Generate(src)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				src := crowdassess.NewSimSource(2)
-				ds, _, err := crowdassess.BinarySim{Tasks: 300, Workers: m, Density: 0.7}.Generate(src)
-				if err != nil {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := crowdassess.EvaluateWorkers(ds, crowdassess.Options{Confidence: 0.9}); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := crowdassess.EvaluateWorkers(ds, crowdassess.Options{Confidence: 0.9, Parallel: parallel}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

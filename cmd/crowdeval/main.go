@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	crowdeval -in responses.json [-confidence 0.9] [-prune] [-aggregate] [-parallel]
+//	crowdeval -in responses.json [-confidence 0.9] [-prune] [-aggregate]
 //	cat responses.json | crowdeval
 //
 // With -prune, workers failing the majority-vote spammer screen are removed
@@ -30,7 +30,6 @@ func main() {
 		prune      = flag.Bool("prune", false, "remove majority-vote spammers before estimating")
 		aggregate  = flag.Bool("aggregate", false, "also infer task answers by weighted voting")
 		threshold  = flag.Float64("prune-threshold", 0, "spammer disagreement cutoff (0 = paper default 0.4)")
-		parallel   = flag.Bool("parallel", false, "evaluate workers on all CPUs (results identical to serial)")
 	)
 	flag.Parse()
 
@@ -88,7 +87,7 @@ func main() {
 		ds, orig = pruned, keep
 	}
 
-	ests, err := crowdassess.EvaluateWorkers(ds, crowdassess.Options{Confidence: *confidence, Parallel: *parallel})
+	ests, err := crowdassess.EvaluateWorkers(ds, crowdassess.Options{Confidence: *confidence})
 	if err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Command crowdvet runs the project-invariant static analyzers over the
-// module: determinism, workspace discipline, lock hygiene, error
-// classification and durability ordering (see internal/analysis for
+// module: determinism, lock hygiene, error classification and
+// durability ordering (see internal/analysis for
 // what each enforces and why). It is stdlib-only — go/parser, go/types
 // and a from-source importer — so the module stays dependency-free.
 //

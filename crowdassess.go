@@ -95,7 +95,8 @@ type WorkerEstimate = core.WorkerEstimate
 // EvaluateWorkers estimates every worker's error rate with a confidence
 // interval from binary responses, requiring no gold answers and no
 // regularity (workers may attempt arbitrary subsets of tasks). This is the
-// paper's Algorithm A2.
+// paper's Algorithm A2. The workers are solved on every CPU; the result
+// does not depend on GOMAXPROCS.
 func EvaluateWorkers(ds *Dataset, opts Options) ([]WorkerEstimate, error) {
 	return core.EvaluateWorkers(ds, opts)
 }

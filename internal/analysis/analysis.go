@@ -1,10 +1,10 @@
 // Package analysis is crowdvet's engine: a stdlib-only static-analysis
 // framework (go/parser + go/types, no external dependencies) plus the
 // project-invariant checks it runs. Every check encodes a bug class this
-// repository has actually shipped or reviewed away — stale workspace
-// arenas, lock paths without unlock, acks that outrun the journal — so
-// that CI rejects the class mechanically instead of hoping a test
-// happens to exercise the violating path.
+// repository has actually shipped or reviewed away — wall-clock reads
+// on the bit-identity path, lock paths without unlock, acks that outrun
+// the journal — so that CI rejects the class mechanically instead of
+// hoping a test happens to exercise the violating path.
 //
 // The unit of work is a Package (parsed files + type information); each
 // Analyzer walks one package and reports Diagnostics. Which packages,
@@ -85,7 +85,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		DeterminismAnalyzer,
-		WorkspaceAnalyzer,
 		LocksAnalyzer,
 		ErrClassAnalyzer,
 		DurabilityAnalyzer,

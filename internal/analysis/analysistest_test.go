@@ -99,10 +99,6 @@ func TestDeterminismFixture(t *testing.T) {
 	checkFixture(t, "determinism", []*Analyzer{DeterminismAnalyzer})
 }
 
-func TestWorkspaceFixture(t *testing.T) {
-	checkFixture(t, "workspace", []*Analyzer{WorkspaceAnalyzer})
-}
-
 func TestLocksFixture(t *testing.T) {
 	checkFixture(t, "locks", []*Analyzer{LocksAnalyzer})
 }

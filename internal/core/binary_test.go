@@ -471,7 +471,7 @@ func TestFormPairsGreedyPrefersOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs := formPairs(newFullStatsCache(ds), 5, 0, GreedyPairing, 1, mat.NewWorkspace())
+	pairs := formPairs(datasetStats(ds), 5, 0, GreedyPairing, 1, mat.NewWorkspace())
 	if len(pairs) != 4 {
 		t.Fatalf("pairs = %v", pairs)
 	}

@@ -5,8 +5,6 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
-
-	"crowdassess/internal/mat"
 )
 
 // StatsExport is the serialization-neutral form of the streaming sufficient
@@ -143,23 +141,22 @@ type StatsAccumulator struct {
 	// invalidates it and Digest recomputes it on demand.
 	digest      uint64
 	digestValid bool
-	// ws is the set of solve workspaces. Only solves touch it, and a solve
-	// holds mu throughout; accumulators that share one set, as a
-	// ShardedIncremental's two do, must not solve at the same time.
-	ws *solveWorkspaces
+	// solvers holds one Solver per fan-out goroutine, each created on
+	// first use. Only solves touch it, and a solve holds mu throughout;
+	// accumulators that share one set, as a ShardedIncremental's two do,
+	// must not solve at the same time.
+	solvers *solverSet
 }
 
-// solveWorkspaces holds one solve workspace per fan-out goroutine, each
-// created on first use.
-type solveWorkspaces []*mat.Workspace
+// solverSet is the solvers of an accumulator's fan-out.
+type solverSet []*Solver
 
-// first returns the first n workspaces, creating any that do not exist
-// yet.
-func (w *solveWorkspaces) first(n int) []*mat.Workspace {
-	for len(*w) < n {
-		*w = append(*w, mat.NewWorkspace())
+// first returns the first n solvers, creating any that do not exist yet.
+func (set *solverSet) first(n int) []*Solver {
+	for len(*set) < n {
+		*set = append(*set, new(Solver))
 	}
-	return (*w)[:n]
+	return (*set)[:n]
 }
 
 // NewStatsAccumulator returns an empty accumulator for a crowd of the given
@@ -179,7 +176,7 @@ func newStatsAccumulator(workers int) *StatsAccumulator {
 		stats:       newStreamStats(workers),
 		digest:      headerTerm(workers, 0, 0),
 		digestValid: true,
-		ws:          new(solveWorkspaces),
+		solvers:     new(solverSet),
 	}
 }
 
@@ -300,7 +297,7 @@ func (a *StatsAccumulator) Clone() *StatsAccumulator {
 		responses:   a.responses,
 		digest:      a.digest,
 		digestValid: a.digestValid,
-		ws:          new(solveWorkspaces),
+		solvers:     new(solverSet),
 	}
 }
 
@@ -321,9 +318,7 @@ func (a *StatsAccumulator) Evaluate(worker int, opts EvalOptions) (WorkerEstimat
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ws := a.ws.first(1)[0]
-	defer ws.Reset()
-	return a.solveLocked(worker, opts, ws), nil
+	return a.solveLocked(worker, opts, a.solvers.first(1)[0]), nil
 }
 
 // EvaluateAll returns intervals for every worker from the merged
@@ -338,7 +333,7 @@ func (a *StatsAccumulator) EvaluateAll(opts EvalOptions) ([]WorkerEstimate, erro
 
 // EvaluateSubset returns intervals for the given worker indices, aligned
 // with the input slice. The solves fan out over min(GOMAXPROCS, len(workers))
-// goroutines, each with a workspace of its own; a worker's result depends
+// goroutines, each with a Solver of its own; a worker's result depends
 // only on the counters, so the output is bit-identical to solving the
 // workers one at a time. ApplyDelta, Merge and a rebuild of a
 // ShardedIncremental's merge write the counters in place, so the solves
@@ -351,11 +346,10 @@ func (a *StatsAccumulator) EvaluateSubset(workers []int, opts EvalOptions) ([]Wo
 	defer a.mu.Unlock()
 	out := make([]WorkerEstimate, len(workers))
 	goroutines := min(runtime.GOMAXPROCS(0), len(workers))
-	ws := a.ws.first(goroutines)
+	solvers := a.solvers.first(goroutines)
 	solve := func(g int) {
-		defer ws[g].Reset()
 		for i := g; i < len(workers); i += goroutines {
-			out[i] = a.solveLocked(workers[i], opts, ws[g])
+			out[i] = a.solveLocked(workers[i], opts, solvers[g])
 		}
 	}
 	if goroutines <= 1 {
@@ -391,10 +385,6 @@ func (a *StatsAccumulator) checkRead(workers []int, opts EvalOptions) error {
 
 // solveLocked runs Algorithm A2 for one worker on the accumulated counters
 // and returns its interval; the caller holds mu.
-func (a *StatsAccumulator) solveLocked(worker int, opts EvalOptions, ws *mat.Workspace) WorkerEstimate {
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	return finishEstimate(evaluateOne(a.stats, a.workers, worker, opts, minCommon, ws), opts.Confidence)
+func (a *StatsAccumulator) solveLocked(worker int, opts EvalOptions, s *Solver) WorkerEstimate {
+	return finishEstimate(s.solveWorker(a.stats, a.workers, worker, opts), opts.Confidence)
 }

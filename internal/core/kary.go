@@ -97,7 +97,8 @@ func ThreeWorkerKAry(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (*KAry
 	if err := checkConfidence(opts.Confidence); err != nil {
 		return nil, err
 	}
-	delta, err := ThreeWorkerKAryDelta(ds, workers, opts)
+	var s Solver
+	delta, err := s.ThreeWorkerKAryDelta(ds, workers, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -106,10 +107,13 @@ func ThreeWorkerKAry(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (*KAry
 
 // ThreeWorkerKAryDelta is ThreeWorkerKAry without committing to a confidence
 // level. opts.Confidence is ignored here.
-func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (*KAryDelta, error) {
+func (s *Solver) ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (*KAryDelta, error) {
 	eps := opts.Epsilon
 	if eps == 0 {
 		eps = 0.01
+	}
+	if math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return nil, fmt.Errorf("core: epsilon %v is not a finite step", eps)
 	}
 	if eps < 0 {
 		return nil, fmt.Errorf("core: negative epsilon %v", eps)
@@ -118,10 +122,10 @@ func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (
 	counts := ds.CountsTensor(workers[0], workers[1], workers[2])
 
 	// Step 3 of Algorithm A3: the point estimate. base's matrices live in
-	// baseWS, which must stay un-reset while base.v is read below; the
-	// gradient loop uses a workspace of its own.
-	baseWS := mat.NewWorkspace()
-	base, err := probEstimate(counts, opts, baseWS)
+	// s.ws, which must stay un-reset while base.v is read below; the
+	// gradient loop runs on s.grad.
+	s.ws.Reset()
+	base, err := probEstimate(counts, opts, &s.ws)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +141,7 @@ func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (
 		return nil, fmt.Errorf("core: no tasks attempted by all three workers: %w", ErrInsufficientData)
 	}
 	nEntries := k * k * k
-	flatCounts := make([]float64, nEntries)
+	flatCounts := s.ws.GetVec(nEntries)
 	for j1 := 1; j1 <= k; j1++ {
 		for j2 := 1; j2 <= k; j2++ {
 			for j3 := 1; j3 <= k; j3++ {
@@ -152,8 +156,8 @@ func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (
 
 	// Steps 5–6: central-difference derivatives of every estimated element
 	// with respect to every all-attempted count entry.
-	grads := [3][]*vGrad{newVGrads(k), newVGrads(k), newVGrads(k)}
-	if err := karyGradients(counts, opts, eps, k, grads); err != nil {
+	grads := s.ws.GetVec(3 * k * k * nEntries)
+	if err := karyGradients(counts, opts, eps, grads, &s.grad); err != nil {
 		return nil, err
 	}
 
@@ -175,7 +179,7 @@ func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (
 			// Row sum of S^{1/2}P is √s_a; accumulate the selectivity estimate.
 			selAccum[a] += rowSum * rowSum / 3
 			for b := 0; b < k; b++ {
-				de, err := DeltaMethodCov(base.v[w].At(a, b), grads[w][a*k+b].d, cov)
+				de, err := DeltaMethodCov(base.v[w].At(a, b), vGrad(grads, k, w, a, b), cov)
 				if err != nil {
 					return nil, err
 				}
@@ -186,8 +190,8 @@ func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (
 		}
 	}
 	var selTotal float64
-	for _, s := range selAccum {
-		selTotal += s
+	for _, v := range selAccum {
+		selTotal += v
 	}
 	if selTotal > 0 {
 		for a := 0; a < k; a++ {
@@ -201,13 +205,13 @@ func ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (
 // every V element with respect to every all-attempted count entry: for each
 // of the k³ entries it runs probEstimate on the ±ε perturbed tensor (steps
 // 5–6 of Algorithm A3). Each entry is perturbed in counts itself and
-// restored exactly before the next. The calls run serially on one
-// mat.Workspace; callers that want more CPUs run several triples at once
-// (the figure runners do, one cell per goroutine). The workspace is reset
-// once per entry and serves both the +ε and −ε estimates, so the whole
-// loop runs allocation-free after the first entry warms the pools.
-func karyGradients(counts *crowd.Tensor3, opts KAryOptions, eps float64, k int, grads [3][]*vGrad) error {
-	ws := mat.NewWorkspace()
+// restored exactly before the next. The calls run serially on ws; callers
+// that want more CPUs run several triples at once (the figure runners do,
+// one cell per goroutine). ws is reset once per entry and serves both the
+// +ε and −ε estimates, so the whole loop runs allocation-free once ws has
+// served one entry. grads is laid out as vGrad reads it.
+func karyGradients(counts *crowd.Tensor3, opts KAryOptions, eps float64, grads []float64, ws *mat.Workspace) error {
+	k := counts.Arity()
 	for e := 0; e < k*k*k; e++ {
 		j1 := e/(k*k) + 1
 		j2 := (e/k)%k + 1
@@ -234,8 +238,7 @@ func karyGradients(counts *crowd.Tensor3, opts KAryOptions, eps float64, k int, 
 				plusRow := plus.v[w].RowView(a)
 				minusRow := minus.v[w].RowView(a)
 				for b := 0; b < k; b++ {
-					d := (plusRow[b] - minusRow[b]) / (2 * eps)
-					grads[w][a*k+b].d[e] = d
+					vGrad(grads, k, w, a, b)[e] = (plusRow[b] - minusRow[b]) / (2 * eps)
 				}
 			}
 		}
@@ -243,15 +246,11 @@ func karyGradients(counts *crowd.Tensor3, opts KAryOptions, eps float64, k int, 
 	return nil
 }
 
-// vGrad carries the gradient of one V element over the k³ count entries.
-type vGrad struct{ d []float64 }
-
-func newVGrads(k int) []*vGrad {
-	out := make([]*vGrad, k*k)
-	for i := range out {
-		out[i] = &vGrad{d: make([]float64, k*k*k)}
-	}
-	return out
+// vGrad returns, from grads (3·k²·k³ floats), the gradient of element
+// (a, b) of V_w over the k³ count entries.
+func vGrad(grads []float64, k, w, a, b int) []float64 {
+	n := k * k * k
+	return grads[((w*k+a)*k+b)*n:][:n]
 }
 
 // vEstimates holds the three V_i = S^{1/2}·P_i point estimates.

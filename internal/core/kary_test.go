@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crowdassess/internal/crowd"
@@ -252,6 +253,26 @@ func TestThreeWorkerKAryErrors(t *testing.T) {
 	}
 }
 
+// TestKAryEpsilonInvalid: a step that is not a finite number is the
+// caller's error, refused before any estimate runs, and not blamed on the
+// data as ErrDegenerate. A finite step too large for the counts is a
+// perturbed estimate that fails, which is ErrDegenerate.
+func TestKAryEpsilonInvalid(t *testing.T) {
+	ds, _, err := sim.KAry{Tasks: 500, Workers: 3, ConfusionChoices: sim.PaperMatrices(3)}.Generate(randx.NewSource(63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8, Epsilon: eps})
+		if err == nil || errors.Is(err, ErrDegenerate) || errors.Is(err, ErrInsufficientData) || !strings.Contains(err.Error(), "epsilon") {
+			t.Errorf("epsilon %v: err = %v, want an invalid-option error", eps, err)
+		}
+	}
+	if _, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8, Epsilon: 1e9}); !errors.Is(err, ErrDegenerate) {
+		t.Errorf("epsilon 1e9: err = %v, want ErrDegenerate", err)
+	}
+}
+
 func TestKAryEpsilonStability(t *testing.T) {
 	// Ablation #5 (bench_test.go): interval sizes should not blow up as the
 	// numeric-derivative step varies across two orders of magnitude.
@@ -299,7 +320,7 @@ func TestKAryIntervalsIntoMatchesIntervals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, KAryOptions{})
+		delta, err := new(Solver).ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, KAryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

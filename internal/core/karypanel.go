@@ -79,14 +79,15 @@ func EvaluateWorkersKAry(ds *crowd.Dataset, opts KAryPanelOptions) ([]KAryWorker
 		minCommon = 5 * ds.Arity()
 	}
 	att := ds.Attendance()
+	var s Solver // serves every triple of the panel
 	out := make([]KAryWorkerEstimate, m)
 	for i := 0; i < m; i++ {
-		out[i] = evaluatePanelOne(ds, att, i, opts, minCommon)
+		out[i] = evaluatePanelOne(&s, ds, att, i, opts, minCommon)
 	}
 	return out, nil
 }
 
-func evaluatePanelOne(ds *crowd.Dataset, att *crowd.Attendance, i int, opts KAryPanelOptions, minCommon int) KAryWorkerEstimate {
+func evaluatePanelOne(s *Solver, ds *crowd.Dataset, att *crowd.Attendance, i int, opts KAryPanelOptions, minCommon int) KAryWorkerEstimate {
 	est := KAryWorkerEstimate{Worker: i}
 	k := ds.Arity()
 	m := ds.Workers()
@@ -131,7 +132,7 @@ func evaluatePanelOne(ds *crowd.Dataset, att *crowd.Attendance, i int, opts KAry
 	spectral := opts.Spectral
 	var deltas []*KAryDelta
 	for _, tr := range triples {
-		d, err := ThreeWorkerKAryDelta(ds, tr, spectral)
+		d, err := s.ThreeWorkerKAryDelta(ds, tr, spectral)
 		if err != nil {
 			continue // degenerate triple: skip, as A2 does
 		}

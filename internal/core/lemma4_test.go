@@ -55,7 +55,7 @@ func solveCov(src agreementSource, m, i int, mode tripleMode, ws *mat.Workspace)
 }
 
 // buildLemma4 assembles the structured Lemma-4 covariance for one worker of
-// a simulated binary crowd, as evaluateOne does.
+// a simulated binary crowd, as solveWorker does.
 func buildLemma4(t testing.TB, seed int64, workers, tasks, worker int) *Lemma4Cov {
 	t.Helper()
 	src := randx.NewSource(seed)
@@ -67,7 +67,7 @@ func buildLemma4(t testing.TB, seed int64, workers, tasks, worker int) *Lemma4Co
 	if err != nil {
 		t.Fatal(err)
 	}
-	cov := solveCov(newFullStatsCache(ds), workers, worker, triplesAuto, mat.NewWorkspace())
+	cov := solveCov(datasetStats(ds), workers, worker, triplesAuto, mat.NewWorkspace())
 	if cov.Dim() < 2 {
 		t.Fatalf("only %d usable triples", cov.Dim())
 	}
@@ -132,7 +132,7 @@ func TestLemma4MaterializeBitIdentical(t *testing.T) {
 		sources := []struct {
 			name string
 			src  agreementSource
-		}{{"batch", newFullStatsCache(c.ds)}}
+		}{{"batch", datasetStats(c.ds)}}
 		for _, shards := range []int{1, 2, 7} {
 			s, _ := NewShardedIncremental(m, shards)
 			for _, x := range shuffledStream(t, c.ds, 33) {

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/mat"
@@ -51,10 +49,6 @@ type EvalOptions struct {
 	// to be usable. The paper requires at least one; higher values trade
 	// coverage for stability. Zero means 1.
 	MinCommon int
-	// Parallel evaluates workers on GOMAXPROCS goroutines. Per-worker
-	// evaluations are independent (they share only the read-only statistics
-	// cache), so results are identical to the serial path.
-	Parallel bool
 }
 
 // WorkerEstimate is the outcome of evaluating one worker with Algorithm A2.
@@ -82,80 +76,39 @@ type WorkerDelta struct {
 // single confidence interval. Workers whose data is insufficient or
 // degenerate get a non-nil Err in their slot; the method never fails as a
 // whole unless the dataset or options are invalid.
+//
+// It builds a StatsAccumulator holding the dataset's statistics and
+// evaluates every worker on it, so the workers fan out over every CPU and
+// the intervals are bit-identical to a streaming evaluator's on the same
+// responses. Solver.EvaluateWorkersDelta is the serial, level-free form.
 func EvaluateWorkers(ds *crowd.Dataset, opts EvalOptions) ([]WorkerEstimate, error) {
 	if err := checkConfidence(opts.Confidence); err != nil {
 		return nil, err
 	}
-	deltas, err := EvaluateWorkersDelta(ds, opts)
-	if err != nil {
+	if err := checkBinaryCrowd(ds); err != nil {
 		return nil, err
 	}
-	out := make([]WorkerEstimate, len(deltas))
-	for i, d := range deltas {
-		out[i] = WorkerEstimate{Worker: d.Worker, Triples: d.Triples, Err: d.Err}
-		if d.Err == nil {
-			out[i].Interval = d.Est.Interval(opts.Confidence).ClampTo(0, 1)
-		}
-	}
-	return out, nil
+	a := newStatsAccumulator(ds.Workers())
+	a.stats.setDataset(ds)
+	return a.EvaluateAll(opts)
 }
 
-// EvaluateWorkersDelta is EvaluateWorkers without committing to a confidence
-// level: it returns each worker's delta-method mean and deviation.
-// opts.Confidence is ignored here.
-func EvaluateWorkersDelta(ds *crowd.Dataset, opts EvalOptions) ([]WorkerDelta, error) {
+// checkBinaryCrowd refuses a dataset Algorithm A2 cannot evaluate: a
+// non-binary one, or one of fewer than three workers.
+func checkBinaryCrowd(ds *crowd.Dataset) error {
 	if ds.Arity() != 2 {
-		return nil, fmt.Errorf("core: EvaluateWorkers needs a binary dataset, got arity %d", ds.Arity())
+		return fmt.Errorf("core: EvaluateWorkers needs a binary dataset, got arity %d", ds.Arity())
 	}
-	m := ds.Workers()
-	if m < 3 {
-		return nil, fmt.Errorf("core: need at least 3 workers, have %d: %w", m, ErrInsufficientData)
+	if m := ds.Workers(); m < 3 {
+		return fmt.Errorf("core: need at least 3 workers, have %d: %w", m, ErrInsufficientData)
 	}
-	minCommon := opts.MinCommon
-	if minCommon <= 0 {
-		minCommon = 1
-	}
-	cache := newFullStatsCache(ds)
-	out := make([]WorkerDelta, m)
-	if opts.Parallel {
-		// Worker-pool fan-out with one mat.Workspace per goroutine: each
-		// worker index writes only its own slot, so results are identical to
-		// the serial path while the covariance scratch is reused rather than
-		// reallocated per worker.
-		goroutines := runtime.GOMAXPROCS(0)
-		if goroutines > m {
-			goroutines = m
-		}
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ws := mat.NewWorkspace()
-				for i := range next {
-					out[i] = evaluateOne(cache, m, i, opts, minCommon, ws)
-				}
-			}()
-		}
-		for i := 0; i < m; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-		return out, nil
-	}
-	ws := mat.NewWorkspace()
-	for i := 0; i < m; i++ {
-		out[i] = evaluateOne(cache, m, i, opts, minCommon, ws)
-	}
-	return out, nil
+	return nil
 }
 
 // agreementSource is what Algorithm A2 needs from its statistics provider:
 // pairwise agreement statistics, and each worker's attendance bitset, from
-// which tripleCounts derives the triple common-task counts. Both the batch
-// cache (fullStatsCache) and the streaming statistics implement it.
+// which tripleCounts derives the triple common-task counts. streamStats
+// implements it for every solve, batch and streaming alike.
 type agreementSource interface {
 	pairSource
 	// counters returns worker w's rows of the pairwise counters, read-only:
@@ -169,16 +122,12 @@ type agreementSource interface {
 	attendance(w int) []uint64
 }
 
-// evaluateOne runs steps 1–3 of Algorithm A2 for a single worker. ws is
-// the calling goroutine's scratch workspace for the pairing, the triple
-// counts and the Lemma 5 weight solve; it is rewound here, so nothing
-// handed out by it may outlive the call. Once ws has served a worker, a
-// later solve of the same worker allocates nothing.
-func evaluateOne(cache agreementSource, m, i int, opts EvalOptions, minCommon int, ws *mat.Workspace) WorkerDelta {
-	return solveWorker(cache, m, i, opts, minCommon, triplesAuto, ws)
-}
-
-// solveWorker is evaluateOne with the triple-count path chosen by mode.
+// solveWorker runs steps 1–3 of Algorithm A2 for worker i, counting
+// triples by mode (production solves pass triplesAuto; see
+// Solver.solveWorker). ws is rewound here and serves the pairing, the
+// triple counts and the Lemma 5 weight solve, so nothing handed out by it
+// may outlive the call. Once ws has served a worker, a later solve of the
+// same worker allocates nothing.
 func solveWorker(cache agreementSource, m, i int, opts EvalOptions, minCommon int, mode tripleMode, ws *mat.Workspace) WorkerDelta {
 	ws.Reset()
 	est := WorkerDelta{Worker: i}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -18,7 +20,7 @@ func TestIntervalNestingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		deltas, err := EvaluateWorkersDelta(ds, EvalOptions{})
+		deltas, err := new(Solver).EvaluateWorkersDelta(ds, EvalOptions{})
 		if err != nil {
 			return false
 		}
@@ -58,11 +60,11 @@ func TestMoreDataTightensIntervals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := EvaluateWorkersDelta(dsA, EvalOptions{})
+		a, err := new(Solver).EvaluateWorkersDelta(dsA, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := EvaluateWorkersDelta(dsB, EvalOptions{})
+		b, err := new(Solver).EvaluateWorkersDelta(dsB, EvalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,31 +164,32 @@ func TestKAryPartnerOrderStability(t *testing.T) {
 	}
 }
 
-// Property: parallel evaluation returns bit-identical results to serial.
+// Property: EvaluateWorkers, which fans the workers out over every CPU,
+// returns bit-identical results to one serial Solver at any GOMAXPROCS.
 func TestParallelMatchesSerial(t *testing.T) {
 	src := randx.NewSource(5)
 	ds, _, err := sim.Binary{Tasks: 200, Workers: 15, Density: 0.7}.Generate(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := EvaluateWorkers(ds, EvalOptions{Confidence: 0.9})
+	const c = 0.9
+	deltas, err := new(Solver).EvaluateWorkersDelta(ds, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := EvaluateWorkers(ds, EvalOptions{Confidence: 0.9, Parallel: true})
-	if err != nil {
-		t.Fatal(err)
+	serial := make([]WorkerEstimate, len(deltas))
+	for w, d := range deltas {
+		serial[w] = finishEstimate(d, c)
 	}
-	for w := range serial {
-		if (serial[w].Err == nil) != (parallel[w].Err == nil) {
-			t.Fatalf("worker %d: error mismatch", w)
+	procs := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(procs) })
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		parallel, err := EvaluateWorkers(ds, EvalOptions{Confidence: c})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if serial[w].Err != nil {
-			continue
-		}
-		if serial[w].Interval != parallel[w].Interval {
-			t.Errorf("worker %d: %v vs %v", w, serial[w].Interval, parallel[w].Interval)
-		}
+		sameBits(t, fmt.Sprintf("EvaluateWorkers at GOMAXPROCS %d", procs), parallel, serial)
 	}
 }
 

@@ -44,8 +44,8 @@ var _ StreamingEvaluator = (*ShardedIncremental)(nil)
 // no response is ever rescanned.
 //
 // The task space is hash-partitioned into N stripes, each owned by a shard
-// with its own lock, task columns, agree/common counters, attendance
-// bitsets and mat.Workspace. Because every response for a task lands in exactly one
+// with its own lock, task columns, agree/common counters and attendance
+// bitsets. Because every response for a task lands in exactly one
 // shard, a shard's counters are the exact statistics of its stripe, and
 // the integer counters are additive across stripes — so ingestion scales
 // with shards while evaluation, which runs on the merged counters,
@@ -83,7 +83,7 @@ type ShardedIncremental struct {
 	mergedEpochs []uint64
 
 	// solveMu lets one solve run at a time, which also keeps the two
-	// accumulators' solves off the workspaces they share. It is held
+	// accumulators' solves off the solvers they share. It is held
 	// around the accumulator call, which holds that accumulator's mu for
 	// the whole solve. Each solve already fans out over every core; two at
 	// once, one per accumulator, raised a gateway's ingest p99 about
@@ -121,6 +121,10 @@ type incShard struct {
 	marks      [3][]dynBitset
 	whole      [3]bool
 	cutWorkers dynBitset
+
+	// seen is AddBatch's repeat check (see passOver); its storage is kept
+	// from one batch to the next.
+	seen pairSet
 }
 
 // cutReader is the index of the statistics cut's marks in incShard.marks.
@@ -242,11 +246,11 @@ type Response struct {
 // park the goroutine behind whatever holds the CPUs.
 //
 // The batch is checked whole before any of it is recorded: when a response
-// is invalid or repeats one already recorded, AddBatch records nothing and
-// returns that response's error. rs must not itself repeat a worker–task
-// pair; a repeat, or a concurrent Add of one of the batch's pairs, is
-// refused when recording reaches it, and the batch is then recorded only
-// in part.
+// is invalid, repeats one already recorded or repeats a worker–task pair
+// of the batch itself, AddBatch records nothing and returns that
+// response's error. Only a concurrent Add of one of the batch's pairs,
+// landing between the check and the record, is refused when recording
+// reaches it, and the batch is then recorded only in part.
 func (s *ShardedIncremental) AddBatch(rs []Response) error {
 	for i, x := range rs {
 		if err := s.checkResponse(x.Worker, x.Task, x.Answer); err != nil {
@@ -302,13 +306,20 @@ func (s *ShardedIncremental) routeBatch(rs []Response) (order []int32, end []int
 
 // passOver checks, in batch order, the responses of rs at the indices idx
 // (every response when idx is nil), and records each when recording is
-// set, holding sh.mu. It stops at the first one already recorded.
+// set, holding sh.mu. It stops at the first one already recorded. The
+// check pass also stops at one that repeats a worker–task pair of the run
+// before it; every response of the batch with that pair routes to this
+// shard, so no repeat escapes.
 func (s *ShardedIncremental) passOver(rs []Response, idx []int32, sh *incShard, recording bool) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	n := len(rs)
 	if idx != nil {
 		n = len(idx)
+	}
+	var seen pairSet
+	if !recording {
+		seen = sh.seen.reset(n)
 	}
 	for k := range n {
 		j := k
@@ -321,9 +332,49 @@ func (s *ShardedIncremental) passOver(rs []Response, idx []int32, sh *incShard, 
 		}
 		if recording {
 			sh.record(x.Worker, x.Task, x.Answer, s.words)
+		} else if !seen.add(x.Worker, x.Task) {
+			return fmt.Errorf("core: batch response %d: worker %d already answered task %d earlier in the batch", j, x.Worker, x.Task)
 		}
 	}
 	return nil
+}
+
+// pairSet is an open-addressing hash set of worker–task pairs, AddBatch's
+// repeat check. A pair's key is task<<32 | worker, plus one so that 0
+// marks an empty slot; task and worker both fit in 31 bits (checkResponse,
+// checkStreamingWorkers). Sorting the run's keys instead, as the gateway's
+// check does, added about a quarter to a replica's cost per response
+// (BenchmarkShardedIncrementalAdd/dense64: 64-response runs, sorted
+// under the shard lock).
+type pairSet []uint64
+
+// reset empties the set and sizes it to hold n pairs at most half full,
+// keeping its storage when that is large enough, so a shard checking a
+// steady stream of batches allocates nothing.
+func (p *pairSet) reset(n int) pairSet {
+	size := 1 << bits.Len(uint(2*n))
+	if cap(*p) < size {
+		*p = make(pairSet, size)
+	}
+	*p = (*p)[:size]
+	clear(*p)
+	return *p
+}
+
+// add inserts worker w's pair with task t and reports whether it was not
+// in the set yet.
+func (p pairSet) add(w, t int) bool {
+	key := (uint64(t)<<32 | uint64(w)) + 1
+	mask := uint64(len(p) - 1)
+	for h := mix64(key) & mask; ; h = (h + 1) & mask {
+		switch p[h] {
+		case 0:
+			p[h] = key
+			return true
+		case key:
+			return false
+		}
+	}
 }
 
 // checkResponse validates a response against the crowd: the checks that
@@ -455,12 +506,12 @@ func (s *ShardedIncremental) snapshot() *StatsAccumulator {
 	case m.mu.TryLock():
 	default:
 		if s.spare == nil {
-			// Reads alternate between the two, so one set of workspaces
+			// Reads alternate between the two, so one set of solvers
 			// serves both and stays warm; solveMu keeps their solves
 			// apart. A set each cost ingest_http about 6% of ops_per_s
 			// (docs/performance.md).
 			s.spare = newStatsAccumulator(s.workers)
-			s.spare.ws = m.ws
+			s.spare.solvers = m.solvers
 		}
 		m, s.spare = s.spare, m
 		s.mergedSlot = 1 - s.mergedSlot

@@ -399,21 +399,34 @@ func TestAddBatchChecksWholeBatch(t *testing.T) {
 
 	t.Run("repeat within the batch", func(t *testing.T) {
 		s := fresh(t, prior...)
-		batch := append(slices.Clone(spread), spread[3])
-		err := s.AddBatch(batchOf(batch))
-		if err == nil || !strings.Contains(err.Error(), "already answered") {
-			t.Fatalf("err = %v, want the repeat refused", err)
-		}
-		failing := s.shardIndex(spread[3].t)
 		want := fresh(t, prior...)
-		for i := 0; i <= failing; i++ {
-			for _, x := range batch[:len(batch)-1] {
-				if s.shardIndex(x.t) == i {
-					if err := want.Add(x.w, x.t, x.r); err != nil {
-						t.Fatal(err)
-					}
-				}
+		cut, err := want.CutStats(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Response 3 comes back at the end of the batch, so every other
+		// shard's run passes its check first. A one-shard evaluator, whose
+		// run is the whole batch, refuses it too.
+		batch := batchOf(append(slices.Clone(spread), spread[3]))
+		one, _ := NewIncremental(workers)
+		for _, ev := range []*ShardedIncremental{s, one} {
+			err := ev.AddBatch(batch)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("batch response %d: worker 2 already answered task %d earlier in the batch", len(spread), spread[3].t)) {
+				t.Fatalf("err = %v, want the repeat of batch response 3 refused", err)
 			}
+		}
+		if one.Responses() != 0 {
+			t.Errorf("the one-shard evaluator holds %d responses, want 0", one.Responses())
+		}
+		if got := s.Responses(); got != len(prior) {
+			t.Errorf("Responses() = %d after the refused batch, want %d", got, len(prior))
+		}
+		got, err := s.CutStats(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Digest != cut.Digest {
+			t.Errorf("cut digest %x after the refused batch, want %x", got.Digest, cut.Digest)
 		}
 		requireSameShards(t, s, want)
 	})
@@ -428,6 +441,26 @@ func TestAddBatchChecksWholeBatch(t *testing.T) {
 		}
 		requireSameShards(t, s, fresh(t, append(slices.Clone(prior), spread...)...))
 	})
+}
+
+// TestAddBatchCheckZeroAllocs asserts that AddBatch's check pass, the
+// repeat check included, allocates nothing once a shard has checked a
+// batch of the same size.
+func TestAddBatchCheckZeroAllocs(t *testing.T) {
+	s, _ := NewIncremental(8)
+	var batch []Response
+	for task := 0; task < 256; task++ {
+		batch = append(batch, Response{Worker: task % 8, Task: task / 2, Answer: crowd.Yes})
+	}
+	check := func() {
+		if err := s.passOver(batch, nil, s.shards[0], false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+	if allocs := testing.AllocsPerRun(20, check); allocs != 0 {
+		t.Errorf("AddBatch's check pass allocates %.1f times per batch, want 0", allocs)
+	}
 }
 
 // TestShardedConcurrentAddBatch ingests in batches from several goroutines

@@ -36,46 +36,12 @@ var pairIndex = [3][3]int{
 	{1, 2, 0}, // worker c: own pairs ac, bc; opposite ab
 }
 
-// pairSource provides pairwise agreement statistics. Algorithm A2 uses a
-// precomputed table (fullStatsCache) because its covariance loops touch
-// every pair repeatedly; the 3-worker entry point reads the dataset
-// directly.
+// pairSource provides pairwise agreement statistics. Algorithm A2 reads
+// them from counters every solve shares (streamStats); the 3-worker entry
+// point reads the dataset directly.
 type pairSource interface {
 	pair(i, j int) crowd.PairStats
 }
-
-// fullStatsCache precomputes the pairwise agree/common counters, one row
-// per worker, and the attendance bitsets of a dataset. Row i's entry i is
-// worker i's self-agreement, as PairMatrix defines it.
-type fullStatsCache struct {
-	agree, common [][]int
-	att           *crowd.Attendance
-}
-
-func newFullStatsCache(ds *crowd.Dataset) *fullStatsCache {
-	att := ds.Attendance()
-	m := ds.Workers()
-	c := &fullStatsCache{agree: make([][]int, m), common: make([][]int, m), att: att}
-	agree, common := make([]int, m*m), make([]int, m*m)
-	for i := range c.agree {
-		c.agree[i] = agree[i*m : (i+1)*m : (i+1)*m]
-		c.common[i] = common[i*m : (i+1)*m : (i+1)*m]
-	}
-	for i := 0; i < m; i++ {
-		for j := i; j < m; j++ {
-			st := att.Pair(i, j)
-			c.agree[i][j], c.agree[j][i] = st.Agree, st.Agree
-			c.common[i][j], c.common[j][i] = st.Common, st.Common
-		}
-	}
-	return c
-}
-
-func (c *fullStatsCache) pair(i, j int) crowd.PairStats {
-	return crowd.PairStats{Common: c.common[i][j], Agree: c.agree[i][j]}
-}
-func (c *fullStatsCache) counters(w int) (agree, common []int) { return c.agree[w], c.common[w] }
-func (c *fullStatsCache) attendance(w int) []uint64            { return c.att.Attempted(w) }
 
 // directSource computes statistics on demand, for one-shot triples.
 type directSource struct{ ds *crowd.Dataset }

@@ -172,7 +172,7 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 			cursor = cut.Digest
 		}
 	}
-	batch := newFullStatsCache(ds)
+	batch := datasetStats(ds)
 	want := fullHorizonEstimates(batch, workers, opts)
 	solved := 0
 	for _, e := range want {
@@ -218,9 +218,9 @@ func TestEvaluateAllMatchesFullHorizon(t *testing.T) {
 }
 
 // TestSparseEvaluateOneZeroAllocs asserts the A2 solve of a sparse worker
-// allocates nothing once its goroutine's workspace has served it: pairing,
-// the gathered rows, the per-triple statistics, the Lemma 4 covariance and
-// the Lemma 5 solve all run in workspace scratch.
+// allocates nothing once a Solver has served it: pairing, the gathered
+// rows, the per-triple statistics, the Lemma 4 covariance and the Lemma 5
+// solve all run in the solver's workspace.
 func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 	const workers = 64
 	ds, _, err := sim.Binary{Tasks: 6000, Workers: workers, Density: 0.1, ErrorRateChoices: []float64{0.1}}.Generate(randx.NewSource(4))
@@ -242,15 +242,15 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 	if !c.packed {
 		t.Fatal("worker is not sparse enough for the restricted path")
 	}
-	var d WorkerDelta
-	d = evaluateOne(st, workers, worker, opts, 1, ws) // warm-up
+	var s Solver
+	d := s.solveWorker(st, workers, worker, opts) // warm-up
 	if d.Err != nil || d.Triples < 2 {
 		t.Fatalf("warm-up solve: %d triples, err %v", d.Triples, d.Err)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
-		d = evaluateOne(st, workers, worker, opts, 1, ws)
+		d = s.solveWorker(st, workers, worker, opts)
 	}); allocs != 0 {
-		t.Errorf("steady-state sparse evaluateOne allocates %.1f times per call, want 0", allocs)
+		t.Errorf("a warmed solver's repeat sparse solve allocates %.1f times per call, want 0", allocs)
 	}
 }
 
@@ -295,7 +295,7 @@ func BenchmarkEvaluateSparse(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cache := newFullStatsCache(ds)
+				cache := datasetStats(ds)
 				for _, mode := range []struct {
 					name string
 					mode tripleMode
@@ -317,11 +317,12 @@ func BenchmarkEvaluateSparse(b *testing.B) {
 }
 
 // BenchmarkEvaluateWorkersEmulated is the per-kernel measure of the A2
-// solve the paper's real-data figures run: one serial
-// EvaluateWorkersDelta per iteration over every worker of the emulated
-// IC, RTE and TEM crowds (seed 1), statistics cache included. Run it with
-// -benchmem: a steady-state solve allocates only the cache and the result
-// slice, so allocations per op track the per-worker overhead.
+// solve the paper's real-data figures run: one Solver.EvaluateWorkersDelta
+// per iteration over every worker of the emulated IC, RTE and TEM crowds
+// (seed 1), the dataset's statistics included, on one solver as a figure
+// goroutine keeps it. Run it with -benchmem: a steady-state solve
+// allocates only the dataset's attendance index and the result slice, so
+// allocations per op track the per-worker overhead.
 func BenchmarkEvaluateWorkersEmulated(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -333,9 +334,10 @@ func BenchmarkEvaluateWorkersEmulated(b *testing.B) {
 				b.Fatal(err)
 			}
 			opts := EvalOptions{Confidence: 0.9}
+			var s Solver
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				if _, err := EvaluateWorkersDelta(ds, opts); err != nil {
+				if _, err := s.EvaluateWorkersDelta(ds, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -926,7 +926,8 @@ func checksumCompact(body []byte) uint64 {
 }
 
 // TestSliceBatchRefusedWhole: a slice batch with one response the replica
-// already holds is refused whole. Before, the replica recorded the
+// already holds, or one that repeats a pair of its own, is refused whole.
+// Before, the replica recorded the
 // batch's prefix while the head, seeing the error, journaled nothing, so
 // the live cluster decided on a response no client was acked for and a
 // rebuild from the store dropped it.
@@ -950,10 +951,21 @@ func TestSliceBatchRefusedWhole(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "already answered") {
 		t.Fatalf("batch repeating a stored response: %v, want the repeat refused", err)
 	}
-	if n := w.Evaluator().Responses(); n != 1 {
-		t.Fatalf("the replica holds %d responses after the refused batch, want 1", n)
+	requireOne := func(batch string) {
+		t.Helper()
+		if n := w.Evaluator().Responses(); n != 1 {
+			t.Fatalf("the replica holds %d responses after the refused %s, want 1", n, batch)
+		}
+		if n := evaluatorFromStore(t, crowdSize, st).Responses(); n != 1 {
+			t.Fatalf("the journal recovers %d responses after the refused %s, want 1", n, batch)
+		}
 	}
-	if n := evaluatorFromStore(t, crowdSize, st).Responses(); n != 1 {
-		t.Fatalf("the journal recovers %d responses after the refused batch, want 1", n)
+	requireOne("batch")
+	// A batch that repeats a pair within itself is refused whole as well:
+	// nothing before the repeat is kept.
+	err = coord.Ingest([]Response{{Worker: 2, Task: 1, Answer: crowd.No}, {Worker: 1, Task: 1, Answer: crowd.Yes}, {Worker: 2, Task: 1, Answer: crowd.No}})
+	if err == nil || !strings.Contains(err.Error(), "already answered") {
+		t.Fatalf("batch repeating a pair of its own: %v, want the repeat refused", err)
 	}
+	requireOne("batch with a repeat")
 }

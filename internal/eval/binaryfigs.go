@@ -25,13 +25,13 @@ func Fig1(p Params) (*Result, error) {
 		oldSizes [][]float64
 		failures int
 	}
-	results, err := runGrid(p.Seed, len(crowds), p.replicates(), func(pt int, src *randx.Source) (rep, error) {
+	results, err := runGrid(p.Seed, len(crowds), p.replicates(), func(pt int, src *randx.Source, s *core.Solver) (rep, error) {
 		out := rep{newSizes: make([][]float64, len(confs)), oldSizes: make([][]float64, len(confs))}
 		ds, _, err := sim.Binary{Tasks: tasks, Workers: crowds[pt]}.Generate(src)
 		if err != nil {
 			return rep{}, err
 		}
-		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		deltas, err := s.EvaluateWorkersDelta(ds, core.EvalOptions{})
 		if err != nil {
 			return rep{}, err
 		}
@@ -113,13 +113,13 @@ func Fig2a(p Params) (*Result, error) {
 	}
 	confs := Confidences()
 	configs := []struct{ m, n int }{{3, 100}, {3, 300}, {7, 100}, {7, 300}}
-	results, err := runGrid(p.Seed, len(configs), p.replicates(), func(pt int, src *randx.Source) (tally, error) {
+	results, err := runGrid(p.Seed, len(configs), p.replicates(), func(pt int, src *randx.Source, s *core.Solver) (tally, error) {
 		out := newTally(len(confs))
 		ds, rates, err := sim.Binary{Tasks: configs[pt].n, Workers: configs[pt].m, Density: 0.8}.Generate(src)
 		if err != nil {
 			return tally{}, err
 		}
-		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		deltas, err := s.EvaluateWorkersDelta(ds, core.EvalOptions{})
 		if err != nil {
 			return tally{}, err
 		}
@@ -162,14 +162,14 @@ func Fig2b(p Params) (*Result, error) {
 	}
 	// Point pt is configs[pt/len(densities)] at density
 	// densities[pt%len(densities)].
-	results, err := runGrid(p.Seed, len(configs)*len(densities), p.replicates(), func(pt int, src *randx.Source) (rep, error) {
+	results, err := runGrid(p.Seed, len(configs)*len(densities), p.replicates(), func(pt int, src *randx.Source, s *core.Solver) (rep, error) {
 		cfg, d := configs[pt/len(densities)], densities[pt%len(densities)]
 		var out rep
 		ds, _, err := sim.Binary{Tasks: cfg.n, Workers: cfg.m, Density: d}.Generate(src)
 		if err != nil {
 			return rep{}, err
 		}
-		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		deltas, err := s.EvaluateWorkersDelta(ds, core.EvalOptions{})
 		if err != nil {
 			return rep{}, err
 		}
@@ -218,17 +218,17 @@ func Fig2c(p Params) (*Result, error) {
 		uniSizes [][]float64
 		failures int
 	}
-	results, err := runGrid(p.Seed, 1, p.replicates(), func(_ int, src *randx.Source) (rep, error) {
+	results, err := runGrid(p.Seed, 1, p.replicates(), func(_ int, src *randx.Source, s *core.Solver) (rep, error) {
 		out := rep{optSizes: make([][]float64, len(confs)), uniSizes: make([][]float64, len(confs))}
 		ds, _, err := sim.Binary{Tasks: n, Workers: m, Densities: densities}.Generate(src)
 		if err != nil {
 			return rep{}, err
 		}
-		opt, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{Weights: core.OptimalWeights})
+		opt, err := s.EvaluateWorkersDelta(ds, core.EvalOptions{Weights: core.OptimalWeights})
 		if err != nil {
 			return rep{}, err
 		}
-		uni, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{Weights: core.UniformWeights})
+		uni, err := s.EvaluateWorkersDelta(ds, core.EvalOptions{Weights: core.UniformWeights})
 		if err != nil {
 			return rep{}, err
 		}

@@ -30,13 +30,13 @@ func XNoGold(p Params) (*Result, error) {
 		agreeSizes, goldSizes []float64
 		failures              int
 	}
-	results, err := runGrid(p.Seed, len(taskGrid), p.replicates(), func(pt int, src *randx.Source) (rep, error) {
+	results, err := runGrid(p.Seed, len(taskGrid), p.replicates(), func(pt int, src *randx.Source, s *core.Solver) (rep, error) {
 		var out rep
 		ds, _, err := sim.Binary{Tasks: taskGrid[pt], Workers: m}.Generate(src)
 		if err != nil {
 			return rep{}, err
 		}
-		agree, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		agree, err := s.EvaluateWorkersDelta(ds, core.EvalOptions{})
 		if err != nil {
 			return rep{}, err
 		}
@@ -104,13 +104,13 @@ func XMinCommon(p Params) (*Result, error) {
 		hits, totals                int
 		evaluable, workers, triples int
 	}
-	results, err := runGrid(p.Seed, len(grid), reps, func(pt int, src *randx.Source) (rep, error) {
+	results, err := runGrid(p.Seed, len(grid), reps, func(pt int, src *randx.Source, s *core.Solver) (rep, error) {
 		var out rep
 		ds, err := sim.EmulateRTE(src)
 		if err != nil {
 			return rep{}, err
 		}
-		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{MinCommon: grid[pt]})
+		deltas, err := s.EvaluateWorkersDelta(ds, core.EvalOptions{MinCommon: grid[pt]})
 		if err != nil {
 			return rep{}, err
 		}

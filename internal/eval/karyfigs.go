@@ -19,7 +19,7 @@ func Fig5a(p Params) (*Result, error) {
 	}
 	confs := Confidences()
 	configs := []struct{ k, n int }{{2, 100}, {2, 1000}, {3, 100}, {3, 1000}, {4, 100}, {4, 1000}}
-	results, err := runGrid(p.Seed, len(configs), p.replicates(), func(pt int, src *randx.Source) (tally, error) {
+	results, err := runGrid(p.Seed, len(configs), p.replicates(), func(pt int, src *randx.Source, s *core.Solver) (tally, error) {
 		k, n := configs[pt].k, configs[pt].n
 		out := newTally(len(confs))
 		ds, workerConfs, err := sim.KAry{
@@ -30,7 +30,7 @@ func Fig5a(p Params) (*Result, error) {
 		if err != nil {
 			return tally{}, err
 		}
-		delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{})
+		delta, err := s.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{})
 		if err != nil {
 			out.failures++
 			return out, nil
@@ -77,7 +77,7 @@ func Fig5b(p Params) (*Result, error) {
 	}
 	// Point pt is arity arities[pt/len(densities)] at density
 	// densities[pt%len(densities)].
-	results, err := runGrid(p.Seed, len(arities)*len(densities), p.replicates(), func(pt int, src *randx.Source) (rep, error) {
+	results, err := runGrid(p.Seed, len(arities)*len(densities), p.replicates(), func(pt int, src *randx.Source, s *core.Solver) (rep, error) {
 		k, d := arities[pt/len(densities)], densities[pt%len(densities)]
 		var out rep
 		ds, _, err := sim.KAry{
@@ -89,7 +89,7 @@ func Fig5b(p Params) (*Result, error) {
 		if err != nil {
 			return rep{}, err
 		}
-		delta, err := core.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{})
+		delta, err := s.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{})
 		if err != nil {
 			out.failures++
 			return out, nil
@@ -149,7 +149,7 @@ func Fig5c(p Params) (*Result, error) {
 	if reps <= 0 {
 		reps = 5
 	}
-	results, err := runGrid(p.Seed, len(cases), reps, func(pt int, src *randx.Source) (tally, error) {
+	results, err := runGrid(p.Seed, len(cases), reps, func(pt int, src *randx.Source, s *core.Solver) (tally, error) {
 		cs := cases[pt]
 		out := newTally(len(confs))
 		ds, err := cs.gen(src)
@@ -164,7 +164,7 @@ func Fig5c(p Params) (*Result, error) {
 		k := ds.Arity()
 		var est core.KAryEstimate
 		for _, tr := range triples {
-			delta, err := core.ThreeWorkerKAryDelta(ds, tr, core.KAryOptions{})
+			delta, err := s.ThreeWorkerKAryDelta(ds, tr, core.KAryOptions{})
 			if err != nil {
 				out.failures++
 				continue

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"crowdassess/internal/core"
 	"crowdassess/internal/randx"
 )
 
@@ -16,14 +17,16 @@ import (
 //
 // One queue of min(GOMAXPROCS, points·reps) goroutines drains every cell
 // in point-major order, with no barrier between points, so the last
-// replicates of one point overlap the first of the next. Every cell owns
-// its source and writes only its own slot, and callers merge the result in
-// point order and then replicate order, so the output is byte-identical at
-// every GOMAXPROCS, including 1.
+// replicates of one point overlap the first of the next. Each goroutine
+// keeps one core.Solver and hands it to every cell it runs; a cell solves
+// only through it, and a solver's results never depend on what it solved
+// before. Every cell owns its source and writes only its own slot, and
+// callers merge the result in point order and then replicate order, so
+// the output is byte-identical at every GOMAXPROCS, including 1.
 //
 // When any cell fails, the error of the lowest failing cell in point-major
 // order is returned, whatever the schedule.
-func runGrid[T any](seed int64, points, reps int, body func(pt int, src *randx.Source) (T, error)) ([][]T, error) {
+func runGrid[T any](seed int64, points, reps int, body func(pt int, src *randx.Source, s *core.Solver) (T, error)) ([][]T, error) {
 	cells := points * reps
 	flat := make([]T, cells)
 	errs := make([]error, cells)
@@ -50,13 +53,14 @@ func runGrid[T any](seed int64, points, reps int, body func(pt int, src *randx.S
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var s core.Solver
 			for {
 				i := next.Add(1) - 1
 				if i >= int64(cells) || i > minFail.Load() {
 					return
 				}
 				pt, r := int(i)/reps, int(i)%reps
-				flat[i], errs[i] = body(pt, randx.NewSource(seed+int64(r)))
+				flat[i], errs[i] = body(pt, randx.NewSource(seed+int64(r)), &s)
 				if errs[i] != nil {
 					recordFailure(i)
 				}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"crowdassess/internal/core"
 	"crowdassess/internal/randx"
 )
 
@@ -61,7 +62,7 @@ func TestRunGridOrderAndSeeds(t *testing.T) {
 	}
 	for _, procs := range testProcs {
 		atProcs(t, procs)
-		got, err := runGrid(seed, points, reps, func(pt int, src *randx.Source) (cell, error) {
+		got, err := runGrid(seed, points, reps, func(pt int, src *randx.Source, _ *core.Solver) (cell, error) {
 			return cell{pt, src.Float64()}, nil
 		})
 		if err != nil {
@@ -85,6 +86,35 @@ func replicateOf(src *randx.Source, seed int64, reps int) int {
 	return -1
 }
 
+// TestRunGridSolverPerGoroutine checks that a cell has its solver to
+// itself: no two cells ever hold one solver at once, and there are no more
+// solvers than goroutines.
+func TestRunGridSolverPerGoroutine(t *testing.T) {
+	atProcs(t, 8)
+	var mu sync.Mutex
+	busy := map[*core.Solver]bool{}
+	_, err := runGrid(1, 4, 16, func(pt int, _ *randx.Source, s *core.Solver) (int, error) {
+		mu.Lock()
+		if busy[s] {
+			mu.Unlock()
+			return 0, fmt.Errorf("point %d: its solver is in use by another cell", pt)
+		}
+		busy[s] = true
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		busy[s] = false
+		mu.Unlock()
+		return pt, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(busy) > 8 {
+		t.Errorf("%d solvers for 8 goroutines", len(busy))
+	}
+}
+
 // TestRunGridFirstError checks that the error surfaced is the one of the
 // lowest failing cell in point-major order, regardless of scheduling:
 // (point 0, replicate 4) beats (point 1, replicate 0) and (point 0,
@@ -94,7 +124,7 @@ func TestRunGridFirstError(t *testing.T) {
 	failAt := map[[2]int]bool{{0, 4}: true, {0, 7}: true, {1, 0}: true}
 	for _, procs := range testProcs {
 		atProcs(t, procs)
-		_, err := runGrid(seed, points, reps, func(pt int, src *randx.Source) (int, error) {
+		_, err := runGrid(seed, points, reps, func(pt int, src *randx.Source, _ *core.Solver) (int, error) {
 			r := replicateOf(src, seed, reps)
 			if failAt[[2]int{pt, r}] {
 				return 0, fmt.Errorf("cell (%d, %d) failed", pt, r)
@@ -120,7 +150,7 @@ func TestRunGridLowFailureAfterHighDispatch(t *testing.T) {
 	atProcs(t, 8)
 	highFailed := make(chan struct{})
 	var once sync.Once
-	_, err := runGrid(seed, 1, reps, func(_ int, src *randx.Source) (int, error) {
+	_, err := runGrid(seed, 1, reps, func(_ int, src *randx.Source, _ *core.Solver) (int, error) {
 		switch r := replicateOf(src, seed, reps); r {
 		case 7:
 			once.Do(func() { close(highFailed) })
@@ -154,7 +184,7 @@ func TestRunGridOverlapsPoints(t *testing.T) {
 	atProcs(t, 2)
 	var started atomic.Int32
 	both := make(chan struct{})
-	_, err := runGrid(1, 2, 1, func(pt int, _ *randx.Source) (int, error) {
+	_, err := runGrid(1, 2, 1, func(pt int, _ *randx.Source, _ *core.Solver) (int, error) {
 		if started.Add(1) == 2 {
 			close(both)
 		}

@@ -36,7 +36,7 @@ func realBinaryAccuracy(p Params, name, title string, prune bool) (*Result, erro
 	if reps <= 0 {
 		reps = 20
 	}
-	results, err := runGrid(p.Seed, len(cases), reps, func(pt int, src *randx.Source) (tally, error) {
+	results, err := runGrid(p.Seed, len(cases), reps, func(pt int, src *randx.Source, s *core.Solver) (tally, error) {
 		out := newTally(len(confs))
 		ds, err := cases[pt].gen(src)
 		if err != nil {
@@ -50,7 +50,7 @@ func realBinaryAccuracy(p Params, name, title string, prune bool) (*Result, erro
 			}
 			ds = pruned
 		}
-		deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+		deltas, err := s.EvaluateWorkersDelta(ds, core.EvalOptions{})
 		if err != nil {
 			return tally{}, err
 		}

@@ -99,15 +99,15 @@ func (s SweepSpec) Validate() error {
 // count in the last slot.
 func sweepVectorLen() int { return 2*len(Confidences()) + 1 }
 
-// sweepReplicate computes one replicate's statistic vector.
-func sweepReplicate(s SweepSpec, src *randx.Source) ([]float64, error) {
+// sweepReplicate computes one replicate's statistic vector on solver.
+func sweepReplicate(s SweepSpec, src *randx.Source, solver *core.Solver) ([]float64, error) {
 	confs := Confidences()
 	vec := make([]float64, sweepVectorLen())
 	ds, rates, err := sim.Binary{Tasks: s.Tasks, Workers: s.Workers, Density: s.Density}.Generate(src)
 	if err != nil {
 		return nil, err
 	}
-	deltas, err := core.EvaluateWorkersDelta(ds, core.EvalOptions{})
+	deltas, err := solver.EvaluateWorkersDelta(ds, core.EvalOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -142,8 +142,8 @@ func RunSweep(s SweepSpec) (*Result, error) {
 		return nil, err
 	}
 	s = s.WithDefaults()
-	vectors, err := runGrid(s.Seed, 1, s.Replicates, func(_ int, src *randx.Source) ([]float64, error) {
-		return sweepReplicate(s, src)
+	vectors, err := runGrid(s.Seed, 1, s.Replicates, func(_ int, src *randx.Source, solver *core.Solver) ([]float64, error) {
+		return sweepReplicate(s, src, solver)
 	})
 	if err != nil {
 		return nil, err

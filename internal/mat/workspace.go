@@ -16,8 +16,11 @@ package mat
 // shapes it has served: see arena.take.
 //
 // A Workspace is NOT safe for concurrent use: parallel code keeps one
-// workspace per goroutine. The figure runners' queue (eval's runGrid) runs
-// one cell per goroutine, and every solve in a cell builds its own.
+// workspace per goroutine. Production solves reach their workspaces
+// through a core.Solver, and keep one Solver per goroutine: the figure
+// runners' queue (eval's runGrid) one per queue goroutine, and a
+// StatsAccumulator one per fan-out goroutine. The zero value is an empty
+// workspace, ready to use.
 type Workspace struct {
 	floats arena[float64] // matrix data and GetVec slices
 	ints   arena[int]
