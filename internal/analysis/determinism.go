@@ -45,6 +45,7 @@ func DeterminismPackages() []string {
 		"internal/aggregate",
 		"internal/baseline",
 		"internal/core",
+		"internal/cpufeat",
 		"internal/crowd",
 		"internal/eval",
 		"internal/mat",

@@ -34,17 +34,46 @@ type Lemma4Cov struct {
 	// anyway, Quad reads the cache instead of regenerating entries. Entries
 	// are identical either way.
 	dense *mat.Matrix
+
+	// ws serves the row tables MaterializeInto builds on its first call
+	// (see lemma4row.go), when every triple has been added; tab holds them.
+	ws  *mat.Workspace
+	tab lemma4Tables
 }
+
+// lemma4Tables are the per-solve tables countRow and entryRow read, laid
+// out as lemma4row.go describes, and their per-row scratch. The block
+// holds at most lemma4Chunk of the words, so its size does not grow with
+// the task horizon: more words than that are counted one chunk at a time
+// into sums, which then holds every row's counts.
+type lemma4Tables struct {
+	half   int
+	words  []int     // the word of each block row (tripleCounts.blockWords)
+	block  []uint64  // min(len(words), lemma4Chunk) × 2·half, word-major
+	tri    []int     // j1 | j2 | c_{i,j1} | c_{i,j2}
+	grad   []float64 // ∂p_i/∂q_{i,j1} | ∂p_i/∂q_{i,j2}
+	counts []int     // one row's counts, 4·half
+	sums   []int     // every row's counts, (l−1) × 4·half, when chunked
+	out    []float64 // entryRow's result for the current row
+}
+
+// lemma4Chunk is the most words a covariance's block holds: 128 words of
+// 2·half lanes are 64 KiB at 32 triples. A block of every word would grow
+// with partners × horizon: 864 KiB per solve on a dense 64-worker crowd
+// over 108 000 tasks, and 16 MiB for 128 workers over a million tasks.
+const lemma4Chunk = 128
 
 // newLemma4Cov returns an empty covariance for the worker counts
 // evaluates, its per-triple slices drawn from ws (capacity for up to
-// `capacity` triples); triples are appended with add in the order they
-// were formed, and pPool must be set before any entry is read. It returns
-// a value so a solve can keep it on its stack; counts is copied in for the
-// same reason (escape analysis would move a pointed-to one to the heap).
+// `capacity` triples), which also serves MaterializeInto's tables;
+// triples are appended with add in the order they were formed, and pPool
+// must be set before any entry is read. It returns a value so a solve can
+// keep it on its stack; counts is copied in for the same reason (escape
+// analysis would move a pointed-to one to the heap).
 func newLemma4Cov(counts tripleCounts, capacity int, ws *mat.Workspace) Lemma4Cov {
 	ints := ws.GetInts(2 * capacity)
 	return Lemma4Cov{
+		ws:     ws,
 		counts: counts,
 		diag:   ws.GetVec(capacity)[:0],
 		d1:     ws.GetVec(capacity)[:0],
@@ -149,36 +178,94 @@ func (c *Lemma4Cov) Materialize(ws *mat.Workspace) *mat.Matrix {
 //
 // Every entry is entry's sum of four lemma4Term values, in entry's order,
 // so the two paths agree bit for bit; only the lookups are shared. Row k1
-// reads its two partners' agreement and triple-count rows once, and each
-// entry counts its four c_{i,j,j′} in one pass of common3Block.
+// of the upper triangle takes countRow calls, which count the four
+// c_{i,j,j′} of every later entry over the word-major partner rows, one
+// per block of words, and one entryRow call, which turns them into
+// entries; both are vector kernels on amd64 (lemma4row.go). The lower
+// triangle is the mirror.
 func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
 	l := len(c.diag)
 	if dst.Rows() != l || dst.Cols() != l {
 		panic(mat.ErrShape)
 	}
-	src, pI := c.counts.src, c.pPool
-	_, own := src.counters(c.counts.i)
-	for k1 := 0; k1 < l; k1++ {
-		row := dst.RowView(k1)
-		row[k1] = c.diag[k1]
-		a, b := c.j1[k1], c.j2[k1]
-		agreeA, commonA := src.counters(a)
-		agreeB, commonB := src.counters(b)
-		rowA, rowB := c.counts.pairRows(a, b)
-		da, db, cia, cib := c.d1[k1], c.d2[k1], own[a], own[b]
-		for k2 := k1 + 1; k2 < l; k2++ {
-			x, y := c.j1[k2], c.j2[k2]
-			ax, ay, bx, by := common3Block(rowA, rowB, c.counts.row(x), c.counts.row(y))
-			cix, ciy := own[x], own[y]
-			var v float64
-			v += da * c.d1[k2] * lemma4Term(ax, pI, agreeA[x], commonA[x], cia, cix)
-			v += da * c.d2[k2] * lemma4Term(ay, pI, agreeA[y], commonA[y], cia, ciy)
-			v += db * c.d1[k2] * lemma4Term(bx, pI, agreeB[x], commonB[x], cib, cix)
-			v += db * c.d2[k2] * lemma4Term(by, pI, agreeB[y], commonB[y], cib, ciy)
-			row[k2] = v
-			dst.RowView(k2)[k1] = v
+	for k := range l {
+		dst.RowView(k)[k] = c.diag[k]
+	}
+	if l < 2 {
+		return
+	}
+	t := c.tables()
+	h := t.half
+	if len(t.words) <= lemma4Chunk {
+		c.fillBlock(t, t.words)
+		for k1 := 0; k1+1 < l; k1++ {
+			clear(t.counts)
+			countRow(t.block, len(t.words), h, k1, (k1+1)&^7, t.counts)
+			c.entries(dst, t, k1, t.counts)
+		}
+		return
+	}
+	for w0 := 0; w0 < len(t.words); w0 += lemma4Chunk {
+		words := t.words[w0:min(w0+lemma4Chunk, len(t.words))]
+		c.fillBlock(t, words)
+		for k1 := 0; k1+1 < l; k1++ {
+			countRow(t.block, len(words), h, k1, (k1+1)&^7, t.sums[k1*4*h:][:4*h])
 		}
 	}
+	for k1 := 0; k1+1 < l; k1++ {
+		c.entries(dst, t, k1, t.sums[k1*4*h:][:4*h])
+	}
+}
+
+// fillBlock writes every partner's row at words into the block.
+func (c *Lemma4Cov) fillBlock(t *lemma4Tables, words []int) {
+	for k := range c.diag {
+		c.counts.putLane(t.block, 2*t.half, k, c.j1[k], words)
+		c.counts.putLane(t.block, 2*t.half, t.half+k, c.j2[k], words)
+	}
+}
+
+// entries writes row k1 of the upper triangle and its mirror from the
+// row's counts.
+func (c *Lemma4Cov) entries(dst *mat.Matrix, t *lemma4Tables, k1 int, counts []int) {
+	src := c.counts.src
+	_, own := src.counters(c.counts.i)
+	a, b := c.j1[k1], c.j2[k1]
+	agreeA, commonA := src.counters(a)
+	agreeB, commonB := src.counters(b)
+	entryRow(t.out, counts, t.tri, t.grad, agreeA, commonA, agreeB, commonB, t.half, (k1+1)&^3, own[a], own[b], c.d1[k1], c.d2[k1], c.pPool)
+	row := dst.RowView(k1)
+	for k2 := k1 + 1; k2 < len(c.diag); k2++ {
+		v := t.out[k2]
+		row[k2] = v
+		dst.RowView(k2)[k1] = v
+	}
+}
+
+// tables returns MaterializeInto's row tables, building them from ws on
+// the first call.
+func (c *Lemma4Cov) tables() *lemma4Tables {
+	t := &c.tab
+	if t.tri != nil {
+		return t
+	}
+	l := len(c.diag)
+	h := (l + 7) &^ 7
+	t.half = h
+	t.words = c.counts.blockWords(c.ws.GetInts(len(c.counts.own)))
+	t.block = c.ws.GetWords(min(len(t.words), lemma4Chunk) * 2 * h)
+	t.tri, t.counts = c.ws.GetInts(4*h), c.ws.GetInts(4*h)
+	if len(t.words) > lemma4Chunk {
+		t.sums = c.ws.GetInts((l - 1) * 4 * h)
+	}
+	t.grad, t.out = c.ws.GetVec(2*h), c.ws.GetVec(h)
+	_, own := c.counts.src.counters(c.counts.i)
+	for k := range l {
+		x, y := c.j1[k], c.j2[k]
+		t.tri[k], t.tri[h+k], t.tri[2*h+k], t.tri[3*h+k] = x, y, own[x], own[y]
+		t.grad[k], t.grad[h+k] = c.d1[k], c.d2[k]
+	}
+	return t
 }
 
 // optimalWeightsCov implements Lemma 5 against the structured covariance:

@@ -9,20 +9,18 @@ import (
 // sparsePartners sets the crossover between the two ways tripleCounts
 // answers c_{i,j,k}: with p partners in worker i's pairs, the restricted
 // count runs when i attended at most p/sparsePartners of the task bits its
-// attendance bitset spans (restricts). In the Go loop (gatherRowGo),
-// gathering costs a pass over i's words per partner plus one scatter per
-// shared task, so it grows with density while the saving shrinks with
-// it; and the gather is O(p) per solve where the saving is O(p²), so the
-// fewer the partners, the sparser i must be for the gather to pay.
-// BenchmarkEvaluateSparse measured the Go loop's crossover near density
-// 0.30 at 128 workers (126 partners), near 0.15 at 64 (62), near 0.07 at
-// 32 (30) and below 0.03 at 21; p/420 is 0.30, 0.148 and 0.071 at the
-// first three. The PEXT kernel's gather costs the same at every density,
-// and with it the restricted count ties or beats the full one up to
-// density 0.8 at 128 and 64 workers, so there the switch forgoes some of
-// the saving above the crossover; the constant stays that of the Go loop,
-// which CPUs without the kernel run.
-const sparsePartners = 420
+// attendance bitset spans (restricts). The restricted count pays a gather
+// per partner (the PEXT kernel where the CPU runs PEXT in hardware) to
+// shrink every partner row to i's tasks; the full-horizon count keeps
+// i's non-zero words whole. With the count and entry kernels in,
+// BenchmarkEvaluateSparse puts the crossover near density 0.65 at 64
+// workers (62 partners), where 62/95 = 0.65, and at or above 0.8 at 128
+// (126 partners; the two tie there). The same benchmark on 32 workers over
+// 24 000 tasks puts it near 0.62 and on 21 workers over 2 000 near 0.45,
+// so the partner scaling of restricts no longer fits small crowds: their
+// switch (p/95 = 0.32 and 0.21) runs the full count between those
+// densities, up to 1.5× the restricted one at 32 workers and density 0.4.
+const sparsePartners = 95
 
 // restricts reports whether triplesAuto restricts the counts of a worker
 // who attended n of the 64·words task bits its attendance bitset spans and
@@ -61,18 +59,15 @@ type tripleCounts struct {
 
 	// packed selects the restricted count. rows then holds one row of
 	// words words per gathered partner, partner j's starting at rowAt[j].
-	// Otherwise masks holds pairRows' two scratch rows.
 	packed bool
 	words  int
 	rowAt  []int
 	rows   []uint64
-	masks  []uint64
 }
 
 // init prepares the counts for worker i of an m-worker crowd, gathering a
 // row for every worker in partners (each listed at most once) when mode
-// restricts. Rows, the partner index and the mask rows come from ws
-// scratch.
+// restricts. Rows and the partner index come from ws scratch.
 func (tc *tripleCounts) init(src agreementSource, m, i int, partners []int, mode tripleMode, ws *mat.Workspace) {
 	own := src.attendance(i)
 	*tc = tripleCounts{src: src, i: i, own: own}
@@ -81,7 +76,6 @@ func (tc *tripleCounts) init(src agreementSource, m, i int, partners []int, mode
 		n += bits.OnesCount64(word)
 	}
 	if mode == triplesFull || (mode == triplesAuto && !restricts(n, len(own), len(partners))) {
-		tc.masks = ws.GetWords(2 * len(own))
 		return
 	}
 	tc.packed = true
@@ -120,9 +114,8 @@ func (tc *tripleCounts) common3(j, k int) int {
 	return and2Count(a, tc.row(k)[:len(a)])
 }
 
-// row returns the row common3Block reads for the partner j of a later
-// triple: its gathered row when the counts are restricted, else its
-// attendance bitset.
+// row returns partner j's gathered row when the counts are restricted,
+// else its attendance bitset.
 func (tc *tripleCounts) row(j int) []uint64 {
 	if tc.packed {
 		return tc.rows[tc.rowAt[j]:][:tc.words]
@@ -130,69 +123,46 @@ func (tc *tripleCounts) row(j int) []uint64 {
 	return tc.src.attendance(j)
 }
 
-// pairRows returns the rows common3Block reads for the partners a and b
-// of an earlier triple: their gathered rows when the counts are
-// restricted, else own ∧ attendance(a) and own ∧ attendance(b), written
-// into two scratch rows that the next call overwrites. With them each
-// count ANDs two words, not three. Masking every partner once per solve
-// instead would copy all their bitsets into scratch, which slowed worker
-// queries on a dense 64-worker crowd of 100 000 tasks served while it
-// ingested (docs/performance.md).
-func (tc *tripleCounts) pairRows(a, b int) (ra, rb []uint64) {
+// blockWords writes into words, which must hold len(tc.own) ints, the
+// word of every row putLane reads, and returns it cut to their number:
+// all of a gathered row's words when restricted, else own's non-zero
+// words, since a word i did not attend adds nothing to any count.
+func (tc *tripleCounts) blockWords(words []int) []int {
+	words = words[:0]
 	if tc.packed {
-		return tc.row(a), tc.row(b)
+		for w := range tc.words {
+			words = append(words, w)
+		}
+		return words
 	}
-	ra, rb = tc.masks[:len(tc.own)], tc.masks[len(tc.own):]
-	maskRow(ra, tc.own, tc.src.attendance(a))
-	maskRow(rb, tc.own, tc.src.attendance(b))
-	return ra, rb
+	for w, o := range tc.own {
+		if o != 0 {
+			words = append(words, w)
+		}
+	}
+	return words
 }
 
-// maskRow writes own ∩ other into dst, which has len(own) words; words
-// other lacks are zero.
-func maskRow(dst, own, other []uint64) {
-	n := min(len(own), len(other))
-	for w, o := range own[:n] {
-		dst[w] = o & other[w]
+// putLane writes partner j's row at the given words (from blockWords)
+// into lane lane of a word-major block of stride words per row, one row
+// per word: its gathered row when the counts are restricted, else own ∧
+// attendance(j). Each word of it ANDed with another partner's and
+// popcounted adds up to c_{i,j,k}.
+func (tc *tripleCounts) putLane(block []uint64, stride, lane, j int, words []int) {
+	row := tc.row(j)
+	if tc.packed {
+		for r, w := range words {
+			block[r*stride+lane] = row[w]
+		}
+		return
 	}
-	clear(dst[n:])
-}
-
-// common3Block returns the four counts c_{i,a,x}, c_{i,a,y}, c_{i,b,x}
-// and c_{i,b,y} that the Lemma 4 entry of triples (i, a, b) and (i, x, y)
-// needs, in one pass over ra and rb (from pairRows, one length) and rx
-// and ry (from row, possibly shorter or longer; missing words are zero).
-// Four and2Count passes would do the same popcounts, but they read rx
-// and ry twice, and on the dense crowd pairRows describes they slowed
-// the queries (docs/performance.md). The words all four rows have go to
-// common3Words, which is an assembly kernel on amd64 with POPCNT.
-func common3Block(ra, rb, rx, ry []uint64) (ax, ay, bx, by int) {
-	n := min(len(ra), len(rx), len(ry))
-	ax, ay, bx, by = common3Words(ra[:n], rb[:n], rx[:n], ry[:n])
-	if n < len(ra) {
-		// rx or ry ends first; the other may go on.
-		ra, rb = ra[n:], rb[n:]
-		ax += and2Count(ra, rx[n:])
-		ay += and2Count(ra, ry[n:])
-		bx += and2Count(rb, rx[n:])
-		by += and2Count(rb, ry[n:])
+	for r, w := range words {
+		var x uint64
+		if w < len(row) {
+			x = tc.own[w] & row[w]
+		}
+		block[r*stride+lane] = x
 	}
-	return ax, ay, bx, by
-}
-
-// common3WordsGo returns |a∩x|, |a∩y|, |b∩x| and |b∩y| over len(a)
-// words; b, x and y must be at least as long. It is the portable form of
-// common3Words and the reference its assembly kernel is tested against.
-func common3WordsGo(a, b, x, y []uint64) (ax, ay, bx, by int) {
-	b, x, y = b[:len(a)], x[:len(a)], y[:len(a)]
-	for w, wa := range a {
-		wb, wx, wy := b[w], x[w], y[w]
-		ax += bits.OnesCount64(wa & wx)
-		ay += bits.OnesCount64(wa & wy)
-		bx += bits.OnesCount64(wb & wx)
-		by += bits.OnesCount64(wb & wy)
-	}
-	return ax, ay, bx, by
 }
 
 // and2Count returns |a ∩ b| over the words both bitsets have.

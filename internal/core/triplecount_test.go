@@ -47,10 +47,10 @@ func randomAttendance(src *randx.Source, workers, horizon int, density float64) 
 // TestRestrictedTripleCountsExact pins the gathered counts to the
 // full-horizon three-way count: for every evaluated worker i and every
 // pair of partners (j, k), the two-way popcount over the packed rows must
-// equal and3Count over the raw bitsets, and common3Block over pairRows
-// and row must return common3's four counts on both paths — across
-// densities, ragged bitset lengths, and workers with no tasks. It also
-// pins where triplesAuto switches paths.
+// equal and3Count over the raw bitsets, and countRow over the word-major
+// block putLane builds must return common3's four counts on both paths —
+// across densities, ragged bitset lengths, and workers with no tasks. It
+// also pins where triplesAuto switches paths.
 func TestRestrictedTripleCountsExact(t *testing.T) {
 	const workers, horizon = 14, 64*23 + 17
 	autoPaths := map[bool]int{}
@@ -91,16 +91,9 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 						}
 					}
 				}
+				j1, j2 := pairsOf(partners)
 				for _, tc := range []*tripleCounts{&restricted, &full} {
-					for q, a := range partners {
-						b := partners[(q+5)%len(partners)]
-						x, y := partners[(3*q+1)%len(partners)], partners[(q+2)%len(partners)]
-						ra, rb := tc.pairRows(a, b)
-						ax, ay, bx, by := common3Block(ra, rb, tc.row(x), tc.row(y))
-						if ax != tc.common3(a, x) || ay != tc.common3(a, y) || bx != tc.common3(b, x) || by != tc.common3(b, y) {
-							t.Fatalf("worker %d block (%d,%d)×(%d,%d) packed=%v: %d %d %d %d", i, a, b, x, y, tc.packed, ax, ay, bx, by)
-						}
-					}
+					checkCountRows(t, tc, j1, j2)
 				}
 			}
 		})
@@ -114,7 +107,7 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 		partners int
 		density  float64
 		packed   bool
-	}{{126, 0.25, true}, {126, 0.35, false}, {62, 0.10, true}, {62, 0.18, false}, {30, 0.04, true}, {30, 0.10, false}} {
+	}{{126, 0.80, true}, {62, 0.60, true}, {62, 0.70, false}, {30, 0.30, true}, {30, 0.80, false}, {20, 0.20, true}, {20, 0.80, false}} {
 		if got := restricts(int(c.density*64*100), 100, c.partners); got != c.packed {
 			t.Errorf("%d partners, density %.2f: packed=%v, want %v", c.partners, c.density, got, c.packed)
 		}
@@ -259,36 +252,28 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 // counts restricted to the evaluated worker's tasks or read over the full
 // horizon, across attendance densities, for two shapes: 128 workers over
 // 24 000 tasks (review_sparse) and 64 over 108 000 (ingest_http). On a
-// 2-vCPU Intel Xeon VM with BMI2 (Go 1.24, medians of three
-// -benchtime=128x runs per side; runs there vary by up to 30%), the
-// restricted solve gathering with the PEXT kernel and with the Go loop
-// (gatherRowGo, the build before the kernel), and the full-horizon solve
-// (six runs, both builds):
+// 2-vCPU Intel Xeon VM with AVX-512 VPOPCNTDQ and BMI2 (Go 1.24, GOMAXPROCS
+// 1, medians of three -benchtime=128x runs per side; runs there vary by
+// up to 30%), with the count and entry kernels:
 //
-//	         128 × 24 000                         64 × 108 000
-//	density  kernel   Go loop  full     full/k    kernel   Go loop   full     full/k
-//	0.05     0.56 ms  0.62 ms  2.20 ms  3.9×      0.47 ms  0.64 ms   2.17 ms  4.6×
-//	0.10     0.68 ms  0.98 ms  2.16 ms  3.2×      0.61 ms  1.62 ms   2.08 ms  3.4×
-//	0.15     0.74 ms  1.41 ms  2.37 ms  3.2×      0.71 ms  1.85 ms   2.17 ms  3.1×
-//	0.20     0.85 ms  1.26 ms  2.14 ms  2.5×      0.81 ms  2.50 ms   2.19 ms  2.7×
-//	0.25     0.99 ms  1.55 ms  1.96 ms  2.0×      0.98 ms  3.13 ms   2.08 ms  2.1×
-//	0.30     1.06 ms  2.03 ms  2.15 ms  2.0×      1.04 ms  3.76 ms   2.26 ms  2.2×
-//	0.40     1.28 ms  2.65 ms  2.20 ms  1.7×      1.21 ms  4.94 ms   2.26 ms  1.9×
-//	0.80     2.11 ms  7.99 ms  2.14 ms  1.0×      2.17 ms  14.57 ms  2.19 ms  1.0×
+//	         128 × 24 000                   64 × 108 000
+//	density  restricted  full     full/r    restricted  full     full/r
+//	0.05     0.29 ms     0.86 ms  2.93×     0.28 ms     0.86 ms  3.05×
+//	0.10     0.25 ms     0.72 ms  2.85×     0.33 ms     0.87 ms  2.62×
+//	0.15     0.30 ms     0.75 ms  2.54×     0.36 ms     0.90 ms  2.47×
+//	0.20     0.32 ms     0.76 ms  2.42×     0.40 ms     0.90 ms  2.22×
+//	0.25     0.34 ms     0.72 ms  2.10×     0.44 ms     0.87 ms  1.98×
+//	0.30     0.38 ms     0.71 ms  1.86×     0.49 ms     0.85 ms  1.75×
+//	0.40     0.48 ms     0.78 ms  1.63×     0.58 ms     0.92 ms  1.57×
+//	0.50     0.51 ms     0.73 ms  1.42×     0.79 ms     0.90 ms  1.14×
+//	0.60     0.61 ms     0.76 ms  1.24×     0.83 ms     0.87 ms  1.05×
+//	0.70     0.70 ms     0.91 ms  1.31×     0.91 ms     0.88 ms  0.97×
+//	0.80     0.73 ms     0.72 ms  0.99×     0.97 ms     0.89 ms  0.92×
 //
-// With the Go loop, the crossover sits near 0.30 at 128 workers and near
-// 0.15 at 64; with the same benchmark, it sits near 0.07 at 32 workers
-// over 24 000 tasks and below 0.03 at 21 over 2 000. So the switch scales
-// with the partner count (restricts). With the kernel, the restricted
-// solve ties or beats the full one up to density 0.8 at both shapes. The
-// switch is per worker, so the paper's figure 3 and 4 sweeps over the
-// emulated real crowds take both paths: with the emulators seeded 1, 112
-// of RTE's 164 workers and 30 of TEM's 76 take the restricted one (88 of
-// 145 and 25 of 69 after figure 4's spammer pruning), and none of IC's
-// 19.
+// The switch is per worker, so a crowd's solves can take both paths.
 func BenchmarkEvaluateSparse(b *testing.B) {
 	for _, shape := range []struct{ workers, tasks int }{{128, 24000}, {64, 108000}} {
-		for _, density := range []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.8} {
+		for _, density := range []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8} {
 			b.Run(fmt.Sprintf("m=%d/tasks=%d/density=%.2f", shape.workers, shape.tasks, density), func(b *testing.B) {
 				workers := shape.workers
 				ds, _, err := sim.Binary{Tasks: shape.tasks, Workers: workers, Density: density, ErrorRateChoices: []float64{0.1, 0.2}}.Generate(randx.NewSource(7))

@@ -212,22 +212,49 @@ func Fig5c(p Params) (*Result, error) {
 }
 
 // eligibleTriples returns every worker triple sharing at least threshold
-// common tasks, in deterministic index order.
+// common tasks, in deterministic index order. c_{i,j,k} is at most each
+// of c_{i,j}, c_{i,k} and c_{j,k}, so only the triples whose three pairs
+// pass (the candidates) get a three-way count. The counts are kept as one
+// flag per candidate, so the output is allocated once, at its length.
 func eligibleTriples(ds *crowd.Dataset, threshold int) [][3]int {
 	att := ds.Attendance()
 	m := ds.Workers()
-	var out [][3]int
+	pairOK := make([]bool, m*m)
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
-			if att.Common2(i, j) < threshold {
-				continue
-			}
-			for k := j + 1; k < m; k++ {
-				if att.Common3(i, j, k) >= threshold {
-					out = append(out, [3]int{i, j, k})
+			pairOK[i*m+j] = att.Common2(i, j) >= threshold
+		}
+	}
+	candidates := func(f func(i, j, k int)) {
+		for i := 0; i < m; i++ {
+			for j := i + 1; j < m; j++ {
+				if !pairOK[i*m+j] {
+					continue
+				}
+				for k := j + 1; k < m; k++ {
+					if pairOK[i*m+k] && pairOK[j*m+k] {
+						f(i, j, k)
+					}
 				}
 			}
 		}
 	}
+	var keep []bool
+	n := 0
+	candidates(func(i, j, k int) {
+		ok := att.Common3(i, j, k) >= threshold
+		keep = append(keep, ok)
+		if ok {
+			n++
+		}
+	})
+	out := make([][3]int, 0, n)
+	c := 0
+	candidates(func(i, j, k int) {
+		if keep[c] {
+			out = append(out, [3]int{i, j, k})
+		}
+		c++
+	})
 	return out
 }

@@ -74,10 +74,13 @@ func (f *LU) resize(n int) {
 // existing storage. Shapes must match the original factorization.
 func (f *LU) Refactor(src *Matrix) error {
 	f.lu.CopyFrom(src)
-	return f.refactor()
+	return f.refactor(eliminate)
 }
 
-func (f *LU) refactor() error {
+// refactor factors f.lu in place with partial pivoting, running each
+// pivot column's elimination through elim: eliminate in production, and
+// eliminateGo where a test or benchmark pins the Go loop.
+func (f *LU) refactor(elim func(a []float64, n, col int)) error {
 	lu := f.lu
 	n := lu.rows
 	for i := range f.perm {
@@ -96,22 +99,31 @@ func (f *LU) refactor() error {
 		}
 		lu.SwapRows(col, pivot)
 		f.perm[col], f.perm[pivot] = f.perm[pivot], f.perm[col]
-		rowCol := lu.RowView(col)
-		p := rowCol[col]
-		tail := rowCol[col+1:]
-		for r := col + 1; r < n; r++ {
-			rowR := lu.RowView(r)
-			fr := rowR[col] / p
-			rowR[col] = fr
-			// Resliced to tail's length, so the loop runs without bounds
-			// checks; each element is still one x -= fr·y.
-			dst := rowR[col+1:][:len(tail)]
-			for j, y := range tail {
-				dst[j] -= fr * y
-			}
-		}
+		elim(lu.data, n, col)
 	}
 	return nil
+}
+
+// eliminateGo runs pivot column col of the elimination on the row-major
+// n×n matrix a: for every row r below the pivot row it stores the
+// multiplier fr = a[r][col]/a[col][col] at a[r][col] and subtracts fr
+// times the pivot row's tail from row r's. It is eliminate's portable
+// form and the reference its assembly kernel is tested against.
+func eliminateGo(a []float64, n, col int) {
+	rowCol := a[col*n:][:n]
+	p := rowCol[col]
+	tail := rowCol[col+1:]
+	for r := col + 1; r < n; r++ {
+		rowR := a[r*n:][:n]
+		fr := rowR[col] / p
+		rowR[col] = fr
+		// Resliced to tail's length, so the loop runs without bounds
+		// checks; each element is still one x -= fr·y.
+		dst := rowR[col+1:][:len(tail)]
+		for j, y := range tail {
+			dst[j] -= fr * y
+		}
+	}
 }
 
 // SolveInto writes the solution of (LU)·x = b into x, which must not alias
