@@ -45,16 +45,18 @@ type Lemma4Cov struct {
 // out as lemma4row.go describes, and their per-row scratch. The block
 // holds at most lemma4Chunk of the words, so its size does not grow with
 // the task horizon: more words than that are counted one chunk at a time
-// into sums, which then holds every row's counts.
+// into sums, which then holds every row's counts. Only countBlocks uses
+// words, block and sums, and only countRows masks.
 type lemma4Tables struct {
 	half   int
-	words  []int     // the word of each block row (tripleCounts.blockWords)
-	block  []uint64  // min(len(words), lemma4Chunk) × 2·half, word-major
 	tri    []int     // j1 | j2 | c_{i,j1} | c_{i,j2}
 	grad   []float64 // ∂p_i/∂q_{i,j1} | ∂p_i/∂q_{i,j2}
 	counts []int     // one row's counts, 4·half
-	sums   []int     // every row's counts, (l−1) × 4·half, when chunked
 	out    []float64 // entryRow's result for the current row
+	words  []int     // the word of each block row (tripleCounts.blockWords)
+	block  []uint64  // min(len(words), lemma4Chunk) × 2·half, word-major
+	sums   []int     // every row's counts, (l−1) × 4·half, when chunked
+	masks  []uint64  // pairRows' two rows on the full horizon
 }
 
 // lemma4Chunk is the most words a covariance's block holds: 128 words of
@@ -178,12 +180,22 @@ func (c *Lemma4Cov) Materialize(ws *mat.Workspace) *mat.Matrix {
 //
 // Every entry is entry's sum of four lemma4Term values, in entry's order,
 // so the two paths agree bit for bit; only the lookups are shared. Row k1
-// of the upper triangle takes countRow calls, which count the four
-// c_{i,j,j′} of every later entry over the word-major partner rows, one
-// per block of words, and one entryRow call, which turns them into
-// entries; both are vector kernels on amd64 (lemma4row.go). The lower
-// triangle is the mirror.
+// of the upper triangle takes its four c_{i,j,j′} per later entry, then
+// one entryRow call, which turns them into entries (a vector kernel on
+// amd64, lemma4row.go); the lower triangle is the mirror. Where the CPU
+// has AVX-512 VPOPCNTDQ (blockCounts), countRow counts a whole row over
+// word-major partner rows, one call per block of words; elsewhere
+// common3Block counts entry by entry over row-major rows. The first call
+// builds the row tables from every triple added so far and later calls
+// reuse them, so every add must come before it; a repeat call writes the
+// same matrix.
 func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
+	c.materialize(dst, blockCounts)
+}
+
+// materialize is MaterializeInto with the counts taken from the
+// word-major block (block) or from the row-major rows.
+func (c *Lemma4Cov) materialize(dst *mat.Matrix, block bool) {
 	l := len(c.diag)
 	if dst.Rows() != l || dst.Cols() != l {
 		panic(mat.ErrShape)
@@ -195,7 +207,45 @@ func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
 		return
 	}
 	t := c.tables()
+	if !block {
+		c.countRows(dst, t)
+		return
+	}
+	c.countBlocks(dst, t)
+}
+
+// countRows writes the upper triangle and its mirror with each entry's
+// counts from one common3Block pass over row k1's two rows (pairRows)
+// and the entry's (row). Each pass streams four rows in order, which a
+// scalar POPCNT does at full rate; the word-major block's strided lanes
+// do not suit it.
+func (c *Lemma4Cov) countRows(dst *mat.Matrix, t *lemma4Tables) {
+	if t.masks == nil && !c.counts.packed {
+		t.masks = c.ws.GetWords(2 * len(c.counts.own))
+	}
 	h := t.half
+	for k1 := 0; k1+1 < len(c.diag); k1++ {
+		ra, rb := c.counts.pairRows(c.j1[k1], c.j2[k1], t.masks)
+		for k2 := k1 + 1; k2 < len(c.diag); k2++ {
+			ax, ay, bx, by := common3Block(ra, rb, c.counts.row(c.j1[k2]), c.counts.row(c.j2[k2]))
+			t.counts[k2], t.counts[h+k2], t.counts[2*h+k2], t.counts[3*h+k2] = ax, ay, bx, by
+		}
+		c.entries(dst, t, k1, t.counts)
+	}
+}
+
+// countBlocks writes the upper triangle and its mirror with every row's
+// counts from countRow over the word-major block, one chunk of at most
+// lemma4Chunk words at a time.
+func (c *Lemma4Cov) countBlocks(dst *mat.Matrix, t *lemma4Tables) {
+	l, h := len(c.diag), t.half
+	if t.block == nil {
+		t.words = c.counts.blockWords(c.ws.GetInts(len(c.counts.own)))
+		t.block = c.ws.GetWords(min(len(t.words), lemma4Chunk) * 2 * h)
+		if len(t.words) > lemma4Chunk {
+			t.sums = c.ws.GetInts((l - 1) * 4 * h)
+		}
+	}
 	if len(t.words) <= lemma4Chunk {
 		c.fillBlock(t, t.words)
 		for k1 := 0; k1+1 < l; k1++ {
@@ -205,6 +255,7 @@ func (c *Lemma4Cov) MaterializeInto(dst *mat.Matrix) {
 		}
 		return
 	}
+	clear(t.sums)
 	for w0 := 0; w0 < len(t.words); w0 += lemma4Chunk {
 		words := t.words[w0:min(w0+lemma4Chunk, len(t.words))]
 		c.fillBlock(t, words)
@@ -242,8 +293,9 @@ func (c *Lemma4Cov) entries(dst *mat.Matrix, t *lemma4Tables, k1 int, counts []i
 	}
 }
 
-// tables returns MaterializeInto's row tables, building them from ws on
-// the first call.
+// tables returns the row tables both count paths share, building them
+// from ws on the first call; each path adds its own scratch on its first
+// use.
 func (c *Lemma4Cov) tables() *lemma4Tables {
 	t := &c.tab
 	if t.tri != nil {
@@ -252,12 +304,7 @@ func (c *Lemma4Cov) tables() *lemma4Tables {
 	l := len(c.diag)
 	h := (l + 7) &^ 7
 	t.half = h
-	t.words = c.counts.blockWords(c.ws.GetInts(len(c.counts.own)))
-	t.block = c.ws.GetWords(min(len(t.words), lemma4Chunk) * 2 * h)
 	t.tri, t.counts = c.ws.GetInts(4*h), c.ws.GetInts(4*h)
-	if len(t.words) > lemma4Chunk {
-		t.sums = c.ws.GetInts((l - 1) * 4 * h)
-	}
 	t.grad, t.out = c.ws.GetVec(2*h), c.ws.GetVec(h)
 	_, own := c.counts.src.counters(c.counts.i)
 	for k := range l {

@@ -1,6 +1,17 @@
 package core
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"crowdassess/internal/cpufeat"
+)
+
+// blockCounts selects how Lemma4Cov.MaterializeInto counts: over the
+// word-major block below where the CPU runs the VPOPCNTQ kernel, else
+// entry by entry with common3Block. Scalar counts over the block's
+// strided lanes ran at half the per-entry kernel's speed or worse
+// (BenchmarkEvaluateSparse, docs/performance.md).
+var blockCounts = cpufeat.AVX512VPOPCNTDQ
 
 // Materializing Lemma 4's covariance runs row by row, and each row k1 of
 // the upper triangle takes two kinds of call: countRow adds up the four

@@ -357,14 +357,22 @@ func fuzzCov(data []byte, mode tripleMode, ws *mat.Workspace) Lemma4Cov {
 }
 
 // checkCov holds the counts countRow makes for cov's triples to common3
-// (checkCountRows), then materializes cov and holds every entry to entry
-// (sameFloat) and the diagonal to diag bit for bit.
+// (checkCountRows), then materializes cov with each count path and holds
+// every entry to entry (sameFloat) and the diagonal to diag bit for bit.
 func checkCov(t *testing.T, cov *Lemma4Cov) {
 	t.Helper()
 	checkCountRows(t, &cov.counts, cov.j1, cov.j2)
+	for _, block := range []bool{true, false} {
+		checkMaterialized(t, cov, block)
+	}
+}
+
+// checkMaterialized is checkCov's check of one count path.
+func checkMaterialized(t *testing.T, cov *Lemma4Cov, block bool) {
+	t.Helper()
 	l := cov.Dim()
 	dense := mat.New(l, l)
-	cov.MaterializeInto(dense)
+	cov.materialize(dense, block)
 	for k1 := range l {
 		if got, want := dense.At(k1, k1), cov.diag[k1]; math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Σ[%d][%d] = %v, diag %v", k1, k1, got, want)
@@ -374,7 +382,7 @@ func checkCov(t *testing.T, cov *Lemma4Cov) {
 				continue
 			}
 			if got, want := dense.At(k1, k2), cov.entry(k1, k2); !sameFloat(got, want) {
-				t.Fatalf("packed=%v l=%d p=%v: Σ[%d][%d] = %v (%#x), entry %v (%#x)", cov.counts.packed, l, cov.pPool,
+				t.Fatalf("block=%v packed=%v l=%d p=%v: Σ[%d][%d] = %v (%#x), entry %v (%#x)", block, cov.counts.packed, l, cov.pPool,
 					k1, k2, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
 		}
@@ -401,7 +409,8 @@ func TestLemma4RowMatchesEntry(t *testing.T) {
 
 // TestLemma4ChunkedMatchesEntry runs checkCov where the block takes
 // several chunks of lemma4Chunk words: workers attending up to 18 000 of
-// 20 000 tasks, on both row kinds.
+// 20 000 tasks, on both row kinds. It checks each covariance twice: a
+// repeat MaterializeInto must count its chunks from zero again.
 func TestLemma4ChunkedMatchesEntry(t *testing.T) {
 	ds, _, err := sim.Binary{Tasks: 20000, Workers: 21, Density: 0.9, ErrorRateChoices: []float64{0.1, 0.2}}.Generate(randx.NewSource(49))
 	if err != nil {
@@ -415,6 +424,7 @@ func TestLemma4ChunkedMatchesEntry(t *testing.T) {
 			if n := len(cov.counts.blockWords(make([]int, len(cov.counts.own)))); n <= 2*lemma4Chunk {
 				t.Fatalf("worker %d packed=%v: %d block words, want more than two chunks", i, cov.counts.packed, n)
 			}
+			checkCov(t, &cov)
 			checkCov(t, &cov)
 		}
 	}

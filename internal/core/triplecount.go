@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"crowdassess/internal/cpufeat"
 	"crowdassess/internal/mat"
 )
 
@@ -10,23 +11,55 @@ import (
 // answers c_{i,j,k}: with p partners in worker i's pairs, the restricted
 // count runs when i attended at most p/sparsePartners of the task bits its
 // attendance bitset spans (restricts). The restricted count pays a gather
-// per partner (the PEXT kernel where the CPU runs PEXT in hardware) to
-// shrink every partner row to i's tasks; the full-horizon count keeps
-// i's non-zero words whole. With the count and entry kernels in,
-// BenchmarkEvaluateSparse puts the crossover near density 0.65 at 64
-// workers (62 partners), where 62/95 = 0.65, and at or above 0.8 at 128
-// (126 partners; the two tie there). The same benchmark on 32 workers over
-// 24 000 tasks puts it near 0.62 and on 21 workers over 2 000 near 0.45,
-// so the partner scaling of restricts no longer fits small crowds: their
-// switch (p/95 = 0.32 and 0.21) runs the full count between those
-// densities, up to 1.5× the restricted one at 32 workers and density 0.4.
-const sparsePartners = 95
+// per partner to shrink every partner row to i's tasks; the full-horizon
+// count keeps i's non-zero words whole. The gather is O(p) per solve where
+// the saving is O(p²), so the fewer the partners, the sparser i must be
+// for the gather to pay. How much sparser depends mostly on the gather,
+// so the constant is chosen once per process: sparsePartnersPEXT where
+// the gather is the PEXT kernel (cpufeat.FastPEXT), else
+// sparsePartnersGo. BenchmarkEvaluateSparse holds the tables behind both.
+var sparsePartners = sparsePartnersFor(cpufeat.FastPEXT)
+
+const (
+	// sparsePartnersPEXT: with the PEXT gather, BenchmarkEvaluateSparse
+	// puts the crossover near density 0.65 at 64 workers (62 partners),
+	// where 62/95 = 0.65, and at or above 0.8 at 128 (126 partners), with
+	// the VPOPCNTQ counts; with the per-entry POPCNT counts the restricted
+	// count still ties or wins at 0.8 on both shapes. With the VPOPCNTQ
+	// counts, the same benchmark on 32 workers over 24 000 tasks puts it
+	// near 0.62 and on 21 workers over 2 000 near 0.45, so the partner
+	// scaling of restricts does not fit small crowds: their switch (p/95 =
+	// 0.32 and 0.21) runs the full count between those densities, up to
+	// 1.5× the restricted one at 32 workers and density 0.4.
+	sparsePartnersPEXT = 95
+	// sparsePartnersGo: the Go gather costs a pass over i's words per
+	// partner plus one scatter per shared task, so it grows with density
+	// while the saving shrinks with it. BenchmarkEvaluateSparse puts the
+	// crossover near density 0.30 at 128 workers and near 0.15 at 64, and
+	// an older run of it near 0.07 at 32; p/420 is 0.30, 0.148 and 0.071
+	// there.
+	sparsePartnersGo = 420
+)
+
+// sparsePartnersFor returns sparsePartners for a CPU whose gather is the
+// PEXT kernel (pext) or the Go loop.
+func sparsePartnersFor(pext bool) int {
+	if pext {
+		return sparsePartnersPEXT
+	}
+	return sparsePartnersGo
+}
 
 // restricts reports whether triplesAuto restricts the counts of a worker
 // who attended n of the 64·words task bits its attendance bitset spans and
 // has the given number of partners.
 func restricts(n, words, partners int) bool {
-	return sparsePartners*n <= partners*64*words
+	return restrictsAt(sparsePartners, n, words, partners)
+}
+
+// restrictsAt is restricts at the given sparsePartners.
+func restrictsAt(per, n, words, partners int) bool {
+	return per*n <= partners*64*words
 }
 
 // tripleMode selects how a solve counts c_{i,j,k}.
@@ -115,12 +148,74 @@ func (tc *tripleCounts) common3(j, k int) int {
 }
 
 // row returns partner j's gathered row when the counts are restricted,
-// else its attendance bitset.
+// else its attendance bitset. It is the row common3Block reads for the
+// partner of a later triple.
 func (tc *tripleCounts) row(j int) []uint64 {
 	if tc.packed {
 		return tc.rows[tc.rowAt[j]:][:tc.words]
 	}
 	return tc.src.attendance(j)
+}
+
+// pairRows returns the rows common3Block reads for the partners a and b
+// of an earlier triple: their gathered rows when the counts are
+// restricted, else own ∧ attendance(a) and own ∧ attendance(b), written
+// into masks, 2·len(own) words of scratch that the next call overwrites.
+// With them each count ANDs two words, not three.
+func (tc *tripleCounts) pairRows(a, b int, masks []uint64) (ra, rb []uint64) {
+	if tc.packed {
+		return tc.row(a), tc.row(b)
+	}
+	ra, rb = masks[:len(tc.own)], masks[len(tc.own):][:len(tc.own)]
+	maskRow(ra, tc.own, tc.src.attendance(a))
+	maskRow(rb, tc.own, tc.src.attendance(b))
+	return ra, rb
+}
+
+// maskRow writes own ∩ other into dst, which has len(own) words; words
+// other lacks are zero.
+func maskRow(dst, own, other []uint64) {
+	n := min(len(own), len(other))
+	for w, o := range own[:n] {
+		dst[w] = o & other[w]
+	}
+	clear(dst[n:])
+}
+
+// common3Block returns the four counts c_{i,a,x}, c_{i,a,y}, c_{i,b,x}
+// and c_{i,b,y} that the Lemma 4 entry of triples (i, a, b) and (i, x, y)
+// needs, in one pass over ra and rb (from pairRows, one length) and rx
+// and ry (from row, possibly shorter or longer; missing words are zero).
+// Four and2Count passes would do the same popcounts, but they read rx
+// and ry twice. The words all four rows have go to common3Words, which is
+// an assembly kernel on amd64 with POPCNT.
+func common3Block(ra, rb, rx, ry []uint64) (ax, ay, bx, by int) {
+	n := min(len(ra), len(rx), len(ry))
+	ax, ay, bx, by = common3Words(ra[:n], rb[:n], rx[:n], ry[:n])
+	if n < len(ra) {
+		// rx or ry ends first; the other may go on.
+		ra, rb = ra[n:], rb[n:]
+		ax += and2Count(ra, rx[n:])
+		ay += and2Count(ra, ry[n:])
+		bx += and2Count(rb, rx[n:])
+		by += and2Count(rb, ry[n:])
+	}
+	return ax, ay, bx, by
+}
+
+// common3WordsGo returns |a∩x|, |a∩y|, |b∩x| and |b∩y| over len(a)
+// words; b, x and y must be at least as long. It is the portable form of
+// common3Words and the reference its assembly kernel is tested against.
+func common3WordsGo(a, b, x, y []uint64) (ax, ay, bx, by int) {
+	b, x, y = b[:len(a)], x[:len(a)], y[:len(a)]
+	for w, wa := range a {
+		wb, wx, wy := b[w], x[w], y[w]
+		ax += bits.OnesCount64(wa & wx)
+		ay += bits.OnesCount64(wa & wy)
+		bx += bits.OnesCount64(wb & wx)
+		by += bits.OnesCount64(wb & wy)
+	}
+	return ax, ay, bx, by
 }
 
 // blockWords writes into words, which must hold len(tc.own) ints, the

@@ -2,6 +2,22 @@ package core
 
 import "crowdassess/internal/cpufeat"
 
+// common3POPCNT is common3Words in assembly: one AND and one POPCNT per
+// count and word, with no CPU-feature check inside the loop. It needs
+// cpufeat.POPCNT, and b, x and y at least as long as a.
+//
+//go:noescape
+func common3POPCNT(a, b, x, y []uint64) (ax, ay, bx, by int)
+
+// common3Words runs common3POPCNT when the CPU has POPCNT, else the Go
+// loop.
+func common3Words(a, b, x, y []uint64) (ax, ay, bx, by int) {
+	if cpufeat.POPCNT {
+		return common3POPCNT(a, b, x, y)
+	}
+	return common3WordsGo(a, b, x, y)
+}
+
 // gatherPEXT is gatherRow in assembly for own and other of one length
 // whose last own word is non-zero: one PEXT of each other word under its
 // own word, appended without a branch at the running rank. It needs

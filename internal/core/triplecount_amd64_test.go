@@ -33,6 +33,24 @@ func TestLemma4RowTakesAssembly(t *testing.T) {
 	}
 }
 
+// TestCommon3WordsTakesAssembly checks that common3Words takes the POPCNT
+// kernel exactly where cpufeat reports POPCNT (checked against
+// /proc/cpuinfo in internal/cpufeat), and runs common3POPCNT directly
+// against the Go loop, so the kernel stays tested even if common3Words
+// stops calling it.
+func TestCommon3WordsTakesAssembly(t *testing.T) {
+	if !cpufeat.POPCNT {
+		t.Skip("CPU has no POPCNT; common3Words runs the Go loop")
+	}
+	rows := [4][]uint64{{1, 3, 7, ^uint64(0), 0}, {3, 3, 3, 3, 3}, {^uint64(0), 1, 6, 1 << 63, 5}, {0, 2, 7, ^uint64(0), 1}}
+	for n := range 6 {
+		a, b, x, y := rows[0][:n], rows[1][:n], rows[2][:n], rows[3][:n]
+		if got, want := four(common3POPCNT(a, b, x, y)), four(common3WordsGo(a, b, x, y)); got != want {
+			t.Fatalf("%d words: common3POPCNT %v, Go loop %v", n, got, want)
+		}
+	}
+}
+
 // TestGatherTakesAssembly checks that gatherRow takes the PEXT kernel only
 // on a CPU with BMI2 and POPCNT. Wherever the CPU has both, it runs the
 // kernel directly against the bit-by-bit gather, so the kernel stays

@@ -47,10 +47,11 @@ func randomAttendance(src *randx.Source, workers, horizon int, density float64) 
 // TestRestrictedTripleCountsExact pins the gathered counts to the
 // full-horizon three-way count: for every evaluated worker i and every
 // pair of partners (j, k), the two-way popcount over the packed rows must
-// equal and3Count over the raw bitsets, and countRow over the word-major
-// block putLane builds must return common3's four counts on both paths —
-// across densities, ragged bitset lengths, and workers with no tasks. It
-// also pins where triplesAuto switches paths.
+// equal and3Count over the raw bitsets, and both countRow over the
+// word-major block putLane builds and common3Block over pairRows and row
+// must return common3's four counts on both paths — across densities,
+// ragged bitset lengths, and workers with no tasks. It also pins where
+// triplesAuto switches paths.
 func TestRestrictedTripleCountsExact(t *testing.T) {
 	const workers, horizon = 14, 64*23 + 17
 	autoPaths := map[bool]int{}
@@ -92,8 +93,18 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 					}
 				}
 				j1, j2 := pairsOf(partners)
+				masks := make([]uint64, 2*len(att[i]))
 				for _, tc := range []*tripleCounts{&restricted, &full} {
 					checkCountRows(t, tc, j1, j2)
+					for q, a := range partners {
+						b := partners[(q+5)%len(partners)]
+						x, y := partners[(3*q+1)%len(partners)], partners[(q+2)%len(partners)]
+						ra, rb := tc.pairRows(a, b, masks)
+						ax, ay, bx, by := common3Block(ra, rb, tc.row(x), tc.row(y))
+						if ax != tc.common3(a, x) || ay != tc.common3(a, y) || bx != tc.common3(b, x) || by != tc.common3(b, y) {
+							t.Fatalf("worker %d block (%d,%d)×(%d,%d) packed=%v: %d %d %d %d", i, a, b, x, y, tc.packed, ax, ay, bx, by)
+						}
+					}
 				}
 			}
 		})
@@ -101,15 +112,20 @@ func TestRestrictedTripleCountsExact(t *testing.T) {
 	if autoPaths[true] == 0 || autoPaths[false] == 0 {
 		t.Errorf("auto took the restricted path for %d workers with tasks and the full one for %d; the cases must cover both", autoPaths[true], autoPaths[false])
 	}
-	// The rule must put BenchmarkEvaluateSparse's measured crossovers on
-	// the side they were measured on.
+	// Each constant must put BenchmarkEvaluateSparse's crossovers, as
+	// measured with the gather it is chosen for, on the side they were
+	// measured on.
+	const k, g = sparsePartnersPEXT, sparsePartnersGo
 	for _, c := range []struct {
-		partners int
-		density  float64
-		packed   bool
-	}{{126, 0.80, true}, {62, 0.60, true}, {62, 0.70, false}, {30, 0.30, true}, {30, 0.80, false}, {20, 0.20, true}, {20, 0.80, false}} {
-		if got := restricts(int(c.density*64*100), 100, c.partners); got != c.packed {
-			t.Errorf("%d partners, density %.2f: packed=%v, want %v", c.partners, c.density, got, c.packed)
+		per, partners int
+		density       float64
+		packed        bool
+	}{
+		{k, 126, 0.80, true}, {k, 62, 0.60, true}, {k, 62, 0.70, false}, {k, 30, 0.30, true}, {k, 30, 0.80, false}, {k, 20, 0.20, true}, {k, 20, 0.80, false},
+		{g, 126, 0.25, true}, {g, 126, 0.35, false}, {g, 62, 0.10, true}, {g, 62, 0.18, false}, {g, 30, 0.04, true}, {g, 30, 0.10, false},
+	} {
+		if got := restrictsAt(c.per, int(c.density*64*100), 100, c.partners); got != c.packed {
+			t.Errorf("sparsePartners %d, %d partners, density %.2f: packed=%v, want %v", c.per, c.partners, c.density, got, c.packed)
 		}
 	}
 }
@@ -254,7 +270,7 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 // 24 000 tasks (review_sparse) and 64 over 108 000 (ingest_http). On a
 // 2-vCPU Intel Xeon VM with AVX-512 VPOPCNTDQ and BMI2 (Go 1.24, GOMAXPROCS
 // 1, medians of three -benchtime=128x runs per side; runs there vary by
-// up to 30%), with the count and entry kernels:
+// up to 30%), with the PEXT gather and the count and entry kernels:
 //
 //	         128 × 24 000                   64 × 108 000
 //	density  restricted  full     full/r    restricted  full     full/r
@@ -270,7 +286,41 @@ func TestSparseEvaluateOneZeroAllocs(t *testing.T) {
 //	0.70     0.70 ms     0.91 ms  1.31×     0.91 ms     0.88 ms  0.97×
 //	0.80     0.73 ms     0.72 ms  0.99×     0.97 ms     0.89 ms  0.92×
 //
-// The switch is per worker, so a crowd's solves can take both paths.
+// The same VM stood in for two other CPUs, with internal/cpufeat's flags
+// cleared in a copy of the tree. Without AVX-512 (the per-entry POPCNT
+// counts, the AVX2 entries), with the PEXT gather:
+//
+//	         128 × 24 000                   64 × 108 000
+//	density  restricted  full     full/r    restricted  full     full/r
+//	0.05     0.41 ms     1.69 ms  4.12×     0.38 ms     1.72 ms  4.53×
+//	0.10     0.37 ms     1.50 ms  4.03×     0.46 ms     1.71 ms  3.68×
+//	0.20     0.58 ms     1.56 ms  2.67×     0.59 ms     1.65 ms  2.80×
+//	0.30     0.63 ms     1.45 ms  2.30×     0.81 ms     2.02 ms  2.50×
+//	0.40     0.76 ms     1.43 ms  1.90×     0.82 ms     1.74 ms  2.13×
+//	0.50     0.88 ms     1.45 ms  1.65×     0.97 ms     1.69 ms  1.74×
+//	0.60     1.06 ms     1.46 ms  1.38×     1.28 ms     1.69 ms  1.33×
+//	0.70     1.11 ms     1.43 ms  1.28×     1.24 ms     1.74 ms  1.40×
+//	0.80     1.34 ms     1.52 ms  1.14×     1.56 ms     1.78 ms  1.14×
+//
+// and also without fast PEXT (the Go gather, as on AMD before Zen 3):
+//
+//	         128 × 24 000                   64 × 108 000
+//	density  restricted  full     full/r    restricted  full     full/r
+//	0.05     0.43 ms     1.50 ms  3.49×     0.59 ms     1.73 ms  2.96×
+//	0.10     0.76 ms     1.55 ms  2.05×     1.26 ms     1.73 ms  1.37×
+//	0.15     1.03 ms     1.50 ms  1.46×     1.69 ms     1.74 ms  1.02×
+//	0.20     1.23 ms     1.48 ms  1.20×     2.16 ms     1.75 ms  0.81×
+//	0.25     1.77 ms     1.64 ms  0.93×     2.60 ms     1.75 ms  0.67×
+//	0.30     1.90 ms     1.86 ms  0.98×     3.70 ms     2.25 ms  0.61×
+//	0.40     2.35 ms     1.62 ms  0.69×     5.23 ms     2.26 ms  0.43×
+//	0.80     6.45 ms     1.61 ms  0.25×     15.26 ms     1.78 ms  0.12×
+//
+// So the PEXT gather moves the crossover to 0.65 or past 0.8, whichever
+// counts run (sparsePartnersPEXT; at 64 workers and density 0.7–0.8 the
+// switch forgoes the restricted count's 1.1–1.4× with the per-entry
+// counts), and the Go gather keeps it near 0.3 at 128 workers and 0.15 at
+// 64 (sparsePartnersGo). The switch is per worker, so a crowd's solves
+// can take both paths.
 func BenchmarkEvaluateSparse(b *testing.B) {
 	for _, shape := range []struct{ workers, tasks int }{{128, 24000}, {64, 108000}} {
 		for _, density := range []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8} {
