@@ -1,7 +1,6 @@
 // Benchmark harness: one benchmark per paper figure plus ablations of the
 // choices this reproduction makes where the paper leaves room (#2 pairing
-// strategy, #3 spectral symmetrization, #4 prune threshold, #5
-// derivative step). Each figure benchmark runs a scaled-down
+// strategy, #4 prune threshold). Each figure benchmark runs a scaled-down
 // replicate count per iteration (the crowdbench CLI runs the full
 // paper-scale sweeps) and reports the figure's headline quantity as a
 // custom metric, so `go test -bench=. -benchmem` doubles as a smoke
@@ -228,61 +227,12 @@ func BenchmarkAblationPairing(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSymmetrize compares the default symmetrized Jacobi
-// spectral step against the raw non-symmetric QR path (ablation #3).
-func BenchmarkAblationSymmetrize(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		raw  bool
-	}{
-		{"symmetrized", false},
-		{"raw", true},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var size float64
-			var fails int
-			for i := 0; i < b.N; i++ {
-				// Seeds drawing several diag-0.6 workers are degenerate at
-				// small n; 800 tasks keeps the failure rate low so the size
-				// comparison is meaningful.
-				src := randx.NewSource(int64(i))
-				ds, _, err := sim.KAry{
-					Tasks:            800,
-					Workers:          3,
-					ConfusionChoices: sim.PaperMatricesArity3,
-				}.Generate(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				est, err := core.ThreeWorkerKAry(ds, [3]int{0, 1, 2}, core.KAryOptions{
-					Confidence: 0.8, RawEigen: cfg.raw,
-				})
-				if err != nil {
-					fails++
-					continue
-				}
-				var sum float64
-				for w := 0; w < 3; w++ {
-					for a := 0; a < 3; a++ {
-						for c := 0; c < 3; c++ {
-							sum += est.Intervals[w][a][c].Size()
-						}
-					}
-				}
-				size = sum / 27
-			}
-			b.ReportMetric(size, "meanSize@c0.8")
-			b.ReportMetric(float64(fails), "failures")
-		})
-	}
-}
-
 // BenchmarkAblationPruneThreshold sweeps the spammer cutoff around the
 // paper's 0.4 on an RTE-shaped crowd (ablation #4).
 func BenchmarkAblationPruneThreshold(b *testing.B) {
 	for _, thr := range []float64{0.30, 0.40, 0.45} {
-		b.Run(formatThreshold(thr), func(b *testing.B) {
-			var acc float64
+		b.Run(fmt.Sprintf("%.2f", thr), func(b *testing.B) {
+			hit, total := 0, 0
 			for i := 0; i < b.N; i++ {
 				src := randx.NewSource(int64(i))
 				ds, err := sim.EmulateRTE(src)
@@ -297,7 +247,6 @@ func BenchmarkAblationPruneThreshold(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				hit, total := 0, 0
 				for _, e := range ests {
 					if e.Err != nil {
 						continue
@@ -311,61 +260,11 @@ func BenchmarkAblationPruneThreshold(b *testing.B) {
 						hit++
 					}
 				}
-				if total > 0 {
-					acc = float64(hit) / float64(total)
-				}
 			}
-			b.ReportMetric(acc, "accuracy@c0.9")
-		})
-	}
-}
-
-// BenchmarkAblationEpsilon sweeps the A3 numeric-derivative step around the
-// paper's 0.01 (ablation #5).
-func BenchmarkAblationEpsilon(b *testing.B) {
-	for _, eps := range []float64{0.001, 0.01, 0.1} {
-		b.Run(formatThreshold(eps), func(b *testing.B) {
-			var size float64
-			for i := 0; i < b.N; i++ {
-				src := randx.NewSource(int64(i))
-				ds, _, err := sim.KAry{
-					Tasks:            500,
-					Workers:          3,
-					ConfusionChoices: sim.PaperMatricesArity2,
-				}.Generate(src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				est, err := core.ThreeWorkerKAry(ds, [3]int{0, 1, 2}, core.KAryOptions{
-					Confidence: 0.8, Epsilon: eps,
-				})
-				if err != nil {
-					continue
-				}
-				var sum float64
-				for w := 0; w < 3; w++ {
-					for a := 0; a < 2; a++ {
-						for c := 0; c < 2; c++ {
-							sum += est.Intervals[w][a][c].Size()
-						}
-					}
-				}
-				size = sum / 12
+			if total > 0 {
+				b.ReportMetric(float64(hit)/float64(total), "accuracy@c0.9")
 			}
-			b.ReportMetric(size, "meanSize@c0.8")
 		})
-	}
-}
-
-func formatThreshold(v float64) string {
-	switch {
-	case v >= 0.1:
-		return "0." + string(rune('0'+int(v*10)%10)) + string(rune('0'+int(v*100)%10))
-	default:
-		if v >= 0.01 {
-			return "0.01"
-		}
-		return "0.001"
 	}
 }
 
@@ -420,8 +319,7 @@ func BenchmarkEstimateResponseMatrices(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := crowdassess.EstimateResponseMatrices(ds, [3]int{0, 1, 2},
-					crowdassess.KAryOptions{Confidence: 0.9}); err != nil {
+				if _, err := crowdassess.EstimateResponseMatrices(ds, [3]int{0, 1, 2}, 0.9); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -108,9 +108,6 @@ func EvaluateTriple(ds *Dataset, workers [3]int, confidence float64) ([3]Interva
 	return core.ThreeWorkerBinary(ds, workers, confidence)
 }
 
-// KAryOptions configures EstimateResponseMatrices.
-type KAryOptions = core.KAryOptions
-
 // ResponseMatrixEstimate holds per-worker response-probability matrices
 // with confidence intervals.
 type ResponseMatrixEstimate = core.KAryEstimate
@@ -118,11 +115,11 @@ type ResponseMatrixEstimate = core.KAryEstimate
 // EstimateResponseMatrices estimates, for an ordered triple of workers on
 // k-ary tasks, each worker's k×k response-probability matrix — entry
 // (j1, j2) is the probability of answering j2 when the truth is j1 — with a
-// confidence interval per entry, plus the prior over true answers. This is
-// the paper's Algorithm A3; it captures per-answer bias that scalar error
-// rates cannot.
-func EstimateResponseMatrices(ds *Dataset, workers [3]int, opts KAryOptions) (*ResponseMatrixEstimate, error) {
-	return core.ThreeWorkerKAry(ds, workers, opts)
+// confidence-level interval per entry, plus the prior over true answers.
+// This is the paper's Algorithm A3; it captures per-answer bias that scalar
+// error rates cannot.
+func EstimateResponseMatrices(ds *Dataset, workers [3]int, confidence float64) (*ResponseMatrixEstimate, error) {
+	return core.ThreeWorkerKAry(ds, workers, confidence)
 }
 
 // PruneSpammers removes workers whose disagreement with the majority vote

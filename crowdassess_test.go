@@ -68,8 +68,7 @@ func TestPublicKAry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := crowdassess.EstimateResponseMatrices(ds, [3]int{0, 1, 2},
-		crowdassess.KAryOptions{Confidence: 0.9})
+	est, err := crowdassess.EstimateResponseMatrices(ds, [3]int{0, 1, 2}, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

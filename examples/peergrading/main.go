@@ -45,8 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	est, err := crowdassess.EstimateResponseMatrices(ds, [3]int{0, 1, 2},
-		crowdassess.KAryOptions{Confidence: 0.90})
+	est, err := crowdassess.EstimateResponseMatrices(ds, [3]int{0, 1, 2}, 0.90)
 	if err != nil {
 		log.Fatal(err)
 	}

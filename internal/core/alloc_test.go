@@ -14,27 +14,24 @@ import (
 // TestProbEstimateSteadyStateZeroAllocs asserts that after one warm-up call
 // populates the workspace pools, probEstimate — the function the A3
 // gradient loop calls 2k³+1 times per response-matrix entry — allocates
-// nothing, across arities and both spectral paths.
+// nothing, across arities.
 func TestProbEstimateSteadyStateZeroAllocs(t *testing.T) {
 	for _, k := range []int{2, 3, 4, 6} {
-		for _, raw := range []bool{false, true} {
-			opts := KAryOptions{RawEigen: raw}
-			counts := synthCounts(k, 5000)
-			ws := mat.NewWorkspace()
-			// Warm-up: grow every pool to the call's working set.
+		counts := synthCounts(k, 5000)
+		ws := mat.NewWorkspace()
+		// Warm-up: grow every pool to the call's working set.
+		ws.Reset()
+		if _, err := probEstimate(counts, ws); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
 			ws.Reset()
-			if _, err := probEstimate(counts, opts, ws); err != nil {
-				t.Fatalf("k=%d raw=%v: %v", k, raw, err)
+			if _, err := probEstimate(counts, ws); err != nil {
+				t.Fatalf("k=%d: %v", k, err)
 			}
-			allocs := testing.AllocsPerRun(20, func() {
-				ws.Reset()
-				if _, err := probEstimate(counts, opts, ws); err != nil {
-					t.Fatalf("k=%d raw=%v: %v", k, raw, err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("k=%d raw=%v: steady-state probEstimate allocates %.1f times per call, want 0", k, raw, allocs)
-			}
+		})
+		if allocs != 0 {
+			t.Errorf("k=%d: steady-state probEstimate allocates %.1f times per call, want 0", k, allocs)
 		}
 	}
 }
@@ -52,9 +49,9 @@ func TestGradientEntryZeroAllocs(t *testing.T) {
 		ws.Reset()
 		orig := counts.At(1, 2, 3)
 		counts.Set(1, 2, 3, orig+eps)
-		plus, errP := probEstimate(counts, KAryOptions{}, ws)
+		plus, errP := probEstimate(counts, ws)
 		counts.Set(1, 2, 3, orig-eps)
-		minus, errM := probEstimate(counts, KAryOptions{}, ws)
+		minus, errM := probEstimate(counts, ws)
 		counts.Set(1, 2, 3, orig)
 		if errP != nil || errM != nil {
 			t.Fatal(errP, errM)

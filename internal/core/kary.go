@@ -9,24 +9,9 @@ import (
 	"crowdassess/internal/stat"
 )
 
-// KAryOptions configures ThreeWorkerKAry (Algorithm A3).
-type KAryOptions struct {
-	// Confidence is the interval confidence level c ∈ (0,1). Required.
-	Confidence float64
-	// Epsilon is the step of the central-difference derivatives over the
-	// counts tensor. Zero selects the paper's 0.01.
-	Epsilon float64
-	// StrictSpectrum makes the spectral step fail with ErrDegenerate when
-	// the second-moment matrix has non-positive eigenvalues, instead of
-	// clamping them. Clamping is the default because sampling noise pushes
-	// the small eigenvalues of a PSD matrix below zero on finite data.
-	StrictSpectrum bool
-	// RawEigen skips the symmetrization of R₁,₂·R₃,₂⁻¹·R₃,₁ before its
-	// eigendecomposition, using the general QR path on the raw estimate
-	// (ablation #3). Default false: symmetrize, which is principled because
-	// the matrix is symmetric PSD in exact arithmetic (Lemma 7).
-	RawEigen bool
-}
+// karyEpsilon is the paper's step of the central-difference derivatives
+// over the counts tensor (Algorithm A3, steps 5–6).
+const karyEpsilon = 0.01
 
 // KAryEstimate is the result of Algorithm A3 for an ordered worker triple.
 type KAryEstimate struct {
@@ -91,33 +76,29 @@ func (d *KAryDelta) IntervalsInto(c float64, dst *KAryEstimate) {
 }
 
 // ThreeWorkerKAry runs Algorithm A3 on the ordered worker triple: it
-// estimates each worker's k×k response-probability matrix with confidence
-// intervals, using only the three workers' responses (no gold answers).
-func ThreeWorkerKAry(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (*KAryEstimate, error) {
-	if err := checkConfidence(opts.Confidence); err != nil {
+// estimates each worker's k×k response-probability matrix with
+// c-confidence intervals, using only the three workers' responses (no gold
+// answers).
+func ThreeWorkerKAry(ds *crowd.Dataset, workers [3]int, c float64) (*KAryEstimate, error) {
+	if err := checkConfidence(c); err != nil {
 		return nil, err
 	}
 	var s Solver
-	delta, err := s.ThreeWorkerKAryDelta(ds, workers, opts)
+	delta, err := s.ThreeWorkerKAryDelta(ds, workers)
 	if err != nil {
 		return nil, err
 	}
-	return delta.Intervals(opts.Confidence), nil
+	return delta.Intervals(c), nil
 }
 
 // ThreeWorkerKAryDelta is ThreeWorkerKAry without committing to a confidence
-// level. opts.Confidence is ignored here.
-func (s *Solver) ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KAryOptions) (*KAryDelta, error) {
-	eps := opts.Epsilon
-	if eps == 0 {
-		eps = 0.01
-	}
-	if math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return nil, fmt.Errorf("core: epsilon %v is not a finite step", eps)
-	}
-	if eps < 0 {
-		return nil, fmt.Errorf("core: negative epsilon %v", eps)
-	}
+// level.
+func (s *Solver) ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int) (*KAryDelta, error) {
+	return s.threeWorkerKAryDelta(ds, workers, karyEpsilon)
+}
+
+// threeWorkerKAryDelta is ThreeWorkerKAryDelta at derivative step eps.
+func (s *Solver) threeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, eps float64) (*KAryDelta, error) {
 	k := ds.Arity()
 	counts := ds.CountsTensor(workers[0], workers[1], workers[2])
 
@@ -125,7 +106,7 @@ func (s *Solver) ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KA
 	// s.ws, which must stay un-reset while base.v is read below; the
 	// gradient loop runs on s.grad.
 	s.ws.Reset()
-	base, err := probEstimate(counts, opts, &s.ws)
+	base, err := probEstimate(counts, &s.ws)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +138,7 @@ func (s *Solver) ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KA
 	// Steps 5–6: central-difference derivatives of every estimated element
 	// with respect to every all-attempted count entry.
 	grads := s.ws.GetVec(3 * k * k * nEntries)
-	if err := karyGradients(counts, opts, eps, grads, &s.grad); err != nil {
+	if err := karyGradients(counts, eps, grads, &s.grad); err != nil {
 		return nil, err
 	}
 
@@ -210,7 +191,7 @@ func (s *Solver) ThreeWorkerKAryDelta(ds *crowd.Dataset, workers [3]int, opts KA
 // one cell per goroutine). ws is reset once per entry and serves both the
 // +ε and −ε estimates, so the whole loop runs allocation-free once ws has
 // served one entry. grads is laid out as vGrad reads it.
-func karyGradients(counts *crowd.Tensor3, opts KAryOptions, eps float64, grads []float64, ws *mat.Workspace) error {
+func karyGradients(counts *crowd.Tensor3, eps float64, grads []float64, ws *mat.Workspace) error {
 	k := counts.Arity()
 	for e := 0; e < k*k*k; e++ {
 		j1 := e/(k*k) + 1
@@ -226,9 +207,9 @@ func karyGradients(counts *crowd.Tensor3, opts KAryOptions, eps float64, grads [
 		ws.Reset()
 		orig := counts.At(j1, j2, j3)
 		counts.Set(j1, j2, j3, orig+eps)
-		plus, errP := probEstimate(counts, opts, ws)
+		plus, errP := probEstimate(counts, ws)
 		counts.Set(j1, j2, j3, orig-eps)
-		minus, errM := probEstimate(counts, opts, ws)
+		minus, errM := probEstimate(counts, ws)
 		counts.Set(j1, j2, j3, orig)
 		if errP != nil || errM != nil {
 			return fmt.Errorf("core: perturbed estimate failed: %w", ErrDegenerate)
@@ -268,7 +249,7 @@ type vEstimates struct {
 // the Reset discipline: results are valid until ws is next reset, and
 // probEstimate itself never rewinds the workspace (the gradient loop needs
 // the +ε and −ε results alive simultaneously).
-func probEstimate(counts *crowd.Tensor3, opts KAryOptions, ws *mat.Workspace) (vEstimates, error) {
+func probEstimate(counts *crowd.Tensor3, ws *mat.Workspace) (vEstimates, error) {
 	k := counts.Arity()
 
 	// Step 1: attendance totals.
@@ -317,37 +298,21 @@ func probEstimate(counts *crowd.Tensor3, opts KAryOptions, ws *mat.Workspace) (v
 	mat.MulTo(chain, r12, r32inv)
 	mat.MulTo(m, chain, r31)
 
-	// Step 4: U₁ = E·D^{1/2}·E⁻¹, the square root of M. M is symmetric PSD
-	// in exact arithmetic; by default we symmetrize the estimate and use the
-	// orthogonal Jacobi decomposition (E⁻¹ = Eᵀ).
-	u1 := ws.Get(k, k)
-	if opts.RawEigen {
-		eg, err := m.EigenDecomposeWS(ws)
-		if err != nil {
-			return vEstimates{}, fmt.Errorf("core: eigen of R-product: %v: %w", err, ErrDegenerate)
-		}
-		if err := clampSpectrumInPlace(eg.Values, opts.StrictSpectrum); err != nil {
-			return vEstimates{}, err
-		}
-		einv := ws.Get(k, k)
-		if err := mat.InverseTo(einv, eg.Vectors, lu); err != nil {
-			return vEstimates{}, fmt.Errorf("core: eigenvectors singular: %w", ErrDegenerate)
-		}
-		scaleColsSqrt(chain, eg.Vectors, eg.Values)
-		mat.MulTo(u1, chain, einv)
-	} else {
-		eg, err := m.EigenSymWS(ws)
-		if err != nil {
-			return vEstimates{}, err
-		}
-		if err := clampSpectrumInPlace(eg.Values, opts.StrictSpectrum); err != nil {
-			return vEstimates{}, err
-		}
-		et := ws.Get(k, k)
-		mat.TTo(et, eg.Vectors)
-		scaleColsSqrt(chain, eg.Vectors, eg.Values)
-		mat.MulTo(u1, chain, et)
+	// Step 4: U₁ = E·D^{1/2}·Eᵀ, the square root of M. M is symmetric PSD
+	// in exact arithmetic, so the estimate is symmetrized and decomposed by
+	// the orthogonal Jacobi method (E⁻¹ = Eᵀ).
+	eg, err := m.EigenSymWS(ws)
+	if err != nil {
+		return vEstimates{}, err
 	}
+	if err := clampSpectrumInPlace(eg.Values); err != nil {
+		return vEstimates{}, err
+	}
+	et := ws.Get(k, k)
+	mat.TTo(et, eg.Vectors)
+	scaleColsSqrt(chain, eg.Vectors, eg.Values)
+	u1 := ws.Get(k, k)
+	mat.MulTo(u1, chain, et)
 
 	// U₂ = (U₁ᵀ)⁻¹·R₁,₂, so that V_i = U·U_i for a common unitary U
 	// (Lemma 7). U₃ is never needed: step 7 recovers V₂ and V₃ from V₁.
@@ -470,10 +435,11 @@ func spectrumDegenerate(vals []float64) bool {
 
 // clampSpectrumInPlace guards the square root of the second-moment
 // spectrum: eigenvalues are clamped below at a small fraction of the
-// dominant one (or rejected under StrictSpectrum). The clamp happens in
-// vals itself — the callers own the slice (it comes from their workspace)
-// and never need the raw spectrum afterwards.
-func clampSpectrumInPlace(vals []float64, strict bool) error {
+// dominant one, since sampling noise pushes the small eigenvalues of a PSD
+// matrix below zero on finite data. The clamp happens in vals itself — the
+// caller owns the slice (it comes from its workspace) and never needs the
+// raw spectrum afterwards.
+func clampSpectrumInPlace(vals []float64) error {
 	if len(vals) == 0 {
 		return fmt.Errorf("core: empty spectrum: %w", ErrDegenerate)
 	}
@@ -489,9 +455,6 @@ func clampSpectrumInPlace(vals []float64, strict bool) error {
 	floor := 1e-9 * max
 	for i, v := range vals {
 		if v < floor {
-			if strict {
-				return fmt.Errorf("core: eigenvalue %g below floor: %w", v, ErrDegenerate)
-			}
 			vals[i] = floor
 		}
 	}

@@ -72,14 +72,14 @@ func BenchmarkProbEstimate(b *testing.B) {
 		b.Run("k"+itoaTest(k), func(b *testing.B) {
 			counts := synthCounts(k, 5000)
 			ws := mat.NewWorkspace()
-			if _, err := probEstimate(counts, KAryOptions{}, ws); err != nil {
+			if _, err := probEstimate(counts, ws); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ws.Reset()
-				if _, err := probEstimate(counts, KAryOptions{}, ws); err != nil {
+				if _, err := probEstimate(counts, ws); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"crowdassess/internal/crowd"
@@ -79,7 +78,7 @@ func TestProbEstimateExact(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			counts := exactCounts(10000, tc.sel, tc.p1, tc.p2, tc.p3)
-			est, err := probEstimate(counts, KAryOptions{Confidence: 0.9}, mat.NewWorkspace())
+			est, err := probEstimate(counts, mat.NewWorkspace())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,21 +96,6 @@ func TestProbEstimateExact(t *testing.T) {
 	}
 }
 
-// TestProbEstimateExactRawEigen runs the same exact-arithmetic check through
-// the non-symmetrized eigendecomposition path (ablation #3).
-func TestProbEstimateExactRawEigen(t *testing.T) {
-	sel := []float64{0.5, 0.5}
-	p1, p2, p3 := sim.PaperMatricesArity2[0], sim.PaperMatricesArity2[1], sim.PaperMatricesArity2[0]
-	counts := exactCounts(5000, sel, p1, p2, p3)
-	est, err := probEstimate(counts, KAryOptions{Confidence: 0.9, RawEigen: true}, mat.NewWorkspace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !est.v[0].EqualApprox(expectedV(sel, p1), 1e-6) {
-		t.Errorf("raw-eigen path:\ngot\n%v\nwant\n%v", est.v[0], expectedV(sel, p1))
-	}
-}
-
 func TestThreeWorkerKAryPointEstimates(t *testing.T) {
 	src := randx.NewSource(42)
 	confs := []sim.Confusion{
@@ -123,7 +107,7 @@ func TestThreeWorkerKAryPointEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.9})
+	est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +143,7 @@ func TestThreeWorkerKAryBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8})
+	est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +174,7 @@ func TestThreeWorkerKAryIntervalsContainTruthMostly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8})
+		est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, 0.8)
 		if err != nil {
 			continue
 		}
@@ -225,7 +209,7 @@ func TestThreeWorkerKAryNonRegular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8})
+	est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,40 +226,29 @@ func TestThreeWorkerKAryNonRegular(t *testing.T) {
 func TestThreeWorkerKAryErrors(t *testing.T) {
 	ds := crowd.MustNewDataset(3, 10, 3)
 	// No shared tasks → insufficient data.
-	if _, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8}); !errors.Is(err, ErrInsufficientData) {
+	if _, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, 0.8); !errors.Is(err, ErrInsufficientData) {
 		t.Errorf("err = %v, want ErrInsufficientData", err)
 	}
-	if _, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0}); err == nil {
+	if _, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, 0); err == nil {
 		t.Error("confidence 0 accepted")
-	}
-	if _, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8, Epsilon: -1}); err == nil {
-		t.Error("negative epsilon accepted")
 	}
 }
 
-// TestKAryEpsilonInvalid: a step that is not a finite number is the
-// caller's error, refused before any estimate runs, and not blamed on the
-// data as ErrDegenerate. A finite step too large for the counts is a
-// perturbed estimate that fails, which is ErrDegenerate.
+// TestKAryEpsilonInvalid: a derivative step too large for the counts makes
+// a perturbed estimate fail, which is ErrDegenerate.
 func TestKAryEpsilonInvalid(t *testing.T) {
 	ds, _, err := sim.KAry{Tasks: 500, Workers: 3, ConfusionChoices: sim.PaperMatrices(3)}.Generate(randx.NewSource(63))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		_, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8, Epsilon: eps})
-		if err == nil || errors.Is(err, ErrDegenerate) || errors.Is(err, ErrInsufficientData) || !strings.Contains(err.Error(), "epsilon") {
-			t.Errorf("epsilon %v: err = %v, want an invalid-option error", eps, err)
-		}
-	}
-	if _, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8, Epsilon: 1e9}); !errors.Is(err, ErrDegenerate) {
+	if _, err := new(Solver).threeWorkerKAryDelta(ds, [3]int{0, 1, 2}, 1e9); !errors.Is(err, ErrDegenerate) {
 		t.Errorf("epsilon 1e9: err = %v, want ErrDegenerate", err)
 	}
 }
 
 func TestKAryEpsilonStability(t *testing.T) {
-	// Ablation #5 (bench_test.go): interval sizes should not blow up as the
-	// numeric-derivative step varies across two orders of magnitude.
+	// Interval sizes should not blow up as the numeric-derivative step
+	// varies across two orders of magnitude around the paper's 0.01.
 	src := randx.NewSource(45)
 	confs := []sim.Confusion{
 		sim.PaperMatricesArity2[0],
@@ -288,10 +261,11 @@ func TestKAryEpsilonStability(t *testing.T) {
 	}
 	var sizes []float64
 	for _, eps := range []float64{1e-3, 1e-2, 1e-1} {
-		est, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.8, Epsilon: eps})
+		delta, err := new(Solver).threeWorkerKAryDelta(ds, [3]int{0, 1, 2}, eps)
 		if err != nil {
 			t.Fatalf("eps %v: %v", eps, err)
 		}
+		est := delta.Intervals(0.8)
 		var sum float64
 		for w := 0; w < 3; w++ {
 			for a := 0; a < 2; a++ {
@@ -320,7 +294,7 @@ func TestKAryIntervalsIntoMatchesIntervals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := new(Solver).ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, KAryOptions{})
+		delta, err := new(Solver).ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,6 +307,97 @@ func TestKAryIntervalsIntoMatchesIntervals(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(10, func() { delta.IntervalsInto(0.9, &dst) }); allocs != 0 {
 			t.Errorf("k=%d: refill allocates %.1f times per call, want 0", k, allocs)
+		}
+	}
+}
+
+// TestThreeWorkerKAryDeltaGolden pins Algorithm A3 bit for bit: for each
+// arity the Float64bits of every Mean and Dev entry (worker, row, column
+// order, Mean before Dev) followed by the Selectivity. A change to the
+// spectral step, the derivative step, the Lemma 9 covariance or the mat
+// kernels shows up here as a changed bit.
+func TestThreeWorkerKAryDeltaGolden(t *testing.T) {
+	golden := map[int][]uint64{
+		2: {
+			0x3fe9fdc8ade09bce, 0x3fa3010fdacbb087, 0x3fc808dd487d90c6, 0x3fa41e45e52f3e15,
+			0x3fa9a5027ad4fc61, 0x3f97811532835859, 0x3fee65afd852b03a, 0x3fa14304722c3a9a,
+			0x3fec0c10e883f5ce, 0x3fa2499e3a37d0b5, 0x3fbf9f78bbe05197, 0x3fa0a73faf23da0b,
+			0x3fbeed8c64c3920d, 0x3fa3525bf8ba0fbd, 0x3fec224e73678dbe, 0x3fa485063ec2cd26,
+			0x3feddba4449b5e13, 0x3fa152f9bf63e616, 0x3fb122dddb250f65, 0x3f9abf372f29f8ab,
+			0x3fca6fea9ddede54, 0x3fa485fb47638dfb, 0x3fe964055888486b, 0x3fa43dad80fe9365,
+			0x3fe0a3aa49b9a637, 0x3fdeb8ab6c8cb393,
+		},
+		3: {
+			0x3fe905acced14113, 0x3fae3f3271f0818c, 0x3fbd235478e12bbd, 0x3faf61f30c6868a9,
+			0x3fbaaf451094cba3, 0x3faefab7893f7ba7, 0x3fc63c450e44b8ac, 0x3fb1bd4fea0e8fb4,
+			0x3feaa3c0f97d7955, 0x3fb12691940bdf47, 0xbf79691e8753c0c6, 0x3fafb029817dd5be,
+			0x3f748e2504d0b686, 0x3fa5297638be157c, 0x3fcc7daae1054f0e, 0x3fafd8599d504155,
+			0x3fe8b778fdb50acf, 0x3fab312dc572d8d6, 0x3feb6b2a4970a5cd, 0x3fab4a2b3b193d92,
+			0x3fafe592949e9cc2, 0x3fae0eba0ad74dd3, 0x3fb4b3e46a2b8338, 0x3fab3b0336762706,
+			0x3fbfa37aaa86909c, 0x3fb1ffc9c5e3ece2, 0x3fece7927c69a0b3, 0x3fae323c3939b7e0,
+			0xbf9b803a374e58da, 0x3fa9a94c6b37e865, 0x3f8b8ff5a1c16810, 0x3fb0931389f5eaae,
+			0x3fc6ea7f1ebf902f, 0x3fb4c96491bff255, 0x3fe9d72061c91655, 0x3fac460f29707526,
+			0x3fe27c13afa765c1, 0x3fa93e102a9344f6, 0x3fd5a7b7a8e7737a, 0x3fad87f46fe5cc7b,
+			0x3fb58083df27040f, 0x3fa5fbbd0780b1db, 0x3fb10e824654e3bc, 0x3fa6e05c02f23968,
+			0x3fe333e6753e6651, 0x3fb196645114ae11, 0x3fd5549283edfa6f, 0x3faf48ffa8082304,
+			0x3fd12ef68bd870bd, 0x3fa9f82a39538f51, 0x3fb5930919a1d610, 0x3fae1119b7489a6d,
+			0x3fe4b62396df8cdf, 0x3fa94d2d8d804723, 0x3fd6cae946e07a48, 0x3fd458eaedf5cda4,
+			0x3fd4dc2bcb29b814,
+		},
+		4: {
+			0x3fe22efc9e4c6953, 0x3fcb0f66c312190a, 0x3fa37ef96a2f9713, 0x3fe5a50cd9fcfe33,
+			0x3fb6bd384d0be6af, 0x3fd3a4a295e59c9e, 0x3fd382d982de40cc, 0x3fc31f4cd00c4621,
+			0xbfa3543ce7968885, 0x3fefdd82b0a6d2fc, 0x3fe904b1d5ac26f4, 0x3fe52daf5947f2d7,
+			0x3fcd867f4806a529, 0x3feaf0462c1e7ae1, 0x3f99de44d973093d, 0x3fe6ccd2f9b183ee,
+			0xbfa4cbb35e31d994, 0x3fba3497e84944b7, 0xbfbd3b3b4600dbfd, 0x3fda9a19fa7872c1,
+			0x3ff2d9cff9330d7c, 0x3fdae7a10369a197, 0xbf97efaa785c3bf2, 0x3fc27ce4b062ade1,
+			0x3fd07daa4eed565d, 0x3fc92279f3615183, 0x3fb830114b16982f, 0x3fc56332474c9968,
+			0xbf9bf7aeb1f47c79, 0x3fc0c3509cd74cc7, 0x3fe59ae624b625b0, 0x3fc1d52611643641,
+			0x3fe1760956102c3a, 0x3fd6f3c69ed28d11, 0x3fc3c6084f49b690, 0x3fe29d8eaeda5136,
+			0x3fc5deae1fb27e7b, 0x3fdb07b286613e29, 0x3fc0832438c31a09, 0x3fcb88452f8b07fb,
+			0x3fc42be5bb98badb, 0x3fe51813cac78291, 0x3fdbb3f1d41735b9, 0x3fdae0f713f73279,
+			0x3fd35a3ab93d4b93, 0x3fdc7e68d0e1d1e0, 0x3fbb6f82537c8522, 0x3fca26886f6d40d9,
+			0xbf89e51a74118561, 0x3fc3f5f10282fe3c, 0x3fb667a980dd8800, 0x3fdace193d85da26,
+			0x3fea94ae004d340d, 0x3fd7c11e41a2ad11, 0x3fb82f89cb3b0846, 0x3fc5531d16e4ba0d,
+			0x3fb10bd292a2cc28, 0x3fc2e9f4221e8d19, 0x3fb391a385cd40da, 0x3fc613110dfa9f43,
+			0x3f9b73d02cb95dc9, 0x3fc2ee9039b433fd, 0x3fea90b2bb8c3372, 0x3fba066178666097,
+			0x3fe17415379aae3a, 0x3fd0f6b9784f1b11, 0x3fc2ac82bb12c957, 0x3fe5894f80e68b0f,
+			0x3fc469535b4d3ba6, 0x3fd24e38f5cdaf18, 0x3fc319d50b35421a, 0x3fd675d039807f76,
+			0x3fa898ef6755782d, 0x3fe45c1f8669168c, 0x3fe086ebcc9d8b76, 0x3fdf5236ad1ee546,
+			0x3fc809db9a139547, 0x3fda4b21da350c6c, 0x3fcfb43959a0ded7, 0x3fd392314fead602,
+			0x3f9b0b34bb4f97b1, 0x3fb6eca553fbbfbb, 0x3f936e4d8b37af88, 0x3fe0022754fae573,
+			0x3fef887caedde2cb, 0x3fd3e66c96e772d4, 0xbf9f89182243a0a6, 0x3fd1bdc4a263842f,
+			0x3fb5c42ea33f9aea, 0x3fc580488548d141, 0xbfaa22e0707ec035, 0x3fcb550459c50de8,
+			0x3fb27a683cd8e39c, 0x3fc112b916070773, 0x3fec9a5b2b04dc33, 0x3fc1768ced9ca41c,
+			0x3fd4bad4448ef05d, 0x3fd67c9f2e31b33e, 0x3fc37b1a4bd05826, 0x3fc615feceae60a4,
+		},
+	}
+	for _, k := range []int{2, 3, 4} {
+		ds, _, err := sim.KAry{Tasks: 400, Workers: 3, Density: 0.9, ConfusionChoices: sim.PaperMatrices(k)}.Generate(randx.NewSource(int64(370 + k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := new(Solver).ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2})
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		var got []float64
+		for w := 0; w < 3; w++ {
+			for a := 0; a < k; a++ {
+				for b := 0; b < k; b++ {
+					got = append(got, d.Mean[w].At(a, b), d.Dev[w].At(a, b))
+				}
+			}
+		}
+		got = append(got, d.Selectivity...)
+		want := golden[k]
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: %d values, want %d", k, len(got), len(want))
+		}
+		for i, v := range got {
+			if math.Float64bits(v) != want[i] {
+				t.Errorf("k=%d value %d: %v (bits %#016x), want bits %#016x", k, i, v, math.Float64bits(v), want[i])
+			}
 		}
 	}
 }
@@ -384,16 +449,13 @@ func TestNormalizeRows(t *testing.T) {
 
 func TestClampSpectrum(t *testing.T) {
 	vals := []float64{2, 1e-15}
-	if err := clampSpectrumInPlace(vals, false); err != nil {
+	if err := clampSpectrumInPlace(vals); err != nil {
 		t.Fatal(err)
 	}
 	if vals[1] < 1e-10 {
 		t.Errorf("tiny eigenvalue not clamped: %v", vals)
 	}
-	if err := clampSpectrumInPlace([]float64{2, 1e-15}, true); !errors.Is(err, ErrDegenerate) {
-		t.Errorf("strict mode err = %v", err)
-	}
-	if err := clampSpectrumInPlace([]float64{-1, -2}, false); !errors.Is(err, ErrDegenerate) {
+	if err := clampSpectrumInPlace([]float64{-1, -2}); !errors.Is(err, ErrDegenerate) {
 		t.Errorf("all-negative spectrum err = %v", err)
 	}
 }

@@ -23,9 +23,6 @@ import (
 type KAryPanelOptions struct {
 	// Confidence for the returned intervals.
 	Confidence float64
-	// Spectral passes through to the per-triple estimator (Epsilon,
-	// StrictSpectrum, RawEigen; its Confidence field is ignored).
-	Spectral KAryOptions
 	// MinCommon is the minimum number of tasks all three triple members
 	// must share. Zero selects 5·k (the spectral step needs to populate a
 	// k×k frequency matrix, so a handful of tasks per row is the floor).
@@ -129,10 +126,9 @@ func evaluatePanelOne(s *Solver, ds *crowd.Dataset, att *crowd.Attendance, i int
 	}
 
 	// Per-triple spectral estimates for worker i (position 0 ⇒ V₁).
-	spectral := opts.Spectral
 	var deltas []*KAryDelta
 	for _, tr := range triples {
-		d, err := s.ThreeWorkerKAryDelta(ds, tr, spectral)
+		d, err := s.ThreeWorkerKAryDelta(ds, tr)
 		if err != nil {
 			continue // degenerate triple: skip, as A2 does
 		}

@@ -145,11 +145,11 @@ func TestKAryPartnerOrderStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, KAryOptions{Confidence: 0.9})
+	a, err := ThreeWorkerKAry(ds, [3]int{0, 1, 2}, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ThreeWorkerKAry(ds, [3]int{0, 2, 1}, KAryOptions{Confidence: 0.9})
+	b, err := ThreeWorkerKAry(ds, [3]int{0, 2, 1}, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

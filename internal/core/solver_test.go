@@ -96,7 +96,7 @@ func TestSolverReuse(t *testing.T) {
 	}
 	a3 := func(s *Solver) *KAryDelta {
 		t.Helper()
-		out, err := s.ThreeWorkerKAryDelta(mooc, triple, KAryOptions{})
+		out, err := s.ThreeWorkerKAryDelta(mooc, triple)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func BenchmarkSolverReuse(b *testing.B) {
 		solve func(*Solver) error
 	}{
 		{"A2", func(s *Solver) error { _, err := s.EvaluateWorkersDelta(crowdDS, EvalOptions{}); return err }},
-		{"A3", func(s *Solver) error { _, err := s.ThreeWorkerKAryDelta(mooc, triple, KAryOptions{}); return err }},
+		{"A3", func(s *Solver) error { _, err := s.ThreeWorkerKAryDelta(mooc, triple); return err }},
 	}
 	for _, c := range solves {
 		b.Run(c.name+"/kept", func(b *testing.B) {

@@ -392,8 +392,7 @@ func (c *Coordinator) Add(w, t int, r crowd.Response) error {
 		return fmt.Errorf("dist: negative task index %d", t)
 	}
 	batch := []responseRec{{Worker: w, Task: t, Answer: int(r)}}
-	_, err := c.ingestSlice(c.sliceOf(t), batch)
-	return err
+	return c.ingestSlice(c.sliceOf(t), batch)
 }
 
 // Ingest routes a batch of responses: one frame per involved slice, fanned
@@ -422,7 +421,7 @@ func (c *Coordinator) Ingest(batch []Response) error {
 		wg.Add(1)
 		go func(si int, recs []responseRec) {
 			defer wg.Done()
-			_, errs[si] = c.ingestSlice(si, recs)
+			errs[si] = c.ingestSlice(si, recs)
 		}(si, recs)
 	}
 	wg.Wait()

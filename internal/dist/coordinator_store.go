@@ -148,14 +148,14 @@ func (c *Coordinator) sliceStore(si int) *store.Store {
 // after the lock is released, so the slice's next batch reaches the
 // replicas while this one syncs, and an fsync in flight covers every
 // batch written before it started.
-func (c *Coordinator) ingestSlice(si int, recs []responseRec) ([]byte, error) {
+func (c *Coordinator) ingestSlice(si int, recs []responseRec) error {
 	s := c.slices[si]
 	body := encodeIngest(recs)
 	s.mu.Lock()
-	reply, err := c.broadcastLocked(si, s, msgIngest, body, msgIngestOK, false)
+	_, err := c.broadcastLocked(si, s, msgIngest, body, msgIngestOK, false)
 	if err != nil {
 		s.mu.Unlock()
-		return nil, err
+		return err
 	}
 	st := s.store
 	var seq uint64
@@ -168,14 +168,14 @@ func (c *Coordinator) ingestSlice(si int, recs []responseRec) ([]byte, error) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		return nil, fmt.Errorf("dist: journaling slice %d batch: %w", si, err)
+		return fmt.Errorf("dist: journaling slice %d batch: %w", si, err)
 	}
 	if st != nil {
 		if err := st.Log.SyncTo(seq); err != nil {
-			return nil, fmt.Errorf("dist: syncing slice %d journal to record %d: %w", si, seq, err)
+			return fmt.Errorf("dist: syncing slice %d journal to record %d: %w", si, seq, err)
 		}
 	}
-	return reply, nil
+	return nil
 }
 
 // CheckpointCompactSlice cuts an O(delta) checkpoint of task slice si into

@@ -30,7 +30,7 @@ func Fig5a(p Params) (*Result, error) {
 		if err != nil {
 			return tally{}, err
 		}
-		delta, err := s.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{})
+		delta, err := s.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2})
 		if err != nil {
 			out.failures++
 			return out, nil
@@ -89,7 +89,7 @@ func Fig5b(p Params) (*Result, error) {
 		if err != nil {
 			return rep{}, err
 		}
-		delta, err := s.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}, core.KAryOptions{})
+		delta, err := s.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2})
 		if err != nil {
 			out.failures++
 			return out, nil
@@ -164,7 +164,7 @@ func Fig5c(p Params) (*Result, error) {
 		k := ds.Arity()
 		var est core.KAryEstimate
 		for _, tr := range triples {
-			delta, err := s.ThreeWorkerKAryDelta(ds, tr, core.KAryOptions{})
+			delta, err := s.ThreeWorkerKAryDelta(ds, tr)
 			if err != nil {
 				out.failures++
 				continue
