@@ -36,124 +36,136 @@ func yAt(b *testing.B, res *eval.Result, si int, x float64) float64 {
 	return 0
 }
 
+// mean averages a figure benchmark's metric over every iteration. Each
+// iteration runs the figure at a different seed, so above -benchtime=1x
+// the reported value covers all the seeds that ran, not only the last.
+type mean struct {
+	sum float64
+	n   int
+}
+
+func (m *mean) add(v float64) { m.sum += v; m.n++ }
+
+func (m *mean) value() float64 { return m.sum / float64(m.n) }
+
 func BenchmarkFig1(b *testing.B) {
-	var newSize, oldSize float64
+	var newSize, oldSize mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig1(eval.Params{Replicates: 3, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		newSize = yAt(b, res, 0, 0.5) // new technique, 3 workers
-		oldSize = yAt(b, res, 1, 0.5) // old technique, 3 workers
+		newSize.add(yAt(b, res, 0, 0.5)) // new technique, 3 workers
+		oldSize.add(yAt(b, res, 1, 0.5)) // old technique, 3 workers
 	}
-	b.ReportMetric(newSize, "newSize@c0.5")
-	b.ReportMetric(oldSize, "oldSize@c0.5")
-	if oldSize > 0 {
-		b.ReportMetric(newSize/oldSize, "sizeRatio")
+	b.ReportMetric(newSize.value(), "newSize@c0.5")
+	b.ReportMetric(oldSize.value(), "oldSize@c0.5")
+	if oldSize.value() > 0 {
+		b.ReportMetric(newSize.value()/oldSize.value(), "sizeRatio")
 	}
 }
 
 func BenchmarkFig2a(b *testing.B) {
-	var acc float64
+	var acc mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig2a(eval.Params{Replicates: 5, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc = yAt(b, res, 3, 0.8) // 7 workers, 300 tasks
+		acc.add(yAt(b, res, 3, 0.8)) // 7 workers, 300 tasks
 	}
-	b.ReportMetric(acc, "accuracy@c0.8")
+	b.ReportMetric(acc.value(), "accuracy@c0.8")
 }
 
 func BenchmarkFig2b(b *testing.B) {
-	var size float64
+	var size mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig2b(eval.Params{Replicates: 3, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		size = yAt(b, res, 2, 0.8) // 7 workers, 300 tasks at density 0.8
+		size.add(yAt(b, res, 2, 0.8)) // 7 workers, 300 tasks at density 0.8
 	}
-	b.ReportMetric(size, "size@d0.8")
+	b.ReportMetric(size.value(), "size@d0.8")
 }
 
 func BenchmarkFig2c(b *testing.B) {
-	var opt, uni float64
+	var opt, uni mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig2c(eval.Params{Replicates: 3, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		uni = yAt(b, res, 0, 0.5)
-		opt = yAt(b, res, 1, 0.5)
+		uni.add(yAt(b, res, 0, 0.5))
+		opt.add(yAt(b, res, 1, 0.5))
 	}
-	b.ReportMetric(uni, "uniform@c0.5")
-	b.ReportMetric(opt, "optimal@c0.5")
-	if opt > 0 {
-		b.ReportMetric(uni/opt, "improvement")
+	b.ReportMetric(uni.value(), "uniform@c0.5")
+	b.ReportMetric(opt.value(), "optimal@c0.5")
+	if opt.value() > 0 {
+		b.ReportMetric(uni.value()/opt.value(), "improvement")
 	}
 }
 
 func BenchmarkFig3(b *testing.B) {
-	var acc float64
+	var acc mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig3(eval.Params{Replicates: 1, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc = yAt(b, res, 0, 0.8) // Image Comparison
+		acc.add(yAt(b, res, 0, 0.8)) // Image Comparison
 	}
-	b.ReportMetric(acc, "IC-accuracy@c0.8")
+	b.ReportMetric(acc.value(), "IC-accuracy@c0.8")
 }
 
 func BenchmarkFig4(b *testing.B) {
-	var acc float64
+	var acc mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig4(eval.Params{Replicates: 1, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc = yAt(b, res, 1, 0.9) // RTE after pruning, high confidence
+		acc.add(yAt(b, res, 1, 0.9)) // RTE after pruning, high confidence
 	}
-	b.ReportMetric(acc, "RTE-accuracy@c0.9")
+	b.ReportMetric(acc.value(), "RTE-accuracy@c0.9")
 }
 
 func BenchmarkFig5a(b *testing.B) {
-	var acc float64
+	var acc mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig5a(eval.Params{Replicates: 2, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc = yAt(b, res, 1, 0.8) // arity 2, 1000 tasks
+		acc.add(yAt(b, res, 1, 0.8)) // arity 2, 1000 tasks
 	}
-	b.ReportMetric(acc, "accuracy@c0.8")
+	b.ReportMetric(acc.value(), "accuracy@c0.8")
 }
 
 func BenchmarkFig5b(b *testing.B) {
-	var a2, a4 float64
+	var a2, a4 mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig5b(eval.Params{Replicates: 1, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		a2 = yAt(b, res, 0, 0.8)
-		a4 = yAt(b, res, 2, 0.8)
+		a2.add(yAt(b, res, 0, 0.8))
+		a4.add(yAt(b, res, 2, 0.8))
 	}
-	b.ReportMetric(a2, "arity2-size@d0.8")
-	b.ReportMetric(a4, "arity4-size@d0.8")
+	b.ReportMetric(a2.value(), "arity2-size@d0.8")
+	b.ReportMetric(a4.value(), "arity4-size@d0.8")
 }
 
 func BenchmarkFig5c(b *testing.B) {
-	var acc float64
+	var acc mean
 	for i := 0; i < b.N; i++ {
 		res, err := eval.Fig5c(eval.Params{Replicates: 1, Seed: int64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		acc = yAt(b, res, 0, 0.9) // MOOC at high confidence
+		acc.add(yAt(b, res, 0, 0.9)) // MOOC at high confidence
 	}
-	b.ReportMetric(acc, "MOOC-accuracy@c0.9")
+	b.ReportMetric(acc.value(), "MOOC-accuracy@c0.9")
 }
 
 // BenchmarkFigParallel runs representative figures, each of whose

@@ -234,9 +234,35 @@ func vGrad(grads []float64, k, w, a, b int) []float64 {
 	return grads[((w*k+a)*k+b)*n:][:n]
 }
 
-// vEstimates holds the three V_i = S^{1/2}·P_i point estimates.
+// vEstimates holds the three V_i = S^{1/2}·P_i point estimates. The
+// matrices live in the workspace span of the probEstimate call that made
+// them.
 type vEstimates struct {
-	v [3]*mat.Matrix
+	v [3]mat.Matrix
+}
+
+// probScratch is probEstimate's working set: every k×k matrix it builds,
+// the two spectra, and the eigendecompositions' scratch. carve takes it
+// from one workspace span per call. The per-j₃ matrices of steps 5–6 are
+// reused for every j₃: each is written in full before it is read.
+type probScratch struct {
+	r12, r23, r31, r13, r32                                 mat.Matrix // step 2
+	r32inv, chain, m, mVecs, et, u1, u1t, u1invT, u2, u2inv mat.Matrix // steps 3–4
+	v1sum, r123, b, bVecs, u, v1j, aligned                  mat.Matrix // steps 5–6
+	v1, v1t, v1invT, v2, v3                                 mat.Matrix // step 7
+	mVals, bVals, eig                                       []float64
+}
+
+// carve points every matrix and slice of s at one zeroed span of ws.
+func (s *probScratch) carve(k int, ws *mat.Workspace) {
+	mats := [...]*mat.Matrix{
+		&s.r12, &s.r23, &s.r31, &s.r13, &s.r32,
+		&s.r32inv, &s.chain, &s.m, &s.mVecs, &s.et, &s.u1, &s.u1t, &s.u1invT, &s.u2, &s.u2inv,
+		&s.v1sum, &s.r123, &s.b, &s.bVecs, &s.u, &s.v1j, &s.aligned,
+		&s.v1, &s.v1t, &s.v1invT, &s.v2, &s.v3,
+	}
+	rest := mat.Carve(ws.GetVec(len(mats)*k*k+2*k+mat.EigenScratch(k)), k, k, mats[:]...)
+	s.mVals, s.bVals, s.eig = rest[:k], rest[k:2*k], rest[2*k:]
 }
 
 // probEstimate implements the paper's ProbEstimate procedure: from the
@@ -244,13 +270,16 @@ type vEstimates struct {
 // workers using the spectral decomposition of pairwise response-frequency
 // matrices (Lemmas 6–8).
 //
-// Every temporary — and the returned matrices — comes from ws, so a warmed
-// workspace makes the call allocation-free in steady state. The caller owns
-// the Reset discipline: results are valid until ws is next reset, and
-// probEstimate itself never rewinds the workspace (the gradient loop needs
-// the +ε and −ε results alive simultaneously).
+// Every temporary — and the returned matrices — comes from one span of ws
+// (probScratch), so a warmed workspace makes the call allocation-free in
+// steady state. The caller owns the Reset discipline: results are valid
+// until ws is next reset, and probEstimate itself never rewinds the
+// workspace (the gradient loop needs the +ε and −ε results alive
+// simultaneously).
 func probEstimate(counts *crowd.Tensor3, ws *mat.Workspace) (vEstimates, error) {
 	k := counts.Arity()
+	n := k + 1
+	c := counts.Flat()
 
 	// Step 1: attendance totals.
 	nAll := counts.AttendanceTotal([3]bool{true, true, true})
@@ -260,105 +289,89 @@ func probEstimate(counts *crowd.Tensor3, ws *mat.Workspace) (vEstimates, error) 
 	if nAll <= 0 {
 		return vEstimates{}, fmt.Errorf("core: no tasks attempted by all three workers: %w", ErrInsufficientData)
 	}
+	var s probScratch
+	s.carve(k, ws)
 
 	// Step 2: response-frequency matrices.
-	r12 := ws.Get(k, k)
-	r23 := ws.Get(k, k)
-	r31 := ws.Get(k, k)
 	den12, den23, den31 := nAll+n12, nAll+n23, nAll+n31
 	for a := 1; a <= k; a++ {
-		row12 := r12.RowView(a - 1)
-		row23 := r23.RowView(a - 1)
-		row31 := r31.RowView(a - 1)
+		row12 := s.r12.RowView(a - 1)
+		row23 := s.r23.RowView(a - 1)
+		row31 := s.r31.RowView(a - 1)
 		for b := 1; b <= k; b++ {
 			var s12, s23, s31 float64
 			for K := 0; K <= k; K++ {
-				s12 += counts.At(a, b, K)
-				s23 += counts.At(K, a, b)
-				s31 += counts.At(b, K, a)
+				s12 += c[(a*n+b)*n+K]
+				s23 += c[(K*n+a)*n+b]
+				s31 += c[(b*n+K)*n+a]
 			}
 			row12[b-1] = s12 / den12
 			row23[b-1] = s23 / den23
 			row31[b-1] = s31 / den31
 		}
 	}
-	r13 := ws.Get(k, k)
-	mat.TTo(r13, r31)
-	r32 := ws.Get(k, k)
-	mat.TTo(r32, r23)
+	mat.TTo(&s.r13, &s.r31)
+	mat.TTo(&s.r32, &s.r23)
 
 	// Step 3: eigendecomposition of M = R₁,₂·R₃,₂⁻¹·R₃,₁ = V₁ᵀV₁ (Lemma 7).
+	// chain is shared scratch for the A·B·C products below.
 	lu := ws.LU(k)
-	r32inv := ws.Get(k, k)
-	if err := mat.InverseTo(r32inv, r32, lu); err != nil {
+	if err := mat.InverseTo(&s.r32inv, &s.r32, lu); err != nil {
 		return vEstimates{}, fmt.Errorf("core: R₃,₂ singular: %w", ErrDegenerate)
 	}
-	chain := ws.Get(k, k) // shared scratch for the A·B·C products below
-	m := ws.Get(k, k)
-	mat.MulTo(chain, r12, r32inv)
-	mat.MulTo(m, chain, r31)
+	mat.MulTo(&s.chain, &s.r12, &s.r32inv)
+	mat.MulTo(&s.m, &s.chain, &s.r31)
 
 	// Step 4: U₁ = E·D^{1/2}·Eᵀ, the square root of M. M is symmetric PSD
 	// in exact arithmetic, so the estimate is symmetrized and decomposed by
 	// the orthogonal Jacobi method (E⁻¹ = Eᵀ).
-	eg, err := m.EigenSymWS(ws)
-	if err != nil {
+	if err := mat.EigenSymTo(mat.Eigen{Values: s.mVals, Vectors: &s.mVecs}, &s.m, s.eig); err != nil {
 		return vEstimates{}, err
 	}
-	if err := clampSpectrumInPlace(eg.Values); err != nil {
+	if err := clampSpectrumInPlace(s.mVals); err != nil {
 		return vEstimates{}, err
 	}
-	et := ws.Get(k, k)
-	mat.TTo(et, eg.Vectors)
-	scaleColsSqrt(chain, eg.Vectors, eg.Values)
-	u1 := ws.Get(k, k)
-	mat.MulTo(u1, chain, et)
+	mat.TTo(&s.et, &s.mVecs)
+	scaleColsSqrt(&s.chain, &s.mVecs, s.mVals)
+	mat.MulTo(&s.u1, &s.chain, &s.et)
 
 	// U₂ = (U₁ᵀ)⁻¹·R₁,₂, so that V_i = U·U_i for a common unitary U
 	// (Lemma 7). U₃ is never needed: step 7 recovers V₂ and V₃ from V₁.
-	u1t := ws.Get(k, k)
-	mat.TTo(u1t, u1)
-	u1invT := ws.Get(k, k)
-	if err := mat.InverseTo(u1invT, u1t, lu); err != nil {
+	mat.TTo(&s.u1t, &s.u1)
+	if err := mat.InverseTo(&s.u1invT, &s.u1t, lu); err != nil {
 		return vEstimates{}, fmt.Errorf("core: U₁ singular: %w", ErrDegenerate)
 	}
-	u2 := ws.Get(k, k)
-	mat.MulTo(u2, u1invT, r12)
-	u2inv := ws.Get(k, k)
-	if err := mat.InverseTo(u2inv, u2, lu); err != nil {
+	mat.MulTo(&s.u2, &s.u1invT, &s.r12)
+	if err := mat.InverseTo(&s.u2inv, &s.u2, lu); err != nil {
 		return vEstimates{}, fmt.Errorf("core: U₂ singular: %w", ErrDegenerate)
 	}
 
 	// Steps 5–6: recover the unitary U from the conditional response
 	// frequencies, once per conditioning response j₃ of worker 3, and
 	// average the aligned V₁ estimates.
-	v1sum := ws.Get(k, k)
-	r123 := ws.Get(k, k)
-	b := ws.Get(k, k)
 	usable := 0
 	for j3 := 1; j3 <= k; j3++ {
 		var nj3 float64
 		for a := 1; a <= k; a++ {
 			for bb := 1; bb <= k; bb++ {
-				nj3 += counts.At(a, bb, j3)
+				nj3 += c[(a*n+bb)*n+j3]
 			}
 		}
 		if nj3 <= 0 {
 			continue // worker 3 never answered j₃ on fully-attempted tasks
 		}
 		for a := 1; a <= k; a++ {
-			row := r123.RowView(a - 1)
+			row := s.r123.RowView(a - 1)
 			for bb := 1; bb <= k; bb++ {
-				row[bb-1] = counts.At(a, bb, j3) / nj3
+				row[bb-1] = c[(a*n+bb)*n+j3] / nj3
 			}
 		}
 		// B = (U₁ᵀ)⁻¹·R₁,₂|₃,j₃·U₂⁻¹ = U⁻¹·(W₃,j₃/p(j₃))·U (Lemma 8): its
 		// eigenvector matrix X satisfies U = rows-normalized X⁻¹ up to row
 		// permutation and sign.
-		mat.MulTo(chain, u1invT, r123)
-		mat.MulTo(b, chain, u2inv)
-		eg, err := b.EigenDecomposeWS(ws)
-		if err != nil {
+		mat.MulTo(&s.chain, &s.u1invT, &s.r123)
+		mat.MulTo(&s.b, &s.chain, &s.u2inv)
+		if err := mat.EigenDecomposeTo(mat.Eigen{Values: s.bVals, Vectors: &s.bVecs}, &s.b, lu, s.eig); err != nil {
 			continue // complex pair for this j₃; skip it
 		}
 		// The eigenvalues of B are worker 3's response probabilities for j₃
@@ -366,39 +379,32 @@ func probEstimate(counts *crowd.Tensor3, ws *mat.Workspace) (vEstimates, error) 
 		// that both almost never elicit response j₃ — leaves the
 		// corresponding eigenvectors unidentifiable, so that conditioning
 		// response contributes no usable estimate.
-		if spectrumDegenerate(eg.Values) {
+		if spectrumDegenerate(s.bVals) {
 			continue
 		}
-		u := ws.Get(k, k)
-		if err := mat.InverseTo(u, eg.Vectors, lu); err != nil {
+		if err := mat.InverseTo(&s.u, &s.bVecs, lu); err != nil {
 			continue
 		}
-		normalizeRowsInPlace(u)
-		v1 := ws.Get(k, k)
-		mat.MulTo(v1, u, u1)
-		fixSigns(v1, u)
-		aligned := alignRowsWS(v1, ws)
-		mat.PlusTo(v1sum, v1sum, aligned)
+		normalizeRowsInPlace(&s.u)
+		mat.MulTo(&s.v1j, &s.u, &s.u1)
+		fixSigns(&s.v1j, &s.u)
+		alignRows(&s.aligned, &s.v1j)
+		mat.PlusTo(&s.v1sum, &s.v1sum, &s.aligned)
 		usable++
 	}
 	if usable == 0 {
 		return vEstimates{}, fmt.Errorf("core: no usable conditional decomposition: %w", ErrDegenerate)
 	}
-	v1 := ws.Get(k, k)
-	mat.ScaleTo(v1, v1sum, 1/float64(usable))
+	mat.ScaleTo(&s.v1, &s.v1sum, 1/float64(usable))
 
 	// Step 7: V₂ = (V₁ᵀ)⁻¹·R₁,₂ and V₃ = (V₁ᵀ)⁻¹·R₁,₃.
-	v1t := ws.Get(k, k)
-	mat.TTo(v1t, v1)
-	v1invT := ws.Get(k, k)
-	if err := mat.InverseTo(v1invT, v1t, lu); err != nil {
+	mat.TTo(&s.v1t, &s.v1)
+	if err := mat.InverseTo(&s.v1invT, &s.v1t, lu); err != nil {
 		return vEstimates{}, fmt.Errorf("core: V₁ singular: %w", ErrDegenerate)
 	}
-	v2 := ws.Get(k, k)
-	mat.MulTo(v2, v1invT, r12)
-	v3 := ws.Get(k, k)
-	mat.MulTo(v3, v1invT, r13)
-	return vEstimates{v: [3]*mat.Matrix{v1, v2, v3}}, nil
+	mat.MulTo(&s.v2, &s.v1invT, &s.r12)
+	mat.MulTo(&s.v3, &s.v1invT, &s.r13)
+	return vEstimates{v: [3]mat.Matrix{s.v1, s.v2, s.v3}}, nil
 }
 
 // scaleColsSqrt writes E·diag(√vals) into dst: column j of e scaled by
@@ -500,25 +506,28 @@ func fixSigns(v1, u *mat.Matrix) {
 	}
 }
 
-// alignRowsWS permutes rows so each row's dominant element lands on the
-// diagonal (the paper's step 6.d: worker matrices are diagonally dominant
-// per row). A greedy assignment on the globally largest entries resolves
-// conflicts deterministically. Scratch and result come from ws.
-func alignRowsWS(v *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
+// alignRows writes v into dst with its rows permuted so each row's
+// dominant element lands on the diagonal (the paper's step 6.d: worker
+// matrices are diagonally dominant per row). A greedy assignment on the
+// globally largest entries resolves conflicts deterministically. dst must
+// not alias v.
+func alignRows(dst, v *mat.Matrix) {
 	k := v.Rows()
-	taken := ws.GetInts(2 * k) // rows in [:k], columns in [k:], 1 = taken
-	rowTaken := taken[:k]
-	colTaken := taken[k:]
-	position := ws.GetInts(k) // position[c] = source row placed at row c
+	var flags [32]bool // taken rows in [:k], columns in [k:2k]
+	taken := flags[:]
+	if 2*k > len(flags) {
+		taken = make([]bool, 2*k)
+	}
+	rowTaken, colTaken := taken[:k], taken[k:2*k]
 	for step := 0; step < k; step++ {
 		bestR, bestC, bestV := -1, -1, math.Inf(-1)
 		for r := 0; r < k; r++ {
-			if rowTaken[r] != 0 {
+			if rowTaken[r] {
 				continue
 			}
 			row := v.RowView(r)
 			for c := 0; c < k; c++ {
-				if colTaken[c] != 0 {
+				if colTaken[c] {
 					continue
 				}
 				if row[c] > bestV {
@@ -526,13 +535,8 @@ func alignRowsWS(v *mat.Matrix, ws *mat.Workspace) *mat.Matrix {
 				}
 			}
 		}
-		rowTaken[bestR] = 1
-		colTaken[bestC] = 1
-		position[bestC] = bestR
+		rowTaken[bestR] = true
+		colTaken[bestC] = true
+		copy(dst.RowView(bestC), v.RowView(bestR))
 	}
-	out := ws.Get(k, k)
-	for c := 0; c < k; c++ {
-		copy(out.RowView(c), v.RowView(position[c]))
-	}
-	return out
 }

@@ -5,6 +5,8 @@ import (
 
 	"crowdassess/internal/crowd"
 	"crowdassess/internal/mat"
+	"crowdassess/internal/randx"
+	"crowdassess/internal/sim"
 )
 
 // synthConfusion builds a diagonally dominant, worker- and row-asymmetric
@@ -81,6 +83,46 @@ func BenchmarkProbEstimate(b *testing.B) {
 				ws.Reset()
 				if _, err := probEstimate(counts, ws); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkThreeWorkerKAryDelta times Algorithm A3 on simulated triples of
+// Figure 5(b)'s shape: 500 tasks, the paper's confusion matrices, one
+// triple at each density 0.5, 0.55, …, 0.95, from the first seed at that
+// density whose solve succeeds. One op solves all ten. Unlike
+// BenchmarkProbEstimate's noise-free counts, sampled counts drive the
+// shifted QR through the complex-pair runs that dominate Figure 5(b).
+func BenchmarkThreeWorkerKAryDelta(b *testing.B) {
+	for _, k := range []int{3, 4} {
+		b.Run("k"+itoaTest(k), func(b *testing.B) {
+			var s Solver
+			var triples []*crowd.Dataset
+			for i := 0; i < 10; i++ {
+				cfg := sim.KAry{Tasks: 500, Workers: 3, Density: 0.5 + 0.05*float64(i), ConfusionChoices: sim.PaperMatrices(k)}
+				for seed := int64(1); ; seed++ {
+					if seed > 1000 {
+						b.Fatalf("k=%d density %v: no seed up to 1000 solves", k, cfg.Density)
+					}
+					ds, _, err := cfg.Generate(randx.NewSource(seed))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := s.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}); err == nil {
+						triples = append(triples, ds)
+						break
+					}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, ds := range triples {
+					if _, err := s.ThreeWorkerKAryDelta(ds, [3]int{0, 1, 2}); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

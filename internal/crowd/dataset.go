@@ -99,6 +99,15 @@ func (d *Dataset) Response(w, t int) Response {
 	return d.resp[w*d.numTasks+t]
 }
 
+// row returns worker w's responses, task by task, aliasing the dataset.
+// It panics as Response does when w is out of range.
+func (d *Dataset) row(w int) []Response {
+	if err := d.checkWT(w, 0); err != nil {
+		panic(err)
+	}
+	return d.resp[w*d.numTasks:][:d.numTasks]
+}
+
 // Attempted reports whether worker w answered task t.
 func (d *Dataset) Attempted(w, t int) bool { return d.Response(w, t) != None }
 

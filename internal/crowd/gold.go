@@ -15,8 +15,7 @@ var ErrNoGold = errors.New("crowd: dataset has no gold-standard answers")
 // are skipped; an error is returned when none remain.
 func (d *Dataset) TrueErrorRate(w int) (float64, error) {
 	attempted, wrong := 0, 0
-	for t := 0; t < d.numTasks; t++ {
-		r := d.Response(w, t)
+	for t, r := range d.row(w) {
 		g := d.truth[t]
 		if r == None || g == None {
 			continue
@@ -45,8 +44,7 @@ func (d *Dataset) TrueConfusion(w int) (conf [][]float64, hasRow []bool, err err
 		counts[i] = make([]int, k)
 	}
 	seen := false
-	for t := 0; t < d.numTasks; t++ {
-		r := d.Response(w, t)
+	for t, r := range d.row(w) {
 		g := d.truth[t]
 		if r == None || g == None {
 			continue

@@ -35,6 +35,10 @@ func (t *Tensor3) idx(a, b, c int) int {
 // At returns the count for the response combination (a, b, c).
 func (t *Tensor3) At(a, b, c int) float64 { return t.data[t.idx(a, b, c)] }
 
+// Flat returns the tensor's storage, aliasing it: the count for (a, b, c)
+// is at index (a·(k+1) + b)·(k+1) + c.
+func (t *Tensor3) Flat() []float64 { return t.data }
+
 // Set assigns the count for (a, b, c).
 func (t *Tensor3) Set(a, b, c int, v float64) { t.data[t.idx(a, b, c)] = v }
 
@@ -89,14 +93,15 @@ func (t *Tensor3) AttendanceTotal(att [3]bool) float64 {
 // (their combination (0,0,0) stays zero, matching the paper's preprocessing).
 func (d *Dataset) CountsTensor(w1, w2, w3 int) *Tensor3 {
 	t3 := NewTensor3(d.arity)
-	for t := 0; t < d.numTasks; t++ {
-		a := int(d.Response(w1, t))
-		b := int(d.Response(w2, t))
-		c := int(d.Response(w3, t))
+	n := d.arity + 1
+	r1, r2, r3 := d.row(w1), d.row(w2), d.row(w3)
+	r2, r3 = r2[:len(r1)], r3[:len(r1)]
+	for t, a := range r1 {
+		b, c := r2[t], r3[t]
 		if a == 0 && b == 0 && c == 0 {
 			continue
 		}
-		t3.Add(a, b, c, 1)
+		t3.data[(int(a)*n+int(b))*n+int(c)]++
 	}
 	return t3
 }

@@ -77,29 +77,38 @@ func (f *LU) Refactor(src *Matrix) error {
 	return f.refactor(eliminate)
 }
 
-// refactor factors f.lu in place with partial pivoting, running each
-// pivot column's elimination through elim: eliminate in production, and
-// eliminateGo where a test or benchmark pins the Go loop.
+// refactor factors f.lu in place with partial pivoting. Each pivot column
+// whose tail is shorter than kernelTail runs eliminateGo directly; longer
+// ones run through elim: eliminate in production, and eliminateGo where a
+// test or benchmark pins the Go loop.
 func (f *LU) refactor(elim func(a []float64, n, col int)) error {
-	lu := f.lu
-	n := lu.rows
+	a, n := f.lu.data, f.lu.rows
 	for i := range f.perm {
 		f.perm[i] = i
 	}
 	for col := 0; col < n; col++ {
 		pivot := col
-		best := math.Abs(lu.data[col*n+col])
+		best := math.Abs(a[col*n+col])
 		for r := col + 1; r < n; r++ {
-			if v := math.Abs(lu.data[r*n+col]); v > best {
+			if v := math.Abs(a[r*n+col]); v > best {
 				best, pivot = v, r
 			}
 		}
 		if best < 1e-13 {
 			return ErrSingular
 		}
-		lu.SwapRows(col, pivot)
+		if pivot != col {
+			rowC, rowP := a[col*n:][:n], a[pivot*n:][:n]
+			for k := range rowC {
+				rowC[k], rowP[k] = rowP[k], rowC[k]
+			}
+		}
 		f.perm[col], f.perm[pivot] = f.perm[pivot], f.perm[col]
-		elim(lu.data, n, col)
+		if n-col-1 < kernelTail {
+			eliminateGo(a, n, col)
+		} else {
+			elim(a, n, col)
+		}
 	}
 	return nil
 }
@@ -129,23 +138,23 @@ func eliminateGo(a []float64, n, col int) {
 // SolveInto writes the solution of (LU)·x = b into x, which must not alias
 // b. Both must have the factored dimension.
 func (f *LU) SolveInto(b, x []float64) {
-	lu, n := f.lu, f.lu.rows
+	a, n := f.lu.data, f.lu.rows
 	if len(b) != n || len(x) != n {
 		panic(ErrShape)
 	}
 	// Forward substitution on the permuted right-hand side.
 	y := f.y
 	for i := 0; i < n; i++ {
-		row := lu.RowView(i)
+		row := a[i*n:][:i]
 		s := b[f.perm[i]]
-		for j := 0; j < i; j++ {
-			s -= row[j] * y[j]
+		for j, l := range row {
+			s -= l * y[j]
 		}
 		y[i] = s
 	}
 	// Back substitution.
 	for i := n - 1; i >= 0; i-- {
-		row := lu.RowView(i)
+		row := a[i*n:][:n]
 		s := y[i]
 		for j := i + 1; j < n; j++ {
 			s -= row[j] * x[j]

@@ -12,8 +12,8 @@ package mat
 
 // MulTo writes the product a·b into dst. dst must have shape
 // a.Rows()×b.Cols() and must not alias a or b. Square k×k products with
-// k ∈ {2, 3} — the dominant shapes in the A3 spectral step — dispatch to
-// unrolled kernels.
+// k ∈ {2, 3, 4} — the dominant shapes in the A3 spectral step — dispatch
+// to unrolled kernels.
 func MulTo(dst, a, b *Matrix) {
 	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
 		panic(ErrShape)
@@ -25,6 +25,9 @@ func MulTo(dst, a, b *Matrix) {
 			return
 		case 3:
 			mul3(dst.data, a.data, b.data)
+			return
+		case 4:
+			mul4(dst.data, a.data, b.data)
 			return
 		}
 	}

@@ -39,6 +39,22 @@ func New(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
+// Carve points each of ms at the next r×c span of buf, in order, and
+// returns what is left of buf. The matrices alias buf, so a computation
+// can take one workspace span and carve every matrix it builds from it.
+// It panics if a dimension is not positive or buf is too short.
+func Carve(buf []float64, r, c int, ms ...*Matrix) []float64 {
+	if r <= 0 || c <= 0 {
+		panic(fmt.Sprintf("mat: invalid dimensions %d×%d", r, c))
+	}
+	n := r * c
+	for _, m := range ms {
+		*m = Matrix{rows: r, cols: c, data: buf[:n:n]}
+		buf = buf[n:]
+	}
+	return buf
+}
+
 // FromRows builds a matrix from a slice of equal-length rows.
 // It panics on ragged or empty input.
 func FromRows(rows [][]float64) *Matrix {

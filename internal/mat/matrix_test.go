@@ -399,7 +399,7 @@ func TestHessenbergStructureAndSpectrum(t *testing.T) {
 	a := randomMatrix(rng, 5)
 	h := New(5, 5)
 	h.CopyFrom(a)
-	hessenbergInPlace(h, make([]float64, 5))
+	hessenbergInPlace(h.data, 5, make([]float64, 5))
 	for i := 2; i < 5; i++ {
 		for j := 0; j < i-1; j++ {
 			if math.Abs(h.At(i, j)) > 1e-10 {
@@ -418,9 +418,68 @@ func TestHessenbergStructureAndSpectrum(t *testing.T) {
 	}
 }
 
+// eigenvalues, eigenDecompose and eigenSym run eigenvaluesTo,
+// EigenDecomposeTo and EigenSymTo on fresh storage.
+func eigenvalues(m *Matrix) ([]float64, error) {
+	n := m.Rows()
+	evs := make([]float64, n)
+	err := eigenvaluesTo(evs, m, make([]float64, EigenScratch(n)))
+	return evs, err
+}
+
+func eigenDecompose(m *Matrix) (Eigen, error) {
+	n := m.Rows()
+	e := Eigen{Values: make([]float64, n), Vectors: New(n, n)}
+	return e, EigenDecomposeTo(e, m, NewLU(n), make([]float64, EigenScratch(n)))
+}
+
+func eigenSym(m *Matrix) (Eigen, error) {
+	n := m.Rows()
+	e := Eigen{Values: make([]float64, n), Vectors: New(n, n)}
+	return e, EigenSymTo(e, m, make([]float64, EigenScratch(n)))
+}
+
+// TestGivensNormMatchesHypot holds the QR step's inlined norm to
+// math.Hypot bit for bit on finite pairs of both signs: random magnitudes
+// from subnormal to near overflow, zeros, and equal magnitudes. A NaN
+// operand must give NaN, as it does in math.Hypot.
+func TestGivensNormMatchesHypot(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	pairs := [][2]float64{
+		{0, 0}, {negZero, 0}, {0, negZero}, {negZero, negZero},
+		{0, 3}, {negZero, -3}, {-2, 0}, {math.SmallestNonzeroFloat64, 0},
+		{math.MaxFloat64, math.MaxFloat64}, {math.SmallestNonzeroFloat64, math.SmallestNonzeroFloat64},
+		{math.MaxFloat64, 1}, {1e-300, 1e300},
+	}
+	r := rand.New(rand.NewSource(39))
+	for i := 0; i < 20000; i++ {
+		a := math.Ldexp(r.Float64(), r.Intn(2098)-1074)
+		b := math.Ldexp(r.Float64(), r.Intn(2098)-1074)
+		if i%4 == 0 {
+			b = a // equal magnitudes
+		} else if i%4 == 1 {
+			b = math.Ldexp(r.NormFloat64(), r.Intn(40)-20)
+			a = math.Ldexp(r.NormFloat64(), r.Intn(40)-20)
+		}
+		pairs = append(pairs, [2]float64{a, b}, [2]float64{-a, b}, [2]float64{a, -b}, [2]float64{-a, -b})
+	}
+	for _, p := range pairs {
+		got, want := givensNorm(p[0], p[1]), math.Hypot(p[0], p[1])
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("givensNorm(%v, %v) = %v (%#x), math.Hypot %v (%#x)",
+				p[0], p[1], got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, p := range [][2]float64{{math.NaN(), 0}, {0, math.NaN()}, {math.NaN(), 2}, {-2, math.NaN()}} {
+		if got := givensNorm(p[0], p[1]); !math.IsNaN(got) {
+			t.Errorf("givensNorm(%v, %v) = %v, want NaN", p[0], p[1], got)
+		}
+	}
+}
+
 func TestEigenvaluesDiagonal(t *testing.T) {
 	a := diag([]float64{3, 1, 2})
-	vals, err := eigenvaluesWS(a, NewWorkspace())
+	vals, err := eigenvalues(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +494,7 @@ func TestEigenvaluesDiagonal(t *testing.T) {
 func TestEigenvaluesKnown(t *testing.T) {
 	// [[2 1],[1 2]] has eigenvalues 1 and 3.
 	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	vals, err := eigenvaluesWS(a, NewWorkspace())
+	vals, err := eigenvalues(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +506,7 @@ func TestEigenvaluesKnown(t *testing.T) {
 func TestEigenvaluesComplexPairRejected(t *testing.T) {
 	// Rotation matrix: eigenvalues e^{±iθ}, strictly complex.
 	a := FromRows([][]float64{{0, -1}, {1, 0}})
-	if _, err := eigenvaluesWS(a, NewWorkspace()); err != ErrComplexEigen {
+	if _, err := eigenvalues(a); err != ErrComplexEigen {
 		t.Errorf("err = %v, want ErrComplexEigen", err)
 	}
 }
@@ -468,7 +527,7 @@ func TestEigenvaluesSimilarityProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := mul(mul(m, diag(d)), minv)
-		vals, err := eigenvaluesWS(a, NewWorkspace())
+		vals, err := eigenvalues(a)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -501,7 +560,7 @@ func TestEigenDecomposeRecovers(t *testing.T) {
 			minv, _ := inverse(m)
 			a = mul(mul(m, diag(d)), minv)
 		}
-		e, err := a.EigenDecomposeWS(NewWorkspace())
+		e, err := eigenDecompose(a)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -530,7 +589,7 @@ func TestEigenDecomposeRecovers(t *testing.T) {
 
 func TestEigenSymKnown(t *testing.T) {
 	a := FromRows([][]float64{{2, 1}, {1, 2}})
-	e, err := a.EigenSymWS(NewWorkspace())
+	e, err := eigenSym(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,13 +603,13 @@ func TestEigenSymKnown(t *testing.T) {
 	}
 }
 
-// Property: EigenSymWS returns an orthogonal V with A = V·Λ·Vᵀ.
+// Property: EigenSymTo returns an orthogonal V with A = V·Λ·Vᵀ.
 func TestEigenSymProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(5)
 		a := symmetrize(randomMatrix(rng, n))
-		e, err := a.EigenSymWS(NewWorkspace())
+		e, err := eigenSym(a)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -572,7 +631,7 @@ func TestEigenSymTraceProperty(t *testing.T) {
 		if a.MaxAbs() > 1e100 { // also skips overflow to ±Inf
 			return true
 		}
-		e, err := a.EigenSymWS(NewWorkspace())
+		e, err := eigenSym(a)
 		if err != nil {
 			return false
 		}

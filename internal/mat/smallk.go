@@ -2,12 +2,14 @@ package mat
 
 import "math"
 
-// Unrolled kernels for the 2×2 and 3×3 shapes that dominate the A3 spectral
-// step (response arities 2 and 3). The multiply kernels accumulate each
-// entry left to right in k order, which is exactly the summation order of
-// the generic i-k-j loop, so they are bit-compatible with it on finite
-// inputs; the inverse kernels use the adjugate form, which agrees with the
-// elimination-based generic path to roundoff (property-tested to 1e-12).
+// Unrolled kernels for the 2×2, 3×3 and 4×4 shapes that dominate the A3
+// spectral step (response arities 2, 3 and 4). The multiply kernels
+// accumulate each entry left to right in k order, which is exactly the
+// summation order of the generic i-k-j loop, so they are bit-compatible
+// with it on finite inputs; mul4 also starts from +0 and skips zero a_ik
+// as that loop does, so it matches it on signed zeros too. The inverse
+// kernels use the adjugate form, which agrees with the elimination-based
+// generic path to roundoff (property-tested to 1e-12).
 
 func mul2(dst, a, b []float64) {
 	b00, b01 := b[0], b[1]
@@ -29,6 +31,30 @@ func mul3(dst, a, b []float64) {
 		dst[3*i] = a0*b00 + a1*b10 + a2*b20
 		dst[3*i+1] = a0*b01 + a1*b11 + a2*b21
 		dst[3*i+2] = a0*b02 + a1*b12 + a2*b22
+	}
+}
+
+// mul4 is mulAddGeneric's i-k-j loop into a cleared dst, unrolled for
+// 4×4: each row of dst accumulates from +0, and a zero a_ik skips its
+// whole row pass, so every entry gets the generic loop's bits (the
+// a0*b00 + … form of mul2 and mul3 would give −0 where the loop gives +0).
+func mul4(dst, a, b []float64) {
+	b = b[:16]
+	for i := 0; i < 4; i++ {
+		ai := a[4*i:][:4]
+		var d0, d1, d2, d3 float64
+		for k, aik := range ai {
+			if aik == 0 {
+				continue
+			}
+			bk := b[4*k:][:4]
+			d0 += aik * bk[0]
+			d1 += aik * bk[1]
+			d2 += aik * bk[2]
+			d3 += aik * bk[3]
+		}
+		di := dst[4*i:][:4]
+		di[0], di[1], di[2], di[3] = d0, d1, d2, d3
 	}
 }
 

@@ -105,37 +105,37 @@ func TestWorkspaceGetWords(t *testing.T) {
 	}
 }
 
-// TestWorkspaceEigenSteadyState asserts the WS eigendecompositions reach
-// zero steady-state allocations — the property the A3 spectral step's inner
-// loop depends on.
+// TestWorkspaceEigenSteadyState asserts the eigendecompositions reach zero
+// steady-state allocations on workspace storage — the property the A3
+// spectral step's inner loop depends on.
 func TestWorkspaceEigenSteadyState(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	m := randomMatrix(r, 4)
 	sym := symmetrize(m)
 	addDiag(sym, 5) // well-separated positive spectrum
-	ws := NewWorkspace()
-	if _, err := sym.EigenSymWS(ws); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		ws.Reset()
-		if _, err := sym.EigenSymWS(ws); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name string
+		run  func(ws *Workspace, e Eigen, scratch []float64) error
+	}{
+		{"EigenSymTo", func(_ *Workspace, e Eigen, scratch []float64) error {
+			return EigenSymTo(e, sym, scratch)
+		}},
+		{"EigenDecomposeTo", func(ws *Workspace, e Eigen, scratch []float64) error {
+			return EigenDecomposeTo(e, sym, ws.LU(4), scratch)
+		}},
+	} {
+		ws := NewWorkspace()
+		call := func() {
+			ws.Reset()
+			e := Eigen{Values: ws.GetVec(4), Vectors: ws.Get(4, 4)}
+			if err := c.run(ws, e, ws.GetVec(EigenScratch(4))); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); allocs != 0 {
-		t.Errorf("EigenSymWS allocates %.1f times, want 0", allocs)
-	}
-	ws2 := NewWorkspace()
-	if _, err := sym.EigenDecomposeWS(ws2); err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(20, func() {
-		ws2.Reset()
-		if _, err := sym.EigenDecomposeWS(ws2); err != nil {
-			t.Fatal(err)
+		call()
+		if allocs := testing.AllocsPerRun(20, call); allocs != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", c.name, allocs)
 		}
-	}); allocs != 0 {
-		t.Errorf("EigenDecomposeWS allocates %.1f times, want 0", allocs)
 	}
 }
 
