@@ -175,9 +175,10 @@ func checkIngestRegion(pass *Pass, region []ast.Stmt) {
 // and syncs, Write only writes, SyncTo only syncs.
 var journalMethods = map[string]string{"Append": "append", "Write": "write", "SyncTo": "sync"}
 
-// journalKind recognizes journal calls on anything the storage package
-// defines (DiskLog, the Log interface, a future backend) and returns
-// their kind, or "" for any other call.
+// journalKind recognizes journal calls on the storage package's journal,
+// DiskLog, and returns their kind, or "" for any other call. It matches
+// the method's package path, not the receiver type, so a journal type the
+// package adds later is covered without a change here.
 func journalKind(info *types.Info, call *ast.CallExpr) string {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || journalMethods[sel.Sel.Name] == "" {

@@ -6,30 +6,37 @@ import (
 )
 
 // CompactState is the O(statistics) checkpoint of a streaming evaluator:
-// the exported sufficient statistics plus the per-worker answer bitsets.
-// Unlike a response log — whose size grows with every response ever
-// ingested — a CompactState's size is bounded by the counter matrix and the
-// task-indexed bitsets, so writing one costs the same whether the evaluator
-// holds a thousand responses or a hundred million.
+// each worker's attendance and answer bitsets, and the digest of the
+// statistics they hold. Unlike a response log — whose size grows with
+// every response ever ingested — a CompactState's size is bounded by the
+// task-indexed bitsets, so writing one costs the same whether the
+// evaluator holds a thousand responses or a hundred million.
 //
 // The two bitset families make the state fully reconstructive for binary
 // crowds: every pairwise counter is derivable from them
 // (common[i][j] = |responded_i ∩ responded_j|, agree[i][j] additionally
-// masks tasks where the answer bits differ), and they are the worker-major
-// transpose of the evaluator's per-task attendance and answer columns,
-// which RestoreCompact rebuilds by transposing them back. What a compact
+// masks tasks where the answer bits differ), and so are the task horizon
+// (the highest attended task plus one) and the response total (the
+// attendance bits set). They are the worker-major transpose of the
+// evaluator's per-task attendance and answer columns, which
+// RestoreCompact rebuilds by transposing them back. The digest
+// (statsDigest, the one a statistics cut reports) checks the rebuilt
+// statistics against the ones the checkpoint was cut from. What a compact
 // checkpoint deliberately forgets is the arrival ORDER of responses within
 // a task — the counters, every decision (intervals, spammer screen,
 // duplicate rejection) and all future ingestion are order-independent, so
 // a restored evaluator is decision-identical to the original.
 type CompactState struct {
-	// Stats is the exported sufficient statistics at the checkpoint cut.
-	Stats *StatsExport
+	// Responded[w] is worker w's attendance bitset over task indices:
+	// little-endian 64-bit words, bit t set when w answered task t.
+	// Workers is len(Responded).
+	Responded [][]uint64
 	// Answers[w] is worker w's answer bitset over task indices: bit set
-	// means Yes, clear means No; meaningful only where Stats.Responded[w]
-	// has the bit set. Little-endian 64-bit words, same layout as
-	// Stats.Responded.
+	// means Yes, clear means No; meaningful only where Responded[w] has
+	// the bit set. Same layout as Responded.
 	Answers [][]uint64
+	// Digest is the statistics digest at the checkpoint cut.
+	Digest uint64
 }
 
 // CompactCheckpoint snapshots the evaluator in O(statistics) — independent
@@ -40,24 +47,30 @@ type CompactState struct {
 // It holds every shard lock while it merges the counters and copies the
 // answer words out of the task columns (the same index-order multi-shard
 // locking CutStats uses), so the state is one consistent cut even under
-// concurrent Add traffic. The answer bitsets are the transpose of those
-// words, taken 64 tasks × 64 workers at a time after the locks are
-// released.
+// concurrent Add traffic. The digest and the answer bitsets, the
+// transpose of those words taken 64 tasks × 64 workers at a time, are
+// computed after the locks are released.
 func (s *ShardedIncremental) CompactCheckpoint() *CompactState {
-	stats, yes := s.checkpointCut()
-	answers := bitRows(s.workers, (stats.Tasks+63)/64)
+	merged, tasks, responses, yes := s.checkpointCut()
+	answers := bitRows(s.workers, (tasks+63)/64)
 	columnsToRows(answers, yes, s.words, 0)
-	for w, words := range answers {
-		answers[w] = trimBitset(words)
+	responded := make([][]uint64, s.workers)
+	for w := range answers {
+		answers[w] = trimBitset(answers[w])
+		responded[w] = trimBitset(merged.responded[w])
 	}
-	return &CompactState{Stats: stats, Answers: answers}
+	return &CompactState{
+		Responded: responded,
+		Answers:   answers,
+		Digest:    statsDigest(merged, s.workers, tasks, responses),
+	}
 }
 
-// checkpointCut exports the merged statistics and copies every task's
-// answer words out task-major: yes[t*words:(t+1)*words] is task t's
-// answer column, zero for a task no one answered. It holds every shard
-// lock, taken in index order.
-func (s *ShardedIncremental) checkpointCut() (stats *StatsExport, yes []uint64) {
+// checkpointCut merges the shards' statistics into a new, upper-triangle
+// streamStats with their totals, and copies every task's answer words out
+// task-major: yes[t*words:(t+1)*words] is task t's answer column, zero for
+// a task no one answered. It holds every shard lock, taken in index order.
+func (s *ShardedIncremental) checkpointCut() (merged *streamStats, tasks, responses int, yes []uint64) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 	}
@@ -66,29 +79,20 @@ func (s *ShardedIncremental) checkpointCut() (stats *StatsExport, yes []uint64) 
 			sh.mu.Unlock()
 		}
 	}()
-	stats = mergedExport(s.workers, s.shards)
-	yes = make([]uint64, stats.Tasks*s.words)
+	merged = newStreamStats(s.workers)
+	for _, sh := range s.shards {
+		merged.addFrom(sh.stats)
+		tasks = max(tasks, sh.tasks)
+		responses += sh.responses
+	}
+	yes = make([]uint64, tasks*s.words)
 	for _, sh := range s.shards {
 		sh.colOf.each(func(t, col int) {
 			off := col * 2 * s.words
 			copy(yes[t*s.words:(t+1)*s.words], sh.cols[off+s.words:off+2*s.words])
 		})
 	}
-	return stats, yes
-}
-
-// mergedExport exports the merge of the given shards' statistics; the
-// caller holds their locks or owns them outright.
-func mergedExport(workers int, shards []*incShard) *StatsExport {
-	m := newStreamStats(workers)
-	tasks, responses := 0, 0
-	for _, sh := range shards {
-		m.addFrom(sh.stats)
-		tasks = max(tasks, sh.tasks)
-		responses += sh.responses
-	}
-	m.mirror()
-	return exportStats(m, workers, tasks, responses)
+	return merged, tasks, responses, yes
 }
 
 // bitRows returns n zeroed rows of the given number of words, carved
@@ -144,53 +148,43 @@ func transpose64(a *[64]uint64) {
 	}
 }
 
-// validateCompact cross-checks a compact state's structure: well-formed
-// statistics, one answer bitset per worker, answer bits confined to
-// attended tasks, and scalar totals that match the bitsets. The pairwise
-// counters are checked against the bitsets by the restore, which derives
-// them anyway (columnCounters, checkCounters). A corrupted or hand-edited
-// checkpoint fails one of the two with a clear error instead of skewing
-// every future estimate.
-func validateCompact(cs *CompactState) error {
-	e := cs.Stats
-	if e == nil {
-		return fmt.Errorf("core: compact state carries no statistics")
+// validateCompact checks a compact state's structure — one attendance and
+// one answer bitset per worker, answer bits confined to attended tasks —
+// and returns the task horizon its attendance reaches. The statistics the
+// bitsets derive are checked by the restore, against the state's digest.
+// A corrupted or hand-edited checkpoint fails one of the two with a clear
+// error instead of skewing every future estimate.
+func validateCompact(cs *CompactState) (tasks int, err error) {
+	if cs == nil || cs.Responded == nil {
+		return 0, fmt.Errorf("core: compact state carries no attendance bitsets")
 	}
-	if err := e.validate(); err != nil {
-		return fmt.Errorf("core: invalid compact statistics: %w", err)
+	if len(cs.Answers) != len(cs.Responded) {
+		return 0, fmt.Errorf("core: compact state has %d answer bitsets for %d attendance bitsets", len(cs.Answers), len(cs.Responded))
 	}
-	if len(cs.Answers) != e.Workers {
-		return fmt.Errorf("core: compact state has %d answer bitsets, statistics claim %d workers", len(cs.Answers), e.Workers)
-	}
-	totalResponses, maxTask := 0, -1
-	for i := 0; i < e.Workers; i++ {
-		ri := dynBitset(e.Responded[i])
-		yi := dynBitset(cs.Answers[i])
-		for w, word := range yi {
-			var attended uint64
-			if w < len(ri) {
-				attended = ri[w]
-			}
-			if word&^attended != 0 {
-				return fmt.Errorf("core: worker %d has answer bits on tasks it never attended", i)
+	for i, ri := range cs.Responded {
+		for w, word := range cs.Answers[i] {
+			if word&^dynBitset(ri).word(w) != 0 {
+				return 0, fmt.Errorf("core: worker %d has answer bits on tasks it never attended", i)
 			}
 		}
-		for w, word := range ri {
-			totalResponses += bits.OnesCount64(word)
+	}
+	tasks, _ = attendanceTotals(cs.Responded)
+	return tasks, nil
+}
+
+// attendanceTotals returns the task horizon and the response total a
+// family of attendance bitsets holds: its highest set bit plus one, and
+// the number of bits set (every accepted response sets exactly one).
+func attendanceTotals(responded [][]uint64) (tasks, responses int) {
+	for _, row := range responded {
+		for k, word := range row {
 			if word != 0 {
-				if t := w*64 + 63 - bits.LeadingZeros64(word); t > maxTask {
-					maxTask = t
-				}
+				responses += bits.OnesCount64(word)
+				tasks = max(tasks, 64*k+64-bits.LeadingZeros64(word))
 			}
 		}
 	}
-	if totalResponses != e.Responses {
-		return fmt.Errorf("core: attendance bitsets hold %d responses, statistics claim %d", totalResponses, e.Responses)
-	}
-	if maxTask+1 != e.Tasks {
-		return fmt.Errorf("core: attendance bitsets reach task %d, statistics claim %d tasks", maxTask, e.Tasks-1)
-	}
-	return nil
+	return tasks, responses
 }
 
 // RestoreCompact installs a compact checkpoint into an empty evaluator.
@@ -202,37 +196,34 @@ func validateCompact(cs *CompactState) error {
 //   - its task columns are the bitsets' transpose, 64 tasks × 64 workers
 //     at a time, allocated in ascending task order;
 //   - its counters are popcounts over its columns, transposed back into
-//     bitsets over the shard's own tasks, never copied from the payload;
-//     summed over the shards they must equal the payload's counters, pair
-//     by pair.
+//     bitsets over the shard's own tasks.
 //
-// The merge of the built shards is re-exported and must Equal the
-// checkpoint's statistics. Only then does the restore take every shard
-// lock, in index order, check under those locks that the evaluator holds
-// no response, and install the shards. The installed shards are the ones
-// replaying the checkpoint's canonical log (ascending task, then worker)
-// through Add would build, column offsets included, so the evaluator is
-// decision-identical to the one the checkpoint was taken from: every
-// future Add pairs correctly against pre-checkpoint responders (the
-// bitsets carry who answered what), duplicate rejection resumes exactly,
-// and EvaluateAll / MajorityDisagreement produce bit-identical results.
+// The digest of the built shards' merged counters over the payload's
+// attendance bitsets must equal the checkpoint's. Only then does the
+// restore take every shard lock, in index order, check under those locks
+// that the evaluator holds no response, and install the shards. The
+// installed shards are the ones replaying the checkpoint's canonical log
+// (ascending task, then worker) through Add would build, column offsets
+// included, so the evaluator is decision-identical to the one the
+// checkpoint was taken from: every future Add pairs correctly against
+// pre-checkpoint responders (the bitsets carry who answered what),
+// duplicate rejection resumes exactly, and EvaluateAll /
+// MajorityDisagreement produce bit-identical results.
 //
 // A restore racing Adds either refuses, because an Add landed first, or
 // lands whole before any of them. On every error the evaluator is left as
 // it was.
 func (s *ShardedIncremental) RestoreCompact(cs *CompactState) error {
-	if err := validateCompact(cs); err != nil {
-		return err
-	}
-	if got, want := s.Workers(), cs.Stats.Workers; got != want {
-		return fmt.Errorf("core: checkpoint covers a %d-worker crowd, evaluator tracks %d", want, got)
-	}
-	built, err := s.restoredShards(cs)
+	tasks, err := validateCompact(cs)
 	if err != nil {
 		return err
 	}
-	if !mergedExport(s.workers, built).Equal(cs.Stats) {
-		return fmt.Errorf("core: restored statistics diverge from the checkpoint export (corrupt or inconsistent snapshot)")
+	if got, want := s.Workers(), len(cs.Responded); got != want {
+		return fmt.Errorf("core: checkpoint covers a %d-worker crowd, evaluator tracks %d", want, got)
+	}
+	built := s.restoredShards(cs, tasks)
+	if got := shardsDigest(built, cs.Responded); got != cs.Digest {
+		return fmt.Errorf("core: the statistics the bitsets derive have digest %016x, the checkpoint claims %016x — corrupt or inconsistent compact state", got, cs.Digest)
 	}
 	for _, sh := range s.shards {
 		sh.mu.Lock()
@@ -259,15 +250,40 @@ func (s *ShardedIncremental) RestoreCompact(cs *CompactState) error {
 	return nil
 }
 
+// shardsDigest is statsDigest of the statistics made of the shards'
+// summed counters and the given attendance bitsets, with the totals those
+// bitsets hold. It reads each counter pair across the shards in place
+// rather than merging them into a new matrix.
+func shardsDigest(shards []*incShard, responded [][]uint64) uint64 {
+	workers := len(responded)
+	tasks, responses := attendanceTotals(responded)
+	d := headerTerm(workers, tasks, responses)
+	for i := 0; i < workers; i++ {
+		for j := i + 1; j < workers; j++ {
+			agree, common := 0, 0
+			for _, sh := range shards {
+				agree += sh.stats.agree[i][j]
+				common += sh.stats.common[i][j]
+			}
+			d += cellTerm(i, j, agree, common)
+		}
+		for k, word := range responded[i] {
+			d += wordTerm(i, k, word)
+		}
+	}
+	return d
+}
+
 // restoredShards builds the shards a restore installs, one per shard of s,
-// from a validated compact state of s's crowd size.
-func (s *ShardedIncremental) restoredShards(cs *CompactState) ([]*incShard, error) {
-	taskWords := (cs.Stats.Tasks + 63) / 64
+// from a validated compact state of s's crowd size whose attendance
+// reaches the given task horizon.
+func (s *ShardedIncremental) restoredShards(cs *CompactState, tasks int) []*incShard {
+	taskWords := (tasks + 63) / 64
 	responded := make([][]uint64, s.workers)
 	answers := make([][]uint64, s.workers)
 	touched := make([]uint64, taskWords) // the tasks with a response
 	for w := range responded {
-		responded[w] = fitWords(cs.Stats.Responded[w], taskWords)
+		responded[w] = fitWords(cs.Responded[w], taskWords)
 		answers[w] = fitWords(cs.Answers[w], taskWords)
 		for k, word := range responded[w] {
 			touched[k] |= word
@@ -319,10 +335,7 @@ func (s *ShardedIncremental) restoredShards(cs *CompactState) ([]*incShard, erro
 	for _, sh := range shards {
 		s.columnCounters(sh)
 	}
-	if err := checkCounters(shards, cs.Stats); err != nil {
-		return nil, err
-	}
-	return shards, nil
+	return shards
 }
 
 // maskedShard returns the shard holding the tasks in mask, with its
@@ -390,25 +403,6 @@ func (s *ShardedIncremental) columnCounters(sh *incShard) {
 			st.agree[i][j], st.common[i][j] = agree, common
 		}
 	}
-}
-
-// checkCounters requires the shards' counters to add up to the
-// checkpoint's, pair by pair.
-func checkCounters(shards []*incShard, e *StatsExport) error {
-	for i := 0; i < e.Workers; i++ {
-		for j := i + 1; j < e.Workers; j++ {
-			agree, common := 0, 0
-			for _, sh := range shards {
-				agree += sh.stats.agree[i][j]
-				common += sh.stats.common[i][j]
-			}
-			if agree != e.Agree[i][j] || common != e.Common[i][j] {
-				return fmt.Errorf("core: counters for pair (%d,%d) are (%d agree, %d common), bitsets derive (%d, %d) — corrupt or inconsistent compact state",
-					i, j, e.Agree[i][j], e.Common[i][j], agree, common)
-			}
-		}
-	}
-	return nil
 }
 
 // gatherTranspose sets blk to the transpose of word k of rows

@@ -80,7 +80,7 @@ func TestCompactCheckpointRoundTrip(t *testing.T) {
 	requireSameEstimates(t, want, got)
 
 	// Duplicate rejection resumes exactly across the cut.
-	attended := func(w, task int) bool { return dynBitset(cs.Stats.Responded[w]).get(task) }
+	attended := func(w, task int) bool { return dynBitset(cs.Responded[w]).get(task) }
 	var dupW, dupT = -1, -1
 	for w := 0; w < workers && dupW < 0; w++ {
 		for task := 0; task < tasks; task++ {
@@ -178,45 +178,59 @@ func TestRestoreCompactRejectsCorruption(t *testing.T) {
 		}
 		return inc
 	}
+	// firstTask returns the first task worker w attended (want true) or
+	// did not (want false).
+	firstTask := func(cs *CompactState, w int, want bool) int {
+		task := 0
+		for dynBitset(cs.Responded[w]).get(task) != want {
+			task++
+		}
+		return task
+	}
 	mutations := []struct {
-		name string
-		mut  func(cs *CompactState)
+		name, frag string
+		mut        func(cs *CompactState)
 	}{
-		{"nil stats", func(cs *CompactState) { cs.Stats = nil }},
-		{"missing answer rows", func(cs *CompactState) { cs.Answers = cs.Answers[:workers-1] }},
-		{"counter bump", func(cs *CompactState) { cs.Stats.Agree[1][2]++; cs.Stats.Agree[2][1]++ }},
-		{"common bump", func(cs *CompactState) { cs.Stats.Common[0][3]++; cs.Stats.Common[3][0]++ }},
-		{"answer outside attendance", func(cs *CompactState) {
-			// Set an answer bit on a task worker 0 never attended.
-			for task := 0; ; task++ {
-				if !dynBitset(cs.Stats.Responded[0]).get(task) {
-					b := dynBitset(cs.Answers[0])
-					b.set(task)
-					cs.Answers[0] = b
-					return
-				}
-			}
-		}},
-		{"answer flip skews counters", func(cs *CompactState) {
-			// Flipping a legitimate answer bit leaves structure valid but
-			// contradicts the agree counters.
+		{"nil attendance rows", "no attendance bitsets", func(cs *CompactState) { cs.Responded = nil }},
+		{"missing attendance rows", "answer bitsets for", func(cs *CompactState) { cs.Responded = cs.Responded[:workers-1] }},
+		{"missing answer rows", "answer bitsets for", func(cs *CompactState) { cs.Answers = cs.Answers[:workers-1] }},
+		{"answer outside attendance", "never attended", func(cs *CompactState) {
 			b := dynBitset(cs.Answers[0])
-			for task := 0; ; task++ {
-				if dynBitset(cs.Stats.Responded[0]).get(task) {
-					b[task/64] ^= 1 << (uint(task) % 64)
-					cs.Answers[0] = b
-					return
-				}
-			}
+			b.set(firstTask(cs, 0, false))
+			cs.Answers[0] = b
 		}},
-		{"response total", func(cs *CompactState) { cs.Stats.Responses++ }},
-		{"task total", func(cs *CompactState) { cs.Stats.Tasks++ }},
+		{"answer flip", "bitsets derive", func(cs *CompactState) {
+			// Flipping a legitimate answer bit leaves the structure valid
+			// but changes the agree counters the bitsets derive.
+			task := firstTask(cs, 0, true)
+			b := dynBitset(cs.Answers[0])
+			b.grow(task/64 + 1)
+			b[task/64] ^= 1 << (uint(task) % 64)
+			cs.Answers[0] = b
+		}},
+		{"attendance flip", "bitsets derive", func(cs *CompactState) {
+			// Dropping an attended task with a No answer leaves the
+			// answers inside attendance, but the response total, and the
+			// counters, the bitsets derive change.
+			task := 0
+			for !dynBitset(cs.Responded[1]).get(task) || dynBitset(cs.Answers[1]).get(task) {
+				task++
+			}
+			cs.Responded[1][task/64] &^= 1 << (uint(task) % 64)
+		}},
+		{"attendance past the horizon", "bitsets derive", func(cs *CompactState) {
+			tasks, _ := attendanceTotals(cs.Responded)
+			b := dynBitset(cs.Responded[2])
+			b.set(tasks)
+			cs.Responded[2] = b
+		}},
+		{"digest bump", "bitsets derive", func(cs *CompactState) { cs.Digest++ }},
 	}
 	for _, tc := range mutations {
 		cs := orig.CompactCheckpoint()
 		tc.mut(cs)
-		if err := fresh().RestoreCompact(cs); err == nil {
-			t.Fatalf("%s: corrupted compact state accepted", tc.name)
+		if err := fresh().RestoreCompact(cs); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Fatalf("%s: restore error %v, want one mentioning %q", tc.name, err, tc.frag)
 		}
 	}
 	// And the untampered baseline still restores, so the cases above fail
@@ -241,12 +255,11 @@ type loggedResponse struct {
 // arrival order within each task — which nothing downstream depends on —
 // is normalized away.
 func compactLog(cs *CompactState) []loggedResponse {
-	e := cs.Stats
-	log := make([]loggedResponse, 0, e.Responses)
-	for t := 0; t < e.Tasks; t++ {
+	tasks, responses := attendanceTotals(cs.Responded)
+	log := make([]loggedResponse, 0, responses)
+	for t := 0; t < tasks; t++ {
 		word, bit := t/64, uint64(1)<<(uint(t)%64)
-		for w := 0; w < e.Workers; w++ {
-			ri := e.Responded[w]
+		for w, ri := range cs.Responded {
 			if word >= len(ri) || ri[word]&bit == 0 {
 				continue
 			}
@@ -264,7 +277,7 @@ func compactLog(cs *CompactState) []loggedResponse {
 // evaluator fed the checkpoint's canonical log through Add.
 func replayCompact(t testing.TB, cs *CompactState, shards int) *ShardedIncremental {
 	t.Helper()
-	ev, err := NewShardedIncremental(cs.Stats.Workers, shards)
+	ev, err := NewShardedIncremental(len(cs.Responded), shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,8 +435,9 @@ func TestRestoreCompactRacesAdd(t *testing.T) {
 		}
 	}
 	cs := donor.CompactCheckpoint()
+	tasks, _ := attendanceTotals(cs.Responded)
 	addAll := func(ev *ShardedIncremental, a int) error {
-		return ev.Add(a, cs.Stats.Tasks+a, crowd.Response(1+a%2))
+		return ev.Add(a, tasks+a, crowd.Response(1+a%2))
 	}
 	landed, refused := 0, 0
 	for round := 0; round < 500; round++ {
@@ -476,7 +490,7 @@ func TestRestoreCompactRacesAdd(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !ev.ExportStats().Equal(want.ExportStats()) {
+		if !sameCompact(ev.CompactCheckpoint(), want.CompactCheckpoint()) {
 			t.Fatalf("round %d: statistics are neither the refused nor the landed outcome (restore error %v)", round, restoreErr)
 		}
 		ga, gd := ev.DisagreementCounts()
@@ -514,13 +528,13 @@ func TestTranspose64(t *testing.T) {
 }
 
 // mutateCompact applies one fuzzer-chosen edit to a compact state: flip an
-// attendance or answer bit, pad or cut a bitset, bump a counter (one side
-// or both) or a total, or drop an answer row. Most edits make the state
-// inconsistent; some, like padding with zero words or flipping a lone
-// attendance bit and the response total together, keep it valid.
+// attendance or answer bit, pad or cut a bitset, bump the digest, set an
+// attendance bit past the horizon, set the digest to the one the bitsets
+// derive, or drop an answer row. Most edits make the state inconsistent;
+// some, like padding with zero words, or flipping a lone attendance bit
+// and then re-deriving the digest, keep it valid.
 func mutateCompact(cs *CompactState, op, a, b, c byte) {
-	e := cs.Stats
-	w := int(a) % e.Workers
+	w := int(a) % len(cs.Responded)
 	flip := func(rows [][]uint64) {
 		if w >= len(rows) {
 			return
@@ -541,37 +555,73 @@ func mutateCompact(cs *CompactState, op, a, b, c byte) {
 			rows[w] = rows[w][:min(len(rows[w]), int(b)%5)]
 		}
 	}
-	bump := func(m [][]int) {
-		i, j := w, int(b)%e.Workers
-		m[i][j] += int(int8(c))
-		if c%2 == 0 {
-			m[j][i] += int(int8(c))
-		}
-	}
 	switch op % 11 {
 	case 0:
-		flip(e.Responded)
+		flip(cs.Responded)
 	case 1:
 		flip(cs.Answers)
 	case 2:
-		pad(e.Responded)
+		pad(cs.Responded)
 	case 3:
 		pad(cs.Answers)
 	case 4:
-		cut(e.Responded)
+		cut(cs.Responded)
 	case 5:
 		cut(cs.Answers)
 	case 6:
-		bump(e.Agree)
+		cs.Digest += uint64(int64(int8(c)))
 	case 7:
-		bump(e.Common)
+		cs.Digest ^= 1 << (b % 64)
 	case 8:
-		e.Tasks += int(int8(c))
+		tasks, _ := attendanceTotals(cs.Responded)
+		bs := dynBitset(cs.Responded[w])
+		bs.set(tasks + int(c)%64)
+		cs.Responded[w] = bs
 	case 9:
-		e.Responses += int(int8(c))
+		if d, ok := replayDigest(cs); ok {
+			cs.Digest = d
+		}
 	case 10:
 		cs.Answers = cs.Answers[:max(0, len(cs.Answers)-1)]
 	}
+}
+
+// replayDigest is the digest of the statistics a compact state's bitsets
+// derive, taken from an evaluator fed its canonical log through Add. ok is
+// false when the state has no answer row for some worker.
+func replayDigest(cs *CompactState) (d uint64, ok bool) {
+	if len(cs.Answers) != len(cs.Responded) {
+		return 0, false
+	}
+	ev, err := NewShardedIncremental(len(cs.Responded), 1)
+	if err != nil {
+		panic(err)
+	}
+	for _, lr := range compactLog(cs) {
+		if err := ev.Add(lr.Worker, lr.Task, lr.Answer); err != nil {
+			panic(err)
+		}
+	}
+	return ev.CompactCheckpoint().Digest, true
+}
+
+// sameCompact reports whether two compact states hold the same bitsets,
+// trailing zero words aside, and the same digest.
+func sameCompact(a, b *CompactState) bool {
+	if a.Digest != b.Digest || len(a.Responded) != len(b.Responded) || len(a.Answers) != len(b.Answers) {
+		return false
+	}
+	for w := range a.Responded {
+		if !slices.Equal(trimBitset(a.Responded[w]), trimBitset(b.Responded[w])) {
+			return false
+		}
+	}
+	for w := range a.Answers {
+		if !slices.Equal(trimBitset(a.Answers[w]), trimBitset(b.Answers[w])) {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzRestoreCompact restores fuzzed compact states. Byte 0 picks 3 to 70
@@ -685,10 +735,13 @@ func BenchmarkCheckpointCost(b *testing.B) {
 	for _, perTask := range []int{5, 20, 50} {
 		inc := build(perTask)
 		history := inc.Responses()
+		if _, n := attendanceTotals(inc.CompactCheckpoint().Responded); n != history {
+			b.Fatal("bad checkpoint")
+		}
 		b.Run(fmt.Sprintf("compact/history=%d", history), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if cs := inc.CompactCheckpoint(); cs.Stats.Responses != history {
+				if cs := inc.CompactCheckpoint(); len(cs.Responded) != workers {
 					b.Fatal("bad checkpoint")
 				}
 			}

@@ -39,7 +39,7 @@ func accumulatorOf(t *testing.T, st *StatsAccumulator) *StatsAccumulator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := acc.Merge(st.Export()); err != nil {
+	if err := acc.Merge(st); err != nil {
 		t.Fatal(err)
 	}
 	return acc
@@ -133,7 +133,7 @@ func TestDiffApplyReproducesState(t *testing.T) {
 		if err := acc.ApplyDelta(d); err != nil {
 			t.Fatal(err)
 		}
-		if !acc.Export().Equal(cur.Export()) {
+		if !sameStats(acc, cur) {
 			t.Fatalf("after %d responses: accumulator + delta != state", lo)
 		}
 		if acc.Digest() != digestOf(cur) {
@@ -387,8 +387,51 @@ func TestCutStatsConcurrentAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	fold(cutStats(t, s, cursor))
-	if !acc.Export().Equal(s.ExportStats()) {
-		t.Fatal("folded cuts do not reproduce the final export")
+	if !sameStats(acc, stateOf(s)) {
+		t.Fatal("folded cuts do not reproduce the final statistics")
+	}
+}
+
+// TestCompactDigestMatchesCut: a compact checkpoint taken right after a
+// statistics cut, with no Add between them, carries the cut's digest —
+// one digest names a state whichever path reports it — at 1 and 3 shards,
+// for resets and deltas, on an empty evaluator and on one restored from a
+// checkpoint.
+func TestCompactDigestMatchesCut(t *testing.T) {
+	const workers = 11
+	subs := deltaStream(t, workers, 400, 0.4, 21)
+	for _, shards := range []int{1, 3} {
+		s, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(cut StatsCut, when string) uint64 {
+			t.Helper()
+			if got := s.CompactCheckpoint().Digest; got != cut.Digest {
+				t.Fatalf("shards %d, %s: checkpoint digest %x, cut digest %x", shards, when, got, cut.Digest)
+			}
+			return cut.Digest
+		}
+		cursor := check(cutStats(t, s, 0), "empty")
+		for i, x := range subs {
+			if err := s.Add(x.w, x.t, x.r); err != nil {
+				t.Fatal(err)
+			}
+			if i%97 == 0 {
+				cursor = check(cutStats(t, s, cursor), fmt.Sprintf("delta after %d responses", i+1))
+			}
+		}
+		check(cutStats(t, s, 0), "reset at the end")
+
+		r, err := NewShardedIncremental(workers, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RestoreCompact(s.CompactCheckpoint()); err != nil {
+			t.Fatal(err)
+		}
+		s = r
+		check(cutStats(t, s, 0), "restored")
 	}
 }
 
@@ -737,11 +780,11 @@ func TestApplyDeltaAtomic(t *testing.T) {
 	if err := acc.ApplyDelta(d); err != nil {
 		t.Fatal(err)
 	}
-	before, digest := acc.Export(), acc.Digest()
+	before, digest := acc.Clone(), acc.Digest()
 	if err := acc.ApplyDelta(d); err == nil {
 		t.Fatal("re-applying a delta succeeded")
 	}
-	if !acc.Export().Equal(before) || acc.Digest() != digest {
+	if !sameStats(acc, before) || acc.Digest() != digest {
 		t.Fatal("a refused delta changed the accumulator")
 	}
 	wrong := *d

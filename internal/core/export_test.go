@@ -2,7 +2,8 @@ package core
 
 import (
 	"math"
-	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"crowdassess/internal/crowd"
@@ -81,7 +82,7 @@ func sameEstimates(t *testing.T, label string, got, want []WorkerEstimate) {
 
 // TestStatsAccumulatorExact is the exactness contract behind the
 // distributed layer: partition a stream by task across several evaluators,
-// export each, merge the exports, and the accumulator's intervals are
+// merge their statistics, and the accumulator's intervals are
 // bit-identical to the batch algorithm on every response, and its
 // statistics equal the ones the dataset defines.
 func TestStatsAccumulatorExact(t *testing.T) {
@@ -102,22 +103,22 @@ func TestStatsAccumulatorExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	full := datasetExport(ds)
+	full := bruteForceStats(ds)
 
 	acc, err := NewStatsAccumulator(workers)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range parts {
-		if err := acc.Merge(p.ExportStats()); err != nil {
+		if err := acc.Merge(stateOf(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if acc.Responses() != full.Responses {
-		t.Fatalf("accumulator has %d responses, want %d", acc.Responses(), full.Responses)
+	if acc.Responses() != full.responses {
+		t.Fatalf("accumulator has %d responses, want %d", acc.Responses(), full.responses)
 	}
-	if acc.Tasks() != full.Tasks {
-		t.Fatalf("accumulator has %d tasks, want %d", acc.Tasks(), full.Tasks)
+	if acc.Tasks() != full.tasks {
+		t.Fatalf("accumulator has %d tasks, want %d", acc.Tasks(), full.tasks)
 	}
 
 	opts := EvalOptions{Confidence: 0.9}
@@ -131,63 +132,75 @@ func TestStatsAccumulatorExact(t *testing.T) {
 	}
 	sameEstimates(t, "merged vs batch", got, want)
 
-	// Re-export of the merged state must equal the dataset's statistics.
-	if !reflect.DeepEqual(trimBitsets(acc.Export()), trimBitsets(full)) {
-		t.Fatal("accumulator re-export differs from the dataset's statistics")
+	// The merged state must equal the dataset's statistics.
+	if !sameStats(acc, full) {
+		t.Fatal("accumulator differs from the dataset's statistics")
+	}
+	if acc.Digest() != full.Digest() {
+		t.Fatal("accumulator digest differs from the dataset's")
 	}
 }
 
-// datasetExport computes the streaming sufficient statistics of a binary
+// bruteForceStats computes the streaming sufficient statistics of a binary
 // dataset by brute force over its cells, sharing no code with the
-// streaming path: the independent reference for export equality.
-func datasetExport(ds *crowd.Dataset) *StatsExport {
+// streaming path: the independent reference for statistics equality.
+func bruteForceStats(ds *crowd.Dataset) *StatsAccumulator {
 	n, tasks := ds.Workers(), ds.Tasks()
-	e := &StatsExport{Workers: n, Agree: make([][]int, n), Common: make([][]int, n), Responded: make([][]uint64, n)}
+	a := newStatsAccumulator(n)
 	for i := 0; i < n; i++ {
-		e.Agree[i], e.Common[i] = make([]int, n), make([]int, n)
-		e.Responded[i] = make([]uint64, (tasks+63)/64)
+		a.stats.responded[i] = make(dynBitset, (tasks+63)/64)
 	}
 	for task := 0; task < tasks; task++ {
 		for i := 0; i < n; i++ {
 			if !ds.Attempted(i, task) {
 				continue
 			}
-			e.Responses++
-			e.Tasks = task + 1
-			e.Responded[i][task/64] |= 1 << (task % 64)
+			a.responses++
+			a.tasks = task + 1
+			a.stats.responded[i][task/64] |= 1 << (task % 64)
 			for j := 0; j < n; j++ {
 				if j != i && ds.Attempted(j, task) {
-					e.Common[i][j]++
+					a.stats.common[i][j]++
 					if ds.Response(i, task) == ds.Response(j, task) {
-						e.Agree[i][j]++
+						a.stats.agree[i][j]++
 					}
 				}
 			}
 		}
 	}
-	return e
+	a.digestValid = false
+	return a
 }
 
-// trimBitsets drops trailing zero words from attendance bitsets: merge
-// order can leave different capacities behind identical bit contents.
-func trimBitsets(e *StatsExport) *StatsExport {
-	for i, words := range e.Responded {
-		n := len(words)
-		for n > 0 && words[n-1] == 0 {
-			n--
-		}
-		e.Responded[i] = words[:n]
+// sameStats reports whether two accumulators hold the same statistics:
+// crowd size, totals, every counter of both triangles, and attendance
+// bitsets, trailing zero words aside (merge order can leave different
+// capacities behind identical bit contents).
+func sameStats(a, b *StatsAccumulator) bool {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if a.workers != b.workers || a.tasks != b.tasks || a.responses != b.responses {
+		return false
 	}
-	return e
+	for i := 0; i < a.workers; i++ {
+		if !slices.Equal(a.stats.agree[i], b.stats.agree[i]) || !slices.Equal(a.stats.common[i], b.stats.common[i]) ||
+			!slices.Equal(trimBitset(a.stats.responded[i]), trimBitset(b.stats.responded[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestShardedExportMatchesIncremental: the sharded evaluator's merged
-// export equals the statistics the dataset defines, for any shard count.
+// statistics equal the ones the dataset defines, for any shard count, and
+// so does the digest its compact checkpoint carries.
 func TestShardedExportMatchesIncremental(t *testing.T) {
 	const workers, tasks, seed = 7, 160, 13
 	subs := exportTestStream(t, workers, tasks, seed)
 	ds, _ := exportTestDataset(t, workers, tasks, seed)
-	want := trimBitsets(datasetExport(ds))
+	want := bruteForceStats(ds)
 	for _, shards := range []int{1, 5} {
 		sh, err := NewShardedIncremental(workers, shards)
 		if err != nil {
@@ -198,13 +211,17 @@ func TestShardedExportMatchesIncremental(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !reflect.DeepEqual(trimBitsets(sh.ExportStats()), want) {
-			t.Fatalf("%d-shard export differs from the dataset's statistics", shards)
+		if !sameStats(stateOf(sh), want) {
+			t.Fatalf("%d-shard statistics differ from the dataset's", shards)
+		}
+		if got := sh.CompactCheckpoint().Digest; got != want.Digest() {
+			t.Fatalf("%d-shard checkpoint digest %x, the dataset's %x", shards, got, want.Digest())
 		}
 	}
 }
 
-// TestExportIsDeepCopy: mutating an export must not corrupt the evaluator.
+// TestExportIsDeepCopy: mutating a compact checkpoint must not corrupt the
+// evaluator it was cut from.
 func TestExportIsDeepCopy(t *testing.T) {
 	const workers = 5
 	subs := exportTestStream(t, workers, 80, 3)
@@ -221,63 +238,66 @@ func TestExportIsDeepCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := inc.ExportStats()
-	for i := range e.Agree {
-		for j := range e.Agree[i] {
-			e.Agree[i][j] += 1000
-			e.Common[i][j] += 2000
+	cs := inc.CompactCheckpoint()
+	want := inc.CompactCheckpoint()
+	for w := range cs.Responded {
+		for k := range cs.Responded[w] {
+			cs.Responded[w][k] = ^cs.Responded[w][k]
 		}
-		for k := range e.Responded[i] {
-			e.Responded[i][k] = ^e.Responded[i][k]
+		for k := range cs.Answers[w] {
+			cs.Answers[w][k] = ^cs.Answers[w][k]
 		}
 	}
 	after, err := inc.EvaluateAll(EvalOptions{Confidence: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameEstimates(t, "after export mutation", after, before)
+	sameEstimates(t, "after checkpoint mutation", after, before)
+	if !sameCompact(inc.CompactCheckpoint(), want) {
+		t.Fatal("mutating a checkpoint changed the next one")
+	}
 }
 
-// TestMergeValidation: malformed exports are rejected with clear errors.
+// TestMergeValidation: merges that cannot be exact are rejected with clear
+// errors and leave the accumulator as it was.
 func TestMergeValidation(t *testing.T) {
 	acc, err := NewStatsAccumulator(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := func() *StatsExport {
-		inc, err := NewShardedIncremental(4, 1)
-		if err != nil {
+	inc, err := NewShardedIncremental(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range exportTestStream(t, 4, 40, 9) {
+		if err := inc.Add(s.w, s.task, s.r); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range exportTestStream(t, 4, 40, 9) {
-			if err := inc.Add(s.w, s.task, s.r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return inc.ExportStats()
 	}
-	cases := []struct {
-		name   string
-		mutate func(*StatsExport)
+	wider, err := NewStatsAccumulator(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := acc.Clone()
+	for _, tc := range []struct {
+		name, frag string
+		o          *StatsAccumulator
 	}{
-		{"worker-count mismatch", func(e *StatsExport) { e.Workers = 5 }},
-		{"short counter rows", func(e *StatsExport) { e.Agree = e.Agree[:2] }},
-		{"ragged row", func(e *StatsExport) { e.Common[1] = e.Common[1][:1] }},
-		{"negative counter", func(e *StatsExport) { e.Agree[0][1] = -1; e.Agree[1][0] = -1 }},
-		{"agree exceeds common", func(e *StatsExport) { e.Agree[0][1] = e.Common[0][1] + 1; e.Agree[1][0] = e.Agree[0][1] }},
-		{"asymmetric", func(e *StatsExport) { e.Agree[0][1]++ }},
-		{"negative totals", func(e *StatsExport) { e.Responses = -1 }},
-		{"missing bitsets", func(e *StatsExport) { e.Responded = e.Responded[:1] }},
-	}
-	for _, tc := range cases {
-		e := base()
-		tc.mutate(e)
-		if err := acc.Merge(e); err == nil {
-			t.Errorf("%s: Merge accepted a malformed export", tc.name)
+		{"worker-count mismatch", "5 workers", wider},
+		{"self merge", "itself", acc},
+	} {
+		if err := acc.Merge(tc.o); err == nil || !strings.Contains(err.Error(), tc.frag) {
+			t.Errorf("%s: Merge error %v, want one mentioning %q", tc.name, err, tc.frag)
+		}
+		if !sameStats(acc, empty) {
+			t.Fatalf("%s: a refused merge changed the accumulator", tc.name)
 		}
 	}
-	// The untouched export still merges.
-	if err := acc.Merge(base()); err != nil {
-		t.Fatalf("valid export rejected: %v", err)
+	// A matching accumulator still merges.
+	if err := acc.Merge(stateOf(inc)); err != nil {
+		t.Fatalf("valid merge rejected: %v", err)
+	}
+	if !sameStats(acc, stateOf(inc)) {
+		t.Fatal("merging into an empty accumulator did not copy the statistics")
 	}
 }

@@ -1,26 +1,5 @@
 package core
 
-import "slices"
-
-// Equal reports whether two exports describe the same statistics.
-// Attendance bitsets compare with trailing zero words ignored, so capacity
-// history never distinguishes equal states — the same normalization the
-// wire codec's canonical form applies.
-func (e *StatsExport) Equal(o *StatsExport) bool {
-	if e.Workers != o.Workers || e.Tasks != o.Tasks || e.Responses != o.Responses {
-		return false
-	}
-	for i := 0; i < e.Workers; i++ {
-		if !slices.Equal(e.Agree[i], o.Agree[i]) || !slices.Equal(e.Common[i], o.Common[i]) {
-			return false
-		}
-		if !slices.Equal(trimBitset(e.Responded[i]), trimBitset(o.Responded[i])) {
-			return false
-		}
-	}
-	return true
-}
-
 // trimBitset drops trailing zero words without copying.
 func trimBitset(words []uint64) []uint64 {
 	n := len(words)

@@ -63,8 +63,8 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 				}
 			}
 			cs := first.CompactCheckpoint()
-			if cs.Stats.Responses != cut {
-				t.Fatalf("%s seed %d: checkpoint carries %d responses, want %d", name, seed, cs.Stats.Responses, cut)
+			if _, n := attendanceTotals(cs.Responded); n != cut {
+				t.Fatalf("%s seed %d: checkpoint carries %d responses, want %d", name, seed, n, cut)
 			}
 
 			restored := mk()
@@ -110,8 +110,8 @@ func TestCheckpointRestoreMidStream(t *testing.T) {
 			if !slices.Equal(wantA, gotA) || !slices.Equal(wantD, gotD) {
 				t.Fatalf("%s seed %d: disagreement tallies diverge: %v/%v vs %v/%v", name, seed, gotA, gotD, wantA, wantD)
 			}
-			if !restored.ExportStats().Equal(uninterrupted.ExportStats()) {
-				t.Fatalf("%s seed %d: restored export differs from uninterrupted", name, seed)
+			if !sameCompact(restored.CompactCheckpoint(), uninterrupted.CompactCheckpoint()) {
+				t.Fatalf("%s seed %d: restored checkpoint differs from uninterrupted", name, seed)
 			}
 		}
 	}
@@ -147,13 +147,8 @@ func TestCheckpointLogCanonicalOrder(t *testing.T) {
 		}
 	}
 	ca, cb := a.CompactCheckpoint(), b.CompactCheckpoint()
-	if !ca.Stats.Equal(cb.Stats) {
-		t.Fatal("compact statistics differ between evaluators holding the same responses")
-	}
-	for w := range ca.Answers {
-		if !slices.Equal(trimBitset(ca.Answers[w]), trimBitset(cb.Answers[w])) {
-			t.Fatalf("worker %d answer bitsets differ between evaluators holding the same responses", w)
-		}
+	if !sameCompact(ca, cb) {
+		t.Fatal("compact checkpoints differ between evaluators holding the same responses")
 	}
 	if !slices.Equal(compactLog(ca), compactLog(cb)) {
 		t.Fatal("canonical replay logs differ between evaluators holding the same responses")
@@ -193,7 +188,8 @@ func TestRestoreCompactRejectsReceiver(t *testing.T) {
 	expectErr("crowd mismatch", "7-worker crowd", smaller.RestoreCompact(cs))
 
 	fresh, _ := NewShardedIncremental(7, 1)
-	expectErr("nil state", "no statistics", fresh.RestoreCompact(&CompactState{}))
+	expectErr("nil state", "no attendance bitsets", fresh.RestoreCompact(nil))
+	expectErr("empty state", "no attendance bitsets", fresh.RestoreCompact(&CompactState{}))
 
 	// Several shards enforce the same contract.
 	shardedBusy, _ := NewShardedIncremental(7, 2)
@@ -203,9 +199,10 @@ func TestRestoreCompactRejectsReceiver(t *testing.T) {
 	expectErr("sharded non-empty receiver", "already holding", shardedBusy.RestoreCompact(cs))
 }
 
-// TestStatsExportEqualNormalizesBitsets: trailing zero words in attendance
-// bitsets never distinguish equal states.
-func TestStatsExportEqualNormalizesBitsets(t *testing.T) {
+// TestCompactStateIgnoresBitsetCapacity: trailing zero words in a
+// checkpoint's bitsets never distinguish equal states — the digest has no
+// term for a zero word — while a flipped attendance bit is refused.
+func TestCompactStateIgnoresBitsetCapacity(t *testing.T) {
 	donor, err := NewShardedIncremental(4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -217,14 +214,25 @@ func TestStatsExportEqualNormalizesBitsets(t *testing.T) {
 			}
 		}
 	}
-	a := donor.ExportStats()
-	b := donor.ExportStats()
-	b.Responded[2] = append(b.Responded[2], 0, 0)
-	if !a.Equal(b) {
-		t.Fatal("trailing zero bitset words should not break equality")
+	cs := donor.CompactCheckpoint()
+	cs.Responded[2] = append(cs.Responded[2], 0, 0)
+	cs.Answers[1] = append(cs.Answers[1], 0)
+	padded, err := NewShardedIncremental(4, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.Responded[2][0] ^= 1
-	if a.Equal(b) {
-		t.Fatal("flipped attendance bit should break equality")
+	if err := padded.RestoreCompact(cs); err != nil {
+		t.Fatalf("trailing zero bitset words broke the restore: %v", err)
+	}
+	if !sameCompact(padded.CompactCheckpoint(), donor.CompactCheckpoint()) {
+		t.Fatal("the padded checkpoint restored to another state")
+	}
+	cs.Responded[2][0] ^= 1 << 5
+	flipped, err := NewShardedIncremental(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := flipped.RestoreCompact(cs); err == nil {
+		t.Fatal("a flipped attendance bit restored")
 	}
 }

@@ -480,9 +480,8 @@ func (c colIndex) each(f func(t, col int)) {
 // throughout, so a rebuild that cannot TryLock the published merge
 // rebuilds the spare instead and swaps the two. Only one solve runs at a
 // time (solveMu), so when a solve holds the published merge the spare is
-// under no solve. The spare can be under a solve only when an ExportStats
-// copy, the one other holder of an accumulator's mu, holds the published
-// merge at that moment, and only tests export.
+// under no solve. Only solves and rebuilds take an accumulator's mu, so
+// locking the spare never waits for a solve.
 func (s *ShardedIncremental) snapshot() *StatsAccumulator {
 	s.mergeMu.Lock()
 	defer s.mergeMu.Unlock()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	mathbits "math/bits"
-	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -83,14 +82,15 @@ func wideCrowd(t testing.TB, tasks int, density float64, seed int64) *crowd.Data
 // as a Dataset: the attendance bitsets say who answered which task and the
 // answer bitsets what they answered.
 func compactDataset(cs *CompactState) (*crowd.Dataset, error) {
-	if cs.Stats.Tasks == 0 {
+	tasks, _ := attendanceTotals(cs.Responded)
+	if tasks == 0 {
 		return nil, fmt.Errorf("core: no responses recorded: %w", ErrInsufficientData)
 	}
-	ds, err := crowd.NewDataset(cs.Stats.Workers, cs.Stats.Tasks, 2)
+	ds, err := crowd.NewDataset(len(cs.Responded), tasks, 2)
 	if err != nil {
 		return nil, err
 	}
-	for w, attended := range cs.Stats.Responded {
+	for w, attended := range cs.Responded {
 		answers := dynBitset(cs.Answers[w])
 		for k, word := range attended {
 			for ; word != 0; word &= word - 1 {
@@ -572,7 +572,7 @@ func TestShardedRebuildSkipsHeldMerge(t *testing.T) {
 		}
 	}
 	held := s.snapshot()
-	before := held.Export()
+	before := held.Clone()
 	held.mu.Lock()
 	read := make(chan *StatsAccumulator, 1)
 	go func() {
@@ -598,52 +598,50 @@ func TestShardedRebuildSkipsHeldMerge(t *testing.T) {
 	case got.Responses() != 5:
 		t.Fatalf("the read's merge holds %d responses, want 5", got.Responses())
 	}
-	if !reflect.DeepEqual(held.Export(), before) {
+	if !sameStats(held, before) {
 		t.Fatal("the held merge changed")
 	}
 }
 
-// checkExportConsistent verifies that an export is one point-in-time
-// merge: symmetric counters with agree never above common, every pairwise
-// common count equal to the overlap of the two attendance bitsets, and
-// the response total equal to the attendance bits set. A merge rebuilt
-// while it was being read breaks these.
-func checkExportConsistent(e *StatsExport) error {
-	if err := e.validate(); err != nil {
-		return err
-	}
+// checkStateConsistent verifies that an accumulator holds one
+// point-in-time merge: symmetric counters with agree never above common,
+// every pairwise common count equal to the overlap of the two attendance
+// bitsets, and the response total equal to the attendance bits set. A
+// merge rebuilt while it was being read breaks these.
+func checkStateConsistent(a *StatsAccumulator) error {
+	e := a.stats
 	bits := 0
-	for i := 0; i < e.Workers; i++ {
-		for _, word := range e.Responded[i] {
+	for i := 0; i < a.workers; i++ {
+		for _, word := range e.responded[i] {
 			bits += mathbits.OnesCount64(word)
 		}
-		for j := 0; j < e.Workers; j++ {
-			if e.Common[i][j] != e.Common[j][i] || e.Agree[i][j] != e.Agree[j][i] || e.Agree[i][j] > e.Common[i][j] {
-				return fmt.Errorf("pair (%d,%d): common %d/%d agree %d/%d", i, j, e.Common[i][j], e.Common[j][i], e.Agree[i][j], e.Agree[j][i])
+		for j := 0; j < a.workers; j++ {
+			if e.common[i][j] != e.common[j][i] || e.agree[i][j] != e.agree[j][i] || e.agree[i][j] < 0 || e.agree[i][j] > e.common[i][j] {
+				return fmt.Errorf("pair (%d,%d): common %d/%d agree %d/%d", i, j, e.common[i][j], e.common[j][i], e.agree[i][j], e.agree[j][i])
 			}
 			if i == j {
 				continue
 			}
 			overlap := 0
-			ri, rj := e.Responded[i], e.Responded[j]
+			ri, rj := e.responded[i], e.responded[j]
 			for k := 0; k < min(len(ri), len(rj)); k++ {
 				overlap += mathbits.OnesCount64(ri[k] & rj[k])
 			}
-			if overlap != e.Common[i][j] {
-				return fmt.Errorf("pair (%d,%d): common %d, attendance overlap %d", i, j, e.Common[i][j], overlap)
+			if overlap != e.common[i][j] {
+				return fmt.Errorf("pair (%d,%d): common %d, attendance overlap %d", i, j, e.common[i][j], overlap)
 			}
 		}
 	}
-	if bits != e.Responses {
-		return fmt.Errorf("%d responses, %d attendance bits", e.Responses, bits)
+	if bits != a.responses {
+		return fmt.Errorf("%d responses, %d attendance bits", a.responses, bits)
 	}
 	return nil
 }
 
-// TestShardedRecycledMergeConcurrent runs Add, EvaluateSubset and
-// ExportStats concurrently, so merges are rebuilt in place or into the
-// spare while other reads hold theirs. Every export must be a consistent
-// merge, and the final intervals must equal the batch algorithm's bit for
+// TestShardedRecycledMergeConcurrent runs Add, EvaluateSubset and copies
+// of the published merge concurrently, so merges are rebuilt in place or
+// into the spare while other reads hold theirs. Every copy must be a
+// consistent merge, and the final intervals must equal the batch algorithm's bit for
 // bit. Under -race this is the safety test for merge recycling.
 func TestShardedRecycledMergeConcurrent(t *testing.T) {
 	const workers = 10
@@ -677,8 +675,8 @@ func TestShardedRecycledMergeConcurrent(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for !stop.Load() {
-				if err := checkExportConsistent(s.ExportStats()); err != nil {
-					t.Errorf("shards %d: concurrent ExportStats: %v", shards, err)
+				if err := checkStateConsistent(s.snapshot().Clone()); err != nil {
+					t.Errorf("shards %d: concurrent copy of the merge: %v", shards, err)
 					return
 				}
 			}
@@ -736,10 +734,21 @@ func TestIncrementalMergeMatchesRebuild(t *testing.T) {
 	}
 	check := func(s *ShardedIncremental, when string) {
 		t.Helper()
-		// Not Export: the published merge may be the one the test holds.
+		// Not Clone: the published merge may be the one the test holds.
 		m := s.snapshot()
-		got := exportStats(m.stats, m.workers, m.tasks, m.responses)
-		if want := mergedExport(s.workers, s.shards); !reflect.DeepEqual(got, want) {
+		want := newStatsAccumulator(s.workers)
+		for _, sh := range s.shards {
+			want.stats.addFrom(sh.stats)
+			want.tasks = max(want.tasks, sh.tasks)
+			want.responses += sh.responses
+		}
+		want.stats.mirror()
+		same := m.tasks == want.tasks && m.responses == want.responses
+		for w := 0; same && w < s.workers; w++ {
+			same = slices.Equal(m.stats.agree[w], want.stats.agree[w]) && slices.Equal(m.stats.common[w], want.stats.common[w]) &&
+				slices.Equal(m.stats.responded[w], want.stats.responded[w])
+		}
+		if !same {
 			t.Fatalf("%s: the merge differs from a rebuild", when)
 		}
 	}
@@ -815,7 +824,7 @@ func TestShardedMergeRecycles(t *testing.T) {
 	// A merge whose lock is held, as a solve holds it, is not rebuilt,
 	// and none of its contents change.
 	held := s.snapshot()
-	before := held.Export()
+	before := held.Clone()
 	held.mu.Lock()
 	for i := 0; i < 8; i++ {
 		cycle()
@@ -824,7 +833,7 @@ func TestShardedMergeRecycles(t *testing.T) {
 		t.Fatal("a merge was rebuilt into an accumulator a solve holds")
 	}
 	held.mu.Unlock()
-	if !reflect.DeepEqual(held.Export(), before) {
+	if !sameStats(held, before) {
 		t.Fatal("a held merge changed")
 	}
 

@@ -206,14 +206,14 @@ func clusterDataset(c *Coordinator) (*crowd.Dataset, error) {
 		if err != nil {
 			return nil, fmt.Errorf("slice %d compact state: %w", si, err)
 		}
-		tasks = max(tasks, states[si].Stats.Tasks)
+		tasks = max(tasks, compactHorizon(states[si]))
 	}
 	ds, err := crowd.NewDataset(c.workers, tasks, 2)
 	if err != nil {
 		return nil, err
 	}
 	for _, cs := range states {
-		for w, attended := range cs.Stats.Responded {
+		for w, attended := range cs.Responded {
 			for k, word := range attended {
 				for ; word != 0; word &= word - 1 {
 					bit := bits.TrailingZeros64(word)

@@ -1,7 +1,7 @@
 // Package dist spans the streaming evaluator across processes and
 // machines. Workers each own a core.ShardedIncremental over a disjoint
 // slice of the task space and ingest responses locally; a coordinator
-// pulls per-worker statistics exports over a small framed protocol, merges
+// pulls per-worker statistics over a small framed protocol, merges
 // them through the same addFrom reducer the sharded evaluator uses in
 // process, and evaluates once — bit-identical to a single local evaluator
 // fed every response. After the first pull of a slice, a pull ships only
@@ -51,22 +51,16 @@ import (
 //	    empty state, replaces the full CSTA reply (kind byte 0), so CSTA
 //	    travels only inside CCMP compact state; the coordinator's
 //	    handshake also refuses a node of another protocol version
-const ProtocolVersion = 8
-
-// statsCodecVersion versions the statistics payload independently of the
-// protocol, so exports persisted to disk stay readable across protocol
-// bumps that leave the statistics layout alone.
-const statsCodecVersion = 1
-
-// statsMagic brands a statistics payload ("CrowdSTats").
-var statsMagic = [4]byte{'C', 'S', 'T', 'A'}
+//	9 — compact and restoreCompact carry CCMP version 2: the attendance
+//	    and answer bitsets and the statistics digest, no CSTA counters
+const ProtocolVersion = 9
 
 // Decode-side sanity caps. They bound what a malformed or hostile frame
 // can make the decoder allocate; well-formed traffic never hits them.
 const (
 	// maxNodeName caps the node-identity string a handshake may carry.
 	maxNodeName = 4096
-	// maxStatsWorkers caps the crowd size a statistics payload may claim.
+	// maxStatsWorkers caps the crowd size a payload may claim.
 	maxStatsWorkers = 1 << 20
 	// maxCounter caps any single decoded counter or total.
 	maxCounter = 1 << 52
@@ -158,162 +152,6 @@ func appendUvarint(b []byte, v uint64) []byte {
 
 func appendU64le(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-// EncodeStats serializes a statistics export in the versioned canonical
-// form: magic, codec version, dimensions, the strict upper triangle of the
-// agree/common counters (varint-packed — the symmetry of the counters is a
-// property of the format, not a promise of the sender), then each worker's
-// attendance bitset. Equal exports always produce equal bytes.
-func EncodeStats(e *core.StatsExport) ([]byte, error) {
-	// Rough capacity: header + 2 varints per pair + bitset words.
-	return appendStats(make([]byte, 0, 16+e.Workers*e.Workers+9*e.Workers), e)
-}
-
-// appendStats appends EncodeStats's payload to buf.
-func appendStats(buf []byte, e *core.StatsExport) ([]byte, error) {
-	w := e.Workers
-	if w < 0 || len(e.Agree) != w || len(e.Common) != w || len(e.Responded) != w {
-		return nil, fmt.Errorf("dist: export rows (%d, %d, %d) do not match %d workers",
-			len(e.Agree), len(e.Common), len(e.Responded), w)
-	}
-	if e.Tasks < 0 || e.Responses < 0 {
-		return nil, fmt.Errorf("dist: export has negative totals (tasks %d, responses %d)", e.Tasks, e.Responses)
-	}
-	buf = append(buf, statsMagic[:]...)
-	buf = appendUvarint(buf, statsCodecVersion)
-	buf = appendUvarint(buf, uint64(w))
-	buf = appendUvarint(buf, uint64(e.Tasks))
-	buf = appendUvarint(buf, uint64(e.Responses))
-	for i := 0; i < w; i++ {
-		if len(e.Agree[i]) != w || len(e.Common[i]) != w {
-			return nil, fmt.Errorf("dist: export counter row %d has length (%d, %d), want %d",
-				i, len(e.Agree[i]), len(e.Common[i]), w)
-		}
-		for j := i + 1; j < w; j++ {
-			a, c := e.Agree[i][j], e.Common[i][j]
-			if a < 0 || c < 0 || a > c {
-				return nil, fmt.Errorf("dist: export counter (%d,%d) is invalid (agree %d, common %d)", i, j, a, c)
-			}
-			buf = appendUvarint(buf, uint64(a))
-			buf = appendUvarint(buf, uint64(c))
-		}
-	}
-	for i := 0; i < w; i++ {
-		words := e.Responded[i]
-		// Canonical form drops trailing zero words, so the same attendance
-		// always encodes identically regardless of bitset capacity history.
-		n := len(words)
-		for n > 0 && words[n-1] == 0 {
-			n--
-		}
-		buf = appendUvarint(buf, uint64(n))
-		for _, word := range words[:n] {
-			buf = appendU64le(buf, word)
-		}
-	}
-	return buf, nil
-}
-
-// DecodeStats parses a statistics payload. Malformed input of any kind —
-// truncation, bad magic, unknown version, absurd dimensions, inconsistent
-// counters, trailing bytes — yields an error, never a panic. The returned
-// export owns its memory.
-func DecodeStats(b []byte) (*core.StatsExport, error) {
-	r := &wireReader{buf: b}
-	magic, err := r.bytes(4, "magic")
-	if err != nil {
-		return nil, err
-	}
-	if [4]byte(magic) != statsMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCodec, magic)
-	}
-	version, err := r.uvarint("codec version")
-	if err != nil {
-		return nil, err
-	}
-	if version != statsCodecVersion {
-		return nil, fmt.Errorf("%w: unsupported stats codec version %d (have %d)", ErrCodec, version, statsCodecVersion)
-	}
-	workers, err := r.count("worker count", maxStatsWorkers)
-	if err != nil {
-		return nil, err
-	}
-	tasks, err := r.count("task count", maxCounter)
-	if err != nil {
-		return nil, err
-	}
-	responses, err := r.count("response count", maxCounter)
-	if err != nil {
-		return nil, err
-	}
-	// Each of the workers*(workers-1)/2 pairs takes at least two bytes, so
-	// a payload claiming more workers than its length supports is rejected
-	// before anything quadratic is allocated.
-	if pairs := workers * (workers - 1) / 2; r.rest() < 2*pairs {
-		return nil, fmt.Errorf("%w: %d bytes cannot hold %d counter pairs", ErrCodec, r.rest(), pairs)
-	}
-	e := &core.StatsExport{
-		Workers:   workers,
-		Tasks:     tasks,
-		Responses: responses,
-		Agree:     make([][]int, workers),
-		Common:    make([][]int, workers),
-		Responded: make([][]uint64, workers),
-	}
-	// Counter rows are allocated only as their wire bytes are consumed:
-	// row i costs O(workers) memory but getting past it costs at least
-	// 2·(workers−i−1) payload bytes, so a truncated or hostile frame can
-	// never make the decoder allocate much more than ~8× the bytes it
-	// actually carries (the varint-to-int expansion), instead of the full
-	// claimed workers² up front.
-	for i := 0; i < workers; i++ {
-		e.Agree[i] = make([]int, workers)
-		e.Common[i] = make([]int, workers)
-		for j := i + 1; j < workers; j++ {
-			a, err := r.count("agree counter", maxCounter)
-			if err != nil {
-				return nil, err
-			}
-			c, err := r.count("common counter", maxCounter)
-			if err != nil {
-				return nil, err
-			}
-			if a > c {
-				return nil, fmt.Errorf("%w: agree[%d][%d]=%d exceeds common=%d", ErrCodec, i, j, a, c)
-			}
-			e.Agree[i][j], e.Common[i][j] = a, c
-		}
-	}
-	// Mirror the upper triangle now that every row exists; the wire format
-	// carries no lower triangle, so symmetry is structural.
-	for i := 0; i < workers; i++ {
-		for j := i + 1; j < workers; j++ {
-			e.Agree[j][i] = e.Agree[i][j]
-			e.Common[j][i] = e.Common[i][j]
-		}
-	}
-	for i := 0; i < workers; i++ {
-		words, err := r.count("bitset length", uint64(r.rest()/8))
-		if err != nil {
-			return nil, err
-		}
-		e.Responded[i] = make([]uint64, words)
-		for k := 0; k < words; k++ {
-			if e.Responded[i][k], err = r.u64le("bitset word"); err != nil {
-				return nil, err
-			}
-		}
-		// The canonical form has no trailing zero words; admitting them
-		// would give one attendance set two encodings.
-		if words > 0 && e.Responded[i][words-1] == 0 {
-			return nil, fmt.Errorf("%w: non-canonical bitset for worker %d (trailing zero word)", ErrCodec, i)
-		}
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return e, nil
 }
 
 // helloMsg is the handshake in both directions: the coordinator announces

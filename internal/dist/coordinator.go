@@ -693,7 +693,7 @@ func (c *Coordinator) rebuildLocked() error {
 	}
 	for _, s := range c.slices {
 		if s.state != nil {
-			if err := m.Merge(s.state.Export()); err != nil {
+			if err := m.Merge(s.state); err != nil {
 				return err
 			}
 		}

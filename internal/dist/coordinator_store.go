@@ -98,7 +98,7 @@ func storedResponses(st *store.Store) (int, error) {
 			if err != nil {
 				return err
 			}
-			n = cs.Stats.Responses
+			n = compactResponses(cs)
 			return nil
 		},
 		func(rec store.Record) error {

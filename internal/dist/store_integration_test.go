@@ -182,14 +182,11 @@ func TestCompactMalformed(t *testing.T) {
 
 	// Re-encode by hand with a padded (non-canonical) last bitset and a
 	// recomputed CRC: framing is intact, canonicality must still reject.
-	stats, err := EncodeStats(cs.Stats)
-	if err != nil {
-		t.Fatal(err)
-	}
 	buf := append([]byte(nil), compactMagic[:]...)
 	buf = appendUvarint(buf, compactVersion)
-	buf = appendUvarint(buf, uint64(len(stats)))
-	buf = append(buf, stats...)
+	buf = appendU64le(buf, cs.Digest)
+	buf = appendUvarint(buf, uint64(len(cs.Responded)))
+	buf = appendBitsets(buf, cs.Responded)
 	for i, words := range cs.Answers {
 		n := len(words)
 		for n > 0 && words[n-1] == 0 {
@@ -475,6 +472,64 @@ func TestColdRestartRebuildsFromSliceStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireStoreHolds(t, "recovered from the checkpointed store", crowdSize, st, subs)
+}
+
+// TestAttachRebuildsFromV1Snapshot: a slice store whose newest snapshot
+// is a version 1 compact payload, with a journal tail past it, still
+// rebuilds an empty replica on attach — every acked response, decisions
+// bit-identical to a single-process evaluator — and the next checkpoint
+// writes a version 2 snapshot.
+func TestAttachRebuildsFromV1Snapshot(t *testing.T) {
+	const crowdSize = 8
+	subs := v1Stream(t)
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	for i := 0; i < len(subs); i += 16 {
+		batch := make([]store.Response, 0, 16)
+		for _, x := range subs[i:min(i+16, len(subs))] {
+			batch = append(batch, store.Response{Worker: x.w, Task: x.t, Answer: x.r})
+		}
+		seq, err := st.Log.Append(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i+16 == v1Half {
+			if err := st.Snapshots.Save(seq, v1Payload(t)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, conn := freshReplica(t, crowdSize, 2)
+	coord, err := NewCluster(crowdSize, slicesOf(conn), DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	st = openTestStore(t, dir)
+	defer st.Close()
+	if err := coord.AttachSliceStores([]*store.Store{st}); err != nil {
+		t.Fatal(err)
+	}
+	if total, err := coord.Responses(); err != nil || total != len(subs) {
+		t.Fatalf("rebuilt head serves %d responses (err %v), want %d", total, err, len(subs))
+	}
+	requireEvaluateAllEqual(t, "rebuilt from a version 1 snapshot", coord, localReference(t, crowdSize, subs))
+
+	if err := coord.CheckpointCompactSlice(0); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err := st.Snapshots.Latest()
+	if err != nil || !ok {
+		t.Fatalf("no snapshot after the checkpoint (ok %v, err %v)", ok, err)
+	}
+	if v := snap.Payload[len(compactMagic)]; v != compactVersion {
+		t.Fatalf("the checkpoint wrote compact version %d, want %d", v, compactVersion)
+	}
+	requireStoreHolds(t, "recovered from the version 2 checkpoint", crowdSize, st, subs)
 }
 
 // TestAttachRefusesReplicaBehindStore: a live replica holding some but not

@@ -10,22 +10,6 @@ import (
 	"sync"
 )
 
-// SnapshotStore persists compacted state snapshots, each tagged with the
-// WAL sequence number it covers. The payload is opaque to the store — the
-// distributed layer writes its canonical compact-state encoding — which
-// keeps this package free of any dependency on what is being snapshotted
-// and leaves the interface implementable by object stores or SQL blobs.
-type SnapshotStore interface {
-	// Save durably writes a snapshot covering the log through seq,
-	// then prunes generations beyond Options.KeepSnapshots.
-	Save(seq uint64, payload []byte) error
-	// Latest returns the newest snapshot that passes validation, skipping
-	// corrupt files (a snapshot with a bad CRC is refused, not trusted).
-	// ok is false when no valid snapshot exists; err is non-nil only when
-	// candidates existed but none could be read back cleanly.
-	Latest() (snap Snapshot, ok bool, err error)
-}
-
 // Snapshot is one stored snapshot: the opaque payload plus the WAL
 // sequence number it covers — recovery restores the payload and replays
 // the log from Seq+1.
@@ -95,7 +79,11 @@ func DecodeSnapshotFile(b []byte) (Snapshot, error) {
 	}, nil
 }
 
-// DiskSnapshots is the local-disk SnapshotStore. Safe for concurrent use.
+// DiskSnapshots persists compacted state snapshots on local disk, each
+// tagged with the WAL sequence number it covers. The payload is opaque to
+// the store — the distributed layer writes its canonical compact-state
+// encoding — which keeps this package free of any dependency on what is
+// being snapshotted. Safe for concurrent use.
 type DiskSnapshots struct {
 	fsys    FS
 	dir     string
@@ -133,8 +121,8 @@ func parseSnapName(name string) (uint64, bool) {
 	return seq, true
 }
 
-// Save durably writes the snapshot, then prunes old generations; see
-// SnapshotStore.Save.
+// Save durably writes a snapshot covering the log through seq, then
+// prunes generations beyond Options.KeepSnapshots.
 func (s *DiskSnapshots) Save(seq uint64, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -177,8 +165,10 @@ func (s *DiskSnapshots) Save(seq uint64, payload []byte) error {
 	return s.fsys.SyncDir(s.dir)
 }
 
-// Latest returns the newest valid snapshot, skipping corrupt files; see
-// SnapshotStore.Latest.
+// Latest returns the newest snapshot that passes validation, skipping
+// corrupt files (a snapshot with a bad CRC is refused, not trusted). ok is
+// false when no valid snapshot exists; err is non-nil only when candidates
+// existed but none could be read back cleanly.
 func (s *DiskSnapshots) Latest() (Snapshot, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

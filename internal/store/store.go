@@ -13,9 +13,7 @@
 // construction.
 //
 // The engine is written against the FS seam so tests can inject torn
-// writes, ENOSPC and crash-at-offset faults (FaultFS), and so non-POSIX
-// backends (object stores, SQL blobs) can implement Log and SnapshotStore
-// without this package changing.
+// writes, ENOSPC and crash-at-offset faults (FaultFS).
 package store
 
 import (

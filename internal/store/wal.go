@@ -15,43 +15,6 @@ import (
 	"crowdassess/internal/obs"
 )
 
-// Log is the write-ahead journal the ingest path appends to before acking.
-// Sequence numbers are assigned contiguously starting at 1; replay filters
-// on them, so re-applying a tail that overlaps an already-restored
-// snapshot is idempotent by construction.
-type Log interface {
-	// Append journals one accepted batch and returns its sequence number:
-	// Write, then SyncTo that number. When it returns nil under
-	// FsyncAlways, the batch is on stable storage; under FsyncNever it
-	// survives a process crash but not a machine crash.
-	Append(responses []Response) (uint64, error)
-	// Write journals one accepted batch without waiting for stable
-	// storage and returns its sequence number. Records are written in
-	// sequence order, so a caller that serializes its Writes under its own
-	// lock fixes the journal's order without holding that lock through an
-	// fsync.
-	Write(responses []Response) (uint64, error)
-	// SyncTo returns once every record up to seq is as durable as the
-	// policy makes an Append: on stable storage under FsyncAlways. One
-	// fsync covers every record written before it started, so concurrent
-	// callers share fsyncs. After a failed fsync no call reports success.
-	SyncTo(seq uint64) error
-	// LastSeq returns the highest sequence number ever written (0 if
-	// none).
-	LastSeq() uint64
-	// Replay streams every record with Seq >= from, in sequence order.
-	Replay(from uint64, fn func(Record) error) error
-	// TruncateBefore drops log prefixes wholly below seq — called after a
-	// snapshot at seq-1 has been made durable. It only removes whole
-	// segments, so some records below seq may survive; replay's sequence
-	// filter makes the overlap harmless.
-	TruncateBefore(seq uint64) error
-	// Sync forces buffered appends to stable storage regardless of policy.
-	Sync() error
-	// Close syncs (under durable policies) and releases the log.
-	Close() error
-}
-
 // FsyncPolicy selects when appends reach stable storage.
 type FsyncPolicy int
 
@@ -126,7 +89,11 @@ type segInfo struct {
 	first uint64
 }
 
-// DiskLog is the local-disk Log. All methods are safe for concurrent use.
+// DiskLog is the write-ahead journal the ingest path appends to before
+// acking, on local disk. Sequence numbers are assigned contiguously
+// starting at 1; replay filters on them, so re-applying a tail that
+// overlaps an already-restored snapshot is idempotent by construction.
+// All methods are safe for concurrent use.
 type DiskLog struct {
 	fsys    FS
 	dir     string
@@ -358,15 +325,18 @@ func (l *DiskLog) Recovery() RecoveryInfo { return l.recovery }
 // Dir returns the directory the log lives in.
 func (l *DiskLog) Dir() string { return l.dir }
 
-// LastSeq returns the highest sequence number ever appended.
+// LastSeq returns the highest sequence number ever written (0 if none).
 func (l *DiskLog) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lastSeq
 }
 
-// Append journals one batch; see Log.Append. It is Write then SyncTo,
-// for callers that hold no lock of their own across the call.
+// Append journals one accepted batch and returns its sequence number:
+// Write, then SyncTo that number, for callers that hold no lock of their
+// own across the call. When it returns nil under FsyncAlways, the batch is
+// on stable storage; under FsyncNever it survives a process crash but not
+// a machine crash.
 func (l *DiskLog) Append(responses []Response) (uint64, error) {
 	seq, err := l.Write(responses)
 	if err != nil {
@@ -378,7 +348,10 @@ func (l *DiskLog) Append(responses []Response) (uint64, error) {
 	return seq, nil
 }
 
-// Write journals one batch without an fsync; see Log.Write. A batch
+// Write journals one accepted batch without waiting for stable storage
+// and returns its sequence number. Records are written in sequence order,
+// so a caller that serializes its Writes under its own lock fixes the
+// journal's order without holding that lock through an fsync. A batch
 // whose encoded payload would exceed maxRecordPayload — which
 // DecodeRecord rejects as corrupt, so journaling it as one frame would
 // turn the next recovery into silent truncation of acked data — is split
@@ -448,8 +421,11 @@ func (l *DiskLog) Write(responses []Response) (uint64, error) {
 	return seq, nil
 }
 
-// SyncTo waits until record seq is durable; see Log.SyncTo. Under
-// FsyncNever a written record already is, as far as the policy goes, so
+// SyncTo returns once every record up to seq is as durable as the policy
+// makes an Append: on stable storage under FsyncAlways. One fsync covers
+// every record written before it started, so concurrent callers share
+// fsyncs. Under FsyncNever a written record already is, as far as the
+// policy goes, so
 // only a failed or closed log is reported. Otherwise the first caller to
 // find no fsync in flight runs one, outside the log lock, covering every
 // record written so far; callers whose record it covers return when it
@@ -614,7 +590,7 @@ func (l *DiskLog) closeSegmentLocked() error {
 	return nil
 }
 
-// Replay streams records with Seq >= from in order; see Log.Replay. It
+// Replay streams every record with Seq >= from, in sequence order. It
 // holds the log lock for the duration, so appends queue behind it.
 func (l *DiskLog) Replay(from uint64, fn func(Record) error) error {
 	l.mu.Lock()
@@ -654,8 +630,10 @@ func (l *DiskLog) Replay(from uint64, fn func(Record) error) error {
 	return nil
 }
 
-// TruncateBefore drops whole segments below seq; see Log.TruncateBefore.
-// The newest segment is always retained even when fully below seq: its
+// TruncateBefore drops log prefixes wholly below seq — called after a
+// snapshot at seq-1 has been made durable. It only removes whole
+// segments, so some records below seq may survive; replay's sequence
+// filter makes the overlap harmless. The newest segment is always retained even when fully below seq: its
 // records carry the log's sequence position, so a crash after truncation
 // still reopens with the counter intact (replay's filter makes the stale
 // records harmless).
@@ -733,7 +711,7 @@ func (l *DiskLog) Sync() error {
 	return l.syncTo(l.LastSeq())
 }
 
-// Close syncs under durable policies and releases the log.
+// Close syncs (under durable policies) and releases the log.
 func (l *DiskLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
